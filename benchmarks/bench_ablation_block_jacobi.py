@@ -17,6 +17,7 @@ from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut
 from repro.ilu import block_jacobi_ilut, ilum
+from repro.ilu.params import ILUTParams
 from repro.solvers import ILUPreconditioner, gmres
 
 M, T = 10, 1e-4
@@ -28,8 +29,8 @@ def _sweep():
     rows = []
     for p in PROCS:
         d = decompose(A, p, seed=SEED)
-        bj = block_jacobi_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)
-        full = parallel_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)
+        bj = block_jacobi_ilut(A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED)
+        full = parallel_ilut(A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED)
         n_bj = gmres(A, b, restart=20, tol=1e-8, M=bj, maxiter=20000).num_matvec
         n_full = gmres(
             A, b, restart=20, tol=1e-8, M=ILUPreconditioner(full.factors),

@@ -15,6 +15,7 @@ from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut
 from repro.ilu import parallel_ilu0
+from repro.ilu.params import ILUTParams
 from repro.solvers import ILUPreconditioner, gmres
 
 
@@ -26,8 +27,8 @@ def _compare():
     rows = []
     for name, runner in (
         ("ILU(0) colouring", lambda: parallel_ilu0(A, p, decomp=d, model=MODEL, seed=SEED)),
-        ("ILUT(10,1e-2) MIS", lambda: parallel_ilut(A, 10, 1e-2, p, decomp=d, model=MODEL, seed=SEED)),
-        ("ILUT(10,1e-6) MIS", lambda: parallel_ilut(A, 10, 1e-6, p, decomp=d, model=MODEL, seed=SEED)),
+        ("ILUT(10,1e-2) MIS", lambda: parallel_ilut(A, ILUTParams(fill=10, threshold=1e-2), p, decomp=d, model=MODEL, seed=SEED)),
+        ("ILUT(10,1e-6) MIS", lambda: parallel_ilut(A, ILUTParams(fill=10, threshold=1e-6), p, decomp=d, model=MODEL, seed=SEED)),
     ):
         r = runner()
         res = gmres(

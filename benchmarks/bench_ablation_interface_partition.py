@@ -15,6 +15,7 @@ from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut, parallel_ilut_partitioned
+from repro.ilu.params import ILUTParams
 from repro.solvers import ILUPreconditioner, gmres
 
 M, T = 10, 1e-6  # dense regime — where §7 says partitioning should win
@@ -27,11 +28,11 @@ def _compare():
     b = A @ np.ones(A.shape[0])
     rows = []
     for name, runner in (
-        ("MIS levels", lambda: parallel_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)),
+        ("MIS levels", lambda: parallel_ilut(A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED)),
         (
             "interface partition",
             lambda: parallel_ilut_partitioned(
-                A, M, T, p, decomp=d, model=MODEL, seed=SEED
+                A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED
             ),
         ),
     ):

@@ -17,6 +17,7 @@ from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import parallel_ilut, parallel_ilut_star, decompose
+from repro.ilu.params import ILUTParams
 from repro.solvers import ILUPreconditioner, gmres
 
 KS = (1, 2, 4, 8)
@@ -29,13 +30,13 @@ def _sweep():
     d = decompose(A, p, seed=SEED)
     b = A @ np.ones(A.shape[0])
     rows = []
-    ref = parallel_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)
+    ref = parallel_ilut(A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED)
     ref_nmv = gmres(
         A, b, restart=20, tol=1e-8, M=ILUPreconditioner(ref.factors), maxiter=20000
     ).num_matvec
     rows.append(["ILUT (ref)", ref.num_levels, ref.modeled_time, ref_nmv])
     for k in KS:
-        r = parallel_ilut_star(A, M, T, k, p, decomp=d, model=MODEL, seed=SEED)
+        r = parallel_ilut_star(A, ILUTParams(fill=M, threshold=T, k=k), p, decomp=d, model=MODEL, seed=SEED)
         nmv = gmres(
             A, b, restart=20, tol=1e-8, M=ILUPreconditioner(r.factors), maxiter=20000
         ).num_matvec

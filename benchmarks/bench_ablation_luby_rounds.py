@@ -14,6 +14,7 @@ from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut
+from repro.ilu.params import ILUTParams
 
 ROUNDS = (1, 2, 5, 20)
 
@@ -25,7 +26,7 @@ def _sweep():
     rows = []
     for rounds in ROUNDS:
         r = parallel_ilut(
-            A, 10, 1e-4, p, decomp=d, model=MODEL, seed=SEED, mis_rounds=rounds
+            A, ILUTParams(fill=10, threshold=1e-4), p, decomp=d, model=MODEL, seed=SEED, mis_rounds=rounds
         )
         rows.append([f"rounds={rounds}", r.num_levels, r.modeled_time])
     return rows

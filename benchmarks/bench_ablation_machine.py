@@ -13,6 +13,7 @@ from _reporting import record_table
 from _workloads import PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut, parallel_ilut_star
+from repro.ilu.params import ILUTParams
 from repro.machine import CRAY_T3D, IDEAL, WORKSTATION_CLUSTER, MachineModel
 
 M, T = 10, 1e-6
@@ -31,9 +32,9 @@ def _sweep():
     d = decompose(A, p, seed=SEED)
     rows = []
     for model in MODELS:
-        ti = parallel_ilut(A, M, T, p, decomp=d, model=model, seed=SEED).modeled_time
+        ti = parallel_ilut(A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=model, seed=SEED).modeled_time
         ts = parallel_ilut_star(
-            A, M, T, 2, p, decomp=d, model=model, seed=SEED
+            A, ILUTParams(fill=M, threshold=T, k=2), p, decomp=d, model=model, seed=SEED
         ).modeled_time
         rows.append([model.name, model.latency, ti, ts, ti - ts])
     return rows

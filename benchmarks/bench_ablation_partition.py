@@ -13,6 +13,7 @@ from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut
+from repro.ilu.params import ILUTParams
 from repro.solvers import parallel_matvec
 
 METHODS = ("multilevel", "block", "random")
@@ -25,7 +26,7 @@ def _sweep():
     rows = []
     for method in METHODS:
         d = decompose(A, p, method=method, seed=SEED)
-        r = parallel_ilut(A, 10, 1e-4, p, decomp=d, model=MODEL, seed=SEED)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), p, decomp=d, model=MODEL, seed=SEED)
         mv = parallel_matvec(A, d, x, model=MODEL)
         rows.append(
             [

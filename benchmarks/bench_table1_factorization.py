@@ -10,6 +10,7 @@ import pytest
 
 from _reporting import record_table
 from _workloads import MODEL, PROCS, all_configs, factorize, label, matrix
+from repro.ilu.params import ILUTParams
 
 
 def _build_table(name: str) -> str:
@@ -72,7 +73,7 @@ def test_wall_clock_single_factorization(benchmark):
     from repro import parallel_ilut
 
     benchmark.pedantic(
-        lambda: parallel_ilut(A, 10, 1e-4, PROCS[1], seed=0),
+        lambda: parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), PROCS[1], seed=0),
         rounds=1,
         iterations=1,
     )

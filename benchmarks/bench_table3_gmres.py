@@ -27,6 +27,7 @@ from _workloads import (
 
 from repro import decompose, parallel_ilut, parallel_ilut_star
 from repro.ilu import parallel_triangular_solve
+from repro.ilu.params import ILUTParams
 from repro.solvers import (
     DiagonalPreconditioner,
     ILUPreconditioner,
@@ -50,9 +51,9 @@ def _decomp(name):
 def _factor(name, algo, m, t):
     A = matrix(name)
     if algo == "ILUT":
-        return parallel_ilut(A, m, t, P, decomp=_decomp(name), model=MODEL, seed=SEED)
+        return parallel_ilut(A, ILUTParams(fill=m, threshold=t), P, decomp=_decomp(name), model=MODEL, seed=SEED)
     return parallel_ilut_star(
-        A, m, t, KSTAR, P, decomp=_decomp(name), model=MODEL, seed=SEED
+        A, ILUTParams(fill=m, threshold=t, k=KSTAR), P, decomp=_decomp(name), model=MODEL, seed=SEED
     )
 
 

@@ -108,10 +108,10 @@ def distributed_two_step_luby_mis(
                 for (src, _dst), verts in sorted(bsets.items()):
                     for v in verts:
                         tr.write(src, "mis-flag", int(v))
-            for (src, dst), count in sorted(pattern.items()):
-                sim.send(src, dst, None, float(count), tag=("mis", rnd, step))
-            for (src, dst), _count in sorted(pattern.items()):
-                sim.recv(dst, src, tag=("mis", rnd, step))
+            sim.exchange(
+                [(src, dst, None, float(count)) for (src, dst), count in sorted(pattern.items())],
+                tag=("mis", rnd, step),
+            )
             if tr is not None:
                 # receivers consume the shipped flags of their ghosts
                 for (_src, dst), verts in sorted(bsets.items()):

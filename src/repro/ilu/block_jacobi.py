@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..decomp import DomainDecomposition, decompose
-from ..machine import CRAY_T3D, MachineModel, Simulator
+from ..machine import CRAY_T3D, MachineModel, Transport, entry_transport
 from ..sparse import CSRMatrix
 from .factors import ILUFactors
 from .ilut import ilut
@@ -63,13 +63,12 @@ class BlockJacobiILU:
 
 def block_jacobi_ilut(
     A: CSRMatrix,
-    m: int,
-    t: float,
+    params: ILUTParams,
     nranks: int,
     *,
     decomp: DomainDecomposition | None = None,
     model: MachineModel = CRAY_T3D,
-    simulate: bool = True,
+    transport: str | Transport | None = "simulator",
     seed: int = 0,
 ) -> BlockJacobiILU:
     """Factor each domain's diagonal block with ILUT(m, t).
@@ -83,31 +82,30 @@ def block_jacobi_ilut(
         raise ValueError(
             f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
         )
-    sim = Simulator(nranks, model) if simulate else None
     blocks: list[ILUFactors] = []
     row_sets: list[np.ndarray] = []
-    for r in range(nranks):
-        rows = decomp.owned_rows(r)
-        row_sets.append(rows)
-        if rows.size == 0:
-            blocks.append(
-                ILUFactors(
-                    L=CSRMatrix.zeros(0),
-                    U=CSRMatrix.zeros(0),
-                    perm=np.empty(0, dtype=np.int64),
+    with entry_transport(transport, nranks, model=model) as sim:
+        for r in range(nranks):
+            rows = decomp.owned_rows(r)
+            row_sets.append(rows)
+            if rows.size == 0:
+                blocks.append(
+                    ILUFactors(
+                        L=CSRMatrix.zeros(0),
+                        U=CSRMatrix.zeros(0),
+                        perm=np.empty(0, dtype=np.int64),
+                    )
                 )
-            )
-            continue
-        block = A.submatrix(rows, rows)
-        factors = ilut(block, ILUTParams(fill=m, threshold=t))
-        blocks.append(factors)
+                continue
+            factors = ilut(A.submatrix(rows, rows), params)
+            blocks.append(factors)
+            if sim is not None:
+                sim.compute(r, float(factors.stats.get("flops", 0)))
         if sim is not None:
-            sim.compute(r, float(factors.stats.get("flops", 0)))
-    if sim is not None:
-        sim.barrier()
-    return BlockJacobiILU(
-        decomp=decomp,
-        blocks=blocks,
-        rows=row_sets,
-        modeled_factor_time=sim.elapsed() if sim is not None else None,
-    )
+            sim.barrier()
+        return BlockJacobiILU(
+            decomp=decomp,
+            blocks=blocks,
+            rows=row_sets,
+            modeled_factor_time=sim.elapsed() if sim is not None else None,
+        )

@@ -35,31 +35,38 @@ numerics).
 Transport portability (DESIGN.md §13)
 -------------------------------------
 Each phase is organised as a **parallel region**: per-rank pure thunks
-(``_compute_*``) dispatched through ``transport.pardo``, whose returned
-row records the coordinator merges (``_apply_*``) in the same
-deterministic global order the historical inline loops used — rank-major
-for phase 1, independent-set order for level factorization, ascending
-row order for the reduced-matrix update.  Thunks read shared engine
-state but never mutate it; all state writes, tracer declarations and
-cost charges are replayed at merge time, at the original per-row
-granularity.  The merge order plus per-row charge replay is what makes
-factors, modeled times and fault-journal signatures bit-identical across
-all transports (the simulator runs regions sequentially in rank order,
-so it also reproduces the pre-transport behaviour bit for bit).
+(``_compute_*``) dispatched through :func:`repro.machine.run_region`,
+whose returned :class:`_RowRecord`s the coordinator merges
+(``_merge_record``) in the same deterministic global order the
+historical inline loops used — rank-major for phase 1, independent-set
+order for level factorization, ascending row order for the
+reduced-matrix update.  Thunks read shared engine state but never
+mutate it; all state writes, tracer declarations and cost charges are
+replayed at merge time, at the original per-row granularity.  The merge
+order plus per-row charge replay is what makes factors, modeled times
+and fault-journal signatures bit-identical across all transports (the
+simulator runs regions sequentially in rank order, so it also
+reproduces the pre-transport behaviour bit for bit).
+
+Every thunk body eliminates its rows with the one Algorithm 4.1 kernel,
+:meth:`EliminationEngine._eliminate_row`, and differs only in which
+columns are pivots, where pivot rows are read from, and which
+dropping-rule tail (``_u_row`` / ``_reduced_row``) finishes the row —
+DESIGN.md §13.2.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..decomp import DomainDecomposition
 from ..faults import MessageLost, RankFailure
 from ..graph import Graph, two_step_luby_mis
-from ..machine import Simulator, Transport
+from ..machine import Simulator, Transport, run_region, run_region_by_owner
 from ..resilience import PivotPolicy
 from ..sparse import COOBuilder, SparseRowAccumulator
 from .dropping import keep_largest
@@ -98,6 +105,24 @@ def _merge_rows(
     out_vals = np.zeros(int(gid[-1]) + 1, dtype=np.float64)
     np.add.at(out_vals, gid, vals)
     return cols[uniq], out_vals
+
+
+class _RowRecord(NamedTuple):
+    """What a region thunk returns per row, for the coordinator to merge.
+
+    ``None`` fields are absent: a row gets a ``u_row`` when it is
+    factored and a ``reduced_row`` when it stays in the reduced matrix;
+    ``copy_words`` is charged only for rebuilt reduced rows; ``decls``
+    exist only under a tracer.
+    """
+
+    row: int
+    l_row: tuple[np.ndarray, np.ndarray] | None
+    u_row: tuple[np.ndarray, np.ndarray] | None
+    reduced_row: tuple[np.ndarray, np.ndarray] | None
+    ops: float
+    copy_words: float | None
+    decls: list[tuple] | None
 
 
 @dataclass
@@ -283,13 +308,6 @@ class EliminationEngine:
     # transport helpers (no-ops without a transport)
     # ------------------------------------------------------------------
 
-    def _pardo(self, thunks):
-        """Dispatch one parallel region; sequential in rank order when no
-        transport is attached (the ``sim=None`` testing path)."""
-        if self.sim is not None:
-            return self.sim.pardo(thunks)
-        return [f() if f is not None else None for f in thunks]
-
     def _replay_decls(self, rank: int, decls) -> None:
         """Replay a thunk's recorded tracer declarations at merge time.
 
@@ -348,206 +366,221 @@ class EliminationEngine:
                 self.sim.send(src, dst, None, nwords, tag=tag)
         raise AssertionError("unreachable")
 
+    def _merge_record(self, rank: int, rec: _RowRecord) -> None:
+        """Apply one thunk record to the engine state (coordinator side).
+
+        Replays the row's declarations, stores whichever of its L /
+        U / reduced rows the record carries (a U row means the row was
+        factored: it leaves the reduced matrix and takes the next
+        elimination position), then replays its charges.  The *order* in
+        which callers feed records here is the engine's numerics.
+        """
+        self._replay_decls(rank, rec.decls)
+        i = rec.row
+        if rec.l_row is not None:
+            self.l_rows[i] = rec.l_row
+        if rec.u_row is not None:
+            self.reduced.pop(i, None)
+            self.u_rows[i] = rec.u_row
+            self.pos[i] = len(self.order)
+            self.order.append(i)
+        if rec.reduced_row is not None:
+            self.reduced[i] = rec.reduced_row
+        self._charge_ops(rank, rec.ops)
+        if rec.copy_words is not None:
+            self._charge_copy(rank, rec.copy_words)
+
     # ------------------------------------------------------------------
-    # phase 1: interior factorization + interface reduction
+    # the row kernel (Algorithm 4.1) and the dropping-rule tails
     # ------------------------------------------------------------------
 
     def _tau(self, i: int) -> float:
         return self.t * self.norms[i]
 
-    def _guard_diag(self, i: int, diag: float) -> float:
-        return self.pivot_policy.resolve(i, diag, self._tau(i), self.norms[i])
+    def _eliminate_row(
+        self,
+        w,
+        i: int,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        pkey: np.ndarray,
+        u_rows: dict[int, tuple[np.ndarray, np.ndarray]],
+        decls: list[tuple] | None,
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        """Algorithm 4.1: eliminate row ``i = (cols, vals)`` against
+        already-factored rows, with the 1st dropping rule.
 
-    def _factor_interior_block(self, rank: int) -> None:
-        """ILUT over ``rank``'s interior rows in ascending original index.
+        ``pkey[c] >= 0`` marks column ``c`` as a pivot and gives its
+        place in the elimination order (pivots are consumed by ascending
+        key); ``u_rows[c]`` is that pivot's U row, diagonal first.  New
+        pivots reached through fill are followed.  Returns ``(ops, l_row,
+        rcols, rvals)``: the operation count, the row's L part (its old
+        L row merged with the surviving multipliers, thresholded and cut
+        to the ``m`` largest) and what is left of the row over
+        non-pivot columns, before any 2nd/3rd-rule dropping.  Called
+        from inside region thunks: reads engine state, writes only ``w``
+        and ``decls``.
+        """
+        self._hb()
+        tau = self._tau(i)
+        w.load(cols, vals)
+        # min-heap of pending pivots, each encoded ``key * n + column``
+        # (keys are unique per column, so this orders by key); ``queued``
+        # keeps a column from entering twice
+        n = self.n
+        hits = cols[pkey[cols] >= 0]
+        heap = (pkey[hits] * n + hits).tolist()
+        heapq.heapify(heap)
+        queued = set(hits.tolist())
+        ops = 0
+        l_cols: list[int] = []
+        l_vals: list[float] = []
+        while heap:
+            k = heapq.heappop(heap) % n
+            wk = w.get(k)
+            w.drop(k)
+            if wk == 0.0:
+                continue
+            if decls is not None:
+                decls.append(("r", "u-row", k))
+            ucols, uvals = u_rows[k]
+            wk = wk / uvals[0]
+            ops += 1
+            if abs(wk) < tau:  # 1st dropping rule
+                continue
+            l_cols.append(k)
+            l_vals.append(wk)
+            if ucols.size > 1:
+                tail = ucols[1:]
+                w.axpy(-wk, tail, uvals[1:])
+                ops += 2 * int(tail.size)
+                for c in tail[pkey[tail] >= 0].tolist():
+                    if c not in queued:  # a pivot reached through fill
+                        queued.add(c)
+                        heapq.heappush(heap, int(pkey[c]) * n + c)
+        rcols, rvals = w.extract()
+        w.reset()
+        # merge the fresh multipliers into the accumulated L row, then
+        # threshold + keep-m on the whole factored part
+        lc_old, lv_old = self.l_rows.get(i, (np.empty(0, np.int64), np.empty(0)))
+        lc_new = np.asarray(l_cols, dtype=np.int64)
+        lv_new = np.asarray(l_vals, dtype=np.float64)
+        by_col = np.argsort(lc_new, kind="stable")
+        lc, lv = _merge_rows(lc_old, lv_old, lc_new[by_col], lv_new[by_col])
+        big = np.abs(lv) >= tau
+        return ops, self._keep(lc[big], lv[big], self.m), rcols, rvals
+
+    def _u_row(
+        self, i: int, cols: np.ndarray, vals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """2nd dropping rule, U side, for a row over unfactored columns:
+        threshold, keep the ``m`` largest, resolve the pivot.  Stored
+        diagonal first, tail sorted by column."""
+        tau = self._tau(i)
+        on = cols == i
+        diag = float(vals[on][0]) if np.any(on) else 0.0
+        big = (np.abs(vals) >= tau) & ~on
+        uc, uv = self._keep(cols[big], vals[big], self.m)
+        diag = self.pivot_policy.resolve(i, diag, tau, self.norms[i])
+        return (
+            np.concatenate(([i], uc)).astype(np.int64),
+            np.concatenate(([diag], uv)),
+        )
+
+    def _reduced_row(
+        self, i: int, cols: np.ndarray, vals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """3rd dropping rule for a row over unfactored columns:
+        threshold, the optional ``reduced_cap``, diagonal always kept."""
+        on = cols == i
+        diag = float(vals[on][0]) if np.any(on) else 0.0
+        keep = (np.abs(vals) >= self._tau(i)) & ~on
+        rc, rv = cols[keep], vals[keep]
+        if self.reduced_cap is not None:
+            rc, rv = self._keep(rc, rv, max(0, self.reduced_cap - 1))
+        ins = int(np.searchsorted(rc, i))
+        return (
+            np.concatenate((rc[:ins], (i,), rc[ins:])),
+            np.concatenate((rv[:ins], (diag,), rv[ins:])),
+        )
+
+    def _pivot_keys(self, pivots: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The ``pkey`` array of :meth:`_eliminate_row` for a pivot set."""
+        pkey = np.full(self.n, -1, dtype=np.int64)
+        pkey[pivots] = keys
+        return pkey
+
+    # ------------------------------------------------------------------
+    # phase 1: interior factorization + interface reduction
+    # ------------------------------------------------------------------
+
+    def _compute_interior_block(self, rank: int) -> list[_RowRecord]:
+        """Pure per-rank thunk body: ILUT over ``rank``'s interior rows
+        in ascending original index.
 
         Interior rows reference only local columns, so this is exactly
         the sequential ILUT restricted to the block; interface columns
-        land in the U part (they are eliminated later).
-
-        Compatibility wrapper over the pure thunk body
-        (:meth:`_compute_interior_block`) plus the coordinator merge —
-        ``run`` dispatches all ranks' blocks through one parallel region
-        instead.
+        land in the U part (they are eliminated later).  A rank's pivots
+        are its own earlier interior rows, kept in a thunk-local overlay.
         """
-        self._apply_interior_records(rank, self._compute_interior_block(rank))
-
-    def _compute_interior_block(self, rank: int) -> list[tuple]:
-        """Pure per-rank thunk body for phase-1 interior factorization.
-
-        Reads shared state, mutates nothing; a rank's pivots are its own
-        earlier interior rows, kept in a thunk-local dict.  Returns one
-        record per row: ``(i, l_row, u_row, row_ops, decls)``.
-        """
-        interior = self.decomp.interior_rows(rank)
-        is_earlier = np.zeros(self.n, dtype=bool)  # factored-before-me mask
         w = self._region_acc()
         trace = self._tr is not None
+        pkey = np.full(self.n, -1, dtype=np.int64)
         u_new: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        records: list[tuple] = []
-        for i_arr in interior:
-            i = int(i_arr)
-            self._hb()
+        records: list[_RowRecord] = []
+        for i in self.decomp.interior_rows(rank).tolist():
             cols, vals = self.A.row(i)
             decls: list[tuple] | None = [("r", "A-row", i)] if trace else None
-            w.load(cols, vals)
-            tau = self._tau(i)
-            row_ops = 0
-            # pivots: interior nodes of this rank with smaller original index
-            heap = [int(c) for c in cols if is_earlier[c]]
-            heapq.heapify(heap)
-            done = -1
-            while heap:
-                k = heapq.heappop(heap)
-                if k <= done:
-                    continue
-                done = k
-                wk = w.get(k)
-                if wk == 0.0:
-                    continue
-                if trace:
-                    decls.append(("r", "u-row", k))
-                ucols, uvals = u_new[k]
-                wk = wk / uvals[0]
-                row_ops += 1
-                if abs(wk) < tau:
-                    w.drop(k)
-                    continue
-                w.set(k, wk)
-                if ucols.size > 1:
-                    tail = ucols[1:]
-                    w.axpy(-wk, tail, uvals[1:])
-                    row_ops += 2 * int(tail.size)
-                    for c in tail:
-                        if is_earlier[c]:
-                            heapq.heappush(heap, int(c))
-            rcols, rvals = w.extract()
-            # 2nd rule with "lower" = factored-earlier, keyed via a rank
-            # trick: earlier columns are exactly those with is_earlier set.
-            lmask = is_earlier[rcols]
-            dmask = rcols == i
-            umask = ~lmask & ~dmask
-            big = np.abs(rvals) >= tau
-            lc, lv = self._keep(rcols[lmask & big], rvals[lmask & big], self.m)
-            uc, uv = self._keep(rcols[umask & big], rvals[umask & big], self.m)
-            diag = float(rvals[dmask][0]) if np.any(dmask) else 0.0
-            diag = self._guard_diag(i, diag)
-            # U row stored diag-first; tail sorted by column
-            u_new[i] = (
-                np.concatenate(([i], uc)).astype(np.int64),
-                np.concatenate(([diag], uv)),
+            ops, l_row, rcols, rvals = self._eliminate_row(
+                w, i, cols, vals, pkey, u_new, decls
             )
+            u_new[i] = self._u_row(i, rcols, rvals)
+            pkey[i] = i
             if trace:
-                decls.append(("w", "l-row", i))
-                decls.append(("w", "u-row", i))
-            records.append((i, (lc, lv), u_new[i], row_ops, decls))
-            is_earlier[i] = True
-            w.reset()
+                decls += [("w", "l-row", i), ("w", "u-row", i)]
+            records.append(_RowRecord(i, l_row, u_new[i], None, ops, None, decls))
         return records
 
-    def _apply_interior_records(self, rank: int, records: list[tuple]) -> None:
-        """Merge one rank's interior records; replay declarations and
-        charges per row, in the rows' ascending (computed) order."""
-        for i, l_row, u_row, row_ops, decls in records:
-            self._replay_decls(rank, decls)
-            self.l_rows[i] = l_row
-            self.u_rows[i] = u_row
-            self.pos[i] = len(self.order)
-            self.order.append(i)
-            self._charge_ops(rank, row_ops)
+    def _compute_interface_reduction(self, rank: int) -> list[_RowRecord]:
+        """Pure per-rank thunk body: eliminate the rank's factored
+        interior unknowns from its interface rows.
 
-    def _reduce_interface_rows(self, rank: int) -> None:
-        """Eliminate factored interior unknowns from ``rank``'s interface rows.
-
-        Algorithm 4.1 with the eliminated set = this rank's interior.
         Interface rows reference only *local* interior nodes (a remote
         interior node would have a cross-domain neighbour, contradiction),
         so no communication is needed — the paper's phase-1 property.
-
-        Compatibility wrapper (see :meth:`_factor_interior_block`).
-        """
-        self._apply_interface_records(rank, self._compute_interface_reduction(rank))
-
-    def _compute_interface_reduction(self, rank: int) -> list[tuple]:
-        """Pure per-rank thunk body for phase-1 interface reduction.
-
-        Reads the rank's own (already merged) interior U rows; returns
-        one record per interface row:
-        ``(i, l_row, reduced_row, row_ops, copy_words, decls)``.
         """
         w = self._region_acc()
         trace = self._tr is not None
-        interior_mask = np.zeros(self.n, dtype=bool)
-        interior_mask[self.decomp.interior_rows(rank)] = True
-        records: list[tuple] = []
-        for i_arr in self.decomp.interface_rows(rank):
-            i = int(i_arr)
-            self._hb()
+        interior = self.decomp.interior_rows(rank)
+        pkey = self._pivot_keys(interior, interior)
+        records: list[_RowRecord] = []
+        for i in self.decomp.interface_rows(rank).tolist():
             cols, vals = self.A.row(i)
             decls: list[tuple] | None = [("r", "A-row", i)] if trace else None
-            w.load(cols, vals)
-            tau = self._tau(i)
-            row_ops = 0
-            heap = [int(c) for c in cols if interior_mask[c]]
-            heapq.heapify(heap)
-            done = -1
-            while heap:
-                k = heapq.heappop(heap)
-                if k <= done:
-                    continue
-                done = k
-                wk = w.get(k)
-                if wk == 0.0:
-                    continue
-                if trace:
-                    decls.append(("r", "u-row", k))
-                ucols, uvals = self.u_rows[k]
-                wk = wk / uvals[0]
-                row_ops += 1
-                if abs(wk) < tau:
-                    w.drop(k)
-                    continue
-                w.set(k, wk)
-                if ucols.size > 1:
-                    tail = ucols[1:]
-                    w.axpy(-wk, tail, uvals[1:])
-                    row_ops += 2 * int(tail.size)
-                    for c in tail:
-                        if interior_mask[c]:
-                            heapq.heappush(heap, int(c))
-            rcols, rvals = w.extract()
-            # 3rd rule: L part = interior (factored) columns; reduced part =
-            # interface columns with the row's own diagonal always kept.
-            fact = interior_mask[rcols]
-            big = np.abs(rvals) >= tau
-            lc, lv = self._keep(rcols[fact & big], rvals[fact & big], self.m)
-            rmask = ~fact
-            on = rcols == i
-            diag_val = float(rvals[on][0]) if np.any(on) else 0.0
-            keep = rmask & big & ~on
-            rc_k, rv_k = rcols[keep], rvals[keep]
-            if self.reduced_cap is not None:
-                rc_k, rv_k = self._keep(rc_k, rv_k, max(0, self.reduced_cap - 1))
-            ins = int(np.searchsorted(rc_k, i))
-            rc_k = np.insert(rc_k, ins, i)
-            rv_k = np.insert(rv_k, ins, diag_val)
-            if trace:
-                decls.append(("w", "l-row", i))
-                decls.append(("w", "reduced-row", i))
             records.append(
-                (i, (lc, lv), (rc_k, rv_k), row_ops, float(rc_k.size + lc.size), decls)
+                self._update_record(w, i, cols, vals, pkey, decls)
             )
-            w.reset()
         return records
 
-    def _apply_interface_records(self, rank: int, records: list[tuple]) -> None:
-        """Merge one rank's interface-reduction records in computed order."""
-        for i, l_row, reduced_row, row_ops, copy_words, decls in records:
-            self._replay_decls(rank, decls)
-            self.l_rows[i] = l_row
-            self.reduced[i] = reduced_row
-            self._charge_ops(rank, row_ops)
-            self._charge_copy(rank, copy_words)
+    def _update_record(
+        self,
+        w,
+        i: int,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        pkey: np.ndarray,
+        decls: list[tuple] | None,
+    ) -> _RowRecord:
+        """Eliminate the ``pkey`` pivots from a row that stays in the
+        reduced matrix: Algorithm 4.1, then the 3rd dropping rule."""
+        ops, l_row, rcols, rvals = self._eliminate_row(
+            w, i, cols, vals, pkey, self.u_rows, decls
+        )
+        reduced_row = self._reduced_row(i, rcols, rvals)
+        if decls is not None:
+            decls += [("w", "l-row", i), ("w", "reduced-row", i)]
+        copy_words = float(reduced_row[0].size + l_row[0].size)
+        return _RowRecord(i, l_row, None, reduced_row, ops, copy_words, decls)
 
     # ------------------------------------------------------------------
     # phase 2: iterative independent-set factorization of A_I
@@ -620,74 +653,42 @@ class EliminationEngine:
         charge order match the historical inline loop exactly.
         """
         part = self.decomp.part
-        nranks = self.decomp.nranks
-        rows_by_rank: list[list[int]] = [[] for _ in range(nranks)]
-        for i_arr in iset:
-            rows_by_rank[int(part[i_arr])].append(int(i_arr))
-        results = self._pardo(
-            [
-                (lambda r=r, rows=rows: self._compute_level_rows(r, rows))
-                if rows
-                else None
-                for r, rows in enumerate(rows_by_rank)
-            ]
+        merged = run_region_by_owner(
+            self.sim, self.decomp.nranks, iset, part, self._compute_level_rows
         )
-        merged = {rec[0]: rec for recs in results if recs for rec in recs}
-        for i_arr in iset:
-            i = int(i_arr)
-            _, u_row, cost, decls = merged[i]
-            rank = int(part[i])
-            self._replay_decls(rank, decls)
-            del self.reduced[i]
-            self.u_rows[i] = u_row
-            self.pos[i] = len(self.order)
-            self.order.append(i)
-            self._charge_ops(rank, cost)
+        for i in iset.tolist():
+            self._merge_record(int(part[i]), merged[i])
 
-    def _compute_level_rows(self, rank: int, rows: list[int]) -> list[tuple]:
-        """Pure thunk body for one rank's share of an independent set.
-
-        Returns ``(i, u_row, cost, decls)`` per row (the reduced row is
-        consumed at merge time, not here).
-        """
+    def _compute_level_rows(self, rank: int, rows: list[int]) -> list[_RowRecord]:
+        """Pure thunk body for one rank's share of an independent set."""
         trace = self._tr is not None
-        records: list[tuple] = []
+        records: list[_RowRecord] = []
         for i in rows:
             self._hb()
             cols, vals = self.reduced[i]
-            decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
-            tau = self._tau(i)
-            on = cols == i
-            diag = float(vals[on][0]) if np.any(on) else 0.0
-            big = (np.abs(vals) >= tau) & ~on
-            uc, uv = self._keep(cols[big], vals[big], self.m)
-            diag = self._guard_diag(i, diag)
-            u_row = (
-                np.concatenate(([i], uc)).astype(np.int64),
-                np.concatenate(([diag], uv)),
+            decls = [("r", "reduced-row", i), ("w", "u-row", i)] if trace else None
+            records.append(
+                _RowRecord(
+                    i, None, self._u_row(i, cols, vals), None, float(cols.size), None, decls
+                )
             )
-            if trace:
-                decls.append(("w", "u-row", i))
-            records.append((i, u_row, float(cols.size), decls))
         return records
 
-    def _exchange_level_rows(self, iset: np.ndarray, level: int) -> None:
-        """Charge the u-row exchange for this level.
+    def _exchange_level_rows(self, pkey: np.ndarray, tag: object) -> None:
+        """Charge the u-row exchange for this level's pivots.
 
         Every remaining reduced row knows (before computing anything —
-        independence guarantees no new pivots appear) which rows of
-        ``I_l`` it eliminates against; rows owned elsewhere must be
-        received.  One aggregated message per (src, dst) rank pair.
+        independence guarantees no new pivots appear) which freshly
+        factored rows it eliminates against; rows owned elsewhere must
+        be received.  One aggregated message per (src, dst) rank pair.
         """
         if self.sim is None:
             return
         part = self.decomp.part
-        iset_mask = np.zeros(self.n, dtype=bool)
-        iset_mask[iset] = True
         need: dict[tuple[int, int], set[int]] = {}
         for i, (cols, _vals) in sorted(self.reduced.items()):
             r = int(part[i])
-            for k in cols[iset_mask[cols]]:
+            for k in cols[pkey[cols] >= 0]:
                 s = int(part[k])
                 if s != r:
                     need.setdefault((s, r), set()).add(int(k))
@@ -697,125 +698,47 @@ class EliminationEngine:
                 self.u_rows[k][0].size * 2.0 for k in sorted(rows_needed)
             )  # indices + values
             pair_words[(src, dst)] = words
-            self.sim.send(src, dst, None, words, tag=("urow", level))
+            self.sim.send(src, dst, None, words, tag=tag)
             self.u_rows_comm += len(rows_needed)
         for (src, dst), _rows_needed in sorted(need.items()):
-            self._recv_retry(src, dst, ("urow", level), pair_words[(src, dst)])
+            self._recv_retry(src, dst, tag, pair_words[(src, dst)])
 
-    def _update_remaining(self, iset: np.ndarray) -> None:
-        """Eliminate the ``I_l`` unknowns from every remaining reduced row.
+    def _update_remaining(self, pkey: np.ndarray) -> None:
+        """Eliminate the ``pkey`` pivots — the unknowns factored this
+        level — from every remaining reduced row.
 
-        Algorithm 4.1: a single pass over the pivots present in the row
-        (independence of ``I_l`` guarantees no new ``I_l`` entries are
-        created), then merge new multipliers into the L row and re-apply
-        the 3rd dropping rule.
+        Algorithm 4.1 over the pivots present in each row, then merge
+        the new multipliers into the L row and re-apply the 3rd
+        dropping rule.
         """
         part = self.decomp.part
-        nranks = self.decomp.nranks
-        iset_mask = np.zeros(self.n, dtype=bool)
-        iset_mask[iset] = True
         rows = sorted(self.reduced.keys())
-        rows_by_rank: list[list[int]] = [[] for _ in range(nranks)]
-        for i in rows:
-            rows_by_rank[int(part[i])].append(i)
-        results = self._pardo(
-            [
-                (lambda r=r, rr=rr: self._compute_update_rows(r, rr, iset_mask))
-                if rr
-                else None
-                for r, rr in enumerate(rows_by_rank)
-            ]
+        merged = run_region_by_owner(
+            self.sim,
+            self.decomp.nranks,
+            rows,
+            part,
+            lambda _rank, mine: self._compute_update_rows(mine, pkey),
         )
-        merged = {rec[0]: rec for recs in results if recs for rec in recs}
         # merge in ascending row order — the historical inline order, which
         # interleaves ranks and fixes the global charge/trace sequence
         for i in rows:
             rec = merged.get(i)
-            if rec is None:  # row held no I_l pivots: untouched this level
-                continue
-            _, l_row, reduced_row, row_ops, copy_words, decls = rec
-            rank = int(part[i])
-            self._replay_decls(rank, decls)
-            self.l_rows[i] = l_row
-            self.reduced[i] = reduced_row
-            self._charge_ops(rank, row_ops)
-            self._charge_copy(rank, copy_words)
+            if rec is not None:  # else: row held no pivots, untouched this level
+                self._merge_record(int(part[i]), rec)
 
-    def _compute_update_rows(
-        self, rank: int, rows: list[int], iset_mask: np.ndarray
-    ) -> list[tuple]:
-        """Pure thunk body: apply Algorithm 4.1 to one rank's reduced rows.
-
-        Rows without ``I_l`` pivots produce no record.  Returns
-        ``(i, l_row, reduced_row, row_ops, copy_words, decls)`` per row.
-        """
+    def _compute_update_rows(self, rows: list[int], pkey: np.ndarray) -> list[_RowRecord]:
+        """Pure thunk body: apply Algorithm 4.1 to one rank's reduced
+        rows.  Rows without pivots produce no record."""
         w = self._region_acc()
         trace = self._tr is not None
-        records: list[tuple] = []
+        records: list[_RowRecord] = []
         for i in rows:
-            self._hb()
             cols, vals = self.reduced[i]
-            pivots = cols[iset_mask[cols]]
-            if pivots.size == 0:
+            if not np.any(pkey[cols] >= 0):
                 continue
-            tau = self._tau(i)
-            row_ops = 0
             decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
-            w.load(cols, vals)
-            new_l_cols: list[int] = []
-            new_l_vals: list[float] = []
-            for k_arr in pivots:
-                k = int(k_arr)
-                wk = w.get(k)
-                w.drop(k)
-                if wk == 0.0:
-                    continue
-                if trace:
-                    decls.append(("r", "u-row", k))
-                ucols, uvals = self.u_rows[k]
-                wk = wk / uvals[0]
-                row_ops += 1
-                if abs(wk) < tau:  # 1st dropping rule
-                    continue
-                new_l_cols.append(k)
-                new_l_vals.append(wk)
-                if ucols.size > 1:
-                    w.axpy(-wk, ucols[1:], uvals[1:])
-                    row_ops += 2 * int(ucols.size - 1)
-            rcols, rvals = w.extract()
-            w.reset()
-            # merge fresh multipliers into the accumulated L row, then the
-            # 3rd rule: threshold + keep-m on the whole factored part
-            lc_old, lv_old = self.l_rows.get(i, (np.empty(0, np.int64), np.empty(0)))
-            lc_new = np.asarray(new_l_cols, dtype=np.int64)
-            lv_new = np.asarray(new_l_vals, dtype=np.float64)
-            order_ = np.argsort(lc_new, kind="stable")
-            lc_m, lv_m = _merge_rows(lc_old, lv_old, lc_new[order_], lv_new[order_])
-            big = np.abs(lv_m) >= tau
-            lc_m, lv_m = self._keep(lc_m[big], lv_m[big], self.m)
-            # 3rd rule on the reduced part (diagonal always kept)
-            on = rcols == i
-            diag_val = float(rvals[on][0]) if np.any(on) else 0.0
-            keep = (np.abs(rvals) >= tau) & ~on
-            rc_k, rv_k = rcols[keep], rvals[keep]
-            if self.reduced_cap is not None:
-                rc_k, rv_k = self._keep(rc_k, rv_k, max(0, self.reduced_cap - 1))
-            ins = int(np.searchsorted(rc_k, i))
-            rc_k = np.insert(rc_k, ins, i)
-            rv_k = np.insert(rv_k, ins, diag_val)
-            if trace:
-                decls.append(("w", "l-row", i))
-                decls.append(("w", "reduced-row", i))
-            records.append(
-                (
-                    i,
-                    (lc_m, lv_m),
-                    (rc_k, rv_k),
-                    row_ops,
-                    float(rc_k.size + lc_m.size),
-                    decls,
-                )
-            )
+            records.append(self._update_record(w, i, cols, vals, pkey, decls))
         return records
 
     # ------------------------------------------------------------------
@@ -880,19 +803,23 @@ class EliminationEngine:
 
     def _run_phase1(self) -> list[tuple[int, int]]:
         nranks = self.decomp.nranks
-        interior_results = self._pardo(
-            [(lambda r=r: self._compute_interior_block(r)) for r in range(nranks)]
-        )
-        interior_ranges: list[tuple[int, int]] = []
-        for r in range(nranks):
-            start = len(self.order)
-            self._apply_interior_records(r, interior_results[r])
-            interior_ranges.append((start, len(self.order)))
-        reduction_results = self._pardo(
-            [(lambda r=r: self._compute_interface_reduction(r)) for r in range(nranks)]
-        )
-        for r in range(nranks):
-            self._apply_interface_records(r, reduction_results[r])
+
+        def region(body) -> list[tuple[int, int]]:
+            """One all-ranks region merged rank-major; returns the
+            elimination-position range each rank's records took."""
+            results = run_region(
+                self.sim, [(lambda r=r: body(r)) for r in range(nranks)]
+            )
+            ranges: list[tuple[int, int]] = []
+            for r in range(nranks):
+                start = len(self.order)
+                for rec in results[r]:
+                    self._merge_record(r, rec)
+                ranges.append((start, len(self.order)))
+            return ranges
+
+        interior_ranges = region(self._compute_interior_block)
+        region(self._compute_interface_reduction)
         self._barrier()  # end of phase 1
         return interior_ranges
 
@@ -934,8 +861,9 @@ class EliminationEngine:
                     raise RuntimeError("empty independent set — cannot make progress")
                 pos_start = len(self.order)
                 self._factor_level(iset)
-                self._exchange_level_rows(iset, level)
-                self._update_remaining(iset)
+                pkey = self._pivot_keys(iset, iset)
+                self._exchange_level_rows(pkey, ("urow", level))
+                self._update_remaining(pkey)
                 self._barrier()
             except (RankFailure, MessageLost) as err:
                 if ckpt is None or not self._can_recover():

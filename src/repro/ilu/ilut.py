@@ -16,7 +16,6 @@ produces bit-identical factors (the parity suite asserts it).
 from __future__ import annotations
 
 import heapq
-import warnings
 
 import numpy as np
 
@@ -38,57 +37,10 @@ def ilut_row_norms(A: CSRMatrix) -> np.ndarray:
     return A.row_norms(ord=2, backend="reference")
 
 
-def coerce_ilut_params(
-    fname: str,
-    params: ILUTParams | int | None,
-    t: float | None,
-    m: int | None,
-    k: int | None = None,
-    *,
-    want_k: bool = False,
-    stacklevel: int = 3,
-) -> ILUTParams:
-    """Resolve the ``params``-or-legacy-keywords calling conventions.
-
-    New style passes one :class:`ILUTParams`; legacy style passes bare
-    ``m, t`` (and ``k`` for ILUT*) positionally or by keyword and gets a
-    :class:`DeprecationWarning` attributed to the caller.
-    """
-    if isinstance(params, ILUTParams):
-        if t is not None or m is not None or k is not None:
-            raise TypeError(
-                f"{fname}() got both an ILUTParams and legacy m/t/k arguments"
-            )
-        if want_k and params.k is None:
-            raise ValueError(f"{fname}() requires ILUTParams with k set")
-        return params
-    if params is not None:
-        if m is not None:
-            raise TypeError(f"{fname}() got multiple values for 'm'")
-        m = int(params)
-    if m is None or t is None or (want_k and k is None):
-        missing = "m, t, k" if want_k else "m, t"
-        raise TypeError(
-            f"{fname}() requires an ILUTParams instance or legacy ({missing})"
-        )
-    new_call = (
-        f"ILUTParams(fill=m, threshold=t{', k=k' if want_k else ''})"
-    )
-    warnings.warn(
-        f"{fname}(A, m, t{', k' if want_k else ''}, ...) is deprecated; "
-        f"pass {fname}(A, {new_call}, ...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ILUTParams(fill=int(m), threshold=float(t), k=None if k is None else int(k))
-
-
 def ilut(
     A: CSRMatrix,
-    params: ILUTParams | int | None = None,
-    t: float | None = None,
+    params: ILUTParams,
     *,
-    m: int | None = None,
     diag_guard: bool = True,
     pivot_policy: PivotPolicy | None = None,
     backend: str | None = None,
@@ -103,8 +55,7 @@ def ilut(
         An :class:`~repro.ilu.params.ILUTParams` bundle (``fill`` = max
         off-diagonal entries kept per row in L and separately in U;
         ``threshold`` = relative drop tolerance, row ``i`` uses
-        ``tau_i = threshold * ||a_i||_2``).  The legacy bare ``(m, t)``
-        arguments are still accepted with a :class:`DeprecationWarning`.
+        ``tau_i = threshold * ||a_i||_2``).
     diag_guard:
         If a pivot ``u_ii`` ends up exactly zero (dropped or missing),
         substitute ``tau_i`` (or the row-norm if ``tau_i`` is zero) so
@@ -128,7 +79,6 @@ def ilut(
         ``flops`` (multiply-adds + divides of the elimination) and
         ``fill_nnz``.
     """
-    p = coerce_ilut_params("ilut", params, t, m)
     policy = pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -140,7 +90,7 @@ def ilut(
         from ..kernels.ilut import ilut_vectorized
 
         L, U, _u_rows, flops = ilut_vectorized(
-            A, p.fill, p.threshold, pivot_policy=policy
+            A, params.fill, params.threshold, pivot_policy=policy
         )
         return ILUFactors(
             L=L,
@@ -150,12 +100,12 @@ def ilut(
             stats={
                 "flops": flops,
                 "fill_nnz": L.nnz + U.nnz,
-                "m": p.fill,
-                "t": p.threshold,
+                "m": params.fill,
+                "t": params.threshold,
             },
         )
 
-    mm, tt = p.fill, p.threshold
+    mm, tt = params.fill, params.threshold
     norms = ilut_row_norms(A)
     w = SparseRowAccumulator(n)
     # U rows stored as (cols, vals) with the diagonal first-by-column

@@ -18,14 +18,22 @@ networks.
 
 from __future__ import annotations
 
-import heapq
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..decomp import DomainDecomposition, decompose
+from ..faults import FaultPlan
 from ..graph import Graph
+from ..machine import CRAY_T3D, MachineModel, Transport, entry_transport, run_region
 from ..partition import partition_graph_kway
-from .dropping import keep_largest
-from .elimination import EliminationEngine, EliminationOutcome, _merge_rows
+from ..sparse import CSRMatrix
+from .elimination import EliminationEngine, EliminationOutcome, _RowRecord
+from .parallel import ParallelILUResult
+from .params import ILUTParams
+
+if TYPE_CHECKING:
+    from ..machine.supervision import SupervisionPolicy
 
 __all__ = ["InterfacePartitionEngine", "parallel_ilut_partitioned"]
 
@@ -58,36 +66,34 @@ class InterfacePartitionEngine(EliminationEngine):
                 )
             remaining = self._remaining_nodes()
             pos_start = len(self.order)
-            if remaining.size <= self.SEQUENTIAL_CUTOFF:
-                self._factor_domain(remaining, rank=int(self.decomp.part[remaining[0]]))
+            domains = (
+                self._split_interface(remaining)
+                if remaining.size > self.SEQUENTIAL_CUTOFF
+                else []
+            )
+            if not any(d.size for d in domains):
+                # small or fully coupled remainder: no concurrency
+                # extractable, one rank finishes it serially
+                for rec in self._compute_domain(remaining):
+                    self._merge_record(int(self.decomp.part[remaining[0]]), rec)
             else:
-                domains = self._split_interface(remaining)
-                internal_total = sum(d.size for d in domains)
-                if internal_total == 0:
-                    # fully coupled: no concurrency extractable, finish serially
-                    self._factor_domain(
-                        remaining, rank=int(self.decomp.part[remaining[0]])
-                    )
-                else:
-                    # one parallel region: each domain's internal rows are
-                    # factored by its rank concurrently (domains are
-                    # internally closed, so thunks never cross-read)
-                    thunks: list = [None] * nranks
-                    for dom_rank, dom in enumerate(domains):
-                        if dom.size:
-                            thunks[dom_rank % nranks] = (
-                                lambda dom=dom: self._compute_domain(dom)
-                            )
-                    results = self._pardo(thunks)
-                    for dom_rank, dom in enumerate(domains):
-                        if dom.size:
-                            self._apply_domain_records(
-                                dom_rank % nranks, results[dom_rank % nranks]
-                            )
-                    factored_round = np.concatenate(
-                        [d for d in domains if d.size]
-                    )
-                    self._reduce_against(factored_round)
+                # one parallel region: domain d's internal rows are
+                # factored by rank d (at most nranks domains), all
+                # concurrently — domains are internally closed, so
+                # thunks never cross-read
+                thunks: list = [None] * nranks
+                for rank, dom in enumerate(domains):
+                    if dom.size:
+                        thunks[rank] = lambda dom=dom: self._compute_domain(dom)
+                results = run_region(self.sim, thunks)
+                for rank, dom in enumerate(domains):
+                    if dom.size:
+                        for rec in results[rank]:
+                            self._merge_record(rank, rec)
+                factored = np.concatenate([d for d in domains if d.size])
+                pkey = self._pivot_keys(factored, self.pos[factored])
+                self._exchange_level_rows(pkey, "ipart")
+                self._update_remaining(pkey)
             interface_levels.append(
                 np.arange(pos_start, len(self.order), dtype=np.int64)
             )
@@ -123,8 +129,6 @@ class InterfacePartitionEngine(EliminationEngine):
                     edges.add((j, idx))
         if edges:
             arr = np.asarray(sorted(edges), dtype=np.int64)
-            from ..sparse import CSRMatrix
-
             S = CSRMatrix.from_coo(
                 arr[:, 0], arr[:, 1], np.ones(arr.shape[0]), (nloc, nloc)
             )
@@ -141,283 +145,90 @@ class InterfacePartitionEngine(EliminationEngine):
                 internal[part[idx]].append(int(remaining[idx]))
         return [np.asarray(sorted(d), dtype=np.int64) for d in internal]
 
-    def _factor_domain(self, nodes: np.ndarray, rank: int) -> None:
-        """Sequentially factor ``nodes`` (ascending), respecting
-        intra-domain dependencies; charge all work to ``rank``.
+    def _compute_domain(self, nodes: np.ndarray) -> list[_RowRecord]:
+        """Pure thunk body: factor one interface-domain's internal rows,
+        sequentially in ``nodes`` order.
 
-        Compatibility wrapper over the pure thunk body
-        (:meth:`_compute_domain`) plus the coordinator merge — the
-        multi-domain round in :meth:`run` dispatches all domains through
-        one parallel region instead.
+        Intra-domain pivots are the rows this thunk has already
+        factored, ordered by a thunk-local elimination position —
+        order-isomorphic to the global positions the merge will assign —
+        and read from a thunk-local U-row overlay.
         """
-        self._apply_domain_records(rank, self._compute_domain(nodes))
-
-    def _compute_domain(self, nodes: np.ndarray) -> list[tuple]:
-        """Pure thunk body: factor one interface-domain's internal rows.
-
-        Intra-domain pivots are tracked with a thunk-local elimination
-        position overlay — order-isomorphic to the global positions the
-        merge will assign, so the heap pops in the same sequence the
-        historical inline loop produced.  Returns
-        ``(i, l_row_or_None, u_row, charge)`` per row in ``nodes`` order.
-        """
-        in_round: dict[int, bool] = {int(v): True for v in nodes}
-        local_pos: dict[int, int] = {}
+        pkey = np.full(self.n, -1, dtype=np.int64)
         u_new: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         w = self._region_acc()
-        records: list[tuple] = []
-        for i_arr in nodes:
-            i = int(i_arr)
+        trace = self._tr is not None
+        records: list[_RowRecord] = []
+        for count, i in enumerate(nodes.tolist()):
             cols, vals = self.reduced[i]
-            tau = self._tau(i)
-            row_ops = 0
-            w.load(cols, vals)
-            # pivots: same-round nodes already factored, by elimination order
-            heap = [
-                (local_pos[int(c)], int(c))
-                for c in cols
-                if in_round.get(int(c), False) and int(c) in local_pos
-            ]
-            heapq.heapify(heap)
-            done_pos = -1
-            new_l_cols: list[int] = []
-            new_l_vals: list[float] = []
-            while heap:
-                pk, k = heapq.heappop(heap)
-                if pk <= done_pos:
-                    continue
-                done_pos = pk
-                wk = w.get(k)
-                w.drop(k)
-                if wk == 0.0:
-                    continue
-                ucols, uvals = u_new[k]
-                wk = wk / uvals[0]
-                row_ops += 1
-                if abs(wk) < tau:
-                    continue
-                new_l_cols.append(k)
-                new_l_vals.append(wk)
-                if ucols.size > 1:
-                    w.axpy(-wk, ucols[1:], uvals[1:])
-                    row_ops += 2 * int(ucols.size - 1)
-                    for c in ucols[1:]:
-                        if in_round.get(int(c), False) and int(c) in local_pos:
-                            heapq.heappush(heap, (local_pos[int(c)], int(c)))
-            rcols, rvals = w.extract()
-            w.reset()
-            # merge this round's multipliers into the L row (3rd rule)
-            lc_old, lv_old = self.l_rows.get(i, (np.empty(0, np.int64), np.empty(0)))
-            lc_new = np.asarray(new_l_cols, dtype=np.int64)
-            lv_new = np.asarray(new_l_vals, dtype=np.float64)
-            order_ = np.argsort(lc_new, kind="stable")
-            lc_m, lv_m = _merge_rows(lc_old, lv_old, lc_new[order_], lv_new[order_])
-            big = np.abs(lv_m) >= tau
-            lc_m, lv_m = keep_largest(lc_m[big], lv_m[big], self.m)
+            decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
+            ops, l_row, rcols, rvals = self._eliminate_row(
+                w, i, cols, vals, pkey, u_new, decls
+            )
             # U part: everything left (all unfactored columns)
-            on = rcols == i
-            diag = float(rvals[on][0]) if np.any(on) else 0.0
-            big_u = (np.abs(rvals) >= tau) & ~on
-            # already-factored same-round columns were consumed as pivots
-            uc, uv = keep_largest(rcols[big_u], rvals[big_u], self.m)
-            diag = self._guard_diag(i, diag)
-            u_new[i] = (
-                np.concatenate(([i], uc)).astype(np.int64),
-                np.concatenate(([diag], uv)),
-            )
-            local_pos[i] = len(local_pos)
+            u_new[i] = self._u_row(i, rcols, rvals)
+            pkey[i] = count
+            if trace:
+                if l_row[0].size:
+                    decls.append(("w", "l-row", i))
+                decls.append(("w", "u-row", i))
             records.append(
-                (
+                _RowRecord(
                     i,
-                    (lc_m, lv_m) if lc_m.size else None,
+                    l_row if l_row[0].size else None,
                     u_new[i],
-                    row_ops + float(rcols.size),
-                )
-            )
-        return records
-
-    def _apply_domain_records(self, rank: int, records: list[tuple]) -> None:
-        """Merge one domain's records in factoring order; assign global
-        elimination positions and replay the per-row charges."""
-        for i, l_row, u_row, charge in records:
-            del self.reduced[i]
-            if l_row is not None:
-                self.l_rows[i] = l_row
-            self.u_rows[i] = u_row
-            self.pos[i] = len(self.order)
-            self.order.append(i)
-            self._charge_ops(rank, charge)
-
-    def _reduce_against(self, factored: np.ndarray) -> None:
-        """Eliminate this round's factored unknowns from remaining rows."""
-        part = self.decomp.part
-        fmask = np.zeros(self.n, dtype=bool)
-        fmask[factored] = True
-        # u-row exchange: determined from the pre-update reduced rows
-        # (only first-order needs; fill-induced needs are charged as they
-        # share the same aggregated messages)
-        if self.sim is not None:
-            need: dict[tuple[int, int], set[int]] = {}
-            for i, (cols, _v) in sorted(self.reduced.items()):
-                r = int(part[i])
-                for k in cols[fmask[cols]]:
-                    s = int(part[k])
-                    if s != r:
-                        need.setdefault((s, r), set()).add(int(k))
-            for (src, dst), rows_needed in sorted(need.items()):
-                words = sum(self.u_rows[k][0].size * 2.0 for k in sorted(rows_needed))
-                self.sim.send(src, dst, None, words, tag="ipart")
-                self.u_rows_comm += len(rows_needed)
-            for (src, dst), _rows in sorted(need.items()):
-                self.sim.recv(dst, src, tag="ipart")
-        rows = sorted(self.reduced.keys())
-        nranks = self.decomp.nranks
-        rows_by_rank: list[list[int]] = [[] for _ in range(nranks)]
-        for i in rows:
-            rows_by_rank[int(part[i])].append(i)
-        results = self._pardo(
-            [
-                (lambda r=r, rr=rr: self._compute_reduce_against(rr, fmask))
-                if rr
-                else None
-                for r, rr in enumerate(rows_by_rank)
-            ]
-        )
-        merged = {rec[0]: rec for recs in results if recs for rec in recs}
-        # ascending row order: the historical inline order across ranks
-        for i in rows:
-            rec = merged.get(i)
-            if rec is None:  # row untouched by this round's factored set
-                continue
-            _, l_row, reduced_row, row_ops, copy_words = rec
-            rank = int(part[i])
-            self.l_rows[i] = l_row
-            self.reduced[i] = reduced_row
-            self._charge_ops(rank, row_ops)
-            self._charge_copy(rank, copy_words)
-
-    def _compute_reduce_against(
-        self, rows: list[int], fmask: np.ndarray
-    ) -> list[tuple]:
-        """Pure thunk body: eliminate this round's factored unknowns from
-        one rank's reduced rows.  Returns
-        ``(i, l_row, reduced_row, row_ops, copy_words)`` per touched row."""
-        w = self._region_acc()
-        records: list[tuple] = []
-        for i in rows:
-            cols, vals = self.reduced[i]
-            if not np.any(fmask[cols]):
-                continue
-            tau = self._tau(i)
-            row_ops = 0
-            w.load(cols, vals)
-            heap = [(int(self.pos[c]), int(c)) for c in cols if fmask[c]]
-            heapq.heapify(heap)
-            done_pos = -1
-            new_l_cols: list[int] = []
-            new_l_vals: list[float] = []
-            while heap:
-                pk, k = heapq.heappop(heap)
-                if pk <= done_pos:
-                    continue
-                done_pos = pk
-                wk = w.get(k)
-                w.drop(k)
-                if wk == 0.0:
-                    continue
-                ucols, uvals = self.u_rows[k]
-                wk = wk / uvals[0]
-                row_ops += 1
-                if abs(wk) < tau:
-                    continue
-                new_l_cols.append(k)
-                new_l_vals.append(wk)
-                if ucols.size > 1:
-                    w.axpy(-wk, ucols[1:], uvals[1:])
-                    row_ops += 2 * int(ucols.size - 1)
-                    for c in ucols[1:]:
-                        if fmask[c]:
-                            heapq.heappush(heap, (int(self.pos[c]), int(c)))
-            rcols, rvals = w.extract()
-            w.reset()
-            lc_old, lv_old = self.l_rows.get(i, (np.empty(0, np.int64), np.empty(0)))
-            lc_new = np.asarray(new_l_cols, dtype=np.int64)
-            lv_new = np.asarray(new_l_vals, dtype=np.float64)
-            order_ = np.argsort(lc_new, kind="stable")
-            lc_m, lv_m = _merge_rows(lc_old, lv_old, lc_new[order_], lv_new[order_])
-            big = np.abs(lv_m) >= tau
-            lc_m, lv_m = keep_largest(lc_m[big], lv_m[big], self.m)
-            on = rcols == i
-            diag_val = float(rvals[on][0]) if np.any(on) else 0.0
-            keep = (np.abs(rvals) >= tau) & ~on & ~fmask[rcols]
-            rc_k, rv_k = rcols[keep], rvals[keep]
-            if self.reduced_cap is not None:
-                rc_k, rv_k = keep_largest(rc_k, rv_k, max(0, self.reduced_cap - 1))
-            ins = int(np.searchsorted(rc_k, i))
-            rc_k = np.insert(rc_k, ins, i)
-            rv_k = np.insert(rv_k, ins, diag_val)
-            records.append(
-                (
-                    i,
-                    (lc_m, lv_m),
-                    (rc_k, rv_k),
-                    row_ops,
-                    float(rc_k.size + lc_m.size),
+                    None,
+                    ops + float(rcols.size),
+                    None,
+                    decls,
                 )
             )
         return records
 
 
 def parallel_ilut_partitioned(
-    A,
-    m: int,
-    t: float,
+    A: CSRMatrix,
+    params: ILUTParams,
     nranks: int,
     *,
     reduced_cap: int | None = None,
-    transport="simulator",
-    simulate: bool | None = None,
+    model: MachineModel = CRAY_T3D,
+    transport: str | Transport | None = "simulator",
+    decomp: DomainDecomposition | None = None,
+    method: str = "multilevel",
     seed: int = 0,
-    **kwargs,
-):
+    trace: bool = False,
+    faults: FaultPlan | None = None,
+    backend: str | None = None,
+    supervision: "SupervisionPolicy | None" = None,
+) -> ParallelILUResult:
     """Parallel ILUT with the §7 partition-based interface factorization.
 
-    Same signature spirit as :func:`repro.ilu.parallel.parallel_ilut`
-    (including the ``transport=`` backend selector and the deprecated
-    ``simulate=`` alias); returns a
+    Same calling convention and keywords as
+    :func:`repro.ilu.parallel.parallel_ilut` (``reduced_cap`` governs
+    the 3rd rule; a set ``params.k`` is ignored); returns a
     :class:`~repro.ilu.parallel.ParallelILUResult`.
     """
-    from ..decomp import decompose
-    from ..machine import CRAY_T3D, is_transport, resolve_entry_transport, transport_name
-    from .parallel import ParallelILUResult
-
-    model = kwargs.pop("model", CRAY_T3D)
-    decomp = kwargs.pop("decomp", None)
-    method = kwargs.pop("method", "multilevel")
-    if kwargs:
-        raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
-    sim = resolve_entry_transport(
-        "parallel_ilut_partitioned", transport, simulate, nranks, model=model
-    )
-    owned = not is_transport(transport)
-    try:
-        engine = InterfacePartitionEngine(
-            decomp, m, t, reduced_cap=reduced_cap, sim=sim, seed=seed
-        )
-        outcome = engine.run()
+    with entry_transport(
+        transport, nranks, model=model, trace=trace, faults=faults, supervision=supervision
+    ) as sim:
+        outcome = InterfacePartitionEngine(
+            decomp,
+            params.fill,
+            params.threshold,
+            reduced_cap=reduced_cap,
+            sim=sim,
+            seed=seed,
+            backend=backend,
+        ).run()
         return ParallelILUResult(
             factors=outcome.factors,
             decomp=decomp,
             num_levels=outcome.num_levels,
             level_sizes=outcome.level_sizes,
-            modeled_time=sim.elapsed() if sim is not None else None,
-            comm=sim.stats() if sim is not None else None,
             flops=outcome.flops,
             words_copied=outcome.words_copied,
-            transport=transport_name(sim),
+            **entry_transport.report(sim),
         )
-    finally:
-        if owned and sim is not None:
-            sim.close()

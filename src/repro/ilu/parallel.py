@@ -8,7 +8,6 @@ statistics and the independent-set level structure (the paper's ``q``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -19,15 +18,12 @@ from ..machine import (
     CommStats,
     MachineModel,
     Transport,
-    is_transport,
-    resolve_entry_transport,
-    transport_name,
+    entry_transport,
 )
 from ..resilience import PivotPolicy
 from ..sparse import CSRMatrix
 from .elimination import EliminationEngine
 from .factors import ILUFactors
-from .ilut import coerce_ilut_params
 from .params import ILUTParams
 
 if TYPE_CHECKING:
@@ -91,16 +87,12 @@ class ParallelILUResult:
 
 def parallel_ilut(
     A: CSRMatrix,
-    params: ILUTParams | int | None = None,
-    t_or_nranks: float | int | None = None,
-    nranks: int | None = None,
+    params: ILUTParams,
+    nranks: int,
     *,
-    m: int | None = None,
-    t: float | None = None,
     reduced_cap: int | None = None,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     mis_rounds: int = 5,
@@ -116,9 +108,7 @@ def parallel_ilut(
 ) -> ParallelILUResult:
     """Factor ``A`` with parallel ILUT(m, t) on ``nranks`` simulated PEs.
 
-    Call as ``parallel_ilut(A, ILUTParams(fill=m, threshold=t), nranks)``;
-    the legacy ``parallel_ilut(A, m, t, nranks)`` form still works and
-    emits a :class:`DeprecationWarning`.
+    Call as ``parallel_ilut(A, ILUTParams(fill=m, threshold=t), nranks)``.
 
     Parameters
     ----------
@@ -144,10 +134,6 @@ def parallel_ilut(
         factors), ``"none"`` (no accounting at all; fastest, used
         heavily in tests), or a ready
         :class:`~repro.machine.Transport` instance.
-    simulate:
-        Deprecated alias: ``simulate=True`` means
-        ``transport="simulator"``, ``simulate=False`` means
-        ``transport="none"``.  Emits a :class:`DeprecationWarning`.
     decomp:
         Reuse a precomputed decomposition; otherwise one is computed
         with ``method`` (``"multilevel"``/``"block"``/``"random"``).
@@ -157,7 +143,7 @@ def parallel_ilut(
         Seed for partitioning and MIS randomness.
     trace:
         Record shared-object accesses for race detection (requires
-        ``simulate=True``); see :mod:`repro.verify`.
+        ``transport="simulator"``); see :mod:`repro.verify`.
     pivot_policy:
         Small/zero-pivot remediation
         (:class:`~repro.resilience.PivotPolicy`); overrides
@@ -186,25 +172,9 @@ def parallel_ilut(
         Pickle round-trip every simulated message at post time — the
         serializing-transport debug oracle (see
         :class:`~repro.machine.Simulator`); results are bit-identical
-        for transport-certified drivers.  Requires ``simulate=True``.
+        for transport-certified drivers.  Requires
+        ``transport="simulator"``.
     """
-    if isinstance(params, ILUTParams):
-        if t_or_nranks is not None:
-            if nranks is not None:
-                raise TypeError("parallel_ilut() got multiple values for 'nranks'")
-            nranks = int(t_or_nranks)
-        p = coerce_ilut_params("parallel_ilut", params, t, m)
-    else:
-        if t is None:
-            t_eff = t_or_nranks
-        elif t_or_nranks is not None:
-            raise TypeError("parallel_ilut() got multiple values for 't'")
-        else:
-            t_eff = t
-        p = coerce_ilut_params("parallel_ilut", params, t_eff, m)
-    if nranks is None:
-        raise TypeError("parallel_ilut() missing required argument 'nranks'")
-    nranks = int(nranks)
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
     elif decomp.nranks != nranks:
@@ -213,23 +183,19 @@ def parallel_ilut(
         )
     if checkpoint is None:
         checkpoint = faults is not None
-    sim = resolve_entry_transport(
-        "parallel_ilut",
+    with entry_transport(
         transport,
-        simulate,
         nranks,
         model=model,
         trace=trace,
         faults=faults,
         copy_payloads=copy_payloads,
         supervision=supervision,
-    )
-    owned = not is_transport(transport)  # we constructed it, we close it
-    try:
-        engine = EliminationEngine(
+    ) as sim:
+        outcome = EliminationEngine(
             decomp,
-            p.fill,
-            p.threshold,
+            params.fill,
+            params.threshold,
             reduced_cap=reduced_cap,
             sim=sim,
             mis_rounds=mis_rounds,
@@ -238,101 +204,34 @@ def parallel_ilut(
             pivot_policy=pivot_policy,
             checkpoint=checkpoint,
             backend=backend,
-        )
-        outcome = engine.run()
+        ).run()
+        report = entry_transport.report(sim)
+        # engine checkpoint rollbacks + supervised region retries
+        report["recoveries"] += outcome.recoveries
         return ParallelILUResult(
             factors=outcome.factors,
             decomp=decomp,
             num_levels=outcome.num_levels,
             level_sizes=outcome.level_sizes,
-            modeled_time=sim.elapsed() if sim is not None else None,
-            comm=sim.stats() if sim is not None else None,
             flops=outcome.flops,
             words_copied=outcome.words_copied,
-            trace=getattr(sim, "tracer", None),
-            fault_journal=getattr(sim, "fault_journal", None),
-            recoveries=outcome.recoveries + getattr(sim, "region_recoveries", 0),
-            transport=transport_name(sim),
+            **report,
         )
-    finally:
-        if owned and sim is not None:
-            sim.close()
 
 
 def parallel_ilut_star(
-    A: CSRMatrix,
-    params: ILUTParams | int | None = None,
-    arg2: float | int | None = None,
-    arg3: int | None = None,
-    arg4: int | None = None,
-    *,
-    m: int | None = None,
-    t: float | None = None,
-    k: int | None = None,
-    nranks: int | None = None,
-    **kwargs,
+    A: CSRMatrix, params: ILUTParams, nranks: int, **kwargs
 ) -> ParallelILUResult:
     """Factor ``A`` with parallel ILUT*(m, t, k) — paper §4.2.
 
-    Call as ``parallel_ilut_star(A, ILUTParams(fill, threshold, k), nranks)``;
-    the legacy ``parallel_ilut_star(A, m, t, k, nranks)`` form still
-    works and emits a :class:`DeprecationWarning`.
+    Call as ``parallel_ilut_star(A, ILUTParams(fill, threshold, k), nranks)``.
 
-    Identical to :func:`parallel_ilut` except the 3rd dropping rule caps
-    every reduced-matrix row at ``k*m`` entries, keeping the reduced
-    matrices sparse, the independent sets large and the level count low.
-    The paper finds ``k = 2`` matches ILUT's preconditioning quality.
+    Identical to :func:`parallel_ilut` (same keywords) except the 3rd
+    dropping rule caps every reduced-matrix row at ``k*m`` entries,
+    keeping the reduced matrices sparse, the independent sets large and
+    the level count low.  The paper finds ``k = 2`` matches ILUT's
+    preconditioning quality.
     """
-    if isinstance(params, ILUTParams):
-        if arg2 is not None:
-            if nranks is not None:
-                raise TypeError(
-                    "parallel_ilut_star() got multiple values for 'nranks'"
-                )
-            nranks = int(arg2)
-        if arg3 is not None or arg4 is not None:
-            raise TypeError(
-                "parallel_ilut_star() takes (A, params, nranks) in the new style"
-            )
-        p = coerce_ilut_params("parallel_ilut_star", params, t, m, k, want_k=True)
-    else:
-        t_eff = arg2 if t is None else t
-        k_eff = arg3 if k is None else k
-        if (arg2 is not None and t is not None) or (arg3 is not None and k is not None):
-            raise TypeError("parallel_ilut_star() got duplicate legacy arguments")
-        if arg4 is not None:
-            if nranks is not None:
-                raise TypeError(
-                    "parallel_ilut_star() got multiple values for 'nranks'"
-                )
-            nranks = int(arg4)
-        p = coerce_ilut_params(
-            "parallel_ilut_star", params, t_eff, m, k_eff, want_k=True
-        )
-    if nranks is None:
-        raise TypeError("parallel_ilut_star() missing required argument 'nranks'")
-    assert p.reduced_cap is not None
-    simulate = kwargs.pop("simulate", None)
-    if simulate is not None:
-        # translate here so the DeprecationWarning points at the caller,
-        # not at this delegation into parallel_ilut
-        if kwargs.get("transport", "simulator") != "simulator":
-            raise TypeError(
-                "parallel_ilut_star() got both the deprecated simulate= "
-                "and transport=; pass only transport="
-            )
-        warnings.warn(
-            "parallel_ilut_star(simulate=...) is deprecated; pass "
-            "transport='simulator' (simulate=True) or transport='none' "
-            "(simulate=False) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["transport"] = "simulator" if simulate else "none"
-    return parallel_ilut(
-        A,
-        ILUTParams(fill=p.fill, threshold=p.threshold),
-        int(nranks),
-        reduced_cap=p.reduced_cap,
-        **kwargs,
-    )
+    if params.k is None:
+        raise ValueError("parallel_ilut_star() requires ILUTParams with k set")
+    return parallel_ilut(A, params, nranks, reduced_cap=params.reduced_cap, **kwargs)

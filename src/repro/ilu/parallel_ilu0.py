@@ -23,9 +23,9 @@ from ..machine import (
     CRAY_T3D,
     MachineModel,
     Transport,
-    is_transport,
-    resolve_entry_transport,
-    transport_name,
+    entry_transport,
+    run_region,
+    run_region_by_owner,
 )
 from ..resilience import ZeroPivotError
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
@@ -65,7 +65,6 @@ def parallel_ilu0(
     *,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     seed: int = 0,
@@ -90,16 +89,28 @@ def parallel_ilu0(
         raise ValueError(
             f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
         )
-    sim = resolve_entry_transport(
-        "parallel_ilu0",
-        transport,
-        simulate,
-        nranks,
-        model=model,
-        faults=faults,
-        supervision=supervision,
-    )
-    owned = not is_transport(transport)
+    with entry_transport(
+        transport, nranks, model=model, faults=faults, supervision=supervision
+    ) as sim:
+        factors, classes = _factor_on(A, decomp, sim, diag_guard)
+        report = entry_transport.report(sim)
+        return ParallelILUResult(
+            factors=factors,
+            decomp=decomp,
+            num_levels=len(classes),
+            level_sizes=[int(c.size) for c in classes],
+            flops=0.0 if sim is None else report["comm"].total_flops,
+            words_copied=0.0,
+            **report,
+        )
+
+
+def _factor_on(
+    A: CSRMatrix, decomp: DomainDecomposition, sim, diag_guard: bool
+) -> tuple[ILUFactors, list[np.ndarray]]:
+    """Run the factorization against a resolved transport (or ``None``);
+    returns the factors and the interface colour classes."""
+    nranks = decomp.nranks
     n = A.shape[0]
     part = decomp.part
 
@@ -135,12 +146,7 @@ def parallel_ilu0(
     l_builder = COOBuilder(n)
     u_builder = COOBuilder(n)
 
-    def pardo(thunks):
-        if sim is not None:
-            return sim.pardo(thunks)
-        return [f() if f is not None else None for f in thunks]
-
-    def make_row_kernel():
+    def factor_rows(rows: list[int]) -> list[tuple]:
         # thunk-local scratch: accumulator, pattern mask, and u-rows
         # factored by this thunk but not yet merged by the coordinator
         w = SparseRowAccumulator(n)
@@ -195,14 +201,7 @@ def parallel_ilu0(
             w.reset()
             return (i, l_rec, diag, u_rec, u_row, ops)
 
-        return factor_row
-
-    def block_thunk(rows: list[int]):
-        def thunk():
-            factor_row = make_row_kernel()
-            return [factor_row(i) for i in rows]
-
-        return thunk
+        return [factor_row(i) for i in rows]
 
     def apply_row(rec) -> float:
         i, l_rec, diag, u_rec, u_row, ops = rec
@@ -222,10 +221,10 @@ def parallel_ilu0(
     # thunk's u_new overlay covers every pivot it needs.
     phase1_thunks: list = [None] * nranks
     for r in range(nranks):
-        rows = [int(i) for i in decomp.interior_rows(r)]
+        rows = decomp.interior_rows(r).tolist()
         if rows:
-            phase1_thunks[r] = block_thunk(rows)
-    phase1_results = pardo(phase1_thunks)
+            phase1_thunks[r] = lambda rows=rows: factor_rows(rows)
+    phase1_results = run_region(sim, phase1_thunks)
     for r in range(nranks):
         ops = 0.0
         for rec in phase1_results[r] or []:
@@ -259,21 +258,15 @@ def parallel_ilu0(
                 need[(int(part[c]), int(part[i]))] = (
                     need.get((int(part[c]), int(part[i])), 0.0) + nw
                 )
-            for (src, dst), words in sorted(need.items()):
-                sim.send(src, dst, None, words, tag=("ilu0", lvl_idx))
-            for (src, dst), _words in sorted(need.items()):
-                sim.recv(dst, src, tag=("ilu0", lvl_idx))
-        rows_by_rank: list[list[int]] = [[] for _ in range(nranks)]
-        for i in cls:
-            rows_by_rank[int(part[i])].append(int(i))
-        cls_results = pardo(
-            [block_thunk(rows) if rows else None for rows in rows_by_rank]
+            sim.exchange(
+                [(src, dst, None, words) for (src, dst), words in sorted(need.items())],
+                tag=("ilu0", lvl_idx),
+            )
+        rec_by_row = run_region_by_owner(
+            sim, nranks, cls, part, lambda _rank, rows: factor_rows(rows)
         )
-        rec_by_row = {
-            rec[0]: rec for res in cls_results if res for rec in res
-        }
-        for i in cls:
-            ops = apply_row(rec_by_row[int(i)])
+        for i in cls.tolist():
+            ops = apply_row(rec_by_row[i])
             r = int(part[i])
             per_rank_ops[r] = per_rank_ops.get(r, 0.0) + ops
         if sim is not None:
@@ -281,8 +274,6 @@ def parallel_ilu0(
                 sim.compute(r, ops)
             sim.barrier()
 
-    L = l_builder.to_csr()
-    U = u_builder.to_csr()
     owner = part[perm]
     levels = LevelStructure(
         interior_ranges=interior_ranges,
@@ -291,26 +282,10 @@ def parallel_ilu0(
     )
     levels.validate(n)
     factors = ILUFactors(
-        L=L,
-        U=U,
+        L=l_builder.to_csr(),
+        U=u_builder.to_csr(),
         perm=perm,
         levels=levels,
         stats={"algo": "parallel-ilu0", "num_levels": len(interface_levels)},
     )
-    try:
-        return ParallelILUResult(
-            factors=factors,
-            decomp=decomp,
-            num_levels=len(interface_levels),
-            level_sizes=[int(c.size) for c in classes],
-            modeled_time=sim.elapsed() if sim is not None else None,
-            comm=sim.stats() if sim is not None else None,
-            flops=0.0 if sim is None else sim.stats().total_flops,
-            words_copied=0.0,
-            fault_journal=getattr(sim, "fault_journal", None),
-            recoveries=getattr(sim, "region_recoveries", 0),
-            transport=transport_name(sim),
-        )
-    finally:
-        if owned and sim is not None:
-            sim.close()
+    return factors, classes

@@ -4,8 +4,7 @@ The paper's methods form a family — ILUT(m, t) sequential, parallel
 ILUT(m, t), parallel ILUT*(m, t, k) — distinguished only by their
 parameters.  :class:`ILUTParams` carries those three knobs as one frozen
 validated value so call sites, benchmarks and result metadata all speak
-the same vocabulary; the legacy bare ``(m, t)`` keywords still work via
-a :class:`DeprecationWarning` shim in each entry point.
+the same vocabulary: every entry point takes it as its second argument.
 """
 
 from __future__ import annotations

@@ -33,10 +33,11 @@ from ..machine import (
     CommStats,
     MachineModel,
     Transport,
-    is_transport,
-    resolve_entry_transport,
-    transport_name,
+    entry_transport,
+    run_region,
+    run_region_by_owner,
 )
+from ..sparse import CSRMatrix
 from .factors import ILUFactors
 
 if TYPE_CHECKING:
@@ -92,121 +93,115 @@ def _column_consumers(M, owner: np.ndarray) -> dict[int, set[int]]:
     return consumers
 
 
-def _solve_vectorized(factors, b, sim, tr):
+@dataclass
+class _Sweep:
+    """One substitution direction as the stage accounting sees it."""
+
+    name: str  # message-tag prefix: "fwd" | "bwd"
+    M: CSRMatrix  # L (forward) or U (backward, diagonal stored first)
+    backward: bool
+    row_flops: np.ndarray  # integer-valued charge per row position
+    consumers: dict[int, set[int]]  # empty without a transport
+
+
+def _sweeps(factors: ILUFactors, sim) -> tuple[_Sweep, _Sweep]:
+    """The forward (L) and backward (U) sweeps of ``factors``."""
+    L, U = factors.L, factors.U
+    owner = factors.levels.owner
+
+    def consumers(M: CSRMatrix) -> dict[int, set[int]]:
+        return _column_consumers(M, owner) if sim is not None else {}
+
+    # forward: 2 flops per L entry; backward: 2 per off-diagonal U entry
+    # plus the division
+    lower = _Sweep("fwd", L, False, 2.0 * np.diff(L.indptr), consumers(L))
+    upper = _Sweep("bwd", U, True, 2.0 * (np.diff(U.indptr) - 1) + 1.0, consumers(U))
+    return lower, upper
+
+
+def _declare_rows(tr, sweep: _Sweep, owner: np.ndarray, positions) -> None:
+    """Declare the shared-``x`` accesses of solving ``positions`` in
+    order: each row reads its dependency columns and writes itself."""
+    for p in positions:
+        p = int(p)
+        cols = sweep.M.row(p)[0]
+        deps = cols[1:] if sweep.backward else cols
+        if deps.size:
+            tr.read_many(int(owner[p]), "x", deps)
+        tr.write(int(owner[p]), "x", p)
+
+
+def _account_interior(sim, levels, sweep: _Sweep, flops_rank: np.ndarray) -> None:
+    """Accounting of one interior stage: per-block declarations and one
+    charge per rank, then the barrier that closes the stage."""
+    tr = getattr(sim, "tracer", None)
+    for (s, e) in levels.interior_ranges:
+        if s == e:
+            continue
+        rank = int(levels.owner[s])
+        if tr is not None:
+            rows = range(e - 1, s - 1, -1) if sweep.backward else range(s, e)
+            _declare_rows(tr, sweep, levels.owner, rows)
+        fl = float(sweep.row_flops[s:e].sum())
+        flops_rank[rank] += fl
+        if sim is not None:
+            sim.compute(rank, fl)
+    if sim is not None:
+        sim.barrier()
+
+
+def _account_level(
+    sim, levels, sweep: _Sweep, lvl_idx: int, flops_rank: np.ndarray
+) -> None:
+    """Accounting of one interface level: declarations in sweep order,
+    one charge per participating rank, the exchange of the level's fresh
+    values to the ranks whose remaining rows reference them, and the
+    level barrier (one of the paper's ``q`` synchronisation points)."""
+    tr = getattr(sim, "tracer", None)
+    owner = levels.owner
+    positions = levels.interface_levels[lvl_idx]
+    if tr is not None:
+        _declare_rows(tr, sweep, owner, positions[::-1] if sweep.backward else positions)
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.size:
+        per = np.bincount(owner[pos], weights=sweep.row_flops[pos])
+        for rank in np.unique(owner[pos]).tolist():
+            flops_rank[rank] += per[rank]
+            if sim is not None:
+                sim.compute(rank, float(per[rank]))
+    if sim is not None:
+        words = _cross_rank_receivers(sweep.consumers, owner, positions)
+        sim.exchange(
+            [(src, dst, None, float(w)) for (src, dst), w in sorted(words.items())],
+            tag=(sweep.name, lvl_idx),
+        )
+        sim.barrier()
+
+
+def _solve_vectorized(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
     """Vectorized backend of :func:`parallel_triangular_solve`.
 
     Numerics run through the cached batched level schedules; the
-    simulator is driven with the same per-rank charges, messages and
-    barriers as the reference loop (compute costs are integer-valued, so
-    batched summation reproduces ``modeled_time`` bit for bit), and when
-    a tracer is active the shared-``x`` accesses are declared row by row
-    exactly as the reference does — race detection sees the same
-    program.
+    transport is driven through the same stage accounting as the
+    reference path (charges are integer-valued, so batched summation
+    reproduces ``modeled_time`` bit for bit), and under a tracer the
+    shared-``x`` accesses are declared row by row exactly as the
+    reference does — race detection sees the same program.
     """
     from ..kernels.triangular import cached_schedules
 
     levels = factors.levels
-    owner = levels.owner
-    L, U = factors.L, factors.U
-    l_nnz = np.diff(L.indptr)
-    u_nnz = np.diff(U.indptr)
-    nranks = sim.nranks if sim is not None else (int(owner.max()) + 1 if owner.size else 1)
-    # Per-rank accumulator instead of a shared nonlocal: every charge is
-    # integer-valued, so the final sum is exact and order-independent.
-    flops_rank = np.zeros(nranks, dtype=np.float64)
-
-    def charge(rank: int, fl: float) -> None:
-        flops_rank[rank] += fl
-        if sim is not None:
-            sim.compute(rank, fl)
-
     fwd, bwd = cached_schedules(factors)
-    bp = b[factors.perm]
-    y = fwd.solve(bp)
-
-    # ------------------------------------------------------- forward
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        rank = int(owner[s])
-        if tr is not None:
-            for i in range(s, e):
-                cols, _ = L.row(i)
-                if cols.size:
-                    tr.read_many(rank, "x", cols)
-                tr.write(rank, "x", i)
-        charge(rank, int(2 * l_nnz[s:e].sum()))
-    if sim is not None:
-        sim.barrier()
-
-    l_consumers = _column_consumers(L, owner) if sim is not None else {}
-    for lvl_idx, positions in enumerate(levels.interface_levels):
-        if tr is not None:
-            for p in positions:
-                cols, _ = L.row(int(p))
-                if cols.size:
-                    tr.read_many(int(owner[p]), "x", cols)
-                tr.write(int(owner[p]), "x", int(p))
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size:
-            per = np.bincount(owner[pos], weights=2.0 * l_nnz[pos])
-            for rank in np.unique(owner[pos]):
-                charge(int(rank), float(per[rank]))
-        if sim is not None:
-            words = _cross_rank_receivers(l_consumers, owner, positions)
-            for (src, dst), w in sorted(words.items()):
-                sim.send(src, dst, None, float(w), tag=("fwd", lvl_idx))
-            for (src, dst), _w in sorted(words.items()):
-                sim.recv(dst, src, tag=("fwd", lvl_idx))
-            sim.barrier()
-
-    # ------------------------------------------------------- backward
-    u_consumers = _column_consumers(U, owner) if sim is not None else {}
-    for lvl_idx in range(len(levels.interface_levels) - 1, -1, -1):
-        positions = levels.interface_levels[lvl_idx]
-        if tr is not None:
-            for p in positions[::-1]:
-                cols, _ = U.row(int(p))
-                if cols.size > 1:
-                    tr.read_many(int(owner[p]), "x", cols[1:])
-                tr.write(int(owner[p]), "x", int(p))
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size:
-            per = np.bincount(owner[pos], weights=2.0 * (u_nnz[pos] - 1) + 1.0)
-            for rank in np.unique(owner[pos]):
-                charge(int(rank), float(per[rank]))
-        if sim is not None:
-            words = _cross_rank_receivers(u_consumers, owner, positions)
-            for (src, dst), w in sorted(words.items()):
-                sim.send(src, dst, None, float(w), tag=("bwd", lvl_idx))
-            for (src, dst), _w in sorted(words.items()):
-                sim.recv(dst, src, tag=("bwd", lvl_idx))
-            sim.barrier()
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        rank = int(owner[s])
-        if tr is not None:
-            for i in range(e - 1, s - 1, -1):
-                cols, _ = U.row(i)
-                if cols.size > 1:
-                    tr.read_many(rank, "x", cols[1:])
-                tr.write(rank, "x", i)
-        charge(rank, float((2.0 * (u_nnz[s:e] - 1) + 1.0).sum()))
-    if sim is not None:
-        sim.barrier()
-
-    x = bwd.solve(y)
-    out = np.empty_like(x)
-    out[factors.perm] = x
-    return TriangularSolveResult(
-        x=out,
-        modeled_time=sim.elapsed() if sim is not None else None,
-        comm=sim.stats() if sim is not None else None,
-        flops=float(flops_rank.sum()),
-        trace=tr,
-        fault_journal=getattr(sim, "fault_journal", None),
-    )
+    lower, upper = _sweeps(factors, sim)
+    nlevels = len(levels.interface_levels)
+    y = fwd.solve(b[factors.perm])
+    _account_interior(sim, levels, lower, flops_rank)
+    for lvl_idx in range(nlevels):
+        _account_level(sim, levels, lower, lvl_idx, flops_rank)
+    for lvl_idx in range(nlevels - 1, -1, -1):
+        _account_level(sim, levels, upper, lvl_idx, flops_rank)
+    _account_interior(sim, levels, upper, flops_rank)
+    return bwd.solve(y)
 
 
 def parallel_triangular_solve(
@@ -216,7 +211,6 @@ def parallel_triangular_solve(
     nranks: int | None = None,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     trace: bool = False,
     backend: str | None = None,
     faults: FaultPlan | None = None,
@@ -239,9 +233,7 @@ def parallel_triangular_solve(
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Transport`); the deprecated ``simulate=``
-    boolean maps ``True`` to ``"simulator"`` and ``False`` to
-    ``"none"`` under a :class:`DeprecationWarning`.
+    :class:`~repro.machine.Transport`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`: on the simulator
     message-level faults surface as :class:`~repro.faults.MessageLost` /
@@ -261,80 +253,69 @@ def parallel_triangular_solve(
             "factors carry no level structure; use a parallel factorization "
             "or the sequential solves in repro.sparse.ops"
         )
-    levels = factors.levels
-    owner = levels.owner
+    owner = factors.levels.owner
     n = factors.n
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValueError(f"b has shape {b.shape}, expected ({n},)")
     if nranks is None:
         nranks = int(owner.max()) + 1 if owner.size else 1
-    sim = resolve_entry_transport(
-        "parallel_triangular_solve",
+    from ..kernels.backend import VECTORIZED, resolve_backend
+
+    with entry_transport(
         transport,
-        simulate,
         nranks,
         model=model,
         trace=trace,
         faults=faults,
         copy_payloads=copy_payloads,
         supervision=supervision,
-    )
-    owned = not is_transport(transport)
-    try:
-        res = _solve_on(factors, b, sim, nranks, backend)
-        res.transport = transport_name(sim)
-        res.recoveries = getattr(sim, "region_recoveries", 0)
-        return res
-    finally:
-        if owned and sim is not None:
-            sim.close()
+    ) as sim:
+        # Per-rank accumulator instead of a shared nonlocal: every charge
+        # is integer-valued, so the final sum is exact and order-independent.
+        flops_rank = np.zeros(nranks, dtype=np.float64)
+        if resolve_backend(backend) == VECTORIZED:
+            x = _solve_vectorized(factors, b, sim, flops_rank)
+        else:
+            x = _solve_on(factors, b, sim, flops_rank)
+        out = np.empty_like(x)
+        out[factors.perm] = x
+        return TriangularSolveResult(
+            x=out, flops=float(flops_rank.sum()), **entry_transport.report(sim)
+        )
 
 
-def _solve_on(
-    factors: ILUFactors,
-    b: np.ndarray,
-    sim,
-    nranks: int,
-    backend: str | None,
-) -> TriangularSolveResult:
-    """Run the substitution against a resolved transport (or ``None``)."""
+def _solve_on(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
+    """Reference backend of :func:`parallel_triangular_solve`.
+
+    Every sweep stage is a parallel region of pure per-rank thunks
+    (read-shared vector, return own entries) whose results the
+    coordinator merges in the historical inline order, followed by that
+    stage's accounting — bit-identical on every transport.
+    """
     levels = factors.levels
     owner = levels.owner
-    tr = getattr(sim, "tracer", None)
+    nranks = flops_rank.size
     L, U = factors.L, factors.U
-    # Per-rank accumulator instead of a shared nonlocal: every charge is
-    # integer-valued, so the final sum is exact and order-independent.
-    flops_rank = np.zeros(nranks, dtype=np.float64)
+    lower, upper = _sweeps(factors, sim)
 
-    def charge(rank: int, fl: float) -> None:
-        flops_rank[rank] += fl
-        if sim is not None:
-            sim.compute(rank, fl)
-
-    from ..kernels.backend import VECTORIZED, resolve_backend
-
-    if resolve_backend(backend) == VECTORIZED:
-        return _solve_vectorized(factors, b, sim, tr)
-
-    # Reference backend: every sweep stage is a parallel region of pure
-    # per-rank thunks (read-shared vector, return own entries); the
-    # coordinator merges in the historical inline order and replays
-    # declarations/charges there — bit-identical on every transport.
-    def pardo(thunks):
-        if sim is not None:
-            return sim.pardo(thunks)
-        return [f() if f is not None else None for f in thunks]
+    def interior_stage(vec: np.ndarray, block_solve) -> None:
+        """One region over the ranks' interior blocks: each thunk solves
+        its own contiguous block against a private copy of the segment."""
+        thunks: list = [None] * nranks
+        for (s, e) in levels.interior_ranges:
+            if s != e:
+                thunks[int(owner[s])] = lambda s=s, e=e: block_solve(s, e)
+        results = run_region(sim, thunks)
+        for (s, e) in levels.interior_ranges:
+            if s != e:
+                vec[s:e] = results[int(owner[s])]
 
     # ------------------------------------------------------- forward
-    bp = b[factors.perm]
-    y = bp.copy()
+    y = b[factors.perm].copy()
 
-    # interior blocks: independent across ranks; each thunk solves its
-    # own contiguous block against a private copy of the segment
-    def fwd_interior(s: int, e: int) -> tuple[np.ndarray, float]:
+    def fwd_interior(s: int, e: int) -> np.ndarray:
         seg = y[s:e].copy()
-        fl = 0.0
         for i in range(s, e):
             cols, vals = L.row(i)
             if cols.size:
@@ -346,33 +327,13 @@ def _solve_on(
                 xv[in_blk] = seg[cols[in_blk] - s]
                 xv[~in_blk] = y[cols[~in_blk]]
                 seg[i - s] -= np.dot(vals, xv)
-                fl += 2 * cols.size
-        return seg, fl
+        return seg
 
-    fwd_thunks: list = [None] * nranks
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        fwd_thunks[int(owner[s])] = lambda s=s, e=e: fwd_interior(s, e)
-    fwd_results = pardo(fwd_thunks)
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        rank = int(owner[s])
-        seg, fl = fwd_results[rank]
-        if tr is not None:
-            for i in range(s, e):
-                cols, _ = L.row(i)
-                if cols.size:
-                    tr.read_many(rank, "x", cols)
-                tr.write(rank, "x", i)
-        y[s:e] = seg
-        charge(rank, fl)
-    if sim is not None:
-        sim.barrier()
+    interior_stage(y, fwd_interior)
+    _account_interior(sim, levels, lower, flops_rank)
 
-    def solve_level(vec: np.ndarray, M, positions, backward: bool) -> dict[int, float]:
-        """Solve one interface level as parallel sub-rounds.
+    def solve_level(vec: np.ndarray, M, positions, backward: bool) -> None:
+        """Solve one interface level in place, as parallel sub-rounds.
 
         The elimination engine's levels are true dependency levels, but
         interface-partitioned factors carry intra-level couplings that
@@ -400,103 +361,52 @@ def _solve_on(
 
         newvals: dict[int, float] = {}
 
-        def round_thunk(rows: list[int]):
-            def thunk() -> list[tuple[int, float]]:
-                out = []
-                for p in rows:
-                    cols, vals = M.row(p)
-                    deps = cols[1:] if backward else cols
-                    v = vec[p]
-                    if deps.size:
-                        # a same-level dep earlier in inline order is
-                        # final in newvals (strictly smaller depth); one
-                        # later in inline order must read the pre-sweep
-                        # value, exactly as the inline loop did
-                        k = seqno[p]
-                        xv = np.array(
-                            [
-                                newvals[int(c)]
-                                if seqno.get(int(c), k) < k
-                                else vec[c]
-                                for c in deps
-                            ],
-                            dtype=np.float64,
-                        )
-                        v -= np.dot(vals[1:] if backward else vals, xv)
-                    if backward:
-                        v /= vals[0]
-                    out.append((p, v))
-                return out
-
-            return thunk
+        def round_rows(_rank: int, rows: list[int]) -> list[tuple[int, float]]:
+            out = []
+            for p in rows:
+                cols, vals = M.row(p)
+                deps = cols[1:] if backward else cols
+                v = vec[p]
+                if deps.size:
+                    # a same-level dep earlier in inline order is
+                    # final in newvals (strictly smaller depth); one
+                    # later in inline order must read the pre-sweep
+                    # value, exactly as the inline loop did
+                    k = seqno[p]
+                    xv = np.array(
+                        [
+                            newvals[int(c)]
+                            if seqno.get(int(c), k) < k
+                            else vec[c]
+                            for c in deps
+                        ],
+                        dtype=np.float64,
+                    )
+                    v -= np.dot(vals[1:] if backward else vals, xv)
+                if backward:
+                    v /= vals[0]
+                out.append((p, v))
+            return out
 
         for rnd in rounds:
-            rows_by_rank: list[list[int]] = [[] for _ in range(nranks)]
-            for p in rnd:
-                rows_by_rank[int(owner[p])].append(p)
-            res = pardo(
-                [round_thunk(rows) if rows else None for rows in rows_by_rank]
-            )
-            for rr in res:
-                if rr:
-                    for p, v in rr:
-                        newvals[p] = v
-        return newvals
+            merged = run_region_by_owner(sim, nranks, rnd, owner, round_rows)
+            newvals.update((p, v) for p, v in merged.values())
+        for p in order:
+            vec[p] = newvals[p]
 
-    l_consumers = _column_consumers(L, owner) if sim is not None else {}
-    for lvl_idx, positions in enumerate(levels.interface_levels):
-        newvals = solve_level(y, L, positions, backward=False)
-        per_rank_fl: dict[int, float] = {}
-        for p in positions:
-            cols, _vals = L.row(int(p))
-            if tr is not None:
-                if cols.size:
-                    tr.read_many(int(owner[p]), "x", cols)
-                tr.write(int(owner[p]), "x", int(p))
-            y[p] = newvals[int(p)]
-            per_rank_fl[int(owner[p])] = per_rank_fl.get(int(owner[p]), 0.0) + 2.0 * cols.size
-        for rank, fl in sorted(per_rank_fl.items()):
-            charge(rank, fl)
-        if sim is not None:
-            words = _cross_rank_receivers(l_consumers, owner, positions)
-            for (src, dst), w in sorted(words.items()):
-                sim.send(src, dst, None, float(w), tag=("fwd", lvl_idx))
-            for (src, dst), _w in sorted(words.items()):
-                sim.recv(dst, src, tag=("fwd", lvl_idx))
-            sim.barrier()
+    nlevels = len(levels.interface_levels)
+    for lvl_idx in range(nlevels):
+        solve_level(y, L, levels.interface_levels[lvl_idx], backward=False)
+        _account_level(sim, levels, lower, lvl_idx, flops_rank)
 
     # ------------------------------------------------------- backward
     x = y
-    u_consumers = _column_consumers(U, owner) if sim is not None else {}
-    for lvl_idx in range(len(levels.interface_levels) - 1, -1, -1):
-        positions = levels.interface_levels[lvl_idx]
-        newvals = solve_level(x, U, positions, backward=True)
-        per_rank_fl = {}
-        for p in positions[::-1]:
-            cols, _vals = U.row(int(p))
-            # diagonal stored first (position p itself)
-            if tr is not None:
-                if cols.size > 1:
-                    tr.read_many(int(owner[p]), "x", cols[1:])
-                tr.write(int(owner[p]), "x", int(p))
-            x[p] = newvals[int(p)]
-            per_rank_fl[int(owner[p])] = (
-                per_rank_fl.get(int(owner[p]), 0.0) + 2.0 * (cols.size - 1) + 1.0
-            )
-        for rank, fl in sorted(per_rank_fl.items()):
-            charge(rank, fl)
-        if sim is not None:
-            words = _cross_rank_receivers(u_consumers, owner, positions)
-            # in the backward sweep values flow to *earlier* rows
-            for (src, dst), w in sorted(words.items()):
-                sim.send(src, dst, None, float(w), tag=("bwd", lvl_idx))
-            for (src, dst), _w in sorted(words.items()):
-                sim.recv(dst, src, tag=("bwd", lvl_idx))
-            sim.barrier()
+    for lvl_idx in range(nlevels - 1, -1, -1):
+        solve_level(x, U, levels.interface_levels[lvl_idx], backward=True)
+        _account_level(sim, levels, upper, lvl_idx, flops_rank)
 
-    def bwd_interior(s: int, e: int) -> tuple[np.ndarray, float]:
+    def bwd_interior(s: int, e: int) -> np.ndarray:
         seg = x[s:e].copy()
-        fl = 0.0
         for i in range(e - 1, s - 1, -1):
             cols, vals = U.row(i)
             if cols.size > 1:
@@ -510,38 +420,8 @@ def _solve_on(
                 xv[~in_blk] = x[c[~in_blk]]
                 seg[i - s] -= np.dot(vals[1:], xv)
             seg[i - s] /= vals[0]
-            fl += 2.0 * (cols.size - 1) + 1.0
-        return seg, fl
+        return seg
 
-    bwd_thunks: list = [None] * nranks
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        bwd_thunks[int(owner[s])] = lambda s=s, e=e: bwd_interior(s, e)
-    bwd_results = pardo(bwd_thunks)
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        rank = int(owner[s])
-        seg, fl = bwd_results[rank]
-        if tr is not None:
-            for i in range(e - 1, s - 1, -1):
-                cols, _ = U.row(i)
-                if cols.size > 1:
-                    tr.read_many(rank, "x", cols[1:])
-                tr.write(rank, "x", i)
-        x[s:e] = seg
-        charge(rank, fl)
-    if sim is not None:
-        sim.barrier()
-
-    out = np.empty_like(x)
-    out[factors.perm] = x
-    return TriangularSolveResult(
-        x=out,
-        modeled_time=sim.elapsed() if sim is not None else None,
-        comm=sim.stats() if sim is not None else None,
-        flops=float(flops_rank.sum()),
-        trace=tr,
-        fault_journal=getattr(sim, "fault_journal", None),
-    )
+    interior_stage(x, bwd_interior)
+    _account_interior(sim, levels, upper, flops_rank)
+    return x

@@ -556,6 +556,7 @@ def _verify_interface_partition(
     analysis: CostAnalysis, report: CostReport, root: Path
 ) -> None:
     from ..ilu.interface_partition import parallel_ilut_partitioned
+    from ..ilu.params import ILUTParams
     from ..matrices import poisson2d
 
     A = poisson2d(_MESH)
@@ -564,7 +565,7 @@ def _verify_interface_partition(
     for attempt in ("run-1", "run-2"):
         sim, ledger = _ledgered_sim(_NRANKS)
         res = parallel_ilut_partitioned(
-            A, 5, 1e-3, _NRANKS, seed=0, transport=sim
+            A, ILUTParams(fill=5, threshold=1e-3), _NRANKS, seed=0, transport=sim
         )
         stats = sim.stats()
         sim.close()

@@ -270,7 +270,7 @@ COST_SPECS: dict[str, CostSpec] = {
             barriers="1 + classes",
             collectives="0",
             params=("p", "classes", "ilu0_messages", "ilu0_words"),
-            once=frozenset({"parallel_ilu0"}),
+            once=frozenset({"parallel_ilu0", "_factor_on"}),
         ),
     )
 }
@@ -360,13 +360,22 @@ def _last_receiver_component(expr: ast.expr) -> str | None:
     return None
 
 
+#: Transport methods that charge on a driver's behalf, and the charge
+#: kind the ledger attributes to the driver line: ``exchange`` posts one
+#: ``send`` per message of its list.
+_CHARGES_AS = {"exchange": "send"}
+
+
 def _charge_call_kind(call: ast.Call) -> str | None:
     func = call.func
-    if not isinstance(func, ast.Attribute) or func.attr not in CHARGE_KINDS:
+    if not isinstance(func, ast.Attribute):
+        return None
+    kind = _CHARGES_AS.get(func.attr, func.attr)
+    if kind not in CHARGE_KINDS:
         return None
     if _last_receiver_component(func.value) not in _SIM_RECEIVERS:
         return None
-    return func.attr
+    return kind
 
 
 #: argument index of the charged quantity, per kind
@@ -417,7 +426,8 @@ def extract_charge_sites(
             kind = _charge_call_kind(node)
             if kind is None:
                 continue
-            loops: list[str | None] = []
+            # an exchange fires once per message: an unbounded implicit loop
+            loops: list[str | None] = [None] if node.func.attr in _CHARGES_AS else []
             nested = False
             fault_path = False
             cur = parents.get(node)

@@ -95,7 +95,7 @@ _TRANSPORT_CTORS = frozenset(
         "ProcessTransport",
         "LocalTransport",
         "resolve_transport",
-        "resolve_entry_transport",
+        "entry_transport",
     }
 )
 

@@ -32,9 +32,11 @@ from .transport import (
     TransportWorkerError,
     WorkerCrashed,
     WorkerHung,
+    entry_transport,
     is_transport,
-    resolve_entry_transport,
     resolve_transport,
+    run_region,
+    run_region_by_owner,
     transport_name,
 )
 
@@ -64,7 +66,9 @@ __all__ = [
     "unportable_faults",
     "is_transport",
     "resolve_transport",
-    "resolve_entry_transport",
+    "entry_transport",
+    "run_region",
+    "run_region_by_owner",
     "transport_name",
     "TRANSPORT_NAMES",
 ]

@@ -370,19 +370,21 @@ class Simulator:
         """Superstep all-to-some exchange.
 
         ``messages`` is a list of ``(src, dst, payload, nwords)``.  All
-        sends are posted, then every destination drains its inbox.
-        Returns ``{dst: [(src, payload), ...]}`` in deterministic order.
+        sends are posted in the given order, then the messages are
+        drained in ``(src, dst)``-sorted order — the post/drain sequence
+        the drivers' fault-journal signatures are pinned to.  Returns
+        ``{dst: [(src, payload), ...]}``.
+
+        Written against ``send``/``recv`` only: it is the one
+        implementation, which :class:`~repro.machine.LocalTransport`
+        binds as its own ``exchange`` too.
         """
         for src, dst, payload, nwords in messages:
             self.send(src, dst, payload, nwords, tag=tag)
-        out: dict[int, list[tuple[int, Any]]] = defaultdict(list)
-        per_dst: dict[int, list[int]] = defaultdict(list)
-        for src, dst, _, _ in messages:
-            per_dst[dst].append(src)
-        for dst in sorted(per_dst):
-            for src in per_dst[dst]:
-                out[dst].append((src, self.recv(dst, src, tag=tag)))
-        return dict(out)
+        out: dict[int, list[tuple[int, Any]]] = {}
+        for src, dst in sorted((m[0], m[1]) for m in messages):
+            out.setdefault(dst, []).append((src, self.recv(dst, src, tag=tag)))
+        return out
 
     # ------------------------------------------------------------------
     # collectives

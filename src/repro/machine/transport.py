@@ -43,6 +43,12 @@ A transport provides:
   on a tracing simulator) and ``snapshot`` / ``restore`` for the
   checkpoint layer.
 
+Drivers reach a transport through three helpers defined here (DESIGN.md
+§13.2): :class:`entry_transport` (acquire / report / release for one
+entry-point call), :func:`run_region` (one parallel region, with or
+without a transport) and :func:`run_region_by_owner` (rows grouped by
+owning rank).
+
 ``resolve_transport`` is the single entry-point factory the
 ``transport=`` keyword of every ``parallel_*`` driver goes through; it
 raises the typed :class:`TransportCapabilityError` when ``faults=`` or
@@ -61,14 +67,13 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .model import CRAY_T3D, MachineModel
-from .simulator import CommStats
+from .simulator import CommStats, Simulator
 
 if TYPE_CHECKING:
     from ..faults import FaultJournal, FaultPlan
@@ -88,14 +93,16 @@ __all__ = [
     "TransportSnapshot",
     "is_transport",
     "resolve_transport",
-    "resolve_entry_transport",
+    "entry_transport",
+    "run_region",
+    "run_region_by_owner",
     "transport_name",
     "TRANSPORT_NAMES",
 ]
 
 #: The spellings ``resolve_transport`` accepts as strings.  ``"none"``
 #: (or ``None``) runs the identical algorithm with no transport at all —
-#: the old ``simulate=False`` fast path used heavily in tests.
+#: the accounting-free fast path used heavily in tests.
 TRANSPORT_NAMES = ("simulator", "threads", "processes", "none")
 
 
@@ -445,20 +452,8 @@ class LocalTransport(Transport):
             "but no message was sent"
         )
 
-    def exchange(
-        self, messages: list[tuple[int, int, Any, float]], tag: Any = None
-    ) -> dict[int, list[tuple[int, Any]]]:
-        """Superstep all-to-some exchange; deterministic drain order."""
-        for src, dst, payload, nwords in messages:
-            self.send(src, dst, payload, nwords, tag=tag)
-        out: dict[int, list[tuple[int, Any]]] = defaultdict(list)
-        per_dst: dict[int, list[int]] = defaultdict(list)
-        for src, dst, _, _ in messages:
-            per_dst[dst].append(src)
-        for dst in sorted(per_dst):
-            for src in per_dst[dst]:
-                out[dst].append((src, self.recv(dst, src, tag=tag)))
-        return dict(out)
+    #: the one pairwise exchange, written against ``send``/``recv``
+    exchange = Simulator.exchange
 
     # -- collectives ---------------------------------------------------
 
@@ -600,7 +595,7 @@ def resolve_transport(
         ``"simulator"`` | ``"threads"`` | ``"processes"`` | ``"none"`` |
         ``None`` | a ready :class:`Transport` / ``Simulator`` instance.
         ``"none"``/``None`` returns ``None`` — run the identical
-        algorithm with no transport (the legacy ``simulate=False``).
+        algorithm with no transport.
     nranks:
         Rank count a string spec is instantiated with; an instance must
         already match it.
@@ -620,8 +615,6 @@ def resolve_transport(
     -------
     A transport instance, or ``None`` for the accounting-free path.
     """
-    from .simulator import Simulator
-
     def _require_simulator(cap: str) -> None:
         raise TransportCapabilityError(
             f"{cap} requires the simulator transport "
@@ -722,47 +715,82 @@ def resolve_transport(
     return spec
 
 
-def resolve_entry_transport(
-    func_name: str,
-    transport: object,
-    simulate: "bool | None",
-    nranks: int,
-    *,
-    model: MachineModel = CRAY_T3D,
-    trace: bool = False,
-    faults: "FaultPlan | None" = None,
-    copy_payloads: bool = False,
-    supervision: "SupervisionPolicy | None" = None,
-    stacklevel: int = 3,
-):
-    """Entry-point shim shared by every ``transport=`` driver.
+class entry_transport:
+    """Transport lifecycle of one ``transport=`` driver call.
 
-    Handles the deprecated ``simulate=`` boolean: ``simulate=True`` maps
-    to ``transport="simulator"`` and ``simulate=False`` to
-    ``transport="none"``, each under a :class:`DeprecationWarning`.
-    Passing both spellings (with a non-default ``transport``) raises
-    ``TypeError``.  Everything else defers to :func:`resolve_transport`.
+    ``with entry_transport(spec, nranks, ...) as transport:`` resolves
+    ``spec`` through :func:`resolve_transport` (same keywords), yields
+    the instance — or ``None`` for the accounting-free path — and on
+    exit, normal or exceptional, closes the transport only if this call
+    built it: a ready instance passed by the caller stays open.
     """
-    if simulate is not None:
-        if not (isinstance(transport, str) and transport == "simulator"):
-            raise TypeError(
-                f"{func_name}() got both the deprecated simulate= and "
-                "transport=; pass only transport="
-            )
-        warnings.warn(
-            f"{func_name}(simulate=...) is deprecated; pass "
-            "transport='simulator' (simulate=True) or transport='none' "
-            "(simulate=False) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
+
+    def __init__(self, spec: object, nranks: int, **capabilities: Any) -> None:
+        self._spec = spec
+        self._nranks = nranks
+        self._capabilities = capabilities
+        self._transport: Any = None
+
+    def __enter__(self) -> Any:
+        self._transport = resolve_transport(
+            self._spec, self._nranks, **self._capabilities
         )
-        transport = "simulator" if simulate else "none"
-    return resolve_transport(
-        transport,
-        nranks,
-        model=model,
-        trace=trace,
-        faults=faults,
-        copy_payloads=copy_payloads,
-        supervision=supervision,
-    )
+        return self._transport
+
+    def __exit__(self, *exc: object) -> None:
+        if self._transport is not None and self._transport is not self._spec:
+            self._transport.close()
+
+    @staticmethod
+    def report(transport: Any) -> dict[str, Any]:
+        """The transport-derived fields every driver result carries."""
+        if transport is None:
+            return {
+                "modeled_time": None,
+                "comm": None,
+                "trace": None,
+                "fault_journal": None,
+                "recoveries": 0,
+                "transport": "none",
+            }
+        return {
+            "modeled_time": transport.elapsed(),
+            "comm": transport.stats(),
+            "trace": getattr(transport, "tracer", None),
+            "fault_journal": getattr(transport, "fault_journal", None),
+            "recoveries": getattr(transport, "region_recoveries", 0),
+            "transport": transport_name(transport),
+        }
+
+
+def run_region(transport: Any, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
+    """Dispatch one parallel region: ``transport.pardo(thunks)``, or the
+    thunks inline in rank order when no transport is attached."""
+    if transport is None:
+        return [f() if f is not None else None for f in thunks]
+    return transport.pardo(thunks)
+
+
+def run_region_by_owner(
+    transport: Any,
+    nranks: int,
+    rows: Iterable[int],
+    owner: np.ndarray,
+    body: Callable[[int, list[int]], list[tuple]],
+) -> dict[int, tuple]:
+    """One region over ``rows`` grouped by owning rank.
+
+    Each rank with at least one row runs ``body(rank, its_rows)`` (rows
+    keep their given order) and returns per-row records whose first
+    field is the row; the result indexes every record by that row.
+    Merge order — the caller's numerics — stays with the caller.
+    """
+    by_rank: list[list[int]] = [[] for _ in range(nranks)]
+    for i in rows:
+        by_rank[int(owner[i])].append(int(i))
+    thunks = [
+        (lambda rank=rank, mine=mine: body(rank, mine)) if mine else None
+        for rank, mine in enumerate(by_rank)
+    ]
+    results = run_region(transport, thunks)
+    return {rec[0]: rec for recs in results if recs for rec in recs}

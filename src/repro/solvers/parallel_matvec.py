@@ -23,9 +23,8 @@ from ..machine import (
     CommStats,
     MachineModel,
     Transport,
-    is_transport,
-    resolve_entry_transport,
-    transport_name,
+    entry_transport,
+    run_region,
 )
 from ..sparse import CSRMatrix
 
@@ -57,7 +56,6 @@ def parallel_matvec(
     *,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     halo_plan: dict[tuple[int, int], np.ndarray] | None = None,
     trace: bool = False,
     backend: str | None = None,
@@ -78,9 +76,7 @@ def parallel_matvec(
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Transport`); the deprecated ``simulate=``
-    boolean maps ``True`` to ``"simulator"`` and ``False`` to
-    ``"none"`` under a :class:`DeprecationWarning`.
+    :class:`~repro.machine.Transport`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`; the simulator
     honours every fault kind (injected message faults surface as
@@ -100,26 +96,17 @@ def parallel_matvec(
     n = A.shape[0]
     if x.shape != (n,):
         raise ValueError(f"x has shape {x.shape}, expected ({n},)")
-    sim = resolve_entry_transport(
-        "parallel_matvec",
+    with entry_transport(
         transport,
-        simulate,
         decomp.nranks,
         model=model,
         trace=trace,
         faults=faults,
         copy_payloads=copy_payloads,
         supervision=supervision,
-    )
-    owned = not is_transport(transport)
-    try:
-        res = _matvec_on(A, decomp, x, sim, halo_plan, backend)
-        res.recoveries = getattr(sim, "region_recoveries", 0)
-        res.transport = transport_name(sim)
-        return res
-    finally:
-        if owned and sim is not None:
-            sim.close()
+    ) as sim:
+        y, flops = _matvec_on(A, decomp, x, sim, halo_plan, backend)
+        return MatvecResult(y=y, flops=flops, **entry_transport.report(sim))
 
 
 def _matvec_on(
@@ -129,8 +116,9 @@ def _matvec_on(
     sim,
     halo_plan: dict[tuple[int, int], np.ndarray] | None,
     backend: str | None,
-) -> MatvecResult:
-    """Run one matvec against a resolved transport (or ``None``)."""
+) -> tuple[np.ndarray, float]:
+    """Run one matvec against a resolved transport (or ``None``);
+    returns ``(y, flops)``."""
     n = A.shape[0]
     tr = getattr(sim, "tracer", None)
     if halo_plan is None:
@@ -142,10 +130,10 @@ def _matvec_on(
             for j in decomp.owned_rows(r):
                 tr.write(r, "x", int(j))
     if sim is not None:
-        for (src, dst), nodes in sorted(halo_plan.items()):
-            sim.send(src, dst, None, float(nodes.size), tag="halo")
-        for (src, dst), _nodes in sorted(halo_plan.items()):
-            sim.recv(dst, src, tag="halo")
+        sim.exchange(
+            [(src, dst, None, float(nodes.size)) for (src, dst), nodes in sorted(halo_plan.items())],
+            tag="halo",
+        )
 
     from ..kernels.backend import VECTORIZED, resolve_backend
 
@@ -188,12 +176,9 @@ def _matvec_on(
                 fl += 2.0 * row_nnz[i]
             return rows, part, fl
 
-        if sim is not None:
-            results = sim.pardo(
-                [(lambda r=r: local_rows(r)) for r in range(decomp.nranks)]
-            )
-        else:
-            results = [local_rows(r) for r in range(decomp.nranks)]
+        results = run_region(
+            sim, [(lambda r=r: local_rows(r)) for r in range(decomp.nranks)]
+        )
         for r in range(decomp.nranks):
             rows, part, fl = results[r]
             if tr is not None:
@@ -208,11 +193,4 @@ def _matvec_on(
             flops_total += fl
     if sim is not None:
         sim.barrier()
-    return MatvecResult(
-        y=y,
-        modeled_time=sim.elapsed() if sim is not None else None,
-        comm=sim.stats() if sim is not None else None,
-        flops=flops_total,
-        trace=tr,
-        fault_journal=getattr(sim, "fault_journal", None),
-    )
+    return y, flops_total

@@ -14,13 +14,14 @@ from repro.analysis import (
     relative_speedups,
 )
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d
 
 
 class TestMetrics:
     def test_fill_stats(self):
         A = poisson2d(8)
-        f = ilut(A, 5, 1e-3)
+        f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
         s = fill_stats(A, f)
         assert s["n"] == 64
         assert s["nnz_L"] == f.L.nnz
@@ -55,7 +56,7 @@ class TestMetrics:
 
     def test_residual_reduction_probe(self, rng):
         A = poisson2d(10)
-        f = ilut(A, 10, 1e-5)
+        f = ilut(A, ILUTParams(fill=10, threshold=1e-5))
         b = rng.standard_normal(100)
         r = preconditioned_residual_reduction(A, f, b)
         assert 0 <= r < 1

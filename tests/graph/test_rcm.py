@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import bandwidth, rcm_ordering, rcm_ordering_matrix
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d, random_geometric_laplacian
 from repro.sparse import CSRMatrix
 
@@ -57,7 +58,7 @@ class TestRCM:
         shuffle = rng.permutation(nx * nx)
         B = A.permute(shuffle, shuffle)
         n = B.shape[0]
-        fill_shuffled = ilut(B, n, 0.0).nnz
+        fill_shuffled = ilut(B, ILUTParams(fill=n, threshold=0.0)).nnz
         perm = rcm_ordering_matrix(B)
-        fill_rcm = ilut(B.permute(perm, perm), n, 0.0).nnz
+        fill_rcm = ilut(B.permute(perm, perm), ILUTParams(fill=n, threshold=0.0)).nnz
         assert fill_rcm < fill_shuffled

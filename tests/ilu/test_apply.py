@@ -5,6 +5,7 @@ import pytest
 
 from repro.ilu import ilut, parallel_ilut
 from repro.ilu.apply import LevelScheduledApplier, triangular_levels
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d, random_diag_dominant
 from repro.sparse import CSRMatrix
 
@@ -39,7 +40,7 @@ class TestTriangularLevels:
 class TestLevelScheduledApplier:
     def test_matches_reference_solve_sequential(self, rng):
         A = random_diag_dominant(50, 5, seed=2)
-        f = ilut(A, 10, 1e-4)
+        f = ilut(A, ILUTParams(fill=10, threshold=1e-4))
         app = LevelScheduledApplier(f)
         for _ in range(3):
             b = rng.standard_normal(50)
@@ -47,7 +48,7 @@ class TestLevelScheduledApplier:
 
     def test_matches_reference_solve_parallel_factors(self, rng):
         A = poisson2d(14)
-        r = parallel_ilut(A, 5, 1e-3, 4, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 4, seed=0, transport="none")
         app = LevelScheduledApplier(r.factors)
         b = rng.standard_normal(196)
         assert np.allclose(app.apply(b), r.factors.solve(b), rtol=1e-12)
@@ -55,21 +56,21 @@ class TestLevelScheduledApplier:
     def test_parallel_ordering_has_fewer_levels(self):
         """MIS ordering shortens dependency chains — the paper's point."""
         A = poisson2d(16)
-        seq = LevelScheduledApplier(ilut(A, 5, 1e-3))
+        seq = LevelScheduledApplier(ilut(A, ILUTParams(fill=5, threshold=1e-3)))
         par = LevelScheduledApplier(
-            parallel_ilut(A, 5, 1e-3, 8, seed=0, simulate=False).factors
+            parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 8, seed=0, transport="none").factors
         )
         assert par.forward_levels < seq.forward_levels
 
     def test_shape_check(self):
         A = poisson2d(6)
-        app = LevelScheduledApplier(ilut(A, 5, 1e-3))
+        app = LevelScheduledApplier(ilut(A, ILUTParams(fill=5, threshold=1e-3)))
         with pytest.raises(ValueError):
             app.apply(np.ones(7))
 
     def test_callable(self, rng):
         A = poisson2d(6)
-        f = ilut(A, 5, 1e-3)
+        f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
         app = LevelScheduledApplier(f)
         b = rng.standard_normal(36)
         assert np.array_equal(app(b), app.apply(b))
@@ -97,7 +98,7 @@ class TestFastPreconditioner:
 
         A = poisson2d(12)
         b = rng.standard_normal(144)
-        f = ilut(A, 10, 1e-4)
+        f = ilut(A, ILUTParams(fill=10, threshold=1e-4))
         r_fast = gmres(A, b, restart=20, M=ILUPreconditioner(f, fast=True))
         r_slow = gmres(A, b, restart=20, M=ILUPreconditioner(f, fast=False))
         assert r_fast.converged and r_slow.converged
@@ -108,7 +109,7 @@ class TestFastPreconditioner:
         import time
 
         A = poisson2d(24)
-        r = parallel_ilut(A, 10, 1e-4, 8, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 8, seed=0, transport="none")
         b = rng.standard_normal(A.shape[0])
         app = LevelScheduledApplier(r.factors)
         app.apply(b)  # warm

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilu import ILUFactors, LevelStructure, ilut, parallel_ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d
 from repro.sparse import CSRMatrix
 
@@ -30,21 +31,21 @@ class TestILUFactors:
             )
 
     def test_nnz_and_fill_factor(self, small_poisson):
-        f = ilut(small_poisson, 5, 1e-3)
+        f = ilut(small_poisson, ILUTParams(fill=5, threshold=1e-3))
         assert f.nnz == f.L.nnz + f.U.nnz
         assert f.fill_factor(small_poisson) == f.nnz / small_poisson.nnz
 
     def test_solve_shape_check(self, small_poisson):
-        f = ilut(small_poisson, 5, 1e-3)
+        f = ilut(small_poisson, ILUTParams(fill=5, threshold=1e-3))
         with pytest.raises(ValueError):
             f.solve(np.ones(3))
 
     def test_triangular_flops_positive(self, small_poisson):
-        f = ilut(small_poisson, 5, 1e-3)
+        f = ilut(small_poisson, ILUTParams(fill=5, threshold=1e-3))
         assert f.triangular_flops() > 0
 
     def test_repr_mentions_levels(self):
-        r = parallel_ilut(poisson2d(8), 5, 1e-2, 2, simulate=False)
+        r = parallel_ilut(poisson2d(8), ILUTParams(fill=5, threshold=1e-2), 2, transport="none")
         assert "levels=" in repr(r.factors)
 
 
@@ -85,7 +86,7 @@ class TestLevelStructure:
         assert ls.level_sizes() == [2, 1]
 
     def test_parallel_result_has_valid_structure(self):
-        r = parallel_ilut(poisson2d(10), 5, 1e-2, 4, simulate=False, seed=0)
+        r = parallel_ilut(poisson2d(10), ILUTParams(fill=5, threshold=1e-2), 4, transport="none", seed=0)
         assert r.factors.levels is not None
         r.factors.levels.validate(100)
         assert r.factors.levels.num_levels == r.num_levels

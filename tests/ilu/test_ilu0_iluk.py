@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilu import ilu0, iluk, iluk_symbolic, ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d, random_diag_dominant
 from repro.sparse import CSRMatrix
 
@@ -112,7 +113,7 @@ class TestILUk:
         D[40, 10] = 1e-9
         B = CSRMatrix.from_dense(D)
         fk = iluk(B, 0)
-        ft = ilut(B, m=5, t=1e-3)
+        ft = ilut(B, ILUTParams(fill=5, threshold=1e-3))
         # ILU(0) keeps the tiny entry (it is in the pattern)
         assert fk.U.get(10, 40) != 0.0
         # ILUT drops it (below the relative threshold)

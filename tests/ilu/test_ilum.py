@@ -5,6 +5,7 @@ import pytest
 
 from repro.ilu import ilum, ilut
 from repro.ilu.apply import LevelScheduledApplier
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d, random_diag_dominant
 from repro.sparse import CSRMatrix
 
@@ -68,7 +69,7 @@ class TestStructure:
     def test_fewer_apply_levels_than_natural_ilut(self, medium_poisson):
         """Multi-elimination ordering shortens dependency chains."""
         f_ilum = ilum(medium_poisson, 5, 1e-3)
-        f_ilut = ilut(medium_poisson, 5, 1e-3)
+        f_ilut = ilut(medium_poisson, ILUTParams(fill=5, threshold=1e-3))
         assert (
             LevelScheduledApplier(f_ilum).forward_levels
             < LevelScheduledApplier(f_ilut).forward_levels

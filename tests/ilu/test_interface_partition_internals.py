@@ -16,11 +16,7 @@ class TestSplitInterface:
     def test_internal_nodes_have_no_cross_domain_reduced_edges(self):
         A = poisson2d(12)
         engine = self._engine(A)
-        # run phase 1 manually to populate reduced rows
-        for r in range(engine.decomp.nranks):
-            engine._factor_interior_block(r)
-        for r in range(engine.decomp.nranks):
-            engine._reduce_interface_rows(r)
+        engine._run_phase1()  # populates the reduced rows
         remaining = engine._remaining_nodes()
         domains = engine._split_interface(remaining)
         dom_of = {}
@@ -38,10 +34,7 @@ class TestSplitInterface:
     def test_domains_disjoint(self):
         A = poisson2d(12)
         engine = self._engine(A)
-        for r in range(engine.decomp.nranks):
-            engine._factor_interior_block(r)
-        for r in range(engine.decomp.nranks):
-            engine._reduce_interface_rows(r)
+        engine._run_phase1()
         domains = engine._split_interface(engine._remaining_nodes())
         seen: set[int] = set()
         for dom in domains:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilu import parallel_ilut, parallel_ilut_star
+from repro.ilu.params import ILUTParams
 from repro.matrices import random_diag_dominant
 
 
@@ -18,7 +19,7 @@ def test_no_dropping_exact_for_random_matrices(n, p, seed):
     """(I+L)U == P A P^T whenever nothing is dropped — for any n, p, seed."""
     A = random_diag_dominant(n, 4, seed=seed)
     p = min(p, n)
-    r = parallel_ilut(A, n, 0.0, p, seed=seed, simulate=False)
+    r = parallel_ilut(A, ILUTParams(fill=n, threshold=0.0), p, seed=seed, transport="none")
     R = r.factors.residual_matrix(A)
     assert R.frobenius_norm() < 1e-8 * max(A.frobenius_norm(), 1.0)
 
@@ -33,7 +34,7 @@ def test_no_dropping_exact_for_random_matrices(n, p, seed):
 def test_structural_invariants_hold_under_dropping(n, p, m, seed):
     A = random_diag_dominant(n, 4, seed=seed)
     p = min(p, n)
-    r = parallel_ilut(A, m, 1e-3, p, seed=seed, simulate=False)
+    r = parallel_ilut(A, ILUTParams(fill=m, threshold=1e-3), p, seed=seed, transport="none")
     f = r.factors
     # permutation is a bijection
     assert sorted(f.perm.tolist()) == list(range(n))
@@ -60,8 +61,8 @@ def test_ilutstar_reduced_rows_never_exceed_mis_count(n, p, k, seed):
     """ILUT* must produce no more levels than plain ILUT (same everything)."""
     A = random_diag_dominant(n, 5, seed=seed)
     m = 3
-    r_star = parallel_ilut_star(A, m, 0.0, k, p, seed=seed, simulate=False)
-    r_full = parallel_ilut(A, m, 0.0, p, seed=seed, simulate=False)
+    r_star = parallel_ilut_star(A, ILUTParams(fill=m, threshold=0.0, k=k), p, seed=seed, transport="none")
+    r_full = parallel_ilut(A, ILUTParams(fill=m, threshold=0.0), p, seed=seed, transport="none")
     # the paper's claim is asymptotic (sparser reduced rows -> larger
     # independent sets); on matrices this small MIS tie-breaking noise
     # can exceed a fixed +2 (e.g. n=33, p=3, k=4, seed=23 gives 20 vs 17)
@@ -74,5 +75,5 @@ def test_ilutstar_reduced_rows_never_exceed_mis_count(n, p, k, seed):
 def test_level_sizes_sum_to_interface_count(n, p, seed):
     A = random_diag_dominant(n, 4, seed=seed)
     p = min(p, n)
-    r = parallel_ilut(A, 5, 1e-3, p, seed=seed, simulate=False)
+    r = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), p, seed=seed, transport="none")
     assert sum(r.level_sizes) == r.decomp.n_interface

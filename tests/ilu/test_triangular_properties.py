@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilu import parallel_ilut, parallel_ilut_star, parallel_triangular_solve
+from repro.ilu.params import ILUTParams
 from repro.matrices import random_diag_dominant
 
 
@@ -19,10 +20,10 @@ from repro.matrices import random_diag_dominant
 def test_parallel_trisolve_matches_reference(n, p, m, seed):
     A = random_diag_dominant(n, 4, seed=seed)
     p = min(p, n)
-    r = parallel_ilut(A, m, 1e-3, p, seed=seed, simulate=False)
+    r = parallel_ilut(A, ILUTParams(fill=m, threshold=1e-3), p, seed=seed, transport="none")
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
-    out = parallel_triangular_solve(r.factors, b, simulate=False)
+    out = parallel_triangular_solve(r.factors, b, transport="none")
     assert np.allclose(out.x, r.factors.solve(b), rtol=1e-10, atol=1e-12)
 
 
@@ -36,10 +37,10 @@ def test_parallel_trisolve_matches_reference(n, p, m, seed):
 def test_ilutstar_trisolve_matches_reference(n, p, k, seed):
     A = random_diag_dominant(n, 4, seed=seed)
     p = min(p, n)
-    r = parallel_ilut_star(A, 4, 1e-4, k, p, seed=seed, simulate=False)
+    r = parallel_ilut_star(A, ILUTParams(fill=4, threshold=1e-4, k=k), p, seed=seed, transport="none")
     rng = np.random.default_rng(seed + 1)
     b = rng.standard_normal(n)
-    out = parallel_triangular_solve(r.factors, b, simulate=False)
+    out = parallel_triangular_solve(r.factors, b, transport="none")
     assert np.allclose(out.x, r.factors.solve(b), rtol=1e-10, atol=1e-12)
 
 
@@ -49,7 +50,7 @@ def test_solve_is_linear_operator(n, p, seed):
     """M^{-1} is linear: solve(a x + y) == a solve(x) + solve(y)."""
     A = random_diag_dominant(n, 4, seed=seed)
     p = min(p, n)
-    f = parallel_ilut(A, 5, 1e-3, p, seed=seed, simulate=False).factors
+    f = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), p, seed=seed, transport="none").factors
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     assert np.allclose(
@@ -62,7 +63,7 @@ def test_solve_is_linear_operator(n, p, seed):
 def test_exact_factors_invert_matrix(n, seed):
     """With no dropping, solve(A x) == x for any x."""
     A = random_diag_dominant(n, 4, seed=seed)
-    f = parallel_ilut(A, n, 0.0, min(3, n), seed=seed, simulate=False).factors
+    f = parallel_ilut(A, ILUTParams(fill=n, threshold=0.0), min(3, n), seed=seed, transport="none").factors
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     assert np.allclose(f.solve(A @ x), x, rtol=1e-7, atol=1e-8)

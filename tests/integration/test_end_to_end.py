@@ -16,6 +16,7 @@ from repro import (
     poisson2d,
     torso_like,
 )
+from repro.ilu.params import ILUTParams
 from repro.matrices import convection_diffusion2d
 
 
@@ -24,7 +25,7 @@ class TestFullPipelineG0:
         A = poisson2d(20)
         x_true = rng.standard_normal(400)
         b = A @ x_true
-        r = parallel_ilut(A, 10, 1e-4, 8, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 8, seed=0, transport="none")
         res = gmres(A, b, restart=20, M=ILUPreconditioner(r.factors), maxiter=2000)
         assert res.converged
         assert np.allclose(res.x, x_true, atol=1e-4)
@@ -32,7 +33,7 @@ class TestFullPipelineG0:
     def test_ilutstar_beats_diagonal_in_nmv(self, rng):
         A = poisson2d(20)
         b = A @ np.ones(400)
-        star = parallel_ilut_star(A, 10, 1e-4, 2, 8, seed=0, simulate=False)
+        star = parallel_ilut_star(A, ILUTParams(fill=10, threshold=1e-4, k=2), 8, seed=0, transport="none")
         res_star = gmres(
             A, b, restart=20, M=ILUPreconditioner(star.factors), maxiter=5000
         )
@@ -45,7 +46,7 @@ class TestFullPipelineG0:
         A = poisson2d(16)
         e = np.ones(256)
         b = A @ e
-        r = parallel_ilut(A, 10, 1e-4, 4, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 4, seed=0, transport="none")
         res = gmres(A, b, restart=20, tol=1e-8, M=ILUPreconditioner(r.factors))
         assert res.converged
         assert np.allclose(res.x, e, atol=1e-4)
@@ -57,7 +58,7 @@ class TestFullPipelineTorso:
         n = A.shape[0]
         x_true = rng.standard_normal(n)
         b = A @ x_true
-        r = parallel_ilut_star(A, 10, 1e-4, 2, 8, seed=0, simulate=False)
+        r = parallel_ilut_star(A, ILUTParams(fill=10, threshold=1e-4, k=2), 8, seed=0, transport="none")
         res = gmres(A, b, restart=20, M=ILUPreconditioner(r.factors), maxiter=4000)
         assert res.converged
         assert np.linalg.norm(res.x - x_true) / np.linalg.norm(x_true) < 1e-4
@@ -68,7 +69,7 @@ class TestNonsymmetric:
         A = convection_diffusion2d(16, bx=40.0, by=30.0)
         x_true = rng.standard_normal(256)
         b = A @ x_true
-        r = parallel_ilut(A, 10, 1e-4, 4, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 4, seed=0, transport="none")
         res = gmres(A, b, restart=30, M=ILUPreconditioner(r.factors), maxiter=3000)
         assert res.converged
         assert np.allclose(res.x, x_true, atol=1e-4)
@@ -78,7 +79,7 @@ class TestKernelConsistency:
     def test_matvec_and_trisolve_share_decomposition(self, rng):
         A = poisson2d(16)
         d = decompose(A, 8, seed=0)
-        r = parallel_ilut(A, 5, 1e-3, 8, decomp=d, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 8, decomp=d, seed=0, transport="none")
         x = rng.standard_normal(256)
         mv = parallel_matvec(A, d, x)
         ts = parallel_triangular_solve(r.factors, x)
@@ -89,11 +90,11 @@ class TestKernelConsistency:
         """Simulate the solver inner loop: y = M^{-1} (A x) repeatedly."""
         A = poisson2d(12)
         d = decompose(A, 4, seed=0)
-        r = parallel_ilut(A, 10, 1e-4, 4, decomp=d, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 4, decomp=d, seed=0, transport="none")
         x = rng.standard_normal(144)
         for _ in range(3):
-            y = parallel_matvec(A, d, x, simulate=False).y
-            x = parallel_triangular_solve(r.factors, y, simulate=False).x
+            y = parallel_matvec(A, d, x, transport="none").y
+            x = parallel_triangular_solve(r.factors, y, transport="none").x
         ref = x.copy()
         x2 = rng.standard_normal(144)
         # same loop via serial kernels
@@ -103,6 +104,6 @@ class TestKernelConsistency:
     def test_cg_with_parallel_factors(self, rng):
         A = poisson2d(16)
         b = rng.standard_normal(256)
-        r = parallel_ilut(A, 10, 1e-4, 4, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 4, seed=0, transport="none")
         res = cg(A, b, M=ILUPreconditioner(r.factors), maxiter=2000)
         assert res.converged

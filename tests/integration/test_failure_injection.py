@@ -6,6 +6,7 @@ import pytest
 
 from repro import decompose, gmres, parallel_ilut, parallel_triangular_solve, poisson2d
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import random_diag_dominant
 from repro.solvers import ILUPreconditioner
 from repro.sparse import COOBuilder, CSRMatrix
@@ -22,7 +23,7 @@ class TestSingularPivots:
             b.add(i, (i + 1) % n, -1.0)
             b.add((i + 1) % n, i, -1.0)
         A = b.to_csr()
-        f = ilut(A, 5, 1e-3, diag_guard=True)
+        f = ilut(A, ILUTParams(fill=5, threshold=1e-3), diag_guard=True)
         assert np.all(f.U.diagonal() != 0.0)
 
     def test_zero_diagonal_parallel_guarded(self):
@@ -35,7 +36,7 @@ class TestSingularPivots:
                 b.add(i, i - 1, -1.0)
                 b.add(i - 1, i, -1.0)
         A = b.to_csr()
-        r = parallel_ilut(A, 5, 1e-3, 3, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 3, seed=0, transport="none")
         assert np.all(r.factors.U.diagonal() != 0.0)
 
     def test_exactly_singular_matrix_still_produces_factors(self):
@@ -43,7 +44,7 @@ class TestSingularPivots:
         A = CSRMatrix.from_dense(
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         )
-        f = ilut(A, 3, 0.0, diag_guard=True)
+        f = ilut(A, ILUTParams(fill=3, threshold=0.0), diag_guard=True)
         assert np.all(np.isfinite(f.U.data))
 
 
@@ -51,7 +52,7 @@ class TestDegenerateDecompositions:
     def test_empty_interior_everywhere(self):
         # p = n: every row is interface, phase 1 factors nothing
         A = random_diag_dominant(10, 3, seed=0)
-        r = parallel_ilut(A, 10, 0.0, 10, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=0.0), 10, seed=0, transport="none")
         assert r.decomp.n_interior == 0
         R = r.factors.residual_matrix(A)
         assert R.frobenius_norm() < 1e-9 * A.frobenius_norm()
@@ -60,7 +61,7 @@ class TestDegenerateDecompositions:
         # block partition of a tiny matrix across many ranks: some ranks
         # end with one row and no interior
         A = random_diag_dominant(8, 2, seed=1)
-        r = parallel_ilut(A, 8, 0.0, 4, method="block", seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=8, threshold=0.0), 4, method="block", seed=0, transport="none")
         r.factors.levels.validate(8)
 
     def test_disconnected_matrix(self):
@@ -74,7 +75,7 @@ class TestDegenerateDecompositions:
                     b.add(base + i, base + i - 1, -1.0)
                     b.add(base + i - 1, base + i, -1.0)
         A = b.to_csr()
-        r = parallel_ilut(A, 8, 0.0, 2, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=8, threshold=0.0), 2, seed=0, transport="none")
         assert r.factors.residual_matrix(A).frobenius_norm() < 1e-10
 
     def test_dense_row_matrix(self):
@@ -87,7 +88,7 @@ class TestDegenerateDecompositions:
                 b.add(0, i, -1.0)
                 b.add(i, 0, -1.0)
         A = b.to_csr()
-        r = parallel_ilut(A, n, 0.0, 3, seed=0, simulate=False)
+        r = parallel_ilut(A, ILUTParams(fill=n, threshold=0.0), 3, seed=0, transport="none")
         assert r.factors.residual_matrix(A).frobenius_norm() < 1e-9
 
 
@@ -97,7 +98,7 @@ class TestSolverRobustness:
         D = A.to_dense()
         D[10, 10] = 1e-12  # nearly-singular pivot
         B = CSRMatrix.from_dense(D)
-        f = ilut(B, 10, 1e-8, diag_guard=True)
+        f = ilut(B, ILUTParams(fill=10, threshold=1e-8), diag_guard=True)
         b = rng.standard_normal(64)
         res = gmres(B, b, restart=20, M=ILUPreconditioner(f), maxiter=2000)
         assert np.all(np.isfinite(res.x))

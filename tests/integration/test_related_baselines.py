@@ -20,6 +20,7 @@ from repro.ilu import (
     ilut,
     parallel_ilut,
 )
+from repro.ilu.params import ILUTParams
 from repro.solvers import (
     DiagonalPreconditioner,
     ILUPreconditioner,
@@ -53,21 +54,21 @@ class TestPreconditionerOrdering:
     def test_threshold_dropping_competitive_with_levels(self, system):
         A, b = system
         n_iluk = nmv(A, b, ILUPreconditioner(iluk(A, 2)))
-        f_t = ilut(A, 10, 1e-4)
+        f_t = ilut(A, ILUTParams(fill=10, threshold=1e-4))
         n_ilut = nmv(A, b, ILUPreconditioner(f_t))
         # at comparable fill, ILUT should be at least as strong
         assert n_ilut <= n_iluk + 5
 
     def test_ilum_comparable_to_ilut(self, system):
         A, b = system
-        n_ilut = nmv(A, b, ILUPreconditioner(ilut(A, 10, 1e-4)))
+        n_ilut = nmv(A, b, ILUPreconditioner(ilut(A, ILUTParams(fill=10, threshold=1e-4))))
         n_ilum = nmv(A, b, ILUPreconditioner(ilum(A, 10, 1e-4)))
         assert n_ilum <= 3 * n_ilut
 
     def test_parallel_ilut_matches_sequential_quality(self, system):
         A, b = system
-        n_seq = nmv(A, b, ILUPreconditioner(ilut(A, 10, 1e-4)))
-        r = parallel_ilut(A, 10, 1e-4, 8, seed=0, simulate=False)
+        n_seq = nmv(A, b, ILUPreconditioner(ilut(A, ILUTParams(fill=10, threshold=1e-4))))
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 8, seed=0, transport="none")
         n_par = nmv(A, b, ILUPreconditioner(r.factors))
         # reordering changes the factorization but not its class
         assert n_par <= 3 * n_seq
@@ -76,8 +77,8 @@ class TestPreconditionerOrdering:
         A, b = system
         p = 8
         d = decompose(A, p, seed=0)
-        bj = block_jacobi_ilut(A, 10, 1e-4, p, decomp=d, simulate=False)
-        r = parallel_ilut(A, 10, 1e-4, p, decomp=d, seed=0, simulate=False)
+        bj = block_jacobi_ilut(A, ILUTParams(fill=10, threshold=1e-4), p, decomp=d, transport="none")
+        r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), p, decomp=d, seed=0, transport="none")
         n_bj = nmv(A, b, bj)
         n_full = nmv(A, b, ILUPreconditioner(r.factors))
         assert n_full < n_bj
@@ -88,7 +89,7 @@ class TestFactorizationCosts:
         A, _ = system
         nnz0 = ilu0(A).nnz
         nnz_k2 = iluk(A, 2).nnz
-        nnz_tight = ilut(A, 20, 1e-6).nnz
+        nnz_tight = ilut(A, ILUTParams(fill=20, threshold=1e-6)).nnz
         assert nnz0 < nnz_k2 < nnz_tight
 
     def test_ilum_levels_bounded_by_matrix_size(self, system):

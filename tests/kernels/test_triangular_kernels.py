@@ -20,7 +20,7 @@ from repro.sparse import CSRMatrix, lower_solve_unit, upper_solve
 def star_factors(nx=14, p=8):
     A = poisson2d(nx)
     r = parallel_ilut_star(
-        A, ILUTParams(fill=6, threshold=1e-3, k=2), p, seed=0, simulate=False
+        A, ILUTParams(fill=6, threshold=1e-3, k=2), p, seed=0, transport="none"
     )
     return r.factors
 

@@ -90,5 +90,5 @@ class TestDriverBitIdentity:
         with pytest.raises(ValueError, match="requires the simulator transport"):
             parallel_ilut(
                 A, ILUTParams(fill=5, threshold=1e-4), 2,
-                simulate=False, copy_payloads=True,
+                transport="none", copy_payloads=True,
             )

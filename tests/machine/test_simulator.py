@@ -108,6 +108,51 @@ class TestExchange:
         assert [p for _, p in out[1]] == ["a", "b"]
         assert out[0] == [(1, "c")]
 
+    def test_posts_in_given_order_drains_in_pair_order(self):
+        sim = Simulator(3, MODEL)
+        calls = []
+        send, recv = sim.send, sim.recv
+        sim.send = lambda s, d, *a, **k: (calls.append(("send", s, d)), send(s, d, *a, **k))[1]
+        sim.recv = lambda d, s, **k: (calls.append(("recv", s, d)), recv(d, s, **k))[1]
+        sim.exchange([(2, 1, "b", 1.0), (1, 0, "c", 1.0), (0, 1, "a", 1.0)], tag="t")
+        assert calls == [
+            ("send", 2, 1), ("send", 1, 0), ("send", 0, 1),
+            ("recv", 0, 1), ("recv", 1, 0), ("recv", 2, 1),
+        ]
+        assert sim.pending_messages() == 0
+
+    def test_triangular_solve_drop_journal_matches_golden(self):
+        """The (src, dst)-sorted drain decides *which* of two dropped
+        messages is reported lost; signature captured before the drivers
+        moved onto ``exchange``."""
+        from repro import ILUTParams, poisson2d
+        from repro.faults import FaultPlan, MessageFault, MessageLost
+        from repro.ilu import parallel_ilut_star
+        from repro.ilu.triangular import parallel_triangular_solve
+        from repro.machine import CRAY_T3D
+
+        A = poisson2d(10)
+        r = parallel_ilut_star(A, ILUTParams(fill=5, threshold=1e-3, k=2), 4, seed=0)
+        plan = FaultPlan(
+            message_faults=[
+                MessageFault("delay", tag="fwd", count=2, delay=1e-3),
+                MessageFault("drop", tag="bwd", skip=1, count=2),
+            ]
+        )
+        for backend in ("reference", "vectorized"):
+            sim = Simulator(4, CRAY_T3D, faults=plan)
+            with pytest.raises(MessageLost):
+                parallel_triangular_solve(
+                    r.factors, np.ones(A.shape[0]), nranks=4, transport=sim, backend=backend
+                )
+            assert sim.fault_journal.signature() == (
+                (0, "delay", 1, -1, 0, 2, "('fwd', 0)", "+0.001s"),
+                (1, "delay", 1, -1, 0, 3, "('fwd', 0)", "+0.001s"),
+                (2, "drop", 15, -1, 1, 2, "('bwd', 13)", ""),
+                (3, "drop", 15, -1, 1, 3, "('bwd', 13)", ""),
+                (4, "lost", 15, -1, 1, 2, "('bwd', 13)", ""),
+            )
+
 
 class TestCollectives:
     def test_barrier_synchronises(self):

@@ -7,8 +7,7 @@ message/barrier counts.  The simulator fixes the reference semantics;
 these tests hold the real backends to it on the paper's G0 workload.
 
 Also covered: the ``transport=`` entry-point surface (string specs,
-ready instances, capability errors) and the ``simulate=`` deprecation
-shims.
+ready instances, capability errors).
 """
 
 import numpy as np
@@ -27,11 +26,14 @@ from repro.machine import (
     ThreadTransport,
     TransportCapabilityError,
     TransportError,
+    TransportWorkerError,
     resolve_transport,
     transport_name,
 )
 from repro.matrices import poisson2d
+from repro.resilience import PivotPolicy, ZeroPivotError
 from repro.solvers.parallel_matvec import parallel_matvec
+from repro.sparse import CSRMatrix
 
 TRANSPORTS = ["simulator", "threads", "processes"]
 BACKENDS = [None, "vectorized"]
@@ -84,7 +86,7 @@ class TestFactorizationParity:
     def test_parallel_ilut_partitioned(self):
         runs = {
             t: parallel_ilut_partitioned(
-                self.A, 5, 1e-4, 3, seed=0, transport=t
+                self.A, ILUTParams(fill=5, threshold=1e-4), 3, seed=0, transport=t
             )
             for t in TRANSPORTS
         }
@@ -224,62 +226,96 @@ class TestCapabilityBoundary:
             resolve_transport(sim, 2, model=CRAY_T3D, faults=plan)
 
 
-class TestDeprecationShims:
-    """simulate= keeps working, warns, and maps onto transport=."""
+class TestEntryLifecycle:
+    """A driver that raises mid-run still releases the transport it built."""
 
-    A = poisson2d(6)
-    params = ILUTParams(fill=3, threshold=1e-3)
+    @staticmethod
+    def _zero_pivot_matrix():
+        d = np.eye(8)
+        d[3, 3] = 0.0
+        d[3, 4] = d[4, 3] = 1.0  # row 3 has no pivot and nothing to fill it
+        return CSRMatrix.from_dense(d)
 
-    def test_simulate_true_is_simulator(self):
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            r = parallel_ilut(self.A, self.params, 2, simulate=True)
-        assert r.transport == "simulator"
-        assert r.modeled_time is not None
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every transport the entry points build during the test."""
+        import repro.machine.transport as transport_mod
 
-    def test_simulate_false_is_none(self):
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            r = parallel_ilut(self.A, self.params, 2, simulate=False)
-        assert r.transport == "none"
-        assert r.modeled_time is None
+        made = []
+        resolve = transport_mod.resolve_transport
 
-    def test_shim_is_bit_identical_to_new_spelling(self):
-        new = parallel_ilut(self.A, self.params, 2, transport="simulator")
-        with pytest.warns(DeprecationWarning):
-            old = parallel_ilut(self.A, self.params, 2, simulate=True)
-        _assert_same_factors(old, new)
-        assert old.modeled_time == new.modeled_time
+        def recording(*args, **kwargs):
+            made.append(resolve(*args, **kwargs))
+            return made[-1]
 
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            parallel_ilut(
-                self.A, self.params, 2, simulate=True, transport="none"
-            )
+        monkeypatch.setattr(transport_mod, "resolve_transport", recording)
+        return made
 
-    def test_star_shim_warns_at_caller(self):
-        from repro.ilu import parallel_ilut_star
+    @pytest.mark.parametrize("transport", ["threads", "processes"])
+    @pytest.mark.parametrize("driver", ["ilu0", "ilut"])
+    def test_breakdown_closes_owned_transport(self, driver, transport, built):
+        import threading
 
-        with pytest.warns(DeprecationWarning, match="parallel_ilut_star"):
-            r = parallel_ilut_star(
-                self.A, ILUTParams(fill=3, threshold=1e-3, k=2), 2,
-                simulate=False,
-            )
-        assert r.transport == "none"
+        B = self._zero_pivot_matrix()
+        threads_before = threading.active_count()
+        with pytest.raises((ZeroPivotError, TransportWorkerError)):
+            if driver == "ilu0":
+                parallel_ilu0(B, 2, transport=transport, diag_guard=False)
+            else:
+                parallel_ilut(
+                    B,
+                    ILUTParams(fill=3, threshold=1e-3),
+                    2,
+                    transport=transport,
+                    pivot_policy=PivotPolicy("raise"),
+                )
+        (t,) = built
+        assert threading.active_count() == threads_before
+        if transport == "processes":
+            assert t.active_workers() == {}
+        with pytest.raises(TransportError, match="closed"):
+            t.pardo([None, None])
 
-    def test_matvec_and_trisolve_shims(self):
-        d = decompose(self.A, 2, seed=0)
-        x = np.ones(self.A.shape[0])
-        with pytest.warns(DeprecationWarning, match="parallel_matvec"):
-            mv = parallel_matvec(self.A, d, x, simulate=False)
-        assert mv.transport == "none"
-        factors = parallel_ilut(self.A, self.params, 2, transport="none").factors
-        with pytest.warns(DeprecationWarning, match="parallel_triangular_solve"):
-            s = parallel_triangular_solve(factors, x, simulate=True)
-        assert s.transport == "simulator"
+    def test_ready_instance_is_left_open(self):
+        B = self._zero_pivot_matrix()
+        with ThreadTransport(2) as t:
+            with pytest.raises(ZeroPivotError):
+                parallel_ilu0(B, 2, transport=t, diag_guard=False)
+            assert t.pardo([lambda: 1, lambda: 2]) == [1, 2]
 
-    def test_partitioned_shim(self):
-        with pytest.warns(DeprecationWarning, match="parallel_ilut_partitioned"):
-            r = parallel_ilut_partitioned(self.A, 3, 1e-3, 2, simulate=False)
-        assert r.transport == "none"
+
+class TestExchangeAcrossTransports:
+    """One ``exchange`` implementation: every transport gives the same
+    answer, the same counters, and leaves nothing in flight."""
+
+    MESSAGES = [
+        (2, 1, {"v": 2}, 3.0),
+        (0, 1, "a", 1.0),
+        (1, 0, np.arange(4.0), 4.0),
+        (1, 1, "self", 9.0),  # local hand-off: delivered, not counted
+        (0, 2, None, 0.0),
+    ]
+
+    def _run(self, transport):
+        with transport:
+            out = transport.exchange(self.MESSAGES, tag=("x", 0))
+            stats = transport.stats()
+            return out, (stats.messages, stats.words_sent), transport.pending_messages()
+
+    def test_same_result_counters_and_empty_mailboxes(self):
+        runs = [
+            self._run(t)
+            for t in (Simulator(3, CRAY_T3D), ThreadTransport(3), ProcessTransport(3))
+        ]
+        for out, counts, pending in runs:
+            assert pending == 0
+            assert counts == (4, 8.0) == runs[0][1]
+            assert sorted(out) == [0, 1, 2]
+            assert [src for src, _ in out[1]] == [0, 1, 2]  # (src, dst)-sorted drain
+            assert out[1][0][1] == "a" and out[1][1][1] == "self"
+            assert out[1][2][1] == {"v": 2}
+            assert np.array_equal(out[0][0][1], np.arange(4.0))
+            assert out[2] == [(0, None)]
 
 
 class TestThreadTransportPrimitives:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ilu.params import ILUTParams
 from repro.machine import CRAY_T3D, MachineModel, Simulator
 
 MODEL = MachineModel("t", flop_time=1e-6, latency=1e-4, byte_time=0.0)
@@ -43,7 +44,7 @@ class TestUtilization:
         A = poisson2d(16)
         u = {}
         for p in (2, 8):
-            r = parallel_ilut(A, 10, 1e-6, p, seed=0)
+            r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-6), p, seed=0)
             # recompute utilization through comm stats proxy: busy share
             # = per-rank flop time / elapsed
             busy = np.asarray(r.comm.per_rank_flops) * CRAY_T3D.flop_time

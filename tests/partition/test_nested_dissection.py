@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph import Graph, adjacency_from_matrix
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d, random_geometric_laplacian
 from repro.partition import (
     nested_dissection,
@@ -52,17 +53,17 @@ class TestNestedDissection:
     def test_reduces_exact_lu_fill_on_grid(self):
         A = poisson2d(16)
         n = A.shape[0]
-        f_nat = ilut(A, n, 0.0)
+        f_nat = ilut(A, ILUTParams(fill=n, threshold=0.0))
         perm = nested_dissection_matrix(A, seed=0)
-        f_nd = ilut(A.permute(perm, perm), n, 0.0)
+        f_nd = ilut(A.permute(perm, perm), ILUTParams(fill=n, threshold=0.0))
         assert f_nd.nnz < f_nat.nnz
 
     def test_reduces_fill_on_irregular(self):
         A = random_geometric_laplacian(120, seed=1)
         n = A.shape[0]
-        f_nat = ilut(A, n, 0.0)
+        f_nat = ilut(A, ILUTParams(fill=n, threshold=0.0))
         perm = nested_dissection_matrix(A, seed=0)
-        f_nd = ilut(A.permute(perm, perm), n, 0.0)
+        f_nd = ilut(A.permute(perm, perm), ILUTParams(fill=n, threshold=0.0))
         assert f_nd.nnz <= f_nat.nnz
 
     def test_min_size_respected(self):

@@ -84,7 +84,7 @@ class TestCheckpointRestart:
         A = poisson2d(10)
         plan = FaultPlan(message_faults=[MessageFault("drop")])
         with pytest.raises(ValueError, match="requires the simulator transport"):
-            parallel_ilut(A, self.params(), 2, simulate=False, faults=plan)
+            parallel_ilut(A, self.params(), 2, transport="none", faults=plan)
 
 
 class TestDriverResilience:

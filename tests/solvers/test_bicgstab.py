@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import convection_diffusion2d, poisson2d
 from repro.solvers import ILUPreconditioner, bicgstab
 from repro.sparse import CSRMatrix
@@ -53,7 +54,7 @@ class TestPreconditioning:
         A = convection_diffusion2d(16)
         b = rng.standard_normal(256)
         plain = bicgstab(A, b, maxiter=4000)
-        pre = bicgstab(A, b, M=ILUPreconditioner(ilut(A, 10, 1e-4)), maxiter=4000)
+        pre = bicgstab(A, b, M=ILUPreconditioner(ilut(A, ILUTParams(fill=10, threshold=1e-4))), maxiter=4000)
         assert pre.converged
         assert pre.num_matvec < plain.num_matvec
 
@@ -61,7 +62,7 @@ class TestPreconditioning:
         A = poisson2d(10)
         x_true = rng.standard_normal(100)
         res = bicgstab(
-            A, A @ x_true, M=ILUPreconditioner(ilut(A, 5, 1e-3)), maxiter=2000
+            A, A @ x_true, M=ILUPreconditioner(ilut(A, ILUTParams(fill=5, threshold=1e-3))), maxiter=2000
         )
         assert res.converged
         assert np.allclose(res.x, x_true, atol=1e-5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d
 from repro.solvers import DiagonalPreconditioner, ILUPreconditioner, cg
 
@@ -49,7 +50,7 @@ class TestPreconditioning:
         A = poisson2d(16)
         b = rng.standard_normal(256)
         plain = cg(A, b, maxiter=4000)
-        pre = cg(A, b, M=ILUPreconditioner(ilut(A, 10, 1e-4)), maxiter=4000)
+        pre = cg(A, b, M=ILUPreconditioner(ilut(A, ILUTParams(fill=10, threshold=1e-4))), maxiter=4000)
         assert pre.converged
         assert pre.iterations < plain.iterations
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import convection_diffusion2d, poisson2d, random_diag_dominant
 from repro.solvers import (
     DiagonalPreconditioner,
@@ -75,7 +76,7 @@ class TestPreconditioning:
         b = rng.standard_normal(256)
         plain = gmres(A, b, restart=20, maxiter=4000)
         pre = gmres(
-            A, b, restart=20, maxiter=4000, M=ILUPreconditioner(ilut(A, 10, 1e-4))
+            A, b, restart=20, maxiter=4000, M=ILUPreconditioner(ilut(A, ILUTParams(fill=10, threshold=1e-4)))
         )
         assert pre.converged
         assert pre.num_matvec < 0.5 * plain.num_matvec
@@ -95,7 +96,7 @@ class TestPreconditioning:
         A = poisson2d(10)
         x_true = rng.standard_normal(100)
         b = A @ x_true
-        for M in (IdentityPreconditioner(), ILUPreconditioner(ilut(A, 5, 1e-3))):
+        for M in (IdentityPreconditioner(), ILUPreconditioner(ilut(A, ILUTParams(fill=5, threshold=1e-3)))):
             res = gmres(A, b, restart=20, M=M, maxiter=3000)
             assert np.allclose(res.x, x_true, atol=1e-5)
 

@@ -41,8 +41,8 @@ class TestCorrectness:
         A = poisson2d(10)
         d = decompose(A, 4, seed=0)
         x = rng.standard_normal(100)
-        y1 = parallel_matvec(A, d, x, simulate=True).y
-        y2 = parallel_matvec(A, d, x, simulate=False).y
+        y1 = parallel_matvec(A, d, x, transport="simulator").y
+        y2 = parallel_matvec(A, d, x, transport="none").y
         assert np.array_equal(y1, y2)
 
 

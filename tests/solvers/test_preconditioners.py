@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d
 from repro.solvers import (
     DiagonalPreconditioner,
@@ -50,7 +51,7 @@ class TestDiagonal:
 class TestILU:
     def test_wraps_factors(self, rng):
         A = poisson2d(8)
-        f = ilut(A, 5, 1e-3)
+        f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
         b = rng.standard_normal(64)
         # fast path agrees within rounding; slow path is bit-exact
         assert np.allclose(ILUPreconditioner(f).apply(b), f.solve(b), rtol=1e-12)
@@ -60,7 +61,7 @@ class TestILU:
         from repro.matrices import random_diag_dominant
 
         A = random_diag_dominant(30, 4, seed=1)
-        M = ILUPreconditioner(ilut(A, 30, 0.0))
+        M = ILUPreconditioner(ilut(A, ILUTParams(fill=30, threshold=0.0)))
         b = rng.standard_normal(30)
         assert np.allclose(A @ M.apply(b), b, atol=1e-8)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilu import ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import random_diag_dominant
 from repro.solvers import ILUPreconditioner, bicgstab, cg, gmres
 
@@ -31,7 +32,7 @@ def test_gmres_with_exact_preconditioner_one_iteration(n, seed):
     A = random_diag_dominant(n, 4, seed=seed)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
-    M = ILUPreconditioner(ilut(A, n, 0.0))
+    M = ILUPreconditioner(ilut(A, ILUTParams(fill=n, threshold=0.0)))
     res = gmres(A, b, restart=5, tol=1e-8, M=M, maxiter=100)
     assert res.converged
     assert res.iterations <= 3  # one in exact arithmetic; slack for rounding

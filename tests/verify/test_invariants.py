@@ -6,6 +6,7 @@ import pytest
 from repro.decomp import decompose
 from repro.graph import Graph, adjacency_from_matrix, two_step_luby_mis
 from repro.ilu import parallel_ilut
+from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d
 from repro.sparse import CSRMatrix
 from repro.verify import (
@@ -21,7 +22,7 @@ from repro.verify import (
 
 @pytest.fixture(scope="module")
 def g0_result():
-    return parallel_ilut(poisson2d(10), 5, 1e-4, 4, simulate=False)
+    return parallel_ilut(poisson2d(10), ILUTParams(fill=5, threshold=1e-4), 4, transport="none")
 
 
 class TestCheckCSR:

@@ -7,6 +7,7 @@ import pytest
 from repro.graph import adjacency_from_matrix
 from repro.graph.distributed_mis import distributed_two_step_luby_mis
 from repro.ilu import parallel_ilut, parallel_ilut_star
+from repro.ilu.params import ILUTParams
 from repro.ilu.triangular import parallel_triangular_solve
 from repro.machine import CRAY_T3D, MachineModel, Simulator
 from repro.matrices import poisson2d
@@ -79,17 +80,17 @@ class TestShippedDriversRaceFree:
     P = 4
 
     def test_parallel_ilut(self):
-        res = parallel_ilut(self.A, 5, 1e-4, self.P, trace=True)
+        res = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P, trace=True)
         assert res.trace is not None
         assert res.trace.num_accesses > 0
         assert find_races(res.trace) == []
 
     def test_parallel_ilut_star(self):
-        res = parallel_ilut_star(self.A, 5, 1e-4, 2, self.P, trace=True)
+        res = parallel_ilut_star(self.A, ILUTParams(fill=5, threshold=1e-4, k=2), self.P, trace=True)
         assert find_races(res.trace) == []
 
     def test_distributed_mis(self):
-        res = parallel_ilut(self.A, 5, 1e-4, self.P)
+        res = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P)
         graph = adjacency_from_matrix(self.A, symmetric=True)
         sim = Simulator(self.P, CRAY_T3D, trace=True)
         distributed_two_step_luby_mis(graph, res.decomp.part, sim, seed=0)
@@ -97,14 +98,14 @@ class TestShippedDriversRaceFree:
         assert find_races(sim.tracer) == []
 
     def test_triangular_solve(self):
-        res = parallel_ilut(self.A, 5, 1e-4, self.P, trace=True)
+        res = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P, trace=True)
         b = np.ones(self.A.shape[0])
         ts = parallel_triangular_solve(res.factors, b, trace=True)
         assert ts.trace is not None
         assert find_races(ts.trace) == []
 
     def test_distributed_matvec(self):
-        res = parallel_ilut(self.A, 5, 1e-4, self.P)
+        res = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P)
         x = np.linspace(1.0, 2.0, self.A.shape[0])
         mv = parallel_matvec(self.A, res.decomp, x, trace=True)
         assert mv.trace is not None
@@ -112,11 +113,11 @@ class TestShippedDriversRaceFree:
 
     def test_trace_requires_simulation(self):
         with pytest.raises(ValueError):
-            parallel_ilut(self.A, 5, 1e-4, 2, simulate=False, trace=True)
+            parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), 2, transport="none", trace=True)
 
     def test_trace_does_not_perturb_results(self):
-        plain = parallel_ilut(self.A, 5, 1e-4, self.P)
-        traced = parallel_ilut(self.A, 5, 1e-4, self.P, trace=True)
+        plain = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P)
+        traced = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P, trace=True)
         assert plain.modeled_time == traced.modeled_time
         assert np.array_equal(plain.factors.U.data, traced.factors.U.data)
         assert np.array_equal(plain.factors.perm, traced.factors.perm)
