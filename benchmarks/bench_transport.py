@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -131,6 +132,8 @@ def run(nx: int, repeat: int) -> dict:
         "n": int(A.shape[0]),
         "params": {"fill": 10, "threshold": 1e-4},
         "repeat": repeat,
+        # p ranks are p + 1 processes on this many cores (ROADMAP item 2)
+        "cpu_count": os.cpu_count(),
         "rows": rows,
         "parity_ok": not mismatches,
         "mismatches": mismatches,

@@ -8,7 +8,7 @@ error.  Three pieces:
 :class:`SupervisionPolicy`
     Frozen knobs for the region supervisor every
     :class:`~repro.machine.transport.LocalTransport` ``pardo`` runs
-    under: a per-rank **deadline** (refreshved by heartbeats from
+    under: a per-rank **deadline** (refreshed by heartbeats from
     long-running thunks), the readiness **poll interval**, and the
     bounded **region retry** budget.  ``deadline=None`` disables
     supervision and restores the legacy blocking collection path — that
@@ -109,12 +109,13 @@ class SupervisionPolicy:
         coordinator's intact state before the error surfaces.  ``0``
         surfaces the first failure.
     heartbeat_interval:
-        Minimum spacing of heartbeat frames a process-transport child
+        Minimum spacing of heartbeat frames a process-transport worker
         actually puts on the pipe (thread workers just stamp a shared
         timestamp, so their heartbeats are never rate-limited).
     kill_grace:
-        Seconds to wait after ``terminate()`` before escalating to
-        ``kill()`` when reaping a hung child process.
+        Seconds a process worker whose pipe closed is given to exit by
+        itself, so that it reports its own exit status, before it is
+        SIGKILLed.  A hung worker is SIGKILLed at once.
     """
 
     deadline: float | None = 30.0

@@ -20,11 +20,14 @@ use from :class:`~repro.machine.simulator.Simulator` into a
     condition-guarded mailboxes keyed on ``(src, dst, tag)``.
 
 ``ProcessTransport`` (``transport="processes"``)
-    One forked worker process per rank per parallel region; thunk
-    results travel back pickled (the TRN002 certification from the
-    transport-portability analyzer guarantees the payloads survive
-    this), with large numpy operands handed over through POSIX shared
-    memory instead of the pipe.
+    One forked worker process per rank per *driver call*: the workers
+    are SPMD replicas that run the driver's code between regions too,
+    so a ``pardo`` is "own thunk, then allgather" and nothing is forked
+    again until the call returns.  Thunk results travel pickled (the
+    TRN002 certification from the transport-portability analyzer
+    guarantees the payloads survive this), with large numpy operands
+    handed to the coordinator through POSIX shared memory instead of
+    the pipe.
 
 The contract (DESIGN.md §13)
 ----------------------------
@@ -723,6 +726,12 @@ class entry_transport:
     the instance — or ``None`` for the accounting-free path — and on
     exit, normal or exceptional, closes the transport only if this call
     built it: a ready instance passed by the caller stays open.
+
+    The ``with`` body is also the **driver-call scope** of a transport
+    that has one (``begin_scope`` / ``end_scope``): the process
+    transport's workers, forked at the body's first region, execute the
+    rest of the body alongside the caller and are gone when it ends —
+    borrowed instance or not, nested calls counted (DESIGN.md §13.4).
     """
 
     def __init__(self, spec: object, nranks: int, **capabilities: Any) -> None:
@@ -735,9 +744,15 @@ class entry_transport:
         self._transport = resolve_transport(
             self._spec, self._nranks, **self._capabilities
         )
+        begin_scope = getattr(self._transport, "begin_scope", None)
+        if begin_scope is not None:
+            begin_scope()
         return self._transport
 
     def __exit__(self, *exc: object) -> None:
+        end_scope = getattr(self._transport, "end_scope", None)
+        if end_scope is not None:
+            end_scope()
         if self._transport is not None and self._transport is not self._spec:
             self._transport.close()
 
