@@ -7,9 +7,11 @@ Commands
 ``factor``    parallel ILUT/ILUT* factorization summary
 ``solve``     end-to-end preconditioned GMRES solve report
 ``generate``  write a generator matrix to a MatrixMarket file
-``lint``      static SPMD-communication / determinism / backend-parity
-              analysis (see :mod:`repro.lint`); ``--format sarif`` and a
-              checked-in baseline make it a CI gate
+``lint``      static SPMD-communication / determinism / backend-parity /
+              transport-portability analysis (see :mod:`repro.lint`);
+              ``--verify-protocol/-transport/-costs`` print the three
+              certification tables; any finding or uncertified row
+              exits 1, which makes it a CI gate
 ``check``     replay a factorization under the race detector and run the
               structural invariant checkers (``--inject`` seeds a defect
               to prove the checkers catch it).  The structural modes

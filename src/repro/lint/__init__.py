@@ -18,15 +18,34 @@ package checks the same disciplines *statically*, on every code path:
 * **Breakdown typing** (``BRK001``) — numeric raise sites must use the
   typed :mod:`repro.resilience` hierarchy, not bare builtins.
 
+* **Transport portability** (``TRN00x``) — posted payloads mutated
+  after the post, payloads ``pickle`` rejects, hidden module/closure
+  state and platform-default dtypes in rank-executed code.
+* **Vectorization** (``PERF001``) — scalar per-row CSR loops in
+  cost-charged functions.
+
+All of them read one shared analysis: :mod:`repro.lint.comm` is the
+single transport vocabulary, and the per-run
+:class:`~repro.lint.runner.ProjectContext` owns the call graph,
+per-function summaries and call closures that the rules and the three
+``--verify-protocol`` / ``--verify-transport`` / ``--verify-costs``
+certification tables are views of.
+
 Run it as ``python -m repro lint [paths...]``; see
-:mod:`repro.lint.cli` for formats (text/json/SARIF) and the baseline
-workflow that freezes pre-existing findings.
+:mod:`repro.lint.cli` for the output formats (text/json/github) and the
+certification tables.
 """
 
-from .baseline import Baseline, fingerprint_findings
 from .findings import Finding, Severity
 from .registry import Rule, all_rules, get_rule, register
-from .runner import LintConfig, LintStats, ProjectContext, run_lint
+from .runner import (
+    LintConfig,
+    LintStats,
+    ModuleContext,
+    ProjectContext,
+    load_project,
+    run_lint,
+)
 
 __all__ = [
     "LintStats",
@@ -37,8 +56,8 @@ __all__ = [
     "all_rules",
     "get_rule",
     "LintConfig",
+    "ModuleContext",
     "ProjectContext",
+    "load_project",
     "run_lint",
-    "Baseline",
-    "fingerprint_findings",
 ]

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import ast
+from collections import deque
 from typing import Iterator
 
 __all__ = [
-    "attach_parents",
+    "NodeIndex",
     "ancestors",
     "enclosing",
     "enclosing_function",
@@ -19,12 +20,47 @@ __all__ = [
 ]
 
 
-def attach_parents(tree: ast.AST) -> None:
-    """Annotate every node with ``._lint_parent`` (the tree root gets None)."""
-    tree._lint_parent = None  # type: ignore[attr-defined]
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._lint_parent = node  # type: ignore[attr-defined]
+class NodeIndex:
+    """One breadth-first pass over a parsed module: parent links plus
+    every node filed under its type.
+
+    Built once per file (:class:`repro.lint.runner.ModuleContext`), so a
+    rule asks ``index.of(ast.Compare)`` and a flow analysis asks
+    ``index.calls_under(func)`` instead of each re-walking the tree.
+    Lists keep :func:`ast.walk` order.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        tree._lint_parent = None  # type: ignore[attr-defined]
+        self._by_type: dict[type, list[ast.AST]] = {}
+        self._calls_under: dict[int, list[ast.Call]] | None = None
+        todo = deque([tree])
+        while todo:
+            node = todo.popleft()
+            self._by_type.setdefault(type(node), []).append(node)
+            for child in ast.iter_child_nodes(node):
+                child._lint_parent = node  # type: ignore[attr-defined]
+                todo.append(child)
+
+    def of(self, *types: type) -> list:
+        """Every node of the given type(s), grouped in the order given."""
+        if len(types) == 1:
+            return self._by_type.get(types[0], [])
+        return [n for t in types for n in self._by_type.get(t, ())]
+
+    @property
+    def functions(self) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+        return self.of(ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def calls_under(self, func: ast.AST) -> list[ast.Call]:
+        """The calls anywhere beneath ``func``, nested scopes included."""
+        if self._calls_under is None:
+            self._calls_under = {}
+            for call in self.of(ast.Call):
+                for anc in ancestors(call):
+                    if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self._calls_under.setdefault(id(anc), []).append(call)
+        return self._calls_under.get(id(func), [])
 
 
 def ancestors(node: ast.AST) -> Iterator[ast.AST]:

@@ -1,17 +1,16 @@
 """The ``python -m repro lint`` command.
 
-Exit status: 0 when no *new* (non-baselined) findings, 1 otherwise —
-the CI contract.  ``--write-baseline`` freezes the current findings and
-always exits 0.  ``--fix`` applies the mechanical rewrites (seed
-injection, ``sorted(...)`` wrapping, typed-breakdown raises) in place;
-with ``--diff`` it prints the would-be patch instead and exits 1 when
-anything would change (the pre-commit check mode).
-``--verify-protocol`` runs the symbolic SPMD protocol verifier and
-prints a per-driver certification table; ``--verify-transport`` does
-the same for the transport-portability analysis (escape/aliasing,
-pickle-safety, hidden state, dtype discipline); ``--verify-costs``
-certifies the statically derived flop/comm cost models against the
-simulator's recorded charges on small seeded instances.
+Exit status: 0 when there are no findings, 1 otherwise — the CI
+contract.  ``--verify-protocol`` runs the symbolic SPMD protocol
+verifier and prints a per-root certification table;
+``--verify-transport`` does the same for the transport-portability
+analysis (escape/aliasing, pickle-safety, hidden state, dtype
+discipline); ``--verify-costs`` certifies the statically derived
+flop/comm cost models against the simulator's recorded charges on small
+seeded instances.  The three flags compose: the files are parsed once,
+one call graph serves every requested table, the tables print in
+protocol → transport → costs order, and the exit status is 1 if any row
+is not CERTIFIED.
 """
 
 from __future__ import annotations
@@ -21,22 +20,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-from .baseline import Baseline
-from .fixes import fix_paths, render_diff
-from .output import render_github, render_json, render_sarif, render_text
+from .output import render_github, render_json, render_text
 from .registry import all_rules
 from .runner import (
     LintConfig,
     LintStats,
-    collect_files,
+    ProjectContext,
     find_project_root,
-    parse_module,
+    load_project,
     run_lint,
 )
 
 __all__ = ["add_lint_parser", "cmd_lint"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParser:
@@ -46,8 +41,8 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
         description=(
             "AST-based static analysis: SPMD communication discipline, "
             "determinism hazards, kernel backend parity, breakdown typing, "
-            "and symbolic protocol verification. "
-            "Exit 1 on findings not frozen in the baseline."
+            "transport portability, and the protocol / transport / cost "
+            "certification tables. Exit 1 on any finding or uncertified row."
         ),
     )
     p.add_argument(
@@ -58,27 +53,9 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
     )
     p.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "github"),
+        choices=("text", "json", "github"),
         default="text",
         help="output format (default: text; github = workflow commands)",
-    )
-    p.add_argument(
-        "-o", "--output", default=None, help="write the report to a file instead of stdout"
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: <project root>/{DEFAULT_BASELINE} when present)",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="freeze the current findings into the baseline file and exit 0",
     )
     p.add_argument(
         "--changed-only",
@@ -88,33 +65,15 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
     p.add_argument("--select", default="", help="comma-separated rule ids to run")
     p.add_argument("--ignore", default="", help="comma-separated rule ids to skip")
     p.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print findings frozen in the baseline (text format)",
-    )
-    p.add_argument(
-        "--fix",
-        action="store_true",
-        help=(
-            "apply mechanical fixes (DET001/DET002/DET004/BRK001/"
-            "PERF002/PERF004) in place"
-        ),
-    )
-    p.add_argument(
-        "--diff",
-        action="store_true",
-        help="with --fix: print the patch instead of writing; exit 1 if non-empty",
-    )
-    p.add_argument(
         "--verify-protocol",
         action="store_true",
-        help="symbolically verify the SPMD drivers deadlock-free (ranks 2-4)",
+        help="symbolically verify the comm roots deadlock-free (ranks 2-4)",
     )
     p.add_argument(
         "--verify-transport",
         action="store_true",
         help=(
-            "certify the SPMD drivers transport-portable (escape/aliasing, "
+            "certify the comm roots transport-portable (escape/aliasing, "
             "pickle-safety, hidden state, dtype discipline)"
         ),
     )
@@ -129,18 +88,13 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule timing and cache statistics to stderr",
+        help="print per-rule timing statistics to stderr",
     )
     p.add_argument(
         "--stats-json",
         default=None,
         metavar="FILE",
-        help="also write the timing/cache statistics as JSON to FILE",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental .repro-lint-cache/ reuse",
+        help="also write the timing statistics as JSON to FILE",
     )
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule registry and exit"
@@ -188,182 +142,93 @@ def _restrict_to_changed(paths: list[Path], root: Path) -> list[Path]:
     return picked
 
 
-def _cmd_fix(args: argparse.Namespace, paths: list[Path], root: Path) -> int:
-    select = tuple(s for s in args.select.split(",") if s)
-    files = [
-        f
-        for f in collect_files(paths)
-        if "/.repro-lint-cache/" not in f.as_posix()
-    ]
-    config = LintConfig(project_root=root)
-    explicit = {p.resolve() for p in paths if p.is_file()}
-    files = [
-        f
-        for f in files
-        if f in explicit
-        or not any(_relpath(f, root).startswith(p) for p in config.exclude)
-    ]
-    outcome = fix_paths(files, root, select=select)
-    for rel in outcome.refused:
-        print(
-            f"repro lint --fix: refused {rel} (AST verification failed)",
-            file=sys.stderr,
-        )
-    if args.diff:
-        diff = render_diff(outcome)
-        if diff:
-            print(diff, end="")
-        print(
-            f"{len(outcome.fixes)} fix(es) in {len(outcome.changed)} file(s) "
-            + ("(not applied; --diff)" if outcome.changed else ""),
-            file=sys.stderr,
-        )
-        return 1 if outcome.changed else 0
-    for rel, (_, new_source) in outcome.changed.items():
-        (root / rel).write_text(new_source, encoding="utf-8")
-    for fix in outcome.fixes:
-        print(f"{fix.path}:{fix.line}: {fix.rule}: {fix.description}")
-    print(f"applied {len(outcome.fixes)} fix(es) in {len(outcome.changed)} file(s)")
-    return 0
-
-
-def _relpath(path: Path, root: Path) -> str:
-    try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
-def _cmd_verify_protocol(paths: list[Path], root: Path) -> int:
-    from .flow import verify_drivers
-
-    config = LintConfig(project_root=root)
-    explicit = {p.resolve() for p in paths if p.is_file()}
-    modules = [
-        m
-        for f in collect_files(paths)
-        if (m := parse_module(f, root)) is not None
-        and (
-            f in explicit
-            or not any(m.relpath.startswith(p) for p in config.exclude)
-        )
-    ]
-    reports = verify_drivers(modules)
+def _print_table(reports: list, what: str, footer: str, render_row) -> bool:
+    """Print one certification table; True when every row certified."""
     if not reports:
-        print("no drivers found to verify")
-        return 1
-    all_ok = True
+        print(f"no {what} found to verify")
+        return False
     for r in reports:
-        status = "CERTIFIED" if r.certified else "FAILED"
-        ranks = ",".join(str(x) for x in r.ranks)
-        print(
-            f"{status:<9} {r.module}::{r.qualname}  ranks={ranks} "
-            f"paths={r.paths} posts={r.posts} drains={r.drains} "
-            f"collectives={r.collectives}"
-        )
-        for p in r.problems:
-            print(f"  [{p.kind}] {p.module}:{p.line} in {p.function}: {p.message}")
-            all_ok = False
-        all_ok = all_ok and r.certified
+        render_row(r)
+    certified = sum(1 for r in reports if r.certified)
+    print(f"{certified}/{len(reports)} {footer}")
+    return certified == len(reports)
+
+
+def _protocol_row(r) -> None:
+    status = "CERTIFIED" if r.certified else "FAILED"
+    ranks = ",".join(str(x) for x in r.ranks)
     print(
-        f"{sum(1 for r in reports if r.certified)}/{len(reports)} driver(s) certified "
-        "deadlock-free"
+        f"{status:<9} {r.module}::{r.qualname}  ranks={ranks} "
+        f"paths={r.paths} posts={r.posts} drains={r.drains} "
+        f"collectives={r.collectives}"
     )
-    return 0 if all_ok else 1
+    for p in r.problems:
+        print(f"  [{p.kind}] {p.module}:{p.line} in {p.function}: {p.message}")
 
 
-def _cmd_verify_transport(paths: list[Path], root: Path) -> int:
-    from .flow import verify_transport
-
-    config = LintConfig(project_root=root)
-    explicit = {p.resolve() for p in paths if p.is_file()}
-    modules = [
-        m
-        for f in collect_files(paths)
-        if (m := parse_module(f, root)) is not None
-        and (
-            f in explicit
-            or not any(m.relpath.startswith(p) for p in config.exclude)
-        )
-    ]
-    reports = verify_transport(modules)
-    if not reports:
-        print("no drivers found to verify")
-        return 1
-    all_ok = True
-    for r in reports:
-        status = "CERTIFIED" if r.certified else "FAILED"
+def _transport_row(r) -> None:
+    status = "CERTIFIED" if r.certified else "FAILED"
+    print(
+        f"{status:<9} {r.module}::{r.qualname}  "
+        f"functions={r.functions} payloads={r.payloads}"
+    )
+    for p in r.problems:
         print(
-            f"{status:<9} {r.module}::{r.qualname}  "
-            f"functions={r.functions} payloads={r.payloads}"
+            f"  {p.rule} [{p.kind}] {p.module}:{p.line} "
+            f"in {p.function}: {p.message}"
         )
-        for p in r.problems:
+
+
+def _costs_row(r) -> None:
+    status = "CERTIFIED" if r.certified else "DRIFT"
+    model = ", ".join(f"{name}={text}" for name, text in r.expressions.items())
+    print(
+        f"{status:<9} {r.module}::{r.qualname}  "
+        f"runs={r.runs} sites={r.sites} checks={len(r.checks)}"
+    )
+    if model:
+        print(f"  model: {model}")
+    for p in r.problems:
+        print(f"  problem: {p}")
+    for c in r.checks:
+        if c.status != "ok":
             print(
-                f"  {p.rule} [{p.kind}] {p.module}:{p.line} "
-                f"in {p.function}: {p.message}"
+                f"  drift: {c.name}: expected {c.expected}, got {c.actual}"
+                + (f" ({c.detail})" if c.detail else "")
             )
-            all_ok = False
-        all_ok = all_ok and r.certified
-    print(
-        f"{sum(1 for r in reports if r.certified)}/{len(reports)} driver(s) certified "
-        "transport-portable"
-    )
-    return 0 if all_ok else 1
 
 
-def _cmd_verify_costs(paths: list[Path], root: Path) -> int:
+def _cmd_verify(args: argparse.Namespace, project: ProjectContext) -> int:
+    """Every requested certification table over one project context."""
     from .costverify import verify_costs
+    from .flow import verify_drivers, verify_transport
 
-    config = LintConfig(project_root=root)
-    explicit = {p.resolve() for p in paths if p.is_file()}
-    modules = [
-        m
-        for f in collect_files(paths)
-        if (m := parse_module(f, root)) is not None
-        and (
-            f in explicit
-            or not any(m.relpath.startswith(p) for p in config.exclude)
+    ok = True
+    if args.verify_protocol:
+        ok &= _print_table(
+            verify_drivers(project),
+            "drivers",
+            "driver(s) certified deadlock-free",
+            _protocol_row,
         )
-    ]
-    reports = verify_costs(modules, root)
-    if not reports:
-        print("no cost roots found to verify")
-        return 1
-    all_ok = True
-    for r in reports:
-        status = "CERTIFIED" if r.certified else "DRIFT"
-        model = ", ".join(
-            f"{name}={text}" for name, text in r.expressions.items()
+    if args.verify_transport:
+        ok &= _print_table(
+            verify_transport(project),
+            "drivers",
+            "driver(s) certified transport-portable",
+            _transport_row,
         )
-        print(
-            f"{status:<9} {r.module}::{r.qualname}  "
-            f"runs={r.runs} sites={r.sites} checks={len(r.checks)}"
+    if args.verify_costs:
+        ok &= _print_table(
+            verify_costs(project),
+            "cost roots",
+            "cost model(s) certified against runtime charges",
+            _costs_row,
         )
-        if model:
-            print(f"  model: {model}")
-        for p in r.problems:
-            print(f"  problem: {p}")
-        for c in r.checks:
-            if c.status != "ok":
-                print(
-                    f"  drift: {c.name}: expected {c.expected}, "
-                    f"got {c.actual}"
-                    + (f" ({c.detail})" if c.detail else "")
-                )
-        all_ok = all_ok and r.certified
-    print(
-        f"{sum(1 for r in reports if r.certified)}/{len(reports)} cost model(s) "
-        "certified against runtime charges"
-    )
-    return 0 if all_ok else 1
+    return 0 if ok else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    config = LintConfig(
-        select=tuple(s for s in args.select.split(",") if s),
-        ignore=tuple(s for s in args.ignore.split(",") if s),
-        use_cache=not args.no_cache,
-    )
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.id}  {rule.severity:<7}  {rule.name}: {rule.description}")
@@ -375,16 +240,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: no such path: {missing[0]}", file=sys.stderr)
         return 2
     root = find_project_root(paths[0])
-    config.project_root = root
+    config = LintConfig(
+        select=tuple(s for s in args.select.split(",") if s),
+        ignore=tuple(s for s in args.ignore.split(",") if s),
+        project_root=root,
+    )
 
-    if args.verify_protocol:
-        return _cmd_verify_protocol(paths, root)
-    if args.verify_transport:
-        return _cmd_verify_transport(paths, root)
-    if args.verify_costs:
-        return _cmd_verify_costs(paths, root)
-    if args.fix:
-        return _cmd_fix(args, paths, root)
+    if args.verify_protocol or args.verify_transport or args.verify_costs:
+        return _cmd_verify(args, load_project(paths, config))
 
     if args.changed_only:
         paths = _restrict_to_changed(paths, root)
@@ -400,29 +263,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if args.stats_json:
             Path(args.stats_json).write_text(stats.to_json() + "\n", encoding="utf-8")
 
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(f"froze {len(findings)} finding(s) into {baseline_path}")
-        return 0
-
-    baseline = Baseline()
-    if not args.no_baseline and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-    new, frozen = baseline.split(findings)
-
-    if args.format == "json":
-        report = render_json(new, frozen)
-    elif args.format == "sarif":
-        report = render_sarif(new, frozen, all_rules())
-    elif args.format == "github":
-        report = render_github(new, frozen)
-    else:
-        report = render_text(new, frozen, verbose_frozen=args.show_baselined)
-
-    if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-        print(f"wrote {args.format} report to {args.output} ({len(new)} new finding(s))")
-    else:
-        print(report)
-    return 1 if new else 0
+    render = {"json": render_json, "github": render_github, "text": render_text}
+    print(render[args.format](findings))
+    return 1 if findings else 0

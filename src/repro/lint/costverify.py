@@ -35,19 +35,16 @@ Any violated check is a DRIFT row; ``repro lint --verify-costs`` exits
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flow.cost import (
-    KERNELS_PREFIX,
-    ChargeSite,
-    CostAnalysis,
-    CostExpr,
-    analyze_costs,
-)
+from .flow.cost import KERNELS_PREFIX, CostAnalysis, CostExpr, analyze_costs
+
+if TYPE_CHECKING:
+    from .runner import ProjectContext
 
 __all__ = ["CostCheck", "CostReport", "verify_costs"]
 
@@ -647,16 +644,15 @@ _HARNESSES = {
 }
 
 
-def verify_costs(modules: list, project_root: Path | None = None) -> list[CostReport]:
-    """Certify every cost root's charges against its static model.
+def verify_costs(project: "ProjectContext") -> list[CostReport]:
+    """Certify every comm root's charges against its static model.
 
-    ``modules`` are ``ModuleContext``-likes (``relpath`` + ``tree``);
-    ``project_root`` anchors ledger file paths to the module relpaths
-    (defaults to the current working directory).
+    ``project.root`` anchors the ledger's file paths to the module
+    relpaths.
     """
-    root = Path(project_root) if project_root is not None else Path(os.getcwd())
+    root = project.root
     reports: list[CostReport] = []
-    for analysis in analyze_costs(modules):
+    for analysis in analyze_costs(project):
         report = CostReport(
             module=analysis.module,
             qualname=analysis.qualname,

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class Severity(str, enum.Enum):
-    """Finding severity; maps onto the SARIF ``level`` vocabulary."""
+    """Finding severity."""
 
     ERROR = "error"
     WARNING = "warning"
@@ -22,9 +22,8 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is stored relative to the project root (POSIX separators)
-    so fingerprints and SARIF artifact URIs are machine-independent.
-    ``snippet`` is the stripped source line, used both for display and
-    as the location-independent part of the baseline fingerprint.
+    so reports are machine-independent.  ``snippet`` is the stripped
+    source line, for display.
     """
 
     rule: str
@@ -34,18 +33,12 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    #: Set by the baseline layer: 0 for the first identical
-    #: (rule, path, snippet) triple in a file, 1 for the second, ...
-    occurrence: int = field(default=0, compare=False)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
 
     def render(self) -> str:
         return f"{self.location()}: {self.severity} {self.rule}: {self.message}"
-
-    def with_occurrence(self, occurrence: int) -> "Finding":
-        return replace(self, occurrence=occurrence)
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

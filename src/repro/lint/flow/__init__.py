@@ -11,7 +11,9 @@ program semantics to reason over:
   reaching definitions and constant (rank-value) propagation;
 * :mod:`~repro.lint.flow.callgraph` — a project-wide call graph with
   class/method and import-aware name resolution, so per-function
-  communication summaries compose interprocedurally;
+  communication summaries compose interprocedurally (built once per
+  run and shared, with the summaries and call closures, through
+  :class:`repro.lint.runner.ProjectContext`);
 * :mod:`~repro.lint.flow.summary` — per-function communication
   summaries (posts, drains, collectives, loops, branches, calls) in a
   small IR;
@@ -30,7 +32,6 @@ program semantics to reason over:
 from .callgraph import CallGraph, build_call_graph
 from .cfg import CFG, BasicBlock, build_cfg, function_cfgs
 from .cost import (
-    COST_ROOTS,
     COST_SPECS,
     ChargeSite,
     CostAnalysis,
@@ -53,9 +54,9 @@ from .escape import (
     analyze_transport,
     verify_transport,
 )
-from .protocol import DRIVERS, ProtocolProblem, ProtocolReport, verify_drivers, verify_function
+from .protocol import ProtocolProblem, ProtocolReport, verify_drivers, verify_function
 from .pytypes import AbsType, infer_expr, infer_types, is_pickle_safe, unsafe_reason
-from .summary import CommOp, FunctionSummary, payload_exprs, summarize_function
+from .summary import CommOp, FunctionSummary, summarize_function
 from .taint import TaintChain, rank_tainted_names, rng_taint_chains
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
     "eval_const_expr",
     "CallGraph",
     "build_call_graph",
-    "COST_ROOTS",
     "COST_SPECS",
     "ChargeSite",
     "CostAnalysis",
@@ -82,7 +82,6 @@ __all__ = [
     "CommOp",
     "FunctionSummary",
     "summarize_function",
-    "DRIVERS",
     "ProtocolProblem",
     "ProtocolReport",
     "verify_function",
@@ -99,5 +98,4 @@ __all__ = [
     "infer_types",
     "is_pickle_safe",
     "unsafe_reason",
-    "payload_exprs",
 ]

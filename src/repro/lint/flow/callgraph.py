@@ -1,7 +1,8 @@
 """Project-wide call graph with import- and class-aware name resolution.
 
-Built once per lint run from every parsed module, the graph answers the
-question the protocol verifier and the interprocedural SPMD rules need:
+Built once per lint run from every parsed module (by
+:attr:`repro.lint.runner.ProjectContext.call_graph`), the graph answers
+the question every interprocedural analysis needs:
 *which function body does this call site execute?* — across
 
 * plain module-level calls (``helper(...)``),
@@ -23,6 +24,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from ..comm import implements_transport
+
 __all__ = ["FunctionDecl", "ClassDecl", "CallGraph", "build_call_graph"]
 
 
@@ -34,10 +37,19 @@ class FunctionDecl:
     qualname: str  # "func" or "Class.method"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: "ClassDecl | None" = None
+    #: Every call beneath ``node`` (nested scopes included), from the
+    #: module's node index.
+    calls: list[ast.Call] = field(default_factory=list)
 
     @property
     def key(self) -> str:
         return f"{self.module}::{self.qualname}"
+
+    @property
+    def is_transport_method(self) -> bool:
+        """Methods of the class that *implements* send/recv are the
+        transport, not an SPMD driver — their posts are queue operations."""
+        return self.cls is not None and implements_transport(self.cls.methods)
 
 
 @dataclass
@@ -115,7 +127,9 @@ class CallGraph:
 
     # ------------------------------------------------------------ build
 
-    def add_module(self, relpath: str, tree: ast.Module) -> None:
+    def add_module(self, module) -> None:
+        """Index one ``ModuleContext`` (``relpath``, ``tree``, ``index``)."""
+        relpath, tree, index = module.relpath, module.tree, module.index
         info = _ModuleInfo(relpath=relpath, dotted=_dotted_module(relpath))
         is_pkg = relpath.replace("\\", "/").endswith("/__init__.py")
         info.mutable_globals = frozenset(
@@ -128,7 +142,10 @@ class CallGraph:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.functions[node.name] = FunctionDecl(
-                    module=relpath, qualname=node.name, node=node
+                    module=relpath,
+                    qualname=node.name,
+                    node=node,
+                    calls=index.calls_under(node),
                 )
             elif isinstance(node, ast.ClassDef):
                 cls = ClassDecl(
@@ -144,20 +161,20 @@ class CallGraph:
                             qualname=f"{node.name}.{item.name}",
                             node=item,
                             cls=cls,
+                            calls=index.calls_under(item),
                         )
                 info.classes[node.name] = cls
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    info.imports[local] = (target, None)
-            elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_relative(info.dotted, node, is_pkg=is_pkg)
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    info.imports[alias.asname or alias.name] = (base, alias.name)
+        for node in index.of(ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                info.imports[local] = (target, None)
+        for node in index.of(ast.ImportFrom):
+            base = self._resolve_relative(info.dotted, node, is_pkg=is_pkg)
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                info.imports[alias.asname or alias.name] = (base, alias.name)
         self._by_dotted[info.dotted] = info
         self._by_relpath[relpath] = info
 
@@ -180,9 +197,6 @@ class CallGraph:
         return ".".join(parts)
 
     # ---------------------------------------------------------- queries
-
-    def module(self, relpath: str) -> bool:
-        return relpath in self._by_relpath
 
     def mutable_globals(self, relpath: str) -> frozenset[str]:
         """Module-level mutable-container names of ``relpath``."""
@@ -208,6 +222,20 @@ class CallGraph:
                 return self._method_in_mro(cls, meth)
             return None
         return info.functions.get(qualname)
+
+    def find(self, relpath: str, qualname: str) -> FunctionDecl | None:
+        """:meth:`lookup`, tolerating a project root other than the repo
+        checkout (tests, sub-trees): the module path may match by suffix."""
+        decl = self.lookup(relpath, qualname)
+        if decl is not None:
+            return decl
+        for d in self.functions():
+            if d.qualname == qualname and (
+                d.module.endswith("/" + relpath.lstrip("/"))
+                or relpath.endswith("/" + d.module)
+            ):
+                return d
+        return None
 
     def _resolve_name(
         self, info: _ModuleInfo, name: str, *, depth: int = 0
@@ -254,14 +282,10 @@ class CallGraph:
                 return c.methods[name]
         return None
 
-    def resolve_call(
-        self,
-        call: ast.Call,
-        relpath: str,
-        enclosing_class: str | None = None,
-    ) -> FunctionDecl | None:
-        """The project function a call site executes, or None if opaque."""
-        info = self._by_relpath.get(relpath)
+    def callee(self, call: ast.Call, caller: FunctionDecl) -> FunctionDecl | None:
+        """The project function a call inside ``caller``'s body executes,
+        or None if opaque."""
+        info = self._by_relpath.get(caller.module)
         if info is None:
             return None
         func = call.func
@@ -275,12 +299,9 @@ class CallGraph:
         if isinstance(func, ast.Attribute):
             base = func.value
             if isinstance(base, ast.Name) and base.id in ("self", "cls"):
-                if enclosing_class is None:
+                if caller.cls is None:
                     return None
-                cls = info.classes.get(enclosing_class)
-                if cls is None:
-                    return None
-                return self._method_in_mro(cls, func.attr)
+                return self._method_in_mro(caller.cls, func.attr)
             if isinstance(base, ast.Name) and base.id in info.imports:
                 src_dotted, remote = info.imports[base.id]
                 if remote is None:  # module alias: mod.func(...)
@@ -292,31 +313,10 @@ class CallGraph:
             return None
         return None
 
-    def edges(self) -> dict[str, set[str]]:
-        """``caller key -> {callee keys}`` over every resolvable call."""
-        out: dict[str, set[str]] = {}
-        for decl in self.functions():
-            cls_name = decl.cls.name if decl.cls is not None else None
-            callees = out.setdefault(decl.key, set())
-            for node in ast.walk(decl.node):
-                if isinstance(node, ast.Call):
-                    callee = self.resolve_call(node, decl.module, cls_name)
-                    if callee is not None:
-                        callees.add(callee.key)
-        return out
-
-    def roots(self) -> set[str]:
-        """Function keys never called from inside the project."""
-        edges = self.edges()
-        called: set[str] = set()
-        for callees in edges.values():
-            called |= callees
-        return {d.key for d in self.functions()} - called
-
 
 def build_call_graph(modules: list) -> CallGraph:
-    """Build from ``ModuleContext``-likes (``relpath`` + ``tree`` attrs)."""
+    """Build from the run's ``ModuleContext`` list."""
     cg = CallGraph()
     for m in modules:
-        cg.add_module(m.relpath, m.tree)
+        cg.add_module(m)
     return cg

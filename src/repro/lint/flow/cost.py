@@ -10,10 +10,12 @@ levels ``q``, ranks ``p``, MIS ``rounds``).
 
 Three artefacts per certified comm root:
 
-* the **charge-site inventory**: every ``sim.compute`` / ``sim.send`` /
-  ``sim.barrier`` / collective call reachable from the root through the
-  project call graph, located by (kind, module, line) — the join key
-  the runtime :class:`~repro.machine.ledger.ChargeLedger` records;
+* the **charge-site inventory**: every call
+  :func:`repro.lint.comm.charged_as` recognises (``sim.compute`` /
+  ``sim.send`` / ``sim.exchange`` / ``sim.barrier`` / collectives)
+  reachable from the root through the project call graph, located by
+  (kind, module, line) — the join key the runtime
+  :class:`~repro.machine.ledger.ChargeLedger` records;
 * a **per-site loop bound**: the product of the recognised bounds of
   the site's enclosing loops (``for r in range(nranks)`` → ``p``,
   ``for lvl, pos in enumerate(levels.interface_levels)`` → ``q``,
@@ -41,12 +43,16 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .callgraph import CallGraph, FunctionDecl, build_call_graph
-from .protocol import DRIVERS, _find_driver, _is_transport_method
+from ..astutil import ancestors
+from ..comm import COMM_ROOTS, amount_expr, charged_as, classify
+from .callgraph import FunctionDecl
+
+if TYPE_CHECKING:
+    from ..runner import ProjectContext
 
 __all__ = [
-    "COST_ROOTS",
     "COST_SPECS",
     "KERNELS_PREFIX",
     "ChargeSite",
@@ -56,23 +62,6 @@ __all__ = [
     "analyze_costs",
     "extract_charge_sites",
 ]
-
-#: Simulator entry points that charge the cost model (``recv`` drains a
-#: message but charges nothing; ``pardo`` is an execution construct).
-CHARGE_KINDS = frozenset(
-    {"compute", "advance", "send", "barrier", "allreduce", "allgather"}
-)
-
-#: Receiver names (last dotted component) that denote the simulator /
-#: transport a driver charges.
-_SIM_RECEIVERS = frozenset({"sim", "simulator", "transport"})
-
-#: The certified comm roots: the five registered protocol drivers plus
-#: the static-colouring ILU(0) foil (a call-graph root with a full
-#: send/recv protocol of its own).
-COST_ROOTS: tuple[tuple[str, str], ...] = DRIVERS + (
-    ("src/repro/ilu/parallel_ilu0.py", "parallel_ilu0"),
-)
 
 #: Module-path prefix of the kernels surface, certified charge-free: the
 #: vectorized kernels compute numerics, never cost accounting.
@@ -351,94 +340,29 @@ class ChargeSite:
         return " x ".join(b if b is not None else "?" for b in self.loops)
 
 
-def _last_receiver_component(expr: ast.expr) -> str | None:
-    """``self.sim.compute`` -> ``sim``; ``sim.send`` -> ``sim``."""
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return None
-
-
-#: Transport methods that charge on a driver's behalf, and the charge
-#: kind the ledger attributes to the driver line: ``exchange`` posts one
-#: ``send`` per message of its list.
-_CHARGES_AS = {"exchange": "send"}
-
-
-def _charge_call_kind(call: ast.Call) -> str | None:
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    kind = _CHARGES_AS.get(func.attr, func.attr)
-    if kind not in CHARGE_KINDS:
-        return None
-    if _last_receiver_component(func.value) not in _SIM_RECEIVERS:
-        return None
-    return kind
-
-
-#: argument index of the charged quantity, per kind
-_AMOUNT_ARG = {"compute": 1, "advance": 1, "send": 3, "allreduce": 2, "allgather": 2}
-
-
-def _closure(cg: CallGraph, root: FunctionDecl) -> list[FunctionDecl]:
-    """``root`` plus every project function reachable from it.
-
-    Transport/simulator methods are excluded — their internals are the
-    machine layer, not driver accounting (the ledger attributes through
-    them to the driver line for the same reason).
-    """
-    seen: dict[str, FunctionDecl] = {root.key: root}
-    work = [root]
-    while work:
-        decl = work.pop()
-        cls_name = decl.cls.name if decl.cls is not None else None
-        for node in ast.walk(decl.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = cg.resolve_call(node, decl.module, cls_name)
-            if (
-                callee is None
-                or callee.key in seen
-                or _is_transport_method(callee)
-                or callee.module.startswith("src/repro/machine/")
-            ):
-                continue
-            seen[callee.key] = callee
-            work.append(callee)
-    return sorted(seen.values(), key=lambda d: (d.module, d.qualname))
-
-
 def extract_charge_sites(
-    cg: CallGraph, root: FunctionDecl, once: frozenset[str] = frozenset()
+    project: "ProjectContext", root: FunctionDecl, once: frozenset[str] = frozenset()
 ) -> list[ChargeSite]:
     """Every charge site reachable from ``root``, with loop bounds."""
     sites: list[ChargeSite] = []
-    for decl in _closure(cg, root):
-        parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(decl.node):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
-        for node in ast.walk(decl.node):
-            if not isinstance(node, ast.Call):
-                continue
-            kind = _charge_call_kind(node)
+    for decl in project.closure([root]):
+        for node in decl.calls:
+            kind = charged_as(node)
             if kind is None:
                 continue
             # an exchange fires once per message: an unbounded implicit loop
-            loops: list[str | None] = [None] if node.func.attr in _CHARGES_AS else []
+            loops: list[str | None] = [None] if classify(node) == "exchange" else []
             nested = False
             fault_path = False
-            cur = parents.get(node)
-            while cur is not None and cur is not decl.node:
+            for cur in ancestors(node):
+                if cur is decl.node:
+                    break
                 if isinstance(cur, (ast.For, ast.AsyncFor, ast.While)):
                     loops.append(_loop_bound(cur))
                 elif isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     nested = True
                 elif isinstance(cur, ast.ExceptHandler):
                     fault_path = True
-                cur = parents.get(cur)
             loops.reverse()
             count_expr: str | None = None
             if (
@@ -447,10 +371,7 @@ def extract_charge_sites(
                 and all(b is not None for b in loops)
             ):
                 count_expr = " * ".join(loops) if loops else "1"
-            arg_idx = _AMOUNT_ARG.get(kind)
-            amount = ""
-            if arg_idx is not None and len(node.args) > arg_idx:
-                amount = ast.unparse(node.args[arg_idx])
+            amount = amount_expr(node)
             sites.append(
                 ChargeSite(
                     kind=kind,
@@ -458,7 +379,7 @@ def extract_charge_sites(
                     line=node.lineno,
                     col=node.col_offset,
                     function=decl.qualname,
-                    amount=amount,
+                    amount=ast.unparse(amount) if amount is not None else "",
                     loops=tuple(loops),
                     count_expr=count_expr,
                     fault_path=fault_path,
@@ -520,25 +441,23 @@ def _check_spec_site_consistency(analysis: CostAnalysis) -> None:
             )
 
 
-def analyze_costs(modules: list) -> list[CostAnalysis]:
+def analyze_costs(project: "ProjectContext") -> list[CostAnalysis]:
     """Static cost analysis of every certified root + the kernels surface.
 
-    ``modules`` are ``ModuleContext``-likes (``relpath`` + ``tree``).
     Purely static — :func:`repro.lint.costverify.verify_costs` adds the
     runtime certification on top.
     """
-    cg = build_call_graph(modules)
     out: list[CostAnalysis] = []
-    for relpath, qualname in COST_ROOTS:
+    for relpath, qualname in COMM_ROOTS:
         spec = COST_SPECS.get(f"{relpath}::{qualname}")
         analysis = CostAnalysis(module=relpath, qualname=qualname, spec=spec)
-        decl = _find_driver(cg, relpath, qualname)
+        decl = project.call_graph.find(relpath, qualname)
         if decl is None:
             analysis.problems.append("root not found in the analysed modules")
         else:
             analysis.module = decl.module
             analysis.sites = extract_charge_sites(
-                cg, decl, spec.once if spec is not None else frozenset()
+                project, decl, spec.once if spec is not None else frozenset()
             )
             if not analysis.sites:
                 analysis.problems.append("no charge sites reachable from the root")
@@ -549,16 +468,15 @@ def analyze_costs(modules: list) -> list[CostAnalysis]:
     kernels = CostAnalysis(
         module=KERNELS_PREFIX.rstrip("/"), qualname="<charge-free surface>", spec=None
     )
-    for m in modules:
+    for m in project.modules:
         if not m.relpath.startswith(KERNELS_PREFIX):
             continue
-        for node in ast.walk(m.tree):
-            if isinstance(node, ast.Call):
-                kind = _charge_call_kind(node)
-                if kind is not None:
-                    kernels.problems.append(
-                        f"kernels module {m.relpath}:{node.lineno} charges the "
-                        f"cost model ({kind}) — kernels must stay charge-free"
-                    )
+        for node in m.index.of(ast.Call):
+            kind = charged_as(node)
+            if kind is not None:
+                kernels.problems.append(
+                    f"kernels module {m.relpath}:{node.lineno} charges the "
+                    f"cost model ({kind}) — kernels must stay charge-free"
+                )
     out.append(kernels)
     return out

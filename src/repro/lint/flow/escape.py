@@ -45,23 +45,27 @@ containers (their *elements* still alias — the ``copy_payloads=True``
 runtime oracle covers that residue), and mutation of ``self`` state on
 engine objects (each rank owns its engine).
 
-**Rank-executed code** is the communication closure: every function
-that transitively posts/drains/synchronises, plus everything those
-functions transitively call.
+**Rank-executed code** is the communication closure
+(:meth:`ProjectContext.closure <repro.lint.runner.ProjectContext.closure>`):
+every function that transitively posts/drains/synchronises, plus
+everything those functions transitively call.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..astutil import attach_parents, call_name
-from .callgraph import CallGraph, FunctionDecl, build_call_graph
+from ..astutil import call_name
+from ..comm import payload_exprs
+from .callgraph import FunctionDecl
 from .cfg import build_cfg
 from .dataflow import _enclosing_stmt, statements_after, stmt_mutations
-from .protocol import DRIVERS, _find_driver, _is_transport_method, _Verifier
 from .pytypes import UNKNOWN, dtype_violation, infer_expr, infer_types, unsafe_reason
-from .summary import payload_exprs
+
+if TYPE_CHECKING:
+    from ..runner import ProjectContext
 
 __all__ = [
     "TransportProblem",
@@ -271,42 +275,21 @@ def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
 
 
 class _TransportAnalyzer:
-    """Memoized per-function transport checks over one call graph."""
+    """Memoized per-function transport checks over one project."""
 
-    def __init__(self, cg: CallGraph) -> None:
-        self.cg = cg
-        self.v = _Verifier(cg)
+    def __init__(self, project: "ProjectContext") -> None:
+        self.cg = project.call_graph
         self._checked: dict[str, list[TransportProblem]] = {}
         self._payloads: dict[str, int] = {}
         self._escaping: dict[str, frozenset[str]] = {}
 
-    # ------------------------------------------------------- closure
-
-    def closure(self, seeds: list[FunctionDecl]) -> list[FunctionDecl]:
-        """``seeds`` plus transitively-resolved project callees, in a
-        stable order; transport methods (the simulator itself) excluded."""
-        out: dict[str, FunctionDecl] = {}
-        work = list(seeds)
-        while work:
-            decl = work.pop()
-            if decl.key in out or _is_transport_method(decl):
-                continue
-            out[decl.key] = decl
-            cls_name = decl.cls.name if decl.cls is not None else None
-            for node in ast.walk(decl.node):
-                if isinstance(node, ast.Call):
-                    callee = self.cg.resolve_call(node, decl.module, cls_name)
-                    if callee is not None and callee.key not in out:
-                        work.append(callee)
-        return sorted(out.values(), key=lambda d: (d.module, d.qualname))
-
-    def comm_seeds(self) -> list[FunctionDecl]:
-        """Every project function that transitively communicates."""
-        return [
-            d
-            for d in self.cg.functions()
-            if not _is_transport_method(d) and self.v.has_comm(d)
-        ]
+    def problems_in(self, decls: list[FunctionDecl]) -> list[TransportProblem]:
+        """De-duplicated problems of ``decls``, in (module, line, rule) order."""
+        seen: dict[tuple, TransportProblem] = {}
+        for decl in decls:
+            for p in self.check(decl):
+                seen.setdefault((p.rule, p.module, p.line, p.message), p)
+        return sorted(seen.values(), key=lambda p: (p.module, p.line, p.rule))
 
     # ------------------------------------------------ escape summaries
 
@@ -329,14 +312,13 @@ class _TransportAnalyzer:
                 group = aliases.get(n, {n})
                 escaped.update(group & params)
 
-        cls_name = decl.cls.name if decl.cls is not None else None
         for node in _own_walk(decl.node):
             if not isinstance(node, ast.Call):
                 continue
             for payload in payload_exprs(node):
                 mark(_payload_names(payload))
-            callee = self.cg.resolve_call(node, decl.module, cls_name)
-            if callee is None or _is_transport_method(callee):
+            callee = self.cg.callee(node, decl)
+            if callee is None or callee.is_transport_method:
                 continue
             callee_esc = self.escaping_params(callee, visiting)
             if callee_esc:
@@ -373,8 +355,6 @@ class _TransportAnalyzer:
         cached = self._checked.get(decl.key)
         if cached is not None:
             return cached
-        if not hasattr(decl.node, "_lint_parent"):
-            attach_parents(decl.node)
         problems: list[TransportProblem] = []
         self._payloads[decl.key] = 0
         env = infer_types(decl.node)
@@ -418,7 +398,6 @@ class _TransportAnalyzer:
     ) -> None:
         cfg = build_cfg(decl.node)
         aliases = _alias_classes(decl.node)
-        cls_name = decl.cls.name if decl.cls is not None else None
         #: (call node, payload names, description of the post)
         posts: list[tuple[ast.Call, list[str], str]] = []
         for node in _own_walk(decl.node):
@@ -435,8 +414,8 @@ class _TransportAnalyzer:
                         f"payload posted by {call_name(node)}() is not "
                         f"pickle-safe: {reason}",
                     )
-            callee = self.cg.resolve_call(node, decl.module, cls_name)
-            if callee is None or _is_transport_method(callee):
+            callee = self.cg.callee(node, decl)
+            if callee is None or callee.is_transport_method:
                 continue
             callee_esc = self.escaping_params(callee)
             if not callee_esc:
@@ -528,9 +507,7 @@ class _TransportAnalyzer:
     def _check_dtypes(
         self, decl: FunctionDecl, env: dict, problems: list[TransportProblem]
     ) -> None:
-        for node in ast.walk(decl.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in decl.calls:
             msg = dtype_violation(node, env)
             if msg:
                 self._problem(
@@ -545,64 +522,32 @@ class _TransportAnalyzer:
 # ----------------------------------------------------------------------
 
 
-def analyze_transport(modules: list) -> list[TransportProblem]:
+def analyze_transport(project: "ProjectContext") -> list[TransportProblem]:
     """Every TRN problem in the project-wide communication closure.
 
-    ``modules`` are ``ModuleContext``-likes (``relpath`` + ``tree``).
-    Used by the TRN rule family; :func:`verify_transport` presents the
-    same analysis per driver.
+    Used by the TRN rule family (through
+    :attr:`ProjectContext.transport_problems`);
+    :func:`verify_transport` presents the same analysis per target.
     """
-    cg = build_call_graph(modules)
-    an = _TransportAnalyzer(cg)
-    problems: list[TransportProblem] = []
-    seen: set[tuple] = set()
-    for decl in an.closure(an.comm_seeds()):
-        for p in an.check(decl):
-            key = (p.rule, p.module, p.line, p.message)
-            if key not in seen:
-                seen.add(key)
-                problems.append(p)
-    problems.sort(key=lambda p: (p.module, p.line, p.rule))
-    return problems
+    seeds = [
+        d
+        for d in project.call_graph.functions()
+        if not d.is_transport_method and project.has_comm(d)
+    ]
+    return _TransportAnalyzer(project).problems_in(project.closure(seeds))
 
 
-def verify_transport(modules: list) -> list[TransportReport]:
-    """Transport-readiness certification, one report per driver.
-
-    Targets mirror :func:`~repro.lint.flow.protocol.verify_drivers`:
-    the registered ``DRIVERS`` plus every call-graph root whose own
-    body both posts and drains.  Each target's whole communication
-    closure is analysed; the report aggregates the problems found
-    anywhere in it.
+def verify_transport(project: "ProjectContext") -> list[TransportReport]:
+    """Transport-readiness certification, one report per target of
+    :meth:`ProjectContext.targets` (the same set ``--verify-protocol``
+    certifies).  Each target's whole communication closure is analysed;
+    the report aggregates the problems found anywhere in it.
     """
-    cg = build_call_graph(modules)
-    an = _TransportAnalyzer(cg)
-    targets: dict[str, FunctionDecl] = {}
-    for relpath, qualname in DRIVERS:
-        decl = _find_driver(cg, relpath, qualname)
-        if decl is not None:
-            targets.setdefault(decl.key, decl)
-    roots = cg.roots()
-    for decl in cg.functions():
-        if decl.key not in roots or _is_transport_method(decl):
-            continue
-        kinds = an.v.summary(decl).direct_kinds()
-        if {"send", "recv"} <= kinds:
-            targets.setdefault(decl.key, decl)
+    an = _TransportAnalyzer(project)
     reports: list[TransportReport] = []
-    for decl in sorted(targets.values(), key=lambda d: (d.module, d.qualname)):
-        closure = an.closure([decl])
-        problems: list[TransportProblem] = []
-        seen: set[tuple] = set()
-        payloads = 0
-        for member in closure:
-            for p in an.check(member):
-                key = (p.rule, p.module, p.line, p.message)
-                if key not in seen:
-                    seen.add(key)
-                    problems.append(p)
-            payloads += an.payload_count(member)
-        problems.sort(key=lambda p: (p.module, p.line, p.rule))
+    for decl in project.targets():
+        closure = project.closure([decl])
+        problems = an.problems_in(closure)
         reports.append(
             TransportReport(
                 module=decl.module,
@@ -610,7 +555,7 @@ def verify_transport(modules: list) -> list[TransportReport]:
                 certified=not problems,
                 problems=problems,
                 functions=len(closure),
-                payloads=payloads,
+                payloads=sum(an.payload_count(member) for member in closure),
             )
         )
     return reports

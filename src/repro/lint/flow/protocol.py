@@ -40,38 +40,31 @@ transitively communicates are inlined with actual→formal binding (depth
 and cycle capped); everything else is opaque.  ``*recv*``-named helpers
 are treated as drains by the summary layer, so ``_recv_retry`` composes
 without touching its retransmission machinery.
+
+The call graph, the per-function summaries and the "transitively
+communicates" judgement all come from the run's
+:class:`~repro.lint.runner.ProjectContext`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .callgraph import CallGraph, FunctionDecl, build_call_graph
-from .summary import CommOp, FunctionSummary, summarize_function
+from ..comm import COMM_KINDS, RANK_NAMES, RANK_RANGE_MARKERS
+from .callgraph import FunctionDecl
+from .summary import CommOp
+
+if TYPE_CHECKING:
+    from ..runner import ProjectContext
 
 __all__ = [
-    "DRIVERS",
     "ProtocolProblem",
     "ProtocolReport",
     "verify_function",
     "verify_drivers",
 ]
-
-#: Identifiers that denote a rank (mirrors rules/spmd.py).
-RANK_NAMES = frozenset({"rank", "src", "dst", "r", "rk", "pe", "proc", "me", "myrank"})
-#: Name fragments that mark an iterable as "over the ranks".
-RANK_RANGE_MARKERS = ("nranks", "nprocs", "num_ranks", "world_size")
-
-#: The five parallel drivers the reproduction certifies statically,
-#: as ``(project-relative module path, dotted qualname)``.
-DRIVERS: tuple[tuple[str, str], ...] = (
-    ("src/repro/solvers/parallel_matvec.py", "parallel_matvec"),
-    ("src/repro/ilu/triangular.py", "parallel_triangular_solve"),
-    ("src/repro/graph/distributed_mis.py", "distributed_two_step_luby_mis"),
-    ("src/repro/ilu/elimination.py", "EliminationEngine.run"),
-    ("src/repro/ilu/interface_partition.py", "InterfacePartitionEngine.run"),
-)
 
 _MAX_INLINE_DEPTH = 10
 _MAX_PATHS = 64
@@ -200,11 +193,11 @@ class _Executor:
 
     def __init__(
         self,
-        verifier: "_Verifier",
+        project: "ProjectContext",
         nranks: int,
         decisions: dict[str, bool],
     ) -> None:
-        self.v = verifier
+        self.project = project
         self.R = nranks
         self.decisions = dict(decisions)
         self.new_keys: list[str] = []
@@ -220,7 +213,7 @@ class _Executor:
     # ----------------------------------------------------------- entry
 
     def run(self, decl: FunctionDecl) -> None:
-        summary = self.v.summary(decl)
+        summary = self.project.summary(decl)
         env: dict[str, object] = {
             p: Sym(("param", p)) for p in summary.params
         }
@@ -323,13 +316,12 @@ class _Executor:
 
     def _exec_call(self, decl: FunctionDecl, op: CommOp, env: dict[str, object]) -> None:
         assert op.call is not None
-        cls_name = decl.cls.name if decl.cls is not None else None
-        callee = self.v.cg.resolve_call(op.call, decl.module, cls_name)
-        if callee is None or not self.v.has_comm(callee):
+        callee = self.project.call_graph.callee(op.call, decl)
+        if callee is None or not self.project.has_comm(callee):
             return
         if callee.key in self.stack or len(self.stack) >= _MAX_INLINE_DEPTH:
             return
-        summary = self.v.summary(callee)
+        summary = self.project.summary(callee)
         callee_env: dict[str, object] = {}
         params = list(summary.params)
         offset = 0
@@ -362,8 +354,8 @@ class _Executor:
     def _exec_branch(
         self, decl: FunctionDecl, op: CommOp, env: dict[str, object]
     ) -> None:
-        body_live = self.v.ops_live(decl, op.body)
-        else_live = self.v.ops_live(decl, op.orelse)
+        body_live = self._ops_live(decl, op.body)
+        else_live = self._ops_live(decl, op.orelse)
         if not body_live and not else_live:
             return
         # prune raise-only arms: validation paths, not protocol paths
@@ -387,12 +379,30 @@ class _Executor:
     def _raise_only(self, decl: FunctionDecl, ops: list[CommOp]) -> bool:
         if not ops or not any(o.kind == "raise" for o in ops):
             return False
-        return not self.v.ops_have_comm(decl, ops)
+        return not self._ops_have_comm(decl, ops)
+
+    def _ops_have_comm(self, decl: FunctionDecl, ops: list[CommOp]) -> bool:
+        for op in ops:
+            if op.kind in COMM_KINDS:
+                return True
+            if op.kind == "call" and op.call is not None:
+                callee = self.project.call_graph.callee(op.call, decl)
+                if callee is not None and self.project.has_comm(callee):
+                    return True
+            if self._ops_have_comm(decl, op.body) or self._ops_have_comm(decl, op.orelse):
+                return True
+        return False
+
+    def _ops_live(self, decl: FunctionDecl, ops: list[CommOp]) -> bool:
+        """Comm *or* control transfer: worth symbolically executing."""
+        if any(op.kind in ("return", "break", "continue") for op in ops):
+            return True
+        return self._ops_have_comm(decl, ops)
 
     # ------------------------------------------------------------ loops
 
     def _exec_loop(self, decl: FunctionDecl, op: CommOp, env: dict[str, object]) -> None:
-        if not self.v.ops_live(decl, op.body):
+        if not self._ops_live(decl, op.body):
             return
         node = op.node
         iterations = self._loop_iterations(node, op)
@@ -553,79 +563,12 @@ def _is_direct_class_call(call: ast.Call) -> bool:
     return isinstance(call.func, ast.Name)
 
 
-class _Verifier:
-    """Shared state across paths: summaries, liveness, call graph."""
-
-    def __init__(self, cg: CallGraph) -> None:
-        self.cg = cg
-        self._summaries: dict[str, FunctionSummary] = {}
-        self._has_comm: dict[str, bool] = {}
-
-    def summary(self, decl: FunctionDecl) -> FunctionSummary:
-        s = self._summaries.get(decl.key)
-        if s is None:
-            s = summarize_function(
-                decl.node, qualname=decl.qualname, module=decl.module
-            )
-            self._summaries[decl.key] = s
-        return s
-
-    def has_comm(self, decl: FunctionDecl, _visiting: frozenset = frozenset()) -> bool:
-        """Does ``decl`` transitively post/drain/synchronise?"""
-        cached = self._has_comm.get(decl.key)
-        if cached is not None:
-            return cached
-        if decl.key in _visiting:
-            return False
-        summary = self.summary(decl)
-        if summary.has_direct_comm():
-            self._has_comm[decl.key] = True
-            return True
-        visiting = _visiting | {decl.key}
-        cls_name = decl.cls.name if decl.cls is not None else None
-
-        def scan(ops: list[CommOp]) -> bool:
-            for op in ops:
-                if op.kind == "call" and op.call is not None:
-                    callee = self.cg.resolve_call(op.call, decl.module, cls_name)
-                    if callee is not None and self.has_comm(callee, visiting):
-                        return True
-                if scan(op.body) or scan(op.orelse):
-                    return True
-            return False
-
-        result = scan(summary.ops)
-        self._has_comm[decl.key] = result
-        return result
-
-    def ops_have_comm(self, decl: FunctionDecl, ops: list[CommOp]) -> bool:
-        cls_name = decl.cls.name if decl.cls is not None else None
-        for op in ops:
-            if op.kind in ("send", "recv", "collective", "exchange"):
-                return True
-            if op.kind == "call" and op.call is not None:
-                callee = self.cg.resolve_call(op.call, decl.module, cls_name)
-                if callee is not None and self.has_comm(callee):
-                    return True
-            if self.ops_have_comm(decl, op.body) or self.ops_have_comm(decl, op.orelse):
-                return True
-        return False
-
-    def ops_live(self, decl: FunctionDecl, ops: list[CommOp]) -> bool:
-        """Comm *or* control transfer: worth symbolically executing."""
-        for op in ops:
-            if op.kind in ("return", "break", "continue"):
-                return True
-        return self.ops_have_comm(decl, ops)
-
-
 def verify_function(
-    cg: CallGraph,
+    project: "ProjectContext",
     decl: FunctionDecl,
     ranks: tuple[int, ...] = (2, 3, 4),
 ) -> ProtocolReport:
     """Symbolically execute ``decl`` for each rank count in ``ranks``."""
-    verifier = _Verifier(cg)
     report = ProtocolReport(
         module=decl.module, qualname=decl.qualname, ranks=ranks, certified=True
     )
@@ -638,7 +581,7 @@ def verify_function(
             if report.paths >= _MAX_PATHS * len(ranks):
                 budget_hit = True
                 return
-            ex = _Executor(verifier, nranks, fixed)
+            ex = _Executor(project, nranks, fixed)
             ex.run(decl)
             report.paths += 1
             report.posts += ex.posts
@@ -676,50 +619,9 @@ def verify_function(
     return report
 
 
-def _find_driver(cg: CallGraph, relpath: str, qualname: str) -> FunctionDecl | None:
-    decl = cg.lookup(relpath, qualname)
-    if decl is not None:
-        return decl
-    # tolerate roots other than the repo checkout (tests, sub-trees)
-    for d in cg.functions():
-        if d.qualname == qualname and (
-            d.module == relpath or d.module.endswith("/" + relpath.lstrip("/"))
-            or relpath.endswith("/" + d.module)
-        ):
-            return d
-    return None
-
-
-def _is_transport_method(decl: FunctionDecl) -> bool:
-    """Methods of the class that *implements* send/recv are the
-    transport, not an SPMD driver — their posts are queue operations."""
-    return decl.cls is not None and {"send", "recv"} <= set(decl.cls.methods)
-
-
 def verify_drivers(
-    modules: list,
+    project: "ProjectContext",
     ranks: tuple[int, ...] = (2, 3, 4),
 ) -> list[ProtocolReport]:
-    """Verify the registered drivers plus every root with a full protocol.
-
-    ``modules`` are ``ModuleContext``-likes (``relpath`` + ``tree``).
-    Auto-selected targets are call-graph roots whose own body both posts
-    and drains (send-only or recv-only helpers compose into their
-    callers instead).
-    """
-    cg = build_call_graph(modules)
-    targets: dict[str, FunctionDecl] = {}
-    for relpath, qualname in DRIVERS:
-        decl = _find_driver(cg, relpath, qualname)
-        if decl is not None:
-            targets.setdefault(decl.key, decl)
-    verifier = _Verifier(cg)
-    roots = cg.roots()
-    for decl in cg.functions():
-        if decl.key not in roots or _is_transport_method(decl):
-            continue
-        kinds = verifier.summary(decl).direct_kinds()
-        if {"send", "recv"} <= kinds:
-            targets.setdefault(decl.key, decl)
-    ordered = sorted(targets.values(), key=lambda d: (d.module, d.qualname))
-    return [verify_function(cg, d, ranks) for d in ordered]
+    """Verify every target of :meth:`ProjectContext.targets`."""
+    return [verify_function(project, d, ranks) for d in project.targets()]

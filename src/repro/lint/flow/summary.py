@@ -34,25 +34,9 @@ import ast
 from dataclasses import dataclass, field
 
 from ..astutil import call_name
+from ..comm import COMM_KINDS, argument, classify, payload_exprs
 
-__all__ = ["CommOp", "FunctionSummary", "summarize_function", "payload_exprs"]
-
-_COLLECTIVES = ("barrier", "allreduce", "allgather")
-
-#: Positional index of the payload in each posting call's signature
-#: (``send(src, dst, payload, nwords)``, ``exchange(messages)``,
-#: ``allgather(values)``).
-_PAYLOAD_ARG = {"send": 2, "exchange": 0, "allgather": 0}
-
-#: ``(src, dst, tag)`` positional argument indices per call kind, after
-#: the receiver object (``sim.send`` → args are positional from 0).
-#: ``recv`` takes ``(dst, src, tag)`` — mirrored at extraction so every
-#: op stores (src, dst) uniformly.
-_ARG_LAYOUT = {
-    "send": (0, 1, 4),
-    "recv": (1, 0, 2),
-    "recv_helper": (0, 1, 2),
-}
+__all__ = ["CommOp", "FunctionSummary", "summarize_function"]
 
 
 @dataclass
@@ -97,7 +81,7 @@ class FunctionSummary:
 
         def scan(ops: list[CommOp]) -> bool:
             for op in ops:
-                if op.kind in ("send", "recv", "collective", "exchange"):
+                if op.kind in COMM_KINDS:
                     return True
                 if scan(op.body) or scan(op.orelse):
                     return True
@@ -110,7 +94,7 @@ class FunctionSummary:
 
         def scan(ops: list[CommOp]) -> None:
             for op in ops:
-                if op.kind in ("send", "recv", "collective", "exchange"):
+                if op.kind in COMM_KINDS:
                     out.add(op.kind)
                 scan(op.body)
                 scan(op.orelse)
@@ -119,102 +103,37 @@ class FunctionSummary:
         return out
 
 
-def _classify(call: ast.Call) -> str | None:
-    name = call_name(call)
-    if not name:
-        return None
-    if name == "send":
-        return "send"
-    if name == "recv":
-        return "recv"
-    if name in _COLLECTIVES:
-        return "collective"
-    if name == "exchange":
-        return "exchange"
-    if "recv" in name:
-        return "recv_helper"
-    return None
-
-
-def _kw(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
 def _p2p_op(call: ast.Call, kind: str) -> CommOp:
-    src_i, dst_i, tag_i = _ARG_LAYOUT[kind]
-    src = call.args[src_i] if len(call.args) > src_i else _kw(call, "src")
-    dst = call.args[dst_i] if len(call.args) > dst_i else _kw(call, "dst")
-    tag = _kw(call, "tag")
-    if tag is None and len(call.args) > tag_i:
-        tag = call.args[tag_i]
-    out_kind = "recv" if kind == "recv_helper" else kind
+    """A post/drain op; ``recv`` and its helpers store (src, dst) the
+    same way round as ``send`` whatever their own argument order."""
     payloads = payload_exprs(call) if kind == "send" else []
     return CommOp(
-        kind=out_kind,
+        kind=kind,
         node=call,
-        src=src,
-        dst=dst,
-        tag=tag,
+        src=argument(call, "src"),
+        dst=argument(call, "dst"),
+        tag=argument(call, "tag"),
         payload=payloads[0] if payloads else None,
     )
 
 
-def payload_exprs(call: ast.Call) -> list[ast.expr]:
-    """The expression(s) a transport would serialize at a posting call.
-
-    ``send`` contributes its payload argument; ``exchange`` over a list
-    literal contributes the payload slot of each message tuple (a
-    non-literal argument contributes the whole expression — the list
-    *object* is what a reference-passing transport aliases);
-    ``allgather`` contributes its values argument the same way.
-    """
-    name = call_name(call)
-    pos = _PAYLOAD_ARG.get(name)
-    if pos is None:
-        return []
-    expr = call.args[pos] if len(call.args) > pos else _kw(
-        call, "payload" if name == "send" else ("messages" if name == "exchange" else "values")
-    )
-    if expr is None:
-        return []
-    if name == "send":
-        return [expr]
-    if isinstance(expr, (ast.List, ast.Tuple)):
-        out: list[ast.expr] = []
-        for elt in expr.elts:
-            if name == "exchange" and isinstance(elt, ast.Tuple) and len(elt.elts) >= 3:
-                out.append(elt.elts[2])
-            elif name == "allgather":
-                out.append(elt)
-        return out
-    return [expr]
-
-
-def _calls_in(stmt: ast.AST, skip: set[int]) -> list[CommOp]:
-    """Comm/call ops for every interesting call inside ``stmt``.
-
-    ``skip`` holds ids of sub-statements handled structurally (bodies of
-    compound statements) — only the statement's own expressions (tests,
-    iterables, assigned values) are scanned here.
-    """
+def _calls_in(stmt: ast.AST) -> list[CommOp]:
+    """Comm/call ops for every call inside ``stmt`` (a simple statement,
+    or the test/iterable/context expression of a compound one), in
+    evaluation order."""
     ops: list[CommOp] = []
 
     def visit(node: ast.AST) -> None:
-        if id(node) in skip:
-            return
         for child in ast.iter_child_nodes(node):
             visit(child)
         if isinstance(node, ast.Call):
-            kind = _classify(node)
+            kind = classify(node)
             if kind in ("send", "recv"):
                 ops.append(_p2p_op(node, kind))
             elif kind == "recv_helper":
                 # only a drain when it actually takes a tag (comm.py rule)
-                if _p2p_op(node, kind).tag is not None:
-                    ops.append(_p2p_op(node, kind))
+                if argument(node, "tag") is not None:
+                    ops.append(_p2p_op(node, "recv"))
             elif kind == "collective":
                 ops.append(CommOp(kind="collective", node=node, name=call_name(node)))
             elif kind == "exchange":
@@ -230,7 +149,7 @@ def _summarize_body(stmts: list[ast.stmt]) -> list[CommOp]:
     ops: list[CommOp] = []
     for stmt in stmts:
         if isinstance(stmt, ast.If):
-            ops.extend(_calls_in(stmt.test, set()))
+            ops.extend(_calls_in(stmt.test))
             ops.append(
                 CommOp(
                     kind="branch",
@@ -241,7 +160,7 @@ def _summarize_body(stmts: list[ast.stmt]) -> list[CommOp]:
                 )
             )
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            ops.extend(_calls_in(stmt.iter, set()))
+            ops.extend(_calls_in(stmt.iter))
             ops.append(
                 CommOp(
                     kind="loop",
@@ -251,7 +170,7 @@ def _summarize_body(stmts: list[ast.stmt]) -> list[CommOp]:
                 )
             )
         elif isinstance(stmt, ast.While):
-            ops.extend(_calls_in(stmt.test, set()))
+            ops.extend(_calls_in(stmt.test))
             ops.append(
                 CommOp(
                     kind="loop",
@@ -274,11 +193,11 @@ def _summarize_body(stmts: list[ast.stmt]) -> list[CommOp]:
                 ops.extend(_summarize_body(stmt.finalbody))
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                ops.extend(_calls_in(item.context_expr, set()))
+                ops.extend(_calls_in(item.context_expr))
             ops.extend(_summarize_body(stmt.body))
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                ops.extend(_calls_in(stmt.value, set()))
+                ops.extend(_calls_in(stmt.value))
             ops.append(CommOp(kind="return", node=stmt))
         elif isinstance(stmt, ast.Raise):
             ops.append(CommOp(kind="raise", node=stmt))
@@ -289,7 +208,7 @@ def _summarize_body(stmts: list[ast.stmt]) -> list[CommOp]:
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue  # nested defs don't execute at this level
         else:
-            ops.extend(_calls_in(stmt, set()))
+            ops.extend(_calls_in(stmt))
     return ops
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from ..comm import RANK_NAMES, RANK_RANGE_MARKERS
+
 __all__ = [
     "TaintStep",
     "TaintChain",
@@ -33,10 +35,6 @@ __all__ = [
     "rng_taint_chains",
 ]
 
-_RANK_PARAM_NAMES = frozenset(
-    {"rank", "src", "dst", "r", "rk", "pe", "proc", "me", "myrank"}
-)
-_RANK_RANGE_MARKERS = ("nranks", "nprocs", "num_ranks", "world_size")
 _RANK_ATTRS = frozenset({"rank", "myrank", "pe"})
 
 _RNG_CONSTRUCTORS = frozenset({"default_rng", "Random", "RandomState", "Generator"})
@@ -184,7 +182,7 @@ def rank_tainted_names(
         func.args.posonlyargs + func.args.args + func.args.kwonlyargs
     )
     for a in all_args:
-        if a.arg in _RANK_PARAM_NAMES:
+        if a.arg in RANK_NAMES:
             seeds[a.arg] = TaintChain(
                 name=a.arg,
                 steps=(
@@ -196,7 +194,7 @@ def rank_tainted_names(
     for node in ast.walk(func):
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iter_dump = ast.dump(node.iter)
-            if any(m in iter_dump for m in _RANK_RANGE_MARKERS):
+            if any(m in iter_dump for m in RANK_RANGE_MARKERS):
                 for name in _target_names(node.target):
                     seeds.setdefault(
                         name,

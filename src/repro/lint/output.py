@@ -1,44 +1,18 @@
-"""Finding renderers: human text, machine JSON, and SARIF 2.1.0.
-
-SARIF is the interchange format CI code-scanning UIs ingest; the
-emitter targets the 2.1.0 schema (``version``, ``$schema``, one run
-with a ``tool.driver`` carrying the rule metadata, one ``result`` per
-finding with a physical location and a stable fingerprint).
-"""
+"""Finding renderers: human text, machine JSON, and GitHub Actions
+workflow commands."""
 
 from __future__ import annotations
 
 import json
 
-from .baseline import fingerprint, fingerprint_findings
 from .findings import Finding
-from .registry import Rule
 
-__all__ = [
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "render_github",
-    "SARIF_SCHEMA_URI",
-]
-
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-_SARIF_LEVEL = {"error": "error", "warning": "warning", "note": "note"}
+__all__ = ["render_text", "render_json", "render_github"]
 
 
-def render_text(
-    new: list[Finding], frozen: list[Finding], *, verbose_frozen: bool = False
-) -> str:
-    lines = [f.render() for f in new]
-    if verbose_frozen:
-        lines += [f"{f.render()}  [baseline]" for f in frozen]
-    counts = f"{len(new)} finding(s)"
-    if frozen:
-        counts += f", {len(frozen)} baselined"
-    lines.append(counts)
+def render_text(findings: list[Finding]) -> str:
+    lines = [f.render() for f in findings]
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
@@ -53,125 +27,39 @@ def _gh_escape(text: str, *, property_value: bool = False) -> str:
     return out
 
 
-def render_github(new: list[Finding], frozen: list[Finding]) -> str:
+def render_github(findings: list[Finding]) -> str:
     """GitHub Actions workflow commands — one ``::error``/``::warning``
-    per new finding, annotated in the PR diff by the runner.
-
-    Baselined findings are emitted as ``::notice`` so they stay visible
-    without failing checks; the trailing summary line mirrors the text
-    format for the job log.
+    per finding, annotated in the PR diff by the runner; the trailing
+    summary line mirrors the text format for the job log.
     """
     lines: list[str] = []
-    for f, suppressed in [(f, False) for f in new] + [(f, True) for f in frozen]:
-        cmd = "notice" if suppressed else _GH_COMMAND.get(str(f.severity), "warning")
-        title = f.rule + (" (baselined)" if suppressed else "")
+    for f in findings:
+        cmd = _GH_COMMAND.get(str(f.severity), "warning")
         props = (
             f"file={_gh_escape(f.path, property_value=True)},"
             f"line={f.line},col={f.col + 1},"
-            f"title={_gh_escape(title, property_value=True)}"
+            f"title={_gh_escape(f.rule, property_value=True)}"
         )
         lines.append(f"::{cmd} {props}::{_gh_escape(f.message)}")
-    counts = f"{len(new)} finding(s)"
-    if frozen:
-        counts += f", {len(frozen)} baselined"
-    lines.append(counts)
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
-def render_json(new: list[Finding], frozen: list[Finding]) -> str:
-    def encode(f: Finding, is_new: bool) -> dict:
-        return {
-            "rule": f.rule,
-            "severity": str(f.severity),
-            "path": f.path,
-            "line": f.line,
-            "column": f.col + 1,
-            "message": f.message,
-            "snippet": f.snippet,
-            "fingerprint": fingerprint(f),
-            "baselined": not is_new,
-        }
-
+def render_json(findings: list[Finding]) -> str:
     doc = {
         "tool": "repro-lint",
-        "findings": [encode(f, True) for f in fingerprint_findings(new)]
-        + [encode(f, False) for f in fingerprint_findings(frozen)],
-        "new": len(new),
-        "baselined": len(frozen),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def render_sarif(
-    new: list[Finding],
-    frozen: list[Finding],
-    rules: list[Rule],
-    *,
-    tool_version: str = "1.0.0",
-) -> str:
-    rule_order = [r.id for r in rules]
-    rule_index = {rid: i for i, rid in enumerate(rule_order)}
-
-    def result(f: Finding, suppressed: bool) -> dict:
-        res: dict = {
-            "ruleId": f.rule,
-            "level": _SARIF_LEVEL.get(str(f.severity), "warning"),
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path,
-                            "uriBaseId": "PROJECTROOT",
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                            **(
-                                {"snippet": {"text": f.snippet}} if f.snippet else {}
-                            ),
-                        },
-                    }
-                }
-            ],
-            "partialFingerprints": {"reproLint/v1": fingerprint(f)},
-        }
-        if f.rule in rule_index:
-            res["ruleIndex"] = rule_index[f.rule]
-        if suppressed:
-            res["suppressions"] = [
-                {"kind": "external", "justification": "frozen in lint-baseline.json"}
-            ]
-        return res
-
-    doc = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": "2.1.0",
-        "runs": [
+        "findings": [
             {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "https://example.invalid/repro-lint",
-                        "version": tool_version,
-                        "rules": [
-                            {
-                                "id": r.id,
-                                "name": r.name,
-                                "shortDescription": {"text": r.description},
-                                "defaultConfiguration": {
-                                    "level": _SARIF_LEVEL.get(
-                                        str(r.severity), "warning"
-                                    )
-                                },
-                            }
-                            for r in rules
-                        ],
-                    }
-                },
-                "results": [result(f, False) for f in fingerprint_findings(new)]
-                + [result(f, True) for f in fingerprint_findings(frozen)],
+                "rule": f.rule,
+                "severity": str(f.severity),
+                "path": f.path,
+                "line": f.line,
+                "column": f.col + 1,
+                "message": f.message,
+                "snippet": f.snippet,
             }
+            for f in findings
         ],
+        "new": len(findings),
     }
     return json.dumps(doc, indent=2)

@@ -35,13 +35,13 @@ __all__ = ["Rule", "register", "all_rules", "get_rule"]
 class Rule:
     """Base class for lint rules; subclass and :func:`register`."""
 
-    #: Stable identifier, e.g. ``"SPMD001"`` — used in output, baselines
-    #: and ``--select``/``--ignore``.
+    #: Stable identifier, e.g. ``"SPMD001"`` — used in output and
+    #: ``--select``/``--ignore``.
     id: str = ""
     #: Short human name, e.g. ``"unmatched-tag"``.
     name: str = ""
     severity: Severity = Severity.WARNING
-    #: One-line description (shown by ``--list-rules`` and in SARIF).
+    #: One-line description (shown by ``--list-rules``).
     description: str = ""
 
     def check_module(self, module: "ModuleContext") -> list[Finding]:

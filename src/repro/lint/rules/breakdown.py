@@ -60,8 +60,8 @@ class UntypedBreakdownRaise(Rule):
         if module.relpath.endswith("resilience/breakdown.py"):
             return []
         out: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
+        for node in module.index.of(ast.Raise):
+            if node.exc is None:
                 continue
             exc = node.exc
             exc_name = ""

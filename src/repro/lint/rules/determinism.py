@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 
 from ..astutil import call_name, dotted_name, is_sorted_call
-from ..comm import COLLECTIVE_NAMES, RECV_NAMES, SEND_NAMES
+from ..comm import is_comm
 from ..findings import Finding, Severity
 from ..registry import Rule, register
 from ..runner import ModuleContext
@@ -80,14 +80,12 @@ class UnseededRNG(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         imports_stdlib_random = any(
-            isinstance(node, ast.Import)
-            and any(alias.name == "random" for alias in node.names)
-            for node in ast.walk(module.tree)
+            alias.name == "random"
+            for node in module.index.of(ast.Import)
+            for alias in node.names
         )
         out: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index.of(ast.Call):
             dotted = dotted_name(node.func)
             if dotted in ("np.random.default_rng", "numpy.random.default_rng"):
                 if not node.args and not node.keywords:
@@ -135,18 +133,6 @@ class UnseededRNG(Rule):
         return out
 
 
-_COMM_CALLS = frozenset(SEND_NAMES) | frozenset(RECV_NAMES) | frozenset(COLLECTIVE_NAMES)
-
-
-def _function_has_comm(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            if name in _COMM_CALLS or "recv" in name or name == "exchange":
-                return True
-    return False
-
-
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -157,10 +143,10 @@ def _is_set_expr(node: ast.AST) -> bool:
     )
 
 
-def _set_bound_names(func: ast.AST) -> set[str]:
-    """Names assigned a set literal/call/comprehension in ``func``."""
+def _set_bound_names(nodes) -> set[str]:
+    """Names assigned a set literal/call/comprehension among ``nodes``."""
     names: set[str] = set()
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.Assign) and _is_set_expr(node.value):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Name):
@@ -209,12 +195,10 @@ class UnorderedIteration(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for func in module.index.functions:
+            if not any(is_comm(c) for c in module.index.calls_under(func)):
                 continue
-            if not _function_has_comm(func):
-                continue
-            set_names = _set_bound_names(func)
+            set_names = _set_bound_names(ast.walk(func))
             iters: list[tuple[ast.AST, int, int]] = []
             for node in ast.walk(func):
                 if isinstance(node, ast.For):
@@ -260,9 +244,7 @@ class FloatEquality(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        for node in module.index.of(ast.Compare):
             # pairwise operands: (left, comp0), (comp0, comp1), ...
             operands = [node.left, *node.comparators]
             for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
@@ -311,10 +293,10 @@ class UnorderedReduction(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        module_set_names = _set_bound_names(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        module_set_names = _set_bound_names(
+            module.index.of(ast.Assign, ast.AnnAssign)
+        )
+        for node in module.index.of(ast.Call):
             name = call_name(node)
             if name not in _REDUCERS or not node.args:
                 continue

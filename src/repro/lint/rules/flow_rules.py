@@ -13,8 +13,8 @@ syntactic rules (SPMD001–003, DET001–004) cannot:
 * ``SPMD005`` tracks rank taint through copies and arithmetic into
   branch conditions guarding collectives (``leader = rank == 0`` …
   ``if leader: sim.barrier()``), with the def-use chain in the message.
-* ``DET005`` tracks RNG taint into posted payloads and dropping
-  decisions — randomness crossing the communication or dropping
+* ``DET005`` tracks RNG taint into posted payloads (``send``,
+  ``exchange`` messages, ``allgather`` values) and dropping decisions — randomness crossing the communication or dropping
   boundary breaks run-to-run reproducibility of the factorization.
 """
 
@@ -23,13 +23,12 @@ from __future__ import annotations
 import ast
 
 from ..astutil import call_name, enclosing_function, names_in
-from ..comm import branch_conditions, comm_sites
+from ..comm import RANK_NAMES, branch_conditions, payload_exprs
 from ..findings import Finding, Severity
 from ..flow import rank_tainted_names, rng_taint_chains, verify_drivers
 from ..flow.dataflow import NAC, constant_env_at, eval_const_expr
 from ..registry import Rule, register
 from ..runner import ModuleContext, ProjectContext
-from .spmd import RANK_NAMES
 
 __all__ = ["ProtocolDeadlock", "RankTaintedCollective", "RngTaintedComm"]
 
@@ -53,12 +52,11 @@ class ProtocolDeadlock(Rule):
     )
 
     def check_project(self, project: ProjectContext) -> list[Finding]:
-        by_relpath = {m.relpath: m for m in project.modules}
         out: list[Finding] = []
         seen: set[tuple[str, str, int]] = set()
-        for report in verify_drivers(project.modules):
+        for report in verify_drivers(project):
             for p in report.problems:
-                module = by_relpath.get(p.module)
+                module = project.by_relpath.get(p.module)
                 if module is None:
                     continue
                 # one finding per (kind, site): the executor reports the
@@ -106,7 +104,7 @@ class RankTaintedCollective(Rule):
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
         taint_cache: dict[int, dict] = {}
-        for site in comm_sites(module.tree):
+        for site in module.comm_sites:
             if site.kind != "collective" or site.func is None:
                 continue
             func = site.func
@@ -139,10 +137,6 @@ class RankTaintedCollective(Rule):
         return out
 
 
-#: ``send(src, dst, payload, nwords, tag=...)`` — payload position.
-_SEND_PAYLOAD_ARG = 2
-
-
 def _is_dropping_call(call: ast.Call) -> bool:
     name = call_name(call)
     return bool(name) and ("drop" in name or name in ("keep", "keep_entry"))
@@ -170,13 +164,13 @@ class RngTaintedComm(Rule):
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
         chains_cache: dict[int, dict] = {}
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            is_send = name == "send"
-            is_drop = _is_dropping_call(node)
-            if not (is_send or is_drop):
+        for node in module.index.of(ast.Call):
+            exprs = payload_exprs(node)
+            what = "posted payload"
+            if not exprs and _is_dropping_call(node):
+                exprs = list(node.args)
+                what = f"dropping decision {call_name(node)}()"
+            if not exprs:
                 continue
             func = enclosing_function(node)
             if func is None:
@@ -186,14 +180,6 @@ class RngTaintedComm(Rule):
             chains = chains_cache[id(func)]
             if not chains:
                 continue
-            if is_send:
-                if len(node.args) <= _SEND_PAYLOAD_ARG:
-                    continue
-                exprs = [node.args[_SEND_PAYLOAD_ARG]]
-                what = "posted payload"
-            else:
-                exprs = list(node.args)
-                what = f"dropping decision {name}()"
             for expr in exprs:
                 hit = sorted(names_in(expr) & set(chains))
                 if hit:

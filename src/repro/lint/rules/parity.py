@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 
-from ..astutil import call_name
+from ..comm import flop_charge_amount
 from ..findings import Finding, Severity
 from ..registry import Rule, register
 from ..runner import ModuleContext, ProjectContext
@@ -134,10 +134,6 @@ class MissingReferenceTwin(Rule):
         ]
 
 
-#: Call shapes that charge flops to the simulator.
-_CHARGE_CALLS = frozenset({"compute", "_charge_ops", "charge"})
-
-
 def _non_integral_part(expr: ast.AST) -> tuple[str, int] | None:
     """A reason ``expr`` is not statically integral, or None if it is OK.
 
@@ -180,12 +176,9 @@ class FractionalFlopCharge(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if call_name(node) not in _CHARGE_CALLS or len(node.args) < 2:
-                continue
-            problem = _non_integral_part(node.args[1])
+        for node in module.index.of(ast.Call):
+            amount = flop_charge_amount(node)
+            problem = _non_integral_part(amount) if amount is not None else None
             if problem is not None:
                 reason, line = problem
                 out.append(

@@ -1,87 +1,32 @@
-"""Vectorization / performance rules (``PERF001``–``PERF005``).
+"""Vectorization rule (``PERF001``).
 
-The ROADMAP's speed phase lives or dies on the hot paths staying
-vectorized: every scalar Python loop over CSR structures in a
-cost-charged driver multiplies the wall-clock constant the modeled
-speedups are normalized by.  These rules hunt the recurring shapes of
-accidental devectorization:
+Every scalar Python loop over CSR structures in a cost-charged driver
+multiplies the wall-clock constant the modeled speedups are normalized
+by.  ``PERF001`` flags a scalar per-row loop (``A.row(i)`` /
+``iter_rows``) inside a function that charges the machine model
+(:func:`repro.lint.comm.charged_as`: ``compute``, ``send``,
+``exchange``, collectives), where the ``repro.kernels`` surface has a
+vectorized twin.  Functions that dispatch on a ``backend`` parameter
+(their scalar path *is* the documented reference twin) are exempt.
 
-* ``PERF001`` — a scalar per-row loop (``A.row(i)`` / ``iter_rows``)
-  inside a function that charges the machine model, where the
-  ``repro.kernels`` surface has a vectorized twin.  Functions that
-  dispatch on a ``backend`` parameter (their scalar path *is* the
-  documented reference twin) are exempt.
-* ``PERF002`` — array growth in a loop: ``np.append`` per iteration is
-  O(n²) copying, and the list-append-then-``np.array`` shape is the
-  interpreted version of a preallocation.  ``--fix`` rewrites the
-  provably-safe subset to ``np.zeros`` + indexed assignment.
-* ``PERF003`` — int-dtype arrays meeting float arithmetic inside a
-  loop: each iteration pays an implicit promotion copy.
-* ``PERF004`` — ``.copy()`` / ``np.array(...)`` of a buffer the
-  function itself just allocated and never reads again: a pure memcpy
-  of an already-owned array.  ``--fix`` elides the copy.
-* ``PERF005`` — building a triangular level schedule inside a loop with
-  loop-invariant arguments where :func:`repro.kernels.cached_schedules`
-  already memoizes the construction.
-
-Profiles keep the family scoped to library code (off under ``tests/``
-and ``benchmarks/`` — tests exercise scalar shapes on purpose).
+The profiles keep it scoped to library code (off under ``tests/`` and
+``benchmarks/`` — tests exercise scalar shapes on purpose).
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..astutil import call_name, dotted_name
+from ..astutil import call_name
+from ..comm import charged_as
 from ..findings import Finding, Severity
 from ..registry import Rule, register
 from ..runner import ModuleContext
 
-__all__ = [
-    "ScalarHotLoop",
-    "ArrayGrowthInLoop",
-    "DtypePromotionInLoop",
-    "RedundantCopy",
-    "RecomputedSchedule",
-]
-
-#: Simulator charge entry points — a function calling any of these on a
-#: sim/transport receiver is on the modeled hot path.
-_CHARGE_ATTRS = frozenset(
-    {"compute", "advance", "send", "barrier", "allreduce", "allgather"}
-)
-_CHARGE_RECEIVERS = frozenset({"sim", "simulator", "transport"})
+__all__ = ["ScalarHotLoop"]
 
 #: Scalar CSR row accessors with vectorized repro.kernels twins.
 _SCALAR_ROW_CALLS = frozenset({"row", "iter_rows"})
-
-#: Allocating numpy constructors whose result the caller owns outright.
-_FRESH_CALLS = frozenset(
-    {"zeros", "ones", "empty", "arange", "full", "zeros_like", "empty_like", "linspace"}
-)
-
-#: Integer numpy dtypes as spelled in this codebase.
-_INT_DTYPES = frozenset({"int", "int32", "int64", "intp", "np.int32", "np.int64", "np.intp"})
-
-#: Schedule constructors memoized by repro.kernels.cached_schedules.
-_SCHEDULE_BUILDERS = frozenset(
-    {"triangular_levels", "triangular_levels_vectorized", "BatchedTriangularSchedule"}
-)
-
-
-def _is_charge_call(call: ast.Call) -> bool:
-    func = call.func
-    if not isinstance(func, ast.Attribute) or func.attr not in _CHARGE_ATTRS:
-        return False
-    receiver = dotted_name(func.value).split(".")[-1]
-    return receiver in _CHARGE_RECEIVERS
-
-
-def _charges_model(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    return any(
-        isinstance(node, ast.Call) and _is_charge_call(node)
-        for node in ast.walk(func)
-    )
 
 
 def _has_backend_dispatch(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -109,27 +54,6 @@ def _loops_in(func: ast.AST):
             yield node
 
 
-def _loop_assigned_names(loop: ast.For | ast.While) -> set[str]:
-    """Names (re)bound anywhere inside the loop, including its target."""
-    names: set[str] = set()
-    if isinstance(loop, ast.For):
-        for n in ast.walk(loop.target):
-            if isinstance(n, ast.Name):
-                names.add(n.id)
-    for node in ast.walk(loop):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for tgt in targets:
-                for n in ast.walk(tgt):
-                    if isinstance(n, ast.Name):
-                        names.add(n.id)
-        elif isinstance(node, ast.For):
-            for n in ast.walk(node.target):
-                if isinstance(n, ast.Name):
-                    names.add(n.id)
-    return names
-
-
 @register
 class ScalarHotLoop(Rule):
     """Scalar per-row CSR iteration on the cost-charged path.
@@ -153,10 +77,8 @@ class ScalarHotLoop(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not _charges_model(func):
+        for func in module.index.functions:
+            if not any(charged_as(c) for c in module.index.calls_under(func)):
                 continue
             if _has_backend_dispatch(func) or _docstring_mentions_reference(func):
                 continue
@@ -181,363 +103,4 @@ class ScalarHotLoop(Rule):
                         "backend= and keep this as the reference path)",
                     )
                 )
-        return out
-
-
-def _np_append_calls(loop: ast.For | ast.While) -> list[ast.Call]:
-    return [
-        node
-        for node in ast.walk(loop)
-        if isinstance(node, ast.Call)
-        and dotted_name(node.func) in ("np.append", "numpy.append")
-    ]
-
-
-def _list_grown_then_arrayed(func: ast.AST) -> dict[str, tuple[ast.Call, ast.Call]]:
-    """``name -> (append call in a loop, np.array(name) call)`` for names
-    initialized to ``[]`` in ``func``."""
-    list_inits: set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List):
-            if not node.value.elts:
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        list_inits.add(tgt.id)
-    appends: dict[str, ast.Call] = {}
-    for loop in _loops_in(func):
-        for node in ast.walk(loop):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "append"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in list_inits
-            ):
-                appends.setdefault(node.func.value.id, node)
-    out: dict[str, tuple[ast.Call, ast.Call]] = {}
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and dotted_name(node.func) in ("np.array", "numpy.array", "np.asarray", "numpy.asarray")
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id in appends
-        ):
-            name = node.args[0].id
-            out.setdefault(name, (appends[name], node))
-    return out
-
-
-@register
-class ArrayGrowthInLoop(Rule):
-    """Growing an array one element at a time.
-
-    ``np.append`` reallocates and copies the whole array every call —
-    the loop is O(n²) in memory traffic; the list-append-then-
-    ``np.array`` shape boxes every element through the interpreter.
-    Preallocate with ``np.zeros``/``np.empty`` and assign by index (the
-    ``--fix`` rewrite when the element type is provably float), or build
-    the values as one vectorized expression.
-    """
-
-    id = "PERF002"
-    name = "array-growth-in-loop"
-    severity = Severity.WARNING
-    description = (
-        "arrays must be preallocated, not grown per-iteration with "
-        "np.append or list.append + np.array"
-    )
-
-    def check_module(self, module: ModuleContext) -> list[Finding]:
-        out: list[Finding] = []
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for loop in _loops_in(func):
-                for call in _np_append_calls(loop):
-                    out.append(
-                        self.finding(
-                            module,
-                            call.lineno,
-                            call.col_offset,
-                            "np.append in a loop reallocates the whole array "
-                            "every iteration; preallocate and assign by index",
-                        )
-                    )
-            for name, (append_call, _array_call) in sorted(
-                _list_grown_then_arrayed(func).items()
-            ):
-                out.append(
-                    self.finding(
-                        module,
-                        append_call.lineno,
-                        append_call.col_offset,
-                        f"list {name!r} grown per-iteration then converted "
-                        "with np.array; preallocate np.zeros(n) and assign "
-                        "by index",
-                    )
-                )
-        return out
-
-
-def _int_array_names(func: ast.AST) -> set[str]:
-    """Local names bound to an integer-dtype numpy array."""
-    names: set[str] = set()
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-            continue
-        call = node.value
-        dotted = dotted_name(call.func)
-        is_int = False
-        if dotted in ("np.arange", "numpy.arange"):
-            # int result unless any argument or dtype says float
-            is_int = not any(
-                isinstance(a, ast.Constant) and isinstance(a.value, float)
-                for a in call.args
-            )
-        for kw in call.keywords:
-            if kw.arg == "dtype":
-                spelled = dotted_name(kw.value) or (
-                    kw.value.value if isinstance(kw.value, ast.Constant) else ""
-                )
-                is_int = str(spelled).split(".")[-1] in {"int", "int32", "int64", "intp"}
-        if is_int:
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    names.add(tgt.id)
-    return names
-
-
-def _is_float_expr(node: ast.AST, int_names: set[str]) -> bool:
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, float)
-    if isinstance(node, ast.Name):
-        return False
-    if isinstance(node, ast.Call):
-        for kw in node.keywords:
-            if kw.arg == "dtype":
-                spelled = dotted_name(kw.value)
-                return spelled.split(".")[-1] in ("float64", "float32", "float")
-    return False
-
-
-@register
-class DtypePromotionInLoop(Rule):
-    """Int arrays meeting float arithmetic inside a loop.
-
-    ``int_array * 0.5`` promotes the whole operand to ``float64`` — a
-    fresh allocation and copy on every iteration.  Convert once before
-    the loop (``arr = arr.astype(np.float64)``) or keep the arithmetic
-    integral.
-    """
-
-    id = "PERF003"
-    name = "dtype-promotion-in-loop"
-    severity = Severity.WARNING
-    description = (
-        "int-dtype arrays must not be promoted by float arithmetic "
-        "inside loops; convert once outside"
-    )
-
-    def check_module(self, module: ModuleContext) -> list[Finding]:
-        out: list[Finding] = []
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            int_names = _int_array_names(func)
-            if not int_names:
-                continue
-            for loop in _loops_in(func):
-                for node in ast.walk(loop):
-                    if not isinstance(node, ast.BinOp):
-                        continue
-                    sides = (node.left, node.right)
-                    has_int = any(
-                        isinstance(s, ast.Name) and s.id in int_names for s in sides
-                    )
-                    has_float = any(_is_float_expr(s, int_names) for s in sides) or (
-                        isinstance(node.op, ast.Div)
-                    )
-                    if has_int and has_float:
-                        name = next(
-                            s.id
-                            for s in sides
-                            if isinstance(s, ast.Name) and s.id in int_names
-                        )
-                        out.append(
-                            self.finding(
-                                module,
-                                node.lineno,
-                                node.col_offset,
-                                f"int-dtype array {name!r} promoted to float "
-                                "inside a loop (allocation + copy per "
-                                "iteration); convert once before the loop",
-                            )
-                        )
-        return out
-
-
-def _fresh_names(func: ast.AST) -> dict[str, int]:
-    """Names assigned exactly once, by an allocating call: name -> line."""
-    assigned: dict[str, list[tuple[int, bool]]] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            fresh = False
-            v = node.value
-            if isinstance(v, ast.Call):
-                dotted = dotted_name(v.func)
-                terminal = dotted.split(".")[-1]
-                fresh = (
-                    dotted.split(".")[0] in ("np", "numpy") and terminal in _FRESH_CALLS
-                ) or terminal == "copy"
-            elif isinstance(v, ast.BinOp):
-                fresh = True  # array arithmetic yields a fresh buffer
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    assigned.setdefault(tgt.id, []).append((node.lineno, fresh))
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            tgt = node.target
-            if isinstance(tgt, ast.Name):
-                assigned.setdefault(tgt.id, []).append((node.lineno, False))
-        elif isinstance(node, ast.For):
-            for n in ast.walk(node.target):
-                if isinstance(n, ast.Name):
-                    assigned.setdefault(n.id, []).append((node.lineno, False))
-    return {
-        name: defs[0][0]
-        for name, defs in assigned.items()
-        if len(defs) == 1 and defs[0][1]
-    }
-
-
-def _copy_calls_of_fresh(func: ast.AST):
-    """(call, name) for ``name.copy()`` / ``np.array(name)`` of fresh names."""
-    fresh = _fresh_names(func)
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        name: str | None = None
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "copy"
-            and not node.args
-            and not node.keywords
-            and isinstance(node.func.value, ast.Name)
-        ):
-            name = node.func.value.id
-        elif (
-            dotted_name(node.func) in ("np.array", "numpy.array")
-            and len(node.args) == 1
-            and not node.keywords
-            and isinstance(node.args[0], ast.Name)
-        ):
-            name = node.args[0].id
-        if name is None or name not in fresh or node.lineno <= fresh[name]:
-            continue
-        # the name must be dead outside this copy: its only appearances
-        # are the defining store and the load inside the copy call itself
-        # (a second load anywhere — even on the same line — means the
-        # caller keeps the original, and eliding would alias it)
-        in_copy = {
-            id(n) for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == name
-        }
-        other_loads = sum(
-            1
-            for n in ast.walk(func)
-            if isinstance(n, ast.Name)
-            and n.id == name
-            and isinstance(n.ctx, ast.Load)
-            and id(n) not in in_copy
-        )
-        if other_loads == 0:
-            yield node, name
-
-
-@register
-class RedundantCopy(Rule):
-    """Copying a buffer the function already owns and never reuses.
-
-    When the source array came from an allocating call in the same
-    function (``np.zeros``, arithmetic, an earlier ``.copy()``) and is
-    never read after the copy, the ``.copy()`` / ``np.array(...)`` is a
-    pure memcpy of a dead value — drop it and hand the buffer over
-    directly (the ``--fix`` rewrite).
-    """
-
-    id = "PERF004"
-    name = "redundant-copy"
-    severity = Severity.NOTE
-    description = (
-        "freshly allocated, never-reused buffers must not be defensively "
-        "copied; hand them over directly"
-    )
-
-    def check_module(self, module: ModuleContext) -> list[Finding]:
-        out: list[Finding] = []
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for call, name in _copy_calls_of_fresh(func):
-                out.append(
-                    self.finding(
-                        module,
-                        call.lineno,
-                        call.col_offset,
-                        f"{name!r} is freshly allocated here and never used "
-                        "after this copy; the copy is redundant",
-                    )
-                )
-        return out
-
-
-@register
-class RecomputedSchedule(Rule):
-    """Rebuilding a triangular level schedule inside a loop.
-
-    The level-schedule construction is an O(nnz) sweep; rebuilding it
-    per solve inside an iteration loop with the same factors multiplies
-    that into the solver's critical path.
-    :func:`repro.kernels.cached_schedules` memoizes the pair by factor
-    identity — build once, reuse every iteration.
-    """
-
-    id = "PERF005"
-    name = "recomputed-schedule"
-    severity = Severity.WARNING
-    description = (
-        "level schedules must not be rebuilt inside loops with "
-        "loop-invariant factors; use repro.kernels.cached_schedules"
-    )
-
-    def check_module(self, module: ModuleContext) -> list[Finding]:
-        out: list[Finding] = []
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for loop in _loops_in(func):
-                rebound = _loop_assigned_names(loop)
-                for node in ast.walk(loop):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    terminal = dotted_name(node.func).split(".")[-1] or call_name(node)
-                    if terminal not in _SCHEDULE_BUILDERS:
-                        continue
-                    arg_names = {
-                        n.id
-                        for a in (*node.args, *[kw.value for kw in node.keywords])
-                        for n in ast.walk(a)
-                        if isinstance(n, ast.Name)
-                    }
-                    if arg_names & rebound:
-                        continue  # argument changes per iteration: legit
-                    out.append(
-                        self.finding(
-                            module,
-                            node.lineno,
-                            node.col_offset,
-                            f"{terminal}(...) rebuilt every iteration with "
-                            "loop-invariant arguments; hoist it or use "
-                            "repro.kernels.cached_schedules",
-                        )
-                    )
         return out

@@ -5,8 +5,7 @@ solves and the distributed MIS all follow one discipline: every send is
 paired with a recv of the same tag, collectives are reached by every
 rank unconditionally, and the loop posting the sends runs over exactly
 the pairs the receive loop drains.  These rules check that discipline on
-the static communication summary (:mod:`repro.lint.comm`) of each
-module.
+the static communication sites (:mod:`repro.lint.comm`) of each module.
 """
 
 from __future__ import annotations
@@ -14,18 +13,20 @@ from __future__ import annotations
 import ast
 
 from ..astutil import ancestors, names_in
-from ..comm import CommSite, branch_conditions, comm_sites, render_tag, tags_match
+from ..comm import (
+    RANK_NAMES,
+    RANK_RANGE_MARKERS,
+    CommSite,
+    branch_conditions,
+    render_tag,
+    tags_match,
+)
 from ..findings import Finding, Severity
 from ..flow.dataflow import NAC, ReachingDefinitions, constant_env_at, eval_const_expr
 from ..registry import Rule, register
 from ..runner import ModuleContext, ProjectContext
 
 __all__ = ["UnmatchedTag", "RankDependentCollective", "LoopBoundMismatch"]
-
-#: Identifiers that denote a rank in this codebase's driver idiom.
-RANK_NAMES = frozenset({"rank", "src", "dst", "r", "rk", "pe", "proc", "me", "myrank"})
-#: Attribute/name fragments that mark an iterable as "over the ranks".
-RANK_RANGE_MARKERS = ("nranks", "nprocs", "num_ranks", "world_size")
 
 
 def _concrete_pairs(sites: list[CommSite]) -> tuple[list[CommSite], list[CommSite]]:
@@ -63,7 +64,7 @@ class UnmatchedTag(Rule):
     )
 
     def check_project(self, project: ProjectContext) -> list[Finding]:
-        per_module = {m.relpath: comm_sites(m.tree) for m in project.modules}
+        per_module = {m.relpath: m.comm_sites for m in project.modules}
         all_sends: list[CommSite] = []
         all_recvs: list[CommSite] = []
         for sites in per_module.values():
@@ -168,7 +169,7 @@ class RankDependentCollective(Rule):
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        for site in comm_sites(module.tree):
+        for site in module.comm_sites:
             if site.kind != "collective":
                 continue
             for test in branch_conditions(site):
@@ -265,7 +266,7 @@ class LoopBoundMismatch(Rule):
     )
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
-        sites = comm_sites(module.tree)
+        sites = module.comm_sites
         sends, recvs = _concrete_pairs(sites)
         rd_cache: dict[int, ReachingDefinitions] = {}
         out: list[Finding] = []

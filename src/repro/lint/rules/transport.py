@@ -1,7 +1,8 @@
 """Transport-portability rules (``TRN001``–``TRN004``).
 
-All four consume one shared run of the interprocedural escape/aliasing
-analysis (:mod:`repro.lint.flow.escape`) over the project's
+All four filter one run of the interprocedural escape/aliasing
+analysis (:mod:`repro.lint.flow.escape`, held by
+:attr:`ProjectContext.transport_problems`) over the project's
 communication closure — the functions that transitively communicate
 plus everything they call.  The simulator delivers payloads by
 reference and shares one address space across "ranks"; these rules
@@ -14,7 +15,6 @@ presents the same analysis as a per-driver certification table.
 from __future__ import annotations
 
 from ..findings import Finding, Severity
-from ..flow import analyze_transport
 from ..registry import Rule, register
 from ..runner import ProjectContext
 
@@ -25,29 +25,15 @@ __all__ = [
     "DtypeDrift",
 ]
 
-#: One analysis run per lint invocation, shared by the four rules.  The
-#: strong reference to the modules list makes the identity check sound
-#: (a live list's id cannot be reused).
-_last: tuple[object, list] | None = None
-
-
-def _project_problems(project: ProjectContext) -> list:
-    global _last
-    if _last is None or _last[0] is not project.modules:
-        _last = (project.modules, analyze_transport(project.modules))
-    return _last[1]
-
-
 class _TransportRule(Rule):
     """Shared plumbing: filter the analysis output by rule id."""
 
     def check_project(self, project: ProjectContext) -> list[Finding]:
-        by_relpath = {m.relpath: m for m in project.modules}
         out: list[Finding] = []
-        for p in _project_problems(project):
+        for p in project.transport_problems:
             if p.rule != self.id:
                 continue
-            module = by_relpath.get(p.module)
+            module = project.by_relpath.get(p.module)
             if module is None:
                 continue
             out.append(

@@ -1,4 +1,13 @@
-"""File collection, parsing, and rule execution."""
+"""File collection, parsing, the per-run analysis contexts, and rule
+execution.
+
+A lint run (and every ``--verify-*`` table) parses each file once into a
+:class:`ModuleContext` and wraps them in one :class:`ProjectContext`.
+The contexts own what the analyses share: a module's node index and
+communication sites, the project's call graph, per-function summaries,
+call closures, verification targets and the transport problem list are
+each built lazily, once, by whichever rule or table asks first.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +15,22 @@ import ast
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
-from .astutil import attach_parents
-from .cache import AnalysisCache
+from .astutil import NodeIndex
+from .comm import COMM_ROOTS, CommSite, comm_sites
 from .findings import Finding, sort_findings
+from .flow.callgraph import CallGraph, FunctionDecl, build_call_graph
+from .flow.escape import TransportProblem, analyze_transport
+from .flow.summary import FunctionSummary, summarize_function
 from .registry import Rule, all_rules
 
 __all__ = [
     "LintConfig",
     "ModuleContext",
     "ProjectContext",
+    "load_project",
     "run_lint",
     "find_project_root",
     "DEFAULT_PROFILES",
@@ -30,7 +44,7 @@ __all__ = [
 #: intentionally-partial ways, so only the determinism/breakdown
 #: families apply there.  Tests additionally assert exact float values
 #: against constructed data on purpose, so DET003 (float-equality) is
-#: off for them.  The PERF vectorization family is likewise scoped to
+#: off for them.  The PERF vectorization rule is likewise scoped to
 #: library code — tests and benchmarks build scalar shapes deliberately
 #: (oracles, per-element assertions, timing loops).
 DEFAULT_PROFILES: dict[str, tuple[str, ...]] = {
@@ -60,20 +74,6 @@ class LintConfig:
     )
     #: Project-relative path prefixes to skip entirely.
     exclude: tuple[str, ...] = DEFAULT_EXCLUDE
-    #: Reuse per-module findings from ``.repro-lint-cache/``.
-    use_cache: bool = False
-
-    def signature(self) -> str:
-        """Stable digest input covering everything that affects results."""
-        return json.dumps(
-            {
-                "select": self.select,
-                "ignore": self.ignore,
-                "profiles": {k: list(v) for k, v in sorted(self.profiles.items())},
-                "exclude": list(self.exclude),
-            },
-            sort_keys=True,
-        )
 
 
 @dataclass
@@ -84,24 +84,144 @@ class ModuleContext:
     relpath: str
     tree: ast.Module
     lines: list[str]
+    #: Parent links + nodes by type, from one pass over ``tree``.
+    index: NodeIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.index = NodeIndex(self.tree)
+
+    @classmethod
+    def from_source(
+        cls, relpath: str, source: str, path: Path | None = None
+    ) -> "ModuleContext":
+        """Parse ``source`` (raises ``SyntaxError``/``ValueError``)."""
+        path = path or Path(relpath)
+        return cls(
+            path=path,
+            relpath=relpath,
+            tree=ast.parse(source, filename=str(path)),
+            lines=source.splitlines(),
+        )
+
+    @cached_property
+    def comm_sites(self) -> list[CommSite]:
+        """Every communication call site of the module."""
+        return comm_sites(self.index.of(ast.Call))
 
 
 @dataclass
 class ProjectContext:
-    """Everything a cross-file rule needs."""
+    """Every module of one run plus the analyses they share."""
 
     root: Path
     modules: list[ModuleContext]
     config: LintConfig = field(default_factory=LintConfig)
+    #: Relpaths of the files named explicitly on the command line.
+    explicit: frozenset[str] = frozenset()
+    _summaries: dict[str, FunctionSummary] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _callees: dict[str, list[FunctionDecl]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _has_comm: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def call_graph(self) -> CallGraph:
+        return build_call_graph(self.modules)
+
+    @cached_property
+    def by_relpath(self) -> dict[str, ModuleContext]:
+        return {m.relpath: m for m in self.modules}
+
+    def summary(self, decl: FunctionDecl) -> FunctionSummary:
+        """The communication summary (protocol IR) of one function."""
+        s = self._summaries.get(decl.key)
+        if s is None:
+            s = self._summaries[decl.key] = summarize_function(
+                decl.node, qualname=decl.qualname, module=decl.module
+            )
+        return s
+
+    def callees(self, decl: FunctionDecl) -> list[FunctionDecl]:
+        """The project functions ``decl``'s body (nested scopes
+        included) calls, each once, in call order."""
+        out = self._callees.get(decl.key)
+        if out is None:
+            found: dict[str, FunctionDecl] = {}
+            for call in decl.calls:
+                callee = self.call_graph.callee(call, decl)
+                if callee is not None:
+                    found.setdefault(callee.key, callee)
+            out = self._callees[decl.key] = list(found.values())
+        return out
+
+    def closure(self, seeds: list[FunctionDecl]) -> list[FunctionDecl]:
+        """``seeds`` plus every project function reachable from them, in
+        (module, qualname) order.
+
+        Transport methods are left out, seeds included: the simulator's
+        internals are the machine layer, not rank-executed driver code
+        (the ledger attributes through them to the driver line for the
+        same reason).
+        """
+        out: dict[str, FunctionDecl] = {}
+        work = list(seeds)
+        while work:
+            decl = work.pop()
+            if decl.key in out or decl.is_transport_method:
+                continue
+            out[decl.key] = decl
+            work.extend(c for c in self.callees(decl) if c.key not in out)
+        return sorted(out.values(), key=lambda d: (d.module, d.qualname))
+
+    def has_comm(self, decl: FunctionDecl) -> bool:
+        """Does ``decl`` transitively post, drain or synchronise?"""
+        cached = self._has_comm.get(decl.key)
+        if cached is None:
+            cached = self._has_comm[decl.key] = any(
+                self.summary(d).has_direct_comm() for d in self.closure([decl])
+            )
+        return cached
+
+    def targets(self) -> list[FunctionDecl]:
+        """What ``--verify-protocol``/``--verify-transport`` certify: the
+        registered :data:`~repro.lint.comm.COMM_ROOTS` plus every other
+        call-graph root whose own body both posts and drains (send-only
+        or recv-only helpers compose into their callers instead)."""
+        cg = self.call_graph
+        found: dict[str, FunctionDecl] = {}
+        for relpath, qualname in COMM_ROOTS:
+            decl = cg.find(relpath, qualname)
+            if decl is not None:
+                found.setdefault(decl.key, decl)
+        functions = cg.functions()
+        called = {c.key for d in functions for c in self.callees(d)}
+        for decl in functions:
+            if decl.key in called or decl.is_transport_method:
+                continue
+            if {"send", "recv"} <= self.summary(decl).direct_kinds():
+                found.setdefault(decl.key, decl)
+        return sorted(found.values(), key=lambda d: (d.module, d.qualname))
+
+    @cached_property
+    def transport_problems(self) -> list[TransportProblem]:
+        """Every TRN problem in the project-wide communication closure."""
+        return analyze_transport(self)
 
 
 @dataclass
 class LintStats:
-    """Optional per-run instrumentation (``repro lint --stats``)."""
+    """Optional per-run instrumentation (``repro lint --stats``).
+
+    Shared analyses are built lazily, so their cost lands on the first
+    rule that asks (the call graph and summaries on SPMD004, the
+    transport analysis on TRN001).
+    """
 
     rule_seconds: dict[str, float] = field(default_factory=dict)
     files: int = 0
-    cached_files: int = 0
+    parse_seconds: float = 0.0
     total_seconds: float = 0.0
 
     def add(self, rule_id: str, seconds: float) -> None:
@@ -109,8 +229,8 @@ class LintStats:
 
     def render(self) -> str:
         lines = [
-            f"{self.files} file(s) analyzed, {self.cached_files} from cache, "
-            f"{self.total_seconds:.3f}s total"
+            f"{self.files} file(s) analyzed, {self.total_seconds:.3f}s total "
+            f"({self.parse_seconds:.3f}s parse + index)"
         ]
         for rid, sec in sorted(
             self.rule_seconds.items(), key=lambda kv: -kv[1]
@@ -123,7 +243,7 @@ class LintStats:
         return json.dumps(
             {
                 "files": self.files,
-                "cached_files": self.cached_files,
+                "parse_seconds": round(self.parse_seconds, 6),
                 "total_seconds": round(self.total_seconds, 6),
                 "rule_seconds": {
                     rid: round(sec, 6)
@@ -158,19 +278,50 @@ def collect_files(paths: list[Path]) -> list[Path]:
     return sorted(seen)
 
 
+def _relpath(path: Path, root: Path) -> str:
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
 def parse_module(path: Path, root: Path) -> ModuleContext | None:
     """Parse one file; unreadable/unparsable files are skipped (None)."""
     try:
-        source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
+        return ModuleContext.from_source(
+            _relpath(path, root), path.read_text(encoding="utf-8"), path=path
+        )
     except (OSError, SyntaxError, ValueError):
         return None
-    attach_parents(tree)
-    try:
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    return ModuleContext(path=path, relpath=rel, tree=tree, lines=source.splitlines())
+
+
+def load_project(
+    paths: list[Path | str], config: LintConfig | None = None
+) -> ProjectContext:
+    """Parse ``paths`` (files or directories) into one project context.
+
+    A file named explicitly is always included, and later linted with
+    every rule — the exclude list and the directory profiles govern
+    *discovered* files only.
+    """
+    config = config or LintConfig()
+    path_objs = [Path(p) for p in paths]
+    root = config.project_root or (
+        find_project_root(path_objs[0]) if path_objs else Path.cwd()
+    )
+    explicit = {p.resolve() for p in path_objs if p.is_file()}
+    modules = [
+        m
+        for f in collect_files(path_objs)
+        if (f in explicit or not _excluded(_relpath(f, root), config))
+        and (m := parse_module(f, root)) is not None
+    ]
+    return ProjectContext(
+        root=root,
+        modules=modules,
+        config=config,
+        explicit=frozenset(m.relpath for m in modules if m.path.resolve() in explicit),
+    )
 
 
 def _active_rules(config: LintConfig) -> list[Rule]:
@@ -206,76 +357,38 @@ def run_lint(
 ) -> list[Finding]:
     """Lint ``paths`` (files or directories) and return sorted findings.
 
-    Per-module rules honour the directory profiles and the incremental
-    cache; project rules always run, with their findings filtered
-    through the same profiles afterwards.
+    Per-module rules honour the directory profiles; project rules always
+    run, with their findings filtered through the same profiles
+    afterwards.
     """
-    config = config or LintConfig()
     t_start = time.perf_counter()
-    path_objs = [Path(p) for p in paths]
-    root = config.project_root or (
-        find_project_root(path_objs[0]) if path_objs else Path.cwd()
-    )
-    # a file named explicitly is always linted with every rule — the
-    # exclude list and directory profiles govern *discovered* files only
-    explicit = {p.resolve() for p in path_objs if p.is_file()}
-    modules = [
-        m
-        for f in collect_files(path_objs)
-        if (m := parse_module(f, root)) is not None
-        and (f in explicit or not _excluded(m.relpath, config))
-    ]
-    explicit_rel = {m.relpath for m in modules if m.path.resolve() in explicit}
-    project = ProjectContext(root=root, modules=modules, config=config)
+    project = load_project(paths, config)
+    config = project.config
     rules = _active_rules(config)
-    cache = (
-        AnalysisCache(root, config_sig=config.signature())
-        if config.use_cache
-        else None
-    )
+    if stats is not None:
+        stats.files += len(project.modules)
+        stats.parse_seconds = time.perf_counter() - t_start
+
+    def allowed(rule_id: str, relpath: str) -> bool:
+        return relpath in project.explicit or _rule_allowed(rule_id, relpath, config)
 
     findings: list[Finding] = []
-    for module in modules:
-        if stats is not None:
-            stats.files += 1
-        mod_rules = [
-            r
-            for r in rules
-            if module.relpath in explicit_rel
-            or _rule_allowed(r.id, module.relpath, config)
-        ]
-        key = None
-        if cache is not None:
-            source = "\n".join(module.lines)
-            # explicit files run the full ruleset; key them separately
-            tag = "!" if module.relpath in explicit_rel else ""
-            key = cache.key(module.relpath + tag, source)
-            cached = cache.get(key)
-            if cached is not None:
-                findings.extend(cached)
-                if stats is not None:
-                    stats.cached_files += 1
+    for module in project.modules:
+        for rule in rules:
+            if not allowed(rule.id, module.relpath):
                 continue
-        mod_findings: list[Finding] = []
-        for rule in mod_rules:
             t0 = time.perf_counter()
-            mod_findings.extend(rule.check_module(module))
+            findings.extend(rule.check_module(module))
             if stats is not None:
                 stats.add(rule.id, time.perf_counter() - t0)
-        if cache is not None and key is not None:
-            cache.put(key, mod_findings)
-        findings.extend(mod_findings)
 
     for rule in rules:
         t0 = time.perf_counter()
-        project_findings = [
-            f
-            for f in rule.check_project(project)
-            if f.path in explicit_rel or _rule_allowed(f.rule, f.path, config)
-        ]
+        findings.extend(
+            f for f in rule.check_project(project) if allowed(f.rule, f.path)
+        )
         if stats is not None:
             stats.add(rule.id, time.perf_counter() - t0)
-        findings.extend(project_findings)
 
     if stats is not None:
         stats.total_seconds = time.perf_counter() - t_start

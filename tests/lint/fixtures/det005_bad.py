@@ -14,3 +14,8 @@ def random_dropping(rng, row):
     for j, val in enumerate(row):
         if val:
             drop_entry(j, coin)  # noqa: F821 - fixture stub
+
+
+def noisy_exchange(sim, rng):
+    p = rng.random(4) * 2
+    sim.exchange([(0, 1, p, 4)], tag="halo")

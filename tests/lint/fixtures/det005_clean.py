@@ -12,3 +12,7 @@ def threshold_dropping(row, tau):
     for j, val in enumerate(row):
         if abs(val) < tau:
             drop_entry(j, val)  # noqa: F821 - fixture stub
+
+
+def halo_exchange(sim, values):
+    sim.exchange([(0, 1, values[0], 4)], tag="halo")

@@ -17,39 +17,26 @@ the vectorized per-class need computation must reproduce the scalar
 insertion order, same float bit patterns.
 """
 
-import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.lint.flow.cost import (
-    COST_ROOTS,
-    COST_SPECS,
-    CostExpr,
-    analyze_costs,
-)
-from repro.lint.runner import ModuleContext, collect_files, parse_module
+from repro.lint import LintConfig, ModuleContext, ProjectContext, load_project
+from repro.lint.comm import COMM_ROOTS
+from repro.lint.flow.cost import COST_SPECS, CostExpr, analyze_costs
 
 REPO = Path(__file__).resolve().parents[2]
 
 
-def _repo_modules():
-    return [
-        m
-        for f in collect_files([REPO / "src" / "repro"])
-        if (m := parse_module(f, REPO)) is not None
-    ]
+@pytest.fixture(scope="module")
+def project():
+    return load_project([REPO / "src" / "repro"], LintConfig(project_root=REPO))
 
 
 @pytest.fixture(scope="module")
-def modules():
-    return _repo_modules()
-
-
-@pytest.fixture(scope="module")
-def analyses(modules):
-    return {a.qualname: a for a in analyze_costs(modules)}
+def analyses(project):
+    return {a.qualname: a for a in analyze_costs(project)}
 
 
 class TestCostExpr:
@@ -71,7 +58,7 @@ class TestCostExpr:
 
 class TestStaticAnalysis:
     def test_every_registered_root_is_analyzed(self, analyses):
-        for _module, qualname in COST_ROOTS:
+        for _module, qualname in COMM_ROOTS:
             assert qualname in analyses, qualname
 
     def test_no_static_problems_in_repo(self, analyses):
@@ -110,14 +97,12 @@ class TestStaticAnalysis:
         surface = analyses["<charge-free surface>"]
         assert surface.problems == []
 
-    def test_charge_under_kernels_is_reported(self, modules):
-        bad = ModuleContext(
-            path=Path("src/repro/kernels/rogue.py"),
-            relpath="src/repro/kernels/rogue.py",
-            tree=ast.parse("def f(sim):\n    sim.compute(0, 1.0)\n"),
-            lines=["def f(sim):", "    sim.compute(0, 1.0)"],
+    def test_charge_under_kernels_is_reported(self, project):
+        bad = ModuleContext.from_source(
+            "src/repro/kernels/rogue.py", "def f(sim):\n    sim.compute(0, 1.0)\n"
         )
-        out = {a.qualname: a for a in analyze_costs([*modules, bad])}
+        rogue = ProjectContext(REPO, [*project.modules, bad])
+        out = {a.qualname: a for a in analyze_costs(rogue)}
         assert out["<charge-free surface>"].problems
 
 
@@ -166,23 +151,23 @@ class TestChargeLedger:
 
 class TestVerifyCosts:
     @pytest.fixture(scope="class")
-    def reports(self, modules):
+    def reports(self, project):
         from repro.lint.costverify import verify_costs
 
-        return {r.qualname: r for r in verify_costs(modules, REPO)}
+        return {r.qualname: r for r in verify_costs(project)}
 
     def test_all_roots_certified(self, reports):
-        assert len(reports) == len(COST_ROOTS) + 1  # + kernels surface
+        assert len(reports) == len(COMM_ROOTS) + 1  # + kernels surface
         for r in reports.values():
             bad = [c for c in r.checks if c.status != "ok"]
             assert r.certified, (r.qualname, r.problems, [c.name for c in bad])
 
     def test_every_root_ran_and_checked(self, reports):
-        for _module, qualname in COST_ROOTS:
+        for _module, qualname in COMM_ROOTS:
             r = reports[qualname]
             assert r.runs == 2 and r.checks, qualname
 
-    def test_wrong_closed_form_is_drift(self, modules, monkeypatch):
+    def test_wrong_closed_form_is_drift(self, project, monkeypatch):
         from repro.lint.costverify import verify_costs
         from repro.lint.flow import cost as cost_mod
 
@@ -193,13 +178,13 @@ class TestVerifyCosts:
         monkeypatch.setitem(
             cost_mod.COST_SPECS, key, dataclasses.replace(spec, flops="3*nnz")
         )
-        reports = {r.qualname: r for r in verify_costs(modules, REPO)}
+        reports = {r.qualname: r for r in verify_costs(project)}
         r = reports["parallel_matvec"]
         assert not r.certified
         drifts = [c for c in r.checks if c.status == "drift"]
         assert any("flops == 3*nnz" in c.name for c in drifts)
 
-    def test_unknown_charge_site_is_drift(self, modules, analyses):
+    def test_unknown_charge_site_is_drift(self, analyses):
         from repro.lint import costverify
         from repro.machine import ChargeLedger
 
@@ -306,5 +291,5 @@ class TestIlu0NeedRewriteOracle:
 
 
 def test_cost_specs_reference_registered_roots():
-    keys = {f"{m}::{q}" for m, q in COST_ROOTS}
+    keys = {f"{m}::{q}" for m, q in COMM_ROOTS}
     assert set(COST_SPECS) == keys

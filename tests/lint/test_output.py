@@ -1,19 +1,11 @@
-"""Renderer contracts, including structural SARIF 2.1.0 validation.
-
-``jsonschema`` is not a dependency, so the SARIF check is a hand-rolled
-structural validation of the 2.1.0 shapes code-scanning UIs require:
-top-level ``version``/``$schema``/``runs``, a ``tool.driver`` with rule
-metadata, and results with physical locations, rule indexes in range,
-and suppressions on baselined findings.
-"""
+"""Renderer contracts: the text and JSON report shapes."""
 
 import json
 
 from repro.lint import Finding, Severity
-from repro.lint.output import SARIF_SCHEMA_URI, render_json, render_sarif, render_text
-from repro.lint.registry import all_rules
+from repro.lint.output import render_json, render_text
 
-NEW = [
+FINDINGS = [
     Finding(
         rule="DET003",
         severity=Severity.WARNING,
@@ -33,89 +25,27 @@ NEW = [
         snippet="sim.send(1, 0, None, 1.0, tag='halo')",
     ),
 ]
-FROZEN = [
-    Finding(
-        rule="BRK001",
-        severity=Severity.ERROR,
-        path="src/repro/z.py",
-        line=11,
-        col=4,
-        message="numerical breakdown raised as bare ValueError",
-        snippet='raise ValueError("singular")',
-    )
-]
 
 
 class TestText:
     def test_counts_line(self):
-        out = render_text(NEW, FROZEN)
-        assert out.endswith("2 finding(s), 1 baselined")
+        out = render_text(FINDINGS)
+        assert out.endswith("2 finding(s)")
         assert "src/repro/x.py:3:9" in out
 
-    def test_verbose_frozen(self):
-        out = render_text(NEW, FROZEN, verbose_frozen=True)
-        assert "[baseline]" in out
-        assert "src/repro/z.py" in out
-
     def test_clean_run(self):
-        assert render_text([], []) == "0 finding(s)"
+        assert render_text([]) == "0 finding(s)"
 
 
 class TestJson:
     def test_document_shape(self):
-        doc = json.loads(render_json(NEW, FROZEN))
+        doc = json.loads(render_json(FINDINGS))
         assert doc["tool"] == "repro-lint"
-        assert doc["new"] == 2 and doc["baselined"] == 1
-        assert len(doc["findings"]) == 3
+        assert doc["new"] == 2
+        assert len(doc["findings"]) == 2
         by_rule = {f["rule"]: f for f in doc["findings"]}
-        assert by_rule["BRK001"]["baselined"] is True
-        assert by_rule["DET003"]["baselined"] is False
         assert by_rule["DET003"]["column"] == 9  # 1-indexed
-        assert all(len(f["fingerprint"]) == 20 for f in doc["findings"])
-
-
-class TestSarifStructure:
-    def _doc(self):
-        return json.loads(render_sarif(NEW, FROZEN, all_rules()))
-
-    def test_top_level(self):
-        doc = self._doc()
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"] == SARIF_SCHEMA_URI
-        assert "sarif-schema-2.1.0" in doc["$schema"]
-        assert isinstance(doc["runs"], list) and len(doc["runs"]) == 1
-
-    def test_driver_and_rule_metadata(self):
-        driver = self._doc()["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        assert driver["version"]
-        ids = [r["id"] for r in driver["rules"]]
-        assert ids == sorted(ids) and len(ids) == len(set(ids))
-        for r in driver["rules"]:
-            assert r["shortDescription"]["text"]
-            assert r["defaultConfiguration"]["level"] in ("error", "warning", "note")
-
-    def test_results(self):
-        run = self._doc()["runs"][0]
-        nrules = len(run["tool"]["driver"]["rules"])
-        assert len(run["results"]) == 3
-        for res in run["results"]:
-            assert res["level"] in ("error", "warning", "note")
-            assert res["message"]["text"]
-            assert 0 <= res["ruleIndex"] < nrules
-            assert res["ruleId"] == run["tool"]["driver"]["rules"][res["ruleIndex"]]["id"]
-            loc = res["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uriBaseId"] == "PROJECTROOT"
-            assert not loc["artifactLocation"]["uri"].startswith("/")
-            assert loc["region"]["startLine"] >= 1
-            assert loc["region"]["startColumn"] >= 1
-            assert res["partialFingerprints"]["reproLint/v1"]
-
-    def test_baselined_results_are_suppressed(self):
-        results = self._doc()["runs"][0]["results"]
-        suppressed = [r for r in results if "suppressions" in r]
-        assert len(suppressed) == 1
-        assert suppressed[0]["ruleId"] == "BRK001"
-        assert suppressed[0]["suppressions"][0]["kind"] == "external"
-        open_results = [r for r in results if "suppressions" not in r]
-        assert {r["ruleId"] for r in open_results} == {"DET003", "SPMD001"}
+        assert by_rule["SPMD001"]["severity"] == "error"
+        assert set(by_rule["DET003"]) == {
+            "rule", "severity", "path", "line", "column", "message", "snippet",
+        }

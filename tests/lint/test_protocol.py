@@ -4,29 +4,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.flow import DRIVERS, verify_drivers
-from repro.lint.runner import collect_files, parse_module
+from repro.lint import LintConfig, load_project
+from repro.lint.comm import COMM_ROOTS
+from repro.lint.flow import verify_drivers
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _modules(path: Path):
-    return [
-        m
-        for f in collect_files([path])
-        if (m := parse_module(f, REPO)) is not None
-    ]
+def _project(path: Path):
+    return load_project([path], LintConfig(project_root=REPO))
 
 
 @pytest.fixture(scope="module")
 def repo_reports():
-    return verify_drivers(_modules(REPO / "src" / "repro"))
+    return verify_drivers(_project(REPO / "src" / "repro"))
 
 
 def test_all_registered_drivers_certify(repo_reports):
     by_qualname = {r.qualname: r for r in repo_reports}
-    for _relpath, qualname in DRIVERS:
+    for _relpath, qualname in COMM_ROOTS:
         assert qualname in by_qualname, sorted(by_qualname)
         r = by_qualname[qualname]
         assert r.certified, [(p.kind, p.line, p.message) for p in r.problems]
@@ -43,7 +40,7 @@ def test_certification_covers_real_communication(repo_reports):
 
 
 def test_seeded_deadlock_fixture_is_detected():
-    reports = verify_drivers(_modules(FIXTURES / "deadlock_bad.py"))
+    reports = verify_drivers(_project(FIXTURES / "deadlock_bad.py"))
     assert reports, "fixture driver not discovered"
     report = reports[0]
     assert not report.certified
@@ -55,7 +52,7 @@ def test_seeded_deadlock_fixture_is_detected():
 
 
 def test_clean_twin_certifies():
-    reports = verify_drivers(_modules(FIXTURES / "deadlock_clean.py"))
+    reports = verify_drivers(_project(FIXTURES / "deadlock_clean.py"))
     assert reports
     report = reports[0]
     assert report.certified, [(p.kind, p.message) for p in report.problems]
@@ -63,6 +60,6 @@ def test_clean_twin_certifies():
 
 
 def test_rank_count_is_parameterizable():
-    reports = verify_drivers(_modules(FIXTURES / "deadlock_clean.py"), ranks=(2,))
+    reports = verify_drivers(_project(FIXTURES / "deadlock_clean.py"), ranks=(2,))
     assert reports and reports[0].ranks == (2,)
     assert reports[0].certified

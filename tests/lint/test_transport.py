@@ -19,35 +19,29 @@ from repro.lint.flow import (
     unsafe_reason,
     verify_transport,
 )
+from repro.lint import LintConfig, ModuleContext, ProjectContext, load_project
 from repro.lint.flow.pytypes import dtype_violation
-from repro.lint.runner import collect_files, parse_module
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _modules(path: Path):
-    return [
-        m
-        for f in collect_files([path])
-        if (m := parse_module(f, REPO)) is not None
-    ]
+def _project(path: Path):
+    return load_project([path], LintConfig(project_root=REPO))
 
 
-class _FakeModule:
-    def __init__(self, relpath: str, source: str):
-        self.relpath = relpath
-        self.tree = ast.parse(source)
+def _source_project(relpath: str, source: str):
+    return ProjectContext(REPO, [ModuleContext.from_source(relpath, source)])
 
 
 @pytest.fixture(scope="module")
-def repo_modules():
-    return _modules(REPO / "src" / "repro")
+def repo_project():
+    return _project(REPO / "src" / "repro")
 
 
 @pytest.fixture(scope="module")
-def repo_reports(repo_modules):
-    return verify_transport(repo_modules)
+def repo_reports(repo_project):
+    return verify_transport(repo_project)
 
 
 # ---------------------------------------------------------------- repo
@@ -71,8 +65,8 @@ def test_certification_covers_real_payloads(repo_reports):
     assert sum(r.functions for r in repo_reports) >= 20
 
 
-def test_repo_comm_closure_has_no_problems(repo_modules):
-    assert analyze_transport(repo_modules) == []
+def test_repo_comm_closure_has_no_problems(repo_project):
+    assert analyze_transport(repo_project) == []
 
 
 # ------------------------------------------------------------ fixtures
@@ -80,7 +74,7 @@ def test_repo_comm_closure_has_no_problems(repo_modules):
 
 @pytest.mark.parametrize("name", ["trn001", "trn002", "trn003", "trn004"])
 def test_seeded_fixture_fails_certification(name):
-    reports = verify_transport(_modules(FIXTURES / f"{name}_bad.py"))
+    reports = verify_transport(_project(FIXTURES / f"{name}_bad.py"))
     assert reports, "fixture comm roots not discovered as drivers"
     assert any(not r.certified for r in reports)
     rules = {p.rule for r in reports for p in r.problems}
@@ -89,7 +83,7 @@ def test_seeded_fixture_fails_certification(name):
 
 @pytest.mark.parametrize("name", ["trn001", "trn002", "trn003", "trn004"])
 def test_clean_twin_certifies(name):
-    reports = verify_transport(_modules(FIXTURES / f"{name}_clean.py"))
+    reports = verify_transport(_project(FIXTURES / f"{name}_clean.py"))
     assert reports
     for r in reports:
         assert r.certified, [(p.rule, p.line, p.message) for p in r.problems]
@@ -106,7 +100,7 @@ def test_escape_is_interprocedural():
         "    buf[0] = 1.0\n"
         "    return sim.recv(rank, dst, tag='row')\n"
     )
-    problems = analyze_transport([_FakeModule("pkg/mod.py", src)])
+    problems = analyze_transport(_source_project("pkg/mod.py", src))
     trn001 = [p for p in problems if p.rule == "TRN001"]
     assert len(trn001) == 1
     assert trn001[0].function == "driver"
@@ -120,7 +114,7 @@ def test_mutation_before_post_is_fine():
         "    sim.send(rank, dst, buf, 1.0, tag='row')\n"
         "    return sim.recv(rank, dst, tag='row')\n"
     )
-    assert analyze_transport([_FakeModule("pkg/mod.py", src)]) == []
+    assert analyze_transport(_source_project("pkg/mod.py", src)) == []
 
 
 def test_mutation_in_loop_after_post_is_flagged():
@@ -133,7 +127,7 @@ def test_mutation_in_loop_after_post_is_flagged():
         "    for i in range(n):\n"
         "        sim.recv(rank, dst, tag=i)\n"
     )
-    problems = analyze_transport([_FakeModule("pkg/mod.py", src)])
+    problems = analyze_transport(_source_project("pkg/mod.py", src))
     assert [p.rule for p in problems] == ["TRN001"]
 
 
