@@ -4,7 +4,9 @@ Times the two ends of the preconditioned pipeline — ILUT factorization
 and the level-scheduled triangular solve — at ranks 1/2/4 on every
 transport backend, verifies the cross-transport bit-identity contract
 (DESIGN.md §13) on each configuration, and writes the results to
-``BENCH_transport.json`` at the repo root.
+``BENCH_transport.json`` at the repo root.  Every row carries wall time
+(measured here) and modelled time (the result's, the same number on
+every transport) side by side.
 
 Usage::
 
@@ -13,11 +15,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_transport.py --quick --check
 
 ``--check`` exits nonzero if any transport diverges from the simulator's
-factors or solution bits (the CI guard for the parity contract).  The
-wall-clock columns themselves are reported, not asserted: on one host at
-these rank counts the real transports pay their coordination overhead
-without any extra hardware, so the interesting number is the *price* of
-real workers, not a speedup.
+factors, solution bits or modelled times (the CI guard for the parity
+contract).  The wall-clock columns themselves are reported, not
+asserted: on one host at these rank counts the real transports pay their
+coordination overhead without any extra hardware, so the interesting
+number is the *price* of real workers, not a speedup.  What supervision
+costs is measured by ``benchmarks/e2e`` (``machine.supervision_ratio``).
 """
 
 from __future__ import annotations
@@ -34,19 +37,11 @@ import numpy as np
 from repro import ILUTParams, poisson2d
 from repro.ilu import parallel_ilut
 from repro.ilu.triangular import parallel_triangular_solve
-from repro.machine import SupervisionPolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TRANSPORTS = ("simulator", "threads", "processes")
 RANKS = (1, 2, 4)
-
-#: supervision must cost < 5% on the no-fault path.  The absolute slack
-#: floor absorbs fork-timing noise on short runs (quick mode factors in
-#: ~1s with run-to-run swings of ~10%); on full-size runs the ratio gate
-#: dominates.
-OVERHEAD_RATIO_MAX = 1.05
-OVERHEAD_ABS_SLACK_S = 0.25
 
 
 def _best_of(fn, repeat: int) -> float:
@@ -76,21 +71,23 @@ def run(nx: int, repeat: int) -> dict:
     mismatches: list[str] = []
 
     for p in RANKS:
-        baseline_factors = None
-        baseline_x = None
+        baseline: dict[str, object] = {}
         for name in TRANSPORTS:
             fact = parallel_ilut(A, params, p, seed=0, transport=name)
             sol = parallel_triangular_solve(
                 fact.factors, b, nranks=p, transport=name
             )
+            got = {
+                "factor digest": _factor_digest(fact.factors),
+                "solution bits": sol.x.tobytes(),
+                "modelled factor time": fact.modeled_time,
+                "modelled solve time": sol.modeled_time,
+            }
             if name == "simulator":
-                baseline_factors = _factor_digest(fact.factors)
-                baseline_x = sol.x.tobytes()
-            else:
-                if _factor_digest(fact.factors) != baseline_factors:
-                    mismatches.append(f"p={p} {name}: factor digest diverged")
-                if sol.x.tobytes() != baseline_x:
-                    mismatches.append(f"p={p} {name}: solution bits diverged")
+                baseline = got
+            mismatches += [
+                f"p={p} {name}: {what} diverged" for what in got if got[what] != baseline[what]
+            ]
 
             t_fact = _best_of(
                 lambda: parallel_ilut(A, params, p, seed=0, transport=name),
@@ -102,19 +99,14 @@ def run(nx: int, repeat: int) -> dict:
                 ),
                 repeat,
             )
-            # real transports measure wall clock only: they run actual
-            # workers, so there is no modeled time to report.  The marker
-            # is what downstream checks key on — not the null fields.
-            wall_only = name != "simulator"
             rows.append(
                 {
                     "transport": name,
                     "ranks": p,
-                    "wall_only": wall_only,
                     "factor_wall_s": t_fact,
                     "solve_wall_s": t_solve,
-                    "factor_modeled_s": None if wall_only else fact.modeled_time,
-                    "solve_modeled_s": None if wall_only else sol.modeled_time,
+                    "factor_modeled_s": fact.modeled_time,
+                    "solve_modeled_s": sol.modeled_time,
                     "num_levels": fact.num_levels,
                     "messages": fact.comm.messages,
                 }
@@ -123,8 +115,6 @@ def run(nx: int, repeat: int) -> dict:
                 f"p={p} {name:<10} factor {t_fact:8.4f}s  "
                 f"solve {t_solve:8.4f}s"
             )
-
-    overhead = supervision_overhead(A, params, max(repeat, 3))
 
     return {
         "benchmark": "transport",
@@ -137,75 +127,7 @@ def run(nx: int, repeat: int) -> dict:
         "rows": rows,
         "parity_ok": not mismatches,
         "mismatches": mismatches,
-        "supervision_overhead": overhead,
-        "supervision_overhead_ok": all(row["ok"] for row in overhead),
     }
-
-
-def supervision_overhead(A, params, repeat: int) -> list[dict]:
-    """Price of the region supervisor on the no-fault path (DESIGN.md §14).
-
-    Times the factorization with the default supervision policy (polled
-    collection, deadlines, heartbeats armed) against a policy with the
-    deadline disabled (legacy blocking collection) on each real
-    transport.  The supervised path must stay within
-    ``OVERHEAD_RATIO_MAX`` of the unsupervised one — with an absolute
-    slack floor so millisecond-scale runs don't flake the gate.
-    """
-    p = RANKS[-1]
-    unsupervised = SupervisionPolicy(deadline=None)
-    out: list[dict] = []
-    for name in ("threads", "processes"):
-        # interleave the two configurations so load drift hits both alike
-        t_sup = float("inf")
-        t_raw = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            parallel_ilut(A, params, p, seed=0, transport=name)
-            t_sup = min(t_sup, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            parallel_ilut(
-                A, params, p, seed=0, transport=name, supervision=unsupervised
-            )
-            t_raw = min(t_raw, time.perf_counter() - t0)
-        ratio = t_sup / t_raw if t_raw > 0 else 1.0
-        ok = ratio <= OVERHEAD_RATIO_MAX or (t_sup - t_raw) <= OVERHEAD_ABS_SLACK_S
-        out.append(
-            {
-                "transport": name,
-                "ranks": p,
-                "supervised_wall_s": t_sup,
-                "unsupervised_wall_s": t_raw,
-                "overhead_ratio": ratio,
-                "ok": ok,
-            }
-        )
-        print(
-            f"p={p} {name:<10} supervised {t_sup:8.4f}s  "
-            f"unsupervised {t_raw:8.4f}s  ratio {ratio:5.3f}"
-        )
-    return out
-
-
-def modeled_mismatches(rows: list[dict]) -> list[str]:
-    """Modeled-time sanity over the result rows.
-
-    Rows from real transports are skipped by their explicit
-    ``wall_only`` marker — not by sniffing for null modeled fields, so
-    a simulator row that *lost* its modeled numbers is an error rather
-    than silently passing as "real transport".
-    """
-    out: list[str] = []
-    for row in rows:
-        if row["wall_only"]:
-            continue
-        for key in ("factor_modeled_s", "solve_modeled_s"):
-            v = row[key]
-            if not (isinstance(v, float) and v > 0.0):
-                out.append(
-                    f"p={row['ranks']} {row['transport']}: {key} = {v!r}"
-                )
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero if any transport diverges from the simulator bits",
+        help="exit nonzero if any transport diverges from the simulator's bits or modelled times",
     )
     ap.add_argument(
         "--output",
@@ -229,32 +151,14 @@ def main(argv: list[str] | None = None) -> int:
 
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.output}")
-    failed = False
-    if doc["mismatches"]:
-        for m in doc["mismatches"]:
-            print(f"PARITY FAILURE: {m}", file=sys.stderr)
-        failed = True
-    elif args.check:
-        print("parity check passed: all transports bit-identical to simulator")
-    modeled_bad = modeled_mismatches(doc["rows"])
-    if modeled_bad:
-        for m in modeled_bad:
-            print(f"MODELED FIELD FAILURE: {m}", file=sys.stderr)
-        failed = True
-    elif args.check:
-        print("modeled fields present on every non-wall-only row")
-    if not doc["supervision_overhead_ok"]:
-        for row in doc["supervision_overhead"]:
-            if not row["ok"]:
-                print(
-                    f"SUPERVISION OVERHEAD FAILURE: {row['transport']} "
-                    f"ratio {row['overhead_ratio']:.3f} > {OVERHEAD_RATIO_MAX}",
-                    file=sys.stderr,
-                )
-        failed = True
-    elif args.check:
-        print("supervision overhead check passed: no-fault path within 5%")
-    return 1 if args.check and failed else 0
+    for m in doc["mismatches"]:
+        print(f"PARITY FAILURE: {m}", file=sys.stderr)
+    if args.check and not doc["mismatches"]:
+        print(
+            "parity check passed: factors, solution bits and modelled times "
+            "equal the simulator's on every transport"
+        )
+    return 1 if args.check and doc["mismatches"] else 0
 
 
 if __name__ == "__main__":

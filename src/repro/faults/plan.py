@@ -1,14 +1,24 @@
-"""Deterministic, seeded fault plans for the SPMD simulator.
+"""Deterministic, seeded fault plans for the SPMD transports.
 
 A :class:`FaultPlan` is an immutable description of *what goes wrong*:
 point-to-point message faults (drop / delay / duplicate / corrupt) and
 rank faults (crash / stall at a chosen superstep).  The plan itself is
-reusable; each :class:`~repro.machine.Simulator` built with a plan
-instantiates a fresh :class:`FaultRuntime` carrying the mutable match
-counters, the seeded RNG used for payload corruption, and the
-:class:`~repro.faults.journal.FaultJournal` — so the same plan replayed
-with the same seed produces a bit-identical journal, factors and
-modelled time (the determinism suite asserts this across backends).
+reusable; each transport built with a plan gets a fresh
+:class:`FaultRuntime` from :meth:`FaultPlan.runtime` carrying the
+mutable match counters, the seeded RNG used for payload corruption, and
+the :class:`~repro.faults.journal.FaultJournal` — so the same plan
+replayed with the same seed produces a bit-identical journal, factors
+and modelled time (the determinism suite asserts this across backends).
+
+One runtime, two ways to consult it.  The simulator injects *virtually*,
+message by message and charge by charge (:meth:`FaultRuntime.on_send` /
+:meth:`~FaultRuntime.on_rank_activity` / :meth:`~FaultRuntime.on_lost`).
+The worker transports inject *physically*, region by region
+(:meth:`FaultRuntime.plan_region`): a ``crash`` kills the worker, a
+``stall`` makes it sleep, and a ``corrupt`` message fault is read as
+*corrupt-result* — the rank's region result is replaced by an
+undecodable blob.  Drop / delay / duplicate have no physical reading and
+are refused there (:func:`unportable_faults`, DESIGN.md §14.3).
 
 Failure semantics
 -----------------
@@ -47,11 +57,19 @@ __all__ = [
     "FaultPlan",
     "FaultRuntime",
     "SendEffect",
+    "RegionInjection",
+    "unportable_faults",
+    "PORTABLE_MESSAGE_ACTIONS",
+    "PORTABLE_RANK_ACTIONS",
 ]
 
 _MESSAGE_ACTIONS = ("drop", "delay", "duplicate", "corrupt")
 _RANK_ACTIONS = ("crash", "stall")
 _CORRUPTIONS = ("nan", "inf", "bitflip")
+#: message-fault actions the worker transports honour (as corrupt-result)
+PORTABLE_MESSAGE_ACTIONS = ("corrupt",)
+#: rank-fault actions the worker transports honour
+PORTABLE_RANK_ACTIONS = ("crash", "stall")
 
 
 class FaultError(RuntimeError):
@@ -165,7 +183,7 @@ class FaultPlan:
         object.__setattr__(self, "rank_faults", tuple(self.rank_faults))
 
     def runtime(self, journal: FaultJournal | None = None) -> FaultRuntime:
-        """Fresh mutable state for one simulation of this plan."""
+        """Fresh mutable state for one run of this plan, on any transport."""
         return FaultRuntime(self, journal if journal is not None else FaultJournal())
 
     def describe(self) -> str:
@@ -173,6 +191,22 @@ class FaultPlan:
             f"FaultPlan({len(self.message_faults)} message fault(s), "
             f"{len(self.rank_faults)} rank fault(s), seed={self.seed})"
         )
+
+
+def unportable_faults(plan: FaultPlan) -> list[str]:
+    """The fault descriptions in ``plan`` a worker transport refuses.
+
+    Empty list means the whole plan is portable (crash / stall rank
+    faults and corrupt message faults, reinterpreted as corrupt-result).
+    """
+    bad: list[str] = []
+    for mf in plan.message_faults:
+        if mf.action not in PORTABLE_MESSAGE_ACTIONS:
+            bad.append(f"message fault {mf.action!r}")
+    for rf in plan.rank_faults:
+        if rf.action not in PORTABLE_RANK_ACTIONS:  # pragma: no cover - all portable
+            bad.append(f"rank fault {rf.action!r}")
+    return bad
 
 
 @dataclass
@@ -183,6 +217,14 @@ class SendEffect:
     copies: int = 1
     extra_delay: float = 0.0
     payload: Any = None
+
+
+@dataclass(frozen=True)
+class RegionInjection:
+    """One physical fault scheduled against one rank of one region."""
+
+    kind: str  # "crash" | "stall" | "corrupt"
+    stall: float = 0.0
 
 
 def _corrupt_payload(
@@ -211,12 +253,16 @@ def _corrupt_payload(
 
 
 class FaultRuntime:
-    """Mutable per-simulation state of a :class:`FaultPlan`.
+    """Mutable per-run state of a :class:`FaultPlan`.
 
-    Created by the simulator; consulted on every send and on every rank
-    activity.  Crash/stall faults disarm after firing (fail-once model);
-    the engine-level recovery layer appends ``retransmit``/``restore``
-    events through :attr:`journal`.
+    The simulator consults it on every send and on every rank activity;
+    a worker transport once per parallel region (:meth:`plan_region`).
+    Either way crash/stall faults disarm when they fire (fail-once
+    model), so the recovery that follows — checkpoint restart on the
+    simulator, region retry on workers — makes progress, and the same
+    seeded plan recovers on every transport.  The recovery layers append
+    ``retransmit`` / ``restore`` / ``region-retry`` events through
+    :attr:`journal`.
     """
 
     def __init__(self, plan: FaultPlan, journal: FaultJournal) -> None:
@@ -298,3 +344,49 @@ class FaultRuntime:
     def on_lost(self, src: int, dst: int, tag: Any, superstep: int) -> None:
         """Journal a receive that found its message missing."""
         self.journal.record("lost", superstep=superstep, src=src, dst=dst, tag=tag)
+
+    def plan_region(self, active: list[int], superstep: int) -> dict[int, RegionInjection]:
+        """Schedule armed faults against the ranks of one parallel region.
+
+        Rank faults fire at the first region at or after their
+        ``superstep`` in which their rank participates; a ``corrupt``
+        message fault counts regions in which its target rank (``src``,
+        or the lowest active rank) participates, honouring ``skip`` /
+        ``count`` exactly like :meth:`on_send` counts matching messages.
+        Faults disarm when *dispatched*, not when their effect is
+        observed: region retry re-runs the same thunks, and a fault that
+        re-fired on every attempt would never let the region complete.
+        """
+        inject: dict[int, RegionInjection] = {}
+        for fi, fault in enumerate(self.plan.rank_faults):
+            if self._fired[fi] or fault.rank not in active or superstep < fault.superstep:
+                continue
+            self._fired[fi] = True
+            if fault.action == "crash":
+                self.journal.record(
+                    "crash", superstep=superstep, rank=fault.rank,
+                    detail="injected worker crash",
+                )
+                inject.setdefault(fault.rank, RegionInjection("crash"))
+            else:  # stall
+                self.journal.record(
+                    "stall", superstep=superstep, rank=fault.rank,
+                    detail=f"+{fault.stall:g}s",
+                )
+                inject.setdefault(fault.rank, RegionInjection("stall", stall=fault.stall))
+        for fi, fault in enumerate(self.plan.message_faults):
+            rank = fault.src if fault.src is not None else min(active)
+            if rank not in active:
+                continue
+            seen = self._seen[fi]
+            self._seen[fi] = seen + 1
+            if seen < fault.skip or seen >= fault.skip + fault.count:
+                continue
+            if rank in inject:
+                continue  # one fault per rank per region keeps semantics composable
+            self.journal.record(
+                "corrupt", superstep=superstep, rank=rank,
+                detail="injected corrupt-result",
+            )
+            inject[rank] = RegionInjection("corrupt")
+        return inject

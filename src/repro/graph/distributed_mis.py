@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine import Simulator, Transport
+from ..machine import Simulator
 from .mis import two_step_luby_mis
 from .structure import Graph
 
@@ -47,7 +47,7 @@ def _boundary_sets(graph: Graph, part: np.ndarray) -> dict[tuple[int, int], np.n
 
 
 def mis_comm_setup(
-    graph: Graph, part: np.ndarray, sim: Simulator | Transport | None = None
+    graph: Graph, part: np.ndarray, sim: Simulator | None = None
 ) -> dict[tuple[int, int], int]:
     """Pre-compute the boundary-exchange pattern (the paper's setup phase).
 
@@ -71,7 +71,7 @@ def mis_comm_setup(
 def distributed_two_step_luby_mis(
     graph: Graph,
     part: np.ndarray,
-    sim: Simulator | Transport,
+    sim: Simulator,
     *,
     seed: int = 0,
     rounds: int = 5,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..decomp import DomainDecomposition, decompose
-from ..machine import CRAY_T3D, MachineModel, Transport, entry_transport
+from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport
 from ..sparse import CSRMatrix
 from .factors import ILUFactors
 from .ilut import ilut
@@ -68,7 +68,7 @@ def block_jacobi_ilut(
     *,
     decomp: DomainDecomposition | None = None,
     model: MachineModel = CRAY_T3D,
-    transport: str | Transport | None = "simulator",
+    transport: str | Simulator | None = "simulator",
     seed: int = 0,
 ) -> BlockJacobiILU:
     """Factor each domain's diagonal block with ILUT(m, t).

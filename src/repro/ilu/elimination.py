@@ -24,10 +24,10 @@ Phase 2 (iterative, level-synchronised)
     computation — the property the paper exploits to make the exchange a
     single aggregated message per rank pair per level.
 
-All communication and computation flows through a
-:class:`~repro.machine.transport.Transport` when one is supplied
-(the cost-model :class:`~repro.machine.Simulator`, or a real
-:class:`~repro.machine.ThreadTransport` / :class:`~repro.machine.ProcessTransport`);
+All communication and computation flows through a transport when one
+is supplied (the :class:`~repro.machine.Simulator`, or one of its
+worker-backed subclasses :class:`~repro.machine.ThreadTransport` /
+:class:`~repro.machine.ProcessTransport`);
 passing ``sim=None`` executes the identical algorithm without any
 transport (used by tests to confirm the transports never change
 numerics).
@@ -66,7 +66,7 @@ import numpy as np
 from ..decomp import DomainDecomposition
 from ..faults import MessageLost, RankFailure
 from ..graph import Graph, two_step_luby_mis
-from ..machine import Simulator, Transport, run_region, run_region_by_owner
+from ..machine import Simulator, run_region, run_region_by_owner
 from ..resilience import PivotPolicy
 from ..sparse import COOBuilder, SparseRowAccumulator
 from .dropping import keep_largest
@@ -216,7 +216,7 @@ class EliminationEngine:
         t: float,
         *,
         reduced_cap: int | None = None,
-        sim: Simulator | Transport | None = None,
+        sim: Simulator | None = None,
         mis_rounds: int = 5,
         seed: int = 0,
         diag_guard: bool = True,
@@ -311,7 +311,7 @@ class EliminationEngine:
     def _replay_decls(self, rank: int, decls) -> None:
         """Replay a thunk's recorded tracer declarations at merge time.
 
-        Records exist only when the (simulator-owned) tracer is active;
+        Records exist only when the transport's tracer is active;
         replaying them in recorded order preserves the exact access
         stream of the historical inline loops.
         """

@@ -25,7 +25,7 @@ import numpy as np
 from ..decomp import DomainDecomposition, decompose
 from ..faults import FaultPlan
 from ..graph import Graph
-from ..machine import CRAY_T3D, MachineModel, Transport, entry_transport, run_region
+from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport, run_region
 from ..partition import partition_graph_kway
 from ..sparse import CSRMatrix
 from .elimination import EliminationEngine, EliminationOutcome, _RowRecord
@@ -193,7 +193,7 @@ def parallel_ilut_partitioned(
     *,
     reduced_cap: int | None = None,
     model: MachineModel = CRAY_T3D,
-    transport: str | Transport | None = "simulator",
+    transport: str | Simulator | None = "simulator",
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     seed: int = 0,

@@ -17,7 +17,7 @@ from ..machine import (
     CRAY_T3D,
     CommStats,
     MachineModel,
-    Transport,
+    Simulator,
     entry_transport,
 )
 from ..resilience import PivotPolicy
@@ -48,12 +48,13 @@ class ParallelILUResult:
     level_sizes:
         Size of each independent set.
     modeled_time:
-        Virtual wall-clock seconds on the simulated machine (``None``
-        when run without a simulator).
+        Seconds on the modelled machine — the same number on every
+        transport (``None`` with ``transport="none"``).  Wall-clock
+        time is the caller's to measure around the call.
     comm:
-        Aggregate simulator counters (``None`` without a simulator).
+        Aggregate transport counters (``None`` with ``transport="none"``).
     trace:
-        The simulator's access tracer when run with ``trace=True`` —
+        The transport's access tracer when run with ``trace=True`` —
         feed it to :func:`repro.verify.find_races`.
     fault_journal:
         The structured log of injected faults and recovery actions when
@@ -92,7 +93,7 @@ def parallel_ilut(
     *,
     reduced_cap: int | None = None,
     model: MachineModel = CRAY_T3D,
-    transport: str | Transport | None = "simulator",
+    transport: str | Simulator | None = "simulator",
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     mis_rounds: int = 5,
@@ -125,15 +126,15 @@ def parallel_ilut(
         Cap on reduced-row length; ``None`` reproduces plain ILUT.
         (Use :func:`parallel_ilut_star` for the paper's ILUT*(m,t,k).)
     model:
-        Machine cost model (default: the Cray T3D preset; only the
-        simulator transport consumes it).
+        Machine cost model (default: the Cray T3D preset) behind
+        ``modeled_time`` on every transport.
     transport:
         Execution backend for the parallel regions — ``"simulator"``
         (default; modelled clocks, the deterministic oracle),
         ``"threads"`` / ``"processes"`` (real workers, bit-identical
         factors), ``"none"`` (no accounting at all; fastest, used
         heavily in tests), or a ready
-        :class:`~repro.machine.Transport` instance.
+        :class:`~repro.machine.Simulator` instance.
     decomp:
         Reuse a precomputed decomposition; otherwise one is computed
         with ``method`` (``"multilevel"``/``"block"``/``"random"``).
@@ -142,8 +143,8 @@ def parallel_ilut(
     seed:
         Seed for partitioning and MIS randomness.
     trace:
-        Record shared-object accesses for race detection (requires
-        ``transport="simulator"``); see :mod:`repro.verify`.
+        Record shared-object accesses for race detection (any
+        transport but ``"none"``); see :mod:`repro.verify`.
     pivot_policy:
         Small/zero-pivot remediation
         (:class:`~repro.resilience.PivotPolicy`); overrides

@@ -22,7 +22,7 @@ from ..kernels import csr_gather_rows
 from ..machine import (
     CRAY_T3D,
     MachineModel,
-    Transport,
+    Simulator,
     entry_transport,
     run_region,
     run_region_by_owner,
@@ -64,7 +64,7 @@ def parallel_ilu0(
     nranks: int,
     *,
     model: MachineModel = CRAY_T3D,
-    transport: str | Transport | None = "simulator",
+    transport: str | Simulator | None = "simulator",
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     seed: int = 0,

@@ -32,7 +32,7 @@ from ..machine import (
     CRAY_T3D,
     CommStats,
     MachineModel,
-    Transport,
+    Simulator,
     entry_transport,
     run_region,
     run_region_by_owner,
@@ -210,7 +210,7 @@ def parallel_triangular_solve(
     *,
     nranks: int | None = None,
     model: MachineModel = CRAY_T3D,
-    transport: str | Transport | None = "simulator",
+    transport: str | Simulator | None = "simulator",
     trace: bool = False,
     backend: str | None = None,
     faults: FaultPlan | None = None,
@@ -233,7 +233,7 @@ def parallel_triangular_solve(
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Transport`).
+    :class:`~repro.machine.Simulator`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`: on the simulator
     message-level faults surface as :class:`~repro.faults.MessageLost` /
@@ -244,9 +244,9 @@ def parallel_triangular_solve(
     :class:`~repro.machine.SupervisionPolicy`; real transports only).
     The journal and the retry count are returned on the result.
 
-    ``copy_payloads=True`` pickle round-trips every simulated message at
-    post time (the serializing-transport debug oracle; requires
-    ``transport="simulator"``) — results are bit-identical.
+    ``copy_payloads=True`` pickle round-trips every message at post time
+    (the serializing-transport debug oracle; any transport but
+    ``"none"``) — results are bit-identical.
     """
     if factors.levels is None:
         raise ValueError(

@@ -1,39 +1,38 @@
 """Distributed-memory machine layer: the transport abstraction behind
 the SPMD drivers.
 
-Three interchangeable transports implement one contract (see
-``transport.py`` / DESIGN.md §13): the cost-model :class:`Simulator`
-(per-rank virtual clocks, Cray T3D preset and others; the deterministic
-oracle and the only fault/race-instrumented backend), the
-:class:`ThreadTransport` (one worker thread per rank), and the
-:class:`ProcessTransport` (forked worker processes, shared-memory
-arrays).  ``resolve_transport`` maps the drivers' ``transport=``
-keyword onto an instance.
+One accounting core, three ways to execute a parallel region (see
+``transport.py`` / DESIGN.md §13).  :class:`Simulator` is the contract
+and its only implementation of clocks, counters, mailboxes, collectives
+and instruments (cost model — Cray T3D preset and others — race tracer,
+charge ledger, fault journal); run as itself it is the deterministic
+oracle.  :class:`ThreadTransport` (one worker thread per rank) and
+:class:`ProcessTransport` (forked worker processes, results over pipes)
+subclass it and replace only where a region's thunks run, so modelled
+time and communication statistics are the same on all three.
+``resolve_transport`` maps the drivers' ``transport=`` keyword onto an
+instance.
 """
 
-from .ledger import ChargeEvent, ChargeLedger
-from .model import CRAY_T3D, IDEAL, WORKSTATION_CLUSTER, MachineModel
-from .processes import ProcessTransport
-from .simulator import CommStats, Simulator, SimulatorSnapshot
-from .supervision import (
-    PortableFaultRuntime,
-    SupervisionPolicy,
-    unportable_faults,
-)
-from .threads import ThreadTransport
-from .transport import (
+from .errors import (
     SUPERVISED_FAILURES,
-    TRANSPORT_NAMES,
-    LocalTransport,
     ResultUnpicklable,
-    Transport,
     TransportCapabilityError,
     TransportError,
     TransportWorkerError,
     WorkerCrashed,
     WorkerHung,
+)
+from .ledger import ChargeEvent, ChargeLedger
+from .model import CRAY_T3D, IDEAL, WORKSTATION_CLUSTER, MachineModel
+from .processes import ProcessTransport
+from .simulator import CommStats, Simulator, SimulatorSnapshot
+from .supervision import SupervisionPolicy
+from .threads import ThreadTransport
+from .transport import (
+    TRANSPORT_NAMES,
+    LocalTransport,
     entry_transport,
-    is_transport,
     resolve_transport,
     run_region,
     run_region_by_owner,
@@ -50,7 +49,6 @@ __all__ = [
     "ChargeEvent",
     "ChargeLedger",
     "SimulatorSnapshot",
-    "Transport",
     "LocalTransport",
     "ThreadTransport",
     "ProcessTransport",
@@ -62,9 +60,6 @@ __all__ = [
     "ResultUnpicklable",
     "SUPERVISED_FAILURES",
     "SupervisionPolicy",
-    "PortableFaultRuntime",
-    "unportable_faults",
-    "is_transport",
     "resolve_transport",
     "entry_transport",
     "run_region",

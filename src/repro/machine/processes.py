@@ -24,27 +24,25 @@ Fork semantics do the heavy lifting: a worker inherits the caller's
 entire state as a copy-on-write snapshot, so the drivers' thunks —
 closures over engine state that would not survive pickling — run
 unmodified.  Only the *results* cross the process boundary, pickled
-over pipes; PR 7's TRN002 certification guarantees every certified
-driver's payloads and returns are pickle-safe.  Large numpy operands
-skip the upward pipe and travel through POSIX shared memory
-(:mod:`multiprocessing.shared_memory`) under deterministic
-``repro-shm-<pid>-<k>`` names, so the coordinator can sweep a dead
-worker's segments even when no result frame ever arrived.
+over pipes — arrays of any size included; PR 7's TRN002 certification
+guarantees every certified driver's payloads and returns are
+pickle-safe.  A worker therefore owns nothing outside its own address
+space and its two pipe ends: killing and reaping it is all the cleanup
+there is.
 
 Collection runs under the region supervisor (DESIGN.md §14): the
 coordinator polls all pipes with :func:`multiprocessing.connection.wait`
 instead of blocking in rank order, so one hung rank cannot delay
 detection of another rank's death.  A worker that dies surfaces
-:class:`~repro.machine.transport.WorkerCrashed` carrying its exitcode
+:class:`~repro.machine.errors.WorkerCrashed` carrying its exitcode
 (or the killing signal); a worker that delivers neither its result
 frame nor a heartbeat frame within the supervision deadline surfaces
-:class:`~repro.machine.transport.WorkerHung`; a result that cannot
+:class:`~repro.machine.errors.WorkerHung`; a result that cannot
 cross the pickle boundary — either direction — surfaces
-:class:`~repro.machine.transport.ResultUnpicklable`.  **Any failure
-ends the generation**: every worker is killed and reaped and its
-segments swept before the error is raised, so the retry in
-``LocalTransport.pardo`` finds no generation and forks a fresh one from
-the coordinator's intact state.
+:class:`~repro.machine.errors.ResultUnpicklable`.  **Any failure
+ends the generation**: every worker is killed and reaped before the
+error is raised, so the retry in ``LocalTransport.pardo`` finds no
+generation and forks a fresh one from the coordinator's intact state.
 
 Every result frame carries the sender's region ordinal (its count of
 ``pardo`` calls); a frame whose ordinal differs from the coordinator's
@@ -52,22 +50,18 @@ is a replica whose control flow left the coordinator's and raises
 :class:`TransportError` instead of merging a result from some other
 region.
 
-Workers never see each other, so worker-context messaging is
-impossible here: a *thunk* calling ``send`` / ``recv`` / ``barrier``
-raises :class:`TransportError`.  The certified drivers keep all
-communication in coordinator context between regions (the mpi4py-shaped
-superstep structure), where — in a replica as in the coordinator — the
-same calls are plain accounting on the process's own counters.
-
-Each thunk's result travels as ``(result, flops_delta)`` so per-rank
-``compute`` charges made inside the region survive; every process folds
-all deltas into its counters when it takes the results in.
+Only region execution differs from the simulator.  All communication
+and every charge happen in coordinator context between regions (the
+mpi4py-shaped superstep structure; a thunk that tries raises
+:class:`TransportError`, DESIGN.md §13.3), where — in a replica as in
+the coordinator — the calls are the inherited accounting core run on
+the process's own clocks, counters and mailboxes.  Every process
+replays the same calls in the same order, so all ``nranks + 1`` copies
+agree, and the coordinator's is the one the caller reads.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
 import multiprocessing.connection
 import os
 import pickle
@@ -76,179 +70,35 @@ import sys
 import time
 import traceback
 import warnings
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from .supervision import RegionInjection
-from .transport import (
-    LocalTransport,
+from ..faults import RegionInjection
+from .errors import (
     ResultUnpicklable,
     TransportError,
     TransportWorkerError,
     WorkerCrashed,
     WorkerHung,
 )
-
-if TYPE_CHECKING:
-    from ..faults import FaultPlan
-    from .supervision import SupervisionPolicy
+from .transport import LocalTransport
 
 __all__ = ["ProcessTransport"]
-
-#: arrays at or above this byte size return via shared memory, not the pipe
-SHM_THRESHOLD_BYTES = 64 * 1024
 
 #: frame tags on the pipes (one send_bytes per frame)
 _HB_FRAME = b"\x01"
 _RESULT_TAG = b"\x00"
 
-
-def _shm_prefix(pid: int) -> str:
-    return f"repro-shm-{pid}"
-
-
-class _ShmRef:
-    """Pickle-light stand-in for a large ndarray returned from a worker."""
-
-    __slots__ = ("shm_name", "shape", "dtype")
-
-    def __init__(self, shm_name: str, shape: tuple, dtype: str) -> None:
-        self.shm_name = shm_name
-        self.shape = shape
-        self.dtype = dtype
+#: Seconds a worker whose pipe closed is given to exit by itself, so that
+#: it reports its own exit status, before it is SIGKILLed.  A hung worker
+#: is SIGKILLed at once.
+_KILL_GRACE = 2.0
 
 
-class _ShmPickler(pickle.Pickler):
-    """Detours large contiguous float/int arrays through shared memory."""
-
-    def __init__(
-        self, file: io.BytesIO, shm_names: list[str], prefix: str | None = None
-    ) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shm_names = shm_names
-        self._prefix = prefix
-
-    def _create_segment(self, nbytes: int) -> Any:
-        from multiprocessing import shared_memory
-
-        if self._prefix is None:
-            return shared_memory.SharedMemory(create=True, size=nbytes)
-        # deterministic per-worker names let the coordinator sweep the
-        # segments of a dead worker even when no result frame made it out
-        name = f"{self._prefix}-{len(self._shm_names)}"
-        try:
-            return shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        except FileExistsError:  # pragma: no cover - stale segment from a reused pid
-            stale = shared_memory.SharedMemory(name=name)
-            stale.close()
-            stale.unlink()
-            return shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-
-    def persistent_id(self, obj: Any) -> Any:
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.flags.c_contiguous
-            and obj.dtype.hasobject is False
-            and obj.nbytes >= SHM_THRESHOLD_BYTES
-        ):
-            shm = self._create_segment(obj.nbytes)
-            view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=shm.buf)
-            view[...] = obj
-            name = shm.name
-            self._shm_names.append(name)
-            # the coordinator owns the segment from here (it unlinks on
-            # load); detach the worker's tracker registration so the
-            # segment isn't unlinked out from under it when the worker's
-            # resource_tracker reaps the worker
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-            except Exception:
-                pass
-            shm.close()
-            return _ShmRef(name, obj.shape, obj.dtype.str)
-        return None
-
-
-class _ShmUnpickler(pickle.Unpickler):
-    """Coordinator-side twin: materialises ``_ShmRef`` and unlinks segments."""
-
-    def persistent_load(self, pid: Any) -> Any:
-        if isinstance(pid, _ShmRef):
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(name=pid.shm_name)
-            try:
-                view = np.ndarray(pid.shape, dtype=np.dtype(pid.dtype), buffer=shm.buf)
-                arr = view.copy()
-            finally:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-            return arr
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
-
-def _unlink_segment(name: str) -> bool:
-    """Unlink one segment by name; False when it does not exist."""
-    from multiprocessing import shared_memory
-
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    seg.close()
-    try:
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover - racing unlink
-        pass
-    return True
-
-
-def _sweep_named_segments(names: Sequence[str]) -> None:
-    """Unlink the segments a result frame advertised (unpickle failed)."""
-    for name in names:
-        _unlink_segment(name)
-
-
-def _sweep_child_segments(pid: int) -> None:
-    """Unlink every deterministic segment a (dead) worker pid created.
-
-    Segment counters are dense (``repro-shm-<pid>-0``, ``-1``, ...), so
-    the sweep walks until the first missing name.
-    """
-    prefix = _shm_prefix(pid)
-    for k in itertools.count():
-        if not _unlink_segment(f"{prefix}-{k}"):
-            break
-
-
-def _shm_dumps(obj: Any, *, prefix: str | None = None) -> tuple[bytes, list[str]]:
-    buf = io.BytesIO()
-    names: list[str] = []
-    try:
-        _ShmPickler(buf, names, prefix).dump(obj)
-    except Exception:
-        # roll back any segments already created for this object
-        _sweep_named_segments(names)
-        raise
-    return buf.getvalue(), names
-
-
-def _shm_loads(data: bytes) -> Any:
-    return _ShmUnpickler(io.BytesIO(data)).load()
-
-
-def _frame(kind: str, names: list[str], body: Any, ordinal: int) -> bytes:
-    """One result frame: what happened, the segments ``body`` refers to,
-    the payload, and the sender's region ordinal."""
-    return _RESULT_TAG + pickle.dumps(
-        (kind, names, body, ordinal), protocol=pickle.HIGHEST_PROTOCOL
-    )
+def _frame(kind: str, body: Any, ordinal: int) -> bytes:
+    """One result frame: what happened, the payload (a ``"result"``'s is
+    itself pickled bytes, so that a frame always decodes even when its
+    result does not), and the sender's region ordinal."""
+    return _RESULT_TAG + pickle.dumps((kind, body, ordinal), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _fork() -> int:
@@ -258,11 +108,10 @@ def _fork() -> int:
     live threads forks: the child holds a copy of every lock those
     threads held, and nobody left to release it.  That is silenced here,
     not left to the caller's filters, because the hazard does not reach
-    a worker: it runs the driver's numerics, which take no lock, and this
-    transport's code, whose one lock (``_mail_lock``) no thread but the
-    forking one ever takes; it writes to its own two pipes only; and it
-    leaves through ``os._exit``, skipping the interpreter shutdown that
-    would flush or join what the other threads own.
+    a worker: it runs the driver's numerics and this transport's code,
+    neither of which takes a lock; it writes to its own two pipes only;
+    and it leaves through ``os._exit``, skipping the interpreter shutdown
+    that would flush or join what the other threads own.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings(
@@ -276,14 +125,8 @@ class ProcessTransport(LocalTransport):
 
     name = "processes"
 
-    def __init__(
-        self,
-        nranks: int,
-        *,
-        supervision: "SupervisionPolicy | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> None:
-        super().__init__(nranks, supervision=supervision, faults=faults)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         if not hasattr(os, "fork"):
             raise TransportError(
                 "ProcessTransport requires os.fork (POSIX only); "
@@ -300,39 +143,13 @@ class ProcessTransport(LocalTransport):
         self._rank: int | None = None
         self._pipe_up: Any = None
         self._pipe_down: Any = None
-        self._in_thunk = False
         self._last_beat = 0.0
-
-    # -- worker-context comm is a contract violation --------------------
-
-    def _in_worker(self) -> bool:
-        return self._in_thunk
-
-    def _forbid_in_thunk(self, op: str) -> None:
-        if self._in_thunk:
-            raise TransportError(
-                f"{op} is unavailable inside a process-transport parallel "
-                "region: forked ranks are isolated; keep communication in "
-                "coordinator context between regions (DESIGN.md §13)"
-            )
-
-    def send(self, src: int, dst: int, payload: Any, nwords: float, tag: Any = None) -> None:
-        self._forbid_in_thunk("send")
-        super().send(src, dst, payload, nwords, tag=tag)
-
-    def recv(self, dst: int, src: int, tag: Any = None) -> Any:
-        self._forbid_in_thunk("recv")
-        return super().recv(dst, src, tag=tag)
-
-    def barrier(self) -> None:
-        self._forbid_in_thunk("barrier")
-        super().barrier()
 
     # -- supervision hooks ---------------------------------------------
 
     def heartbeat(self) -> None:
-        if not self._in_thunk:
-            return
+        if self._rank is None or not self._in_region:
+            return  # coordinator context: nobody is waiting for a signal
         now = time.perf_counter()
         if now - self._last_beat < self.supervision.heartbeat_interval:
             return
@@ -421,7 +238,7 @@ class ProcessTransport(LocalTransport):
         Its pipes are closed first (a worker waiting on them reads EOF
         and exits); it then has ``grace`` seconds to exit by itself, so
         that a worker which died of its own accord reports its own
-        exitcode, before it is SIGKILLed.  Its segments are swept.
+        exitcode, before it is SIGKILLed.
         """
         pid = self._live.pop(rank)
         self._up.pop(rank).close()
@@ -438,7 +255,6 @@ class ProcessTransport(LocalTransport):
                 break
             time.sleep(pause)
             pause = min(2 * pause, 0.05)
-        _sweep_child_segments(pid)
         return os.waitstatus_to_exitcode(status)
 
     def _end_generation(self) -> None:
@@ -454,7 +270,6 @@ class ProcessTransport(LocalTransport):
     # -- parallel region ----------------------------------------------
 
     def pardo(self, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
-        self._forbid_in_thunk("pardo")
         self._ordinal += 1
         return super().pardo(thunks)
 
@@ -502,15 +317,16 @@ class ProcessTransport(LocalTransport):
                     except (EOFError, OSError):
                         # dead pipe: the worker died before (or mid-) result
                         pending.discard(r)
-                        failures[r] = self._classify_exit(r, self._reap(r, policy.kill_grace))
+                        failures[r] = self._classify_exit(r, self._reap(r, _KILL_GRACE))
                         continue
                     if frame[:1] == _HB_FRAME:
                         if policy.deadline is not None:
                             deadlines[r] = time.perf_counter() + policy.deadline
                         continue
                     pending.discard(r)
+                    frames[r] = frame
                     try:
-                        results[r], frames[r] = self._decode_frame(r, frame)
+                        results[r] = self._decode_frame(r, frame)
                     except TransportError as failure:
                         failures[r] = failure
                 if policy.deadline is None:
@@ -531,10 +347,10 @@ class ProcessTransport(LocalTransport):
             self._raise_region_failure(failures)
         return results
 
-    def _decode_frame(self, r: int, frame: bytes) -> tuple[Any, bytes]:
-        """Rank ``r``'s result and the frame the workers are sent for it,
-        or the region failure its frame stands for, raised."""
-        kind, names, body, ordinal = pickle.loads(frame[1:])
+    def _decode_frame(self, r: int, frame: bytes) -> Any:
+        """Rank ``r``'s result, or the region failure its frame stands
+        for, raised."""
+        kind, body, ordinal = pickle.loads(frame[1:])
         if ordinal != self._ordinal:
             raise TransportError(
                 f"rank {r} is out of step: it sent the result of its region "
@@ -543,31 +359,20 @@ class ProcessTransport(LocalTransport):
                 "is not deterministic (DESIGN.md §13.4)"
             )
         if kind == "error":
-            exc_type_name, message, tb_text, flops_delta = body
-            self._flops[r] += flops_delta
+            exc_type_name, message, tb_text = body
             raise TransportWorkerError(r, f"{exc_type_name}: {message}\n{tb_text}")
         if kind == "unpicklable":
-            tb_text, flops_delta = body
-            self._flops[r] += flops_delta
             raise ResultUnpicklable(
                 r,
                 "region result could not be pickled in the worker",
-                remote_traceback=tb_text,
+                remote_traceback=body,
             )
         try:
-            payload, flops_delta = _shm_loads(body)
+            return pickle.loads(body)
         except Exception as exc:
-            _sweep_named_segments(names)
             raise ResultUnpicklable(
                 r, f"region result could not be unpickled: {exc!r}"
             ) from exc
-        self._flops[r] += flops_delta
-        if names and self._scope_depth:
-            # the segments are consumed (and unlinked) now: what goes down
-            # to the workers carries the arrays in the pipe
-            plain = pickle.dumps((payload, flops_delta), protocol=pickle.HIGHEST_PROTOCOL)
-            frame = _frame("result", [], plain, ordinal)
-        return payload, frame
 
     def _forward(self, frames: list[bytes], failures: dict[int, BaseException]) -> None:
         """Send the region's result frames, as received, to every worker."""
@@ -577,9 +382,7 @@ class ProcessTransport(LocalTransport):
                     down.send_bytes(frame)
             except OSError:
                 # EPIPE: this replica died between two regions
-                failures[r] = self._classify_exit(
-                    r, self._reap(r, self.supervision.kill_grace)
-                )
+                failures[r] = self._classify_exit(r, self._reap(r, _KILL_GRACE))
 
     def _work_region(
         self,
@@ -597,17 +400,13 @@ class ProcessTransport(LocalTransport):
         try:
             thunk = thunks[rank]
             if thunk is not None:
-                self._pipe_up.send_bytes(self._thunk_frame(rank, thunk, inject.get(rank)))
+                self._pipe_up.send_bytes(self._thunk_frame(thunk, inject.get(rank)))
             if self._scope_depth:
                 results: list[Any] = [None] * self.nranks
                 for r in active:
-                    # own result included: every process holds the same
-                    # objects and folds the same charges in the same order
-                    _kind, _names, body, _ordinal = pickle.loads(
-                        self._pipe_down.recv_bytes()[1:]
-                    )
-                    results[r], flops_delta = pickle.loads(body)
-                    self._flops[r] += flops_delta
+                    # own result included: every process merges the same objects
+                    _kind, body, _ordinal = pickle.loads(self._pipe_down.recv_bytes()[1:])
+                    results[r] = pickle.loads(body)
                 return results
         except (EOFError, OSError):
             pass
@@ -618,38 +417,25 @@ class ProcessTransport(LocalTransport):
                 raise
         os._exit(0)
 
-    def _thunk_frame(
-        self, rank: int, thunk: Callable[[], Any], injection: RegionInjection | None
-    ) -> bytes:
+    def _thunk_frame(self, thunk: Callable[[], Any], injection: RegionInjection | None) -> bytes:
         """Run one thunk in worker context and encode what happened."""
         if injection is not None and injection.kind == "crash":
             # injected worker crash: die before any work, like a segfault
             # between dispatch and result would
             os._exit(1)
         ordinal = self._ordinal
-        flops_before = float(self._flops[rank])
-        self._in_thunk = True
         self._last_beat = time.perf_counter()
         try:
             if injection is not None and injection.kind == "stall":
                 time.sleep(injection.stall)
             result = thunk()
         except BaseException as exc:  # noqa: BLE001 - serialised to the coordinator
-            flops_delta = float(self._flops[rank]) - flops_before
-            info = (type(exc).__name__, str(exc), traceback.format_exc(), flops_delta)
-            return _frame("error", [], info, ordinal)
-        finally:
-            self._in_thunk = False
-        # the charges come back with everyone else's, in the forwarded frame
-        flops_delta = float(self._flops[rank]) - flops_before
-        self._flops[rank] = flops_before
+            return _frame("error", (type(exc).__name__, str(exc), traceback.format_exc()), ordinal)
         if injection is not None and injection.kind == "corrupt":
-            # injected corrupt-result: an undecodable blob, no segments
-            return _frame("result", [], b"\x80repro-corrupt-result", ordinal)
+            # injected corrupt-result: an undecodable blob
+            return _frame("result", b"\x80repro-corrupt-result", ordinal)
         try:
-            body, names = _shm_dumps(
-                (result, flops_delta), prefix=_shm_prefix(os.getpid())
-            )
+            body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            return _frame("unpicklable", [], (traceback.format_exc(), flops_delta), ordinal)
-        return _frame("result", names, body, ordinal)
+            return _frame("unpicklable", traceback.format_exc(), ordinal)
+        return _frame("result", body, ordinal)

@@ -31,6 +31,24 @@ The simulator is single-threaded and deterministic: "ranks" are just
 indices, and the driver code interleaves their work explicitly, which is
 exactly the superstep structure of the algorithms in the paper.
 
+The accounting core
+-------------------
+Everything above — clocks, counters, mailboxes, collectives, snapshots,
+statistics and the instruments below — is the **one** implementation of
+the transport contract (DESIGN.md §13).  The worker transports
+(:class:`~repro.machine.threads.ThreadTransport`,
+:class:`~repro.machine.processes.ProcessTransport`) are this class with
+a different :meth:`Simulator.pardo`: they inherit the accounting and
+override only where a region's thunks execute, so communication
+statistics, modelled time, traces and ledgers are bit-identical across
+transports by construction.  That works because of one rule, enforced
+here for every transport: **a thunk computes, may call**
+:meth:`~Simulator.heartbeat` **, and returns**.  Every charge, message,
+barrier and declaration is made in coordinator context, from the
+records the thunks return; an accounting call from inside a region
+raises :class:`~repro.machine.errors.TransportError` naming the
+operation.
+
 Fault injection
 ---------------
 Constructing the simulator with ``faults=FaultPlan(...)`` arms a
@@ -72,6 +90,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ..faults import FaultJournal, FaultPlan, FaultRuntime, MessageLost
+from .errors import TransportError
 from .ledger import ChargeLedger
 from .model import MachineModel
 
@@ -130,18 +149,18 @@ class SimulatorSnapshot:
 class Simulator:
     """A virtual ``nranks``-PE distributed-memory machine.
 
-    Conforms structurally to the :class:`~repro.machine.transport.Transport`
-    contract (it predates the abstraction and is not a subclass).  It is
-    the deterministic oracle of the transport family: the only backend
-    carrying the cost model, fault injection and race tracing, and the
-    reference the real transports' results are bit-compared against.
+    The transport contract and its one accounting implementation: every
+    ``transport=`` instance is a ``Simulator`` (the worker transports
+    subclass it and replace region execution only).  Run as itself it is
+    the deterministic oracle the worker transports' results are
+    bit-compared against.
     """
 
-    #: transport-contract identity (see repro.machine.transport)
+    #: Short spelling used in reports and ``transport=`` round-trips.
     name = "simulator"
-    supports_faults = True
-    supports_trace = True
-    is_simulated = True
+    #: True when region thunks run concurrently in one address space —
+    #: drivers must then use per-thunk scratch state (accumulators).
+    concurrent_regions = False
 
     def __init__(
         self,
@@ -186,6 +205,12 @@ class Simulator:
         self._words = 0.0
         self._barriers = 0
         self._collectives = 0
+        #: True while a parallel region executes; whatever reaches the
+        #: accounting surface then is a thunk, and is refused
+        self._in_region = False
+        #: Parallel regions re-executed after a supervised worker failure
+        #: (always 0 where regions run inline).
+        self.region_recoveries = 0
         self.faults: FaultRuntime | None = faults.runtime() if faults is not None else None
         self.tracer: AccessTracer | None = None
         if trace:
@@ -218,8 +243,20 @@ class Simulator:
         """The structured fault journal, or ``None`` without a plan."""
         return self.faults.journal if self.faults is not None else None
 
-    def _guard_rank(self, rank: int) -> None:
-        """Fire pending rank faults (crash raises, stall charges time)."""
+    def _refuse_thunk(self, op: str) -> None:
+        """What a call that arrives while ``_in_region`` is set gets."""
+        raise TransportError(
+            f"{op} is unavailable inside a parallel region: a thunk computes, "
+            "may call heartbeat(), and returns; keep charges and communication "
+            "in coordinator context between regions (DESIGN.md §13.3)"
+        )
+
+    def _guard_rank(self, rank: int, op: str) -> None:
+        """The choke point of every per-rank accounting call: refuse a
+        thunk, then fire pending rank faults (crash raises, stall charges
+        time)."""
+        if self._in_region:
+            self._refuse_thunk(op)
         if self.faults is not None:
             stall = self.faults.on_rank_activity(rank, self.superstep)
             if stall > 0:
@@ -230,7 +267,7 @@ class Simulator:
         rank = self._check_rank(rank)
         if flops < 0:
             raise ValueError(f"flops must be non-negative, got {flops}")
-        self._guard_rank(rank)
+        self._guard_rank(rank, "compute")
         if self.ledger is not None:
             self.ledger.record("compute", rank, flops)
         cost = self.model.compute_cost(flops)
@@ -243,7 +280,7 @@ class Simulator:
         rank = self._check_rank(rank)
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        self._guard_rank(rank)
+        self._guard_rank(rank, "advance")
         if self.ledger is not None:
             self.ledger.record("advance", rank, seconds)
         self.clock[rank] += seconds
@@ -258,29 +295,47 @@ class Simulator:
         mutating shared state), this fixes the reference semantics that
         :class:`~repro.machine.threads.ThreadTransport` and
         :class:`~repro.machine.processes.ProcessTransport` must
-        reproduce bit for bit.  Rank clocks are independent between
-        synchronisation points, so sequential execution is
-        indistinguishable from concurrent execution under the cost
-        model; fault scheduling keys on the superstep clock, which a
-        region does not advance.
+        reproduce bit for bit.  A region touches neither clocks nor
+        counters on any transport — thunks may not charge — so where
+        and in which order its thunks execute is invisible to the cost
+        model and to fault scheduling.
         """
+        self._enter_region(thunks)
+        try:
+            return [f() if f is not None else None for f in thunks]
+        finally:
+            self._in_region = False
+
+    def _enter_region(self, thunks: Sequence[Callable[[], Any] | None]) -> None:
+        """Validate one ``pardo`` call and open its region; the caller
+        resets ``_in_region`` when the region ends, however it ends."""
+        if self._in_region:
+            self._refuse_thunk("pardo")
         if len(thunks) != self.nranks:
             raise ValueError(
                 f"pardo expects one thunk per rank ({self.nranks}), got {len(thunks)}"
             )
-        return [f() if f is not None else None for f in thunks]
+        self._in_region = True
 
     def heartbeat(self) -> None:
-        """Transport-contract conformance: no supervisor to signal.
+        """Progress signal from a long-running thunk — the one transport
+        call a thunk may make.
 
-        Long-running thunks call ``transport.heartbeat()`` so the real
-        transports' region supervisor (DESIGN.md §14) knows they are
-        alive; on the simulator the region runs inline and the call is
-        free — drivers need no backend switch.
+        It tells the worker transports' region supervisor (DESIGN.md §14)
+        the rank is alive; here the region runs inline and the call is
+        free, as it is in coordinator context everywhere — drivers need
+        no backend switch.
         """
 
+    def begin_scope(self) -> None:
+        """Enter one driver call (:class:`~repro.machine.transport.entry_transport`
+        does): workers that live as long as the call start from here."""
+
+    def end_scope(self) -> None:
+        """Leave the driver call entered by the matching :meth:`begin_scope`."""
+
     def close(self) -> None:
-        """Transport-contract conformance: the simulator holds no workers."""
+        """Release worker resources; the simulator holds none."""
 
     def __enter__(self) -> "Simulator":
         return self
@@ -309,7 +364,7 @@ class Simulator:
             # transport corrupts/duplicates the serialized bytes, not
             # the sender's live object
             payload = pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        self._guard_rank(src)
+        self._guard_rank(src, "send")
         attached = self.tracer.on_send(src) if self.tracer is not None else None
         if src == dst:
             # local hand-off: free, but keep FIFO semantics
@@ -343,17 +398,20 @@ class Simulator:
         Under an active fault plan an empty mailbox raises the typed
         :class:`~repro.faults.MessageLost` (the message was dropped and
         the caller may retransmit); without a plan it is a programming
-        error and raises the hard deadlock ``RuntimeError``.
+        error and raises the hard deadlock
+        :class:`~repro.machine.errors.TransportError` — at once, on
+        every transport: all messaging is coordinator-context, so there
+        is nobody left to post the message.
         """
         dst = self._check_rank(dst)
         src = self._check_rank(src)
-        self._guard_rank(dst)
+        self._guard_rank(dst, "recv")
         box = self._mail[(src, dst, tag)]
         if not box:
             if self.faults is not None:
                 self.faults.on_lost(src, dst, tag, self.superstep)
                 raise MessageLost(src, dst, tag)
-            raise RuntimeError(
+            raise TransportError(
                 f"deadlock: rank {dst} receives from {src} (tag={tag!r}) "
                 "but no message was sent"
             )
@@ -374,10 +432,6 @@ class Simulator:
         drained in ``(src, dst)``-sorted order — the post/drain sequence
         the drivers' fault-journal signatures are pinned to.  Returns
         ``{dst: [(src, payload), ...]}``.
-
-        Written against ``send``/``recv`` only: it is the one
-        implementation, which :class:`~repro.machine.LocalTransport`
-        binds as its own ``exchange`` too.
         """
         for src, dst, payload, nwords in messages:
             self.send(src, dst, payload, nwords, tag=tag)
@@ -390,16 +444,19 @@ class Simulator:
     # collectives
     # ------------------------------------------------------------------
 
-    def _guard_all(self) -> None:
-        """Every rank participates in a collective — fire pending faults."""
+    def _guard_all(self, op: str) -> None:
+        """Every rank participates in a collective — the choke point of
+        ``barrier`` / ``allreduce`` / ``allgather``."""
+        if self._in_region:
+            self._refuse_thunk(op)
         if self.faults is not None:
             for rank in range(self.nranks):
-                self._guard_rank(rank)
+                self._guard_rank(rank, op)
 
     def barrier(self) -> None:
         """Synchronise all ranks: wait for the slowest, plus the cost of a
         log2(p)-step synchronisation tree (zero-payload collective)."""
-        self._guard_all()
+        self._guard_all("barrier")
         if self.ledger is not None:
             self.ledger.record("barrier", -1, 0.0)
         self.clock[:] = self.clock.max() + self.model.collective_cost(self.nranks, 0.0)
@@ -417,7 +474,7 @@ class Simulator:
             raise ValueError(
                 f"allreduce expects one value per rank ({self.nranks}), got {arr.shape}"
             )
-        self._guard_all()
+        self._guard_all("allreduce")
         nwords = float(np.prod(arr.shape[1:])) if arr.ndim > 1 else 1.0
         if self.ledger is not None:
             self.ledger.record("allreduce", -1, nwords)
@@ -442,7 +499,7 @@ class Simulator:
             raise ValueError(
                 f"allgather expects one payload per rank ({self.nranks}), got {len(values)}"
             )
-        self._guard_all()
+        self._guard_all("allgather")
         if self.ledger is not None:
             self.ledger.record("allgather", -1, nwords_each * self.nranks)
         cost = self.model.collective_cost(self.nranks, nwords_each * self.nranks)

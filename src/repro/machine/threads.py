@@ -5,24 +5,27 @@ Each rank gets a persistent worker thread fed through a task queue; a
 the region supervisor (DESIGN.md §14): the coordinator polls the done
 queue at ``supervision.poll_interval``, and a rank that delivers
 neither its result nor a heartbeat within ``supervision.deadline``
-seconds is declared :class:`~repro.machine.transport.WorkerHung` —
+seconds is declared :class:`~repro.machine.errors.WorkerHung` —
 its thread is abandoned (a daemon; it receives a stop token for
 whenever it wakes) and a fresh worker is respawned for the rank, so
 the transport survives the failure and the region can be retried.
-Point-to-point messages match through the shared condition-guarded
-mailboxes of :class:`~repro.machine.transport.LocalTransport` — a
-worker-context ``recv`` genuinely blocks until the matching ``send``
-lands (with a deadlock timeout), and ``barrier`` called from worker
-context is a real :class:`threading.Barrier` across the ranks
-participating in the current parallel region.
 
-Payloads are delivered **by reference**: the ranks share one address
-space, so a message is the object itself, exactly like the simulator's
-default (non-``copy_payloads``) mode.  The drivers' read-shared /
-write-own discipline (DESIGN.md §13) is what keeps this safe — thunks
-never mutate coordinator state, they return updates that the
-coordinator merges in rank order, which is also what makes the factors
-bit-identical to the simulator's (and what makes region retry safe).
+Only region execution differs from the simulator: messaging, charges,
+collectives, tracing and modelled time are the inherited accounting
+core, run in coordinator context (DESIGN.md §13.3).  Thunk results come
+back **by reference** — the ranks share one address space — so the
+drivers' read-shared / write-own discipline (DESIGN.md §13) is what
+keeps this safe: thunks never mutate coordinator state, they return
+updates that the coordinator merges in rank order, which is also what
+makes the factors bit-identical to the simulator's (and what makes
+region retry safe).
+
+Role.  Python threads are GIL-bound, so this transport is not a way to
+go faster; it is the **no-fork parity leg**: real concurrency between
+the thunks of a region (it is what ``concurrent_regions`` and the
+per-thunk scratch state in the drivers are tested against), the whole
+supervision taxonomy, and the only worker transport that runs where
+``os.fork`` does not exist.
 """
 
 from __future__ import annotations
@@ -31,25 +34,12 @@ import queue
 import threading
 import time
 import warnings
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from .supervision import (
-    RegionInjection,
-    _InjectedWorkerCrash,
-    _PoisonResult,
-    wrap_injected_thunk,
-)
-from .transport import (
-    LocalTransport,
-    ResultUnpicklable,
-    TransportError,
-    WorkerCrashed,
-    WorkerHung,
-)
-
-if TYPE_CHECKING:
-    from ..faults import FaultPlan
-    from .supervision import SupervisionPolicy
+from ..faults import RegionInjection
+from .errors import ResultUnpicklable, TransportError, WorkerCrashed, WorkerHung
+from .supervision import _InjectedWorkerCrash, _PoisonResult, wrap_injected_thunk
+from .transport import LocalTransport
 
 __all__ = ["ThreadTransport"]
 
@@ -66,17 +56,10 @@ class ThreadTransport(LocalTransport):
     #: seconds ``close()`` waits per worker before declaring it stuck
     close_join_timeout: float = 5.0
 
-    def __init__(
-        self,
-        nranks: int,
-        *,
-        supervision: "SupervisionPolicy | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> None:
-        super().__init__(nranks, supervision=supervision, faults=faults)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._local = threading.local()
         self._done: queue.Queue = queue.Queue()
-        self._region_barrier: threading.Barrier | None = None
         # last heartbeat (or dispatch) timestamp per rank; plain float
         # writes are atomic under the GIL, no lock needed
         self._beats = [0.0] * self.nranks
@@ -118,13 +101,6 @@ class ThreadTransport(LocalTransport):
             else:
                 self._done.put((seq, rank, True, result))
 
-    def _in_worker(self) -> bool:
-        return getattr(self._local, "rank", None) is not None
-
-    def current_rank(self) -> int | None:
-        """The rank of the calling worker thread (None in the coordinator)."""
-        return getattr(self._local, "rank", None)
-
     def heartbeat(self) -> None:
         rank = getattr(self._local, "rank", None)
         if rank is not None:
@@ -162,81 +138,54 @@ class ThreadTransport(LocalTransport):
         """
         policy = self.supervision
         seq = object()  # unique token ties results to this region
-        self._region_barrier = threading.Barrier(len(active)) if len(active) > 1 else None
-        try:
-            now = time.perf_counter()
-            for r in active:
-                self._beats[r] = now
-                self._tasks[r].put((seq, wrap_injected_thunk(thunks[r], inject.get(r))))
-            results: list[Any] = [None] * self.nranks
-            failures: dict[int, BaseException] = {}
-            remaining = set(active)
-            while remaining:
-                timeout = None if policy.deadline is None else policy.poll_interval
-                try:
-                    got_seq, rank, ok, value = self._done.get(timeout=timeout)
-                except queue.Empty:
-                    pass
-                else:
-                    if got_seq is not seq or rank not in remaining:
-                        continue  # stale result from an abandoned worker/region
-                    remaining.discard(rank)
-                    if ok:
-                        if isinstance(value, _PoisonResult):
-                            failures[rank] = ResultUnpicklable(
-                                rank, "injected corrupt-result: payload undecodable"
-                            )
-                        else:
-                            results[rank] = value
-                    elif isinstance(value, _InjectedWorkerCrash):
-                        failures[rank] = WorkerCrashed(
-                            rank, "worker thread crashed (injected)",
-                            remote_traceback=str(value),
+        now = time.perf_counter()
+        for r in active:
+            self._beats[r] = now
+            self._tasks[r].put((seq, wrap_injected_thunk(thunks[r], inject.get(r))))
+        results: list[Any] = [None] * self.nranks
+        failures: dict[int, BaseException] = {}
+        remaining = set(active)
+        while remaining:
+            timeout = None if policy.deadline is None else policy.poll_interval
+            try:
+                got_seq, rank, ok, value = self._done.get(timeout=timeout)
+            except queue.Empty:
+                pass
+            else:
+                if got_seq is not seq or rank not in remaining:
+                    continue  # stale result from an abandoned worker/region
+                remaining.discard(rank)
+                if ok:
+                    if isinstance(value, _PoisonResult):
+                        failures[rank] = ResultUnpicklable(
+                            rank, "injected corrupt-result: payload undecodable"
                         )
-                    elif isinstance(value, Exception):
-                        failures[rank] = value  # application error: re-raise as-is
                     else:
-                        failures[rank] = WorkerCrashed(
-                            rank,
-                            f"worker thread died on non-Exception {value!r}",
-                            remote_traceback=repr(value),
-                        )
-                if policy.deadline is None:
-                    continue
-                now = time.perf_counter()
-                hung = [r for r in sorted(remaining) if now - self._beats[r] > policy.deadline]
-                for r in hung:
-                    remaining.discard(r)
-                    failures[r] = WorkerHung(r, policy.deadline)
-                    self._abandon_worker(r)
-                if hung and self._region_barrier is not None:
-                    # siblings blocked on the region barrier must not wait
-                    # out their own deadlines for a rank that will never
-                    # arrive; their BrokenBarrierError is collateral and
-                    # outranked by the WorkerHung when the region fails
-                    self._region_barrier.abort()
-            if failures:
-                self._raise_region_failure(failures)
-            return results
-        finally:
-            self._region_barrier = None
-
-    # -- collectives from worker context -------------------------------
-
-    def _sync_workers(self) -> bool:
-        if not self._in_worker():
-            return True
-        bar = self._region_barrier
-        if bar is None:
-            return True  # single-rank region: trivially synchronised
-        try:
-            # Barrier.wait returns a unique 0..parties-1 index; exactly
-            # one participant (index 0) accounts the barrier.
-            return bar.wait(timeout=self.recv_timeout) == 0
-        except threading.BrokenBarrierError as exc:
-            raise TransportError(
-                "barrier broken: a participating rank failed or timed out"
-            ) from exc
+                        results[rank] = value
+                elif isinstance(value, _InjectedWorkerCrash):
+                    failures[rank] = WorkerCrashed(
+                        rank, "worker thread crashed (injected)",
+                        remote_traceback=str(value),
+                    )
+                elif isinstance(value, Exception):
+                    failures[rank] = value  # application error: re-raise as-is
+                else:
+                    failures[rank] = WorkerCrashed(
+                        rank,
+                        f"worker thread died on non-Exception {value!r}",
+                        remote_traceback=repr(value),
+                    )
+            if policy.deadline is None:
+                continue
+            now = time.perf_counter()
+            hung = [r for r in sorted(remaining) if now - self._beats[r] > policy.deadline]
+            for r in hung:
+                remaining.discard(r)
+                failures[r] = WorkerHung(r, policy.deadline)
+                self._abandon_worker(r)
+        if failures:
+            self._raise_region_failure(failures)
+        return results
 
     # -- lifecycle -----------------------------------------------------
 

@@ -1,33 +1,29 @@
-"""The transport abstraction behind the SPMD API (ROADMAP item 1).
+"""The transport layer behind the SPMD API (DESIGN.md §13).
 
 Every parallel driver in this reproduction is a *centralised* SPMD
 program: one coordinator loop drives ``nranks`` ranks through
 alternating **parallel regions** (per-rank local numerics) and
 **communication supersteps** (point-to-point messages, barriers,
-collectives).  This module extracts the contract those drivers actually
-use from :class:`~repro.machine.simulator.Simulator` into a
-:class:`Transport` protocol with three interchangeable implementations:
+collectives).  The contract those drivers use has one implementation of
+its accounting, :class:`~repro.machine.simulator.Simulator`, and three
+ways to execute a region:
 
 ``Simulator`` (``transport="simulator"``)
-    The deterministic oracle.  Executes parallel regions sequentially in
-    rank order, maintains per-rank virtual clocks driven by a
-    :class:`~repro.machine.model.MachineModel`, and keeps **exclusive
-    ownership of fault injection, race tracing and the cost model**.
+    The deterministic oracle: the thunks of a region run sequentially in
+    rank order on the calling thread.
 
 ``ThreadTransport`` (``transport="threads"``)
-    One persistent worker thread per rank; parallel regions execute
-    concurrently on the workers, messages match through real
-    condition-guarded mailboxes keyed on ``(src, dst, tag)``.
+    One persistent worker thread per rank; the thunks of a region run
+    concurrently on the workers.  The no-fork parity leg — the only
+    worker transport that needs no ``os.fork``.
 
 ``ProcessTransport`` (``transport="processes"``)
     One forked worker process per rank per *driver call*: the workers
     are SPMD replicas that run the driver's code between regions too,
     so a ``pardo`` is "own thunk, then allgather" and nothing is forked
-    again until the call returns.  Thunk results travel pickled (the
-    TRN002 certification from the transport-portability analyzer
-    guarantees the payloads survive this), with large numpy operands
-    handed to the coordinator through POSIX shared memory instead of
-    the pipe.
+    again until the call returns.  Thunk results travel pickled over
+    pipes (the TRN002 certification from the transport-portability
+    analyzer guarantees the payloads survive this).
 
 The contract (DESIGN.md §13)
 ----------------------------
@@ -37,14 +33,23 @@ A transport provides:
   callables, one per rank (``None`` for an idle rank), executed with
   **read-shared / write-own** semantics: a thunk may read any
   coordinator state but must mutate nothing — it *returns* its updates,
-  and the coordinator merges them in deterministic rank order.  This is
-  the discipline that makes the three transports bit-identical.
+  and the coordinator merges them in deterministic rank order.  The one
+  transport method a thunk may call is ``heartbeat()``; everything below
+  raises :class:`TransportError` from inside a region.
 * the messaging surface ``send`` / ``recv`` / ``exchange`` / ``barrier``
   / ``allreduce`` / ``allgather`` and the accounting surface ``compute``
   / ``advance`` / ``superstep`` / ``elapsed`` / ``stats``;
-* the tracing hooks ``declare_read`` / ``declare_write`` (no-ops except
-  on a tracing simulator) and ``snapshot`` / ``restore`` for the
+* the tracing hooks ``declare_read`` / ``declare_write`` (no-ops unless
+  built with ``trace=True``) and ``snapshot`` / ``restore`` for the
   checkpoint layer.
+
+Because all of the second and third group runs in coordinator context
+on every transport, :class:`LocalTransport` — the base of the two worker
+transports — *is* a ``Simulator`` and overrides only region execution
+and lifecycle.  The cost model, the race tracer, the charge ledger and
+``copy_payloads`` belong to that shared core, not to one backend:
+modelled time and communication statistics are the same numbers on
+every transport, and wall-clock time is the caller's to measure.
 
 Drivers reach a transport through three helpers defined here (DESIGN.md
 §13.2): :class:`entry_transport` (acquire / report / release for one
@@ -54,47 +59,36 @@ owning rank).
 
 ``resolve_transport`` is the single entry-point factory the
 ``transport=`` keyword of every ``parallel_*`` driver goes through; it
-raises the typed :class:`TransportCapabilityError` when ``faults=`` or
-``trace=True`` is combined with a backend that cannot honour it — the
-simulator is the only fully fault/race-instrumented transport.  Real
-transports accept the *portable* fault subset (crash / stall / corrupt-
-result; see :mod:`repro.machine.supervision`) and run every ``pardo``
+raises the typed :class:`TransportCapabilityError` for the requests that
+describe a real difference between transports.  Worker transports read
+a :class:`~repro.faults.FaultPlan` *physically* (crash / stall /
+corrupt-result, see :mod:`repro.faults.plan`) and run every ``pardo``
 region under a supervisor (DESIGN.md §14): per-rank deadlines with
-heartbeats, the typed failure taxonomy (:class:`WorkerCrashed` /
-:class:`WorkerHung` / :class:`ResultUnpicklable`), and bounded region
-retry from the coordinator's intact state — bit-identical by the
-pure-thunk discipline.
+heartbeats, the typed failure taxonomy of :mod:`repro.machine.errors`
+(``WorkerCrashed`` / ``WorkerHung`` / ``ResultUnpicklable``), and
+bounded region retry from the coordinator's intact state —
+bit-identical by the pure-thunk discipline.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..faults import FaultJournal, FaultPlan, RegionInjection, unportable_faults
+from .errors import (
+    SUPERVISED_FAILURES,
+    TransportCapabilityError,
+    TransportError,
+    TransportWorkerError,
+)
 from .model import CRAY_T3D, MachineModel
-from .simulator import CommStats, Simulator
-
-if TYPE_CHECKING:
-    from ..faults import FaultJournal, FaultPlan
-    from ..verify.trace import AccessTracer
-    from .supervision import PortableFaultRuntime, RegionInjection, SupervisionPolicy
+from .simulator import Simulator
+from .supervision import SupervisionPolicy
 
 __all__ = [
-    "Transport",
     "LocalTransport",
-    "TransportError",
-    "TransportCapabilityError",
-    "TransportWorkerError",
-    "WorkerCrashed",
-    "WorkerHung",
-    "ResultUnpicklable",
-    "SUPERVISED_FAILURES",
-    "TransportSnapshot",
-    "is_transport",
     "resolve_transport",
     "entry_transport",
     "run_region",
@@ -109,254 +103,99 @@ __all__ = [
 TRANSPORT_NAMES = ("simulator", "threads", "processes", "none")
 
 
-class TransportError(RuntimeError):
-    """A transport-layer failure (deadlock, worker death, misuse)."""
+class LocalTransport(Simulator):
+    """A :class:`Simulator` whose parallel regions run on real workers.
 
+    Clocks, counters, mailboxes, collectives, snapshots, statistics and
+    instruments are inherited; this class adds what having workers adds:
+    the region supervisor (deadlines, typed failures, bounded retry,
+    DESIGN.md §14), the physical reading of a fault plan, and a
+    lifecycle.  Subclasses implement :meth:`_run_region`.
 
-class TransportCapabilityError(TransportError, ValueError):
-    """A feature was requested from a transport that cannot honour it.
-
-    Raised by :func:`resolve_transport` when ``faults=`` or
-    ``trace=True`` (or ``copy_payloads=True``) is combined with a
-    non-simulator transport: the simulator is the only backend carrying
-    the fault harness and the race tracer, and silently ignoring the
-    request would certify nothing.  Subclasses :class:`ValueError` so
-    legacy callers catching the old validation error keep working.
+    ``model`` and ``instruments`` (``trace`` / ``copy_payloads`` /
+    ``ledger``) are the simulator's own.  ``faults`` is not handed down
+    to it: a worker transport injects per region
+    (``FaultRuntime.plan_region``), not per message, and refuses a plan
+    it cannot read physically.
     """
-
-
-class TransportWorkerError(TransportError):
-    """A worker rank died with an exception that could not be re-raised.
-
-    Carries the rank and the worker-side traceback text.  The
-    supervision layer (DESIGN.md §14) refines it into the typed
-    taxonomy below; only those subclasses trigger region retry — a bare
-    :class:`TransportWorkerError` is an *application* failure crossing
-    a serialisation boundary and surfaces immediately.
-    """
-
-    def __init__(self, rank: int, message: str) -> None:
-        super().__init__(f"rank {rank} failed: {message}")
-        self.rank = rank
-
-
-class WorkerCrashed(TransportWorkerError):
-    """A worker died mid-region without delivering its result.
-
-    For process workers carries the child ``exitcode`` (negative means
-    killed by ``-exitcode``) and, when the death was a classified
-    signal, ``signum``; ``remote_traceback`` holds the worker-side
-    traceback when one made it out before the death.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        message: str,
-        *,
-        exitcode: int | None = None,
-        signum: int | None = None,
-        remote_traceback: str = "",
-    ) -> None:
-        super().__init__(rank, message)
-        self.exitcode = exitcode
-        self.signum = signum
-        self.remote_traceback = remote_traceback
-
-
-class WorkerHung(TransportWorkerError):
-    """A worker delivered neither result nor heartbeat within the deadline."""
-
-    def __init__(self, rank: int, deadline: float) -> None:
-        super().__init__(
-            rank,
-            f"no result or heartbeat within the {deadline:g}s supervision deadline",
-        )
-        self.deadline = deadline
-
-
-class ResultUnpicklable(TransportWorkerError):
-    """A worker finished but its result could not cross the boundary.
-
-    ``remote_traceback`` carries the worker-side pickling traceback when
-    the failure was detected in the worker; parent-side unpickling
-    failures report the coordinator's exception instead.
-    """
-
-    def __init__(self, rank: int, message: str, *, remote_traceback: str = "") -> None:
-        super().__init__(rank, message)
-        self.remote_traceback = remote_traceback
-
-
-#: The failure taxonomy the region supervisor retries on.
-SUPERVISED_FAILURES = (WorkerCrashed, WorkerHung, ResultUnpicklable)
-
-
-class TransportSnapshot:
-    """Frozen counter + mailbox state of a real (non-simulated) transport."""
-
-    __slots__ = ("flops", "mail", "messages", "words", "barriers", "collectives")
-
-    def __init__(self, flops, mail, messages, words, barriers, collectives) -> None:
-        self.flops = flops
-        self.mail = mail
-        self.messages = messages
-        self.words = words
-        self.barriers = barriers
-        self.collectives = collectives
-
-
-class Transport:
-    """Structural base/documentation class for the transport contract.
-
-    :class:`~repro.machine.simulator.Simulator` conforms structurally
-    without inheriting (it predates this module and tests construct it
-    directly); the real backends subclass :class:`LocalTransport`.
-    ``isinstance`` checks are therefore deliberately avoided — use
-    :func:`is_transport` / :func:`resolve_transport`.
-    """
-
-    #: Short spelling used in reports and ``transport=`` round-trips.
-    name: str = "abstract"
-    #: Whether :class:`~repro.faults.FaultPlan` injection is available.
-    supports_faults: bool = False
-    #: Whether ``trace=True`` race tracing is available.
-    supports_trace: bool = False
-    #: True for the modelled (virtual-clock) backend.
-    is_simulated: bool = False
-    #: True when region thunks run concurrently in one address space —
-    #: drivers must then use per-thunk scratch state (accumulators).
-    concurrent_regions: bool = False
-
-    nranks: int
-
-
-def is_transport(obj: object) -> bool:
-    """Duck-typed contract check used by :func:`resolve_transport`."""
-    return all(
-        callable(getattr(obj, meth, None))
-        for meth in ("pardo", "send", "recv", "barrier", "compute", "stats")
-    ) and hasattr(obj, "nranks")
-
-
-class LocalTransport(Transport):
-    """Shared machinery of the real in-host transports.
-
-    Maintains the same counters :class:`CommStats` reports for the
-    simulator (flops, messages, words, barriers, collectives) — without
-    a virtual clock: ``elapsed()`` is real wall-clock time since
-    construction.  Mailboxes live in the coordinator and match on
-    ``(src, dst, tag)`` exactly like the simulator's.
-
-    Subclasses implement :meth:`pardo`; everything else is common.
-    """
-
-    #: seconds a worker-context ``recv`` waits before declaring deadlock
-    recv_timeout: float = 30.0
 
     def __init__(
         self,
         nranks: int,
+        model: MachineModel = CRAY_T3D,
         *,
-        supervision: "SupervisionPolicy | None" = None,
-        faults: "FaultPlan | None" = None,
+        supervision: SupervisionPolicy | None = None,
+        faults: FaultPlan | None = None,
+        **instruments: Any,
     ) -> None:
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
-        self.nranks = int(nranks)
-        self._flops = np.zeros(self.nranks, dtype=np.float64)
-        self._mail: dict[tuple[int, int, Any], deque[tuple[Any, float]]] = defaultdict(deque)
-        self._mail_lock = threading.Lock()
-        self._mail_ready = threading.Condition(self._mail_lock)
-        self._messages = 0
-        self._words = 0.0
-        self._barriers = 0
-        self._collectives = 0
-        self._t0 = time.perf_counter()
-        self._closed = False
-        # ranks never carry a tracer or a simulator fault runtime on a
-        # real transport; portable faults live in the supervision layer
-        self.tracer: AccessTracer | None = None
-        self.faults = None
-        from .supervision import PortableFaultRuntime, SupervisionPolicy
-
+        super().__init__(nranks, model, **instruments)
+        bad = unportable_faults(faults) if faults is not None else []
+        if bad:
+            raise TransportCapabilityError(
+                f"faults= on transport {self.name!r} supports only the portable "
+                "subset (crash/stall rank faults, corrupt message faults as "
+                f"corrupt-result); not portable: {', '.join(bad)} — the worker "
+                "transports refuse them by policy, use transport='simulator'"
+            )
         self.supervision = supervision if supervision is not None else SupervisionPolicy()
-        self._fault_runtime: PortableFaultRuntime | None = (
-            PortableFaultRuntime(faults) if faults is not None else None
-        )
-        self._region_recoveries = 0
-
-    # -- identity ------------------------------------------------------
+        self._region_faults = faults.runtime() if faults is not None else None
+        self._closed = False
 
     @property
     def fault_journal(self) -> FaultJournal | None:
-        """The portable-fault journal, when a plan is armed."""
-        return self._fault_runtime.journal if self._fault_runtime is not None else None
-
-    @property
-    def region_recoveries(self) -> int:
-        """Parallel regions re-executed after a supervised worker failure."""
-        return self._region_recoveries
-
-    @property
-    def superstep(self) -> int:
-        """Completed barriers + collectives (same clock as the simulator)."""
-        return self._barriers + self._collectives
-
-    def _check_rank(self, rank: int) -> int:
-        if not 0 <= rank < self.nranks:
-            raise IndexError(f"rank {rank} out of range [0, {self.nranks})")
-        return int(rank)
+        """The journal of physically injected faults and region retries."""
+        return self._region_faults.journal if self._region_faults is not None else None
 
     # -- parallel region ----------------------------------------------
 
     def pardo(self, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
         """Run one thunk per rank under the region supervisor.
 
-        Dispatches any armed portable faults, snapshots the transport
-        counters, and delegates to the backend's :meth:`_run_region`.
-        A supervised failure (:data:`SUPERVISED_FAILURES`: worker
-        crashed / hung / result unpicklable) rolls the counters back
-        and re-executes the whole region from the coordinator's intact
-        state, up to ``supervision.region_retries`` times — safe and
-        bit-reproducible because thunks are pure (read-shared /
-        write-own, DESIGN.md §13/§14).  Application exceptions raised
-        by a thunk are never retried.
+        Dispatches any armed faults and delegates to the backend's
+        :meth:`_run_region`.  A supervised failure
+        (:data:`SUPERVISED_FAILURES`: worker crashed / hung / result
+        unpicklable) re-executes the whole region from the coordinator's
+        intact state, up to ``supervision.region_retries`` times — safe
+        and bit-reproducible because thunks are pure (read-shared /
+        write-own) and may not charge, so a failed attempt leaves
+        nothing to roll back (DESIGN.md §13/§14).  Application
+        exceptions raised by a thunk are never retried.
         """
-        self._check_thunks(thunks)
         self._ensure_open()
-        active = [r for r, f in enumerate(thunks) if f is not None]
-        if not active:
-            return [None] * self.nranks
-        attempts = self.supervision.region_retries + 1
-        for attempt in range(attempts):
-            inject: dict[int, RegionInjection] = (
-                self._fault_runtime.plan_region(active, self.superstep)
-                if self._fault_runtime is not None
-                else {}
-            )
-            snap = self.snapshot()
-            try:
-                return self._run_region(thunks, active, inject)
-            except SUPERVISED_FAILURES as err:
-                self.restore(snap, reason=f"region retry after {type(err).__name__}")
-                if attempt + 1 >= attempts:
-                    raise
-                self._region_recoveries += 1
-                if self._fault_runtime is not None:
-                    self._fault_runtime.journal.record(
-                        "region-retry",
-                        superstep=self.superstep,
-                        rank=err.rank,
-                        detail=f"attempt {attempt + 1}: {type(err).__name__}",
-                    )
-        raise TransportError("unreachable")  # pragma: no cover
+        self._enter_region(thunks)
+        try:
+            active = [r for r, f in enumerate(thunks) if f is not None]
+            if not active:
+                return [None] * self.nranks
+            attempt = 0
+            while True:
+                inject: dict[int, RegionInjection] = (
+                    self._region_faults.plan_region(active, self.superstep)
+                    if self._region_faults is not None
+                    else {}
+                )
+                try:
+                    return self._run_region(thunks, active, inject)
+                except SUPERVISED_FAILURES as err:
+                    attempt += 1
+                    if attempt > self.supervision.region_retries:
+                        raise
+                    self.region_recoveries += 1
+                    if self._region_faults is not None:
+                        self._region_faults.journal.record(
+                            "region-retry",
+                            superstep=self.superstep,
+                            rank=err.rank,
+                            detail=f"attempt {attempt}: {type(err).__name__}",
+                        )
+        finally:
+            self._in_region = False
 
     def _run_region(
         self,
         thunks: Sequence[Callable[[], Any] | None],
         active: list[int],
-        inject: "dict[int, RegionInjection]",
+        inject: dict[int, RegionInjection],
     ) -> list[Any]:
         """One supervised execution attempt of a region (backend hook)."""
         raise NotImplementedError
@@ -369,10 +208,8 @@ class LocalTransport(Transport):
         """Raise the failure that decides the region's fate.
 
         Supervised failures (the retryable taxonomy) take precedence
-        over application errors and collateral transport errors (a
-        broken barrier on a sibling rank of a crashed worker must not
-        mask the crash); within a class, lowest rank first — the same
-        deterministic order the pre-supervision transports used.
+        over application errors; within a class, lowest rank first — the
+        same deterministic order the pre-supervision transports used.
         """
         supervised = {
             r: e for r, e in failures.items() if isinstance(e, SUPERVISED_FAILURES)
@@ -384,200 +221,17 @@ class LocalTransport(Transport):
             raise exc
         raise TransportWorkerError(rank, repr(exc))
 
-    def heartbeat(self) -> None:
-        """Progress signal from a long-running thunk (worker context).
-
-        Resets the calling rank's supervision deadline; a no-op in
-        coordinator context and on the simulator, so drivers may call
-        it unconditionally.
-        """
-
-    def _check_thunks(self, thunks: Sequence[Callable[[], Any] | None]) -> None:
-        if len(thunks) != self.nranks:
-            raise ValueError(
-                f"pardo expects one thunk per rank ({self.nranks}), got {len(thunks)}"
-            )
-
-    # -- accounting (counters only; wall time is real) -----------------
-
-    def compute(self, rank: int, flops: float) -> None:
-        rank = self._check_rank(rank)
-        if flops < 0:
-            raise ValueError(f"flops must be non-negative, got {flops}")
-        self._flops[rank] += flops
-
-    def advance(self, rank: int, seconds: float) -> None:
-        self._check_rank(rank)
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        # wall time is real on this transport; the modelled charge is moot
-
-    # -- point-to-point ------------------------------------------------
-
-    def _deliver(self, payload: Any) -> Any:
-        """Transport-specific payload boundary (reference vs serialized)."""
-        return payload
-
-    def send(self, src: int, dst: int, payload: Any, nwords: float, tag: Any = None) -> None:
-        src = self._check_rank(src)
-        dst = self._check_rank(dst)
-        if nwords < 0:
-            raise ValueError("nwords must be non-negative")
-        payload = self._deliver(payload)
-        with self._mail_ready:
-            self._mail[(src, dst, tag)].append((payload, float(nwords)))
-            if src != dst:
-                self._messages += 1
-                self._words += nwords
-            self._mail_ready.notify_all()
-
-    def recv(self, dst: int, src: int, tag: Any = None) -> Any:
-        dst = self._check_rank(dst)
-        src = self._check_rank(src)
-        key = (src, dst, tag)
-        deadline = time.perf_counter() + self.recv_timeout
-        with self._mail_ready:
-            while True:
-                box = self._mail.get(key)
-                if box:
-                    payload, _ = box.popleft()
-                    return payload
-                if not self._in_worker():
-                    # coordinator context: a missing message is a protocol
-                    # bug, exactly the simulator's hard deadlock error
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._mail_ready.wait(remaining)
-        raise TransportError(
-            f"deadlock: rank {dst} receives from {src} (tag={tag!r}) "
-            "but no message was sent"
-        )
-
-    #: the one pairwise exchange, written against ``send``/``recv``
-    exchange = Simulator.exchange
-
-    # -- collectives ---------------------------------------------------
-
-    def _in_worker(self) -> bool:
-        """True when called from rank-executed (worker) context."""
-        return False
-
-    def barrier(self) -> None:
-        if self._sync_workers():
-            self._barriers += 1
-
-    def _sync_workers(self) -> bool:
-        """Hook for subclasses whose workers can reach a barrier.
-
-        Returns True when this caller should account the barrier (the
-        coordinator always does; of N workers meeting at one barrier,
-        exactly one must).
-        """
-        return True
-
-    def allreduce(self, values: np.ndarray | list, op: str = "sum") -> Any:
-        arr = np.asarray(values)
-        if arr.shape[0] != self.nranks:
-            raise ValueError(
-                f"allreduce expects one value per rank ({self.nranks}), got {arr.shape}"
-            )
-        self._collectives += 1
-        if op == "sum":
-            return arr.sum(axis=0)
-        if op == "max":
-            return arr.max(axis=0)
-        if op == "min":
-            return arr.min(axis=0)
-        if op == "or":
-            return np.logical_or.reduce(arr, axis=0)
-        raise ValueError(f"unsupported allreduce op {op!r}")
-
-    def allgather(self, values: list, nwords_each: float = 1.0) -> list:
-        if len(values) != self.nranks:
-            raise ValueError(
-                f"allgather expects one payload per rank ({self.nranks}), got {len(values)}"
-            )
-        self._collectives += 1
-        return list(values)
-
-    # -- tracing hooks (free: no tracer ever on a real transport) ------
-
-    def declare_read(self, rank: int, space: str, indices: int | Iterable[int]) -> None:
-        pass
-
-    def declare_write(self, rank: int, space: str, index: int) -> None:
-        pass
-
-    # -- checkpoint / restart ------------------------------------------
-
-    def snapshot(self) -> TransportSnapshot:
-        with self._mail_lock:
-            return TransportSnapshot(
-                flops=self._flops.copy(),
-                mail={key: deque(box) for key, box in self._mail.items() if box},
-                messages=self._messages,
-                words=self._words,
-                barriers=self._barriers,
-                collectives=self._collectives,
-            )
-
-    def restore(self, snap: TransportSnapshot, *, reason: str = "") -> None:
-        with self._mail_lock:
-            self._flops[:] = snap.flops
-            self._mail = defaultdict(
-                deque, {key: deque(box) for key, box in snap.mail.items()}
-            )
-            self._messages = snap.messages
-            self._words = snap.words
-            self._barriers = snap.barriers
-            self._collectives = snap.collectives
-
-    # -- results -------------------------------------------------------
-
-    def elapsed(self) -> float:
-        """Real wall-clock seconds since the transport was created."""
-        return time.perf_counter() - self._t0
-
-    def utilization(self) -> np.ndarray:
-        """Unknown on a real transport — reported as all-ones."""
-        return np.ones(self.nranks)
-
-    def pending_messages(self) -> int:
-        with self._mail_lock:
-            return sum(len(q) for q in self._mail.values())
-
-    def stats(self) -> CommStats:
-        return CommStats(
-            nranks=self.nranks,
-            total_flops=float(self._flops.sum()),
-            messages=self._messages,
-            words_sent=self._words,
-            barriers=self._barriers,
-            collectives=self._collectives,
-            per_rank_flops=[float(f) for f in self._flops],
-        )
-
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
         """Release worker resources; the transport is unusable after."""
         self._closed = True
 
-    def __enter__(self) -> "LocalTransport":
-        return self
 
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def transport_name(transport: object | None) -> str:
+def transport_name(transport: Simulator | None) -> str:
     """The report-facing name of a transport instance (``"none"`` for no
-    accounting), tolerating bare Simulators that predate ``.name``."""
-    if transport is None:
-        return "none"
-    return getattr(transport, "name", type(transport).__name__.lower())
+    accounting)."""
+    return "none" if transport is None else transport.name
 
 
 def resolve_transport(
@@ -586,135 +240,100 @@ def resolve_transport(
     *,
     model: MachineModel = CRAY_T3D,
     trace: bool = False,
-    faults: "FaultPlan | None" = None,
+    faults: FaultPlan | None = None,
     copy_payloads: bool = False,
-    supervision: "SupervisionPolicy | None" = None,
-):
+    supervision: SupervisionPolicy | None = None,
+) -> Simulator | None:
     """Resolve a ``transport=`` argument into a transport instance.
 
     Parameters
     ----------
     spec:
         ``"simulator"`` | ``"threads"`` | ``"processes"`` | ``"none"`` |
-        ``None`` | a ready :class:`Transport` / ``Simulator`` instance.
-        ``"none"``/``None`` returns ``None`` — run the identical
-        algorithm with no transport.
+        ``None`` | a ready :class:`Simulator` / worker-transport
+        instance.  ``"none"``/``None`` returns ``None`` — run the
+        identical algorithm with no transport.
     nranks:
         Rank count a string spec is instantiated with; an instance must
         already match it.
-    model, trace, faults, copy_payloads:
-        Simulator configuration.  ``trace=True`` and ``copy_payloads=``
-        remain simulator-only.  ``faults=`` runs anywhere a fault can
-        be honoured: in full on the simulator, and as the *portable*
-        subset (crash / stall / corrupt-result, DESIGN.md §14) on the
-        real transports — a plan containing drop / delay / duplicate
-        message faults still raises :class:`TransportCapabilityError`
-        off-simulator rather than silently certifying nothing.
+    model, trace, copy_payloads:
+        Configuration of the accounting core, handed to every named
+        transport alike.  ``"none"`` has no instruments and refuses
+        them.
+    faults:
+        Runs anywhere a fault can be honoured: virtually and in full on
+        the simulator, physically (crash / stall / corrupt-result,
+        DESIGN.md §14) on the worker transports — which refuse a plan
+        containing drop / delay / duplicate message faults rather than
+        silently certifying nothing.
     supervision:
         A :class:`~repro.machine.supervision.SupervisionPolicy` for the
-        worker supervisor — real (worker-backed) transports only.
+        worker supervisor — worker-backed transports only.
+
+    Nothing is retrofitted onto a ready instance: it was built with its
+    plan, policy and instruments, or without them.
 
     Returns
     -------
     A transport instance, or ``None`` for the accounting-free path.
     """
-    def _require_simulator(cap: str) -> None:
-        raise TransportCapabilityError(
-            f"{cap} requires the simulator transport "
-            f"(got transport={transport_name(spec) if not isinstance(spec, str) else spec!r}); "
-            "the simulator is the only fault/race-instrumented backend"
-        )
+    shown = spec if isinstance(spec, str) or spec is None else type(spec).__name__
+    workers = "a worker-backed transport (threads/processes)"
 
-    def _require_workers(cap: str) -> None:
-        raise TransportCapabilityError(
-            f"{cap} requires a worker-backed transport (threads/processes) "
-            f"(got transport={transport_name(spec) if not isinstance(spec, str) else spec!r}); "
-            "only real workers run under the region supervisor"
-        )
-
-    def _check_portable(plan: "FaultPlan") -> None:
-        from .supervision import unportable_faults
-
-        bad = unportable_faults(plan)
-        if bad:
-            raise TransportCapabilityError(
-                f"faults= on transport "
-                f"{transport_name(spec) if not isinstance(spec, str) else spec!r} "
-                f"supports only the portable subset (crash/stall rank faults, "
-                f"corrupt message faults as corrupt-result); not portable: "
-                f"{', '.join(bad)} — use transport='simulator' for those"
-            )
+    def _refuse(cap: str, needs: str) -> None:
+        raise TransportCapabilityError(f"{cap} requires {needs} (got transport={shown!r})")
 
     if spec is None or (isinstance(spec, str) and spec == "none"):
-        if trace:
-            _require_simulator("trace=True")
-        if faults is not None:
-            _require_simulator("faults=")
-        if copy_payloads:
-            _require_simulator("copy_payloads=True")
+        for cap, asked in (
+            ("trace=True", trace),
+            ("faults=", faults is not None),
+            ("copy_payloads=True", copy_payloads),
+        ):
+            if asked:
+                _refuse(cap, f"the simulator transport or {workers}: no transport, no instruments")
         if supervision is not None:
-            _require_workers("supervision=")
+            _refuse("supervision=", workers)
         return None
 
     if isinstance(spec, str):
+        core: dict[str, Any] = dict(trace=trace, faults=faults, copy_payloads=copy_payloads)
         if spec == "simulator":
             if supervision is not None:
-                _require_workers("supervision=")
-            return Simulator(
-                nranks, model, trace=trace, faults=faults, copy_payloads=copy_payloads
-            )
-        if spec in ("threads", "processes"):
-            if trace:
-                _require_simulator("trace=True")
-            if copy_payloads:
-                _require_simulator("copy_payloads=True")
-            if faults is not None:
-                _check_portable(faults)
-            if spec == "threads":
-                from .threads import ThreadTransport
+                _refuse("supervision=", workers)
+            return Simulator(nranks, model, **core)
+        if spec == "threads":
+            from .threads import ThreadTransport
 
-                return ThreadTransport(nranks, supervision=supervision, faults=faults)
+            return ThreadTransport(nranks, model, supervision=supervision, **core)
+        if spec == "processes":
             from .processes import ProcessTransport
 
-            return ProcessTransport(nranks, supervision=supervision, faults=faults)
+            return ProcessTransport(nranks, model, supervision=supervision, **core)
         raise ValueError(
             f"unknown transport {spec!r}; choose from {TRANSPORT_NAMES} "
-            "or pass a Transport instance"
+            "or pass a transport instance"
         )
 
-    # a ready instance: validate rank count and capability requests
-    if not is_transport(spec):
+    if not isinstance(spec, Simulator):
         raise TypeError(
-            f"transport= expects one of {TRANSPORT_NAMES} or a Transport "
-            f"instance, got {type(spec).__name__}"
+            f"transport= expects one of {TRANSPORT_NAMES} or a Simulator / "
+            f"worker-transport instance, got {type(spec).__name__}"
         )
     if spec.nranks != nranks:
         raise ValueError(
             f"transport has {spec.nranks} ranks but nranks={nranks} was requested"
         )
-    simulated = bool(getattr(spec, "is_simulated", isinstance(spec, Simulator)))
-    if trace and not simulated:
-        _require_simulator("trace=True")
-    if faults is not None:
-        # a fault plan cannot be retrofitted onto a live instance
-        raise TransportCapabilityError(
-            "faults= cannot be combined with a ready transport instance; "
-            "construct Simulator(nranks, model, faults=plan) or "
-            "ThreadTransport/ProcessTransport(nranks, faults=plan) and pass that"
-        )
-    if supervision is not None:
-        raise TransportCapabilityError(
-            "supervision= cannot be retrofitted onto a ready transport "
-            "instance; construct ThreadTransport/ProcessTransport(nranks, "
-            "supervision=policy) and pass that"
-        )
-    if copy_payloads and not simulated:
-        _require_simulator("copy_payloads=True")
-    if trace and simulated and getattr(spec, "tracer", None) is None:
-        raise TransportCapabilityError(
-            "trace=True cannot be retrofitted onto a live instance; "
-            "construct Simulator(nranks, model, trace=True) and pass that"
-        )
+    for cap, asked in (
+        ("trace=True", trace and spec.tracer is None),
+        ("faults=", faults is not None),
+        ("copy_payloads=True", copy_payloads and not spec.copy_payloads),
+        ("supervision=", supervision is not None),
+    ):
+        if asked:
+            raise TransportCapabilityError(
+                f"{cap} cannot be retrofitted onto a ready {shown} instance; "
+                "construct the instance with it and pass that"
+            )
     return spec
 
 
@@ -738,27 +357,30 @@ class entry_transport:
         self._spec = spec
         self._nranks = nranks
         self._capabilities = capabilities
-        self._transport: Any = None
+        self._transport: Simulator | None = None
 
-    def __enter__(self) -> Any:
+    def __enter__(self) -> Simulator | None:
         self._transport = resolve_transport(
             self._spec, self._nranks, **self._capabilities
         )
-        begin_scope = getattr(self._transport, "begin_scope", None)
-        if begin_scope is not None:
-            begin_scope()
+        if self._transport is not None:
+            self._transport.begin_scope()
         return self._transport
 
     def __exit__(self, *exc: object) -> None:
-        end_scope = getattr(self._transport, "end_scope", None)
-        if end_scope is not None:
-            end_scope()
-        if self._transport is not None and self._transport is not self._spec:
+        if self._transport is None:
+            return
+        self._transport.end_scope()
+        if self._transport is not self._spec:
             self._transport.close()
 
     @staticmethod
-    def report(transport: Any) -> dict[str, Any]:
-        """The transport-derived fields every driver result carries."""
+    def report(transport: Simulator | None) -> dict[str, Any]:
+        """The transport-derived fields every driver result carries.
+
+        ``modeled_time`` is the machine model's time on every transport;
+        wall-clock is the caller's to measure around the call.
+        """
         if transport is None:
             return {
                 "modeled_time": None,
@@ -771,10 +393,10 @@ class entry_transport:
         return {
             "modeled_time": transport.elapsed(),
             "comm": transport.stats(),
-            "trace": getattr(transport, "tracer", None),
-            "fault_journal": getattr(transport, "fault_journal", None),
-            "recoveries": getattr(transport, "region_recoveries", 0),
-            "transport": transport_name(transport),
+            "trace": transport.tracer,
+            "fault_journal": transport.fault_journal,
+            "recoveries": transport.region_recoveries,
+            "transport": transport.name,
         }
 
 

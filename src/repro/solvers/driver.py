@@ -91,8 +91,9 @@ def parallel_solve(
 
     ``transport`` selects the execution backend for every stage
     (factorization, matvec probe, preconditioner probe): ``"simulator"``
-    (default), ``"threads"``, ``"processes"`` or ``"none"``.  Real
-    transports return wall-clock rather than modelled times.
+    (default), ``"threads"``, ``"processes"`` or ``"none"``.  The report's
+    times are the machine model's on every transport (zero on
+    ``"none"``); wall-clock is the caller's to measure around the call.
 
     ``retry`` engages a :class:`~repro.resilience.RetryPolicy` around the
     factorization: a :class:`~repro.resilience.NumericalBreakdown` retries

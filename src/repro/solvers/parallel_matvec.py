@@ -22,7 +22,7 @@ from ..machine import (
     CRAY_T3D,
     CommStats,
     MachineModel,
-    Transport,
+    Simulator,
     entry_transport,
     run_region,
 )
@@ -55,7 +55,7 @@ def parallel_matvec(
     x: np.ndarray,
     *,
     model: MachineModel = CRAY_T3D,
-    transport: str | Transport | None = "simulator",
+    transport: str | Simulator | None = "simulator",
     halo_plan: dict[tuple[int, int], np.ndarray] | None = None,
     trace: bool = False,
     backend: str | None = None,
@@ -76,7 +76,7 @@ def parallel_matvec(
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Transport`).
+    :class:`~repro.machine.Simulator`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`; the simulator
     honours every fault kind (injected message faults surface as
@@ -88,9 +88,9 @@ def parallel_matvec(
     result.  ``supervision`` tunes the worker supervisor
     (:class:`~repro.machine.SupervisionPolicy`; real transports only).
 
-    ``copy_payloads=True`` pickle round-trips every simulated message at
-    post time (the serializing-transport debug oracle; requires
-    ``transport="simulator"``) — results are bit-identical.
+    ``copy_payloads=True`` pickle round-trips every message at post time
+    (the serializing-transport debug oracle; any transport but
+    ``"none"``) — results are bit-identical.
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.shape[0]

@@ -11,16 +11,17 @@ from repro.ilu.elimination import EliminationEngine
 from repro.lint import LintConfig, comm, load_project
 from repro.lint.costverify import verify_costs
 from repro.lint.flow import verify_drivers, verify_transport
-from repro.machine import LocalTransport, Simulator
+from repro.machine import Simulator
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: Public methods the two transport implementations share that neither
-#: post, drain, synchronise nor charge — everything else they share must
-#: be in the vocabulary.
+#: Public methods of the transport contract (``Simulator``: the worker
+#: transports inherit it) that neither post, drain, synchronise nor
+#: charge — every other one must be in the vocabulary.
 NEUTRAL = {
     "pardo", "heartbeat", "declare_read", "declare_write", "snapshot",
     "restore", "elapsed", "utilization", "pending_messages", "stats", "close",
+    "begin_scope", "end_scope",
 }
 
 
@@ -37,7 +38,6 @@ def _positional(func) -> tuple[str, ...]:
 )
 def test_signatures_match_the_simulator(method):
     assert comm.SIGNATURES[method] == _positional(getattr(Simulator, method))
-    assert comm.SIGNATURES[method] == _positional(getattr(LocalTransport, method))
 
 
 def test_recv_helper_signature_matches_the_engine_wrapper():
@@ -66,14 +66,14 @@ def test_role_positions_follow_the_signatures():
 
 
 def test_every_posting_or_charging_transport_method_is_classified():
-    shared = {
+    public = {
         name
-        for name, member in inspect.getmembers(LocalTransport, callable)
-        if not name.startswith("_") and callable(getattr(Simulator, name, None))
+        for name, member in inspect.getmembers(Simulator, callable)
+        if not name.startswith("_")
     }
-    vocabulary = {n for n in shared if comm.classify(_call(f"sim.{n}()")) is not None}
+    vocabulary = {n for n in public if comm.classify(_call(f"sim.{n}()")) is not None}
     assert vocabulary == set(comm.SIGNATURES) - {"recv_helper"}
-    assert shared - vocabulary == NEUTRAL
+    assert public - vocabulary == NEUTRAL
     # ... and each charges the ledger under the kind the simulator records
     assert {n: comm.charged_as(_call(f"sim.{n}()")) for n in sorted(vocabulary)} == {
         "advance": "advance", "allgather": "allgather", "allreduce": "allreduce",

@@ -7,9 +7,9 @@ replica (it leaves through ``os._exit`` at the scope's end) and shows up
 in the coordinator as a crashed worker, not as a second test report.
 
 Pinned here: a generation never outlives its driver call, whatever way
-the call ends; shared-memory results work across the regions of one
-generation; a replica that falls out of step is an error; and the fork
-is quiet in a multi-threaded process.
+the call ends; large results cross the pipes in both directions across
+the regions of one generation; a replica that falls out of step is an
+error; and the fork is quiet in a multi-threaded process.
 """
 
 import glob
@@ -44,11 +44,13 @@ pytestmark = pytest.mark.skipif(
 
 NO_RETRY = SupervisionPolicy(deadline=10.0, poll_interval=0.01, region_retries=0)
 
-# big enough to force the shared-memory result path (>= 64 KiB)
+# results well past a pipe buffer (240 kB each, >= 64 KiB)
 BIG_N = 30_000
 
 
 def _shm_entries() -> set:
+    """Results travel over the pipe only; this keeps pinning that no
+    ``repro-shm-*`` segment (the earlier large-array detour) appears."""
     return set(glob.glob("/dev/shm/*repro-shm-*"))
 
 
@@ -73,8 +75,8 @@ def _assert_no_generation_left(transport, shm_before) -> None:
     """``transport`` may be ``None``: the call built and closed its own."""
     assert transport is None or transport.active_workers() == {}
     children = _children()
-    # the multiprocessing resource tracker is no worker: the session's
-    # first shared-memory segment starts one and it stays
+    # the multiprocessing resource tracker is no worker: if anything in
+    # the session started one, it stays
     assert [c for c in children if "resource_tracker" not in c[1]] == []
     if not children:
         with pytest.raises(ChildProcessError):
@@ -204,11 +206,13 @@ class TestGenerationEndsWithTheDriverCall:
             _assert_no_generation_left(t, _shm_entries())
 
     def test_charges_and_counters_are_the_same_in_every_process(self):
-        """Every replica folds the same flop deltas and replays the same
-        accounting, so a later region can read them back from any rank."""
+        """Every replica replays the same coordinator-context accounting,
+        so a later region can read it back from any rank."""
         with ProcessTransport(2) as t:
             with entry_transport(t, 2):
-                t.pardo([lambda: t.compute(0, 5.0), lambda: t.compute(1, 7.0)])
+                t.pardo([lambda: 0, lambda: 1])  # the generation exists from here
+                t.compute(0, 5.0)
+                t.compute(1, 7.0)
                 t.send(0, 1, "halo", 3.0)
                 t.recv(1, 0)
                 t.barrier()
@@ -223,11 +227,10 @@ class TestGenerationEndsWithTheDriverCall:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory results inside one generation
+# large results inside one generation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-class TestSharedMemoryAcrossRegions:
+class TestLargeResultsAcrossRegions:
     big = np.sqrt(np.arange(BIG_N, dtype=np.float64) + 1.0)
 
     def _two_regions(self, spec, between=lambda transport: None):
@@ -240,13 +243,13 @@ class TestSharedMemoryAcrossRegions:
             merged = first[0] * first[1]
             between(t)
             second = t.pardo([lambda: merged - 1.0, lambda: merged / 3.0])
-            return first, second, getattr(t, "region_recoveries", 0)
+            return first, second, t.region_recoveries
 
     @staticmethod
     def _same(got, want):
         return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
-    def test_consecutive_regions_reuse_a_live_workers_segment_names(self):
+    def test_consecutive_regions_carry_large_results_up_and_down(self):
         before = _shm_entries()
         want_first, want_second, _ = self._two_regions("simulator")
         with ProcessTransport(2, supervision=NO_RETRY) as t:

@@ -74,11 +74,6 @@ class TestPointToPoint:
         assert sim.recv(1, 0, tag="t2") == "y"
         assert sim.recv(1, 0, tag="t1") == "x"
 
-    def test_recv_without_send_deadlocks(self):
-        sim = Simulator(2, MODEL)
-        with pytest.raises(RuntimeError, match="deadlock"):
-            sim.recv(1, 0)
-
     def test_self_send_free(self):
         sim = Simulator(2, MODEL)
         sim.send(0, 0, "loop", 100)

@@ -2,12 +2,15 @@
 
 Every certified driver must produce **bit-identical** results on the
 simulator, the thread transport and the process transport (DESIGN.md
-§13): same factors, same solve vectors, same per-rank flop totals, same
-message/barrier counts.  The simulator fixes the reference semantics;
-these tests hold the real backends to it on the paper's G0 workload.
+§13): same factors and solve vectors — and, because the worker
+transports *are* the simulator with a different ``pardo``, the same
+accounting: every ``CommStats`` field, modelled time, utilization and,
+under ``trace=True``, the same access trace and race verdict.  The
+simulator fixes the reference; these tests hold the worker transports
+to it on the paper's G0 workload.
 
 Also covered: the ``transport=`` entry-point surface (string specs,
-ready instances, capability errors).
+ready instances, capability errors) and the one rule for thunks.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from repro.decomp import decompose
 from repro.graph import adjacency_from_matrix
 from repro.graph.distributed_mis import distributed_two_step_luby_mis
-from repro.ilu import ILUTParams, parallel_ilut, parallel_ilut_partitioned
+from repro.ilu import ILUTParams, parallel_ilut, parallel_ilut_partitioned, parallel_ilut_star
 from repro.ilu.parallel_ilu0 import parallel_ilu0
 from repro.ilu.triangular import parallel_triangular_solve
 from repro.machine import (
@@ -32,8 +35,10 @@ from repro.machine import (
 )
 from repro.matrices import poisson2d
 from repro.resilience import PivotPolicy, ZeroPivotError
+from repro.solvers import parallel_solve
 from repro.solvers.parallel_matvec import parallel_matvec
 from repro.sparse import CSRMatrix
+from repro.verify import find_races
 
 TRANSPORTS = ["simulator", "threads", "processes"]
 BACKENDS = [None, "vectorized"]
@@ -55,53 +60,65 @@ def _assert_same_factors(a, b):
     assert a.num_levels == b.num_levels
 
 
-def _assert_same_comm(a, b):
-    """Modeled counters that every transport must agree on exactly."""
-    assert a.comm.messages == b.comm.messages
-    assert a.comm.barriers == b.comm.barriers
-    assert a.comm.total_flops == b.comm.total_flops
-    assert list(a.comm.per_rank_flops) == list(b.comm.per_rank_flops)
+def _assert_same_comm(run, reference):
+    """The accounting every transport must agree on exactly: all of
+    ``CommStats``, modelled time, utilization and the access trace."""
+    (a, a_utilization), (b, b_utilization) = run, reference
+    assert a.comm == b.comm
+    assert a.modeled_time == b.modeled_time
+    assert np.array_equal(a_utilization, b_utilization)
+    assert (a.trace is None) == (b.trace is None)
+    if b.trace is not None:
+        assert a.trace.num_accesses == b.trace.num_accesses
+        assert find_races(a.trace) == find_races(b.trace)
+
+
+def _parity_runs(call):
+    """``call(transport)`` on a fresh 3-rank instance of every transport,
+    untraced and traced; a run is ``(result, the instance's utilization
+    afterwards)``.  Yields ``(run, simulator_run)`` per worker transport."""
+    for trace in (False, True):
+        runs = {}
+        for name in TRANSPORTS:
+            with resolve_transport(name, 3, model=CRAY_T3D, trace=trace) as transport:
+                runs[name] = (call(transport), transport.utilization())
+            assert runs[name][0].transport == name
+        for name in ("threads", "processes"):
+            yield runs[name], runs["simulator"]
 
 
 class TestFactorizationParity:
     """Bit-identical factors across all three transports (G0, 3 ranks)."""
 
     A = poisson2d(10)
+    PARAMS = ILUTParams(fill=5, threshold=1e-4)
+
+    def _check(self, call):
+        for run, ref in _parity_runs(call):
+            _assert_same_factors(run[0], ref[0])
+            _assert_same_comm(run, ref)
+            assert run[0].words_copied == ref[0].words_copied
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_ilut(self, backend):
-        runs = {
-            t: parallel_ilut(
-                self.A, ILUTParams(fill=5, threshold=1e-4), 3,
-                seed=0, transport=t, backend=backend,
-            )
-            for t in TRANSPORTS
-        }
-        for t in ("threads", "processes"):
-            _assert_same_factors(runs[t], runs["simulator"])
-            _assert_same_comm(runs[t], runs["simulator"])
-            assert runs[t].transport == t
-            assert runs[t].words_copied == runs["simulator"].words_copied
+        self._check(
+            lambda t: parallel_ilut(self.A, self.PARAMS, 3, seed=0, transport=t, backend=backend)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_parallel_ilut_star(self, backend):
+        params = ILUTParams(fill=5, threshold=1e-4, k=2)
+        self._check(
+            lambda t: parallel_ilut_star(self.A, params, 3, seed=0, transport=t, backend=backend)
+        )
 
     def test_parallel_ilut_partitioned(self):
-        runs = {
-            t: parallel_ilut_partitioned(
-                self.A, ILUTParams(fill=5, threshold=1e-4), 3, seed=0, transport=t
-            )
-            for t in TRANSPORTS
-        }
-        for t in ("threads", "processes"):
-            _assert_same_factors(runs[t], runs["simulator"])
-            _assert_same_comm(runs[t], runs["simulator"])
+        self._check(
+            lambda t: parallel_ilut_partitioned(self.A, self.PARAMS, 3, seed=0, transport=t)
+        )
 
     def test_parallel_ilu0(self):
-        runs = {
-            t: parallel_ilu0(self.A, 3, seed=0, transport=t)
-            for t in TRANSPORTS
-        }
-        for t in ("threads", "processes"):
-            _assert_same_factors(runs[t], runs["simulator"])
-            _assert_same_comm(runs[t], runs["simulator"])
+        self._check(lambda t: parallel_ilu0(self.A, 3, seed=0, transport=t))
 
 
 class TestSolveParity:
@@ -114,48 +131,51 @@ class TestSolveParity:
             seed=0, transport="none",
         ).factors
         b = np.sin(np.arange(self.A.shape[0], dtype=np.float64))
-        runs = {
-            t: parallel_triangular_solve(
-                factors, b, backend=backend, transport=t
-            )
-            for t in TRANSPORTS
-        }
-        for t in ("threads", "processes"):
-            assert np.array_equal(runs[t].x, runs["simulator"].x)
-            assert runs[t].flops == runs["simulator"].flops
-            _assert_same_comm(runs[t], runs["simulator"])
-            assert runs[t].transport == t
+        for run, ref in _parity_runs(
+            lambda t: parallel_triangular_solve(factors, b, backend=backend, transport=t)
+        ):
+            assert np.array_equal(run[0].x, ref[0].x)
+            assert run[0].flops == ref[0].flops
+            _assert_same_comm(run, ref)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matvec(self, backend):
         d = decompose(self.A, 3, seed=0)
         x = np.cos(np.arange(self.A.shape[0], dtype=np.float64))
-        runs = {
-            t: parallel_matvec(self.A, d, x, backend=backend, transport=t)
-            for t in TRANSPORTS
-        }
-        for t in ("threads", "processes"):
-            assert np.array_equal(runs[t].y, runs["simulator"].y)
-            assert runs[t].flops == runs["simulator"].flops
-            _assert_same_comm(runs[t], runs["simulator"])
+        for run, ref in _parity_runs(
+            lambda t: parallel_matvec(self.A, d, x, backend=backend, transport=t)
+        ):
+            assert np.array_equal(run[0].y, ref[0].y)
+            assert run[0].flops == ref[0].flops
+            _assert_same_comm(run, ref)
 
     def test_distributed_mis(self):
         g = adjacency_from_matrix(self.A)
         d = decompose(self.A, 3, seed=0)
-        outs = {}
-        for t in TRANSPORTS:
-            tr = resolve_transport(t, 3, model=CRAY_T3D)
-            try:
-                outs[t] = (
-                    distributed_two_step_luby_mis(g, d.part, tr, seed=3),
-                    tr.stats().messages,
-                    tr.stats().barriers,
-                )
-            finally:
-                tr.close()
+        for trace in (False, True):
+            outs = {}
+            for t in TRANSPORTS:
+                with resolve_transport(t, 3, model=CRAY_T3D, trace=trace) as tr:
+                    mis = distributed_two_step_luby_mis(g, d.part, tr, seed=3)
+                    outs[t] = (mis, tr.stats(), tr.elapsed(), list(tr.utilization()))
+                    outs[t] += (find_races(tr.tracer), trace and tr.tracer.num_accesses)
+            for t in ("threads", "processes"):
+                assert np.array_equal(outs[t][0], outs["simulator"][0])
+                assert outs[t][1:] == outs["simulator"][1:]
+
+    def test_parallel_solve_reports_modelled_times_on_every_transport(self):
+        """``factor_time`` / ``solve_time`` are the machine model's, never
+        this host's wall clock, so they do not depend on the transport."""
+        b = self.A @ np.ones(self.A.shape[0])
+        reports = {t: parallel_solve(self.A, b, 3, m=5, t=1e-4, transport=t) for t in TRANSPORTS}
+        ref = reports["simulator"]
+        assert ref.factor_time > 0 and ref.solve_time > 0
         for t in ("threads", "processes"):
-            assert np.array_equal(outs[t][0], outs["simulator"][0])
-            assert outs[t][1:] == outs["simulator"][1:]
+            rep = reports[t]
+            assert rep.transport == t and np.array_equal(rep.x, ref.x)
+            assert (rep.factor_time, rep.solve_time, rep.matvec_time, rep.precond_time) == (
+                ref.factor_time, ref.solve_time, ref.matvec_time, ref.precond_time
+            )
 
 
 class TestTransportSurface:
@@ -189,11 +209,11 @@ class TestTransportSurface:
 
 
 class TestCapabilityBoundary:
-    """faults=/trace= are simulator-only: typed errors, never silence."""
+    """Requests a transport does not honour: typed errors, never silence."""
 
     A = poisson2d(6)
 
-    @pytest.mark.parametrize("t", ["threads", "processes", "none"])
+    @pytest.mark.parametrize("t", ["none"])
     def test_trace_requires_simulator(self, t):
         with pytest.raises(TransportCapabilityError):
             parallel_ilut(
@@ -341,29 +361,6 @@ class TestThreadTransportPrimitives:
             # transport stays usable after a failed region
             assert t.pardo([lambda: 1, lambda: 2]) == [1, 2]
 
-    def test_worker_send_recv(self):
-        with ThreadTransport(2) as t:
-            def rank0():
-                t.send(0, 1, {"v": 41}, 1.0, tag="x")
-                return "sent"
-
-            def rank1():
-                return t.recv(1, 0, tag="x")["v"] + 1
-
-            assert t.pardo([rank0, rank1]) == ["sent", 42]
-        # payloads travel by reference; the message was counted
-        assert True
-
-    def test_worker_barrier_counts_once(self):
-        with ThreadTransport(2) as t:
-            t.pardo([lambda: t.barrier(), lambda: t.barrier()])
-            assert t.stats().barriers == 1
-
-    def test_coordinator_recv_empty_deadlocks_immediately(self):
-        with ThreadTransport(2) as t:
-            with pytest.raises(TransportError, match="deadlock"):
-                t.recv(1, 0, tag="nothing")
-
 
 class TestProcessTransportPrimitives:
     def test_pardo_runs_in_child_processes(self):
@@ -375,8 +372,8 @@ class TestProcessTransportPrimitives:
         assert all(p != parent for p in pids)
         assert pids[0] != pids[1]
 
-    def test_large_array_round_trip_via_shared_memory(self):
-        big = np.arange(100_000, dtype=np.float64)  # > SHM threshold
+    def test_large_array_round_trip(self):
+        big = np.arange(100_000, dtype=np.float64)  # 800 kB, pickled over the pipe
         with ProcessTransport(2) as t:
             out = t.pardo([lambda: big * 2.0, lambda: big[:8].copy()])
         assert np.array_equal(out[0], big * 2.0)
@@ -390,12 +387,51 @@ class TestProcessTransportPrimitives:
             with pytest.raises(TransportError, match="rank 1"):
                 t.pardo([lambda: 1, boom])
 
-    def test_child_messaging_is_forbidden(self):
-        with ProcessTransport(2) as t:
-            with pytest.raises(TransportError, match="rank 0"):
-                t.pardo([lambda: t.send(0, 1, None, 1.0), None])
 
-    def test_compute_folds_child_flops(self):
-        with ProcessTransport(2) as t:
-            t.pardo([lambda: t.compute(0, 5.0), lambda: t.compute(1, 7.0)])
-            assert list(t.stats().per_rank_flops) == [5.0, 7.0]
+class TestOneAccountingCore:
+    """A worker transport is the simulator with a different ``pardo``
+    (DESIGN.md §13.3): one definition of the accounting surface, one
+    rule for thunks, one typed deadlock."""
+
+    ACCOUNTING = (
+        "send recv exchange barrier allreduce allgather compute advance "
+        "declare_read declare_write snapshot restore stats superstep elapsed "
+        "utilization pending_messages _check_rank"
+    ).split()
+
+    #: what a thunk might try, by operation name
+    THUNK_CALLS = {
+        "send": lambda t: t.send(0, 1, None, 1.0),
+        "recv": lambda t: t.recv(1, 0),
+        "barrier": lambda t: t.barrier(),
+        "compute": lambda t: t.compute(0, 5.0),
+        "allreduce": lambda t: t.allreduce([1.0, 2.0]),
+    }
+
+    def test_accounting_has_one_definition(self):
+        for cls in (ThreadTransport, ProcessTransport):
+            assert issubclass(cls, Simulator)
+            for member in self.ACCOUNTING:
+                defined_in = [k.__name__ for k in cls.__mro__ if member in vars(k)]
+                assert defined_in == ["Simulator"], (cls.__name__, member)
+
+    @pytest.mark.parametrize("op", sorted(THUNK_CALLS))
+    @pytest.mark.parametrize("name", TRANSPORTS)
+    def test_thunks_may_only_heartbeat(self, name, op):
+        call = self.THUNK_CALLS[op]
+        with resolve_transport(name, 2) as t:
+            with pytest.raises(TransportError, match=f"{op} is unavailable inside a parallel"):
+                t.pardo([lambda: call(t), None])
+            # the refused call charged nothing, heartbeat() is accepted,
+            # and the transport is usable afterwards
+            assert t.pardo([lambda: t.heartbeat() or "alive", lambda: 1]) == ["alive", 1]
+            assert t.stats() == Simulator(2, CRAY_T3D).stats()
+            assert t.elapsed() == 0.0 and t.pending_messages() == 0
+            t.barrier()  # coordinator context: accepted
+            assert t.stats().barriers == 1
+
+    @pytest.mark.parametrize("name", TRANSPORTS)
+    def test_recv_without_send_deadlocks(self, name):
+        with resolve_transport(name, 2) as t:
+            with pytest.raises(TransportError, match="deadlock"):
+                t.recv(1, 0, tag="nothing")
