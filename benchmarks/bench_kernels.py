@@ -5,7 +5,10 @@ ILUT factorization, level-scheduled triangular apply, and preconditioned
 GMRES — on the Poisson-G0 and torso workloads, verifies parity
 (bit-identical factors; applier within 1e-12), replays the vectorized
 parallel drivers under the race detector, and writes the results to
-``BENCH_kernels.json`` at the repo root.
+``BENCH_kernels.json`` at the repo root.  A fourth row, ``level_update``,
+times the MIS engine's phase-2 update both ways on the same captured
+levels: the scalar row kernel (``_update_remaining``) against the batched
+level kernel (``repro.ilu.level``) that replaced it in the MIS loop.
 
 Usage::
 
@@ -14,8 +17,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check
 
 ``--check`` exits nonzero if the vectorized triangular apply is not
-faster than the reference row loop (the CI guard against kernel-layer
-regressions).
+faster than the reference row loop, or the batched level update is not
+faster than the scalar one or not bit-identical to it (the CI guard
+against kernel-layer regressions).
 """
 
 from __future__ import annotations
@@ -32,8 +36,11 @@ from repro import ILUTParams, gmres, poisson2d, torso_like
 from repro.decomp import decompose
 from repro.ilu import ilut, parallel_ilut, parallel_ilut_star
 from repro.ilu.apply import LevelScheduledApplier
+from repro.ilu.elimination import EliminationEngine
+from repro.ilu.interface_partition import InterfacePartitionEngine
 from repro.ilu.triangular import parallel_triangular_solve
 from repro.kernels import clear_schedule_cache
+from repro.machine import CRAY_T3D, Simulator
 from repro.solvers import ILUPreconditioner, parallel_matvec
 from repro.verify import find_races
 
@@ -118,6 +125,123 @@ def bench_triangular_apply(cfg: dict) -> dict:
     }
 
 
+def _rows_identical(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for i in a
+        for x, y in zip(a[i], b[i])
+    )
+
+
+def bench_level_update(cfg: dict) -> dict:
+    """Scalar vs batched phase-2 update over the levels of one run.
+
+    At every level the engine's state is captured, the scalar update
+    runs on it (timed), the state is put back, and the batched update
+    runs on it (timed) and carries the factorization forward; what the
+    two leave behind — reduced rows, L rows, flop and copy counters —
+    must be equal bit for bit.  No transport: the timings are the two
+    thunk bodies plus the shared merge loop, nothing else.
+    """
+    A = torso_like(cfg["level_n"], seed=0)
+    decomp = decompose(A, cfg["level_p"], seed=0)
+    m, t, k = cfg["level_m"], cfg["level_t"], cfg["level_k"]
+    spent = {"scalar": 0.0, "batched": 0.0}
+    row_updates = 0
+    identical = True
+
+    class BothWays(EliminationEngine):
+        def _update_level(self, pivots):
+            nonlocal identical, row_updates
+            start = (dict(self.reduced), dict(self.l_rows), self.flops_total, self.words_copied)
+            t0 = time.perf_counter()
+            self._update_remaining(pivots.ordinal)
+            spent["scalar"] += time.perf_counter() - t0
+            scalar = (self.reduced, self.l_rows, self.flops_total, self.words_copied)
+            row_updates += sum(scalar[0][i] is not start[0][i] for i in start[0])
+            self.reduced, self.l_rows, self.flops_total, self.words_copied = start
+            t0 = time.perf_counter()
+            super()._update_level(pivots)
+            spent["batched"] += time.perf_counter() - t0
+            identical &= (
+                _rows_identical(scalar[0], self.reduced)
+                and _rows_identical(scalar[1], self.l_rows)
+                and scalar[2:] == (self.flops_total, self.words_copied)
+            )
+
+    best = {"scalar": float("inf"), "batched": float("inf")}
+    for _ in range(cfg["level_repeat"]):
+        spent.update(scalar=0.0, batched=0.0)
+        row_updates = 0
+        outcome = BothWays(decomp, m, t, reduced_cap=k * m).run()
+        best = {side: min(best[side], spent[side]) for side in best}
+    return {
+        "workload": f"torso_like({cfg['level_n']}) n={A.shape[0]}, p={cfg['level_p']}, "
+        f"ILUT*({m},{t:g},{k}), phase-2 update over {outcome.num_levels} levels, "
+        f"{row_updates} row updates",
+        "levels": outcome.num_levels,
+        "row_updates": row_updates,
+        "scalar_s": best["scalar"],
+        "batched_s": best["batched"],
+        "speedup": best["scalar"] / best["batched"],
+        "bit_identical": identical,
+    }
+
+
+def bench_level_wall_time(cfg: dict) -> dict:
+    """Wall time per synchronisation level: ILUT vs ILUT* vs the §7 engine.
+
+    The two levers on phase-2 cost are what one level costs and how many
+    levels there are.  The MIS engines report both from ``level_hook``
+    timestamps (the hook fires after phase 1 and after every level); the
+    §7 partition engine has few, large rounds and no hook, so it reports
+    its whole factorization divided by its round count.  Simulator
+    transport, as the ``torso-sim-p4`` e2e workload runs it; medians over
+    ``level_repeat`` runs.
+    """
+    A = torso_like(cfg["level_n"], seed=0)
+    p = cfg["level_p"]
+    decomp = decompose(A, p, seed=0)
+    m, t, k = cfg["level_m"], cfg["level_t"], cfg["level_k"]
+    rows = {}
+    for name, cap in ((f"ILUT({m},{t:g})", None), (f"ILUT*({m},{t:g},{k})", k * m)):
+        runs = []
+        for _ in range(cfg["level_repeat"]):
+            stamps = [time.perf_counter()]
+            outcome = EliminationEngine(
+                decomp, m, t, reduced_cap=cap, sim=Simulator(p, CRAY_T3D),
+                level_hook=lambda *_: stamps.append(time.perf_counter()),
+            ).run()
+            stamps.append(time.perf_counter())  # factor assembly ends here
+            runs.append(np.diff(stamps))
+        spans = np.median(runs, axis=0)  # phase 1, one per level, assembly
+        rows[name] = {
+            "levels": outcome.num_levels,
+            "mean_level_size": float(np.mean(outcome.level_sizes)),
+            "phase1_s": float(spans[0]),
+            "phase2_s": float(spans[1:-1].sum()),
+            "per_level_ms": float(1e3 * spans[1:-1].mean()),
+            "per_level_median_ms": float(1e3 * np.median(spans[1:-1])),
+            "total_s": float(spans.sum()),
+        }
+    totals = []
+    for _ in range(cfg["level_repeat"]):
+        t0 = time.perf_counter()
+        outcome = InterfacePartitionEngine(decomp, m, t, sim=Simulator(p, CRAY_T3D)).run()
+        totals.append(time.perf_counter() - t0)
+    rows[f"interface partition (sec. 7), ILUT({m},{t:g})"] = {
+        "levels": outcome.num_levels,
+        "mean_level_size": float(np.mean(outcome.level_sizes)),
+        "total_s": float(np.median(totals)),
+        "total_per_level_ms": float(1e3 * np.median(totals) / outcome.num_levels),
+    }
+    return {
+        "workload": f"torso_like({cfg['level_n']}) n={A.shape[0]}, p={p}, simulator, "
+        f"median of {cfg['level_repeat']}",
+        "rows": rows,
+    }
+
+
 def bench_gmres(cfg: dict) -> dict:
     out = {}
     for name, A in [
@@ -170,11 +294,13 @@ FULL = dict(
     fact_nx=128, m=10, t=1e-3, k=5, fact_repeat=2,
     apply_p=64, apply_inner=10, apply_repeat=3,
     gmres_nx=48, torso_n=1200, race_nx=16, race_p=4,
+    level_n=600, level_p=4, level_m=10, level_t=1e-4, level_k=2, level_repeat=3,
 )
 QUICK = dict(
     fact_nx=32, m=10, t=1e-3, k=5, fact_repeat=2,
     apply_p=8, apply_inner=5, apply_repeat=2,
     gmres_nx=16, torso_n=300, race_nx=10, race_p=4,
+    level_n=300, level_p=4, level_m=10, level_t=1e-4, level_k=2, level_repeat=2,
 )
 
 
@@ -183,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true", help="tiny CI-smoke workload")
     ap.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless vectorized triangular apply beats reference",
+        help="exit 1 unless the vectorized apply and the batched level update win",
     )
     ap.add_argument(
         "--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
@@ -200,6 +326,13 @@ def main(argv: list[str] | None = None) -> int:
     results["triangular_apply"] = bench_triangular_apply(cfg)
     r = results["triangular_apply"]
     print(f"  triangular apply: {r['speedup']:.2f}x  (max_rel_diff={r['max_rel_diff']:.2e})")
+    results["level_update"] = bench_level_update(cfg)
+    r = results["level_update"]
+    print(f"  level update: {r['speedup']:.2f}x  (bit_identical={r['bit_identical']})")
+    results["level_wall_time"] = bench_level_wall_time(cfg)
+    for name, r in results["level_wall_time"]["rows"].items():
+        per_level = r.get("per_level_ms", r.get("total_per_level_ms"))
+        print(f"  wall/level {name}: {r['levels']} levels, {per_level:.2f} ms each")
     results["gmres"] = bench_gmres(cfg)
     for name, g in results["gmres"].items():
         print(f"  gmres/{name}: {g['speedup']:.2f}x  "
@@ -213,10 +346,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         apply = results["triangular_apply"]
+        level = results["level_update"]
         ok = (
             apply["speedup"] > 1.0
             and apply["parity_ok"]
             and results["ilut_factorization"]["bit_identical"]
+            and level["speedup"] > 1.0
+            and level["bit_identical"]
             and results["race_free"]["race_free"]
         )
         if not ok:

@@ -117,7 +117,10 @@ def two_step_luby_mis(
     costs extra outer iterations in the factorization, never correctness.
     """
     n = graph.nvertices
-    xadj, adjncy = _neighbor_lists(graph)
+    xadj, dst = _neighbor_lists(graph)
+    # every stored directed edge once, as parallel (src, dst) arrays: each
+    # per-vertex scan of the algorithm is a mask over them
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
     rng = np.random.default_rng(seed)
     active = np.zeros(n, dtype=bool)
     if candidates is None:
@@ -129,49 +132,34 @@ def two_step_luby_mis(
         if not active.any():
             break
         keys = rng.random(n)
-        tentative = np.zeros(n, dtype=bool)
-        active_idx = np.flatnonzero(active)
-        # step 1: local winners (only the edges each vertex sees)
-        for v in active_idx:
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            nbrs = nbrs[active[nbrs]]
-            if nbrs.size == 0:
-                tentative[v] = True
-                continue
-            kv = keys[v]
-            nk = keys[nbrs]
-            if np.all((nk > kv) | ((nk == kv) & (nbrs > v))):
-                tentative[v] = True
+        # step 1: local winners (only the edges each vertex sees) — a vertex
+        # loses to an active neighbour with a smaller key, ties by vertex id
+        seen = active[src] & active[dst]
+        s, d = src[seen], dst[seen]
+        beaten = (keys[d] < keys[s]) | ((keys[d] == keys[s]) & (d <= s))
+        tentative = active.copy()
+        tentative[s[beaten]] = False
         # barrier; step 2: drop tentative vertices adjacent to tentative ones.
         # A directed edge (v, u) conflicts both v and u — the removal must be
         # symmetric, otherwise u (which never saw v) could survive while v is
         # dropped and u--v are dependent.
-        conflicted = np.zeros(n, dtype=bool)
-        for v in np.flatnonzero(tentative):
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            hits = nbrs[tentative[nbrs]]
-            if hits.size:
-                conflicted[v] = True
-                conflicted[hits] = True
-        accepted = tentative & ~conflicted
+        clash = tentative[src] & tentative[dst]
+        accepted = tentative.copy()
+        accepted[src[clash]] = False
+        accepted[dst[clash]] = False
         if not accepted.any():
             # Guarantee progress: accept the globally smallest-key active
             # vertex (a singleton is always independent).
-            vbest = active_idx[np.argmin(keys[active_idx])]
-            accepted[vbest] = True
+            active_idx = np.flatnonzero(active)
+            accepted[active_idx[np.argmin(keys[active_idx])]] = True
         in_set |= accepted
         active[accepted] = False
-        for v in np.flatnonzero(accepted):
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            active[nbrs] = False
+        active[dst[accepted[src]]] = False
         # Also deactivate vertices that point *to* an accepted vertex via a
         # one-directional edge (the accepted vertex never saw them): if v
         # with edge v->u stayed active after u joined the set, v could join
         # in a later round and violate independence.
-        for v in np.flatnonzero(active):
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            if np.any(in_set[nbrs]):
-                active[v] = False
+        active[src[in_set[dst]]] = False
     return np.flatnonzero(in_set)
 
 

@@ -57,6 +57,15 @@ class Graph:
         if self.vwgt.size != n:
             raise ValueError("vwgt must have one weight per vertex")
 
+    @classmethod
+    def from_edges(cls, nvertices: int, src: np.ndarray, dst: np.ndarray) -> Graph:
+        """Unweighted graph with one adjacency entry per directed edge
+        ``src[e] -> dst[e]``; a vertex's neighbours keep the edges' order."""
+        by_src = np.argsort(src, kind="stable")
+        xadj = np.zeros(nvertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=nvertices), out=xadj[1:])
+        return cls(xadj, dst[by_src])
+
     @property
     def nvertices(self) -> int:
         return int(self.xadj.size - 1)

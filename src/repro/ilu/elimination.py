@@ -48,11 +48,16 @@ and fault-journal signatures bit-identical across all transports (the
 simulator runs regions sequentially in rank order, so it also
 reproduces the pre-transport behaviour bit for bit).
 
-Every thunk body eliminates its rows with the one Algorithm 4.1 kernel,
-:meth:`EliminationEngine._eliminate_row`, and differs only in which
-columns are pivots, where pivot rows are read from, and which
-dropping-rule tail (``_u_row`` / ``_reduced_row``) finishes the row —
-DESIGN.md §13.2.
+Wherever pivots can depend on each other — phase 1, and the §7
+partition engine's domains — a thunk body eliminates its rows with the
+one Algorithm 4.1 row kernel, :meth:`EliminationEngine._eliminate_row`,
+and differs only in which columns are pivots, where pivot rows are read
+from, and which dropping-rule tail (``_u_row`` / ``_reduced_row``)
+finishes the row.  The phase-2 update is the one place they cannot: the
+rows of ``I_l`` are independent, so a rank's thunk eliminates the whole
+level from all of its reduced rows in one array pass
+(:func:`repro.ilu.level.level_update`), bit for bit what the row
+kernel would produce row by row — DESIGN.md §13.2.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from ..resilience import PivotPolicy
 from ..sparse import COOBuilder, SparseRowAccumulator
 from .dropping import keep_largest
 from .factors import ILUFactors, LevelStructure
+from .level import LevelPivots, flatten_rows, level_pivots, level_update
 
 __all__ = ["EliminationEngine", "EliminationOutcome"]
 
@@ -84,6 +90,8 @@ MAX_RETRANSMITS = 3
 COPY_OPS_PER_WORD = 0.5
 # modelled cost of scanning one adjacency entry during a Luby MIS round
 MIS_OPS_PER_EDGE = 1.0
+
+_EMPTY_ROW = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 def _merge_rows(
@@ -252,10 +260,11 @@ class EliminationEngine:
         self.max_levels = max_levels if max_levels is not None else self.n + 1
         self.level_hook = level_hook
         self._tr = sim.tracer if sim is not None else None
-        # per-row liveness signal for the worker supervisor (DESIGN.md
-        # §14): a no-op on the simulator/coordinator, a timestamp or
-        # pipe frame inside real-transport workers
-        self._hb = getattr(sim, "heartbeat", None) or (lambda: None)
+        # liveness signal for the worker supervisor (DESIGN.md §14), per
+        # row in the scalar kernel and per call in the level kernel: a
+        # no-op on the simulator/coordinator, a timestamp or pipe frame
+        # inside real-transport workers
+        self._hb = sim.heartbeat if sim is not None else (lambda: None)
 
         # reference norms under every backend: identical drop thresholds
         self.norms = self.A.row_norms(ord=2, backend="reference")
@@ -300,7 +309,7 @@ class EliminationEngine:
         transport) must not share scratch state; sequential and forked
         regions reuse the engine's accumulator.
         """
-        if self.sim is not None and getattr(self.sim, "concurrent_regions", False):
+        if self.sim is not None and self.sim.concurrent_regions:
             return self._new_acc()
         return self._acc
 
@@ -462,7 +471,7 @@ class EliminationEngine:
         w.reset()
         # merge the fresh multipliers into the accumulated L row, then
         # threshold + keep-m on the whole factored part
-        lc_old, lv_old = self.l_rows.get(i, (np.empty(0, np.int64), np.empty(0)))
+        lc_old, lv_old = self.l_rows.get(i, _EMPTY_ROW)
         lc_new = np.asarray(l_cols, dtype=np.int64)
         lv_new = np.asarray(l_vals, dtype=np.float64)
         by_col = np.argsort(lc_new, kind="stable")
@@ -589,6 +598,21 @@ class EliminationEngine:
     def _remaining_nodes(self) -> np.ndarray:
         return np.asarray(sorted(self.reduced.keys()), dtype=np.int64)
 
+    def _reduced_structure(self, remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The directed structure of the reduced matrix over the remaining
+        nodes: one ``(src, dst)`` pair per stored off-diagonal entry, as
+        positions in the sorted ``remaining``, in row-major order."""
+        rows = [self.reduced[g][0] for g in remaining.tolist()]
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        cols = np.concatenate(rows)
+        src = np.repeat(np.arange(remaining.size, dtype=np.int64), counts)
+        dst = np.searchsorted(remaining, cols)
+        stray = remaining[np.minimum(dst, remaining.size - 1)] != cols
+        if stray.any():
+            raise KeyError(int(cols[stray][0]))  # a column that is not a remaining node
+        off_diag = src != dst
+        return src[off_diag], dst[off_diag]
+
     def _mis_of_reduced(self, remaining: np.ndarray, level: int) -> np.ndarray:
         """Two-step Luby MIS on the *directed* structure of the reduced rows.
 
@@ -598,46 +622,39 @@ class EliminationEngine:
         designed for.  Charges per-round scan and boundary-exchange costs.
         """
         nloc = remaining.size
-        local_of = {int(g): idx for idx, g in enumerate(remaining)}
-        xadj = np.zeros(nloc + 1, dtype=np.int64)
-        adj_chunks: list[np.ndarray] = []
-        for idx, g in enumerate(remaining):
-            cols, _ = self.reduced[int(g)]
-            if self._tr is not None:
-                # each owner scans the structure of its own reduced rows
-                self._tr.read(int(self.decomp.part[g]), "reduced-row", int(g))
-            nb = cols[cols != g]
-            mapped = np.asarray([local_of[int(c)] for c in nb], dtype=np.int64)
-            adj_chunks.append(mapped)
-            xadj[idx + 1] = xadj[idx] + mapped.size
-        adjncy = (
-            np.concatenate(adj_chunks) if adj_chunks else np.empty(0, dtype=np.int64)
-        )
-        graph = Graph(xadj, adjncy)
+        owner = self.decomp.part[remaining]
+        if self._tr is not None:
+            # each owner scans the structure of its own reduced rows
+            for g, r in zip(remaining.tolist(), owner.tolist()):
+                self._tr.read(r, "reduced-row", g)
+        e_src, e_dst = self._reduced_structure(remaining)
+        graph = Graph.from_edges(nloc, e_src, e_dst)
         mis_local = two_step_luby_mis(
             graph, seed=self.seed + 1000 * (level + 1), rounds=self.mis_rounds
         )
         # cost model: each round scans every active adjacency entry once per
         # step (two steps), plus a boundary key exchange and two barriers.
         if self.sim is not None:
-            part = self.decomp.part
-            edges_per_rank = np.zeros(self.sim.nranks, dtype=np.float64)
-            boundary_words: dict[tuple[int, int], int] = {}
-            for idx, g in enumerate(remaining):
-                r = int(part[g])
-                deg = int(xadj[idx + 1] - xadj[idx])
-                edges_per_rank[r] += deg
-                for c in adjncy[xadj[idx] : xadj[idx + 1]]:
-                    s = int(part[remaining[c]])
-                    if s != r:
-                        boundary_words[(r, s)] = boundary_words.get((r, s), 0) + 1
+            nranks = self.sim.nranks
+            edges_per_rank = np.bincount(owner, weights=graph.degrees(), minlength=nranks)
+            # one word per adjacency entry whose two ends live on different
+            # ranks, aggregated per ordered rank pair, pairs ascending
+            src_owner, dst_owner = owner[e_src], owner[e_dst]
+            cut = src_owner != dst_owner
+            pairs, counts = np.unique(
+                src_owner[cut] * nranks + dst_owner[cut], return_counts=True
+            )
+            boundary_words = [
+                (divmod(pair, nranks), float(cnt))
+                for pair, cnt in zip(pairs.tolist(), counts.tolist())
+            ]
             for _ in range(self.mis_rounds):
-                for r in range(self.sim.nranks):
+                for r in range(nranks):
                     self.sim.compute(r, 2.0 * MIS_OPS_PER_EDGE * edges_per_rank[r])
-                for (src, dst), cnt in sorted(boundary_words.items()):
-                    self.sim.send(src, dst, None, float(cnt), tag=("mis", level))
-                for (src, dst), cnt in sorted(boundary_words.items()):
-                    self._recv_retry(src, dst, ("mis", level), float(cnt))
+                for (src, dst), cnt in boundary_words:
+                    self.sim.send(src, dst, None, cnt, tag=("mis", level))
+                for (src, dst), cnt in boundary_words:
+                    self._recv_retry(src, dst, ("mis", level), cnt)
                 self.sim.barrier()
                 self.sim.barrier()  # the two-step insert/remove barrier pair
         return remaining[mis_local]
@@ -704,22 +721,28 @@ class EliminationEngine:
             self._recv_retry(src, dst, tag, pair_words[(src, dst)])
 
     def _update_remaining(self, pkey: np.ndarray) -> None:
-        """Eliminate the ``pkey`` pivots — the unknowns factored this
-        level — from every remaining reduced row.
+        """Eliminate the ``pkey`` pivots from every remaining reduced
+        row, one row at a time — for pivot sets that may depend on each
+        other (pivots reached through fill are followed).
 
         Algorithm 4.1 over the pivots present in each row, then merge
         the new multipliers into the L row and re-apply the 3rd
         dropping rule.
         """
+        self._update_region(lambda _rank, mine: self._compute_update_rows(mine, pkey))
+
+    def _update_level(self, pivots: LevelPivots) -> None:
+        """Eliminate one *independent* level from every remaining
+        reduced row: each rank's thunk is one batched pass over all of
+        its rows, with the records :meth:`_update_remaining` would
+        produce."""
+        self._update_region(lambda _rank, mine: self._compute_level_update(mine, pivots))
+
+    def _update_region(self, body: Callable[[int, list[int]], list[_RowRecord]]) -> None:
+        """One region over the remaining reduced rows, grouped by owner."""
         part = self.decomp.part
         rows = sorted(self.reduced.keys())
-        merged = run_region_by_owner(
-            self.sim,
-            self.decomp.nranks,
-            rows,
-            part,
-            lambda _rank, mine: self._compute_update_rows(mine, pkey),
-        )
+        merged = run_region_by_owner(self.sim, self.decomp.nranks, rows, part, body)
         # merge in ascending row order — the historical inline order, which
         # interleaves ranks and fixes the global charge/trace sequence
         for i in rows:
@@ -739,6 +762,46 @@ class EliminationEngine:
                 continue
             decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
             records.append(self._update_record(w, i, cols, vals, pkey, decls))
+        return records
+
+    def _compute_level_update(self, rows: list[int], pivots: LevelPivots) -> list[_RowRecord]:
+        """Pure thunk body: the level kernel over one rank's reduced
+        rows, split back into the per-row records (and, under a tracer,
+        the per-row declarations) of the scalar path."""
+        self._hb()
+        ids = np.asarray(rows, dtype=np.int64)
+        out = level_update(
+            pivots,
+            ids,
+            flatten_rows([self.reduced[i] for i in rows]),
+            flatten_rows([self.l_rows.get(i, _EMPTY_ROW) for i in rows]),
+            self.t * self.norms[ids],
+            self.m,
+            self.reduced_cap,
+        )
+        trace = self._tr is not None
+        lp, rp, dp = out.l_rows.ptr.tolist(), out.reduced.ptr.tolist(), out.read_ptr.tolist()
+        ops = out.ops.tolist()
+        records: list[_RowRecord] = []
+        for j in out.touched.tolist():
+            i = rows[j]
+            l_lo, l_hi, r_lo, r_hi = lp[j], lp[j + 1], rp[j], rp[j + 1]
+            decls: list[tuple] | None = None
+            if trace:
+                decls = [("r", "reduced-row", i)]
+                decls += [("r", "u-row", k) for k in out.read_cols[dp[j] : dp[j + 1]].tolist()]
+                decls += [("w", "l-row", i), ("w", "reduced-row", i)]
+            records.append(
+                _RowRecord(
+                    i,
+                    (out.l_rows.cols[l_lo:l_hi], out.l_rows.vals[l_lo:l_hi]),
+                    None,
+                    (out.reduced.cols[r_lo:r_hi], out.reduced.vals[r_lo:r_hi]),
+                    ops[j],
+                    float(r_hi - r_lo + l_hi - l_lo),
+                    decls,
+                )
+            )
         return records
 
     # ------------------------------------------------------------------
@@ -861,9 +924,9 @@ class EliminationEngine:
                     raise RuntimeError("empty independent set — cannot make progress")
                 pos_start = len(self.order)
                 self._factor_level(iset)
-                pkey = self._pivot_keys(iset, iset)
-                self._exchange_level_rows(pkey, ("urow", level))
-                self._update_remaining(pkey)
+                pivots = level_pivots(self.n, iset, self.u_rows)
+                self._exchange_level_rows(pivots.ordinal, ("urow", level))
+                self._update_level(pivots)
                 self._barrier()
             except (RankFailure, MessageLost) as err:
                 if ckpt is None or not self._can_recover():
@@ -908,7 +971,7 @@ class EliminationEngine:
         u_builder = COOBuilder(n)
         for i in range(n):
             p = int(posmap[i])
-            lc, lv = self.l_rows.get(i, (np.empty(0, np.int64), np.empty(0)))
+            lc, lv = self.l_rows.get(i, _EMPTY_ROW)
             if lc.size:
                 l_builder.add_batch(
                     np.full(lc.size, p, dtype=np.int64), posmap[lc], lv

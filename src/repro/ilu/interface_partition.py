@@ -117,24 +117,10 @@ class InterfacePartitionEngine(EliminationEngine):
         """Partition the remaining reduced graph; return per-domain
         *internal* node arrays (nodes with no cross-domain coupling)."""
         nloc = remaining.size
-        local_of = {int(g): idx for idx, g in enumerate(remaining)}
         # symmetrised structure of the reduced matrix
-        edges: set[tuple[int, int]] = set()
-        for idx, g in enumerate(remaining):
-            cols, _ = self.reduced[int(g)]
-            for c in cols:
-                if int(c) != int(g):
-                    j = local_of[int(c)]
-                    edges.add((idx, j))
-                    edges.add((j, idx))
-        if edges:
-            arr = np.asarray(sorted(edges), dtype=np.int64)
-            S = CSRMatrix.from_coo(
-                arr[:, 0], arr[:, 1], np.ones(arr.shape[0]), (nloc, nloc)
-            )
-            graph = Graph(S.indptr, S.indices)
-        else:
-            graph = Graph(np.zeros(nloc + 1, dtype=np.int64), np.empty(0, np.int64))
+        src, dst = self._reduced_structure(remaining)
+        edges = np.unique(np.concatenate((src * nloc + dst, dst * nloc + src)))
+        graph = Graph.from_edges(nloc, edges // nloc, edges % nloc)
         nparts = min(self.decomp.nranks, max(2, nloc // 8))
         res = partition_graph_kway(graph, nparts, seed=self.seed + 7)
         part = res.part

@@ -145,3 +145,100 @@ class TestPredicates:
         g = cycle_graph(6)
         assert not is_maximal_independent_set(g, np.array([0]))
         assert is_maximal_independent_set(g, np.array([0, 2, 4]))
+
+
+def two_step_reference(graph, *, seed=0, rounds=5, candidates=None):
+    """``two_step_luby_mis`` one vertex at a time — the formulation the
+    edge-mask implementation replaced, kept as its oracle.  Also returns
+    how many rounds fell back to the smallest-key vertex."""
+    n = graph.nvertices
+    xadj, adjncy = graph.xadj, graph.adjncy
+    rng = np.random.default_rng(seed)
+    active = np.zeros(n, dtype=bool)
+    if candidates is None:
+        active[:] = True
+    else:
+        active[np.asarray(candidates, dtype=np.int64)] = True
+    in_set = np.zeros(n, dtype=bool)
+    fallbacks = 0
+    for _ in range(max(0, rounds)):
+        if not active.any():
+            break
+        keys = rng.random(n)
+        tentative = np.zeros(n, dtype=bool)
+        active_idx = np.flatnonzero(active)
+        for v in active_idx:
+            nbrs = adjncy[xadj[v] : xadj[v + 1]]
+            nbrs = nbrs[active[nbrs]]
+            if np.all((keys[nbrs] > keys[v]) | ((keys[nbrs] == keys[v]) & (nbrs > v))):
+                tentative[v] = True
+        conflicted = np.zeros(n, dtype=bool)
+        for v in np.flatnonzero(tentative):
+            nbrs = adjncy[xadj[v] : xadj[v + 1]]
+            hits = nbrs[tentative[nbrs]]
+            if hits.size:
+                conflicted[v] = True
+                conflicted[hits] = True
+        accepted = tentative & ~conflicted
+        if not accepted.any():
+            fallbacks += 1
+            accepted[active_idx[np.argmin(keys[active_idx])]] = True
+        in_set |= accepted
+        active[accepted] = False
+        for v in np.flatnonzero(accepted):
+            active[adjncy[xadj[v] : xadj[v + 1]]] = False
+        for v in np.flatnonzero(active):
+            if np.any(in_set[adjncy[xadj[v] : xadj[v + 1]]]):
+                active[v] = False
+    return np.flatnonzero(in_set), fallbacks
+
+
+def random_directed_graph(rng, n, max_degree, *, self_loops):
+    """Random directed adjacency; some vertices stay isolated."""
+    src, dst = [], []
+    for v in range(n):
+        if rng.random() < 0.15:
+            continue
+        nbrs = rng.choice(n, size=rng.integers(0, max_degree + 1), replace=False)
+        if not self_loops:
+            nbrs = nbrs[nbrs != v]
+        src += [v] * nbrs.size
+        dst += nbrs.tolist()
+    return Graph.from_edges(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+
+
+class TestTwoStepAgainstPerVertexReference:
+    @pytest.mark.parametrize("self_loops", [False, True])
+    @pytest.mark.parametrize("trial", range(12))
+    def test_random_directed_graphs(self, trial, self_loops):
+        rng = np.random.default_rng(100 + trial)
+        n = int(rng.integers(1, 40))
+        g = random_directed_graph(rng, n, int(rng.integers(1, 6)), self_loops=self_loops)
+        subset = np.flatnonzero(rng.random(n) < 0.6)
+        for seed in range(4):
+            for rounds in (0, 1, 2, 5, 30):
+                for candidates in (None, subset):
+                    want, _ = two_step_reference(
+                        g, seed=seed, rounds=rounds, candidates=candidates
+                    )
+                    got = two_step_luby_mis(g, seed=seed, rounds=rounds, candidates=candidates)
+                    assert np.array_equal(got, want), (seed, rounds, candidates)
+
+    def test_no_winner_round_falls_back_to_the_smallest_key(self):
+        # 0 -> 1 only: when key0 < key1 both are tentative, clash, and the
+        # round is saved by the fallback; otherwise 1 wins outright
+        g = directed_edge_graph()
+        seen = set()
+        for seed in range(8):
+            want, fallbacks = two_step_reference(g, seed=seed, rounds=1)
+            assert np.array_equal(two_step_luby_mis(g, seed=seed, rounds=1), want)
+            seen.add(fallbacks)
+        assert seen == {0, 1}
+
+    def test_reduced_matrix_structures(self):
+        # the graphs the engine actually builds: dense-ish directed rows
+        rng = np.random.default_rng(7)
+        for trial in range(5):
+            g = random_directed_graph(rng, 120, 14, self_loops=False)
+            want, _ = two_step_reference(g, seed=1000 * (trial + 1), rounds=5)
+            assert np.array_equal(two_step_luby_mis(g, seed=1000 * (trial + 1), rounds=5), want)

@@ -89,3 +89,15 @@ class TestSymmetrizeStructure:
     def test_preserves_existing_values(self, small_poisson):
         S = symmetrize_structure(small_poisson)
         assert S.allclose(small_poisson)  # already symmetric → same values
+
+
+class TestFromEdges:
+    def test_adjacency_keeps_edge_order_within_a_vertex(self):
+        g = Graph.from_edges(4, np.array([2, 0, 2, 0]), np.array([3, 1, 0, 2]))
+        assert g.xadj.tolist() == [0, 2, 2, 4, 4]
+        assert g.adjncy.tolist() == [1, 2, 3, 0]
+        assert g.degrees().tolist() == [2, 0, 2, 0]
+
+    def test_no_edges(self):
+        g = Graph.from_edges(3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert g.nvertices == 3 and g.nedges_directed == 0

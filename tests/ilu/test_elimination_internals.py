@@ -119,20 +119,47 @@ class TestEngineSemantics:
         engine.run()
         assert engine.reduced == {}
 
+    def test_reduced_structure_is_the_off_diagonal_pattern(self):
+        A = poisson2d(8)
+        engine = EliminationEngine(decompose(A, 4, seed=0), 5, 1e-3)
+        engine._run_phase1()
+        remaining = engine._remaining_nodes()
+        src, dst = engine._reduced_structure(remaining)
+        want = [
+            (int(g), int(c))
+            for g in remaining
+            for c in engine.reduced[int(g)][0]
+            if c != g
+        ]
+        assert list(zip(remaining[src].tolist(), remaining[dst].tolist())) == want
+
+    @pytest.mark.parametrize("stray", [-1, 0, 10**6])
+    def test_reduced_column_outside_the_remaining_nodes_raises(self, stray):
+        A = poisson2d(8)
+        d = decompose(A, 4, seed=0)
+        engine = EliminationEngine(d, 5, 1e-3)
+        engine._run_phase1()
+        remaining = engine._remaining_nodes()
+        if stray == 0:  # an interior (already factored) node between remaining ones
+            stray = int(np.setdiff1d(np.arange(remaining[0], remaining[-1]), remaining)[0])
+        g = int(remaining[3])
+        cols, vals = engine.reduced[g]
+        engine.reduced[g] = (np.append(cols, stray), np.append(vals, 1.0))
+        with pytest.raises(KeyError, match=str(stray)):
+            engine._mis_of_reduced(remaining, 0)
+
     def test_reduced_cap_bounds_rows_during_run(self):
         """ILUT*'s invariant: no reduced row ever exceeds the cap."""
+        seen: list[int] = []
 
-        class SpyEngine(EliminationEngine):
-            max_seen = 0
-
-            def _update_remaining(self, iset):
-                super()._update_remaining(iset)
-                for cols, _ in self.reduced.values():
-                    SpyEngine.max_seen = max(SpyEngine.max_seen, cols.size)
+        def hook(level, _iset, reduced):
+            if level >= 0:  # after a phase-2 update (phase 1 reports as -1)
+                seen.extend(cols.size for cols, _ in reduced.values())
 
         A = poisson2d(12)
         d = decompose(A, 4, seed=0)
         cap = 6
-        engine = SpyEngine(d, 3, 1e-8, reduced_cap=cap)
+        engine = EliminationEngine(d, 3, 1e-8, reduced_cap=cap, level_hook=hook)
         engine.run()
-        assert SpyEngine.max_seen <= cap
+        # the hook fired on non-empty reduced matrices and the cap was reached
+        assert seen and max(seen) == cap
