@@ -8,7 +8,11 @@ parallel drivers under the race detector, and writes the results to
 ``BENCH_kernels.json`` at the repo root.  A fourth row, ``level_update``,
 times the MIS engine's phase-2 update both ways on the same captured
 levels: the scalar row kernel (``_update_remaining``) against the batched
-level kernel (``repro.ilu.level``) that replaced it in the MIS loop.
+level kernel (``repro.ilu.level``) that replaced it in the MIS loop.  A
+fifth, ``phase1``, times the two phase-1 thunk bodies (interior block,
+interface reduction — the scalar row kernel, ``repro.ilu.row``) and
+reports how long each interface row's pivot chain is, which is what
+decides whether batching phase 1 across rows could ever pay.
 
 Usage::
 
@@ -242,6 +246,61 @@ def bench_level_wall_time(cfg: dict) -> dict:
     }
 
 
+def bench_phase1(cfg: dict) -> dict:
+    """Wall time of phase 1's two thunk bodies, and the shape that keeps
+    them scalar.
+
+    No transport: the timings are the bodies themselves, summed over the
+    ranks, best of ``phase1_repeat``.  A row's *pivot chain* is the
+    sequence of pivots Algorithm 4.1 consumes for it, one after the
+    other, new ones reached through fill included — the number of rounds
+    a wavefront over a rank's interface rows would need for that row.
+    Where the longest chain exceeds the number of rows there is nothing
+    to batch across (ROADMAP item 2(a)).
+    """
+    p, m, t = cfg["phase1_p"], cfg["level_m"], cfg["level_t"]
+    rows = {}
+    for name, A in (
+        (f"poisson2d({cfg['phase1_nx']})", poisson2d(cfg["phase1_nx"])),
+        (f"torso_like({cfg['phase1_torso_n']})", torso_like(cfg["phase1_torso_n"], seed=0)),
+    ):
+        decomp = decompose(A, p, seed=0)
+
+        def run(sim=None):
+            engine = EliminationEngine(decomp, m, t, sim=sim)
+            t0 = time.perf_counter()
+            interior = [engine._compute_interior_block(r) for r in range(p)]
+            t1 = time.perf_counter()
+            for r, records in enumerate(interior):
+                for rec in records:
+                    engine._merge_record(r, rec)
+            t2 = time.perf_counter()
+            interface = [engine._compute_interface_reduction(r) for r in range(p)]
+            return t1 - t0, time.perf_counter() - t2, interface
+
+        spans = [run()[:2] for _ in range(cfg["phase1_repeat"])]
+        # under a tracer every pivot a row consumed is one declared u-row read
+        traced = run(Simulator(p, CRAY_T3D, trace=True))[2]
+        chains = [
+            [sum(d[:2] == ("r", "u-row") for d in rec.decls) for rec in records]
+            for records in traced
+        ]
+        rows[name] = {
+            "n": A.shape[0],
+            "interior_rows": [int(decomp.interior_rows(r).size) for r in range(p)],
+            "interior_block_s": min(s[0] for s in spans),
+            "interface_rows": [len(c) for c in chains],
+            "interface_reduction_s": min(s[1] for s in spans),
+            "chain_median": [float(np.median(c)) if c else 0.0 for c in chains],
+            "chain_max": [max(c, default=0) for c in chains],
+        }
+    return {
+        "workload": f"p={p}, ILUT({m},{t:g}), no transport, thunk bodies summed over "
+        f"ranks, best of {cfg['phase1_repeat']}; per-rank lists",
+        "rows": rows,
+    }
+
+
 def bench_gmres(cfg: dict) -> dict:
     out = {}
     for name, A in [
@@ -295,12 +354,14 @@ FULL = dict(
     apply_p=64, apply_inner=10, apply_repeat=3,
     gmres_nx=48, torso_n=1200, race_nx=16, race_p=4,
     level_n=600, level_p=4, level_m=10, level_t=1e-4, level_k=2, level_repeat=3,
+    phase1_nx=40, phase1_torso_n=600, phase1_p=4, phase1_repeat=3,
 )
 QUICK = dict(
     fact_nx=32, m=10, t=1e-3, k=5, fact_repeat=2,
     apply_p=8, apply_inner=5, apply_repeat=2,
     gmres_nx=16, torso_n=300, race_nx=10, race_p=4,
     level_n=300, level_p=4, level_m=10, level_t=1e-4, level_k=2, level_repeat=2,
+    phase1_nx=20, phase1_torso_n=300, phase1_p=4, phase1_repeat=2,
 )
 
 
@@ -333,6 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, r in results["level_wall_time"]["rows"].items():
         per_level = r.get("per_level_ms", r.get("total_per_level_ms"))
         print(f"  wall/level {name}: {r['levels']} levels, {per_level:.2f} ms each")
+    results["phase1"] = bench_phase1(cfg)
+    for name, r in results["phase1"]["rows"].items():
+        print(f"  phase 1 {name}: interior {1e3 * r['interior_block_s']:.1f} ms, "
+              f"interface {1e3 * r['interface_reduction_s']:.1f} ms; per rank "
+              f"{r['interface_rows']} interface rows, chain max {r['chain_max']}")
     results["gmres"] = bench_gmres(cfg)
     for name, g in results["gmres"].items():
         print(f"  gmres/{name}: {g['speedup']:.2f}x  "

@@ -49,20 +49,23 @@ simulator runs regions sequentially in rank order, so it also
 reproduces the pre-transport behaviour bit for bit).
 
 Wherever pivots can depend on each other — phase 1, and the §7
-partition engine's domains — a thunk body eliminates its rows with the
-one Algorithm 4.1 row kernel, :meth:`EliminationEngine._eliminate_row`,
-and differs only in which columns are pivots, where pivot rows are read
-from, and which dropping-rule tail (``_u_row`` / ``_reduced_row``)
-finishes the row.  The phase-2 update is the one place they cannot: the
-rows of ``I_l`` are independent, so a rank's thunk eliminates the whole
-level from all of its reduced rows in one array pass
-(:func:`repro.ilu.level.level_update`), bit for bit what the row
+partition engine's domains — a thunk body eliminates its rows one at a
+time with the scalar row kernel (:mod:`repro.ilu.row`: Algorithm 4.1 on
+a ``dict`` working row over list-cached pivot rows, plus the
+dropping-rule tails), through the engine's thin wrappers ``_eliminate``
+/ ``_u_row`` / ``_reduced_row``; the bodies differ only in which columns
+are pivots, where pivot rows come from (rows the thunk just finished, or
+the merged ``u_rows`` through a :class:`~repro.ilu.row.PivotRows` cache)
+and which tail finishes the row.  The phase-2 update is the one place
+that is batched: the rows of ``I_l`` are independent, so a rank's thunk
+eliminates the whole level from all of its reduced rows in one array
+pass (:func:`repro.ilu.level.level_update`), bit for bit what the row
 kernel would produce row by row — DESIGN.md §13.2.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -73,10 +76,21 @@ from ..faults import MessageLost, RankFailure
 from ..graph import Graph, two_step_luby_mis
 from ..machine import Simulator, run_region, run_region_by_owner
 from ..resilience import PivotPolicy
-from ..sparse import COOBuilder, SparseRowAccumulator
-from .dropping import keep_largest
+from ..sparse import CSRMatrix
 from .factors import ILUFactors, LevelStructure
 from .level import LevelPivots, flatten_rows, level_pivots, level_update
+from .row import (
+    Entries,
+    PivotRow,
+    PivotRows,
+    eliminate_row,
+    entries_of,
+    l_row,
+    reduced_row,
+    row_arrays,
+    u_row,
+    u_row_arrays,
+)
 
 __all__ = ["EliminationEngine", "EliminationOutcome"]
 
@@ -92,27 +106,6 @@ COPY_OPS_PER_WORD = 0.5
 MIS_OPS_PER_EDGE = 1.0
 
 _EMPTY_ROW = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-
-
-def _merge_rows(
-    c1: np.ndarray, v1: np.ndarray, c2: np.ndarray, v2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum-merge two sorted sparse rows."""
-    if c1.size == 0:
-        return c2.copy(), v2.copy()
-    if c2.size == 0:
-        return c1.copy(), v1.copy()
-    cols = np.concatenate([c1, c2])
-    vals = np.concatenate([v1, v2])
-    order = np.argsort(cols, kind="stable")
-    cols, vals = cols[order], vals[order]
-    uniq = np.empty(cols.size, dtype=bool)
-    uniq[0] = True
-    np.not_equal(cols[1:], cols[:-1], out=uniq[1:])
-    gid = np.cumsum(uniq) - 1
-    out_vals = np.zeros(int(gid[-1]) + 1, dtype=np.float64)
-    np.add.at(out_vals, gid, vals)
-    return cols[uniq], out_vals
 
 
 class _RowRecord(NamedTuple):
@@ -280,38 +273,11 @@ class EliminationEngine:
         self.flops_total = 0.0
         self.words_copied = 0.0
         self.u_rows_comm = 0
-        # backend selects the accumulator and dropping implementations;
-        # both pairs are bit-exact twins, so the factors are identical
-        from ..kernels.backend import VECTORIZED, resolve_backend
+        # accepted and validated for the callers' sake; the engine runs the
+        # same kernels (repro.ilu.row, repro.ilu.level) under every name
+        from ..kernels.backend import resolve_backend
 
         self.backend = resolve_backend(backend)
-        self._vec = self.backend == VECTORIZED
-        if self._vec:
-            from ..kernels.dropping import keep_largest_vec
-
-            self._keep = keep_largest_vec
-        else:
-            self._keep = keep_largest
-        self._acc = self._new_acc()
-
-    def _new_acc(self):
-        """A fresh scratch accumulator for the configured backend."""
-        if self._vec:
-            from ..kernels.accumulator import VectorizedRowAccumulator
-
-            return VectorizedRowAccumulator(self.n)
-        return SparseRowAccumulator(self.n)
-
-    def _region_acc(self):
-        """The scratch accumulator a parallel-region thunk should use.
-
-        Thunks running concurrently in one address space (thread
-        transport) must not share scratch state; sequential and forked
-        regions reuse the engine's accumulator.
-        """
-        if self.sim is not None and self.sim.concurrent_regions:
-            return self._new_acc()
-        return self._acc
 
     # ------------------------------------------------------------------
     # transport helpers (no-ops without a transport)
@@ -400,121 +366,54 @@ class EliminationEngine:
             self._charge_copy(rank, rec.copy_words)
 
     # ------------------------------------------------------------------
-    # the row kernel (Algorithm 4.1) and the dropping-rule tails
+    # the row kernel (repro.ilu.row) bound to this engine's parameters
     # ------------------------------------------------------------------
 
     def _tau(self, i: int) -> float:
-        return self.t * self.norms[i]
+        return float(self.t * self.norms[i])
 
-    def _eliminate_row(
+    def _eliminate(
         self,
-        w,
         i: int,
         cols: np.ndarray,
         vals: np.ndarray,
-        pkey: np.ndarray,
-        u_rows: dict[int, tuple[np.ndarray, np.ndarray]],
+        pkey: list[int],
+        pivot_rows: Mapping[int, PivotRow],
         decls: list[tuple] | None,
-    ) -> tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-        """Algorithm 4.1: eliminate row ``i = (cols, vals)`` against
-        already-factored rows, with the 1st dropping rule.
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray], Entries]:
+        """Algorithm 4.1 on row ``i = (cols, vals)`` against the
+        ``pkey`` pivots (:func:`repro.ilu.row.eliminate_row`).
 
-        ``pkey[c] >= 0`` marks column ``c`` as a pivot and gives its
-        place in the elimination order (pivots are consumed by ascending
-        key); ``u_rows[c]`` is that pivot's U row, diagonal first.  New
-        pivots reached through fill are followed.  Returns ``(ops, l_row,
-        rcols, rvals)``: the operation count, the row's L part (its old
-        L row merged with the surviving multipliers, thresholded and cut
-        to the ``m`` largest) and what is left of the row over
-        non-pivot columns, before any 2nd/3rd-rule dropping.  Called
-        from inside region thunks: reads engine state, writes only ``w``
-        and ``decls``.
+        Returns ``(ops, l_row, rest)``: the operation count, the row's L
+        part (its old L row merged with the surviving multipliers,
+        thresholded and cut to the ``m`` largest) and what is left of
+        the row over non-pivot columns, before any 2nd/3rd-rule
+        dropping.  Called from inside region thunks: reads engine state,
+        writes only ``pivot_rows`` (a thunk-local cache) and ``decls``.
         """
         self._hb()
         tau = self._tau(i)
-        w.load(cols, vals)
-        # min-heap of pending pivots, each encoded ``key * n + column``
-        # (keys are unique per column, so this orders by key); ``queued``
-        # keeps a column from entering twice
-        n = self.n
-        hits = cols[pkey[cols] >= 0]
-        heap = (pkey[hits] * n + hits).tolist()
-        heapq.heapify(heap)
-        queued = set(hits.tolist())
-        ops = 0
-        l_cols: list[int] = []
-        l_vals: list[float] = []
-        while heap:
-            k = heapq.heappop(heap) % n
-            wk = w.get(k)
-            w.drop(k)
-            if wk == 0.0:
-                continue
-            if decls is not None:
-                decls.append(("r", "u-row", k))
-            ucols, uvals = u_rows[k]
-            wk = wk / uvals[0]
-            ops += 1
-            if abs(wk) < tau:  # 1st dropping rule
-                continue
-            l_cols.append(k)
-            l_vals.append(wk)
-            if ucols.size > 1:
-                tail = ucols[1:]
-                w.axpy(-wk, tail, uvals[1:])
-                ops += 2 * int(tail.size)
-                for c in tail[pkey[tail] >= 0].tolist():
-                    if c not in queued:  # a pivot reached through fill
-                        queued.add(c)
-                        heapq.heappush(heap, int(pkey[c]) * n + c)
-        rcols, rvals = w.extract()
-        w.reset()
-        # merge the fresh multipliers into the accumulated L row, then
-        # threshold + keep-m on the whole factored part
-        lc_old, lv_old = self.l_rows.get(i, _EMPTY_ROW)
-        lc_new = np.asarray(l_cols, dtype=np.int64)
-        lv_new = np.asarray(l_vals, dtype=np.float64)
-        by_col = np.argsort(lc_new, kind="stable")
-        lc, lv = _merge_rows(lc_old, lv_old, lc_new[by_col], lv_new[by_col])
-        big = np.abs(lv) >= tau
-        return ops, self._keep(lc[big], lv[big], self.m), rcols, rvals
-
-    def _u_row(
-        self, i: int, cols: np.ndarray, vals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """2nd dropping rule, U side, for a row over unfactored columns:
-        threshold, keep the ``m`` largest, resolve the pivot.  Stored
-        diagonal first, tail sorted by column."""
-        tau = self._tau(i)
-        on = cols == i
-        diag = float(vals[on][0]) if np.any(on) else 0.0
-        big = (np.abs(vals) >= tau) & ~on
-        uc, uv = self._keep(cols[big], vals[big], self.m)
-        diag = self.pivot_policy.resolve(i, diag, tau, self.norms[i])
-        return (
-            np.concatenate(([i], uc)).astype(np.int64),
-            np.concatenate(([diag], uv)),
+        ops, reads, multipliers, rest = eliminate_row(
+            cols.tolist(), vals.tolist(), tau, pkey, pivot_rows
         )
+        if decls is not None:
+            decls += [("r", "u-row", k) for k in reads]
+        old = entries_of(self.l_rows.get(i, _EMPTY_ROW))
+        return ops, row_arrays(l_row(old, multipliers, tau, self.m)), rest
 
-    def _reduced_row(
-        self, i: int, cols: np.ndarray, vals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _u_row(self, i: int, rest: Entries) -> PivotRow:
+        """2nd dropping rule, U side, for a row over unfactored columns:
+        threshold, keep the ``m`` largest, resolve the pivot."""
+        return u_row(i, rest, self._tau(i), self.m, self.pivot_policy, self.norms[i])
+
+    def _reduced_row(self, i: int, rest: Entries) -> tuple[np.ndarray, np.ndarray]:
         """3rd dropping rule for a row over unfactored columns:
         threshold, the optional ``reduced_cap``, diagonal always kept."""
-        on = cols == i
-        diag = float(vals[on][0]) if np.any(on) else 0.0
-        keep = (np.abs(vals) >= self._tau(i)) & ~on
-        rc, rv = cols[keep], vals[keep]
-        if self.reduced_cap is not None:
-            rc, rv = self._keep(rc, rv, max(0, self.reduced_cap - 1))
-        ins = int(np.searchsorted(rc, i))
-        return (
-            np.concatenate((rc[:ins], (i,), rc[ins:])),
-            np.concatenate((rv[:ins], (diag,), rv[ins:])),
-        )
+        return row_arrays(reduced_row(i, rest, self._tau(i), self.reduced_cap))
 
     def _pivot_keys(self, pivots: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """The ``pkey`` array of :meth:`_eliminate_row` for a pivot set."""
+        """The pivot-key array of a pivot set: ``keys`` at ``pivots``,
+        ``-1`` elsewhere (the row kernel takes it as a list)."""
         pkey = np.full(self.n, -1, dtype=np.int64)
         pkey[pivots] = keys
         return pkey
@@ -530,24 +429,24 @@ class EliminationEngine:
         Interior rows reference only local columns, so this is exactly
         the sequential ILUT restricted to the block; interface columns
         land in the U part (they are eliminated later).  A rank's pivots
-        are its own earlier interior rows, kept in a thunk-local overlay.
+        are its own earlier interior rows, kept thunk-local in the form
+        the row kernel reads.
         """
-        w = self._region_acc()
         trace = self._tr is not None
-        pkey = np.full(self.n, -1, dtype=np.int64)
-        u_new: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        pkey = [-1] * self.n
+        pivot_rows: dict[int, PivotRow] = {}
         records: list[_RowRecord] = []
         for i in self.decomp.interior_rows(rank).tolist():
             cols, vals = self.A.row(i)
             decls: list[tuple] | None = [("r", "A-row", i)] if trace else None
-            ops, l_row, rcols, rvals = self._eliminate_row(
-                w, i, cols, vals, pkey, u_new, decls
-            )
-            u_new[i] = self._u_row(i, rcols, rvals)
+            ops, l_part, rest = self._eliminate(i, cols, vals, pkey, pivot_rows, decls)
+            pivot_rows[i] = self._u_row(i, rest)
             pkey[i] = i
             if trace:
                 decls += [("w", "l-row", i), ("w", "u-row", i)]
-            records.append(_RowRecord(i, l_row, u_new[i], None, ops, None, decls))
+            records.append(
+                _RowRecord(i, l_part, u_row_arrays(i, pivot_rows[i]), None, ops, None, decls)
+            )
         return records
 
     def _compute_interface_reduction(self, rank: int) -> list[_RowRecord]:
@@ -558,38 +457,34 @@ class EliminationEngine:
         interior node would have a cross-domain neighbour, contradiction),
         so no communication is needed — the paper's phase-1 property.
         """
-        w = self._region_acc()
         trace = self._tr is not None
         interior = self.decomp.interior_rows(rank)
-        pkey = self._pivot_keys(interior, interior)
+        pkey = self._pivot_keys(interior, interior).tolist()
+        pivot_rows = PivotRows(self.u_rows)
         records: list[_RowRecord] = []
         for i in self.decomp.interface_rows(rank).tolist():
             cols, vals = self.A.row(i)
             decls: list[tuple] | None = [("r", "A-row", i)] if trace else None
-            records.append(
-                self._update_record(w, i, cols, vals, pkey, decls)
-            )
+            records.append(self._update_record(i, cols, vals, pkey, pivot_rows, decls))
         return records
 
     def _update_record(
         self,
-        w,
         i: int,
         cols: np.ndarray,
         vals: np.ndarray,
-        pkey: np.ndarray,
+        pkey: list[int],
+        pivot_rows: Mapping[int, PivotRow],
         decls: list[tuple] | None,
     ) -> _RowRecord:
         """Eliminate the ``pkey`` pivots from a row that stays in the
         reduced matrix: Algorithm 4.1, then the 3rd dropping rule."""
-        ops, l_row, rcols, rvals = self._eliminate_row(
-            w, i, cols, vals, pkey, self.u_rows, decls
-        )
-        reduced_row = self._reduced_row(i, rcols, rvals)
+        ops, l_part, rest = self._eliminate(i, cols, vals, pkey, pivot_rows, decls)
+        reduced_part = self._reduced_row(i, rest)
         if decls is not None:
             decls += [("w", "l-row", i), ("w", "reduced-row", i)]
-        copy_words = float(reduced_row[0].size + l_row[0].size)
-        return _RowRecord(i, l_row, None, reduced_row, ops, copy_words, decls)
+        copy_words = float(reduced_part[0].size + l_part[0].size)
+        return _RowRecord(i, l_part, None, reduced_part, ops, copy_words, decls)
 
     # ------------------------------------------------------------------
     # phase 2: iterative independent-set factorization of A_I
@@ -684,11 +579,8 @@ class EliminationEngine:
             self._hb()
             cols, vals = self.reduced[i]
             decls = [("r", "reduced-row", i), ("w", "u-row", i)] if trace else None
-            records.append(
-                _RowRecord(
-                    i, None, self._u_row(i, cols, vals), None, float(cols.size), None, decls
-                )
-            )
+            u_part = u_row_arrays(i, self._u_row(i, entries_of((cols, vals))))
+            records.append(_RowRecord(i, None, u_part, None, float(cols.size), None, decls))
         return records
 
     def _exchange_level_rows(self, pkey: np.ndarray, tag: object) -> None:
@@ -753,15 +645,16 @@ class EliminationEngine:
     def _compute_update_rows(self, rows: list[int], pkey: np.ndarray) -> list[_RowRecord]:
         """Pure thunk body: apply Algorithm 4.1 to one rank's reduced
         rows.  Rows without pivots produce no record."""
-        w = self._region_acc()
         trace = self._tr is not None
+        keys = pkey.tolist()
+        pivot_rows = PivotRows(self.u_rows)
         records: list[_RowRecord] = []
         for i in rows:
             cols, vals = self.reduced[i]
             if not np.any(pkey[cols] >= 0):
                 continue
             decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
-            records.append(self._update_record(w, i, cols, vals, pkey, decls))
+            records.append(self._update_record(i, cols, vals, keys, pivot_rows, decls))
         return records
 
     def _compute_level_update(self, rows: list[int], pivots: LevelPivots) -> list[_RowRecord]:
@@ -844,7 +737,6 @@ class EliminationEngine:
         self.flops_total = ckpt.flops_total
         self.words_copied = ckpt.words_copied
         self.u_rows_comm = ckpt.u_rows_comm
-        self._acc.reset()
         if self.sim is not None and ckpt.sim_snap is not None:
             self.sim.restore(
                 ckpt.sim_snap,
@@ -954,6 +846,17 @@ class EliminationEngine:
             recoveries=self.recoveries,
         )
 
+    def _gather_factor(self, rows: list[tuple[np.ndarray, np.ndarray]]) -> CSRMatrix:
+        """One factor as CSR in the elimination ordering, from its rows
+        in original indices (``rows[i]`` is row ``i``)."""
+        flat = flatten_rows(rows)
+        return CSRMatrix.from_coo(
+            np.repeat(self.pos, np.diff(flat.ptr)),
+            self.pos[flat.cols],
+            flat.vals,
+            shape=(self.n, self.n),
+        )
+
     def _assemble(
         self,
         interior_ranges: list[tuple[int, int]],
@@ -966,20 +869,8 @@ class EliminationEngine:
             raise AssertionError(
                 f"elimination covered {perm.size} of {n} rows"
             )
-        posmap = self.pos
-        l_builder = COOBuilder(n)
-        u_builder = COOBuilder(n)
-        for i in range(n):
-            p = int(posmap[i])
-            lc, lv = self.l_rows.get(i, _EMPTY_ROW)
-            if lc.size:
-                l_builder.add_batch(
-                    np.full(lc.size, p, dtype=np.int64), posmap[lc], lv
-                )
-            uc, uv = self.u_rows[i]
-            u_builder.add_batch(np.full(uc.size, p, dtype=np.int64), posmap[uc], uv)
-        L = l_builder.to_csr()
-        U = u_builder.to_csr()
+        L = self._gather_factor([self.l_rows.get(i, _EMPTY_ROW) for i in range(n)])
+        U = self._gather_factor([self.u_rows[i] for i in range(n)])
         owner = self.decomp.part[perm]
         levels = LevelStructure(
             interior_ranges=interior_ranges,

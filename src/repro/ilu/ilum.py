@@ -22,10 +22,30 @@ from ..graph import Graph, two_step_luby_mis
 from ..resilience import ZeroPivotError
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
 from .dropping import keep_largest
-from .elimination import _merge_rows
 from .factors import ILUFactors, LevelStructure
 
 __all__ = ["ilum"]
+
+
+def _merge_rows(
+    c1: np.ndarray, v1: np.ndarray, c2: np.ndarray, v2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum-merge two sorted sparse rows."""
+    if c1.size == 0:
+        return c2.copy(), v2.copy()
+    if c2.size == 0:
+        return c1.copy(), v1.copy()
+    cols = np.concatenate([c1, c2])
+    vals = np.concatenate([v1, v2])
+    order = np.argsort(cols, kind="stable")
+    cols, vals = cols[order], vals[order]
+    uniq = np.empty(cols.size, dtype=bool)
+    uniq[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=uniq[1:])
+    gid = np.cumsum(uniq) - 1
+    out_vals = np.zeros(int(gid[-1]) + 1, dtype=np.float64)
+    np.add.at(out_vals, gid, vals)
+    return cols[uniq], out_vals
 
 
 def ilum(

@@ -31,6 +31,7 @@ from ..sparse import CSRMatrix
 from .elimination import EliminationEngine, EliminationOutcome, _RowRecord
 from .parallel import ParallelILUResult
 from .params import ILUTParams
+from .row import PivotRow, u_row_arrays
 
 if TYPE_CHECKING:
     from ..machine.supervision import SupervisionPolicy
@@ -138,33 +139,30 @@ class InterfacePartitionEngine(EliminationEngine):
         Intra-domain pivots are the rows this thunk has already
         factored, ordered by a thunk-local elimination position —
         order-isomorphic to the global positions the merge will assign —
-        and read from a thunk-local U-row overlay.
+        and read from a thunk-local pivot-row cache.
         """
-        pkey = np.full(self.n, -1, dtype=np.int64)
-        u_new: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        w = self._region_acc()
+        pkey = [-1] * self.n
+        pivot_rows: dict[int, PivotRow] = {}
         trace = self._tr is not None
         records: list[_RowRecord] = []
         for count, i in enumerate(nodes.tolist()):
             cols, vals = self.reduced[i]
             decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
-            ops, l_row, rcols, rvals = self._eliminate_row(
-                w, i, cols, vals, pkey, u_new, decls
-            )
+            ops, l_part, rest = self._eliminate(i, cols, vals, pkey, pivot_rows, decls)
             # U part: everything left (all unfactored columns)
-            u_new[i] = self._u_row(i, rcols, rvals)
+            pivot_rows[i] = self._u_row(i, rest)
             pkey[i] = count
             if trace:
-                if l_row[0].size:
+                if l_part[0].size:
                     decls.append(("w", "l-row", i))
                 decls.append(("w", "u-row", i))
             records.append(
                 _RowRecord(
                     i,
-                    l_row if l_row[0].size else None,
-                    u_new[i],
+                    l_part if l_part[0].size else None,
+                    u_row_arrays(i, pivot_rows[i]),
                     None,
-                    ops + float(rcols.size),
+                    ops + float(len(rest)),
                     None,
                     decls,
                 )

@@ -9,21 +9,22 @@ that product.  It is charge-free and transport-free: it returns flat
 rows, per-row operation counts and the pivots each row actually read,
 and the engine replays charges and tracer declarations from those.
 
-Bit-exact against the scalar row kernel
-:meth:`repro.ilu.elimination.EliminationEngine._eliminate_row` +
-``_reduced_row``, which stays the kernel wherever pivots *can* depend on
-each other (phase 1, the §7 partition engine).  That is why this module
-sits beside the engine and not in :mod:`repro.kernels`: it is not one of
-a ``backend=`` pair, it is the only phase-2 update on either backend.
+Bit-exact against the scalar row kernel (:mod:`repro.ilu.row`:
+``eliminate_row`` + ``l_row`` + ``reduced_row``), which stays the kernel
+wherever pivots *can* depend on each other (phase 1, the §7 partition
+engine).  That is why this module sits beside the engine and not in
+:mod:`repro.kernels`: it is not one of a ``backend=`` pair, it is the
+only phase-2 update on either backend.
 What makes it exact rather than close:
 
 * every entry receives its contributions in ascending pivot order, the
   scalar kernel's heap order — tails are added in *rounds*, round ``j``
   applying the ``j``-th surviving pivot of every row at once, and within
   a round each ``(row, col)`` occurs once, so fancy-index ``+=`` is the
-  scalar ``axpy``;
+  scalar update ``x + alpha*v``;
 * fill starts from ``0.0`` (``0.0 + alpha*v``, not ``alpha*v``), entries
-  equal to ``0.0`` vanish as in ``extract()``, and the diagonal slot is
+  equal to ``0.0`` vanish as they do when the scalar kernel extracts its
+  working row, and the diagonal slot is
   always kept, as ``+0.0`` when it cancelled or was never stored;
 * the dropping rules are segmented selections with ``keep_largest``'s
   ``(-|v|, col)`` order.
@@ -239,7 +240,7 @@ def level_update(
     l_key, l_row, l_col, l_val = l_key[order], l_row[order], l_col[order], l_val[order]
     if np.any(l_key[1:] == l_key[:-1]):
         raise ValueError("an old L row already holds a column of this level's pivots")
-    # _merge_rows sums into zeros when both sides are non-empty (which
+    # row.l_row sums into zeros when both sides are non-empty (which
     # turns a -0.0 multiplier into +0.0) and copies otherwise
     both = (old_len > 0) & (np.bincount(a_row, minlength=nrows) > 0)
     l_val = np.where(both[l_row], 0.0 + l_val, l_val)

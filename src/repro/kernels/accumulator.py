@@ -9,9 +9,12 @@ extending the pattern list; here pattern growth is a single slice
 assignment, so ``load`` and ``axpy`` cost one numpy call each regardless
 of fill.
 
-The elimination engines additionally reach into ``values`` /
-``in_pattern`` / ``pattern_array`` directly in their hot loops; those
-attributes are a stable part of this class's interface.
+Nothing in the package's own hot loops uses it any more: the parallel
+elimination engine, once its caller, eliminates rows with the scalar
+kernel in :mod:`repro.ilu.row` on a ``dict``, and
+:func:`repro.kernels.ilut.ilut_vectorized` keeps its own dense working
+row.  It stays as the public array-backed twin of the reference
+accumulator, held to it by ``tests/kernels/test_accumulator_kernels.py``.
 """
 
 from __future__ import annotations

@@ -158,9 +158,6 @@ class Simulator:
 
     #: Short spelling used in reports and ``transport=`` round-trips.
     name = "simulator"
-    #: True when region thunks run concurrently in one address space —
-    #: drivers must then use per-thunk scratch state (accumulators).
-    concurrent_regions = False
 
     def __init__(
         self,

@@ -22,9 +22,9 @@ region retry safe).
 
 Role.  Python threads are GIL-bound, so this transport is not a way to
 go faster; it is the **no-fork parity leg**: real concurrency between
-the thunks of a region (it is what ``concurrent_regions`` and the
-per-thunk scratch state in the drivers are tested against), the whole
-supervision taxonomy, and the only worker transport that runs where
+the thunks of a region (it is what keeping every thunk's scratch state
+thunk-local in the drivers is tested against), the whole supervision
+taxonomy, and the only worker transport that runs where
 ``os.fork`` does not exist.
 """
 
@@ -50,9 +50,6 @@ class ThreadTransport(LocalTransport):
     """Real threaded execution of the SPMD drivers' parallel regions."""
 
     name = "threads"
-    #: thunks share one address space and run concurrently — drivers must
-    #: not share scratch state (accumulators) between region thunks
-    concurrent_regions = True
     #: seconds ``close()`` waits per worker before declaring it stuck
     close_join_timeout: float = 5.0
 

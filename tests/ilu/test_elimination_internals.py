@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
-from repro.ilu.elimination import EliminationEngine, _merge_rows
+from repro.ilu.elimination import EliminationEngine
+from repro.ilu.ilum import _merge_rows
 from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import poisson2d, random_diag_dominant
 

@@ -15,13 +15,28 @@ from repro.matrices import (
 
 
 class TestCorrectness:
-    def test_p1_identical_to_sequential(self, medium_poisson):
-        r = parallel_ilut(medium_poisson, ILUTParams(fill=5, threshold=1e-2), 1, transport="none")
-        f = ilut(medium_poisson, ILUTParams(fill=5, threshold=1e-2))
-        assert r.factors.L.allclose(f.L)
-        assert r.factors.U.allclose(f.U)
-        assert np.array_equal(r.factors.perm, f.perm)
-        assert r.num_levels == 0
+    def test_p1_identical_to_sequential(self):
+        # one rank: every row is interior, so the engine's phase 1 *is*
+        # the serial ILUT — same bits, same operation count
+        matrices = {
+            "poisson": poisson2d(12),
+            "torso": torso_like(140, seed=1),
+            "unsymmetric": random_diag_dominant(60, 5, seed=4, symmetric_pattern=False),
+        }
+        for name, A in matrices.items():
+            for m, t in [(5, 1e-2), (10, 1e-4), (3, 0.0), (0, 1e-2)]:
+                for backend in ("reference", "vectorized"):
+                    case = (name, m, t, backend)
+                    params = ILUTParams(fill=m, threshold=t)
+                    r = parallel_ilut(A, params, 1, transport="none", backend=backend)
+                    f = ilut(A, params, backend=backend)
+                    for got, want in ((r.factors.L, f.L), (r.factors.U, f.U)):
+                        assert got.indptr.tobytes() == want.indptr.tobytes(), case
+                        assert got.indices.tobytes() == want.indices.tobytes(), case
+                        assert got.data.tobytes() == want.data.tobytes(), case
+                    assert r.factors.perm.tobytes() == f.perm.tobytes(), case
+                    assert r.flops == f.stats["flops"], case
+                    assert r.num_levels == 0, case
 
     def test_no_dropping_exact_any_p(self, small_diagdom):
         n = small_diagdom.shape[0]
