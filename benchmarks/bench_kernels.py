@@ -129,19 +129,17 @@ def bench_triangular_apply(cfg: dict) -> dict:
     }
 
 
-def _rows_identical(a: dict, b: dict) -> bool:
-    return a.keys() == b.keys() and all(
-        x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for i in a
-        for x, y in zip(a[i], b[i])
-    )
+def _store_bits(store) -> tuple:
+    """Every stored row of a ``RowStore``, as bytes."""
+    rows = np.array(list(store), dtype=np.int64)
+    return (rows.tobytes(), *(a.tobytes() for a in store.gather(rows)))
 
 
 def bench_level_update(cfg: dict) -> dict:
     """Scalar vs batched phase-2 update over the levels of one run.
 
-    At every level the engine's state is captured, the scalar update
-    runs on it (timed), the state is put back, and the batched update
+    At every level the engine's row stores are checkpointed, the scalar
+    update runs (timed), the checkpoint is restored, and the batched update
     runs on it (timed) and carries the factorization forward; what the
     two leave behind — reduced rows, L rows, flop and copy counters —
     must be equal bit for bit.  No transport: the timings are the two
@@ -157,21 +155,22 @@ def bench_level_update(cfg: dict) -> dict:
     class BothWays(EliminationEngine):
         def _update_level(self, pivots):
             nonlocal identical, row_updates
-            start = (dict(self.reduced), dict(self.l_rows), self.flops_total, self.words_copied)
+            stores = (self.reduced, self.l_rows)
+            start = [store.checkpoint() for store in stores]
+            counters = (self.flops_total, self.words_copied)
             t0 = time.perf_counter()
             self._update_remaining(pivots.ordinal)
             spent["scalar"] += time.perf_counter() - t0
-            scalar = (self.reduced, self.l_rows, self.flops_total, self.words_copied)
-            row_updates += sum(scalar[0][i] is not start[0][i] for i in start[0])
-            self.reduced, self.l_rows, self.flops_total, self.words_copied = start
+            scalar = (*map(_store_bits, stores), self.flops_total, self.words_copied)
+            # a rebuilt row is re-appended, so its start moved
+            row_updates += int(np.count_nonzero(self.reduced.start != start[0][0]))
+            for store, snap in zip(stores, start):
+                store.restore(snap)
+            self.flops_total, self.words_copied = counters
             t0 = time.perf_counter()
             super()._update_level(pivots)
             spent["batched"] += time.perf_counter() - t0
-            identical &= (
-                _rows_identical(scalar[0], self.reduced)
-                and _rows_identical(scalar[1], self.l_rows)
-                and scalar[2:] == (self.flops_total, self.words_copied)
-            )
+            identical &= scalar == (*map(_store_bits, stores), self.flops_total, self.words_copied)
 
     best = {"scalar": float("inf"), "batched": float("inf")}
     for _ in range(cfg["level_repeat"]):
@@ -266,25 +265,20 @@ def bench_phase1(cfg: dict) -> dict:
     ):
         decomp = decompose(A, p, seed=0)
 
-        def run(sim=None):
-            engine = EliminationEngine(decomp, m, t, sim=sim)
+        def run():
+            engine = EliminationEngine(decomp, m, t)
             t0 = time.perf_counter()
             interior = [engine._compute_interior_block(r) for r in range(p)]
             t1 = time.perf_counter()
-            for r, records in enumerate(interior):
-                for rec in records:
-                    engine._merge_record(r, rec)
+            engine._merge_blocks(interior)
             t2 = time.perf_counter()
             interface = [engine._compute_interface_reduction(r) for r in range(p)]
             return t1 - t0, time.perf_counter() - t2, interface
 
-        spans = [run()[:2] for _ in range(cfg["phase1_repeat"])]
-        # under a tracer every pivot a row consumed is one declared u-row read
-        traced = run(Simulator(p, CRAY_T3D, trace=True))[2]
-        chains = [
-            [sum(d[:2] == ("r", "u-row") for d in rec.decls) for rec in records]
-            for records in traced
-        ]
+        runs = [run() for _ in range(cfg["phase1_repeat"])]
+        spans = [r[:2] for r in runs]
+        # a block lists, per row, every pivot the row consumed
+        chains = [np.diff(block.read_ptr).tolist() for block in runs[-1][2]]
         rows[name] = {
             "n": A.shape[0],
             "interior_rows": [int(decomp.interior_rows(r).size) for r in range(p)],

@@ -34,29 +34,33 @@ numerics).
 
 Transport portability (DESIGN.md §13)
 -------------------------------------
-Each phase is organised as a **parallel region**: per-rank pure thunks
-(``_compute_*``) dispatched through :func:`repro.machine.run_region`,
-whose returned :class:`_RowRecord`s the coordinator merges
-(``_merge_record``) in the same deterministic global order the
-historical inline loops used — rank-major for phase 1, independent-set
-order for level factorization, ascending row order for the
-reduced-matrix update.  Thunks read shared engine state but never
-mutate it; all state writes, tracer declarations and cost charges are
-replayed at merge time, at the original per-row granularity.  The merge
-order plus per-row charge replay is what makes factors, modeled times
-and fault-journal signatures bit-identical across all transports (the
-simulator runs regions sequentially in rank order, so it also
-reproduces the pre-transport behaviour bit for bit).
+The engine's state is one :class:`~repro.ilu.rowstore.RowStore` each for
+U, L and the reduced matrix — rows in flat append-only buffers — plus the
+sorted array ``remaining`` of unfactored interface rows.  Each phase is
+organised as a **parallel region**: per-rank pure thunks (``_compute_*``)
+dispatched through :func:`repro.machine.run_region`, each returning one
+:class:`~repro.ilu.rowstore.RowBlock` (row ids, flat L/U/reduced rows,
+per-row operation counts, the pivots each row read) that the
+coordinator merges in ``_merge_blocks``: one append per store per
+block, then the charges and tracer declarations replayed row by row in
+the deterministic global order the historical inline loops used —
+rank-major for phase 1 and the §7 domains, ascending row order (which
+interleaves ranks) for every phase-2 region.  Thunks read shared engine
+state but never mutate it.  The merge order plus per-row charge replay
+is what makes factors, modeled times and fault-journal signatures
+bit-identical across all transports (the simulator runs regions
+sequentially in rank order, so it also reproduces the pre-transport
+behaviour bit for bit).
 
 Wherever pivots can depend on each other — phase 1, and the §7
 partition engine's domains — a thunk body eliminates its rows one at a
 time with the scalar row kernel (:mod:`repro.ilu.row`: Algorithm 4.1 on
 a ``dict`` working row over list-cached pivot rows, plus the
-dropping-rule tails), through the engine's thin wrappers ``_eliminate``
-/ ``_u_row`` / ``_reduced_row``; the bodies differ only in which columns
-are pivots, where pivot rows come from (rows the thunk just finished, or
-the merged ``u_rows`` through a :class:`~repro.ilu.row.PivotRows` cache)
-and which tail finishes the row.  The phase-2 update is the one place
+dropping-rule tails) in one loop, ``_eliminate_rows``; its callers
+differ only in which columns are pivots, where pivot rows come from
+(rows the thunk just finished, or the U store through a
+:class:`~repro.ilu.row.PivotRows` cache) and which tail finishes the
+row.  The phase-2 update is the one place
 that is batched: the rows of ``I_l`` are independent, so a rank's thunk
 eliminates the whole level from all of its reduced rows in one array
 pass (:func:`repro.ilu.level.level_update`), bit for bit what the row
@@ -65,32 +69,26 @@ kernel would produce row by row — DESIGN.md §13.2.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Sequence
+from copy import copy
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from itertools import repeat
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
 from ..decomp import DomainDecomposition
 from ..faults import MessageLost, RankFailure
 from ..graph import Graph, two_step_luby_mis
-from ..machine import Simulator, run_region, run_region_by_owner
+from ..machine import Simulator, run_region
 from ..resilience import PivotPolicy
 from ..sparse import CSRMatrix
 from .factors import ILUFactors, LevelStructure
-from .level import LevelPivots, flatten_rows, level_pivots, level_update
-from .row import (
-    Entries,
-    PivotRow,
-    PivotRows,
-    eliminate_row,
-    entries_of,
-    l_row,
-    reduced_row,
-    row_arrays,
-    u_row,
-    u_row_arrays,
-)
+from .level import LevelPivots, level_pivots, level_update
+from .row import PivotRow, PivotRows, eliminate_row, l_row, reduced_row, u_row
+from .rowstore import RowBlock, RowsBuilder, RowStore, gather_rows, ptr_of
 
 __all__ = ["EliminationEngine", "EliminationOutcome"]
 
@@ -104,26 +102,6 @@ MAX_RETRANSMITS = 3
 COPY_OPS_PER_WORD = 0.5
 # modelled cost of scanning one adjacency entry during a Luby MIS round
 MIS_OPS_PER_EDGE = 1.0
-
-_EMPTY_ROW = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-
-
-class _RowRecord(NamedTuple):
-    """What a region thunk returns per row, for the coordinator to merge.
-
-    ``None`` fields are absent: a row gets a ``u_row`` when it is
-    factored and a ``reduced_row`` when it stays in the reduced matrix;
-    ``copy_words`` is charged only for rebuilt reduced rows; ``decls``
-    exist only under a tracer.
-    """
-
-    row: int
-    l_row: tuple[np.ndarray, np.ndarray] | None
-    u_row: tuple[np.ndarray, np.ndarray] | None
-    reduced_row: tuple[np.ndarray, np.ndarray] | None
-    ops: float
-    copy_words: float | None
-    decls: list[tuple] | None
 
 
 @dataclass
@@ -139,23 +117,22 @@ class EliminationOutcome:
     recoveries: int = 0
 
 
+# engine attributes a checkpoint copies (beside the row stores)
+_CHECKPOINTED = (
+    "pos", "nfactored", "remaining", "level_sizes", "flops_total", "words_copied", "u_rows_comm"
+)
+
+
 @dataclass
 class _EngineCheckpoint:
     """Per-level snapshot of the elimination state (plus the simulator's).
 
-    Row payloads are ``(cols, vals)`` tuples the engine always *replaces*
-    and never mutates in place, so shallow dict copies are sufficient.
+    The row stores are append-only, so each is snapshotted as its index
+    arrays plus its buffer length (``RowStore.checkpoint``).
     """
 
-    u_rows: dict[int, tuple[np.ndarray, np.ndarray]]
-    l_rows: dict[int, tuple[np.ndarray, np.ndarray]]
-    reduced: dict[int, tuple[np.ndarray, np.ndarray]]
-    pos: np.ndarray
-    order: list[int]
-    level_sizes: list[int]
-    flops_total: float
-    words_copied: float
-    u_rows_comm: int
+    stores: tuple
+    state: dict[str, object]
     interface_levels: list[np.ndarray]
     level: int
     sim_snap: object | None
@@ -200,9 +177,9 @@ class EliminationEngine:
     level_hook:
         Optional callback ``level_hook(level, iset, reduced)`` invoked
         after phase 1 (``level=-1``, empty ``iset``) and after every
-        phase-2 update, with the live reduced-row dict — used by tests to
-        assert per-level invariants such as the 3rd dropping rule's
-        ``k*m`` cap.
+        phase-2 level, with a read-only ``row -> (cols, vals)`` mapping
+        view of the live reduced matrix — used by tests to assert
+        per-level invariants such as the 3rd dropping rule's ``k*m`` cap.
 
     When ``sim`` was built with ``trace=True``, every shared-object
     access (A rows, U rows, L rows, reduced rows) is declared to the
@@ -225,8 +202,7 @@ class EliminationEngine:
         checkpoint: bool = False,
         max_recoveries: int = 8,
         max_levels: int | None = None,
-        level_hook: Callable[[int, np.ndarray, dict], None] | None = None,
-        backend: str | None = None,
+        level_hook: Callable[[int, np.ndarray, MappingProxyType], None] | None = None,
     ) -> None:
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
@@ -261,42 +237,26 @@ class EliminationEngine:
 
         # reference norms under every backend: identical drop thresholds
         self.norms = self.A.row_norms(ord=2, backend="reference")
+        # A's rows in the (start, length, cols, vals) form gather_rows reads
+        indptr = self.A.indptr
+        self._a_rows = (indptr[:-1], np.diff(indptr), self.A.indices, self.A.data)
         self.pos = np.full(self.n, -1, dtype=np.int64)  # elimination position
-        self.order: list[int] = []  # original index per position
-        # U rows in original indices, diagonal first: orig -> (cols, vals)
-        self.u_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # accumulated L rows (factored columns): orig -> (cols, vals)
-        self.l_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # current reduced rows over unfactored interface columns
-        self.reduced: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.nfactored = 0
+        # rows in original indices: U rows diagonal first, accumulated L
+        # rows (factored columns), reduced rows over unfactored columns
+        self.u_rows = RowStore(self.n)
+        self.l_rows = RowStore(self.n)
+        self.reduced = RowStore(self.n)
+        # the rows of ``reduced``, ascending
+        self.remaining = np.empty(0, dtype=np.int64)
         self.level_sizes: list[int] = []
         self.flops_total = 0.0
         self.words_copied = 0.0
         self.u_rows_comm = 0
-        # accepted and validated for the callers' sake; the engine runs the
-        # same kernels (repro.ilu.row, repro.ilu.level) under every name
-        from ..kernels.backend import resolve_backend
-
-        self.backend = resolve_backend(backend)
 
     # ------------------------------------------------------------------
     # transport helpers (no-ops without a transport)
     # ------------------------------------------------------------------
-
-    def _replay_decls(self, rank: int, decls) -> None:
-        """Replay a thunk's recorded tracer declarations at merge time.
-
-        Records exist only when the transport's tracer is active;
-        replaying them in recorded order preserves the exact access
-        stream of the historical inline loops.
-        """
-        if decls:
-            tr = self._tr
-            for kind, space, idx in decls:
-                if kind == "r":
-                    tr.read(rank, space, idx)
-                else:
-                    tr.write(rank, space, idx)
 
     def _charge_ops(self, rank: int, ops: float) -> None:
         self.flops_total += ops
@@ -341,79 +301,125 @@ class EliminationEngine:
                 self.sim.send(src, dst, None, nwords, tag=tag)
         raise AssertionError("unreachable")
 
-    def _merge_record(self, rank: int, rec: _RowRecord) -> None:
-        """Apply one thunk record to the engine state (coordinator side).
+    def _merge_blocks(self, blocks: Sequence[RowBlock | None], *, by_row: bool = False) -> None:
+        """Apply one region's result to the engine state (coordinator side).
 
-        Replays the row's declarations, stores whichever of its L /
-        U / reduced rows the record carries (a U row means the row was
-        factored: it leaves the reduced matrix and takes the next
-        elimination position), then replays its charges.  The *order* in
-        which callers feed records here is the engine's numerics.
+        ``blocks[rank]`` is what ``rank``'s thunk returned.  Each block
+        is stored with one append per row store (factored rows leave the
+        reduced matrix and take the next elimination positions); then
+        every row's declarations and charges are replayed, one row at a
+        time — rank-major in block order, or with ``by_row`` in ascending
+        row order across the ranks.  That order is the engine's
+        numerics: it fixes elimination positions, every rank clock's
+        float sum and the tracer's access sequence.
         """
-        self._replay_decls(rank, rec.decls)
-        i = rec.row
-        if rec.l_row is not None:
-            self.l_rows[i] = rec.l_row
-        if rec.u_row is not None:
-            self.reduced.pop(i, None)
-            self.u_rows[i] = rec.u_row
-            self.pos[i] = len(self.order)
-            self.order.append(i)
-        if rec.reduced_row is not None:
-            self.reduced[i] = rec.reduced_row
-        self._charge_ops(rank, rec.ops)
-        if rec.copy_words is not None:
-            self._charge_copy(rank, rec.copy_words)
+        tr = self._tr
+        todo: list[tuple] = []  # per row: (row, rank, ops, copy words, declarations)
+        factored = False
+        for rank, block in enumerate(blocks):
+            if block is None:
+                continue
+            if block.l_rows is not None:
+                self.l_rows.put(block.rows, block.l_rows)
+            if block.u_rows is not None:
+                factored = True
+                self.u_rows.put(block.rows, block.u_rows)
+                self.reduced.discard(block.rows)
+            else:
+                self.reduced.put(block.rows, block.reduced)
+            words = block.copy_words()
+            todo += zip(
+                block.rows.tolist(),
+                repeat(rank),
+                block.ops.tolist(),
+                repeat(None) if words is None else words.tolist(),
+                repeat(()) if tr is None else block.decls(),
+            )
+        if by_row:
+            todo.sort(key=itemgetter(0))
+        if factored:
+            done = np.array([item[0] for item in todo], dtype=np.int64)
+            self.pos[done] = self.nfactored + np.arange(done.size, dtype=np.int64)
+            self.nfactored += done.size
+            self.remaining = self.remaining[self.pos[self.remaining] < 0]
+        for _row, rank, ops, words, decls in todo:
+            for kind, space, idx in decls:
+                (tr.read if kind == "r" else tr.write)(rank, space, idx)
+            self._charge_ops(rank, ops)
+            if words is not None:
+                self._charge_copy(rank, words)
 
     # ------------------------------------------------------------------
     # the row kernel (repro.ilu.row) bound to this engine's parameters
     # ------------------------------------------------------------------
 
-    def _tau(self, i: int) -> float:
-        return float(self.t * self.norms[i])
+    def _eliminate_rows(self, rows: np.ndarray, source: str, pkey: np.ndarray | None) -> RowBlock:
+        """Pure thunk body: Algorithm 4.1 on ``rows``, one after the
+        other (:func:`repro.ilu.row.eliminate_row`), each row's L part
+        merged with its old one, thresholded and cut to the ``m`` largest.
 
-    def _eliminate(
-        self,
-        i: int,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        pkey: list[int],
-        pivot_rows: Mapping[int, PivotRow],
-        decls: list[tuple] | None,
-    ) -> tuple[int, tuple[np.ndarray, np.ndarray], Entries]:
-        """Algorithm 4.1 on row ``i = (cols, vals)`` against the
-        ``pkey`` pivots (:func:`repro.ilu.row.eliminate_row`).
-
-        Returns ``(ops, l_row, rest)``: the operation count, the row's L
-        part (its old L row merged with the surviving multipliers,
-        thresholded and cut to the ``m`` largest) and what is left of
-        the row over non-pivot columns, before any 2nd/3rd-rule
-        dropping.  Called from inside region thunks: reads engine state,
-        writes only ``pivot_rows`` (a thunk-local cache) and ``decls``.
+        ``source`` says where the rows are read from: ``"A-row"`` or
+        ``"reduced-row"``.  With a ``pkey`` array (:meth:`_pivot_keys`)
+        the pivots are rows factored earlier, read from the U store, and
+        every row is finished by the 3rd rule and stays in the reduced
+        matrix.  With ``None`` the rows are *factored*: each is finished
+        by the 2nd rule's U side and becomes a pivot for the rows after
+        it, keyed by its place in ``rows`` (order-isomorphic to the
+        positions the merge will assign) and read from a thunk-local
+        cache.  A *reduced* row that is factored is also charged the
+        length of what the 2nd rule scans, and declares an L write only
+        when it has an L part — the §7 domains, whose rows mostly have
+        none.  Reads engine state and writes none.
         """
-        self._hb()
-        tau = self._tau(i)
-        ops, reads, multipliers, rest = eliminate_row(
-            cols.tolist(), vals.tolist(), tau, pkey, pivot_rows
+        factor = pkey is None
+        pkey = [-1] * self.n if factor else pkey.tolist()
+        pivot_rows: dict[int, PivotRow] = {} if factor else PivotRows(self.u_rows)
+        from_reduced = source == "reduced-row"
+        src = self.reduced.gather(rows) if from_reduced else gather_rows(*self._a_rows, rows)
+        sp, sc, sv = (a.tolist() for a in src)
+        lp, lc, lv = (a.tolist() for a in self.l_rows.gather(rows))
+        taus = (self.t * self.norms[rows]).tolist()
+        norms = self.norms[rows].tolist()
+        l_out, out = RowsBuilder(), RowsBuilder()
+        ops_out: list[float] = []
+        read_counts: list[int] = []
+        read_cols: list[int] = []
+        for j, i in enumerate(rows.tolist()):
+            self._hb()
+            tau = taus[j]
+            ops, reads, multipliers, rest = eliminate_row(
+                sc[sp[j] : sp[j + 1]], sv[sp[j] : sp[j + 1]], tau, pkey, pivot_rows
+            )
+            old = list(zip(lc[lp[j] : lp[j + 1]], lv[lp[j] : lp[j + 1]]))
+            l_out.add_entries(l_row(old, multipliers, tau, self.m))
+            if factor:
+                tail_cols, tail_vals, pivot = pivot_rows[i] = u_row(
+                    i, rest, tau, self.m, self.pivot_policy, norms[j]
+                )
+                pkey[i] = j
+                out.add([i, *tail_cols], [pivot, *tail_vals])
+                if from_reduced:
+                    ops += float(len(rest))
+            else:
+                out.add_entries(reduced_row(i, rest, tau, self.reduced_cap))
+            ops_out.append(ops)
+            read_counts.append(len(reads))
+            read_cols += reads
+        return RowBlock(
+            rows,
+            source,
+            l_out.flat(),
+            out.flat() if factor else None,
+            None if factor else out.flat(),
+            np.array(ops_out, dtype=np.float64 if factor and from_reduced else np.int64),
+            ptr_of(np.array(read_counts, dtype=np.int64)),
+            np.array(read_cols, dtype=np.int64),
+            skip_empty_l=factor and from_reduced,
         )
-        if decls is not None:
-            decls += [("r", "u-row", k) for k in reads]
-        old = entries_of(self.l_rows.get(i, _EMPTY_ROW))
-        return ops, row_arrays(l_row(old, multipliers, tau, self.m)), rest
-
-    def _u_row(self, i: int, rest: Entries) -> PivotRow:
-        """2nd dropping rule, U side, for a row over unfactored columns:
-        threshold, keep the ``m`` largest, resolve the pivot."""
-        return u_row(i, rest, self._tau(i), self.m, self.pivot_policy, self.norms[i])
-
-    def _reduced_row(self, i: int, rest: Entries) -> tuple[np.ndarray, np.ndarray]:
-        """3rd dropping rule for a row over unfactored columns:
-        threshold, the optional ``reduced_cap``, diagonal always kept."""
-        return row_arrays(reduced_row(i, rest, self._tau(i), self.reduced_cap))
 
     def _pivot_keys(self, pivots: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """The pivot-key array of a pivot set: ``keys`` at ``pivots``,
-        ``-1`` elsewhere (the row kernel takes it as a list)."""
+        ``-1`` elsewhere."""
         pkey = np.full(self.n, -1, dtype=np.int64)
         pkey[pivots] = keys
         return pkey
@@ -422,7 +428,7 @@ class EliminationEngine:
     # phase 1: interior factorization + interface reduction
     # ------------------------------------------------------------------
 
-    def _compute_interior_block(self, rank: int) -> list[_RowRecord]:
+    def _compute_interior_block(self, rank: int) -> RowBlock:
         """Pure per-rank thunk body: ILUT over ``rank``'s interior rows
         in ascending original index.
 
@@ -432,24 +438,9 @@ class EliminationEngine:
         are its own earlier interior rows, kept thunk-local in the form
         the row kernel reads.
         """
-        trace = self._tr is not None
-        pkey = [-1] * self.n
-        pivot_rows: dict[int, PivotRow] = {}
-        records: list[_RowRecord] = []
-        for i in self.decomp.interior_rows(rank).tolist():
-            cols, vals = self.A.row(i)
-            decls: list[tuple] | None = [("r", "A-row", i)] if trace else None
-            ops, l_part, rest = self._eliminate(i, cols, vals, pkey, pivot_rows, decls)
-            pivot_rows[i] = self._u_row(i, rest)
-            pkey[i] = i
-            if trace:
-                decls += [("w", "l-row", i), ("w", "u-row", i)]
-            records.append(
-                _RowRecord(i, l_part, u_row_arrays(i, pivot_rows[i]), None, ops, None, decls)
-            )
-        return records
+        return self._eliminate_rows(self.decomp.interior_rows(rank), "A-row", None)
 
-    def _compute_interface_reduction(self, rank: int) -> list[_RowRecord]:
+    def _compute_interface_reduction(self, rank: int) -> RowBlock:
         """Pure per-rank thunk body: eliminate the rank's factored
         interior unknowns from its interface rows.
 
@@ -457,50 +448,21 @@ class EliminationEngine:
         interior node would have a cross-domain neighbour, contradiction),
         so no communication is needed — the paper's phase-1 property.
         """
-        trace = self._tr is not None
         interior = self.decomp.interior_rows(rank)
-        pkey = self._pivot_keys(interior, interior).tolist()
-        pivot_rows = PivotRows(self.u_rows)
-        records: list[_RowRecord] = []
-        for i in self.decomp.interface_rows(rank).tolist():
-            cols, vals = self.A.row(i)
-            decls: list[tuple] | None = [("r", "A-row", i)] if trace else None
-            records.append(self._update_record(i, cols, vals, pkey, pivot_rows, decls))
-        return records
-
-    def _update_record(
-        self,
-        i: int,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        pkey: list[int],
-        pivot_rows: Mapping[int, PivotRow],
-        decls: list[tuple] | None,
-    ) -> _RowRecord:
-        """Eliminate the ``pkey`` pivots from a row that stays in the
-        reduced matrix: Algorithm 4.1, then the 3rd dropping rule."""
-        ops, l_part, rest = self._eliminate(i, cols, vals, pkey, pivot_rows, decls)
-        reduced_part = self._reduced_row(i, rest)
-        if decls is not None:
-            decls += [("w", "l-row", i), ("w", "reduced-row", i)]
-        copy_words = float(reduced_part[0].size + l_part[0].size)
-        return _RowRecord(i, l_part, None, reduced_part, ops, copy_words, decls)
+        return self._eliminate_rows(
+            self.decomp.interface_rows(rank), "A-row", self._pivot_keys(interior, interior)
+        )
 
     # ------------------------------------------------------------------
     # phase 2: iterative independent-set factorization of A_I
     # ------------------------------------------------------------------
 
-    def _remaining_nodes(self) -> np.ndarray:
-        return np.asarray(sorted(self.reduced.keys()), dtype=np.int64)
-
     def _reduced_structure(self, remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The directed structure of the reduced matrix over the remaining
         nodes: one ``(src, dst)`` pair per stored off-diagonal entry, as
         positions in the sorted ``remaining``, in row-major order."""
-        rows = [self.reduced[g][0] for g in remaining.tolist()]
-        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        cols = np.concatenate(rows)
-        src = np.repeat(np.arange(remaining.size, dtype=np.int64), counts)
+        ptr, cols, _vals = self.reduced.gather(remaining)
+        src = np.repeat(np.arange(remaining.size, dtype=np.int64), np.diff(ptr))
         dst = np.searchsorted(remaining, cols)
         stray = remaining[np.minimum(dst, remaining.size - 1)] != cols
         if stray.any():
@@ -515,6 +477,7 @@ class EliminationEngine:
         ``v`` is exactly the off-diagonal column set of ``v``'s reduced
         row — the one-directional visibility the two-step algorithm is
         designed for.  Charges per-round scan and boundary-exchange costs.
+        Returns the set in ascending row order.
         """
         nloc = remaining.size
         owner = self.decomp.part[remaining]
@@ -554,34 +517,46 @@ class EliminationEngine:
                 self.sim.barrier()  # the two-step insert/remove barrier pair
         return remaining[mis_local]
 
-    def _factor_level(self, iset: np.ndarray) -> None:
-        """Factor the independent rows of ``I_l`` (U-side dropping only).
+    def _owner_region(self, rows: np.ndarray, body: Callable[[np.ndarray], RowBlock]) -> None:
+        """One region over ``rows`` (ascending) grouped by owner, merged
+        in ascending row order — the historical inline order, which
+        interleaves ranks and fixes the global charge/trace sequence."""
+        owner = self.decomp.part[rows]
+        thunks = [
+            (lambda mine=mine: body(mine)) if mine.size else None
+            for mine in (rows[owner == rank] for rank in range(self.decomp.nranks))
+        ]
+        self._merge_blocks(run_region(self.sim, thunks), by_row=True)
+
+    def _compute_level_rows(self, rows: np.ndarray) -> RowBlock:
+        """Pure thunk body: factor one rank's share of an independent set.
 
         Every off-diagonal entry of an independent row's reduced row sits
         at an unfactored column, i.e. in the U part — factoring is just
         the 2nd rule's U side: threshold, then keep the ``m`` largest.
-        One parallel region (rows grouped by owner); the merge walks the
-        independent set in its given order, so elimination positions and
-        charge order match the historical inline loop exactly.
         """
-        part = self.decomp.part
-        merged = run_region_by_owner(
-            self.sim, self.decomp.nranks, iset, part, self._compute_level_rows
-        )
-        for i in iset.tolist():
-            self._merge_record(int(part[i]), merged[i])
-
-    def _compute_level_rows(self, rank: int, rows: list[int]) -> list[_RowRecord]:
-        """Pure thunk body for one rank's share of an independent set."""
-        trace = self._tr is not None
-        records: list[_RowRecord] = []
-        for i in rows:
+        flat = self.reduced.gather(rows)
+        ptr, cols, vals = (a.tolist() for a in flat)
+        taus = (self.t * self.norms[rows]).tolist()
+        norms = self.norms[rows].tolist()
+        out = RowsBuilder()
+        for j, i in enumerate(rows.tolist()):
             self._hb()
-            cols, vals = self.reduced[i]
-            decls = [("r", "reduced-row", i), ("w", "u-row", i)] if trace else None
-            u_part = u_row_arrays(i, self._u_row(i, entries_of((cols, vals))))
-            records.append(_RowRecord(i, None, u_part, None, float(cols.size), None, decls))
-        return records
+            entries = list(zip(cols[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
+            tail_cols, tail_vals, pivot = u_row(
+                i, entries, taus[j], self.m, self.pivot_policy, norms[j]
+            )
+            out.add([i, *tail_cols], [pivot, *tail_vals])
+        return RowBlock(
+            rows,
+            "reduced-row",
+            None,
+            out.flat(),
+            None,
+            np.diff(flat.ptr).astype(np.float64),
+            np.zeros(rows.size + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
 
     def _exchange_level_rows(self, pkey: np.ndarray, tag: object) -> None:
         """Charge the u-row exchange for this level's pivots.
@@ -589,28 +564,29 @@ class EliminationEngine:
         Every remaining reduced row knows (before computing anything —
         independence guarantees no new pivots appear) which freshly
         factored rows it eliminates against; rows owned elsewhere must
-        be received.  One aggregated message per (src, dst) rank pair.
+        be received.  One aggregated message per (src, dst) rank pair,
+        pairs ascending.
         """
         if self.sim is None:
             return
-        part = self.decomp.part
-        need: dict[tuple[int, int], set[int]] = {}
-        for i, (cols, _vals) in sorted(self.reduced.items()):
-            r = int(part[i])
-            for k in cols[pkey[cols] >= 0]:
-                s = int(part[k])
-                if s != r:
-                    need.setdefault((s, r), set()).add(int(k))
-        pair_words: dict[tuple[int, int], float] = {}
-        for (src, dst), rows_needed in sorted(need.items()):
-            words = sum(
-                self.u_rows[k][0].size * 2.0 for k in sorted(rows_needed)
-            )  # indices + values
-            pair_words[(src, dst)] = words
-            self.sim.send(src, dst, None, words, tag=tag)
-            self.u_rows_comm += len(rows_needed)
-        for (src, dst), _rows_needed in sorted(need.items()):
-            self._recv_retry(src, dst, tag, pair_words[(src, dst)])
+        part, nranks = self.decomp.part, self.decomp.nranks
+        ptr, cols, _vals = self.reduced.gather(self.remaining)
+        hit = pkey[cols] >= 0
+        k, dst_owner = cols[hit], np.repeat(part[self.remaining], np.diff(ptr))[hit]
+        cross = part[k] != dst_owner
+        # each needed row once per (src, dst) pair
+        needed = np.unique((part[k[cross]] * nranks + dst_owner[cross]) * self.n + k[cross])
+        pairs, which = np.unique(needed // self.n, return_inverse=True)
+        # indices + values of every row the pair ships
+        words = np.bincount(which, weights=2.0 * self.u_rows.length[needed % self.n])
+        pair_words = [
+            (divmod(pair, nranks), w) for pair, w in zip(pairs.tolist(), words.tolist())
+        ]
+        for (src, dst), w in pair_words:
+            self.sim.send(src, dst, None, w, tag=tag)
+        self.u_rows_comm += int(needed.size)
+        for (src, dst), w in pair_words:
+            self._recv_retry(src, dst, tag, w)
 
     def _update_remaining(self, pkey: np.ndarray) -> None:
         """Eliminate the ``pkey`` pivots from every remaining reduced
@@ -621,99 +597,49 @@ class EliminationEngine:
         the new multipliers into the L row and re-apply the 3rd
         dropping rule.
         """
-        self._update_region(lambda _rank, mine: self._compute_update_rows(mine, pkey))
+        self._owner_region(self.remaining, lambda mine: self._compute_update_rows(mine, pkey))
 
     def _update_level(self, pivots: LevelPivots) -> None:
         """Eliminate one *independent* level from every remaining
         reduced row: each rank's thunk is one batched pass over all of
-        its rows, with the records :meth:`_update_remaining` would
+        its rows, with the block :meth:`_update_remaining` would
         produce."""
-        self._update_region(lambda _rank, mine: self._compute_level_update(mine, pivots))
+        self._owner_region(self.remaining, lambda mine: self._compute_level_update(mine, pivots))
 
-    def _update_region(self, body: Callable[[int, list[int]], list[_RowRecord]]) -> None:
-        """One region over the remaining reduced rows, grouped by owner."""
-        part = self.decomp.part
-        rows = sorted(self.reduced.keys())
-        merged = run_region_by_owner(self.sim, self.decomp.nranks, rows, part, body)
-        # merge in ascending row order — the historical inline order, which
-        # interleaves ranks and fixes the global charge/trace sequence
-        for i in rows:
-            rec = merged.get(i)
-            if rec is not None:  # else: row held no pivots, untouched this level
-                self._merge_record(int(part[i]), rec)
-
-    def _compute_update_rows(self, rows: list[int], pkey: np.ndarray) -> list[_RowRecord]:
+    def _compute_update_rows(self, rows: np.ndarray, pkey: np.ndarray) -> RowBlock:
         """Pure thunk body: apply Algorithm 4.1 to one rank's reduced
-        rows.  Rows without pivots produce no record."""
-        trace = self._tr is not None
-        keys = pkey.tolist()
-        pivot_rows = PivotRows(self.u_rows)
-        records: list[_RowRecord] = []
-        for i in rows:
-            cols, vals = self.reduced[i]
-            if not np.any(pkey[cols] >= 0):
-                continue
-            decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
-            records.append(self._update_record(i, cols, vals, keys, pivot_rows, decls))
-        return records
+        rows.  Rows without a pivot column are not part of the block."""
+        ptr, cols, _vals = self.reduced.gather(rows)
+        row_of = np.repeat(np.arange(rows.size, dtype=np.int64), np.diff(ptr))
+        touched = np.bincount(row_of[pkey[cols] >= 0], minlength=rows.size) > 0
+        return self._eliminate_rows(rows[touched], "reduced-row", pkey)
 
-    def _compute_level_update(self, rows: list[int], pivots: LevelPivots) -> list[_RowRecord]:
-        """Pure thunk body: the level kernel over one rank's reduced
-        rows, split back into the per-row records (and, under a tracer,
-        the per-row declarations) of the scalar path."""
+    def _compute_level_update(self, rows: np.ndarray, pivots: LevelPivots) -> RowBlock:
+        """Pure thunk body: the level kernel over one rank's reduced rows."""
         self._hb()
-        ids = np.asarray(rows, dtype=np.int64)
-        out = level_update(
+        return level_update(
             pivots,
-            ids,
-            flatten_rows([self.reduced[i] for i in rows]),
-            flatten_rows([self.l_rows.get(i, _EMPTY_ROW) for i in rows]),
-            self.t * self.norms[ids],
+            rows,
+            self.reduced.gather(rows),
+            self.l_rows.gather(rows),
+            self.t * self.norms[rows],
             self.m,
             self.reduced_cap,
         )
-        trace = self._tr is not None
-        lp, rp, dp = out.l_rows.ptr.tolist(), out.reduced.ptr.tolist(), out.read_ptr.tolist()
-        ops = out.ops.tolist()
-        records: list[_RowRecord] = []
-        for j in out.touched.tolist():
-            i = rows[j]
-            l_lo, l_hi, r_lo, r_hi = lp[j], lp[j + 1], rp[j], rp[j + 1]
-            decls: list[tuple] | None = None
-            if trace:
-                decls = [("r", "reduced-row", i)]
-                decls += [("r", "u-row", k) for k in out.read_cols[dp[j] : dp[j + 1]].tolist()]
-                decls += [("w", "l-row", i), ("w", "reduced-row", i)]
-            records.append(
-                _RowRecord(
-                    i,
-                    (out.l_rows.cols[l_lo:l_hi], out.l_rows.vals[l_lo:l_hi]),
-                    None,
-                    (out.reduced.cols[r_lo:r_hi], out.reduced.vals[r_lo:r_hi]),
-                    ops[j],
-                    float(r_hi - r_lo + l_hi - l_lo),
-                    decls,
-                )
-            )
-        return records
 
     # ------------------------------------------------------------------
     # checkpoint / recovery
     # ------------------------------------------------------------------
 
+    def _stores(self) -> tuple[RowStore, RowStore, RowStore]:
+        return self.u_rows, self.l_rows, self.reduced
+
     def _take_checkpoint(
         self, interface_levels: list[np.ndarray], level: int
     ) -> _EngineCheckpoint:
         return _EngineCheckpoint(
-            u_rows=dict(self.u_rows),
-            l_rows=dict(self.l_rows),
-            reduced=dict(self.reduced),
-            pos=self.pos.copy(),
-            order=list(self.order),
-            level_sizes=list(self.level_sizes),
-            flops_total=self.flops_total,
-            words_copied=self.words_copied,
-            u_rows_comm=self.u_rows_comm,
+            stores=tuple(store.checkpoint() for store in self._stores()),
+            state={name: copy(getattr(self, name)) for name in _CHECKPOINTED},
             interface_levels=list(interface_levels),
             level=level,
             sim_snap=self.sim.snapshot() if self.sim is not None else None,
@@ -728,15 +654,10 @@ class EliminationEngine:
         second recovery.  Returns ``(interface_levels, level)`` for the
         driver loop to resume with.
         """
-        self.u_rows = dict(ckpt.u_rows)
-        self.l_rows = dict(ckpt.l_rows)
-        self.reduced = dict(ckpt.reduced)
-        self.pos = ckpt.pos.copy()
-        self.order = list(ckpt.order)
-        self.level_sizes = list(ckpt.level_sizes)
-        self.flops_total = ckpt.flops_total
-        self.words_copied = ckpt.words_copied
-        self.u_rows_comm = ckpt.u_rows_comm
+        for store, snap in zip(self._stores(), ckpt.stores):
+            store.restore(snap)
+        for name, value in ckpt.state.items():
+            setattr(self, name, copy(value))
         if self.sim is not None and ckpt.sim_snap is not None:
             self.sim.restore(
                 ckpt.sim_snap,
@@ -757,26 +678,35 @@ class EliminationEngine:
     # ------------------------------------------------------------------
 
     def _run_phase1(self) -> list[tuple[int, int]]:
-        nranks = self.decomp.nranks
-
-        def region(body) -> list[tuple[int, int]]:
-            """One all-ranks region merged rank-major; returns the
-            elimination-position range each rank's records took."""
-            results = run_region(
-                self.sim, [(lambda r=r: body(r)) for r in range(nranks)]
-            )
-            ranges: list[tuple[int, int]] = []
-            for r in range(nranks):
-                start = len(self.order)
-                for rec in results[r]:
-                    self._merge_record(r, rec)
-                ranges.append((start, len(self.order)))
-            return ranges
-
-        interior_ranges = region(self._compute_interior_block)
-        region(self._compute_interface_reduction)
+        """Both phase-1 regions, merged rank-major; returns the
+        elimination-position range each rank's interior rows took."""
+        ranks = range(self.decomp.nranks)
+        interior = run_region(
+            self.sim, [(lambda r=r: self._compute_interior_block(r)) for r in ranks]
+        )
+        bounds = (self.nfactored + ptr_of(np.array([b.rows.size for b in interior]))).tolist()
+        self._merge_blocks(interior)
+        interface = run_region(
+            self.sim, [(lambda r=r: self._compute_interface_reduction(r)) for r in ranks]
+        )
+        self._merge_blocks(interface)
+        self.remaining = np.sort(np.concatenate([b.rows for b in interface]))
         self._barrier()  # end of phase 1
-        return interior_ranges
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def _run_level(self, level: int) -> np.ndarray:
+        """One phase-2 level: pick an independent set of the reduced
+        matrix, factor it, ship its rows, eliminate it from the rest.
+        Returns the rows factored."""
+        iset = self._mis_of_reduced(self.remaining, level)
+        if iset.size == 0:
+            raise RuntimeError("empty independent set — cannot make progress")
+        self._owner_region(iset, self._compute_level_rows)
+        pivots = level_pivots(self.n, iset, self.u_rows)
+        self._exchange_level_rows(pivots.ordinal, ("urow", level))
+        self._update_level(pivots)
+        self._barrier()
+        return iset
 
     def run(self) -> EliminationOutcome:
         """Execute phases 1 and 2 and assemble the permuted factors.
@@ -788,6 +718,7 @@ class EliminationEngine:
         level and recomputes — deterministically, so the final factors
         are bit-identical to an undisturbed run.
         """
+        view = MappingProxyType(self.reduced)
         ckpt = self._take_checkpoint([], -1) if self.checkpoint else None
         while True:
             try:
@@ -798,39 +729,29 @@ class EliminationEngine:
                     raise
                 self._restore_checkpoint(ckpt, err)
         if self.level_hook is not None:
-            self.level_hook(-1, np.empty(0, dtype=np.int64), self.reduced)
+            self.level_hook(-1, np.empty(0, dtype=np.int64), view)
 
         interface_levels: list[np.ndarray] = []
         level = 0
         if self.checkpoint:
             ckpt = self._take_checkpoint(interface_levels, level)
-        while self.reduced:
+        while self.remaining.size:
             if level >= self.max_levels:
                 raise RuntimeError(
                     f"interface factorization did not terminate in {level} levels"
                 )
+            pos_start = self.nfactored
             try:
-                remaining = self._remaining_nodes()
-                iset = self._mis_of_reduced(remaining, level)
-                if iset.size == 0:
-                    raise RuntimeError("empty independent set — cannot make progress")
-                pos_start = len(self.order)
-                self._factor_level(iset)
-                pivots = level_pivots(self.n, iset, self.u_rows)
-                self._exchange_level_rows(pivots.ordinal, ("urow", level))
-                self._update_level(pivots)
-                self._barrier()
+                factored = self._run_level(level)
             except (RankFailure, MessageLost) as err:
                 if ckpt is None or not self._can_recover():
                     raise
                 interface_levels, level = self._restore_checkpoint(ckpt, err)
                 continue
             if self.level_hook is not None:
-                self.level_hook(level, iset, self.reduced)
-            interface_levels.append(
-                np.arange(pos_start, len(self.order), dtype=np.int64)
-            )
-            self.level_sizes.append(int(iset.size))
+                self.level_hook(level, factored, view)
+            interface_levels.append(np.arange(pos_start, self.nfactored, dtype=np.int64))
+            self.level_sizes.append(int(factored.size))
             level += 1
             if self.checkpoint:
                 ckpt = self._take_checkpoint(interface_levels, level)
@@ -846,15 +767,12 @@ class EliminationEngine:
             recoveries=self.recoveries,
         )
 
-    def _gather_factor(self, rows: list[tuple[np.ndarray, np.ndarray]]) -> CSRMatrix:
+    def _gather_factor(self, store: RowStore) -> CSRMatrix:
         """One factor as CSR in the elimination ordering, from its rows
-        in original indices (``rows[i]`` is row ``i``)."""
-        flat = flatten_rows(rows)
+        in original indices."""
+        ptr, cols, vals = store.gather(np.arange(self.n, dtype=np.int64))
         return CSRMatrix.from_coo(
-            np.repeat(self.pos, np.diff(flat.ptr)),
-            self.pos[flat.cols],
-            flat.vals,
-            shape=(self.n, self.n),
+            np.repeat(self.pos, np.diff(ptr)), self.pos[cols], vals, shape=(self.n, self.n)
         )
 
     def _assemble(
@@ -864,13 +782,12 @@ class EliminationEngine:
     ) -> ILUFactors:
         """Map original-index rows to the elimination ordering and build CSR."""
         n = self.n
-        perm = np.asarray(self.order, dtype=np.int64)
-        if perm.size != n:
-            raise AssertionError(
-                f"elimination covered {perm.size} of {n} rows"
-            )
-        L = self._gather_factor([self.l_rows.get(i, _EMPTY_ROW) for i in range(n)])
-        U = self._gather_factor([self.u_rows[i] for i in range(n)])
+        if self.nfactored != n:
+            raise AssertionError(f"elimination covered {self.nfactored} of {n} rows")
+        perm = np.empty(n, dtype=np.int64)
+        perm[self.pos] = np.arange(n, dtype=np.int64)
+        L = self._gather_factor(self.l_rows)
+        U = self._gather_factor(self.u_rows)
         owner = self.decomp.part[perm]
         levels = LevelStructure(
             interior_ranges=interior_ranges,

@@ -1,16 +1,15 @@
 """Sequential ILUT(m, t) — Saad's dual-threshold incomplete LU.
 
-This is Algorithm 3.1 of the paper, implemented with the classic
-full-working-row + nonzero-pointer data structure
-(:class:`~repro.sparse.SparseRowAccumulator`).  It is both the serial
-baseline of the evaluation and the kernel each simulated processor runs
-on its interior rows in phase 1 of the parallel algorithm (via
-:mod:`repro.ilu.elimination`).
-
-Two implementations sit behind the ``backend`` switch: the scalar
-reference below, and :func:`repro.kernels.ilut.ilut_vectorized`, which
-performs the identical elimination with array-level bookkeeping and
-produces bit-identical factors (the parity suite asserts it).
+This is Algorithm 3.1 of the paper, the serial baseline of the
+evaluation.  Two implementations sit behind the ``backend`` switch.  The
+reference is the classic full-working-row + nonzero-pointer data
+structure (:class:`~repro.sparse.SparseRowAccumulator`), one numpy call
+per step — slow, literal, the oracle.  ``"vectorized"`` is a loop over
+the scalar row kernel (:mod:`repro.ilu.row`), the same functions the
+parallel engine's phase 1 runs on every rank's interior block
+(:mod:`repro.ilu.elimination`), so "a rank's interior factorization is
+the serial ILUT restricted to its block" holds by construction; the
+parity suite holds the two to equal bits and equal flop counts.
 """
 
 from __future__ import annotations
@@ -19,11 +18,14 @@ import heapq
 
 import numpy as np
 
+from ..kernels.backend import VECTORIZED, resolve_backend
 from ..resilience import PivotPolicy
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
 from .dropping import second_rule
 from .factors import ILUFactors
 from .params import ILUTParams
+from .row import PivotRow, eliminate_row, l_row, u_row
+from .rowstore import RowsBuilder
 
 __all__ = ["ilut", "ilut_row_norms"]
 
@@ -35,6 +37,35 @@ def ilut_row_norms(A: CSRMatrix) -> np.ndarray:
     and therefore the factors — are identical under every backend.
     """
     return A.row_norms(ord=2, backend="reference")
+
+
+def _ilut_rows(
+    A: CSRMatrix, m: int, t: float, policy: PivotPolicy
+) -> tuple[CSRMatrix, CSRMatrix, int]:
+    """ILUT(m, t) in natural order on the scalar row kernel: every row
+    eliminates the rows before it, read from a list cache filled as they
+    finish; L and U are assembled from lists once.  Returns ``(L, U,
+    flops)``, bit for bit the reference loop's."""
+    n = A.shape[0]
+    norms = ilut_row_norms(A)
+    taus, norms = (t * norms).tolist(), norms.tolist()
+    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    pkey = [-1] * n
+    pivot_rows: dict[int, PivotRow] = {}
+    l_rows, u_rows = RowsBuilder(), RowsBuilder()
+    flops = 0
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        ops, _reads, multipliers, rest = eliminate_row(
+            cols[lo:hi], vals[lo:hi], taus[i], pkey, pivot_rows
+        )
+        flops += ops
+        l_rows.add_entries(l_row([], multipliers, taus[i], m))
+        tail_cols, tail_vals, pivot = pivot_rows[i] = u_row(i, rest, taus[i], m, policy, norms[i])
+        pkey[i] = i
+        u_rows.add([i, *tail_cols], [pivot, *tail_vals])
+    L, U = (CSRMatrix(*rows.flat(), (n, n), check=False) for rows in (l_rows, u_rows))
+    return L, U, flops
 
 
 def ilut(
@@ -69,8 +100,8 @@ def ilut(
         ``diag_guard`` when given.  The default maps ``diag_guard`` onto
         the bit-exact legacy behaviour.
     backend:
-        ``"reference"`` (scalar oracle), ``"vectorized"`` (bit-identical
-        fast path), or ``None`` for the process default.
+        ``"reference"`` (the accumulator oracle), ``"vectorized"`` (the
+        row kernel, bit-identical), or ``None`` for the process default.
 
     Returns
     -------
@@ -84,14 +115,8 @@ def ilut(
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILUT requires a square matrix, got {A.shape}")
 
-    from ..kernels.backend import VECTORIZED, resolve_backend
-
     if resolve_backend(backend) == VECTORIZED:
-        from ..kernels.ilut import ilut_vectorized
-
-        L, U, _u_rows, flops = ilut_vectorized(
-            A, params.fill, params.threshold, pivot_policy=policy
-        )
+        L, U, flops = _ilut_rows(A, params.fill, params.threshold, policy)
         return ILUFactors(
             L=L,
             U=U,

@@ -25,13 +25,14 @@ import numpy as np
 from ..decomp import DomainDecomposition, decompose
 from ..faults import FaultPlan
 from ..graph import Graph
+from ..kernels.backend import resolve_backend
 from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport, run_region
 from ..partition import partition_graph_kway
 from ..sparse import CSRMatrix
-from .elimination import EliminationEngine, EliminationOutcome, _RowRecord
-from .parallel import ParallelILUResult
+from .elimination import EliminationEngine
+from .parallel import ParallelILUResult, result_of
 from .params import ILUTParams
-from .row import PivotRow, u_row_arrays
+from .rowstore import RowBlock
 
 if TYPE_CHECKING:
     from ..machine.supervision import SupervisionPolicy
@@ -42,7 +43,8 @@ __all__ = ["InterfacePartitionEngine", "parallel_ilut_partitioned"]
 class InterfacePartitionEngine(EliminationEngine):
     """Two-phase ILUT with partition-based interface factorization.
 
-    Phase 1 is inherited unchanged.  Phase 2 repeats: partition the
+    Phase 1 and the driver loop are inherited unchanged; only the
+    per-level step differs.  Phase 2 repeats: partition the
     symmetrised structure of the remaining reduced matrix into (up to)
     ``nranks`` interface-domains; concurrently factor each domain's
     internal rows (sequentially within the domain, respecting intra-
@@ -54,63 +56,39 @@ class InterfacePartitionEngine(EliminationEngine):
     #: remaining-node count below which the tail is factored sequentially
     SEQUENTIAL_CUTOFF = 24
 
-    def run(self) -> EliminationOutcome:
+    def _run_level(self, level: int) -> np.ndarray:
+        """One recursion round, as one synchronisation level of the
+        inherited driver loop (checkpoints, recovery, ``level_hook``)."""
         nranks = self.decomp.nranks
-        interior_ranges = self._run_phase1()
-
-        interface_levels: list[np.ndarray] = []
-        rounds = 0
-        while self.reduced:
-            if rounds >= self.max_levels:
-                raise RuntimeError(
-                    f"interface factorization did not terminate in {rounds} rounds"
-                )
-            remaining = self._remaining_nodes()
-            pos_start = len(self.order)
-            domains = (
-                self._split_interface(remaining)
-                if remaining.size > self.SEQUENTIAL_CUTOFF
-                else []
-            )
-            if not any(d.size for d in domains):
-                # small or fully coupled remainder: no concurrency
-                # extractable, one rank finishes it serially
-                for rec in self._compute_domain(remaining):
-                    self._merge_record(int(self.decomp.part[remaining[0]]), rec)
-            else:
-                # one parallel region: domain d's internal rows are
-                # factored by rank d (at most nranks domains), all
-                # concurrently — domains are internally closed, so
-                # thunks never cross-read
-                thunks: list = [None] * nranks
-                for rank, dom in enumerate(domains):
-                    if dom.size:
-                        thunks[rank] = lambda dom=dom: self._compute_domain(dom)
-                results = run_region(self.sim, thunks)
-                for rank, dom in enumerate(domains):
-                    if dom.size:
-                        for rec in results[rank]:
-                            self._merge_record(rank, rec)
-                factored = np.concatenate([d for d in domains if d.size])
-                pkey = self._pivot_keys(factored, self.pos[factored])
-                self._exchange_level_rows(pkey, "ipart")
-                self._update_remaining(pkey)
-            interface_levels.append(
-                np.arange(pos_start, len(self.order), dtype=np.int64)
-            )
-            self.level_sizes.append(len(self.order) - pos_start)
-            self._barrier()
-            rounds += 1
-
-        factors = self._assemble(interior_ranges, interface_levels)
-        return EliminationOutcome(
-            factors=factors,
-            num_levels=rounds,
-            level_sizes=self.level_sizes,
-            flops=self.flops_total,
-            words_copied=self.words_copied,
-            u_rows_communicated=self.u_rows_comm,
+        remaining = self.remaining
+        domains = (
+            self._split_interface(remaining)
+            if remaining.size > self.SEQUENTIAL_CUTOFF
+            else []
         )
+        if not any(d.size for d in domains):
+            # small or fully coupled remainder: no concurrency
+            # extractable, one rank finishes it serially
+            blocks: list = [None] * nranks
+            blocks[int(self.decomp.part[remaining[0]])] = self._compute_domain(remaining)
+            self._merge_blocks(blocks)
+            factored = remaining
+        else:
+            # one parallel region: domain d's internal rows are
+            # factored by rank d (at most nranks domains), all
+            # concurrently — domains are internally closed, so
+            # thunks never cross-read
+            thunks: list = [None] * nranks
+            for rank, dom in enumerate(domains):
+                if dom.size:
+                    thunks[rank] = lambda dom=dom: self._compute_domain(dom)
+            self._merge_blocks(run_region(self.sim, thunks))
+            factored = np.concatenate([d for d in domains if d.size])
+            pkey = self._pivot_keys(factored, self.pos[factored])
+            self._exchange_level_rows(pkey, "ipart")
+            self._update_remaining(pkey)
+        self._barrier()
+        return factored
 
     # ------------------------------------------------------------------
 
@@ -132,42 +110,17 @@ class InterfacePartitionEngine(EliminationEngine):
                 internal[part[idx]].append(int(remaining[idx]))
         return [np.asarray(sorted(d), dtype=np.int64) for d in internal]
 
-    def _compute_domain(self, nodes: np.ndarray) -> list[_RowRecord]:
+    def _compute_domain(self, nodes: np.ndarray) -> RowBlock:
         """Pure thunk body: factor one interface-domain's internal rows,
         sequentially in ``nodes`` order.
 
         Intra-domain pivots are the rows this thunk has already
         factored, ordered by a thunk-local elimination position —
         order-isomorphic to the global positions the merge will assign —
-        and read from a thunk-local pivot-row cache.
+        and read from a thunk-local pivot-row cache.  The U part is
+        everything left of a row (all unfactored columns).
         """
-        pkey = [-1] * self.n
-        pivot_rows: dict[int, PivotRow] = {}
-        trace = self._tr is not None
-        records: list[_RowRecord] = []
-        for count, i in enumerate(nodes.tolist()):
-            cols, vals = self.reduced[i]
-            decls: list[tuple] | None = [("r", "reduced-row", i)] if trace else None
-            ops, l_part, rest = self._eliminate(i, cols, vals, pkey, pivot_rows, decls)
-            # U part: everything left (all unfactored columns)
-            pivot_rows[i] = self._u_row(i, rest)
-            pkey[i] = count
-            if trace:
-                if l_part[0].size:
-                    decls.append(("w", "l-row", i))
-                decls.append(("w", "u-row", i))
-            records.append(
-                _RowRecord(
-                    i,
-                    l_part if l_part[0].size else None,
-                    u_row_arrays(i, pivot_rows[i]),
-                    None,
-                    ops + float(len(rest)),
-                    None,
-                    decls,
-                )
-            )
-        return records
+        return self._eliminate_rows(nodes, "reduced-row", None)
 
 
 def parallel_ilut_partitioned(
@@ -191,8 +144,10 @@ def parallel_ilut_partitioned(
     Same calling convention and keywords as
     :func:`repro.ilu.parallel.parallel_ilut` (``reduced_cap`` governs
     the 3rd rule; a set ``params.k`` is ignored); returns a
-    :class:`~repro.ilu.parallel.ParallelILUResult`.
+    :class:`~repro.ilu.parallel.ParallelILUResult`.  A ``faults=`` plan
+    turns per-round checkpointing on, as it does there.
     """
+    resolve_backend(backend)  # validated for the callers' sake: one engine under every name
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
     with entry_transport(
@@ -205,14 +160,6 @@ def parallel_ilut_partitioned(
             reduced_cap=reduced_cap,
             sim=sim,
             seed=seed,
-            backend=backend,
+            checkpoint=faults is not None,
         ).run()
-        return ParallelILUResult(
-            factors=outcome.factors,
-            decomp=decomp,
-            num_levels=outcome.num_levels,
-            level_sizes=outcome.level_sizes,
-            flops=outcome.flops,
-            words_copied=outcome.words_copied,
-            **entry_transport.report(sim),
-        )
+        return result_of(outcome, decomp, sim)

@@ -5,9 +5,10 @@ The rows of an independent set ``I_l`` do not touch each other (paper
 is known before any arithmetic: eliminating the level from the remaining
 rows is a sparse row-block × pivot-block product followed by the 1st and
 3rd dropping rules, not one Algorithm 4.1 call per row.  This module is
-that product.  It is charge-free and transport-free: it returns flat
-rows, per-row operation counts and the pivots each row actually read,
-and the engine replays charges and tracer declarations from those.
+that product.  It is charge-free and transport-free: it returns the
+same :class:`~repro.ilu.rowstore.RowBlock` the scalar thunks return —
+flat rows, per-row operation counts, the pivots each row actually read
+— and the engine replays charges and tracer declarations from that.
 
 Bit-exact against the scalar row kernel (:mod:`repro.ilu.row`:
 ``eliminate_row`` + ``l_row`` + ``reduced_row``), which stays the kernel
@@ -36,27 +37,13 @@ by column; an old L row holds no column of this level's pivots.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "FlatRows",
-    "LevelPivots",
-    "LevelUpdate",
-    "flatten_rows",
-    "level_pivots",
-    "level_update",
-]
+from .rowstore import FlatRows, RowBlock, RowStore, ptr_of
 
-
-class FlatRows(NamedTuple):
-    """Sparse rows back to back: row ``j`` is ``[ptr[j], ptr[j+1])``."""
-
-    ptr: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+__all__ = ["LevelPivots", "level_pivots", "level_update"]
 
 
 class LevelPivots(NamedTuple):
@@ -73,45 +60,9 @@ class LevelPivots(NamedTuple):
     tails: FlatRows
 
 
-class LevelUpdate(NamedTuple):
-    """What :func:`level_update` returns.
-
-    ``touched`` lists (as positions in the input) the rows that held a
-    pivot column; only those have entries in ``l_rows`` / ``reduced`` /
-    ``read_cols`` and a nonzero ``ops``.  ``read_cols[read_ptr[j]:
-    read_ptr[j+1]]`` are, in elimination order, the pivots whose entry in
-    row ``j`` was nonzero — the U rows the scalar kernel would have read.
-    """
-
-    touched: np.ndarray
-    ops: np.ndarray
-    l_rows: FlatRows
-    reduced: FlatRows
-    read_ptr: np.ndarray
-    read_cols: np.ndarray
-
-
-def _ptr(counts: np.ndarray) -> np.ndarray:
-    ptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr
-
-
-def flatten_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> FlatRows:
-    """Concatenate a non-empty sequence of ``(cols, vals)`` rows."""
-    counts = np.fromiter((c.size for c, _ in rows), dtype=np.int64, count=len(rows))
-    return FlatRows(
-        _ptr(counts),
-        np.concatenate([c for c, _ in rows]),
-        np.concatenate([v for _, v in rows]),
-    )
-
-
-def level_pivots(
-    n: int, pivots: np.ndarray, u_rows: Mapping[int, tuple[np.ndarray, np.ndarray]]
-) -> LevelPivots:
+def level_pivots(n: int, pivots: np.ndarray, u_rows: RowStore) -> LevelPivots:
     """Build the pivot table of one level from its factored U rows
-    (``u_rows[k]`` stored diagonal first).
+    (stored diagonal first).
 
     Raises ``ValueError`` when the pivots are not independent — one of
     them sits in another's U tail, so a multiplier would depend on an
@@ -120,7 +71,7 @@ def level_pivots(
     pivots = np.sort(np.asarray(pivots, dtype=np.int64))
     ordinal = np.full(n, -1, dtype=np.int64)
     ordinal[pivots] = np.arange(pivots.size, dtype=np.int64)
-    ptr, cols, vals = flatten_rows([u_rows[k] for k in pivots.tolist()])
+    ptr, cols, vals = u_rows.gather(pivots)
     head = ptr[:-1]
     tail = np.ones(cols.size, dtype=bool)
     tail[head] = False
@@ -159,13 +110,15 @@ def level_update(
     tau: np.ndarray,
     m: int,
     reduced_cap: int | None,
-) -> LevelUpdate:
+) -> RowBlock:
     """Eliminate one level's pivots from a block of reduced rows.
 
     ``rows[j]`` is the global index (diagonal column) of row ``j``,
     ``reduced`` / ``l_old`` its reduced row and accumulated L row,
     ``tau[j]`` its relative drop tolerance.  ``m`` caps the L rows,
-    ``reduced_cap`` (``None``: no cap) the reduced rows.
+    ``reduced_cap`` (``None``: no cap) the reduced rows.  The block
+    holds only the rows that had an entry at a pivot column; the others
+    are untouched this level.
     """
     n = pivots.ordinal.size
     nrows = rows.size
@@ -192,12 +145,12 @@ def level_update(
     round_of = _rank_in_run(a_row)
     by_round = np.argsort(round_of, kind="stable")
     e_len = tail_len[by_round]
-    e_ptr = _ptr(e_len)
+    e_ptr = ptr_of(e_len)
     src = np.repeat(pivots.tails.ptr[a_ord[by_round]] - e_ptr[:-1], e_len)
     src += np.arange(e_ptr[-1], dtype=np.int64)
     e_key = np.repeat(a_row[by_round], e_len) * n + pivots.tails.cols[src]
     e_add = np.repeat(-mult[by_round], e_len) * pivots.tails.vals[src]
-    round_ptr = _ptr(np.bincount(round_of, weights=tail_len).astype(np.int64))
+    round_ptr = ptr_of(np.bincount(round_of, weights=tail_len).astype(np.int64))
 
     # workspace over every (row, col) that can hold a value: the rows'
     # non-pivot entries, the fill, and each touched row's diagonal slot
@@ -224,7 +177,7 @@ def level_update(
     keep |= on_diag
     work[on_diag] += 0.0  # a diagonal that cancelled to -0.0 is the slot +0.0
     new_reduced = FlatRows(
-        _ptr(np.bincount(w_row[keep], minlength=nrows)), w_col[keep], work[keep]
+        ptr_of(np.bincount(w_row[keep], minlength=nrows)[touched]), w_col[keep], work[keep]
     )
 
     # L side: old L row merged with the new multipliers, threshold, keep m
@@ -248,7 +201,12 @@ def level_update(
     l_row, l_col, l_val = l_row[big], l_col[big], l_val[big]
     top = _largest_per_row(l_row, l_val, m)
     new_l = FlatRows(
-        _ptr(np.bincount(l_row[top], minlength=nrows)), l_col[top], l_val[top]
+        ptr_of(np.bincount(l_row[top], minlength=nrows)[touched]), l_col[top], l_val[top]
     )
 
-    return LevelUpdate(touched, ops, new_l, new_reduced, _ptr(reads), p_col)
+    # a 0.0 entry at a pivot column reads nothing, so reads of an
+    # untouched row are zero and dropping them keeps ``p_col`` aligned
+    return RowBlock(
+        rows[touched], "reduced-row", new_l, None, new_reduced,
+        ops[touched], ptr_of(reads[touched]), p_col,
+    )

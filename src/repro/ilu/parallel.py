@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..decomp import DomainDecomposition, decompose
 from ..faults import FaultJournal, FaultPlan
+from ..kernels.backend import resolve_backend
 from ..machine import (
     CRAY_T3D,
     CommStats,
@@ -22,7 +23,7 @@ from ..machine import (
 )
 from ..resilience import PivotPolicy
 from ..sparse import CSRMatrix
-from .elimination import EliminationEngine
+from .elimination import EliminationEngine, EliminationOutcome
 from .factors import ILUFactors
 from .params import ILUTParams
 
@@ -84,6 +85,24 @@ class ParallelILUResult:
     @property
     def nranks(self) -> int:
         return self.decomp.nranks
+
+
+def result_of(
+    outcome: EliminationOutcome, decomp: DomainDecomposition, sim: Simulator | None
+) -> ParallelILUResult:
+    """Package an engine outcome with the transport's report."""
+    report = entry_transport.report(sim)
+    # engine checkpoint rollbacks + supervised region retries
+    report["recoveries"] += outcome.recoveries
+    return ParallelILUResult(
+        factors=outcome.factors,
+        decomp=decomp,
+        num_levels=outcome.num_levels,
+        level_sizes=outcome.level_sizes,
+        flops=outcome.flops,
+        words_copied=outcome.words_copied,
+        **report,
+    )
 
 
 def parallel_ilut(
@@ -167,8 +186,9 @@ def parallel_ilut(
         the last completed level.  ``None`` (default) enables
         checkpointing exactly when a fault plan is supplied.
     backend:
-        Kernel backend for the elimination inner loops (bit-identical
-        results); ``None`` uses the process default.
+        Accepted and validated for symmetry with the serial kernels and
+        the solve phase; the elimination runs the same kernels
+        (:mod:`repro.ilu.row`, :mod:`repro.ilu.level`) under every name.
     copy_payloads:
         Pickle round-trip every simulated message at post time — the
         serializing-transport debug oracle (see
@@ -176,6 +196,7 @@ def parallel_ilut(
         for transport-certified drivers.  Requires
         ``transport="simulator"``.
     """
+    resolve_backend(backend)
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
     elif decomp.nranks != nranks:
@@ -204,20 +225,8 @@ def parallel_ilut(
             diag_guard=diag_guard,
             pivot_policy=pivot_policy,
             checkpoint=checkpoint,
-            backend=backend,
         ).run()
-        report = entry_transport.report(sim)
-        # engine checkpoint rollbacks + supervised region retries
-        report["recoveries"] += outcome.recoveries
-        return ParallelILUResult(
-            factors=outcome.factors,
-            decomp=decomp,
-            num_levels=outcome.num_levels,
-            level_sizes=outcome.level_sizes,
-            flops=outcome.flops,
-            words_copied=outcome.words_copied,
-            **report,
-        )
+        return result_of(outcome, decomp, sim)
 
 
 def parallel_ilut_star(

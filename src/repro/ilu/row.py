@@ -10,7 +10,9 @@ the arithmetic they carry, and batching across rows has no width (a
 phase-1 pivot chain is longer than a rank has interface rows).  So the
 working row is a ``dict[col -> float]``, a finished pivot row is cached
 once per thunk as plain lists (:data:`PivotRow`), and arrays are built
-once per finished row by the caller.  Charge-free and transport-free,
+once per thunk by the caller (its rows come out of the row store as
+lists in one gather and go back as one
+:class:`~repro.ilu.rowstore.RowBlock`).  Charge-free and transport-free,
 like :mod:`repro.ilu.level`: the functions return operation counts and
 the pivots read, and the engine replays charges and tracer declarations
 from those.
@@ -45,13 +47,10 @@ __all__ = [
     "PivotRow",
     "PivotRows",
     "eliminate_row",
-    "entries_of",
     "keep_largest_entries",
     "l_row",
     "reduced_row",
-    "row_arrays",
     "u_row",
-    "u_row_arrays",
 ]
 
 #: a sparse row as ``(col, value)`` pairs, sorted by column unless noted
@@ -62,7 +61,9 @@ PivotRow = tuple[list[int], list[float], float]
 
 class PivotRows(dict):
     """A thunk's pivot-row cache over stored U rows (``u_rows[k]`` as
-    arrays, diagonal first): row ``k`` is converted on first use."""
+    arrays, diagonal first — the engine's U store): row ``k`` is
+    converted on first use, so a thunk pays only for the pivots its
+    rows actually reach."""
 
     def __init__(self, u_rows: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> None:
         super().__init__()
@@ -72,28 +73,6 @@ class PivotRows(dict):
         ucols, uvals = self._u_rows[k]
         row = self[k] = (ucols[1:].tolist(), uvals[1:].tolist(), float(uvals[0]))
         return row
-
-
-def entries_of(row: tuple[np.ndarray, np.ndarray]) -> Entries:
-    """A stored ``(cols, vals)`` row as :data:`Entries`."""
-    return list(zip(row[0].tolist(), row[1].tolist()))
-
-
-def row_arrays(entries: Entries) -> tuple[np.ndarray, np.ndarray]:
-    """:data:`Entries` as the ``(cols, vals)`` arrays the engine stores."""
-    return (
-        np.array([c for c, _ in entries], dtype=np.int64),
-        np.array([v for _, v in entries], dtype=np.float64),
-    )
-
-
-def u_row_arrays(i: int, pivot_row: PivotRow) -> tuple[np.ndarray, np.ndarray]:
-    """The stored U row of ``i``: diagonal first, tail sorted by column."""
-    tail_cols, tail_vals, pivot = pivot_row
-    return (
-        np.array([i, *tail_cols], dtype=np.int64),
-        np.array([pivot, *tail_vals], dtype=np.float64),
-    )
 
 
 def eliminate_row(

@@ -5,7 +5,6 @@ that serves as its numerical oracle; see :mod:`repro.kernels.backend`
 for the selection machinery and ``tests/kernels`` for the parity suite.
 """
 
-from .accumulator import VectorizedRowAccumulator
 from .backend import (
     REFERENCE,
     VECTORIZED,
@@ -22,8 +21,6 @@ from .csr import (
     segment_sums,
     split_lu_vectorized,
 )
-from .dropping import keep_largest_vec, second_rule_vec
-from .ilut import ilut_vectorized
 from .triangular import (
     BatchedTriangularSchedule,
     cached_schedules,
@@ -38,16 +35,12 @@ __all__ = [
     "set_backend",
     "use_backend",
     "resolve_backend",
-    "VectorizedRowAccumulator",
     "segment_sums",
     "csr_matvec",
     "csr_row_norms",
     "csr_diagonal",
     "csr_gather_rows",
     "split_lu_vectorized",
-    "keep_largest_vec",
-    "second_rule_vec",
-    "ilut_vectorized",
     "BatchedTriangularSchedule",
     "triangular_levels_vectorized",
     "cached_schedules",

@@ -12,7 +12,9 @@ the question every interprocedural analysis needs:
 * ``self.method(...)`` dispatch, resolved through a linearised
   single-inheritance MRO that itself follows imports (e.g.
   ``InterfacePartitionEngine`` inheriting ``EliminationEngine`` from a
-  sibling module).
+  sibling module); a root named through a subclass that inherits it
+  (``InterfacePartitionEngine.run``) is bound to that subclass, so the
+  template method's ``self._run_level`` reaches the override.
 
 Resolution is best-effort and *sound for composition*: an unresolvable
 call simply contributes no summary (the verifier treats it as opaque),
@@ -22,7 +24,7 @@ never a wrong one.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..comm import implements_transport
 
@@ -44,6 +46,15 @@ class FunctionDecl:
     @property
     def key(self) -> str:
         return f"{self.module}::{self.qualname}"
+
+    @property
+    def home(self) -> str:
+        """The module a report files this function under: its class's
+        for a method (so an inherited method bound to a subclass, see
+        :meth:`CallGraph.lookup`, is filed with the subclass), else its
+        own.  ``module`` stays where the body — and its line numbers —
+        live."""
+        return self.cls.module if self.cls is not None else self.module
 
     @property
     def is_transport_method(self) -> bool:
@@ -218,9 +229,15 @@ class CallGraph:
         if "." in qualname:
             cls_name, _, meth = qualname.partition(".")
             cls = info.classes.get(cls_name)
-            if cls is not None:
-                return self._method_in_mro(cls, meth)
-            return None
+            if cls is None:
+                return None
+            decl = self._method_in_mro(cls, meth)
+            if decl is not None and decl.cls is not cls:
+                # an inherited method as the subclass runs it: ``self.X``
+                # in its body dispatches through the subclass's MRO, which
+                # is how a template method reaches the overridden step
+                decl = replace(decl, cls=cls, qualname=qualname)
+            return decl
         return info.functions.get(qualname)
 
     def find(self, relpath: str, qualname: str) -> FunctionDecl | None:

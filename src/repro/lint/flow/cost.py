@@ -19,7 +19,7 @@ Three artefacts per certified comm root:
 * a **per-site loop bound**: the product of the recognised bounds of
   the site's enclosing loops (``for r in range(nranks)`` → ``p``,
   ``for lvl, pos in enumerate(levels.interface_levels)`` → ``q``,
-  ``while self.reduced`` → ``levels``, …) — a symbolic fire-count that
+  ``while self.remaining.size`` → ``levels``, …) — a symbolic fire-count that
   :mod:`repro.lint.costverify` checks against the ledger's per-site
   event counts;
 * the **cost model** (:data:`COST_SPECS`): closed-form totals for the
@@ -285,7 +285,7 @@ def _loop_bound(node: ast.For | ast.AsyncFor | ast.While) -> str | None:
     """The symbolic iteration count of one loop, if recognised."""
     if isinstance(node, ast.While):
         header = ast.unparse(node.test)
-        if "self.reduced" in header:
+        if "self.remaining" in header:
             # the phase-2 driver loop: one iteration per interface level
             return "levels"
         return None
@@ -455,7 +455,7 @@ def analyze_costs(project: "ProjectContext") -> list[CostAnalysis]:
         if decl is None:
             analysis.problems.append("root not found in the analysed modules")
         else:
-            analysis.module = decl.module
+            analysis.module = decl.home
             analysis.sites = extract_charge_sites(
                 project, decl, spec.once if spec is not None else frozenset()
             )

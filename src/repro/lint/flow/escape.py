@@ -550,7 +550,7 @@ def verify_transport(project: "ProjectContext") -> list[TransportReport]:
         problems = an.problems_in(closure)
         reports.append(
             TransportReport(
-                module=decl.module,
+                module=decl.home,
                 qualname=decl.qualname,
                 certified=not problems,
                 problems=problems,

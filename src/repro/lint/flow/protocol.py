@@ -570,7 +570,7 @@ def verify_function(
 ) -> ProtocolReport:
     """Symbolically execute ``decl`` for each rank count in ``ranks``."""
     report = ProtocolReport(
-        module=decl.module, qualname=decl.qualname, ranks=ranks, certified=True
+        module=decl.home, qualname=decl.qualname, ranks=ranks, certified=True
     )
     seen: set[tuple[str, str, int, str]] = set()
     for nranks in ranks:

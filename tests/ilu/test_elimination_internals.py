@@ -9,6 +9,8 @@ from repro.ilu.ilum import _merge_rows
 from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import poisson2d, random_diag_dominant
 
+from ._rows import flat_of
+
 
 class TestMergeRows:
     def test_disjoint(self):
@@ -118,13 +120,14 @@ class TestEngineSemantics:
         d = decompose(A, 4, seed=0)
         engine = EliminationEngine(d, 5, 1e-3)
         engine.run()
-        assert engine.reduced == {}
+        assert engine.reduced == {} and engine.remaining.size == 0
 
     def test_reduced_structure_is_the_off_diagonal_pattern(self):
         A = poisson2d(8)
         engine = EliminationEngine(decompose(A, 4, seed=0), 5, 1e-3)
         engine._run_phase1()
-        remaining = engine._remaining_nodes()
+        remaining = engine.remaining
+        assert remaining.tolist() == list(engine.reduced)  # the maintained sorted array
         src, dst = engine._reduced_structure(remaining)
         want = [
             (int(g), int(c))
@@ -140,12 +143,12 @@ class TestEngineSemantics:
         d = decompose(A, 4, seed=0)
         engine = EliminationEngine(d, 5, 1e-3)
         engine._run_phase1()
-        remaining = engine._remaining_nodes()
+        remaining = engine.remaining
         if stray == 0:  # an interior (already factored) node between remaining ones
             stray = int(np.setdiff1d(np.arange(remaining[0], remaining[-1]), remaining)[0])
         g = int(remaining[3])
         cols, vals = engine.reduced[g]
-        engine.reduced[g] = (np.append(cols, stray), np.append(vals, 1.0))
+        engine.reduced.put(np.array([g]), flat_of([(np.append(cols, stray), np.append(vals, 1.0))]))
         with pytest.raises(KeyError, match=str(stray)):
             engine._mis_of_reduced(remaining, 0)
 
@@ -154,6 +157,8 @@ class TestEngineSemantics:
         seen: list[int] = []
 
         def hook(level, _iset, reduced):
+            with pytest.raises(TypeError):  # a read-only view of the store
+                reduced[0] = ()
             if level >= 0:  # after a phase-2 update (phase 1 reports as -1)
                 seen.extend(cols.size for cols, _ in reduced.values())
 

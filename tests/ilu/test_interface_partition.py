@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.decomp import decompose
+from repro.faults import FaultPlan, MessageFault, RankFault
 from repro.ilu import (
+    InterfacePartitionEngine,
     parallel_ilut,
     parallel_ilut_partitioned,
     parallel_triangular_solve,
 )
 from repro.ilu.params import ILUTParams
-from repro.matrices import poisson2d, random_diag_dominant
+from repro.matrices import poisson2d, random_diag_dominant, torso_like
 
 
 class TestCorrectness:
@@ -72,3 +75,46 @@ class TestFewerLevels:
         r = parallel_ilut_partitioned(A, ILUTParams(fill=30, threshold=0.0), 2, seed=0, transport="none")
         assert r.num_levels >= 0  # terminates
         r.factors.levels.validate(30)
+
+
+class TestSharedDriverLoop:
+    """The §7 engine runs the MIS engine's driver loop, so it checkpoints,
+    recovers and reports per level exactly as ``parallel_ilut`` does."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=3)]),
+            # one message lost past every retransmit: MessageLost escalates
+            FaultPlan(message_faults=[MessageFault("drop", src=2, dst=1, tag="ipart", count=4)]),
+        ],
+        ids=["rank-crash", "message-lost"],
+    )
+    def test_fault_plan_recovers_to_bit_identical_factors(self, plan):
+        A, params = torso_like(140, seed=1), ILUTParams(fill=5, threshold=1e-3)
+        clean = parallel_ilut_partitioned(A, params, 3, seed=0)
+        hurt = parallel_ilut_partitioned(A, params, 3, seed=0, faults=plan)
+        assert hurt.recoveries == 1 and clean.recoveries == 0
+        assert "restore=1" in hurt.fault_journal.summary()
+        for name in ("L", "U"):
+            a, b = getattr(clean.factors, name), getattr(hurt.factors, name)
+            assert (a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()) == (
+                b.indptr.tobytes(), b.indices.tobytes(), b.data.tobytes()
+            )
+        assert clean.factors.perm.tobytes() == hurt.factors.perm.tobytes()
+        assert (clean.level_sizes, clean.flops) == (hurt.level_sizes, hurt.flops)
+
+    def test_level_hook_fires_once_per_round(self):
+        A = poisson2d(14)
+        calls = []
+        engine = InterfacePartitionEngine(
+            decompose(A, 4, seed=0), 5, 1e-3,
+            level_hook=lambda level, rows, reduced: calls.append((level, rows.size, len(reduced))),
+        )
+        outcome = engine.run()
+        assert [c[0] for c in calls] == [-1, *range(outcome.num_levels)]
+        assert [c[1] for c in calls[1:]] == outcome.level_sizes
+        # what is left after each round is what the later rounds factor
+        assert [c[2] for c in calls] == [
+            sum(outcome.level_sizes[k:]) for k in range(outcome.num_levels + 1)
+        ]

@@ -17,7 +17,7 @@ class TestSplitInterface:
         A = poisson2d(12)
         engine = self._engine(A)
         engine._run_phase1()  # populates the reduced rows
-        remaining = engine._remaining_nodes()
+        remaining = engine.remaining
         domains = engine._split_interface(remaining)
         dom_of = {}
         for k, dom in enumerate(domains):
@@ -35,7 +35,7 @@ class TestSplitInterface:
         A = poisson2d(12)
         engine = self._engine(A)
         engine._run_phase1()
-        domains = engine._split_interface(engine._remaining_nodes())
+        domains = engine._split_interface(engine.remaining)
         seen: set[int] = set()
         for dom in domains:
             ds = set(int(v) for v in dom)

@@ -3,10 +3,11 @@
 Every case sets an engine's reduced rows, U rows and L rows by hand and
 runs the same rows through the two thunk bodies — the scalar
 ``_compute_update_rows`` (Algorithm 4.1 row by row) and the batched
-``_compute_level_update`` — which must return equal records: equal
-*bits* (the sign of a zero included), equal operation counts of equal
-type, equal tracer declarations.  The cases are the places where a
-batched formulation can silently differ from the scalar one.
+``_compute_level_update`` — which must return equal blocks, compared
+row by row: equal *bits* (the sign of a zero included), equal operation
+counts of equal type, equal tracer declarations.  The cases are the
+places where a batched formulation can silently differ from the scalar
+one.
 """
 
 import numpy as np
@@ -14,16 +15,14 @@ import pytest
 
 from repro.decomp import decompose
 from repro.ilu.elimination import EliminationEngine
-from repro.ilu.level import flatten_rows, level_pivots, level_update
+from repro.ilu.level import level_pivots, level_update
 from repro.machine import CRAY_T3D, Simulator
 from repro.sparse import CSRMatrix
 
+from ._rows import flat_of, records_of, store_of
+
 N = 12
 TINY = 5e-324  # smallest subnormal: TINY / 4 underflows to zero
-
-
-def row(cols, vals):
-    return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=np.float64)
 
 
 def engine_with(reduced, u_rows, l_rows=None, *, m=5, t=0.1, cap=None):
@@ -33,9 +32,9 @@ def engine_with(reduced, u_rows, l_rows=None, *, m=5, t=0.1, cap=None):
     engine = EliminationEngine(
         decomp, m, t, reduced_cap=cap, sim=Simulator(1, CRAY_T3D, trace=True)
     )
-    engine.reduced = {i: row(*r) for i, r in reduced.items()}
-    engine.u_rows = {k: row(*r) for k, r in u_rows.items()}
-    engine.l_rows = {i: row(*r) for i, r in (l_rows or {}).items()}
+    engine.reduced = store_of(N, reduced)
+    engine.u_rows = store_of(N, u_rows)
+    engine.l_rows = store_of(N, l_rows or {})
     return engine
 
 
@@ -59,10 +58,12 @@ def assert_same_records(got, want):
 def update(reduced, u_rows, l_rows=None, **kw):
     """Records of the batched thunk body, checked against the scalar's."""
     engine = engine_with(reduced, u_rows, l_rows, **kw)
-    rows = sorted(engine.reduced)
-    pivots = sorted(engine.u_rows)
+    rows = np.array(sorted(engine.reduced), dtype=np.int64)
+    pivots = np.array(sorted(engine.u_rows), dtype=np.int64)
     batched = engine._compute_level_update(rows, level_pivots(N, pivots, engine.u_rows))
     scalar = engine._compute_update_rows(rows, engine._pivot_keys(pivots, pivots))
+    assert batched.source == scalar.source == "reduced-row"
+    batched, scalar = records_of(batched), records_of(scalar)
     assert_same_records(batched, scalar)
     return {r.row: r for r in batched}
 
@@ -310,12 +311,12 @@ def test_random_states_match_the_row_kernel(seed):
 
 class TestPreconditions:
     def test_dependent_pivots_raise(self):
-        u_rows = {1: row([1, 2, 7], [4.0, 1.0, 1.0]), 2: row([2, 8], [4.0, 1.0])}
+        u_rows = store_of(N, {1: ([1, 2, 7], [4.0, 1.0, 1.0]), 2: ([2, 8], [4.0, 1.0])})
         with pytest.raises(ValueError, match="not independent: column 2"):
             level_pivots(N, np.array([1, 2]), u_rows)
 
     def test_pivot_table_is_sorted_whatever_the_order_given(self):
-        u_rows = {3: row([3, 9], [2.0, 1.0]), 1: row([1], [4.0])}
+        u_rows = store_of(N, {3: ([3, 9], [2.0, 1.0]), 1: ([1], [4.0])})
         table = level_pivots(N, np.array([3, 1]), u_rows)
         assert table.ordinal[[1, 3]].tolist() == [0, 1]
         assert table.diag.tolist() == [4.0, 2.0]
@@ -323,28 +324,28 @@ class TestPreconditions:
         assert table.tails.cols.tolist() == [9]
 
     def test_pivot_column_in_an_old_l_row_raises(self):
-        table = level_pivots(N, np.array([1]), {1: row([1, 7], [4.0, 1.0])})
+        table = level_pivots(N, np.array([1]), store_of(N, {1: ([1, 7], [4.0, 1.0])}))
         with pytest.raises(ValueError, match="old L row"):
             level_update(
                 table,
                 np.array([5]),
-                flatten_rows([row([1, 5], [2.0, 1.0])]),
-                flatten_rows([row([1], [0.5])]),
+                flat_of([([1, 5], [2.0, 1.0])]),
+                flat_of([([1], [0.5])]),
                 np.array([0.0]),
                 5,
                 None,
             )
 
     def test_no_row_touched(self):
-        table = level_pivots(N, np.array([1]), {1: row([1, 7], [4.0, 1.0])})
+        table = level_pivots(N, np.array([1]), store_of(N, {1: ([1, 7], [4.0, 1.0])}))
         out = level_update(
             table,
             np.array([5, 6]),
-            flatten_rows([row([5], [1.0]), row([], [])]),
-            flatten_rows([row([], []), row([0], [1.0])]),
+            flat_of([([5], [1.0]), ([], [])]),
+            flat_of([([], []), ([0], [1.0])]),
             np.array([0.1, 0.1]),
             5,
             2,
         )
-        assert out.touched.size == 0 and out.ops.tolist() == [0, 0]
+        assert out.rows.size == 0 and out.ops.size == 0 and out.read_ptr.tolist() == [0]
         assert out.reduced.cols.size == 0 and out.l_rows.cols.size == 0

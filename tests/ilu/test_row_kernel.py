@@ -21,18 +21,18 @@ from repro.ilu.interface_partition import InterfacePartitionEngine
 from repro.ilu.row import (
     PivotRows,
     eliminate_row,
-    entries_of,
     keep_largest_entries,
     l_row,
     reduced_row,
-    row_arrays,
     u_row,
-    u_row_arrays,
 )
+from repro.ilu.rowstore import RowsBuilder
 from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import poisson2d
 from repro.resilience import PivotPolicy, ZeroPivotError
 from repro.sparse import CSRMatrix, SparseRowAccumulator
+
+from ._rows import records_of, store_of
 
 N = 12
 TINY = 5e-324  # smallest subnormal: TINY / 4 underflows to zero
@@ -54,6 +54,23 @@ def pkey_of(order, n=N):
 def pivots_of(u_rows):
     """A ``PivotRows`` cache over hand-written U rows (diagonal first)."""
     return PivotRows({k: arrays(*r) for k, r in u_rows.items()})
+
+
+def row_arrays(entries):
+    """``(col, value)`` pairs as the arrays a thunk's block carries."""
+    rows = RowsBuilder()
+    rows.add_entries(entries)
+    return rows.flat()[1:]
+
+
+def entries_of(row):
+    return list(zip(row[0].tolist(), row[1].tolist()))
+
+
+def u_row_arrays(i, pivot_row):
+    """A stored U row: diagonal first, tail sorted by column."""
+    tail_cols, tail_vals, pivot = pivot_row
+    return arrays([i, *tail_cols], [pivot, *tail_vals])
 
 
 def bits(entries):
@@ -404,9 +421,9 @@ def engine_with(reduced, u_rows, l_rows=None, *, cls=EliminationEngine, m=5, t=0
     whose phase-2 state is exactly the given rows, tracer on."""
     decomp = decompose(CSRMatrix.identity(N), 1, method="block")
     engine = cls(decomp, m, t, sim=Simulator(1, CRAY_T3D, trace=True))
-    engine.reduced = {i: arrays(*r) for i, r in reduced.items()}
-    engine.u_rows = {k: arrays(*r) for k, r in u_rows.items()}
-    engine.l_rows = {i: arrays(*r) for i, r in (l_rows or {}).items()}
+    engine.reduced = store_of(N, reduced)
+    engine.u_rows = store_of(N, u_rows)
+    engine.l_rows = store_of(N, l_rows or {})
     return engine
 
 
@@ -417,7 +434,7 @@ class TestThroughTheEngine:
 
         def l_of(reduced5, l_rows):
             engine = engine_with({5: reduced5}, u_rows, l_rows, t=0.0)
-            (rec,) = engine._compute_update_rows([5], pkey)
+            (rec,) = records_of(engine._compute_update_rows(np.array([5]), pkey))
             return rec
 
         alone = l_of(([1, 5], [-TINY, 1.0]), None)
@@ -451,7 +468,7 @@ class TestThroughTheEngine:
             cls=InterfacePartitionEngine,
             t=0.0,
         )
-        first, second = engine._compute_domain(np.array([8, 3], dtype=np.int64))
+        first, second = records_of(engine._compute_domain(np.array([8, 3], dtype=np.int64)))
         assert first.l_row is None and second.l_row[0].tolist() == [8]
         assert first.u_row[0].tolist() == [8, 3] and first.u_row[1].tolist() == [2.0, 1.0]
         assert second.l_row[1].tolist() == [0.5]
@@ -472,9 +489,9 @@ class TestThroughTheEngine:
         decomp = decompose(poisson2d(4), 2, method="block")
         engine = EliminationEngine(decomp, 3, 0.01, sim=Simulator(2, CRAY_T3D, trace=True))
         interior = engine._compute_interior_block(0)
-        for rec in interior:
-            engine._merge_record(0, rec)
-        interface = engine._compute_interface_reduction(0)
+        engine._merge_blocks([interior, None])
+        interior = records_of(interior)
+        interface = records_of(engine._compute_interface_reduction(0))
 
         def reads(rec):
             return [idx for kind, space, idx in rec.decls if (kind, space) == ("r", "u-row")]

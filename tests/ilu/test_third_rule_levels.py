@@ -3,8 +3,9 @@
 The rule must hold at *every* ILUT* level, not just in the final
 factors — a reduced row that transiently blows past k*m would destroy
 the sparsity/level-count argument of §4.2.  ``EliminationEngine``'s
-``level_hook`` exposes the live reduced-row dict after phase 1 and
-after every phase-2 update, which is exactly where we assert the cap.
+``level_hook`` exposes a mapping view of the live reduced-row store
+after phase 1 and after every phase-2 update, which is exactly where we
+assert the cap.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ def _run_with_hook(A, m, t, k, nranks, seed=0):
 
     def hook(level, iset, reduced):
         lengths = {i: int(c.size) for i, (c, _) in reduced.items()}
+        assert list(lengths) == sorted(lengths)  # the view iterates in row order
         snapshots.append((level, lengths))
         # the composable checker must agree at every level
         assert check_reduced_rows(reduced, cap=cap) == []

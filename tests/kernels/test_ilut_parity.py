@@ -1,8 +1,9 @@
-"""Bit-exactness of the vectorized ILUT elimination against the oracle.
+"""Bit-exactness of the ``backend="vectorized"`` ILUT against the oracle.
 
-The vectorized path is held to *element-exact* agreement — same sparsity
-patterns, same stored values, same flop count — because it performs the
-same multiply-adds in the same order, only batched.
+The fast path (a loop over the scalar row kernel, ``repro.ilu.row``) is
+held to *element-exact* agreement — same sparsity patterns, same stored
+values, same flop count — because it performs the same multiply-adds in
+the same order.
 """
 
 import numpy as np
@@ -84,14 +85,16 @@ class TestDispatch:
     def test_use_backend_routes_to_vectorized(self, small_poisson, monkeypatch):
         """The default-backend context must actually reach the fast kernel."""
         from repro.kernels import use_backend
-        import repro.kernels.ilut as kernel_mod
+        import sys
+
+        kernel_mod = sys.modules["repro.ilu.ilut"]  # ``repro.ilu.ilut`` is the function
 
         sentinel = RuntimeError("vectorized kernel invoked")
 
         def boom(*a, **k):
             raise sentinel
 
-        monkeypatch.setattr(kernel_mod, "ilut_vectorized", boom)
+        monkeypatch.setattr(kernel_mod, "_ilut_rows", boom)
         p = ILUTParams(fill=5, threshold=1e-3)
         ilut(small_poisson, p)  # reference default: kernel untouched
         with use_backend("vectorized"):
