@@ -12,7 +12,11 @@ level kernel (``repro.ilu.level``) that replaced it in the MIS loop.  A
 fifth, ``phase1``, times the two phase-1 thunk bodies (interior block,
 interface reduction — the scalar row kernel, ``repro.ilu.row``) and
 reports how long each interface row's pivot chain is, which is what
-decides whether batching phase 1 across rows could ever pay.
+decides whether batching phase 1 across rows could ever pay.  A sixth,
+``partition``, times ``decompose`` and the §7 engine (which re-partitions
+every round) with the partitioner's per-vertex oracles from
+``tests/partition/_scalar.py`` patched in and with the current kernels,
+and requires the same parts, interface mask and factors from both.
 
 Usage::
 
@@ -21,9 +25,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check
 
 ``--check`` exits nonzero if the vectorized triangular apply is not
-faster than the reference row loop, or the batched level update is not
-faster than the scalar one or not bit-identical to it (the CI guard
-against kernel-layer regressions).
+faster than the reference row loop, the batched level update is not
+faster than the scalar one or not bit-identical to it, or ``decompose``
+is not faster on the current partitioner kernels or not identical to
+the per-vertex ones (the CI guard against kernel-layer regressions).
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -295,6 +302,75 @@ def bench_phase1(cfg: dict) -> dict:
     }
 
 
+def _per_vertex_partitioner() -> ExitStack:
+    """Patch the partitioner's per-vertex oracles (``tests/partition/_scalar.py``,
+    the kernels the package ran before they moved onto lists and array
+    passes) in wherever ``decompose`` and the §7 engine call the kernels."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.partition import _scalar
+
+    stack = ExitStack()
+    for target, oracle in (
+        ("repro.partition.kway.heavy_edge_matching", _scalar.heavy_edge_matching),
+        ("repro.partition.kway.collapse_matching", _scalar.collapse_matching),
+        ("repro.partition.kway.refine_kway", _scalar.refine_kway),
+        ("repro.decomp.decomposition.boundary_mask", _scalar.boundary_mask),
+        ("repro.ilu.interface_partition.boundary_mask", _scalar.boundary_mask),
+    ):
+        stack.enter_context(mock.patch(target, oracle))
+    return stack
+
+
+def bench_partition(cfg: dict) -> dict:
+    """Wall time of the set-up stage and of the §7 engine (which
+    re-partitions every round): per-vertex kernels against the current
+    ones, same inputs, sides alternating, medians of ``partition_repeat``.
+
+    Both sides must produce the same part array, interface mask and §7
+    factors.  No transport for ``decompose``; the §7 engine runs on the
+    simulator, as ``parallel_ilut_partitioned`` does by default.
+    """
+    m, t = cfg["level_m"], cfg["level_t"]
+    rows = {}
+    for label, make, p in cfg["partition_cases"]:
+        A = make()
+
+        def run():
+            t0 = time.perf_counter()
+            d = decompose(A, p, seed=0)
+            t1 = time.perf_counter()
+            f = InterfacePartitionEngine(d, m, t, sim=Simulator(p, CRAY_T3D)).run().factors
+            return t1 - t0, time.perf_counter() - t1, (d.part, d.is_interface, f.L.data, f.U.data)
+
+        spans = {"per_vertex": [], "current": []}
+        outputs = {}
+        for _ in range(cfg["partition_repeat"]):
+            with _per_vertex_partitioner():
+                *span, outputs["per_vertex"] = run()
+            spans["per_vertex"].append(span)
+            *span, outputs["current"] = run()
+            spans["current"].append(span)
+        med = {side: np.median(s, axis=0) for side, s in spans.items()}
+        rows[f"{label}, p={p}"] = {
+            "n": A.shape[0],
+            "decompose_per_vertex_s": float(med["per_vertex"][0]),
+            "decompose_s": float(med["current"][0]),
+            "decompose_ratio": float(med["current"][0] / med["per_vertex"][0]),
+            "sec7_engine_per_vertex_s": float(med["per_vertex"][1]),
+            "sec7_engine_s": float(med["current"][1]),
+            "sec7_engine_ratio": float(med["current"][1] / med["per_vertex"][1]),
+            "identical": all(
+                np.array_equal(a, b) for a, b in zip(outputs["per_vertex"], outputs["current"])
+            ),
+        }
+    return {
+        "workload": f"decompose(seed=0) and the sec. 7 engine, ILUT({m},{t:g}), simulator; "
+        f"median of {cfg['partition_repeat']}, per-vertex and current kernels alternating",
+        "rows": rows,
+    }
+
+
 def bench_gmres(cfg: dict) -> dict:
     out = {}
     for name, A in [
@@ -349,6 +425,14 @@ FULL = dict(
     gmres_nx=48, torso_n=1200, race_nx=16, race_p=4,
     level_n=600, level_p=4, level_m=10, level_t=1e-4, level_k=2, level_repeat=3,
     phase1_nx=40, phase1_torso_n=600, phase1_p=4, phase1_repeat=3,
+    partition_cases=[
+        ("poisson2d(40)", lambda: poisson2d(40), 4),
+        ("torso_like(600)", lambda: torso_like(600), 4),
+        ("poisson2d(40)", lambda: poisson2d(40), 2),
+        ("poisson2d(96)", lambda: poisson2d(96), 4),
+        ("torso_like(3000)", lambda: torso_like(3000), 4),
+    ],
+    partition_repeat=5,
 )
 QUICK = dict(
     fact_nx=32, m=10, t=1e-3, k=5, fact_repeat=2,
@@ -356,6 +440,8 @@ QUICK = dict(
     gmres_nx=16, torso_n=300, race_nx=10, race_p=4,
     level_n=300, level_p=4, level_m=10, level_t=1e-4, level_k=2, level_repeat=2,
     phase1_nx=20, phase1_torso_n=300, phase1_p=4, phase1_repeat=2,
+    partition_cases=[("torso_like(300)", lambda: torso_like(300), 4)],
+    partition_repeat=2,
 )
 
 
@@ -364,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true", help="tiny CI-smoke workload")
     ap.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless the vectorized apply and the batched level update win",
+        help="exit 1 unless the vectorized apply, the batched level update and the "
+        "partitioner kernels win",
     )
     ap.add_argument(
         "--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
@@ -393,6 +480,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  phase 1 {name}: interior {1e3 * r['interior_block_s']:.1f} ms, "
               f"interface {1e3 * r['interface_reduction_s']:.1f} ms; per rank "
               f"{r['interface_rows']} interface rows, chain max {r['chain_max']}")
+    results["partition"] = bench_partition(cfg)
+    for name, r in results["partition"]["rows"].items():
+        print(f"  partition {name}: decompose {1e3 * r['decompose_per_vertex_s']:.1f} -> "
+              f"{1e3 * r['decompose_s']:.1f} ms, sec. 7 engine "
+              f"{r['sec7_engine_per_vertex_s']:.3f} -> {r['sec7_engine_s']:.3f} s "
+              f"(identical={r['identical']})")
     results["gmres"] = bench_gmres(cfg)
     for name, g in results["gmres"].items():
         print(f"  gmres/{name}: {g['speedup']:.2f}x  "
@@ -413,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
             and results["ilut_factorization"]["bit_identical"]
             and level["speedup"] > 1.0
             and level["bit_identical"]
+            and all(
+                r["identical"] and r["decompose_ratio"] < 1.0
+                for r in results["partition"]["rows"].values()
+            )
             and results["race_free"]["race_free"]
         )
         if not ok:

@@ -13,7 +13,13 @@ the parent commit and compares it at the change::
 uses the public drivers only).  ``--quick`` is the CI subset, which is
 written twice under different ``PYTHONHASHSEED`` values and compared:
 anything that iterates a set or a dict of rows in hash order shows up
-there.  The full corpus is ~1,400 small cases, a few minutes per side.
+there.  The full corpus is ~1,800 small cases, a few minutes per side.
+
+The ``partition/`` family fingerprints the set-up stage on its own —
+``part``, ``edge_cut``, ``balance`` and the interface mask — on
+matrices large enough for the multilevel partitioner to coarsen
+(the factorization matrices above have at most 140 rows, where
+``coarsen_to = max(20 p, 40)`` leaves little to coarsen).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro import ILUTParams
+from repro.decomp import decompose
 from repro.faults import FaultPlan, MessageFault, RankFault
 from repro.ilu import ilut, parallel_ilut, parallel_ilut_partitioned, parallel_ilut_star
 from repro.matrices import (
@@ -34,8 +41,10 @@ from repro.matrices import (
     poisson2d,
     poisson3d,
     random_diag_dominant,
+    random_geometric_laplacian,
     torso_like,
 )
+from repro.partition import edge_cut, partition_balance, partition_matrix_kway
 
 MATRICES = {
     "poisson": lambda: poisson2d(9),
@@ -67,6 +76,20 @@ VARIANTS = {
 QUICK_MATRICES = ("poisson", "torso", "rdd-unsym")
 QUICK_RANKS = (2, 3)
 QUICK_SETTINGS = (SETTINGS[1], SETTINGS[3], SETTINGS[6])
+PARTITION_MATRICES = {
+    "poisson": lambda: poisson2d(40),
+    "poisson-rect": lambda: poisson2d(48, 30),
+    "poisson3d": lambda: poisson3d(10),
+    "torso": lambda: torso_like(600, seed=0),
+    "convdiff": lambda: convection_diffusion2d(32),
+    "aniso": lambda: anisotropic2d(32),
+    "rdd": lambda: random_diag_dominant(400, 6, seed=3),
+    "rdd-unsym": lambda: random_diag_dominant(300, 5, seed=4, symmetric_pattern=False),
+    "geometric": lambda: random_geometric_laplacian(500, seed=2),
+}
+PARTITION_RANKS = (2, 3, 4, 7, 8)
+PARTITION_SEEDS = (0, 1, 3)
+PARTITION_KINDS = ("unweighted", "weighted", "decompose")
 
 
 def _digest(parts: list) -> str:
@@ -124,6 +147,21 @@ def _partitioned(A, mtk, p, **kwargs) -> str:
 def _serial(A, mtk, backend) -> str:
     f = ilut(A, ILUTParams(fill=mtk[0], threshold=mtk[1]), backend=backend)
     return _digest(_factor_parts(f) + [f.stats["flops"], f.stats["fill_nnz"]])
+
+
+def _partition(A, p, seed, kind) -> str:
+    if kind == "decompose":
+        d = decompose(A, p, seed=seed)
+        return _digest(
+            [
+                d.part.tobytes(),
+                d.is_interface.tobytes(),
+                edge_cut(d.graph, d.part),
+                partition_balance(d.graph, d.part, p),
+            ]
+        )
+    res = partition_matrix_kway(A, p, weighted=kind == "weighted", seed=seed)
+    return _digest([res.part.tobytes(), res.edge_cut, res.balance, res.levels, res.history])
 
 
 def cases(quick: bool):
@@ -184,6 +222,20 @@ def cases(quick: bool):
                 f"{transport}/ipart/{name}",
                 lambda A=A, tr=transport: _partitioned(A, SETTINGS[0], 3, transport=tr),
             )
+    # the set-up stage alone, where coarsening fires
+    if quick:
+        A = PARTITION_MATRICES["torso"]()
+        yield ("partition/torso/p4/s0/decompose", lambda A=A: _partition(A, 4, 0, "decompose"))
+        return
+    for name, make in PARTITION_MATRICES.items():
+        A = make()
+        for p in PARTITION_RANKS:
+            for seed in PARTITION_SEEDS:
+                for kind in PARTITION_KINDS:
+                    yield (
+                        f"partition/{name}/p{p}/s{seed}/{kind}",
+                        lambda A=A, p=p, s=seed, k=kind: _partition(A, p, s, k),
+                    )
 
 
 def main(argv=None) -> int:

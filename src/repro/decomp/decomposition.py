@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph import Graph, adjacency_from_matrix
-from ..partition import block_partition, partition_matrix_kway, random_partition
+from ..partition import block_partition, boundary_mask, partition_matrix_kway, random_partition
 from ..sparse import CSRMatrix
 
 __all__ = ["DomainDecomposition", "decompose"]
@@ -174,12 +174,7 @@ def decompose(
         raise ValueError(f"unknown decomposition method {method!r}")
 
     graph = adjacency_from_matrix(A, symmetric=True)
-    is_interface = np.zeros(n, dtype=bool)
-    if nranks > 1:
-        for v in range(n):
-            nbrs = graph.neighbors(v)
-            if nbrs.size and np.any(part[nbrs] != part[v]):
-                is_interface[v] = True
+    is_interface = boundary_mask(graph, part)
     return DomainDecomposition(
         A=A, nranks=nranks, part=part, is_interface=is_interface, graph=graph
     )

@@ -27,7 +27,7 @@ from ..faults import FaultPlan
 from ..graph import Graph
 from ..kernels.backend import resolve_backend
 from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport, run_region
-from ..partition import partition_graph_kway
+from ..partition import boundary_mask, partition_graph_kway
 from ..sparse import CSRMatrix
 from .elimination import EliminationEngine
 from .parallel import ParallelILUResult, result_of
@@ -101,14 +101,10 @@ class InterfacePartitionEngine(EliminationEngine):
         edges = np.unique(np.concatenate((src * nloc + dst, dst * nloc + src)))
         graph = Graph.from_edges(nloc, edges // nloc, edges % nloc)
         nparts = min(self.decomp.nranks, max(2, nloc // 8))
-        res = partition_graph_kway(graph, nparts, seed=self.seed + 7)
-        part = res.part
-        internal: list[list[int]] = [[] for _ in range(nparts)]
-        for idx in range(nloc):
-            nbrs = graph.adjncy[graph.xadj[idx] : graph.xadj[idx + 1]]
-            if nbrs.size == 0 or np.all(part[nbrs] == part[idx]):
-                internal[part[idx]].append(int(remaining[idx]))
-        return [np.asarray(sorted(d), dtype=np.int64) for d in internal]
+        part = partition_graph_kway(graph, nparts, seed=self.seed + 7).part
+        internal = ~boundary_mask(graph, part)
+        # ``remaining`` is ascending, so each domain's rows are too
+        return [remaining[(part == d) & internal] for d in range(nparts)]
 
     def _compute_domain(self, nodes: np.ndarray) -> RowBlock:
         """Pure thunk body: factor one interface-domain's internal rows,

@@ -83,13 +83,12 @@ def _cross_rank_receivers(
 
 def _column_consumers(M, owner: np.ndarray) -> dict[int, set[int]]:
     """For each column position, the ranks owning rows that reference it."""
+    rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+    nranks = int(owner.max(initial=0)) + 1
+    pairs = np.unique(M.indices * nranks + owner[rows])  # one per (column, rank)
     consumers: dict[int, set[int]] = {}
-    nrows = M.shape[0]
-    for i in range(nrows):
-        cols, _ = M.row(i)
-        r = int(owner[i])
-        for c in cols:
-            consumers.setdefault(int(c), set()).add(r)
+    for c, r in zip((pairs // nranks).tolist(), (pairs % nranks).tolist()):
+        consumers.setdefault(c, set()).add(r)
     return consumers
 
 

@@ -16,7 +16,7 @@ from .nested_dissection import (
     nested_dissection_matrix,
     vertex_separator_from_cut,
 )
-from .refine import edge_cut, partition_balance, refine_kway
+from .refine import boundary_mask, edge_cut, partition_balance, refine_kway
 
 __all__ = [
     "PartitionResult",
@@ -29,6 +29,7 @@ __all__ = [
     "greedy_graph_growing",
     "initial_kway",
     "refine_kway",
+    "boundary_mask",
     "edge_cut",
     "partition_balance",
     "nested_dissection",

@@ -5,6 +5,9 @@ initial domain decomposition) coarsens the graph by collapsing a maximal
 matching.  *Heavy-edge* matching prefers the incident edge of largest
 weight, which concentrates edge weight inside coarse vertices and keeps
 the edge-cut of coarse partitions representative of fine ones.
+
+The matching is a sequential greedy sweep, run over Python lists built
+once per call; the collapse is array expressions.
 """
 
 from __future__ import annotations
@@ -25,25 +28,23 @@ def heavy_edge_matching(graph: Graph, *, seed: int = 0) -> np.ndarray:
     incident unmatched edge.
     """
     n = graph.nvertices
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    match = np.full(n, -1, dtype=np.int64)
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    xadj, adjncy, adjwgt = graph.xadj.tolist(), graph.adjncy.tolist(), graph.adjwgt.tolist()
+    match = [-1] * n
     for v in order:
         if match[v] != -1:
             continue
-        nbrs = graph.neighbors(v)
-        wgts = graph.neighbor_weights(v)
-        best = -1
-        best_w = -np.inf
-        for u, w in zip(nbrs, wgts):
-            if u != v and match[u] == -1 and w > best_w:
-                best, best_w = int(u), float(w)
+        best, best_w = -1, float("-inf")
+        for k in range(xadj[v], xadj[v + 1]):
+            u = adjncy[k]
+            if u != v and match[u] == -1 and adjwgt[k] > best_w:
+                best, best_w = u, adjwgt[k]
         if best >= 0:
             match[v] = best
             match[best] = v
         else:
             match[v] = v
-    return match
+    return np.asarray(match, dtype=np.int64)
 
 
 def collapse_matching(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
@@ -54,21 +55,17 @@ def collapse_matching(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarra
     sums of their constituents; parallel coarse edges are merged with
     summed weights and self-loops (internal matched edges) are dropped.
     """
-    n = graph.nvertices
-    cmap = np.full(n, -1, dtype=np.int64)
-    nc = 0
-    for v in range(n):
-        if cmap[v] != -1:
-            continue
-        u = int(match[v])
-        cmap[v] = nc
-        if u != v and cmap[u] == -1:
-            cmap[u] = nc
-        nc += 1
+    # a coarse vertex is numbered at its smallest constituent, in
+    # ascending order (``match`` is symmetric: a pair names each other)
+    vertices = np.arange(graph.nvertices, dtype=np.int64)
+    rep = np.minimum(vertices, match)
+    is_rep = rep == vertices
+    nc = int(np.count_nonzero(is_rep))
+    cmap = (np.cumsum(is_rep) - 1)[rep]
     # coarse vertex weights
     cvwgt = np.zeros(nc, dtype=np.float64)
     np.add.at(cvwgt, cmap, graph.vwgt)
-    # coarse edges: map endpoints, merge duplicates via dict-of-dicts
+    # coarse edges: map endpoints, merge duplicates by CSR summation
     from ..sparse import CSRMatrix
 
     rows = np.repeat(cmap, np.diff(graph.xadj))
