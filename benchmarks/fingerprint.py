@@ -2,8 +2,8 @@
 
 One sha256 per case over everything a factorization is allowed to
 produce: the L/U/perm bytes, level sizes, flops, words copied, modelled
-time, every ``CommStats`` field, recoveries and — when traced — every
-tracer cell.  A refactor that claims "same bits" writes the corpus at
+time, every ``CommStats`` field, recoveries, the fault journal's
+signature under a fault plan and — when traced — every tracer cell.  A refactor that claims "same bits" writes the corpus at
 the parent commit and compares it at the change::
 
     PYTHONPATH=src python benchmarks/fingerprint.py --write /tmp/fp.json
@@ -118,6 +118,8 @@ def fingerprint(res) -> str:
         None if res.comm is None else sorted(asdict(res.comm).items()),
         res.recoveries,
     ]
+    if res.fault_journal is not None:
+        parts.append(res.fault_journal.signature())
     if res.trace is not None:
         parts.append(
             [
@@ -198,6 +200,10 @@ def cases(quick: bool):
         "crash-late": FaultPlan(rank_faults=[RankFault("crash", rank=2, superstep=40)]),
         "drop": FaultPlan(message_faults=[MessageFault("drop", tag="urow")]),
         "drop-mis": FaultPlan(message_faults=[MessageFault("drop", tag="mis", count=2)]),
+        "delay": FaultPlan(message_faults=[MessageFault("delay", tag="urow", count=3, delay=1e-3)]),
+        "delay-mis": FaultPlan(message_faults=[MessageFault("delay", tag="mis", delay=5e-4)]),
+        "duplicate": FaultPlan(message_faults=[MessageFault("duplicate", tag="urow", count=2)]),
+        "duplicate-mis": FaultPlan(message_faults=[MessageFault("duplicate", tag="mis")]),
         # one message lost past every retransmit: MessageLost -> checkpoint restart
         "drop-lost": FaultPlan(
             message_faults=[MessageFault("drop", src=0, dst=1, tag="urow", count=4)]

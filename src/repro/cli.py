@@ -199,7 +199,8 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
     modes against real workers, where recovery is the supervised region
     retry of DESIGN.md §14 instead of the simulator's checkpoint
     restart; the baseline it must match bit-for-bit runs on the same
-    transport.
+    transport.  Each side refuses (exit 1) the mode it has no reading
+    of: ``message-drop`` off the simulator, ``corrupt-result`` on it.
     """
     from .faults import FaultPlan, MessageFault, RankFault
     from .ilu import ILUTParams, parallel_ilut, parallel_ilut_star
@@ -225,6 +226,11 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
             "region result in a recoverable way; run it on the simulator "
             "or pick rank-crash / rank-stall / corrupt-result")
         doc.update({"ok": False, "error": "unportable fault mode"})
+        return _finish_check(doc, emit_json)
+    if args.inject == "corrupt-result" and transport == "simulator":
+        say("corrupt-result needs real workers: a simulated message carries "
+            "no data to corrupt; run it with --transport threads|processes")
+        doc.update({"ok": False, "error": "fault mode needs a worker transport"})
         return _finish_check(doc, emit_json)
 
     A = load_matrix(args.matrix)
@@ -257,8 +263,7 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
             say(f"injected: stalled rank {rank} for {stall:g}s at superstep 3")
         else:  # corrupt-result
             plan = FaultPlan(message_faults=[MessageFault("corrupt", tag="urow")])
-            say("injected: corrupted one interface-row exchange "
-                "(a worker's result frame on real transports)")
+            say("injected: corrupted one worker's region result frame")
         res = factor(
             A, params, args.procs, seed=args.seed, faults=plan,
             transport=transport, supervision=supervision,
@@ -295,8 +300,8 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
             say("fault check FAILED: factors diverged")
         return _finish_check(doc, emit_json)
 
-    # nan-corrupt: the engine exchanges accounting-only payloads, so a
-    # corrupted *message* cannot reach the numerics — instead poison the
+    # nan-corrupt: messages are accounting only, so a corrupted
+    # *message* cannot reach the numerics — instead poison the
     # finished factors and require the fallback chain's probe to catch
     # it at the apply boundary and degrade to a healthy candidate.
     factors = baseline.factors

@@ -1,9 +1,10 @@
 """Deterministic fault injection for the SPMD machine model.
 
-Describe failures with a seeded, immutable :class:`FaultPlan` (message
+Describe failures with an immutable :class:`FaultPlan` (message
 drop/delay/duplicate/corrupt, rank crash/stall), hand it to a transport
-— the :class:`~repro.machine.Simulator` injects it virtually, the worker
-transports physically (crash / stall / corrupt-result) — and every
+— the :class:`~repro.machine.Simulator` injects it virtually (drop /
+delay / duplicate / crash / stall), the worker transports physically
+(crash / stall / corrupt-result) — and every
 injected event lands in a structured :class:`FaultJournal` whose
 :meth:`~FaultJournal.signature` is bit-reproducible across runs and
 kernel backends.  One :class:`FaultRuntime` serves both.
@@ -13,6 +14,7 @@ from .journal import FaultEvent, FaultJournal
 from .plan import (
     PORTABLE_MESSAGE_ACTIONS,
     PORTABLE_RANK_ACTIONS,
+    VIRTUAL_MESSAGE_ACTIONS,
     FaultError,
     FaultPlan,
     FaultRuntime,
@@ -38,6 +40,7 @@ __all__ = [
     "RegionInjection",
     "SendEffect",
     "unportable_faults",
+    "VIRTUAL_MESSAGE_ACTIONS",
     "PORTABLE_MESSAGE_ACTIONS",
     "PORTABLE_RANK_ACTIONS",
 ]

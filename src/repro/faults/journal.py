@@ -1,11 +1,11 @@
 """Structured fault journal.
 
 Every event the fault-injection harness produces — a dropped or delayed
-message, a corrupted payload, a rank crash or stall, and every recovery
+message, a corrupted region result, a rank crash or stall, and every recovery
 action taken by a resilient driver (retransmit, checkpoint restore) —
 is appended to a :class:`FaultJournal` as an immutable
 :class:`FaultEvent`.  The journal is the ground truth the determinism
-tests assert on: same seed + same :class:`~repro.faults.plan.FaultPlan`
+tests assert on: the same :class:`~repro.faults.plan.FaultPlan`
 must produce a bit-identical :meth:`FaultJournal.signature` regardless
 of the kernel backend, exactly like the factors and the modelled time.
 """
@@ -41,7 +41,7 @@ class FaultEvent:
     tag:
         ``repr`` of the message tag (``""`` for rank faults).
     detail:
-        Human-readable specifics (delay amount, corrupted index, ...).
+        Human-readable specifics (delay amount, retry attempt, ...).
     """
 
     index: int
@@ -108,7 +108,7 @@ class FaultJournal:
     def signature(self) -> tuple[tuple[int, str, int, int, int, int, str, str], ...]:
         """A hashable, order-sensitive fingerprint of the whole journal.
 
-        Two runs with the same seed and plan must produce equal
+        Two runs with the same plan must produce equal
         signatures — the property the determinism suite asserts across
         kernel backends.
         """

@@ -1,14 +1,14 @@
-"""Deterministic, seeded fault plans for the SPMD transports.
+"""Deterministic fault plans for the SPMD transports.
 
 A :class:`FaultPlan` is an immutable description of *what goes wrong*:
 point-to-point message faults (drop / delay / duplicate / corrupt) and
 rank faults (crash / stall at a chosen superstep).  The plan itself is
 reusable; each transport built with a plan gets a fresh
 :class:`FaultRuntime` from :meth:`FaultPlan.runtime` carrying the
-mutable match counters, the seeded RNG used for payload corruption, and
-the :class:`~repro.faults.journal.FaultJournal` — so the same plan
-replayed with the same seed produces a bit-identical journal, factors
-and modelled time (the determinism suite asserts this across backends).
+mutable match counters and the
+:class:`~repro.faults.journal.FaultJournal` — so the same plan replayed
+produces a bit-identical journal, factors and modelled time (the
+determinism suite asserts this across backends).
 
 One runtime, two ways to consult it.  The simulator injects *virtually*,
 message by message and charge by charge (:meth:`FaultRuntime.on_send` /
@@ -17,8 +17,10 @@ The worker transports inject *physically*, region by region
 (:meth:`FaultRuntime.plan_region`): a ``crash`` kills the worker, a
 ``stall`` makes it sleep, and a ``corrupt`` message fault is read as
 *corrupt-result* — the rank's region result is replaced by an
-undecodable blob.  Drop / delay / duplicate have no physical reading and
-are refused there (:func:`unportable_faults`, DESIGN.md §14.3).
+undecodable blob.  Each side refuses what it cannot read (DESIGN.md
+§14.3): drop / delay / duplicate have no physical reading
+(:func:`unportable_faults`), and ``corrupt`` has no virtual one — a
+simulated message is accounting only and carries no data to corrupt.
 
 Failure semantics
 -----------------
@@ -28,8 +30,8 @@ Failure semantics
 * ``delay``  — arrival time is pushed back by ``delay`` seconds.
 * ``duplicate`` — a second copy is enqueued (stale copies left in the
   mailbox at the end of the run are visible via ``pending_messages``).
-* ``corrupt`` — float payloads get one entry replaced by NaN/Inf or one
-  mantissa bit flipped; opaque payloads are journaled but left intact.
+* ``corrupt`` — worker transports only: the rank's region result is
+  replaced by an undecodable blob (*corrupt-result*).
 * ``crash``  — the rank raises :class:`RankFailure` at its first
   participation at or after ``superstep``; the crash is one-shot (the
   model is fail-once-then-restart), so a driver that restores a
@@ -40,11 +42,8 @@ Failure semantics
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from .journal import FaultJournal
 
@@ -59,13 +58,15 @@ __all__ = [
     "SendEffect",
     "RegionInjection",
     "unportable_faults",
+    "VIRTUAL_MESSAGE_ACTIONS",
     "PORTABLE_MESSAGE_ACTIONS",
     "PORTABLE_RANK_ACTIONS",
 ]
 
 _MESSAGE_ACTIONS = ("drop", "delay", "duplicate", "corrupt")
 _RANK_ACTIONS = ("crash", "stall")
-_CORRUPTIONS = ("nan", "inf", "bitflip")
+#: message-fault actions the simulator injects, message by message
+VIRTUAL_MESSAGE_ACTIONS = ("drop", "delay", "duplicate")
 #: message-fault actions the worker transports honour (as corrupt-result)
 PORTABLE_MESSAGE_ACTIONS = ("corrupt",)
 #: rank-fault actions the worker transports honour
@@ -115,7 +116,6 @@ class MessageFault:
     count: int = 1
     skip: int = 0
     delay: float = 0.0
-    corruption: str = "nan"
 
     def __post_init__(self) -> None:
         if self.action not in _MESSAGE_ACTIONS:
@@ -129,10 +129,6 @@ class MessageFault:
             raise ValueError(f"skip must be >= 0, got {self.skip}")
         if self.action == "delay" and self.delay <= 0:
             raise ValueError("delay faults need delay > 0")
-        if self.corruption not in _CORRUPTIONS:
-            raise ValueError(
-                f"unknown corruption {self.corruption!r}; choose from {_CORRUPTIONS}"
-            )
 
     def matches(self, src: int, dst: int, tag: Any) -> bool:
         if self.src is not None and src != self.src:
@@ -171,11 +167,10 @@ class RankFault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Immutable, seeded description of the faults to inject."""
+    """Immutable description of the faults to inject."""
 
     message_faults: tuple[MessageFault, ...] = ()
     rank_faults: tuple[RankFault, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # tolerate lists at the call site; store tuples for hashability
@@ -189,7 +184,7 @@ class FaultPlan:
     def describe(self) -> str:
         return (
             f"FaultPlan({len(self.message_faults)} message fault(s), "
-            f"{len(self.rank_faults)} rank fault(s), seed={self.seed})"
+            f"{len(self.rank_faults)} rank fault(s))"
         )
 
 
@@ -216,7 +211,6 @@ class SendEffect:
     deliver: bool = True
     copies: int = 1
     extra_delay: float = 0.0
-    payload: Any = None
 
 
 @dataclass(frozen=True)
@@ -227,31 +221,6 @@ class RegionInjection:
     stall: float = 0.0
 
 
-def _corrupt_payload(
-    payload: Any, mode: str, rng: np.random.Generator
-) -> tuple[Any, str]:
-    """Corrupt one value of a float payload; opaque payloads pass through."""
-    if isinstance(payload, np.ndarray) and payload.size and payload.dtype.kind == "f":
-        out = payload.copy()
-        idx = int(rng.integers(out.size))
-        if mode == "nan":
-            out.flat[idx] = np.nan
-        elif mode == "inf":
-            out.flat[idx] = np.inf
-        else:  # bitflip: one mantissa bit of the chosen entry
-            bit = int(rng.integers(52))
-            bits = out.reshape(-1).view(np.uint64)
-            bits[idx] = bits[idx] ^ np.uint64(1 << bit)
-        return out, f"{mode} at payload index {idx}"
-    if isinstance(payload, float) and math.isfinite(payload):
-        if mode == "nan":
-            return float("nan"), f"{mode} scalar"
-        if mode == "inf":
-            return float("inf"), f"{mode} scalar"
-        return -payload, "bitflip scalar (sign)"
-    return payload, f"{mode} requested but payload is opaque; left intact"
-
-
 class FaultRuntime:
     """Mutable per-run state of a :class:`FaultPlan`.
 
@@ -260,7 +229,7 @@ class FaultRuntime:
     Either way crash/stall faults disarm when they fire (fail-once
     model), so the recovery that follows — checkpoint restart on the
     simulator, region retry on workers — makes progress, and the same
-    seeded plan recovers on every transport.  The recovery layers append
+    plan recovers on every transport.  The recovery layers append
     ``retransmit`` / ``restore`` / ``region-retry`` events through
     :attr:`journal`.
     """
@@ -268,17 +237,18 @@ class FaultRuntime:
     def __init__(self, plan: FaultPlan, journal: FaultJournal) -> None:
         self.plan = plan
         self.journal = journal
-        self._rng = np.random.default_rng(plan.seed)
         self._seen = [0] * len(plan.message_faults)
         self._fired = [False] * len(plan.rank_faults)
 
-    def on_send(
-        self, src: int, dst: int, tag: Any, payload: Any, superstep: int
-    ) -> SendEffect:
-        """Apply message faults to one posted message (first match wins)."""
-        effect = SendEffect(payload=payload)
+    def on_send(self, src: int, dst: int, tag: Any, superstep: int) -> SendEffect:
+        """Apply message faults to one posted message (first match wins).
+
+        Only the virtual actions take part: a ``corrupt`` fault is read
+        region by region (:meth:`plan_region`), never per message.
+        """
+        effect = SendEffect()
         for fi, fault in enumerate(self.plan.message_faults):
-            if not fault.matches(src, dst, tag):
+            if fault.action not in VIRTUAL_MESSAGE_ACTIONS or not fault.matches(src, dst, tag):
                 continue
             seen = self._seen[fi]
             self._seen[fi] = seen + 1
@@ -299,22 +269,10 @@ class FaultRuntime:
                     tag=tag,
                     detail=f"+{fault.delay:g}s",
                 )
-            elif fault.action == "duplicate":
+            else:  # duplicate
                 effect.copies += 1
                 self.journal.record(
                     "duplicate", superstep=superstep, src=src, dst=dst, tag=tag
-                )
-            else:  # corrupt
-                effect.payload, detail = _corrupt_payload(
-                    effect.payload, fault.corruption, self._rng
-                )
-                self.journal.record(
-                    "corrupt",
-                    superstep=superstep,
-                    src=src,
-                    dst=dst,
-                    tag=tag,
-                    detail=detail,
                 )
             return effect  # one fault per message keeps semantics composable
         return effect

@@ -109,7 +109,7 @@ def distributed_two_step_luby_mis(
                     for v in verts:
                         tr.write(src, "mis-flag", int(v))
             sim.exchange(
-                [(src, dst, None, float(count)) for (src, dst), count in sorted(pattern.items())],
+                [(src, dst, float(count)) for (src, dst), count in sorted(pattern.items())],
                 tag=("mis", rnd, step),
             )
             if tr is not None:

@@ -272,19 +272,19 @@ class EliminationEngine:
         if self.sim is not None:
             self.sim.barrier()
 
-    def _recv_retry(self, src: int, dst: int, tag: object, nwords: float) -> object:
+    def _recv_retry(self, src: int, dst: int, tag: object, nwords: float) -> None:
         """Receive with bounded retransmission under fault injection.
 
-        The engine's payloads are accounting-only (``None``); what must
-        be replayed on a loss is the *charge* — the sender re-posts the
-        same message (journaled as ``retransmit``) up to
-        :data:`MAX_RETRANSMITS` times before the loss escalates to the
-        checkpoint-recovery layer.
+        A message is accounting only, so what must be replayed on a loss
+        is the *charge* — the sender re-posts the same ``nwords``
+        (journaled as ``retransmit``) up to :data:`MAX_RETRANSMITS`
+        times before the loss escalates to the checkpoint-recovery layer.
         """
         assert self.sim is not None
         for attempt in range(MAX_RETRANSMITS + 1):
             try:
-                return self.sim.recv(dst, src, tag=tag)
+                self.sim.recv(dst, src, tag=tag)
+                return
             except MessageLost:
                 if attempt == MAX_RETRANSMITS:
                     raise
@@ -298,7 +298,7 @@ class EliminationEngine:
                         tag=tag,
                         detail=f"attempt {attempt + 1}",
                     )
-                self.sim.send(src, dst, None, nwords, tag=tag)
+                self.sim.send(src, dst, nwords, tag=tag)
         raise AssertionError("unreachable")
 
     def _merge_blocks(self, blocks: Sequence[RowBlock | None], *, by_row: bool = False) -> None:
@@ -510,7 +510,7 @@ class EliminationEngine:
                 for r in range(nranks):
                     self.sim.compute(r, 2.0 * MIS_OPS_PER_EDGE * edges_per_rank[r])
                 for (src, dst), cnt in boundary_words:
-                    self.sim.send(src, dst, None, cnt, tag=("mis", level))
+                    self.sim.send(src, dst, cnt, tag=("mis", level))
                 for (src, dst), cnt in boundary_words:
                     self._recv_retry(src, dst, ("mis", level), cnt)
                 self.sim.barrier()
@@ -583,7 +583,7 @@ class EliminationEngine:
             (divmod(pair, nranks), w) for pair, w in zip(pairs.tolist(), words.tolist())
         ]
         for (src, dst), w in pair_words:
-            self.sim.send(src, dst, None, w, tag=tag)
+            self.sim.send(src, dst, w, tag=tag)
         self.u_rows_comm += int(needed.size)
         for (src, dst), w in pair_words:
             self._recv_retry(src, dst, tag, w)

@@ -123,7 +123,6 @@ def parallel_ilut(
     faults: FaultPlan | None = None,
     checkpoint: bool | None = None,
     backend: str | None = None,
-    copy_payloads: bool = False,
     supervision: "SupervisionPolicy | None" = None,
 ) -> ParallelILUResult:
     """Factor ``A`` with parallel ILUT(m, t) on ``nranks`` simulated PEs.
@@ -189,12 +188,6 @@ def parallel_ilut(
         Accepted and validated for symmetry with the serial kernels and
         the solve phase; the elimination runs the same kernels
         (:mod:`repro.ilu.row`, :mod:`repro.ilu.level`) under every name.
-    copy_payloads:
-        Pickle round-trip every simulated message at post time — the
-        serializing-transport debug oracle (see
-        :class:`~repro.machine.Simulator`); results are bit-identical
-        for transport-certified drivers.  Requires
-        ``transport="simulator"``.
     """
     resolve_backend(backend)
     if decomp is None:
@@ -211,7 +204,6 @@ def parallel_ilut(
         model=model,
         trace=trace,
         faults=faults,
-        copy_payloads=copy_payloads,
         supervision=supervision,
     ) as sim:
         outcome = EliminationEngine(

@@ -259,7 +259,7 @@ def _factor_on(
                     need.get((int(part[c]), int(part[i])), 0.0) + nw
                 )
             sim.exchange(
-                [(src, dst, None, words) for (src, dst), words in sorted(need.items())],
+                [(src, dst, words) for (src, dst), words in sorted(need.items())],
                 tag=("ilu0", lvl_idx),
             )
         rec_by_row = run_region_by_owner(

@@ -171,7 +171,7 @@ def _account_level(
     if sim is not None:
         words = _cross_rank_receivers(sweep.consumers, owner, positions)
         sim.exchange(
-            [(src, dst, None, float(w)) for (src, dst), w in sorted(words.items())],
+            [(src, dst, float(w)) for (src, dst), w in sorted(words.items())],
             tag=(sweep.name, lvl_idx),
         )
         sim.barrier()
@@ -213,7 +213,6 @@ def parallel_triangular_solve(
     trace: bool = False,
     backend: str | None = None,
     faults: FaultPlan | None = None,
-    copy_payloads: bool = False,
     supervision: "SupervisionPolicy | None" = None,
 ) -> TriangularSolveResult:
     """Apply the preconditioner ``M^{-1} b`` with the two-phase schedule.
@@ -242,10 +241,6 @@ def parallel_triangular_solve(
     supervisor with ``supervision=`` (a
     :class:`~repro.machine.SupervisionPolicy`; real transports only).
     The journal and the retry count are returned on the result.
-
-    ``copy_payloads=True`` pickle round-trips every message at post time
-    (the serializing-transport debug oracle; any transport but
-    ``"none"``) — results are bit-identical.
     """
     if factors.levels is None:
         raise ValueError(
@@ -267,7 +262,6 @@ def parallel_triangular_solve(
         model=model,
         trace=trace,
         faults=faults,
-        copy_payloads=copy_payloads,
         supervision=supervision,
     ) as sim:
         # Per-rank accumulator instead of a shared nonlocal: every charge

@@ -5,10 +5,11 @@ runtime checks (the race detector, the fault journal, the kernel parity
 suite) only exercise on the inputs a given run happens to execute.  This
 package checks the same disciplines *statically*, on every code path:
 
-* **SPMD communication** (``SPMD00x``) — per-module communication
-  summaries of ``send``/``recv``/collective call sites; unmatched
-  send/recv tags, collectives reachable under rank-dependent control
-  flow, and recv loops whose bounds differ from the matching send loops.
+* **SPMD communication** (``SPMD00x``) — symbolic protocol execution
+  of every driver (deadlocks, unmatched tags, leaked messages),
+  collectives reachable under rank-derived control flow or per-rank
+  loops, and recv loops whose bounds differ from the matching send
+  loops.
 * **Determinism** (``DET00x``) — unseeded RNG, iteration over unordered
   containers in communication-bearing functions, float ``==``
   comparisons, order-sensitive reductions over unordered containers.
@@ -18,8 +19,7 @@ package checks the same disciplines *statically*, on every code path:
 * **Breakdown typing** (``BRK001``) — numeric raise sites must use the
   typed :mod:`repro.resilience` hierarchy, not bare builtins.
 
-* **Transport portability** (``TRN00x``) — posted payloads mutated
-  after the post, payloads ``pickle`` rejects, hidden module/closure
+* **Transport portability** (``TRN00x``) — hidden module/closure
   state and platform-default dtypes in rank-executed code.
 * **Vectorization** (``PERF001``) — scalar per-row CSR loops in
   cost-charged functions.

@@ -4,10 +4,9 @@ Exit status: 0 when there are no findings, 1 otherwise — the CI
 contract.  ``--verify-protocol`` runs the symbolic SPMD protocol
 verifier and prints a per-root certification table;
 ``--verify-transport`` does the same for the transport-portability
-analysis (escape/aliasing, pickle-safety, hidden state, dtype
-discipline); ``--verify-costs`` certifies the statically derived
-flop/comm cost models against the simulator's recorded charges on small
-seeded instances.  The three flags compose: the files are parsed once,
+analysis (hidden state, dtype discipline); ``--verify-costs``
+certifies the statically derived flop/comm cost models against the
+simulator's recorded charges on small seeded instances.  The three flags compose: the files are parsed once,
 one call graph serves every requested table, the tables print in
 protocol → transport → costs order, and the exit status is 1 if any row
 is not CERTIFIED.
@@ -73,8 +72,8 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
         "--verify-transport",
         action="store_true",
         help=(
-            "certify the comm roots transport-portable (escape/aliasing, "
-            "pickle-safety, hidden state, dtype discipline)"
+            "certify the comm roots transport-portable (hidden state, "
+            "dtype discipline)"
         ),
     )
     p.add_argument(
@@ -168,10 +167,7 @@ def _protocol_row(r) -> None:
 
 def _transport_row(r) -> None:
     status = "CERTIFIED" if r.certified else "FAILED"
-    print(
-        f"{status:<9} {r.module}::{r.qualname}  "
-        f"functions={r.functions} payloads={r.payloads}"
-    )
+    print(f"{status:<9} {r.module}::{r.qualname}  functions={r.functions}")
     for p in r.problems:
         print(
             f"  {p.rule} [{p.kind}] {p.module}:{p.line} "

@@ -7,8 +7,8 @@ The drivers talk to :class:`repro.machine.Simulator` (and every other
 ``compute``/``advance``.  This module is the **only** place the
 analyzer spells that vocabulary out: which call names communicate
 (:func:`classify`), which calls charge the cost model and as what
-(:func:`charged_as`), where each method keeps its endpoints, tag,
-payload and charged amount (:data:`SIGNATURES` + :func:`argument`), and
+(:func:`charged_as`), where each method keeps its endpoints, tag and
+charged amount (:data:`SIGNATURES` + :func:`argument`), and
 which functions are the certified roots (:data:`COMM_ROOTS`).  Every
 rule and every ``flow`` analysis imports it; ``tests/lint/test_comm.py``
 pins :data:`SIGNATURES` to ``inspect.signature`` of the real methods.
@@ -50,7 +50,6 @@ __all__ = [
     "is_comm",
     "charged_as",
     "argument",
-    "payload_exprs",
     "amount_expr",
     "flop_charge_amount",
     "implements_transport",
@@ -78,11 +77,13 @@ CHARGE_NAMES = ("compute", "advance")
 SIM_RECEIVERS = frozenset({"sim", "simulator", "transport"})
 
 #: Positional parameters of each transport method, in signature order
-#: (``self`` dropped).  ``recv_helper`` is the engines' retry wrapper
+#: (``self`` dropped).  A message is accounting only: ``send`` and each
+#: ``exchange`` message ``(src, dst, nwords)`` carry no data slot.
+#: ``recv_helper`` is the engines' retry wrapper
 #: ``_recv_retry(src, dst, tag, nwords)`` — sender first, unlike
 #: ``recv(dst, src, tag)``.
 SIGNATURES: dict[str, tuple[str, ...]] = {
-    "send": ("src", "dst", "payload", "nwords", "tag"),
+    "send": ("src", "dst", "nwords", "tag"),
     "recv": ("dst", "src", "tag"),
     "recv_helper": ("src", "dst", "tag", "nwords"),
     "exchange": ("messages", "tag"),
@@ -93,8 +94,6 @@ SIGNATURES: dict[str, tuple[str, ...]] = {
     "advance": ("rank", "seconds"),
 }
 
-#: The parameter a transport would serialize, per posting method.
-_PAYLOAD_PARAM = {"send": "payload", "exchange": "messages", "allgather": "values"}
 #: The parameter holding the charged quantity, per charging method.
 _AMOUNT_PARAM = {
     "compute": "flops",
@@ -102,9 +101,6 @@ _AMOUNT_PARAM = {
     "send": "nwords",
     "allgather": "nwords_each",
 }
-#: Slot of the payload inside one ``exchange`` message tuple
-#: ``(src, dst, payload, nwords)``.
-_MESSAGE_PAYLOAD_SLOT = 2
 
 #: Call shapes that charge flops: ``sim.compute`` and the engines'
 #: wrappers around it, all ``(rank, flops)``.
@@ -200,31 +196,6 @@ def argument(call: ast.Call, param: str) -> ast.expr | None:
         if kw.arg == param:
             return kw.value
     return None
-
-
-def payload_exprs(call: ast.Call) -> list[ast.expr]:
-    """The expression(s) a transport would serialize at a posting call.
-
-    ``send`` contributes its payload argument; ``exchange`` over a list
-    literal contributes the payload slot of each message tuple (a
-    non-literal argument contributes the whole expression — the list
-    *object* is what a reference-passing transport aliases);
-    ``allgather`` contributes its values argument the same way.
-    """
-    name = call_name(call)
-    param = _PAYLOAD_PARAM.get(name)
-    expr = argument(call, param) if param is not None else None
-    if expr is None:
-        return []
-    if name == "send" or not isinstance(expr, (ast.List, ast.Tuple)):
-        return [expr]
-    if name == "allgather":
-        return list(expr.elts)
-    return [
-        elt.elts[_MESSAGE_PAYLOAD_SLOT]
-        for elt in expr.elts
-        if isinstance(elt, ast.Tuple) and len(elt.elts) > _MESSAGE_PAYLOAD_SLOT
-    ]
 
 
 def amount_expr(call: ast.Call) -> ast.expr | None:

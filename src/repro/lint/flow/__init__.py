@@ -22,6 +22,9 @@ program semantics to reason over:
   certifying drivers deadlock-free or producing located findings;
 * :mod:`~repro.lint.flow.taint` — rank-taint and RNG-taint def-use
   analyses with full chains for the finding messages;
+* :mod:`~repro.lint.flow.portability` — hidden state and dtype drift in
+  rank-executed code (the ``TRN`` rules, ``--verify-transport``), over
+  the value kinds of :mod:`~repro.lint.flow.pytypes`;
 * :mod:`~repro.lint.flow.cost` — symbolic loop-bound and cost analysis:
   extracts every simulator charge site reachable from the certified
   comm roots, derives per-site fire-count expressions from the loop
@@ -48,14 +51,14 @@ from .dataflow import (
     constant_env_at,
     eval_const_expr,
 )
-from .escape import (
+from .portability import (
     TransportProblem,
     TransportReport,
     analyze_transport,
     verify_transport,
 )
 from .protocol import ProtocolProblem, ProtocolReport, verify_drivers, verify_function
-from .pytypes import AbsType, infer_expr, infer_types, is_pickle_safe, unsafe_reason
+from .pytypes import infer_expr, infer_types
 from .summary import CommOp, FunctionSummary, summarize_function
 from .taint import TaintChain, rank_tainted_names, rng_taint_chains
 
@@ -93,9 +96,6 @@ __all__ = [
     "TransportReport",
     "analyze_transport",
     "verify_transport",
-    "AbsType",
     "infer_expr",
     "infer_types",
-    "is_pickle_safe",
-    "unsafe_reason",
 ]

@@ -18,9 +18,9 @@ Instances
     with an evaluator (:func:`eval_const_expr`) covering arithmetic,
     comparisons, boolean operators, tuples and a few pure builtins.
     The hypothesis property suite checks the evaluator against
-    ``eval`` on generated straight-line programs; the SPMD002 upgrade
-    uses :func:`constant_env_at` to discharge branch conditions that
-    only *look* rank-dependent.
+    ``eval`` on generated straight-line programs; SPMD005 uses
+    :func:`constant_env_at` to discharge branch conditions that only
+    *look* rank-dependent.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "constant_env_at",
     "assigned_names",
     "stmt_mutations",
-    "statements_after",
 ]
 
 
@@ -108,10 +107,9 @@ def stmt_mutations(stmt: ast.stmt) -> list[tuple[str, str, int]]:
     Covers subscript/attribute assignment and aug-assignment rooted at a
     bare name (``x[i] = v``, ``x.field += v``), aug-assignment of the
     name itself (``x += v`` — a rebind for scalars but an in-place
-    ``__iadd__`` for ndarrays/lists; callers filter by inferred type),
-    and mutator method calls (``x.append(v)``, ``x.fill(0)``).  Plain
-    rebinding (``x = v``) is *not* a mutation: the old object — the one
-    a transport would already have serialized — is unaffected.
+    ``__iadd__`` for ndarrays/lists), and mutator method calls
+    (``x.append(v)``, ``x.fill(0)``).  Plain rebinding (``x = v``) is
+    *not* a mutation: the old object is unaffected.
     """
     out: list[tuple[str, str, int]] = []
 
@@ -150,46 +148,6 @@ def stmt_mutations(stmt: ast.stmt) -> list[tuple[str, str, int]]:
         elif isinstance(node, ast.Delete):
             for t in node.targets:
                 record_target(t, "element deletion", node.lineno)
-    return out
-
-
-def statements_after(cfg: CFG, stmt: ast.stmt) -> list[ast.stmt]:
-    """Every statement that may execute *after* ``stmt`` completes.
-
-    Forward CFG reachability: the remainder of ``stmt``'s block plus
-    every statement of every transitively reachable successor block.
-    Loop back-edges make the loop body (including ``stmt`` itself)
-    reachable again — which is exactly right for the aliasing rule: a
-    mutation earlier in a loop body still happens *after* a send later
-    in the same body, one iteration on.
-    """
-    block = cfg.block_of(stmt)
-    if block is None:
-        return []
-    reached: set[int] = set()
-    work = list(block.succs)
-    while work:
-        bid = work.pop()
-        if bid in reached:
-            continue
-        reached.add(bid)
-        work.extend(cfg.blocks[bid].succs)
-    out: list[ast.stmt] = []
-    tail = False
-    for s in block.stmts:
-        if tail:
-            out.append(s)
-        if s is stmt:
-            tail = True
-    for bid in sorted(reached):
-        if bid == block.id:
-            # the block loops back to itself: its head re-executes
-            for s in block.stmts:
-                out.append(s)
-                if s is stmt:
-                    break
-            continue
-        out.extend(cfg.blocks[bid].stmts)
     return out
 
 

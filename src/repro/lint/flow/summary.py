@@ -34,7 +34,7 @@ import ast
 from dataclasses import dataclass, field
 
 from ..astutil import call_name
-from ..comm import COMM_KINDS, argument, classify, payload_exprs
+from ..comm import COMM_KINDS, argument, classify
 
 __all__ = ["CommOp", "FunctionSummary", "summarize_function"]
 
@@ -49,9 +49,6 @@ class CommOp:
     src: ast.expr | None = None
     dst: ast.expr | None = None
     tag: ast.expr | None = None
-    #: send/exchange/allgather: the expression a transport would
-    #: serialize (None for drains and payload-less calls).
-    payload: ast.expr | None = None
     #: collective: which one.  call: resolved lazily by the executor.
     name: str = ""
     call: ast.Call | None = None
@@ -106,14 +103,12 @@ class FunctionSummary:
 def _p2p_op(call: ast.Call, kind: str) -> CommOp:
     """A post/drain op; ``recv`` and its helpers store (src, dst) the
     same way round as ``send`` whatever their own argument order."""
-    payloads = payload_exprs(call) if kind == "send" else []
     return CommOp(
         kind=kind,
         node=call,
         src=argument(call, "src"),
         dst=argument(call, "dst"),
         tag=argument(call, "tag"),
-        payload=payloads[0] if payloads else None,
     )
 
 

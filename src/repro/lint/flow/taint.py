@@ -7,10 +7,9 @@ drivers:
   ``src``, a ``range(nranks)`` loop variable, ``sim.rank`` …).  A rank-
   tainted branch condition guarding a *collective* means different
   ranks can disagree about reaching the collective: the classic SPMD
-  divergence bug.  SPMD002 catches the syntactic case; the taint layer
-  (SPMD005) catches it through copies and arithmetic.
+  divergence bug, which SPMD005 follows through copies and arithmetic.
 * **RNG taint** — values derived from a random generator.  RNG-tainted
-  data flowing into a posted payload or a drop/keep decision makes the
+  data flowing into a drop/keep decision (DET005) makes the
   factorization non-reproducible across seeds — exactly what the
   paper's deterministic-MIS construction is designed to avoid.
 

@@ -3,34 +3,37 @@
 These rules consume the :mod:`repro.lint.flow` engine — the CFG/
 dataflow layer, the project call graph, the symbolic protocol executor
 and the taint analyses — and therefore see through indirection the
-syntactic rules (SPMD001–003, DET001–004) cannot:
+syntactic rules (SPMD003, DET001–004) cannot:
 
 * ``SPMD004`` certifies whole drivers deadlock-free by symbolic
   execution over rank counts 2–4, composing per-function summaries
   interprocedurally.  It reports *semantic* protocol violations —
-  drains with no matching post, collectives reached with messages in
-  flight, posts leaked at exit — each located at the offending call.
-* ``SPMD005`` tracks rank taint through copies and arithmetic into
-  branch conditions guarding collectives (``leader = rank == 0`` …
-  ``if leader: sim.barrier()``), with the def-use chain in the message.
-* ``DET005`` tracks RNG taint into posted payloads (``send``,
-  ``exchange`` messages, ``allgather`` values) and dropping decisions — randomness crossing the communication or dropping
-  boundary breaks run-to-run reproducibility of the factorization.
+  drains with no matching post (an unmatched tag included),
+  collectives reached with messages in flight, posts leaked at exit —
+  each located at the offending call.
+* ``SPMD005`` flags collectives that not every rank reaches once per
+  superstep: guarded by a rank-derived value (``if rank == 0:``, or
+  through copies and arithmetic, ``leader = rank == 0`` … ``if
+  leader:``, with the def-use chain in the message), or issued inside a
+  per-rank loop.
+* ``DET005`` tracks RNG taint into dropping decisions — randomness
+  crossing the dropping boundary breaks run-to-run reproducibility of
+  the factorization.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..astutil import call_name, enclosing_function, names_in
-from ..comm import RANK_NAMES, branch_conditions, payload_exprs
+from ..astutil import ancestors, call_name, enclosing_function, names_in
+from ..comm import RANK_NAMES, RANK_RANGE_MARKERS, CommSite, branch_conditions
 from ..findings import Finding, Severity
 from ..flow import rank_tainted_names, rng_taint_chains, verify_drivers
 from ..flow.dataflow import NAC, constant_env_at, eval_const_expr
 from ..registry import Rule, register
 from ..runner import ModuleContext, ProjectContext
 
-__all__ = ["ProtocolDeadlock", "RankTaintedCollective", "RngTaintedComm"]
+__all__ = ["ProtocolDeadlock", "RankTaintedCollective", "RngTaintedDropping"]
 
 
 @register
@@ -84,56 +87,80 @@ def _const_folds(func: ast.AST | None, test: ast.expr) -> bool:
     return eval_const_expr(test, env) is not NAC
 
 
+def _tainted_guard(site: CommSite, tainted: dict) -> str | None:
+    """Why a branch guarding ``site`` is rank-derived, or None.
+
+    Conditions that constant-fold are discharged: they evaluate
+    identically on every rank, however rank-flavoured their spelling.
+    """
+    for test in branch_conditions(site):
+        hit = sorted(names_in(test) & set(tainted))
+        if not hit or _const_folds(site.func, test):
+            continue
+        return (
+            f"collective guarded by rank-derived value {hit[0]!r} "
+            f"(condition at line {test.lineno}); taint chain: "
+            f"{tainted[hit[0]].describe()}"
+        )
+    return None
+
+
+def _rank_loop(site: CommSite) -> ast.For | None:
+    """The nearest ``for`` over the ranks enclosing ``site`` in its
+    function: a rank-named target or an iterable over the rank count."""
+    for anc in ancestors(site.call):
+        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return None
+        if isinstance(anc, ast.For) and (
+            names_in(anc.target) & RANK_NAMES
+            or any(m in ast.dump(anc.iter) for m in RANK_RANGE_MARKERS)
+        ):
+            return anc
+    return None
+
+
 @register
 class RankTaintedCollective(Rule):
-    """A collective guarded by a condition *derived from* the rank.
+    """A collective that not every rank reaches once per superstep.
 
-    SPMD002 catches ``if rank == 0: sim.barrier()``; this rule follows
-    the value through assignments (``leader = rank == 0``), reporting
-    the def-use chain that carried the taint into the guard.
+    ``barrier``/``allreduce``/``allgather`` synchronise *every* rank.
+    Guarded by a condition derived from the rank — directly (``if rank
+    == 0``) or through assignments (``leader = rank == 0``), the
+    def-use chain in the message — some ranks may not arrive at all;
+    issued inside a per-rank loop, it fires once per rank.  Either way
+    ranks disagree on the superstep count: the classic SPMD
+    collective-divergence deadlock.
     """
 
     id = "SPMD005"
     name = "rank-tainted-collective"
     severity = Severity.ERROR
     description = (
-        "collectives must not be guarded by values derived from the "
-        "rank (taint tracked through copies and arithmetic)"
+        "collectives must be reached once per superstep by every rank: "
+        "no guard derived from the rank (taint tracked through copies "
+        "and arithmetic) and no per-rank loop"
     )
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
         taint_cache: dict[int, dict] = {}
         for site in module.comm_sites:
-            if site.kind != "collective" or site.func is None:
+            if site.kind != "collective":
                 continue
-            func = site.func
-            if id(func) not in taint_cache:
-                taint_cache[id(func)] = rank_tainted_names(func)
-            tainted = taint_cache[id(func)]
-            if not tainted:
-                continue
-            for test in branch_conditions(site):
-                hit = sorted(names_in(test) & set(tainted))
-                # direct rank names are SPMD002's report; only the
-                # flowed-through ones are new information here
-                hit = [n for n in hit if n not in RANK_NAMES]
-                if not hit:
-                    continue
-                if _const_folds(func, test):
-                    continue  # guard is actually compile-time constant
-                chain = tainted[hit[0]].describe()
-                out.append(
-                    self.finding(
-                        module,
-                        site.line,
-                        site.col,
-                        f"collective guarded by rank-derived value "
-                        f"{hit[0]!r} (condition at line {test.lineno}); "
-                        f"taint chain: {chain}",
-                    )
+            tainted: dict = {}
+            if site.func is not None:
+                key = id(site.func)
+                if key not in taint_cache:
+                    taint_cache[key] = rank_tainted_names(site.func)
+                tainted = taint_cache[key]
+            message = _tainted_guard(site, tainted)
+            if message is None and (loop := _rank_loop(site)) is not None:
+                message = (
+                    f"collective inside a per-rank loop (line {loop.lineno}): "
+                    "it would fire once per rank, not once per superstep"
                 )
-                break
+            if message is not None:
+                out.append(self.finding(module, site.line, site.col, message))
         return out
 
 
@@ -143,34 +170,29 @@ def _is_dropping_call(call: ast.Call) -> bool:
 
 
 @register
-class RngTaintedComm(Rule):
-    """RNG-derived data in a posted payload or a dropping decision.
+class RngTaintedDropping(Rule):
+    """RNG-derived data in a dropping decision.
 
     The paper's threshold-ILU dropping rule and the deterministic MIS
     are both designed so the factorization is a pure function of the
-    matrix and the seed.  A payload or drop/keep decision computed from
-    an *unpinned* generator draw silently varies across runs; the
+    matrix and the seed.  A drop/keep decision computed from an
+    *unpinned* generator draw silently varies across runs; the
     finding's def-use chain shows where the randomness entered.
     """
 
     id = "DET005"
-    name = "rng-tainted-comm"
+    name = "rng-tainted-dropping"
     severity = Severity.WARNING
     description = (
-        "posted payloads and dropping decisions must not depend on "
-        "RNG draws (taint tracked through assignments)"
+        "dropping decisions must not depend on RNG draws (taint tracked "
+        "through assignments)"
     )
 
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
         chains_cache: dict[int, dict] = {}
         for node in module.index.of(ast.Call):
-            exprs = payload_exprs(node)
-            what = "posted payload"
-            if not exprs and _is_dropping_call(node):
-                exprs = list(node.args)
-                what = f"dropping decision {call_name(node)}()"
-            if not exprs:
+            if not _is_dropping_call(node):
                 continue
             func = enclosing_function(node)
             if func is None:
@@ -178,9 +200,7 @@ class RngTaintedComm(Rule):
             if id(func) not in chains_cache:
                 chains_cache[id(func)] = rng_taint_chains(func)
             chains = chains_cache[id(func)]
-            if not chains:
-                continue
-            for expr in exprs:
+            for expr in node.args:
                 hit = sorted(names_in(expr) & set(chains))
                 if hit:
                     out.append(
@@ -188,8 +208,8 @@ class RngTaintedComm(Rule):
                             module,
                             node.lineno,
                             node.col_offset,
-                            f"{what} depends on RNG-derived value "
-                            f"{hit[0]!r}; taint chain: "
+                            f"dropping decision {call_name(node)}() depends on "
+                            f"RNG-derived value {hit[0]!r}; taint chain: "
                             f"{chains[hit[0]].describe()}",
                         )
                     )

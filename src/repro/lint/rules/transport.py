@@ -1,15 +1,15 @@
-"""Transport-portability rules (``TRN001``–``TRN004``).
+"""Transport-portability rules (``TRN003``/``TRN004``).
 
-All four filter one run of the interprocedural escape/aliasing
-analysis (:mod:`repro.lint.flow.escape`, held by
+Both filter one run of :mod:`repro.lint.flow.portability` (held by
 :attr:`ProjectContext.transport_problems`) over the project's
 communication closure — the functions that transitively communicate
-plus everything they call.  The simulator delivers payloads by
-reference and shares one address space across "ranks"; these rules
-certify the properties a *serializing, multi-process* transport will
-additionally demand, so the transport refactor of ROADMAP item 1 can
-land without behavioural surprises.  ``repro lint --verify-transport``
-presents the same analysis as a per-driver certification table.
+plus everything they call.  Under the simulator every "rank" shares one
+address space and one platform; these rules certify what a
+multi-process, multi-platform run additionally demands of rank-executed
+code.  What crosses a process boundary is a thunk's return value, and
+whether it pickles is the process transport's runtime check
+(``ResultUnpicklable``).  ``repro lint --verify-transport`` presents the
+same analysis as a per-driver certification table.
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from ..findings import Finding, Severity
 from ..registry import Rule, register
 from ..runner import ProjectContext
 
-__all__ = [
-    "AliasedPayload",
-    "UnsafePayload",
-    "HiddenState",
-    "DtypeDrift",
-]
+__all__ = ["HiddenState", "DtypeDrift"]
+
 
 class _TransportRule(Rule):
     """Shared plumbing: filter the analysis output by rule id."""
@@ -45,43 +41,6 @@ class _TransportRule(Rule):
                 )
             )
         return out
-
-
-@register
-class AliasedPayload(_TransportRule):
-    """A posted payload is aliased and mutated after the post.
-
-    The simulator hands the receiver the very object the sender later
-    mutates; a real transport serializes at post time — the two deliver
-    different values.  Fix by copying before the post
-    (``payload.copy()``) or by not touching the buffer until the drain.
-    """
-
-    id = "TRN001"
-    name = "aliased-payload"
-    severity = Severity.ERROR
-    description = (
-        "posted payloads must not be mutated after the post "
-        "(reference-passing vs serializing transports diverge)"
-    )
-
-
-@register
-class UnsafePayload(_TransportRule):
-    """A posted payload's inferred type cannot cross a pickling transport.
-
-    Locks, generators, lambdas, open files and live ``Simulator``
-    handles either fail ``pickle.dumps`` outright or round-trip into a
-    semantically different object on the remote side.
-    """
-
-    id = "TRN002"
-    name = "unsafe-payload"
-    severity = Severity.ERROR
-    description = (
-        "posted payloads must be pickle-safe (no locks, generators, "
-        "lambdas, files, or simulator handles)"
-    )
 
 
 @register

@@ -22,7 +22,7 @@ from .astutil import NodeIndex
 from .comm import COMM_ROOTS, CommSite, comm_sites
 from .findings import Finding, sort_findings
 from .flow.callgraph import CallGraph, FunctionDecl, build_call_graph
-from .flow.escape import TransportProblem, analyze_transport
+from .flow.portability import TransportProblem, analyze_transport
 from .flow.summary import FunctionSummary, summarize_function
 from .registry import Rule, all_rules
 
@@ -216,7 +216,7 @@ class LintStats:
 
     Shared analyses are built lazily, so their cost lands on the first
     rule that asks (the call graph and summaries on SPMD004, the
-    transport analysis on TRN001).
+    transport analysis on TRN003).
     """
 
     rule_seconds: dict[str, float] = field(default_factory=dict)

@@ -24,9 +24,10 @@ Fork semantics do the heavy lifting: a worker inherits the caller's
 entire state as a copy-on-write snapshot, so the drivers' thunks —
 closures over engine state that would not survive pickling — run
 unmodified.  Only the *results* cross the process boundary, pickled
-over pipes — arrays of any size included; PR 7's TRN002 certification
-guarantees every certified driver's payloads and returns are
-pickle-safe.  A worker therefore owns nothing outside its own address
+over pipes — arrays of any size included; a result that does not
+survive pickling is the supervised
+:class:`~repro.machine.errors.ResultUnpicklable` failure, not a silent
+divergence.  A worker therefore owns nothing outside its own address
 space and its two pipe ends: killing and reaping it is all the cleanup
 there is.
 

@@ -22,7 +22,9 @@ Timing semantics
 - ``send``/``recv`` implement asynchronous point-to-point messages: a
   message arrives no earlier than the sender's clock at send time plus
   the transfer cost; ``recv`` advances the receiver to the arrival time
-  if it was ahead of it ("waiting").
+  if it was ahead of it ("waiting").  A message is pure accounting —
+  ``(src, dst, nwords, tag)`` and nothing else: the data a rank needs
+  reaches it as the value its parallel-region thunk returns.
 - ``barrier()`` sets every clock to the global maximum.
 - ``allreduce``/``allgather`` charge a log2(p) tree cost and act as a
   barrier.
@@ -52,11 +54,13 @@ operation.
 Fault injection
 ---------------
 Constructing the simulator with ``faults=FaultPlan(...)`` arms a
-deterministic, seeded fault harness (see :mod:`repro.faults`): matching
-point-to-point messages can be dropped, delayed, duplicated or
-corrupted, and ranks can be stalled or crashed at a chosen superstep
-(the count of completed barriers + collectives).  Every injected event
-is appended to :attr:`Simulator.fault_journal`.  Under an active plan a
+deterministic fault harness (see :mod:`repro.faults`): matching
+point-to-point messages can be dropped, delayed or duplicated, and
+ranks can be stalled or crashed at a chosen superstep
+(the count of completed barriers + collectives).  A message carries no
+data, so a ``corrupt`` message fault has nothing to act on here and is
+refused; its one reading is the worker transports' corrupt-result.
+Every injected event is appended to :attr:`Simulator.fault_journal`.  Under an active plan a
 receive that finds its mailbox empty raises
 :class:`~repro.faults.MessageLost` instead of the hard deadlock error,
 so drivers can retransmit; an armed crash raises
@@ -82,15 +86,20 @@ path pays nothing beyond a ``None`` check per communication call.
 
 from __future__ import annotations
 
-import pickle
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..faults import FaultJournal, FaultPlan, FaultRuntime, MessageLost
-from .errors import TransportError
+from ..faults import (
+    VIRTUAL_MESSAGE_ACTIONS,
+    FaultJournal,
+    FaultPlan,
+    FaultRuntime,
+    MessageLost,
+)
+from .errors import TransportCapabilityError, TransportError
 from .ledger import ChargeLedger
 from .model import MachineModel
 
@@ -136,10 +145,7 @@ class SimulatorSnapshot:
     clock: np.ndarray
     flops: np.ndarray
     busy: np.ndarray
-    mail: dict[
-        tuple[int, int, Any],
-        deque[tuple[float, Any, float, tuple[int, ...] | None]],
-    ]
+    mail: dict[tuple[int, int, Any], deque[tuple[float, tuple[int, ...] | None]]]
     messages: int
     words: float
     barriers: int
@@ -166,11 +172,22 @@ class Simulator:
         *,
         trace: bool = False,
         faults: FaultPlan | None = None,
-        copy_payloads: bool = False,
         ledger: ChargeLedger | None = None,
     ) -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
+        bad = [
+            f"message fault {mf.action!r}"
+            for mf in (faults.message_faults if faults is not None else ())
+            if mf.action not in VIRTUAL_MESSAGE_ACTIONS
+        ]
+        if bad:
+            raise TransportCapabilityError(
+                f"faults= on transport {self.name!r} cannot inject {', '.join(bad)}: "
+                "a simulated message carries no data to corrupt; corrupt faults "
+                "are the worker transports' corrupt-result, use "
+                "transport='threads' or 'processes'"
+            )
         self.nranks = int(nranks)
         self.model = model
         #: Opt-in charge introspection (``repro lint --verify-costs``):
@@ -179,24 +196,13 @@ class Simulator:
         #: default) keeps the hot path at a ``None`` check per call and
         #: results bit-identical either way.
         self.ledger = ledger
-        #: Debug oracle for transport portability: with
-        #: ``copy_payloads=True`` every posted payload is pickle
-        #: round-tripped *at post time*, exactly what a serializing
-        #: multi-process transport would do.  Unpicklable payloads fail
-        #: immediately at the offending ``send``, and any
-        #: mutate-after-post aliasing bug shows up as a value divergence
-        #: (the receiver sees the post-time snapshot, not the mutated
-        #: buffer).  Drivers certified by ``repro lint
-        #: --verify-transport`` produce bit-identical results either way.
-        self.copy_payloads = bool(copy_payloads)
         self.clock = np.zeros(self.nranks, dtype=np.float64)
         self._flops = np.zeros(self.nranks, dtype=np.float64)
         self._busy = np.zeros(self.nranks, dtype=np.float64)
         # mailbox[(src, dst, tag)] -> FIFO of
-        # (arrival_time, payload, nwords, attached_vector_clock_or_None)
+        # (arrival_time, attached_vector_clock_or_None)
         self._mail: dict[
-            tuple[int, int, Any],
-            deque[tuple[float, Any, float, tuple[int, ...] | None]],
+            tuple[int, int, Any], deque[tuple[float, tuple[int, ...] | None]]
         ] = defaultdict(deque)
         self._messages = 0
         self._words = 0.0
@@ -344,28 +350,24 @@ class Simulator:
     # point-to-point
     # ------------------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload: Any, nwords: float, tag: Any = None) -> None:
-        """Post a message; the sender is charged the injection overhead.
+    def send(self, src: int, dst: int, nwords: float, tag: Any = None) -> None:
+        """Post an ``nwords``-word message; the sender is charged the
+        injection overhead.
 
         Under an active fault plan the message may be dropped (charged
-        to the sender, never enqueued), delayed, duplicated or — for
-        float payloads — corrupted; every effect is journaled.  Local
-        ``src == dst`` hand-offs are not messages and bypass the plan.
+        to the sender, never enqueued), delayed or duplicated; every
+        effect is journaled.  Local ``src == dst`` hand-offs are not
+        messages and bypass the plan.
         """
         src = self._check_rank(src)
         dst = self._check_rank(dst)
         if nwords < 0:
             raise ValueError("nwords must be non-negative")
-        if self.copy_payloads and payload is not None:
-            # serialize at post time, before fault effects — a real
-            # transport corrupts/duplicates the serialized bytes, not
-            # the sender's live object
-            payload = pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         self._guard_rank(src, "send")
         attached = self.tracer.on_send(src) if self.tracer is not None else None
         if src == dst:
             # local hand-off: free, but keep FIFO semantics
-            self._mail[(src, dst, tag)].append((self.clock[src], payload, 0.0, attached))
+            self._mail[(src, dst, tag)].append((self.clock[src], attached))
             return
         if self.ledger is not None:
             self.ledger.record("send", src, nwords)
@@ -376,20 +378,19 @@ class Simulator:
         self.clock[src] += self.model.latency
         self._messages += 1
         self._words += nwords
+        copies = 1
         if self.faults is not None:
-            effect = self.faults.on_send(src, dst, tag, payload, self.superstep)
+            effect = self.faults.on_send(src, dst, tag, self.superstep)
             if not effect.deliver:
                 return
             arrival += effect.extra_delay
-            for _ in range(effect.copies):
-                self._mail[(src, dst, tag)].append((arrival, effect.payload, nwords, attached))
-            if effect.copies > 1:
-                self._messages += effect.copies - 1
-                self._words += nwords * (effect.copies - 1)
-            return
-        self._mail[(src, dst, tag)].append((arrival, payload, nwords, attached))
+            copies = effect.copies
+            if copies > 1:
+                self._messages += copies - 1
+                self._words += nwords * (copies - 1)
+        self._mail[(src, dst, tag)].extend([(arrival, attached)] * copies)
 
-    def recv(self, dst: int, src: int, tag: Any = None) -> Any:
+    def recv(self, dst: int, src: int, tag: Any = None) -> None:
         """Blocking receive: waits (advances the clock) until arrival.
 
         Under an active fault plan an empty mailbox raises the typed
@@ -412,30 +413,24 @@ class Simulator:
                 f"deadlock: rank {dst} receives from {src} (tag={tag!r}) "
                 "but no message was sent"
             )
-        arrival, payload, _, attached = box.popleft()
+        arrival, attached = box.popleft()
         if arrival > self.clock[dst]:
             self.clock[dst] = arrival
         if self.tracer is not None:
             self.tracer.on_recv(dst, attached)
-        return payload
 
-    def exchange(
-        self, messages: list[tuple[int, int, Any, float]], tag: Any = None
-    ) -> dict[int, list[tuple[int, Any]]]:
+    def exchange(self, messages: list[tuple[int, int, float]], tag: Any = None) -> None:
         """Superstep all-to-some exchange.
 
-        ``messages`` is a list of ``(src, dst, payload, nwords)``.  All
-        sends are posted in the given order, then the messages are
-        drained in ``(src, dst)``-sorted order — the post/drain sequence
-        the drivers' fault-journal signatures are pinned to.  Returns
-        ``{dst: [(src, payload), ...]}``.
+        ``messages`` is a list of ``(src, dst, nwords)``.  All sends are
+        posted in the given order, then the messages are drained in
+        ``(src, dst)``-sorted order — the post/drain sequence the
+        drivers' fault-journal signatures are pinned to.
         """
-        for src, dst, payload, nwords in messages:
-            self.send(src, dst, payload, nwords, tag=tag)
-        out: dict[int, list[tuple[int, Any]]] = {}
+        for src, dst, nwords in messages:
+            self.send(src, dst, nwords, tag=tag)
         for src, dst in sorted((m[0], m[1]) for m in messages):
-            out.setdefault(dst, []).append((src, self.recv(dst, src, tag=tag)))
-        return out
+            self.recv(dst, src, tag=tag)
 
     # ------------------------------------------------------------------
     # collectives
@@ -533,10 +528,10 @@ class Simulator:
     def snapshot(self) -> SimulatorSnapshot:
         """Capture the timing + mailbox state for a later :meth:`restore`.
 
-        Payloads are not deep-copied: drivers in this codebase treat
-        message payloads as immutable once posted.  Fault-runtime state
-        (fired crash/stall flags, corruption RNG position) is *not*
-        captured — a one-shot crash stays fired across a restore.
+        A message in flight keeps its arrival time and attached vector
+        clock.  Fault-runtime state (fired crash/stall flags, match
+        counters) is *not* captured — a one-shot crash stays fired
+        across a restore.
         """
         return SimulatorSnapshot(
             clock=self.clock.copy(),

@@ -22,8 +22,8 @@ ways to execute a region:
     are SPMD replicas that run the driver's code between regions too,
     so a ``pardo`` is "own thunk, then allgather" and nothing is forked
     again until the call returns.  Thunk results travel pickled over
-    pipes (the TRN002 certification from the transport-portability
-    analyzer guarantees the payloads survive this).
+    pipes; one that does not survive pickling is the supervised
+    :class:`~repro.machine.errors.ResultUnpicklable` failure.
 
 The contract (DESIGN.md §13)
 ----------------------------
@@ -36,9 +36,11 @@ A transport provides:
   and the coordinator merges them in deterministic rank order.  The one
   transport method a thunk may call is ``heartbeat()``; everything below
   raises :class:`TransportError` from inside a region.
-* the messaging surface ``send`` / ``recv`` / ``exchange`` / ``barrier``
-  / ``allreduce`` / ``allgather`` and the accounting surface ``compute``
-  / ``advance`` / ``superstep`` / ``elapsed`` / ``stats``;
+* the messaging surface ``send(src, dst, nwords, tag)`` / ``recv`` /
+  ``exchange([(src, dst, nwords)], tag)`` / ``barrier`` / ``allreduce``
+  / ``allgather`` and the accounting surface ``compute`` / ``advance`` /
+  ``superstep`` / ``elapsed`` / ``stats`` — a message is accounting
+  only: it moves time and counters, never data;
 * the tracing hooks ``declare_read`` / ``declare_write`` (no-ops unless
   built with ``trace=True``) and ``snapshot`` / ``restore`` for the
   checkpoint layer.
@@ -46,8 +48,8 @@ A transport provides:
 Because all of the second and third group runs in coordinator context
 on every transport, :class:`LocalTransport` — the base of the two worker
 transports — *is* a ``Simulator`` and overrides only region execution
-and lifecycle.  The cost model, the race tracer, the charge ledger and
-``copy_payloads`` belong to that shared core, not to one backend:
+and lifecycle.  The cost model, the race tracer and the charge ledger
+belong to that shared core, not to one backend:
 modelled time and communication statistics are the same numbers on
 every transport, and wall-clock time is the caller's to measure.
 
@@ -112,8 +114,8 @@ class LocalTransport(Simulator):
     DESIGN.md §14), the physical reading of a fault plan, and a
     lifecycle.  Subclasses implement :meth:`_run_region`.
 
-    ``model`` and ``instruments`` (``trace`` / ``copy_payloads`` /
-    ``ledger``) are the simulator's own.  ``faults`` is not handed down
+    ``model`` and ``instruments`` (``trace`` / ``ledger``) are the
+    simulator's own.  ``faults`` is not handed down
     to it: a worker transport injects per region
     (``FaultRuntime.plan_region``), not per message, and refuses a plan
     it cannot read physically.
@@ -241,7 +243,6 @@ def resolve_transport(
     model: MachineModel = CRAY_T3D,
     trace: bool = False,
     faults: FaultPlan | None = None,
-    copy_payloads: bool = False,
     supervision: SupervisionPolicy | None = None,
 ) -> Simulator | None:
     """Resolve a ``transport=`` argument into a transport instance.
@@ -256,16 +257,16 @@ def resolve_transport(
     nranks:
         Rank count a string spec is instantiated with; an instance must
         already match it.
-    model, trace, copy_payloads:
+    model, trace:
         Configuration of the accounting core, handed to every named
         transport alike.  ``"none"`` has no instruments and refuses
         them.
     faults:
-        Runs anywhere a fault can be honoured: virtually and in full on
-        the simulator, physically (crash / stall / corrupt-result,
-        DESIGN.md §14) on the worker transports — which refuse a plan
-        containing drop / delay / duplicate message faults rather than
-        silently certifying nothing.
+        Runs anywhere a fault can be honoured: virtually on the
+        simulator (drop / delay / duplicate messages, crash / stall
+        ranks), physically (crash / stall / corrupt-result, DESIGN.md
+        §14) on the worker transports.  Each refuses the rest of the
+        plan rather than silently certifying nothing.
     supervision:
         A :class:`~repro.machine.supervision.SupervisionPolicy` for the
         worker supervisor — worker-backed transports only.
@@ -284,11 +285,7 @@ def resolve_transport(
         raise TransportCapabilityError(f"{cap} requires {needs} (got transport={shown!r})")
 
     if spec is None or (isinstance(spec, str) and spec == "none"):
-        for cap, asked in (
-            ("trace=True", trace),
-            ("faults=", faults is not None),
-            ("copy_payloads=True", copy_payloads),
-        ):
+        for cap, asked in (("trace=True", trace), ("faults=", faults is not None)):
             if asked:
                 _refuse(cap, f"the simulator transport or {workers}: no transport, no instruments")
         if supervision is not None:
@@ -296,7 +293,7 @@ def resolve_transport(
         return None
 
     if isinstance(spec, str):
-        core: dict[str, Any] = dict(trace=trace, faults=faults, copy_payloads=copy_payloads)
+        core: dict[str, Any] = dict(trace=trace, faults=faults)
         if spec == "simulator":
             if supervision is not None:
                 _refuse("supervision=", workers)
@@ -326,7 +323,6 @@ def resolve_transport(
     for cap, asked in (
         ("trace=True", trace and spec.tracer is None),
         ("faults=", faults is not None),
-        ("copy_payloads=True", copy_payloads and not spec.copy_payloads),
         ("supervision=", supervision is not None),
     ):
         if asked:

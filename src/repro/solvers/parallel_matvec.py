@@ -60,7 +60,6 @@ def parallel_matvec(
     trace: bool = False,
     backend: str | None = None,
     faults: FaultPlan | None = None,
-    copy_payloads: bool = False,
     supervision: "SupervisionPolicy | None" = None,
 ) -> MatvecResult:
     """Compute ``y = A @ x`` with halo exchange + local compute.
@@ -87,10 +86,6 @@ def parallel_matvec(
     region retry (DESIGN.md §14).  The journal is returned on the
     result.  ``supervision`` tunes the worker supervisor
     (:class:`~repro.machine.SupervisionPolicy`; real transports only).
-
-    ``copy_payloads=True`` pickle round-trips every message at post time
-    (the serializing-transport debug oracle; any transport but
-    ``"none"``) — results are bit-identical.
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.shape[0]
@@ -102,7 +97,6 @@ def parallel_matvec(
         model=model,
         trace=trace,
         faults=faults,
-        copy_payloads=copy_payloads,
         supervision=supervision,
     ) as sim:
         y, flops = _matvec_on(A, decomp, x, sim, halo_plan, backend)
@@ -131,7 +125,7 @@ def _matvec_on(
                 tr.write(r, "x", int(j))
     if sim is not None:
         sim.exchange(
-            [(src, dst, None, float(nodes.size)) for (src, dst), nodes in sorted(halo_plan.items())],
+            [(src, dst, float(nodes.size)) for (src, dst), nodes in sorted(halo_plan.items())],
             tag="halo",
         )
 

@@ -1,6 +1,5 @@
 """Unit tests for fault plans, runtimes and the journal."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (
@@ -20,10 +19,6 @@ class TestValidation:
     def test_delay_needs_positive_delay(self):
         with pytest.raises(ValueError, match="delay > 0"):
             MessageFault("delay")
-
-    def test_bad_corruption_mode(self):
-        with pytest.raises(ValueError, match="unknown corruption"):
-            MessageFault("corrupt", corruption="gamma-ray")
 
     def test_unknown_rank_action(self):
         with pytest.raises(ValueError, match="unknown rank fault action"):
@@ -65,7 +60,7 @@ class TestRuntimeWindows:
     def test_skip_and_count_window(self):
         plan = FaultPlan(message_faults=[MessageFault("drop", skip=1, count=2)])
         rt = plan.runtime()
-        effects = [rt.on_send(0, 1, "t", None, superstep=0) for _ in range(4)]
+        effects = [rt.on_send(0, 1, "t", superstep=0) for _ in range(4)]
         # message 0 passes (skip), 1 and 2 dropped (count=2), 3 passes
         assert [e.deliver for e in effects] == [True, False, False, True]
         assert rt.journal.counts() == {"drop": 2}
@@ -78,7 +73,7 @@ class TestRuntimeWindows:
             ]
         )
         rt = plan.runtime()
-        e = rt.on_send(0, 1, "a", None, superstep=0)
+        e = rt.on_send(0, 1, "a", superstep=0)
         assert not e.deliver and e.copies == 1
 
     def test_crash_is_one_shot(self):
@@ -97,38 +92,18 @@ class TestRuntimeWindows:
         assert rt.on_rank_activity(0, 1) == 0.0
 
 
-class TestCorruption:
-    def _one(self, mode, payload, seed=0):
-        plan = FaultPlan(
-            message_faults=[MessageFault("corrupt", corruption=mode)], seed=seed
-        )
-        return plan.runtime().on_send(0, 1, "t", payload, superstep=0).payload
-
-    def test_nan_and_inf_hit_one_entry(self):
-        x = np.ones(8)
-        out = self._one("nan", x)
-        assert np.isnan(out).sum() == 1 and np.isnan(x).sum() == 0
-        out = self._one("inf", x)
-        assert np.isinf(out).sum() == 1
-
-    def test_bitflip_changes_exactly_one_entry(self):
-        x = np.linspace(1.0, 2.0, 6)
-        out = self._one("bitflip", x)
-        assert (out != x).sum() == 1
-
-    def test_same_seed_same_corruption(self):
-        x = np.arange(32, dtype=np.float64)
-        a = self._one("bitflip", x, seed=7)
-        b = self._one("bitflip", x, seed=7)
-        assert np.array_equal(a, b, equal_nan=True)
-
-    def test_opaque_payload_left_intact(self):
-        sentinel = object()
-        plan = FaultPlan(message_faults=[MessageFault("corrupt")])
+class TestCorruptResult:
+    def test_corrupt_is_read_per_region_not_per_message(self):
+        """A message carries no data: ``corrupt`` never touches a post,
+        it schedules a corrupt-result against a region's rank."""
+        plan = FaultPlan(message_faults=[MessageFault("corrupt", src=1)])
         rt = plan.runtime()
-        assert rt.on_send(0, 1, "t", sentinel, superstep=0).payload is sentinel
-        (event,) = rt.journal.events
-        assert "left intact" in event.detail
+        e = rt.on_send(1, 0, "t", superstep=0)
+        assert e.deliver and e.copies == 1 and e.extra_delay == 0.0
+        assert len(rt.journal) == 0
+        inject = rt.plan_region([0, 1], superstep=2)
+        assert {r: i.kind for r, i in inject.items()} == {1: "corrupt"}
+        assert rt.journal.counts() == {"corrupt": 1}
 
 
 class TestJournal:

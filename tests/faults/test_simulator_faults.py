@@ -1,7 +1,6 @@
 """Fault injection at the simulator layer: delivery effects, rank
 faults, snapshot/restore bookkeeping."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (
@@ -11,7 +10,7 @@ from repro.faults import (
     RankFailure,
     RankFault,
 )
-from repro.machine import CRAY_T3D, IDEAL, Simulator
+from repro.machine import CRAY_T3D, IDEAL, Simulator, TransportCapabilityError
 
 
 def make_sim(plan, nranks=2, model=CRAY_T3D):
@@ -21,47 +20,60 @@ def make_sim(plan, nranks=2, model=CRAY_T3D):
 class TestMessageFaults:
     def test_drop_raises_message_lost(self):
         sim = make_sim(FaultPlan(message_faults=[MessageFault("drop")]))
-        sim.send(0, 1, {"v": 1}, 4.0, tag="data")
+        sim.send(0, 1, 4.0, tag="data")
+        assert sim.pending_messages() == 0  # charged, never enqueued
         with pytest.raises(MessageLost, match="was lost"):
             sim.recv(1, 0, tag="data")
         assert sim.fault_journal.counts() == {"drop": 1, "lost": 1}
 
     def test_drop_still_charges_the_sender(self):
         healthy = Simulator(2, CRAY_T3D)
-        healthy.send(0, 1, None, 4.0, tag="data")
+        healthy.send(0, 1, 4.0, tag="data")
         sim = make_sim(FaultPlan(message_faults=[MessageFault("drop")]))
-        sim.send(0, 1, None, 4.0, tag="data")
+        sim.send(0, 1, 4.0, tag="data")
         assert sim.stats().messages == healthy.stats().messages
         assert sim.stats().words_sent == healthy.stats().words_sent
+        assert sim.clock[0] == healthy.clock[0]
 
     def test_delay_pushes_arrival_back(self):
         base = Simulator(2, CRAY_T3D)
-        base.send(0, 1, "x", 1.0, tag="t")
+        base.send(0, 1, 1.0, tag="t")
         base.recv(1, 0, tag="t")
         sim = make_sim(
             FaultPlan(message_faults=[MessageFault("delay", delay=5.0)])
         )
-        sim.send(0, 1, "x", 1.0, tag="t")
+        sim.send(0, 1, 1.0, tag="t")
         sim.recv(1, 0, tag="t")
-        assert sim.elapsed() == pytest.approx(base.elapsed() + 5.0)
+        assert sim.clock[1] == pytest.approx(base.clock[1] + 5.0)
+        assert sim.clock[0] == base.clock[0]  # the sender pays no delay
 
     def test_duplicate_enqueues_second_copy(self):
         sim = make_sim(FaultPlan(message_faults=[MessageFault("duplicate")]))
-        sim.send(0, 1, "payload", 2.0, tag="t")
-        assert sim.recv(1, 0, tag="t") == "payload"
-        assert sim.recv(1, 0, tag="t") == "payload"  # the stale copy
+        sim.send(0, 1, 2.0, tag="t")
+        assert sim.pending_messages() == 2
+        assert (sim.stats().messages, sim.stats().words_sent) == (2, 4.0)
+        sim.recv(1, 0, tag="t")
+        arrival = sim.clock[1]
+        sim.recv(1, 0, tag="t")  # the stale copy arrives with the first
+        assert sim.clock[1] == arrival
+        assert sim.pending_messages() == 0
         assert sim.fault_journal.counts() == {"duplicate": 1}
 
-    def test_corrupt_delivers_poisoned_array(self):
-        sim = make_sim(FaultPlan(message_faults=[MessageFault("corrupt")]))
-        sim.send(0, 1, np.ones(5), 5.0, tag="t")
-        out = sim.recv(1, 0, tag="t")
-        assert np.isnan(out).sum() == 1
+    def test_corrupt_is_refused(self):
+        """A simulated message carries no data to corrupt: ``corrupt``
+        is the worker transports' corrupt-result only."""
+        plan = FaultPlan(message_faults=[MessageFault("corrupt")])
+        with pytest.raises(TransportCapabilityError, match="corrupt"):
+            make_sim(plan)
+        # the virtual actions of the same plan object are still welcome
+        make_sim(FaultPlan(message_faults=[MessageFault("drop"), MessageFault("duplicate")]))
 
     def test_unmatched_tag_is_unaffected(self):
         sim = make_sim(FaultPlan(message_faults=[MessageFault("drop", tag="other")]))
-        sim.send(0, 1, 42, 1.0, tag="t")
-        assert sim.recv(1, 0, tag="t") == 42
+        sim.send(0, 1, 1.0, tag="t")
+        assert sim.pending_messages() == 1
+        sim.recv(1, 0, tag="t")
+        assert len(sim.fault_journal) == 0
 
 
 class TestRankFaults:
@@ -100,7 +112,7 @@ class TestSnapshotRestore:
         snap = sim.snapshot()
         t = sim.elapsed()
         sim.compute(0, 500.0)
-        sim.send(0, 1, "late", 1.0, tag="t")
+        sim.send(0, 1, 1.0, tag="t")
         sim.restore(snap)
         assert sim.elapsed() == t
         assert sim.pending_messages() == 0
@@ -116,10 +128,35 @@ class TestSnapshotRestore:
 
     def test_one_snapshot_survives_two_restores(self):
         sim = Simulator(2, CRAY_T3D)
-        sim.send(0, 1, "keep", 1.0, tag="t")
+        sim.send(0, 1, 1.0, tag="t")
         snap = sim.snapshot()
-        assert sim.recv(1, 0, tag="t") == "keep"
+        sim.recv(1, 0, tag="t")
+        arrival = sim.clock[1]
+        for _ in range(2):
+            sim.restore(snap)
+            assert sim.pending_messages() == 1
+            assert sim.clock[1] == 0.0
+            sim.recv(1, 0, tag="t")
+            assert sim.clock[1] == arrival
+
+    def test_in_flight_message_keeps_its_vector_clock(self):
+        """Under ``trace=True`` a message carries the sender's vector
+        clock; one in flight at the snapshot still orders the sender's
+        earlier write before the receiver's read after a restore."""
+        from repro.verify import find_races
+
+        sim = Simulator(2, CRAY_T3D, trace=True)
+        sim.declare_write(0, "u-row", 7)
+        sim.send(0, 1, 1.0, tag="t")
+        snap = sim.snapshot()
+        sim.send(0, 1, 1.0, tag="rolled-back")
         sim.restore(snap)
-        assert sim.recv(1, 0, tag="t") == "keep"
-        sim.restore(snap)
-        assert sim.recv(1, 0, tag="t") == "keep"
+        assert sim.pending_messages() == 1
+        sim.recv(1, 0, tag="t")
+        sim.declare_read(1, "u-row", 7)
+        assert find_races(sim.tracer) == []
+        # without the message the same two accesses race
+        racy = Simulator(2, CRAY_T3D, trace=True)
+        racy.declare_write(0, "u-row", 7)
+        racy.declare_read(1, "u-row", 7)
+        assert len(find_races(racy.tracer)) == 1

@@ -10,7 +10,7 @@ undrained, and the function exits with posts outstanding.
 def levelled_sweep(sim, plan, nranks):
     for lvl, pairs in enumerate(plan):
         for src, dst in pairs:
-            sim.send(src, dst, None, 1.0, tag=("fwd", lvl))
+            sim.send(src, dst, 1.0, tag=("fwd", lvl))
         for src, dst in pairs:
             sim.recv(dst, src, tag=("fwd", lvl + 1))
         sim.barrier()

@@ -4,7 +4,7 @@
 def levelled_sweep(sim, plan, nranks):
     for lvl, pairs in enumerate(plan):
         for src, dst in pairs:
-            sim.send(src, dst, None, 1.0, tag=("fwd", lvl))
+            sim.send(src, dst, 1.0, tag=("fwd", lvl))
         for src, dst in pairs:
             sim.recv(dst, src, tag=("fwd", lvl))
         sim.barrier()

@@ -3,7 +3,7 @@
 
 def drain(sim, plan):
     for (src, dst), nodes in plan.items():
-        sim.send(src, dst, None, 1.0, tag="halo")
+        sim.send(src, dst, 1.0, tag="halo")
     return [k for k in plan.keys()]
 
 

@@ -3,7 +3,7 @@
 
 def drain(sim, plan):
     for (src, dst), nodes in sorted(plan.items()):
-        sim.send(src, dst, None, 1.0, tag="halo")
+        sim.send(src, dst, 1.0, tag="halo")
     for (src, dst), _nodes in sorted(plan.items()):
         sim.recv(dst, src, tag="halo")
 

@@ -8,7 +8,7 @@ unique ``pairs2 = pairs`` alias, so the upgraded rule matches them.
 
 def exchange(sim, pairs):
     for src, dst in pairs:
-        sim.send(src, dst, None, 1, tag=("halo", 0))
+        sim.send(src, dst, 1, tag=("halo", 0))
     pairs2 = pairs
     for src, dst in pairs2:
         sim.recv(dst, src, tag=("halo", 0))

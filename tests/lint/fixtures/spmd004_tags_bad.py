@@ -1,8 +1,8 @@
-"""SPMD001 bad twin: one-sided tags (undrained send, deadlocked recv)."""
+"""SPMD004 bad twin: one-sided tags (undrained send, deadlocked recv)."""
 
 
 def drive(sim, nranks):
     for r in range(1, nranks):
-        sim.send(r, 0, None, 1.0, tag="gather")
+        sim.send(r, 0, 1.0, tag="gather")
     for r in range(1, nranks):
         sim.recv(0, r, tag="scatter")

@@ -1,8 +1,7 @@
 """SPMD005 bad twin: rank taint reaches collective guards via copies.
 
-SPMD002 only sees rank *names* in the condition; both guards here are
-one assignment removed from the rank, so only the taint analysis
-(SPMD005) connects them.
+Neither condition names the rank; both guards are one assignment
+removed from it, so only the taint analysis connects them.
 """
 
 

@@ -1,4 +1,5 @@
-"""SPMD002 bad twin: collectives under rank-dependent control flow."""
+"""SPMD005 bad twin: a collective guarded by the rank itself, and one
+issued inside a per-rank loop."""
 
 
 def master_only(sim, rank):

@@ -1,4 +1,5 @@
-"""SPMD002 clean twin: collectives reached by every rank."""
+"""SPMD005 clean twin: collectives reached once per superstep by every
+rank (a loop over levels is not a loop over ranks)."""
 
 
 def superstep(sim, converged):

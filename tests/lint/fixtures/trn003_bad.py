@@ -10,8 +10,9 @@ _CACHE = {}
 
 
 def cache_halo(sim, rank, nbr, key, val):
-    sim.send(rank, nbr, val, 1.0, tag="halo")
-    _CACHE[key] = sim.recv(rank, nbr, tag="halo")
+    sim.send(rank, nbr, 1.0, tag="halo")
+    sim.recv(rank, nbr, tag="halo")
+    _CACHE[key] = val
     return _CACHE[key]
 
 
@@ -20,7 +21,7 @@ def count_messages(sim, rank, nbr, vals):
 
     def post(v):
         nonlocal sent
-        sim.send(rank, nbr, v, 1.0, tag="m")
+        sim.send(rank, nbr, float(v), tag="m")
         sent += 1
 
     for v in vals:

@@ -44,13 +44,15 @@ def test_list_rules(capsys):
     rc = main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for rid in ("SPMD001", "DET001", "PAR001", "BRK001"):
+    for rid in ("SPMD003", "DET001", "PAR001", "BRK001"):
         assert rid in out
+    for gone in ("SPMD001", "SPMD002", "TRN001", "TRN002"):
+        assert gone not in out
 
 
 def test_select_and_ignore(capsys):
     path = str(FIXTURES / "det001_bad.py")
-    assert main(["lint", path, "--select", "SPMD001"]) == 0
+    assert main(["lint", path, "--select", "SPMD003"]) == 0
     capsys.readouterr()
     assert main(["lint", path, "--ignore", "DET001"]) == 0
 
@@ -78,8 +80,8 @@ def test_github_format_emits_workflow_commands(capsys):
 
 
 def test_github_format_escapes_message_payload(capsys):
-    rc = main(["lint", str(FIXTURES / "spmd001_bad.py"),
-               "--select", "SPMD001", "--format", "github"])
+    rc = main(["lint", str(FIXTURES / "spmd004_tags_bad.py"),
+               "--select", "SPMD004", "--format", "github"])
     out = capsys.readouterr().out
     assert rc == 1
     # tag messages contain commas/colons; they must survive as data, and
@@ -124,12 +126,13 @@ def test_verify_transport_certifies_the_repo(capsys):
     assert "transport-portable" in out.splitlines()[-1]
 
 
-def test_verify_transport_fails_on_aliasing_fixture(capsys):
-    rc = main(["lint", "--verify-transport", str(FIXTURES / "trn001_bad.py")])
+def test_verify_transport_fails_on_hidden_state_fixture(capsys):
+    rc = main(["lint", "--verify-transport", str(FIXTURES / "trn003_bad.py")])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAILED" in out
-    assert "TRN001" in out
+    assert "TRN003" in out
+    assert "payloads=" not in out
 
 
 def test_verify_flags_compose_in_fixed_order(capsys):
@@ -150,12 +153,12 @@ def test_verify_flags_compose_in_fixed_order(capsys):
 
 def test_verify_flags_compose_exit_1_if_any_row_fails(capsys):
     rc = main(["lint", "--verify-protocol", "--verify-transport",
-               str(FIXTURES / "trn001_bad.py")])
+               str(FIXTURES / "trn003_bad.py")])
     out = capsys.readouterr().out
     assert rc == 1
     # the protocol table certifies this fixture; the transport table does not
     assert "certified deadlock-free" in out
-    assert "TRN001" in out and "FAILED" in out
+    assert "TRN003" in out and "FAILED" in out
 
 
 @pytest.mark.parametrize(
@@ -191,7 +194,7 @@ class TestDirectoryProfiles:
         (work / "tests").mkdir(parents=True)
         (work / "pyproject.toml").write_text("[project]\nname='x'\n")
         mod = work / "tests" / "helper.py"
-        shutil.copyfile(FIXTURES / "spmd002_bad.py", mod)
+        shutil.copyfile(FIXTURES / "spmd005_direct_bad.py", mod)
         # directory discovery applies the tests/ profile -> no findings
         rc = main(["lint", str(work / "tests")])
         assert rc == 0
@@ -199,7 +202,7 @@ class TestDirectoryProfiles:
         # naming the file explicitly bypasses the profile (ruff convention)
         rc = main(["lint", str(mod)])
         assert rc == 1
-        assert "SPMD002" in capsys.readouterr().out
+        assert "SPMD005" in capsys.readouterr().out
 
     def test_det_rules_still_apply_under_tests_dir(self, tmp_path, capsys):
         work = tmp_path / "proj"

@@ -40,6 +40,13 @@ def test_signatures_match_the_simulator(method):
     assert comm.SIGNATURES[method] == _positional(getattr(Simulator, method))
 
 
+def test_messages_are_accounting_only():
+    """``send``/``exchange`` have no data slot: a message is
+    ``(src, dst, nwords, tag)``, and ``recv`` hands nothing back."""
+    assert comm.SIGNATURES["send"] == ("src", "dst", "nwords", "tag")
+    assert inspect.signature(Simulator.recv).return_annotation in (None, "None")
+
+
 def test_recv_helper_signature_matches_the_engine_wrapper():
     assert comm.SIGNATURES["recv_helper"] == _positional(EliminationEngine._recv_retry)
 
@@ -47,11 +54,10 @@ def test_recv_helper_signature_matches_the_engine_wrapper():
 def test_role_positions_follow_the_signatures():
     """What ``_AMOUNT_ARG``'s ``allgather: 2`` / ``allreduce: 2`` got
     wrong: every role resolves through the one signature table."""
-    send = _call("sim.send(s, d, buf, 3.0, ('t', 1))")
+    send = _call("sim.send(s, d, 3.0, ('t', 1))")
     assert [ast.unparse(comm.argument(send, p)) for p in ("src", "dst", "tag")] == [
         "s", "d", "('t', 1)"
     ]
-    assert [ast.unparse(e) for e in comm.payload_exprs(send)] == ["buf"]
     assert ast.unparse(comm.amount_expr(send)) == "3.0"
     recv = _call("sim.recv(d, s, tag='t')")
     assert [ast.unparse(comm.argument(recv, p)) for p in ("src", "dst", "tag")] == [
@@ -60,9 +66,9 @@ def test_role_positions_follow_the_signatures():
     assert ast.unparse(comm.amount_expr(_call("sim.allgather(vals, 2.0)"))) == "2.0"
     assert comm.amount_expr(_call("sim.allreduce(vals, 'sum')")) is None
     assert ast.unparse(comm.amount_expr(_call("sim.compute(r, flops=n)"))) == "n"
-    exch = _call("sim.exchange([(0, 1, a, 4), (1, 0, b, 4)], 'halo')")
-    assert [ast.unparse(e) for e in comm.payload_exprs(exch)] == ["a", "b"]
+    exch = _call("sim.exchange([(0, 1, 4), (1, 0, 4)], 'halo')")
     assert ast.unparse(comm.argument(exch, "tag")) == "'halo'"
+    assert comm.amount_expr(exch) is None  # charged per message, as a send
 
 
 def test_every_posting_or_charging_transport_method_is_classified():

@@ -16,13 +16,13 @@ FINDINGS = [
         snippet="if x == 0.5:",
     ),
     Finding(
-        rule="SPMD001",
+        rule="SPMD004",
         severity=Severity.ERROR,
         path="src/repro/y.py",
         line=7,
         col=0,
         message="send with tag 'halo' has no matching recv",
-        snippet="sim.send(1, 0, None, 1.0, tag='halo')",
+        snippet="sim.send(1, 0, 1.0, tag='halo')",
     ),
 ]
 
@@ -45,7 +45,7 @@ class TestJson:
         assert len(doc["findings"]) == 2
         by_rule = {f["rule"]: f for f in doc["findings"]}
         assert by_rule["DET003"]["column"] == 9  # 1-indexed
-        assert by_rule["SPMD001"]["severity"] == "error"
+        assert by_rule["SPMD004"]["severity"] == "error"
         assert set(by_rule["DET003"]) == {
             "rule", "severity", "path", "line", "column", "message", "snippet",
         }

@@ -13,10 +13,9 @@ from repro.lint import LintConfig, run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: rule id -> (bad fixture, expected findings in it, clean twin)
+#: case -> (bad fixture, expected findings in it, clean twin); a case is
+#: named by its rule id, plus a suffix for a rule's second pair
 SNIPPET_CASES = {
-    "SPMD001": ("spmd001_bad.py", 2, "spmd001_clean.py"),
-    "SPMD002": ("spmd002_bad.py", 2, "spmd002_clean.py"),
     "SPMD003": ("spmd003_bad.py", 1, "spmd003_clean.py"),
     "DET001": ("det001_bad.py", 3, "det001_clean.py"),
     "DET002": ("det002_bad.py", 3, "det002_clean.py"),
@@ -25,19 +24,22 @@ SNIPPET_CASES = {
     "PAR002": ("par002_bad.py", 2, "par002_clean.py"),
     "BRK001": ("brk001_bad.py", 2, "brk001_clean.py"),
     "SPMD004": ("deadlock_bad.py", 3, "deadlock_clean.py"),
+    # one-sided tags: a drain with no post deadlocks, a post with no
+    # drain leaks
+    "SPMD004-tags": ("spmd004_tags_bad.py", 2, "spmd004_tags_clean.py"),
     "SPMD005": ("spmd005_bad.py", 2, "spmd005_clean.py"),
-    "DET005": ("det005_bad.py", 3, "det005_clean.py"),
-    "TRN001": ("trn001_bad.py", 2, "trn001_clean.py"),
-    "TRN002": ("trn002_bad.py", 2, "trn002_clean.py"),
+    # the rank itself in the guard, and a collective per rank
+    "SPMD005-direct": ("spmd005_direct_bad.py", 2, "spmd005_direct_clean.py"),
+    "DET005": ("det005_bad.py", 1, "det005_clean.py"),
     "TRN003": ("trn003_bad.py", 2, "trn003_clean.py"),
     "TRN004": ("trn004_bad.py", 2, "trn004_clean.py"),
     "PERF001": ("perf001_bad.py", 2, "perf001_clean.py"),
 }
 
-#: rule id -> fixture the *syntactic* rule used to flag, discharged by
-#: the dataflow upgrade (constant folding / reaching-def aliasing).
+#: rule id -> fixture a *syntactic* rule would flag, discharged by the
+#: dataflow (taint seeds and constant folding / reaching-def aliasing).
 DATAFLOW_DISCHARGED = {
-    "SPMD002": "spmd002_constprop_clean.py",
+    "SPMD005": "spmd005_constprop_clean.py",
     "SPMD003": "spmd003_alias_clean.py",
 }
 
@@ -46,19 +48,20 @@ def lint_one(path: Path, rule: str):
     return run_lint([path], LintConfig(select=(rule,), project_root=FIXTURES))
 
 
-@pytest.mark.parametrize("rule", sorted(SNIPPET_CASES))
-def test_bad_fixture_is_flagged(rule):
-    bad, expected, _clean = SNIPPET_CASES[rule]
+@pytest.mark.parametrize("case", sorted(SNIPPET_CASES))
+def test_bad_fixture_is_flagged(case):
+    rule = case.split("-")[0]
+    bad, expected, _clean = SNIPPET_CASES[case]
     findings = lint_one(FIXTURES / bad, rule)
     assert len(findings) == expected, [f.render() for f in findings]
     assert all(f.rule == rule for f in findings)
     assert all(f.line > 0 and f.message for f in findings)
 
 
-@pytest.mark.parametrize("rule", sorted(SNIPPET_CASES))
-def test_clean_twin_passes(rule):
-    _bad, _expected, clean = SNIPPET_CASES[rule]
-    findings = lint_one(FIXTURES / clean, rule)
+@pytest.mark.parametrize("case", sorted(SNIPPET_CASES))
+def test_clean_twin_passes(case):
+    _bad, _expected, clean = SNIPPET_CASES[case]
+    findings = lint_one(FIXTURES / clean, case.split("-")[0])
     assert findings == [], [f.render() for f in findings]
 
 
@@ -97,7 +100,7 @@ class TestRuleScoping:
     def test_select_restricts_rules(self):
         findings = run_lint(
             [FIXTURES / "det001_bad.py"],
-            LintConfig(select=("SPMD001",), project_root=FIXTURES),
+            LintConfig(select=("SPMD003",), project_root=FIXTURES),
         )
         assert findings == []
 

@@ -213,7 +213,7 @@ class TestGenerationEndsWithTheDriverCall:
                 t.pardo([lambda: 0, lambda: 1])  # the generation exists from here
                 t.compute(0, 5.0)
                 t.compute(1, 7.0)
-                t.send(0, 1, "halo", 3.0)
+                t.send(0, 1, 3.0)
                 t.recv(1, 0)
                 t.barrier()
 

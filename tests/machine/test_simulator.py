@@ -40,21 +40,27 @@ class TestCompute:
 
 
 class TestPointToPoint:
-    def test_payload_delivered(self):
+    def test_message_arrival_and_counters(self):
+        """A message is accounting only: ``recv`` returns nothing and
+        moves the receiver to the arrival time."""
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, {"x": 3}, nwords=10)
-        assert sim.recv(1, 0) == {"x": 3}
+        sim.send(0, 1, nwords=10)
+        assert sim.pending_messages() == 1
+        assert sim.recv(1, 0) is None
+        assert sim.clock[1] == pytest.approx(MODEL.message_cost(10))
+        assert (sim.stats().messages, sim.stats().words_sent) == (1, 10)
+        assert sim.pending_messages() == 0
 
     def test_receiver_waits_for_arrival(self):
         sim = Simulator(2, MODEL)
         sim.compute(0, 1000)  # sender busy until 1e-3
-        sim.send(0, 1, None, nwords=0)
+        sim.send(0, 1, nwords=0)
         sim.recv(1, 0)
         assert sim.clock[1] >= 1e-3 + MODEL.latency
 
     def test_receiver_already_late_not_delayed(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, None, nwords=0)
+        sim.send(0, 1, nwords=0)
         sim.compute(1, 10_000)  # receiver clock way past arrival
         t = sim.clock[1]
         sim.recv(1, 0)
@@ -62,46 +68,59 @@ class TestPointToPoint:
 
     def test_fifo_per_channel(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, "a", 1)
-        sim.send(0, 1, "b", 1)
-        assert sim.recv(1, 0) == "a"
-        assert sim.recv(1, 0) == "b"
+        sim.send(0, 1, 1)
+        sim.compute(0, 1000)
+        sim.send(0, 1, 1)  # posted 1e-3 + latency later
+        sim.recv(1, 0)
+        assert sim.clock[1] == pytest.approx(MODEL.message_cost(1))
+        sim.recv(1, 0)
+        assert sim.clock[1] == pytest.approx(
+            MODEL.latency + 1e-3 + MODEL.message_cost(1)
+        )
 
     def test_tags_separate_channels(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, "x", 1, tag="t1")
-        sim.send(0, 1, "y", 1, tag="t2")
-        assert sim.recv(1, 0, tag="t2") == "y"
-        assert sim.recv(1, 0, tag="t1") == "x"
+        sim.send(0, 1, 1, tag="t1")
+        sim.compute(0, 1000)
+        sim.send(0, 1, 1, tag="t2")
+        sim.recv(1, 0, tag="t2")  # the later message, drained first
+        late = sim.clock[1]
+        assert late > MODEL.message_cost(1)
+        sim.recv(1, 0, tag="t1")
+        assert sim.clock[1] == late
+        assert sim.pending_messages() == 0
 
     def test_self_send_free(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 0, "loop", 100)
-        assert sim.recv(0, 0) == "loop"
+        sim.send(0, 0, 100)
+        assert sim.pending_messages() == 1
+        sim.recv(0, 0)
         assert sim.clock[0] == 0.0
         assert sim.stats().messages == 0
 
     def test_message_counters(self):
         sim = Simulator(3, MODEL)
-        sim.send(0, 1, None, 5)
-        sim.send(1, 2, None, 7)
+        sim.send(0, 1, 5)
+        sim.send(1, 2, 7)
         st = sim.stats()
         assert st.messages == 2
         assert st.words_sent == 12
 
     def test_sender_pays_latency(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, None, 100)
+        sim.send(0, 1, 100)
         assert sim.clock[0] == pytest.approx(MODEL.latency)
 
 
 class TestExchange:
     def test_superstep_exchange(self):
         sim = Simulator(3, MODEL)
-        msgs = [(0, 1, "a", 1.0), (2, 1, "b", 1.0), (1, 0, "c", 1.0)]
-        out = sim.exchange(msgs)
-        assert [p for _, p in out[1]] == ["a", "b"]
-        assert out[0] == [(1, "c")]
+        assert sim.exchange([(0, 1, 1.0), (2, 1, 2.0), (1, 0, 3.0)]) is None
+        # every receiver waits for its latest arrival; rank 2 only posts
+        cost = MODEL.message_cost
+        assert sim.clock.tolist() == pytest.approx([cost(3.0), cost(2.0), MODEL.latency])
+        assert (sim.stats().messages, sim.stats().words_sent) == (3, 6.0)
+        assert sim.pending_messages() == 0
 
     def test_posts_in_given_order_drains_in_pair_order(self):
         sim = Simulator(3, MODEL)
@@ -109,7 +128,7 @@ class TestExchange:
         send, recv = sim.send, sim.recv
         sim.send = lambda s, d, *a, **k: (calls.append(("send", s, d)), send(s, d, *a, **k))[1]
         sim.recv = lambda d, s, **k: (calls.append(("recv", s, d)), recv(d, s, **k))[1]
-        sim.exchange([(2, 1, "b", 1.0), (1, 0, "c", 1.0), (0, 1, "a", 1.0)], tag="t")
+        sim.exchange([(2, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0)], tag="t")
         assert calls == [
             ("send", 2, 1), ("send", 1, 0), ("send", 0, 1),
             ("recv", 0, 1), ("recv", 1, 0), ("recv", 2, 1),
@@ -209,7 +228,7 @@ class TestInvariants:
                 sim.compute(int(rng.integers(4)), float(rng.integers(100)))
             elif op == 1:
                 s, d = rng.integers(4), rng.integers(4)
-                sim.send(int(s), int(d), None, float(rng.integers(50)), tag="r")
+                sim.send(int(s), int(d), float(rng.integers(50)), tag="r")
             elif op == 2:
                 sim.barrier()
             else:
@@ -228,13 +247,13 @@ class TestInvariants:
 
     def test_pending_messages_tracked(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, None, 1)
+        sim.send(0, 1, 1)
         assert sim.pending_messages() == 1
         sim.recv(1, 0)
         assert sim.pending_messages() == 0
 
     def test_ideal_model_zero_comm_time(self):
         sim = Simulator(2, IDEAL)
-        sim.send(0, 1, None, 10_000)
+        sim.send(0, 1, 10_000)
         sim.recv(1, 0)
         assert sim.elapsed() == 0.0

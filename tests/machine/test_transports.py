@@ -306,36 +306,37 @@ class TestEntryLifecycle:
 
 class TestExchangeAcrossTransports:
     """One ``exchange`` implementation: every transport gives the same
-    answer, the same counters, and leaves nothing in flight."""
+    clocks, the same counters, and leaves nothing in flight."""
 
     MESSAGES = [
-        (2, 1, {"v": 2}, 3.0),
-        (0, 1, "a", 1.0),
-        (1, 0, np.arange(4.0), 4.0),
-        (1, 1, "self", 9.0),  # local hand-off: delivered, not counted
-        (0, 2, None, 0.0),
+        (2, 1, 3.0),
+        (0, 1, 1.0),
+        (1, 0, 4.0),
+        (1, 1, 9.0),  # local hand-off: drained, not counted
+        (0, 2, 0.0),
     ]
 
     def _run(self, transport):
         with transport:
+            transport.compute(2, 1000.0)  # rank 2 posts late: rank 1 waits
             out = transport.exchange(self.MESSAGES, tag=("x", 0))
             stats = transport.stats()
-            return out, (stats.messages, stats.words_sent), transport.pending_messages()
+            return out, transport.clock.tolist(), (stats.messages, stats.words_sent), (
+                transport.pending_messages()
+            )
 
     def test_same_result_counters_and_empty_mailboxes(self):
         runs = [
             self._run(t)
             for t in (Simulator(3, CRAY_T3D), ThreadTransport(3), ProcessTransport(3))
         ]
-        for out, counts, pending in runs:
+        for out, clock, counts, pending in runs:
+            assert out is None
             assert pending == 0
-            assert counts == (4, 8.0) == runs[0][1]
-            assert sorted(out) == [0, 1, 2]
-            assert [src for src, _ in out[1]] == [0, 1, 2]  # (src, dst)-sorted drain
-            assert out[1][0][1] == "a" and out[1][1][1] == "self"
-            assert out[1][2][1] == {"v": 2}
-            assert np.array_equal(out[0][0][1], np.arange(4.0))
-            assert out[2] == [(0, None)]
+            assert counts == (4, 8.0) == runs[0][2]
+            assert clock == runs[0][1]
+        _, clock, _, _ = runs[0]
+        assert clock[1] > clock[0]  # waited for rank 2's late post
 
 
 class TestThreadTransportPrimitives:
@@ -401,7 +402,7 @@ class TestOneAccountingCore:
 
     #: what a thunk might try, by operation name
     THUNK_CALLS = {
-        "send": lambda t: t.send(0, 1, None, 1.0),
+        "send": lambda t: t.send(0, 1, 1.0),
         "recv": lambda t: t.recv(1, 0),
         "barrier": lambda t: t.barrier(),
         "compute": lambda t: t.compute(0, 5.0),

@@ -26,7 +26,7 @@ class TestUtilization:
     def test_waiting_reduces_utilization(self):
         sim = Simulator(2, MODEL)
         sim.compute(0, 1000)
-        sim.send(0, 1, None, 0)
+        sim.send(0, 1, 0)
         sim.recv(1, 0)  # rank 1 waits the whole time
         sim.compute(1, 1000)
         u = sim.utilization()

@@ -59,22 +59,6 @@ class TestCheckpointRestart:
         assert counts["drop"] == 1 and counts["retransmit"] == 1
         assert np.array_equal(clean.factors.U.data, faulted.factors.U.data)
 
-    def test_crash_recovery_survives_the_serializing_oracle(self):
-        """Checkpoint/restore under ``copy_payloads=True``: the restart
-        path must not depend on reference-shared message buffers."""
-        A = poisson2d(12)
-        plan = FaultPlan(rank_faults=[RankFault("crash", rank=2, superstep=4)])
-        plain = parallel_ilut(A, self.params(), 4, seed=0, faults=plan)
-        oracle = parallel_ilut(
-            A, self.params(), 4, seed=0, faults=plan, copy_payloads=True
-        )
-        assert oracle.recoveries == plain.recoveries == 1
-        assert plain.fault_journal.counts() == oracle.fault_journal.counts()
-        assert np.array_equal(plain.factors.L.data, oracle.factors.L.data)
-        assert np.array_equal(plain.factors.U.data, oracle.factors.U.data)
-        assert np.array_equal(plain.factors.perm, oracle.factors.perm)
-        assert plain.modeled_time == oracle.modeled_time
-
     def test_no_faults_means_no_journal(self):
         A = poisson2d(10)
         res = parallel_ilut(A, self.params(), 2, seed=0)

@@ -171,6 +171,25 @@ class TestFaultInjectModes:
         assert "converged" in out
         assert "fault check OK: corruption detected" in out
 
+    def test_corrupt_result_is_refused_on_the_simulator(self, capsys):
+        """A simulated message carries no data: corrupt-result is a
+        worker-transport mode, and the simulator says so instead of
+        reporting a recovery that never happened."""
+        assert main(["check", "g0:12", "--inject", "corrupt-result"]) == 1
+        out = capsys.readouterr().out
+        assert "--transport threads|processes" in out
+        assert "fault check OK" not in out and "recoveries" not in out
+        assert main(["check", "g0:12", "--inject", "corrupt-result", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["exit"] == 1
+
+    def test_corrupt_result_recovers_on_threads(self, capsys):
+        argv = ["check", "g0:12", "--inject", "corrupt-result", "--transport", "threads"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "1 supervised region retr(ies)" in out
+        assert "fault check OK: injection recovered" in out
+
 
 class TestCheckJson:
     """``check --json`` replaces the text report with one JSON document."""

@@ -54,7 +54,7 @@ class TestAdversarialDriver:
     def test_exchange_edge_removes_the_race(self):
         sim = Simulator(2, MODEL, trace=True)
         sim.declare_write(0, "u-row", 11)
-        sim.send(0, 1, None, 4.0, tag=("urow", 0))
+        sim.send(0, 1, 4.0, tag=("urow", 0))
         sim.recv(1, 0, tag=("urow", 0))
         sim.declare_read(1, "u-row", 11)
         assert find_races(sim.tracer) == []
