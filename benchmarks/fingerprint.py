@@ -15,6 +15,15 @@ written twice under different ``PYTHONHASHSEED`` values and compared:
 anything that iterates a set or a dict of rows in hash order shows up
 there.  The full corpus is ~1,800 small cases, a few minutes per side.
 
+The ``apply/`` family fingerprints the parallel triangular solve
+(``parallel_triangular_solve``) on factors of every engine: one digest
+of its accounting — modelled time, ``CommStats``, flops, recoveries,
+tracer cells, and under a fault plan (``fwd``/``bwd`` drop, delay and
+duplicate, a rank crash) the error it raised and the journal — and, as
+the separate ``apply-x/`` family, one of the solution's bytes.  A change
+to the summation order moves ``apply-x/`` digests only; the summary
+line counts them apart.
+
 The ``partition/`` family fingerprints the set-up stage on its own —
 ``part``, ``edge_cut``, ``balance`` and the interface mask — on
 matrices large enough for the multilevel partitioner to coarsen
@@ -28,13 +37,24 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from repro import ILUTParams
 from repro.decomp import decompose
-from repro.faults import FaultPlan, MessageFault, RankFault
-from repro.ilu import ilut, parallel_ilut, parallel_ilut_partitioned, parallel_ilut_star
+from repro.faults import FaultError, FaultPlan, MessageFault, RankFault
+from repro.ilu import (
+    ilut,
+    parallel_ilut,
+    parallel_ilut_partitioned,
+    parallel_ilut_star,
+    parallel_triangular_solve,
+)
+from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import (
     anisotropic2d,
     convection_diffusion2d,
@@ -86,6 +106,18 @@ PARTITION_MATRICES = {
     "rdd": lambda: random_diag_dominant(400, 6, seed=3),
     "rdd-unsym": lambda: random_diag_dominant(300, 5, seed=4, symmetric_pattern=False),
     "geometric": lambda: random_geometric_laplacian(500, seed=2),
+}
+# the parallel triangular solve: factors of both engines, the same four
+# variants, and fault plans on both sweeps' messages
+APPLY_FACTORS = {"mis": SETTINGS[0], "mis-star": SETTINGS[1], "ipart": SETTINGS[0]}
+APPLY_FAULTS = {
+    "drop-fwd": FaultPlan(message_faults=[MessageFault("drop", tag="fwd", skip=1)]),
+    "drop-bwd": FaultPlan(message_faults=[MessageFault("drop", tag="bwd", skip=2)]),
+    "delay-fwd": FaultPlan(message_faults=[MessageFault("delay", tag="fwd", count=3, delay=1e-3)]),
+    "delay-bwd": FaultPlan(message_faults=[MessageFault("delay", tag="bwd", count=2, delay=5e-4)]),
+    "duplicate-fwd": FaultPlan(message_faults=[MessageFault("duplicate", tag="fwd", count=2)]),
+    "duplicate-bwd": FaultPlan(message_faults=[MessageFault("duplicate", tag="bwd")]),
+    "crash": FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=3)]),
 }
 PARTITION_RANKS = (2, 3, 4, 7, 8)
 PARTITION_SEEDS = (0, 1, 3)
@@ -149,6 +181,70 @@ def _partitioned(A, mtk, p, **kwargs) -> str:
 def _serial(A, mtk, backend) -> str:
     f = ilut(A, ILUTParams(fill=mtk[0], threshold=mtk[1]), backend=backend)
     return _digest(_factor_parts(f) + [f.stats["flops"], f.stats["fill_nnz"]])
+
+
+@lru_cache(maxsize=None)
+def _apply_factors(name, kind, p):
+    A = MATRICES[name]()
+    m, t, k = APPLY_FACTORS[kind]
+    params = ILUTParams(fill=m, threshold=t, k=k)
+    if kind == "ipart":
+        return parallel_ilut_partitioned(A, params, p, seed=0, transport="none").factors
+    fn = parallel_ilut if k is None else parallel_ilut_star
+    return fn(A, params, p, seed=0, transport="none").factors
+
+
+def _apply_rhs(n):
+    return np.cos(np.arange(n, dtype=np.float64)) + 2.0
+
+
+def _apply(name, kind, p, part, faults=None, **kwargs) -> str:
+    """One digest of a parallel triangular solve: its accounting
+    (``part="acct"``) or its solution's bytes (``part="x"``).  Under a
+    fault plan the solve runs on a ready simulator, so what it charged
+    before the fault surfaced is part of the digest."""
+    f = _apply_factors(name, kind, p)
+    b = _apply_rhs(f.n)
+    if faults is None:
+        res = parallel_triangular_solve(f, b, nranks=p, **kwargs)
+        if part == "x":
+            return _digest([res.x.tobytes()])
+        parts = [
+            res.modeled_time,
+            None if res.comm is None else sorted(asdict(res.comm).items()),
+            res.flops,
+            res.recoveries,
+        ]
+        tracer = res.trace
+    else:
+        sim = Simulator(p, CRAY_T3D, faults=faults, trace=True)
+        try:
+            res = parallel_triangular_solve(f, b, nranks=p, transport=sim, **kwargs)
+            outcome, x = None, res.x.tobytes()
+        except FaultError as err:
+            outcome, x = f"{type(err).__name__}: {err}", None
+        if part == "x":
+            return _digest([x])
+        parts = [outcome, sim.elapsed(), sorted(asdict(sim.stats()).items()),
+                 sim.fault_journal.signature()]
+        tracer = sim.tracer
+    if tracer is not None:
+        parts.append(
+            [
+                (key, [(a.rank, a.kind, a.clock, a.epoch, a.seq) for a in accesses])
+                for key, accesses in tracer.cells()
+            ]
+        )
+    return _digest(parts)
+
+
+def _apply_cases(name, kind, p, label, **kwargs):
+    """The accounting and the solution digest of one solve, as two cases."""
+    for family, part in (("apply", "acct"), ("apply-x", "x")):
+        yield (
+            f"{family}/{name}/p{p}/{kind}/{label}",
+            lambda part=part: _apply(name, kind, p, part, **kwargs),
+        )
 
 
 def _partition(A, p, seed, kind) -> str:
@@ -228,6 +324,25 @@ def cases(quick: bool):
                 f"{transport}/ipart/{name}",
                 lambda A=A, tr=transport: _partitioned(A, SETTINGS[0], 3, transport=tr),
             )
+    # the parallel triangular solve
+    if quick:
+        yield from _apply_cases("torso", "ipart", 3, "traced", trace=True)
+    else:
+        for name in names:
+            for p in ranks:
+                for kind in APPLY_FACTORS:
+                    for variant, kwargs in VARIANTS.items():
+                        yield from _apply_cases(name, kind, p, variant, **kwargs)
+        for label, plan in APPLY_FAULTS.items():
+            for backend in ("reference", "vectorized"):
+                yield from _apply_cases(
+                    "torso", "mis-star", 3, f"{label}/{backend}", faults=plan, backend=backend
+                )
+        for transport in ("threads", "processes"):
+            for kind in APPLY_FACTORS:
+                yield from _apply_cases(
+                    "torso", kind, 3, transport, transport=transport, trace=True
+                )
     # the set-up stage alone, where coarsening fires
     if quick:
         A = PARTITION_MATRICES["torso"]()
@@ -264,7 +379,10 @@ def main(argv=None) -> int:
         print(f"DIFFERS  {k}")
     for k in missing:
         print(f"MISSING  {k} (present on one side only)")
+    by_family = Counter(k.split("/", 1)[0] for k in differing)
     print(f"{len(got)} cases: {len(differing)} differ, {len(missing)} unmatched")
+    if by_family:
+        print("differ by family: " + ", ".join(f"{f} {c}" for f, c in sorted(by_family.items())))
     return 1 if differing or missing else 0
 
 

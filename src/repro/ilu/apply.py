@@ -22,35 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparse import CSRMatrix
+from ..kernels.triangular import cached_schedules, triangular_levels
 
 __all__ = ["LevelScheduledApplier", "triangular_levels"]
-
-
-def triangular_levels(M: CSRMatrix, *, lower: bool) -> np.ndarray:
-    """Dependency level of each row of a triangular matrix.
-
-    For a lower-triangular solve, row ``i`` depends on rows ``j < i``
-    with ``M[i, j] != 0``; its level is one more than the max level of
-    its dependencies (0 for independent rows).  For an upper solve the
-    dependencies are ``j > i`` and rows are processed back-to-front.
-
-    This is the scalar reference;
-    :func:`repro.kernels.triangular.triangular_levels_vectorized`
-    computes the identical array with a Kahn frontier sweep.
-    """
-    n = M.shape[0]
-    levels = np.zeros(n, dtype=np.int64)
-    if lower:
-        rng = range(n)
-    else:
-        rng = range(n - 1, -1, -1)
-    for i in rng:
-        cols, _ = M.row(i)
-        deps = cols[cols < i] if lower else cols[cols > i]
-        if deps.size:
-            levels[i] = int(levels[deps].max()) + 1
-    return levels
 
 
 class LevelScheduledApplier:
@@ -58,17 +32,16 @@ class LevelScheduledApplier:
 
     Build once from an :class:`~repro.ilu.factors.ILUFactors`; each
     :meth:`apply` performs the permuted forward+backward solve as one
-    gather / segment-sum / scatter per dependency level (see
-    :class:`repro.kernels.triangular.BatchedTriangularSchedule`).
-    Numerically equivalent to ``factors.solve`` — same dataflow, with
-    per-level batched reductions in place of per-row dot products, so
-    results agree to roundoff (the parity suite bounds the relative
-    difference at 1e-12).
+    gather / ``np.bincount`` / scatter per dependency level (see
+    :class:`repro.kernels.triangular.BatchedTriangularSchedule`).  Every
+    row is summed left to right from ``0.0`` in stored order — the
+    order the §5 parallel apply
+    (:func:`repro.ilu.triangular.parallel_triangular_solve`) uses on
+    every transport — so the two agree bit for bit.  ``factors.solve``
+    (:mod:`repro.sparse.ops`, one ``np.dot`` per row) agrees to roundoff.
     """
 
     def __init__(self, factors) -> None:
-        from ..kernels.triangular import cached_schedules
-
         self.perm = factors.perm
         self._fwd, self._bwd = cached_schedules(factors)
         self.n = factors.n

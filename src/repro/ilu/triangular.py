@@ -18,16 +18,37 @@ nodes (like a matvec); what distinguishes it from the matvec is the
 ``q`` level synchronisations, which is why ILUT* (smaller ``q``)
 produces cheaper triangular solves — the effect Table 2 and Figure 6
 measure.
+
+**One order, any schedule.**  A row is summed the way
+:mod:`repro.kernels.triangular` defines for every solve in the library
+— ``y_i - (((0.0 + l_{i,c1} y_{c1}) + l_{i,c2} y_{c2}) + ...)`` in
+stored column order, divided by ``u_ii`` on the backward sweep — and
+reads only final values of the rows it depends on.  The regions here
+(one per interior stage, one per dependency sub-round of an interface
+level) therefore compute the serial level applier's bits exactly, on
+every transport and under either ``backend=``.
+
+The schedule is analysed once per factors object into an
+:class:`ApplyPlan`, cached beside the serial schedules
+(:func:`repro.kernels.triangular.cached_analysis`) and evicted with the
+factors: per stage the ``(rank, flops)`` charges, each level's sorted
+``(src, dst, words)`` message list, and the rows each rank solves in
+each region with their CSR entries as arrays.  A thunk lists its batch
+once and runs a scalar row loop in Python floats, the pattern of
+:mod:`repro.ilu.row`; the accounting replays from the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..faults import FaultJournal, FaultPlan
+from ..kernels.csr import csr_gather_rows
+from ..kernels.triangular import cached_analysis, cached_schedules, triangular_diagonal
 from ..machine import (
     CRAY_T3D,
     CommStats,
@@ -35,10 +56,9 @@ from ..machine import (
     Simulator,
     entry_transport,
     run_region,
-    run_region_by_owner,
 )
 from ..sparse import CSRMatrix
-from .factors import ILUFactors
+from .factors import ILUFactors, LevelStructure
 
 if TYPE_CHECKING:
     from ..machine.supervision import SupervisionPolicy
@@ -61,61 +81,294 @@ class TriangularSolveResult:
     transport: str = "none"
 
 
-def _cross_rank_receivers(
-    M_csc_like: dict[int, set[int]],
-    owner: np.ndarray,
-    positions: np.ndarray,
-) -> dict[tuple[int, int], int]:
-    """Words each (src, dst) rank pair exchanges for the given level.
+# ---------------------------------------------------------------------------
+# the plan
+# ---------------------------------------------------------------------------
 
-    ``M_csc_like[p]`` is the set of ranks owning rows that reference
-    column position ``p``.
+
+@dataclass(frozen=True)
+class _Batch:
+    """The rows one rank solves in one region.
+
+    The thunk works on a local copy of the vector at ``gather``: the
+    batch's rows first, in solve order, then every other position they
+    read.  ``counts`` is each row's number of dependency entries and
+    ``cols``/``vals`` are those entries, row after row in stored order,
+    columns renumbered into the copy; ``diag`` is ``u_ii`` on the
+    backward sweep and ``1.0`` (an exact no-op divisor) on the forward.
     """
-    words: dict[tuple[int, int], int] = {}
-    for p in positions:
-        src = int(owner[p])
-        for dst in M_csc_like.get(int(p), ()):  # ranks needing x[p]
-            if dst != src:
-                key = (src, dst)
-                words[key] = words.get(key, 0) + 1
-    return words
+
+    rank: int
+    gather: np.ndarray
+    counts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.gather[: self.counts.size]
 
 
-def _column_consumers(M, owner: np.ndarray) -> dict[int, set[int]]:
-    """For each column position, the ranks owning rows that reference it."""
-    rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
-    nranks = int(owner.max(initial=0)) + 1
-    pairs = np.unique(M.indices * nranks + owner[rows])  # one per (column, rank)
-    consumers: dict[int, set[int]] = {}
-    for c, r in zip((pairs // nranks).tolist(), (pairs % nranks).tolist()):
-        consumers.setdefault(c, set()).add(r)
-    return consumers
+@dataclass(frozen=True)
+class _Level:
+    """One interface level of one sweep: its dependency sub-rounds (one
+    region each), then one charge per owning rank, the exchange of its
+    fresh values and the level barrier."""
+
+    positions: np.ndarray
+    rounds: list[list[_Batch]]
+    charges: list[tuple[int, float]]
+    messages: list[tuple[int, int, float]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Sweep:
-    """One substitution direction as the stage accounting sees it."""
+    """One substitution direction."""
 
     name: str  # message-tag prefix: "fwd" | "bwd"
     M: CSRMatrix  # L (forward) or U (backward, diagonal stored first)
     backward: bool
-    row_flops: np.ndarray  # integer-valued charge per row position
-    consumers: dict[int, set[int]]  # empty without a transport
+    interior: list[_Batch]  # one region
+    #: ``(rank, flops, start, end)`` per non-empty interior block
+    interior_charges: list[tuple[int, float, int, int]]
+    levels: list[_Level]
 
 
-def _sweeps(factors: ILUFactors, sim) -> tuple[_Sweep, _Sweep]:
-    """The forward (L) and backward (U) sweeps of ``factors``."""
-    L, U = factors.L, factors.U
-    owner = factors.levels.owner
+@dataclass(frozen=True)
+class ApplyPlan:
+    """Everything :func:`parallel_triangular_solve` derives from one
+    factors object, built once per factors (:func:`_apply_plan`)."""
 
-    def consumers(M: CSRMatrix) -> dict[int, set[int]]:
-        return _column_consumers(M, owner) if sim is not None else {}
+    fwd: _Sweep
+    bwd: _Sweep
 
+
+def _apply_plan(factors: ILUFactors) -> ApplyPlan:
+    return cached_analysis(factors, "apply_plan", _build_plan)
+
+
+def _build_plan(factors: ILUFactors) -> ApplyPlan:
+    L, U, levels = factors.L, factors.U, factors.levels
     # forward: 2 flops per L entry; backward: 2 per off-diagonal U entry
     # plus the division
-    lower = _Sweep("fwd", L, False, 2.0 * np.diff(L.indptr), consumers(L))
-    upper = _Sweep("bwd", U, True, 2.0 * (np.diff(U.indptr) - 1) + 1.0, consumers(U))
-    return lower, upper
+    fwd = _build_sweep("fwd", L, levels, 2.0 * np.diff(L.indptr), np.ones(factors.n))
+    bwd = _build_sweep(
+        "bwd", U, levels, 2.0 * (np.diff(U.indptr) - 1) + 1.0, triangular_diagonal(U),
+        backward=True,
+    )
+    return ApplyPlan(fwd, bwd)
+
+
+def _build_sweep(
+    name: str,
+    M: CSRMatrix,
+    levels: LevelStructure,
+    row_flops: np.ndarray,
+    diag: np.ndarray,
+    *,
+    backward: bool = False,
+) -> _Sweep:
+    owner = np.asarray(levels.owner, dtype=np.int64)
+    n = M.shape[0]
+    nranks = int(owner.max(initial=0)) + 1
+    q = len(levels.interface_levels)
+    blocks = [(s, e) for s, e in levels.interior_ranges if s != e]
+
+    # every interface position with its level, sub-round and owner
+    pos = np.zeros(0, dtype=np.int64)
+    if q:
+        pos = np.concatenate(levels.interface_levels).astype(np.int64)
+    lvl = np.repeat(np.arange(q, dtype=np.int64), levels.level_sizes())
+    level_of = np.full(n, -1, dtype=np.int64)
+    level_of[pos] = lvl
+    rows_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
+    depth = _subround_depths(rows_all, M.indices, level_of, backward)
+    rnd, rank = depth[pos], owner[pos]
+
+    # batches: the interior blocks, then per (level, round, rank) the rows
+    order = np.lexsort((pos, rank, rnd, lvl))
+    key = np.stack((lvl[order], rnd[order], rank[order]))
+    cut = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
+    bounds = [0, *cut.tolist(), order.size] if order.size else [0]
+    groups = [np.arange(s, e, dtype=np.int64) for s, e in blocks]
+    groups += [pos[order[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]
+    if backward:
+        groups = [g[::-1] for g in groups]
+    ranks = [int(owner[s]) for s, _ in blocks] + key[2, bounds[:-1]].tolist()
+    batches = _batches(M, groups, ranks, diag, backward)
+
+    rounds: list[list[list[_Batch]]] = [[] for _ in range(q)]
+    last = (-1, -1)
+    for batch, k, d in zip(batches[len(blocks) :], *key[:2, bounds[:-1]].tolist()):
+        if (k, d) != last:
+            rounds[k].append([])
+            last = (k, d)
+        rounds[k][-1].append(batch)
+
+    # one charge per (level, owning rank), rank ascending; the flop
+    # charges are integers, so their order of summation is immaterial
+    cell = lvl * nranks + rank
+    flops = np.bincount(cell, weights=row_flops[pos], minlength=q * nranks).tolist()
+    present = np.flatnonzero(np.bincount(cell, minlength=q * nranks)).tolist()
+    charges: list[list[tuple[int, float]]] = [[] for _ in range(q)]
+    for c in present:
+        charges[c // nranks].append((c % nranks, flops[c]))
+
+    return _Sweep(
+        name=name,
+        M=M,
+        backward=backward,
+        interior=batches[: len(blocks)],
+        interior_charges=[
+            (int(owner[s]), float(row_flops[s:e].sum()), s, e) for s, e in blocks
+        ],
+        levels=[
+            _Level(np.asarray(p), r, c, m)
+            for p, r, c, m in zip(
+                levels.interface_levels, rounds, charges,
+                _level_messages(rows_all, M.indices, owner, level_of, q, nranks),
+            )
+        ],
+    )
+
+
+def _subround_depths(
+    rows: np.ndarray, cols: np.ndarray, level_of: np.ndarray, backward: bool
+) -> np.ndarray:
+    """The dependency sub-round of every interface position.
+
+    The elimination engine's levels are independent sets, but the §7
+    engine's levels couple their own rows.  A row's sub-round is one
+    more than the highest sub-round among the same-level rows it reads
+    (0 if none), so a sub-round reads only values final before it
+    starts.
+    """
+    depth = np.zeros(level_of.size, dtype=np.int64)
+    intra = (level_of[cols] == level_of[rows]) & (level_of[rows] >= 0) & (cols != rows)
+    if not intra.any():
+        return depth
+    r, c = rows[intra], cols[intra]
+    # dependencies precede their readers: ascending forward, descending backward
+    order = np.argsort(-r if backward else r, kind="stable")
+    d: dict[int, int] = {}
+    for i, j in zip(r[order].tolist(), c[order].tolist()):
+        v = d.get(j, 0) + 1
+        if v > d.get(i, 0):
+            d[i] = v
+    depth[list(d)] = list(d.values())
+    return depth
+
+
+def _level_messages(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    owner: np.ndarray,
+    level_of: np.ndarray,
+    q: int,
+    nranks: int,
+) -> list[list[tuple[int, int, float]]]:
+    """Each level's ``(src, dst, words)`` list, ascending ``(src, dst)``.
+
+    One word flows per level column ``c`` and rank ``dst`` owning a row
+    that references it, ``dst != owner(c)`` — the ranks whose remaining
+    rows need the fresh value.
+    """
+    at = level_of[cols] >= 0
+    pairs = np.unique(cols[at] * nranks + owner[rows[at]])  # (column, consumer rank)
+    c, dst = pairs // nranks, pairs % nranks
+    src = owner[c]
+    cross = src != dst
+    triple = (level_of[c[cross]] * nranks + src[cross]) * nranks + dst[cross]
+    keys, words = np.unique(triple, return_counts=True)
+    out: list[list[tuple[int, int, float]]] = [[] for _ in range(q)]
+    for k, w in zip(keys.tolist(), words.tolist()):
+        out[k // (nranks * nranks)].append((k // nranks % nranks, k % nranks, float(w)))
+    return out
+
+
+def _batches(
+    M: CSRMatrix, groups: list[np.ndarray], ranks: list[int], diag: np.ndarray, backward: bool
+) -> list[_Batch]:
+    """One :class:`_Batch` per group of rows (in solve order), cut from
+    one gather of all their entries."""
+    if not groups:
+        return []
+    n = M.shape[0]
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    rows = np.concatenate(groups)
+    gid = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+    r_ptr = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=r_ptr[1:])
+    e_row, e_col, flat = csr_gather_rows(M, rows)
+    e_k = np.repeat(np.arange(rows.size, dtype=np.int64), np.diff(M.indptr)[rows])
+    if backward:  # the diagonal divides, it is not a dependency
+        off = e_col != e_row
+        e_col, flat, e_k = e_col[off], flat[off], e_k[off]
+    counts = np.bincount(e_k, minlength=rows.size)
+    e_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=e_ptr[1:])
+
+    # renumber every column into its group's copy: the group's own rows
+    # keep their ordinal, every other column follows them, ascending
+    e_gid = gid[e_k]
+    row_key = gid * n + rows
+    by_key = np.argsort(row_key)
+    e_key = e_gid * n + e_col
+    at = np.minimum(np.searchsorted(row_key[by_key], e_key), rows.size - 1)
+    own = row_key[by_key[at]] == e_key
+    local = by_key[at] - r_ptr[e_gid]
+    far = ~own
+    ext_key = np.unique(e_key[far])
+    x_ptr = np.searchsorted(ext_key // n, np.arange(len(groups) + 1, dtype=np.int64))
+    local[far] = sizes[e_gid[far]] + np.searchsorted(ext_key, e_key[far]) - x_ptr[e_gid[far]]
+    ext_col = ext_key % n
+    vals = M.data[flat]
+    d = diag[rows]
+
+    out = []
+    rb, eb, xb = r_ptr.tolist(), e_ptr.tolist(), x_ptr.tolist()
+    for g, rank in enumerate(ranks):
+        r0, r1 = rb[g], rb[g + 1]
+        a, b = eb[r0], eb[r1]
+        gather = np.concatenate((rows[r0:r1], ext_col[xb[g] : xb[g + 1]]))
+        out.append(_Batch(rank, gather, counts[r0:r1], local[a:b], vals[a:b], d[r0:r1]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# numerics: the thunk body and the regions that run it
+# ---------------------------------------------------------------------------
+
+
+def _solve_rows(x: np.ndarray, batch: _Batch) -> np.ndarray:
+    """Thunk body: the batch's rows one after the other, each
+    ``(y_i - (((0.0 + m_1 y_1) + m_2 y_2) + ...)) / d_i`` in Python
+    floats, and their values as an array."""
+    y = x[batch.gather].tolist()
+    entries = zip(batch.cols.tolist(), batch.vals.tolist())
+    for i, (count, d) in enumerate(zip(batch.counts.tolist(), batch.diag.tolist())):
+        acc = 0.0
+        for c, v in islice(entries, count):
+            acc += v * y[c]
+        y[i] = (y[i] - acc) / d
+    return np.array(y[: batch.counts.size], dtype=np.float64)
+
+
+def _solve_region(sim, nranks: int, x: np.ndarray, batches: list[_Batch]) -> None:
+    """One parallel region: each rank's thunk reads the shared vector
+    and returns its rows' values, which the coordinator stores."""
+    thunks: list = [None] * nranks
+    for batch in batches:
+        thunks[batch.rank] = lambda batch=batch: _solve_rows(x, batch)
+    results = run_region(sim, thunks)
+    for batch in batches:
+        x[batch.rows] = results[batch.rank]
+
+
+# ---------------------------------------------------------------------------
+# accounting, replayed from the plan
+# ---------------------------------------------------------------------------
 
 
 def _declare_rows(tr, sweep: _Sweep, owner: np.ndarray, positions) -> None:
@@ -130,18 +383,14 @@ def _declare_rows(tr, sweep: _Sweep, owner: np.ndarray, positions) -> None:
         tr.write(int(owner[p]), "x", p)
 
 
-def _account_interior(sim, levels, sweep: _Sweep, flops_rank: np.ndarray) -> None:
+def _account_interior(sim, owner: np.ndarray, sweep: _Sweep, flops_rank: np.ndarray) -> None:
     """Accounting of one interior stage: per-block declarations and one
     charge per rank, then the barrier that closes the stage."""
     tr = getattr(sim, "tracer", None)
-    for (s, e) in levels.interior_ranges:
-        if s == e:
-            continue
-        rank = int(levels.owner[s])
+    for rank, fl, s, e in sweep.interior_charges:
         if tr is not None:
             rows = range(e - 1, s - 1, -1) if sweep.backward else range(s, e)
-            _declare_rows(tr, sweep, levels.owner, rows)
-        fl = float(sweep.row_flops[s:e].sum())
+            _declare_rows(tr, sweep, owner, rows)
         flops_rank[rank] += fl
         if sim is not None:
             sim.compute(rank, fl)
@@ -150,57 +399,29 @@ def _account_interior(sim, levels, sweep: _Sweep, flops_rank: np.ndarray) -> Non
 
 
 def _account_level(
-    sim, levels, sweep: _Sweep, lvl_idx: int, flops_rank: np.ndarray
+    sim, owner: np.ndarray, sweep: _Sweep, lvl_idx: int, flops_rank: np.ndarray
 ) -> None:
     """Accounting of one interface level: declarations in sweep order,
     one charge per participating rank, the exchange of the level's fresh
     values to the ranks whose remaining rows reference them, and the
     level barrier (one of the paper's ``q`` synchronisation points)."""
     tr = getattr(sim, "tracer", None)
-    owner = levels.owner
-    positions = levels.interface_levels[lvl_idx]
+    level = sweep.levels[lvl_idx]
     if tr is not None:
+        positions = level.positions
         _declare_rows(tr, sweep, owner, positions[::-1] if sweep.backward else positions)
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.size:
-        per = np.bincount(owner[pos], weights=sweep.row_flops[pos])
-        for rank in np.unique(owner[pos]).tolist():
-            flops_rank[rank] += per[rank]
-            if sim is not None:
-                sim.compute(rank, float(per[rank]))
+    for rank, fl in level.charges:
+        flops_rank[rank] += fl
+        if sim is not None:
+            sim.compute(rank, fl)
     if sim is not None:
-        words = _cross_rank_receivers(sweep.consumers, owner, positions)
-        sim.exchange(
-            [(src, dst, float(w)) for (src, dst), w in sorted(words.items())],
-            tag=(sweep.name, lvl_idx),
-        )
+        sim.exchange(level.messages, tag=(sweep.name, lvl_idx))
         sim.barrier()
 
 
-def _solve_vectorized(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
-    """Vectorized backend of :func:`parallel_triangular_solve`.
-
-    Numerics run through the cached batched level schedules; the
-    transport is driven through the same stage accounting as the
-    reference path (charges are integer-valued, so batched summation
-    reproduces ``modeled_time`` bit for bit), and under a tracer the
-    shared-``x`` accesses are declared row by row exactly as the
-    reference does — race detection sees the same program.
-    """
-    from ..kernels.triangular import cached_schedules
-
-    levels = factors.levels
-    fwd, bwd = cached_schedules(factors)
-    lower, upper = _sweeps(factors, sim)
-    nlevels = len(levels.interface_levels)
-    y = fwd.solve(b[factors.perm])
-    _account_interior(sim, levels, lower, flops_rank)
-    for lvl_idx in range(nlevels):
-        _account_level(sim, levels, lower, lvl_idx, flops_rank)
-    for lvl_idx in range(nlevels - 1, -1, -1):
-        _account_level(sim, levels, upper, lvl_idx, flops_rank)
-    _account_interior(sim, levels, upper, flops_rank)
-    return bwd.solve(y)
+# ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
 
 
 def parallel_triangular_solve(
@@ -222,12 +443,12 @@ def parallel_triangular_solve(
     from a parallel factorization).
 
     With ``backend="vectorized"`` the substitution itself runs through
-    the cached batched level schedules
+    the cached serial level schedules
     (:func:`repro.kernels.triangular.cached_schedules`) while the cost
     accounting, messages and (when tracing) shared-access declarations
-    follow the reference schedule row for row: ``modeled_time``, ``comm``
-    and race-detection results are identical to the reference backend,
-    and ``x`` agrees to roundoff.
+    replay the same plan: ``modeled_time``, ``comm`` and race-detection
+    results are identical to the reference backend, and so is ``x``, bit
+    for bit (one summation order, any schedule).
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
@@ -278,143 +499,52 @@ def parallel_triangular_solve(
         )
 
 
+def _solve_vectorized(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
+    """Vectorized backend of :func:`parallel_triangular_solve`.
+
+    Numerics run through the cached serial level schedules; the
+    transport is driven through the same stage accounting as the
+    reference path, at the same points of the stage sequence.
+    """
+    plan = _apply_plan(factors)
+    owner = factors.levels.owner
+    fwd, bwd = cached_schedules(factors)
+    nlevels = len(plan.fwd.levels)
+    y = fwd.solve(b[factors.perm])
+    _account_interior(sim, owner, plan.fwd, flops_rank)
+    for lvl_idx in range(nlevels):
+        _account_level(sim, owner, plan.fwd, lvl_idx, flops_rank)
+    for lvl_idx in range(nlevels - 1, -1, -1):
+        _account_level(sim, owner, plan.bwd, lvl_idx, flops_rank)
+    _account_interior(sim, owner, plan.bwd, flops_rank)
+    return bwd.solve(y)
+
+
 def _solve_on(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
     """Reference backend of :func:`parallel_triangular_solve`.
 
-    Every sweep stage is a parallel region of pure per-rank thunks
-    (read-shared vector, return own entries) whose results the
-    coordinator merges in the historical inline order, followed by that
-    stage's accounting — bit-identical on every transport.
+    Every interior stage is one parallel region, every interface level
+    one region per dependency sub-round (sub-rounds are an execution
+    detail: charges and messages stay at level granularity).  Each thunk
+    solves its rank's rows of the region on a local copy of what they
+    read and returns their values; the coordinator stores them, then
+    replays the stage's accounting — bit-identical on every transport.
     """
-    levels = factors.levels
-    owner = levels.owner
+    plan = _apply_plan(factors)
+    owner = factors.levels.owner
     nranks = flops_rank.size
-    L, U = factors.L, factors.U
-    lower, upper = _sweeps(factors, sim)
-
-    def interior_stage(vec: np.ndarray, block_solve) -> None:
-        """One region over the ranks' interior blocks: each thunk solves
-        its own contiguous block against a private copy of the segment."""
-        thunks: list = [None] * nranks
-        for (s, e) in levels.interior_ranges:
-            if s != e:
-                thunks[int(owner[s])] = lambda s=s, e=e: block_solve(s, e)
-        results = run_region(sim, thunks)
-        for (s, e) in levels.interior_ranges:
-            if s != e:
-                vec[s:e] = results[int(owner[s])]
-
-    # ------------------------------------------------------- forward
-    y = b[factors.perm].copy()
-
-    def fwd_interior(s: int, e: int) -> np.ndarray:
-        seg = y[s:e].copy()
-        for i in range(s, e):
-            cols, vals = L.row(i)
-            if cols.size:
-                # interior L columns stay within the owner's block by
-                # construction; gather defensively so an out-of-block
-                # column reads the shared vector instead of mis-indexing
-                xv = np.empty(cols.size)
-                in_blk = cols >= s
-                xv[in_blk] = seg[cols[in_blk] - s]
-                xv[~in_blk] = y[cols[~in_blk]]
-                seg[i - s] -= np.dot(vals, xv)
-        return seg
-
-    interior_stage(y, fwd_interior)
-    _account_interior(sim, levels, lower, flops_rank)
-
-    def solve_level(vec: np.ndarray, M, positions, backward: bool) -> None:
-        """Solve one interface level in place, as parallel sub-rounds.
-
-        The elimination engine's levels are true dependency levels, but
-        interface-partitioned factors carry intra-level couplings that
-        the historical inline loop resolved sequentially in ``positions``
-        order.  Execution here splits the level into dependency
-        sub-rounds (each a genuine parallel region); every row still
-        reads only *final* dependency values, so the computed entries are
-        bit-identical to the inline sweep.  Charges and messages stay at
-        the original level granularity — sub-rounds are an execution
-        detail, not part of the cost model.
-        """
-        order = [int(p) for p in (positions[::-1] if backward else positions)]
-        seqno = {p: k for k, p in enumerate(order)}
-        depth: dict[int, int] = {}
-        rounds: list[list[int]] = []
-        for p in order:
-            cols = M.row(p)[0]
-            deps = cols[1:] if backward else cols
-            cdepths = [depth[int(c)] for c in deps if int(c) in depth]
-            d = (max(cdepths) + 1) if cdepths else 0
-            depth[p] = d
-            while len(rounds) <= d:
-                rounds.append([])
-            rounds[d].append(p)
-
-        newvals: dict[int, float] = {}
-
-        def round_rows(_rank: int, rows: list[int]) -> list[tuple[int, float]]:
-            out = []
-            for p in rows:
-                cols, vals = M.row(p)
-                deps = cols[1:] if backward else cols
-                v = vec[p]
-                if deps.size:
-                    # a same-level dep earlier in inline order is
-                    # final in newvals (strictly smaller depth); one
-                    # later in inline order must read the pre-sweep
-                    # value, exactly as the inline loop did
-                    k = seqno[p]
-                    xv = np.array(
-                        [
-                            newvals[int(c)]
-                            if seqno.get(int(c), k) < k
-                            else vec[c]
-                            for c in deps
-                        ],
-                        dtype=np.float64,
-                    )
-                    v -= np.dot(vals[1:] if backward else vals, xv)
-                if backward:
-                    v /= vals[0]
-                out.append((p, v))
-            return out
-
-        for rnd in rounds:
-            merged = run_region_by_owner(sim, nranks, rnd, owner, round_rows)
-            newvals.update((p, v) for p, v in merged.values())
-        for p in order:
-            vec[p] = newvals[p]
-
-    nlevels = len(levels.interface_levels)
+    x = b[factors.perm]
+    _solve_region(sim, nranks, x, plan.fwd.interior)
+    _account_interior(sim, owner, plan.fwd, flops_rank)
+    nlevels = len(plan.fwd.levels)
     for lvl_idx in range(nlevels):
-        solve_level(y, L, levels.interface_levels[lvl_idx], backward=False)
-        _account_level(sim, levels, lower, lvl_idx, flops_rank)
-
-    # ------------------------------------------------------- backward
-    x = y
+        for batches in plan.fwd.levels[lvl_idx].rounds:
+            _solve_region(sim, nranks, x, batches)
+        _account_level(sim, owner, plan.fwd, lvl_idx, flops_rank)
     for lvl_idx in range(nlevels - 1, -1, -1):
-        solve_level(x, U, levels.interface_levels[lvl_idx], backward=True)
-        _account_level(sim, levels, upper, lvl_idx, flops_rank)
-
-    def bwd_interior(s: int, e: int) -> np.ndarray:
-        seg = x[s:e].copy()
-        for i in range(e - 1, s - 1, -1):
-            cols, vals = U.row(i)
-            if cols.size > 1:
-                # U rows of the interior block may reference interface
-                # columns past the block end — those are final in the
-                # shared vector by the time this region runs
-                c = cols[1:]
-                xv = np.empty(c.size)
-                in_blk = c < e
-                xv[in_blk] = seg[c[in_blk] - s]
-                xv[~in_blk] = x[c[~in_blk]]
-                seg[i - s] -= np.dot(vals[1:], xv)
-            seg[i - s] /= vals[0]
-        return seg
-
-    interior_stage(x, bwd_interior)
-    _account_interior(sim, levels, upper, flops_rank)
+        for batches in plan.bwd.levels[lvl_idx].rounds:
+            _solve_region(sim, nranks, x, batches)
+        _account_level(sim, owner, plan.bwd, lvl_idx, flops_rank)
+    _solve_region(sim, nranks, x, plan.bwd.interior)
+    _account_interior(sim, owner, plan.bwd, flops_rank)
     return x

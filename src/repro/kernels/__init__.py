@@ -23,9 +23,11 @@ from .csr import (
 )
 from .triangular import (
     BatchedTriangularSchedule,
+    cached_analysis,
     cached_schedules,
     clear_schedule_cache,
-    triangular_levels_vectorized,
+    triangular_diagonal,
+    triangular_levels,
 )
 
 __all__ = [
@@ -42,7 +44,9 @@ __all__ = [
     "csr_gather_rows",
     "split_lu_vectorized",
     "BatchedTriangularSchedule",
-    "triangular_levels_vectorized",
+    "triangular_levels",
+    "triangular_diagonal",
+    "cached_analysis",
     "cached_schedules",
     "clear_schedule_cache",
 ]

@@ -2,14 +2,20 @@
 
 These are the ``backend="vectorized"`` counterparts of the scalar code
 in :mod:`repro.sparse.csr` and :mod:`repro.sparse.ops`.  All of them are
-pure whole-array numpy; the per-row segment sums use the prefix-sum
-trick (``cumsum`` differenced at the row pointers) rather than
-``np.add.at``, which keeps them O(nnz) without the dispatch overhead of
-ufunc.at and handles empty rows for free.
+pure whole-array numpy; the per-row segment sums of the matvec and the
+row norms use the prefix-sum trick (``cumsum`` differenced at the row
+pointers) rather than ``np.add.at``, which keeps them O(nnz) without the
+dispatch overhead of ufunc.at and handles empty rows for free.  The
+triangular solves no longer use it: they sum each row left to right
+from ``0.0`` with ``np.bincount`` (:mod:`repro.kernels.triangular`).
 
 Parity: entry *selection* (split, diagonal) is element-exact against the
 reference; floating-point *sums* (matvec, row norms) agree to <= 1e-12
 relative because prefix-sum association differs from per-row ``np.dot``.
+That bound holds for the test matrices, not for the kernel: a row's
+absolute error is about eps times everything summed before it, so a
+small row after large ones loses its relative accuracy.  Moving matvec
+and norms onto the triangular solves' order is ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -1,100 +1,114 @@
-"""Batched level-scheduled triangular solves.
+"""Level-scheduled triangular solves, in the one summation order.
 
-The reference appliers walk a triangular factor row by row
-(:mod:`repro.sparse.ops`) or level by level with an O(n) scratch vector
-per level (:mod:`repro.ilu.apply`).  This module computes the dependency
-levels with a vectorized Kahn frontier sweep and flattens each level
-into one ``(rows, entry_cols, entry_vals, row_segments)`` bundle, so a
-solve is a single gather / segment-sum / scatter per level with no per
--row Python and no O(n) temporaries.
+Every triangular solve in the library sums a row the same way: row
+``i`` of a forward sweep is ``y_i - (((0.0 + l_{i,c1} y_{c1}) +
+l_{i,c2} y_{c2}) + ...)`` over its stored columns in stored order, and
+a backward row is the same expression divided by ``u_ii``.  A row reads
+only final values of the rows it depends on, so every schedule that
+respects the dependencies computes the same bits: the §5 parallel
+apply (:mod:`repro.ilu.triangular`, a scalar row kernel per rank and
+region) and this module's serial applier agree bit for bit, and
+``tests/ilu/_trisolve.py`` keeps the row-by-row loop as the reference
+oracle of both.
 
-Schedules are cached per :class:`~repro.ilu.factors.ILUFactors` object
-(keyed by identity — the factors dataclass is mutable and unhashable —
-with a ``weakref.finalize`` hook evicting entries when the factors are
+:func:`triangular_levels` computes the dependency levels (one pass of
+the ``max(level[deps]) + 1`` recurrence over the rows as lists), and
+:class:`BatchedTriangularSchedule` flattens each level into one bundle
+— the level's rows, their off-diagonal entries and each entry's row
+ordinal, the diagonal — cut from a single level-sorted gather.  A solve
+is then one gather / ``np.bincount`` / scatter per level: ``bincount``
+adds its weights in input order into zeros, which is exactly the
+left-to-right row sum above.
+
+Per-factors analyses — these schedules, and the parallel apply's plan —
+are cached per :class:`~repro.ilu.factors.ILUFactors` object (keyed by
+identity — the factors dataclass is mutable and unhashable — with a
+``weakref.finalize`` hook evicting the entry when the factors are
 collected), so repeated preconditioner applications inside a Krylov
-solve pay the analysis exactly once.
+solve pay each analysis exactly once.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import numpy as np
 
 from ..resilience import ZeroDiagonalError, ZeroPivotError
-from .csr import segment_sums
+from .csr import csr_gather_rows
 
 if TYPE_CHECKING:
     from ..ilu.factors import ILUFactors
     from ..sparse.csr import CSRMatrix
 
 __all__ = [
-    "triangular_levels_vectorized",
+    "triangular_levels",
+    "triangular_diagonal",
     "BatchedTriangularSchedule",
+    "cached_analysis",
     "cached_schedules",
     "clear_schedule_cache",
 ]
 
-
-def _flat_gather(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Indices of the concatenation of ``[s, s+len)`` ranges."""
-    total = int(lens.sum())
-    idx = np.arange(total, dtype=np.int64)
-    if starts.size:
-        ends = np.cumsum(lens)
-        idx += np.repeat(starts - (ends - lens), lens)
-    return idx
+T = TypeVar("T")
 
 
-def triangular_levels_vectorized(M: CSRMatrix, *, lower: bool) -> np.ndarray:
-    """Vectorized :func:`repro.ilu.apply.triangular_levels` (exact match).
+def triangular_levels(M: CSRMatrix, *, lower: bool) -> np.ndarray:
+    """Dependency level of each row of a triangular matrix.
 
-    Kahn frontier formulation: the rows with no strict-triangular
-    dependencies form level 0; removing a level decrements the indegree
-    of its consumers (``np.subtract.at`` over a column-wise adjacency),
-    and the rows whose indegree reaches zero form the next level.  A
-    row's round number equals its longest dependency chain, which is
-    precisely the reference's ``max(levels[deps]) + 1`` recurrence.
+    For a lower-triangular solve, row ``i`` depends on rows ``j < i``
+    with ``M[i, j] != 0``; its level is one more than the max level of
+    its dependencies (0 for independent rows).  For an upper solve the
+    dependencies are ``j > i`` and rows are processed back-to-front.
+    Entries on the other side of the diagonal are ignored.
     """
     n = M.shape[0]
-    levels = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return levels
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
-    mask = (M.indices < rows) if lower else (M.indices > rows)
-    dep = M.indices[mask]
-    tgt = rows[mask]
-    indeg = np.bincount(tgt, minlength=n)
-    # consumers of each node, grouped CSC-style by the dependency column
-    order = np.argsort(dep, kind="stable")
-    c_tgt = tgt[order]
-    c_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dep, minlength=n), out=c_ptr[1:])
+    dep = (M.indices < rows) if lower else (M.indices > rows)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[dep], minlength=n), out=ptr[1:])
+    bounds = ptr.tolist()
+    cols = M.indices[dep].tolist()
+    level = [0] * n
+    get = level.__getitem__
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        a, b = bounds[i], bounds[i + 1]
+        if a != b:
+            level[i] = max(map(get, cols[a:b])) + 1
+    return np.array(level, dtype=np.int64)
 
-    frontier = np.flatnonzero(indeg == 0)
-    lvl = 0
-    while frontier.size:
-        levels[frontier] = lvl
-        starts = c_ptr[frontier]
-        consumers = c_tgt[_flat_gather(starts, c_ptr[frontier + 1] - starts)]
-        if consumers.size == 0:
-            break
-        np.subtract.at(indeg, consumers, 1)
-        cand = np.unique(consumers)
-        frontier = cand[indeg[cand] == 0]
-        lvl += 1
-    return levels
+
+def triangular_diagonal(M: CSRMatrix) -> np.ndarray:
+    """The stored diagonal of a non-unit triangular factor.
+
+    Raises :class:`~repro.resilience.ZeroDiagonalError` for a row with
+    no diagonal entry and :class:`~repro.resilience.ZeroPivotError` for
+    one whose diagonal is ``0.0``: a solve would divide by it.
+    """
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
+    on = M.indices == rows
+    missing = np.flatnonzero(np.bincount(rows[on], minlength=n) == 0)
+    if missing.size:
+        raise ZeroDiagonalError(f"missing diagonal at row {missing[0]}", row=int(missing[0]))
+    diag = np.zeros(n, dtype=np.float64)
+    diag[rows[on]] = M.data[on]
+    zero = np.flatnonzero(diag == 0.0)
+    if zero.size:
+        row = int(zero[0])
+        raise ZeroPivotError(f"zero pivot in triangular factor (row {row})", row=row, value=0.0)
+    return diag
 
 
 class BatchedTriangularSchedule:
     """Whole-level gather/scatter plan for one triangular factor.
 
     Each level is stored as ``(rows, ec, ev, seg, dv)``: the level's
-    rows (ascending), their off-diagonal entries flattened with a
-    per-row segment pointer, and (for non-unit factors) the gathered
-    diagonal.  :meth:`solve` then runs
-    ``x[rows] -= segment_sums(ev * x[ec], seg); x[rows] /= dv``
+    rows (ascending), their off-diagonal entries flattened in row and
+    storage order with ``seg`` the entry's row ordinal within the level,
+    and (for non-unit factors) the gathered diagonal.  :meth:`solve`
+    then runs ``x[rows] = (x[rows] - bincount(seg, ev * x[ec])) / dv``
     once per level.
     """
 
@@ -102,61 +116,41 @@ class BatchedTriangularSchedule:
         n = M.shape[0]
         self.n = n
         self.unit_diagonal = unit_diagonal
-        self.levels = triangular_levels_vectorized(M, lower=lower)
+        self.diag = None if unit_diagonal else triangular_diagonal(M)
+        self.levels = triangular_levels(M, lower=lower)
         nlevels = int(self.levels.max()) + 1 if n else 0
-        rows_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
 
-        if unit_diagonal:
-            self.diag: np.ndarray | None = None
-            off_indptr = np.asarray(M.indptr, dtype=np.int64)
-            off_indices = M.indices
-            off_data = M.data
-        else:
-            on = M.indices == rows_all
-            have = np.bincount(rows_all[on], minlength=n)
-            missing = np.flatnonzero(have == 0)
-            if missing.size:
-                raise ZeroDiagonalError(
-                    f"missing diagonal at row {missing[0]}", row=int(missing[0])
-                )
-            diag = np.zeros(n, dtype=np.float64)
-            diag[rows_all[on]] = M.data[on]
-            if np.any(diag == 0.0):
-                row = int(np.flatnonzero(diag == 0.0)[0])
-                raise ZeroPivotError(
-                    f"zero pivot in triangular factor (row {row})", row=row, value=0.0
-                )
-            self.diag = diag
-            off = ~on
-            off_indices = M.indices[off]
-            off_data = M.data[off]
-            off_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows_all[off], minlength=n), out=off_indptr[1:])
-
-        # rows grouped by level, ascending within each level
+        # one gather of every entry, rows grouped by level (ascending
+        # within a level), then per level a slice of each flat array
         order = np.argsort(self.levels, kind="stable")
         lvl_ptr = np.zeros(nlevels + 1, dtype=np.int64)
-        if n:
-            np.cumsum(np.bincount(self.levels, minlength=nlevels), out=lvl_ptr[1:])
+        np.cumsum(np.bincount(self.levels, minlength=nlevels), out=lvl_ptr[1:])
+        ordinal = np.arange(n, dtype=np.int64) - lvl_ptr[self.levels[order]]
+        e_row, e_col, flat = csr_gather_rows(M, order)
+        e_seg = np.repeat(ordinal, np.diff(M.indptr)[order])
+        if not unit_diagonal:
+            off = e_col != e_row
+            e_row, e_col, flat, e_seg = e_row[off], e_col[off], flat[off], e_seg[off]
+        e_val = M.data[flat]
+        e_lvl_ptr = np.zeros(nlevels + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.levels[e_row], minlength=nlevels), out=e_lvl_ptr[1:])
+        bounds, e_bounds = lvl_ptr.tolist(), e_lvl_ptr.tolist()
         self._sweeps: list[
             tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
         ] = []
         for lev in range(nlevels):
-            rows = order[lvl_ptr[lev] : lvl_ptr[lev + 1]]
-            starts = off_indptr[rows]
-            lens = off_indptr[rows + 1] - starts
-            idx = _flat_gather(starts, lens)
-            seg = np.zeros(rows.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=seg[1:])
+            rows = order[bounds[lev] : bounds[lev + 1]]
+            a, b = e_bounds[lev], e_bounds[lev + 1]
             dv = None if self.diag is None else self.diag[rows]
-            self._sweeps.append((rows, off_indices[idx], off_data[idx], seg, dv))
+            self._sweeps.append((rows, e_col[a:b], e_val[a:b], e_seg[a:b], dv))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.asarray(b, dtype=np.float64).copy()
+        x = np.array(b, dtype=np.float64)
         for rows, ec, ev, seg, dv in self._sweeps:
             if ec.size:
-                x[rows] -= segment_sums(ev * x[ec], seg)
-            if dv is not None:
+                sums = np.bincount(seg, ev * x[ec], minlength=rows.size)
+                x[rows] = x[rows] - sums if dv is None else (x[rows] - sums) / dv
+            elif dv is not None:
                 x[rows] /= dv
         return x
 
@@ -169,30 +163,44 @@ class BatchedTriangularSchedule:
         return np.asarray([rows.size for rows, *_ in self._sweeps], dtype=np.int64)
 
 
-_SCHEDULE_CACHE: dict[
-    int, tuple[BatchedTriangularSchedule, BatchedTriangularSchedule]
-] = {}
+#: id(factors) -> {analysis name -> analysis}
+_SCHEDULE_CACHE: dict[int, dict[str, Any]] = {}
+
+
+def cached_analysis(factors: ILUFactors, name: str, build: Callable[[ILUFactors], T]) -> T:
+    """``build(factors)``, computed once per factors object and name.
+
+    Keyed by ``id(factors)``; an entry lives exactly as long as its
+    factors object (a ``weakref.finalize`` callback evicts it).  What
+    ``build`` returns must not refer to ``factors`` itself, or the
+    entry would keep it alive.
+    """
+    key = id(factors)
+    entry = _SCHEDULE_CACHE.get(key)
+    if entry is None:
+        entry = _SCHEDULE_CACHE[key] = {}
+        weakref.finalize(factors, _SCHEDULE_CACHE.pop, key, None)
+    hit = entry.get(name)
+    if hit is None:
+        hit = entry[name] = build(factors)
+    return hit
+
+
+def _build_schedules(
+    factors: ILUFactors,
+) -> tuple[BatchedTriangularSchedule, BatchedTriangularSchedule]:
+    fwd = BatchedTriangularSchedule(factors.L, lower=True, unit_diagonal=True)
+    bwd = BatchedTriangularSchedule(factors.U, lower=False, unit_diagonal=False)
+    return fwd, bwd
 
 
 def cached_schedules(
     factors: ILUFactors,
 ) -> tuple[BatchedTriangularSchedule, BatchedTriangularSchedule]:
-    """Forward (L, unit) and backward (U) schedules for one factor object.
-
-    Keyed by ``id(factors)``; an entry lives exactly as long as its
-    factors object (a ``weakref.finalize`` callback evicts it).
-    """
-    key = id(factors)
-    hit = _SCHEDULE_CACHE.get(key)
-    if hit is None:
-        fwd = BatchedTriangularSchedule(factors.L, lower=True, unit_diagonal=True)
-        bwd = BatchedTriangularSchedule(factors.U, lower=False, unit_diagonal=False)
-        hit = (fwd, bwd)
-        _SCHEDULE_CACHE[key] = hit
-        weakref.finalize(factors, _SCHEDULE_CACHE.pop, key, None)
-    return hit
+    """Forward (L, unit) and backward (U) schedules for one factor object."""
+    return cached_analysis(factors, "schedules", _build_schedules)
 
 
 def clear_schedule_cache() -> None:
-    """Drop all cached schedules (tests / memory pressure)."""
+    """Drop every cached analysis (tests / memory pressure)."""
     _SCHEDULE_CACHE.clear()
