@@ -1,12 +1,14 @@
-"""Kernel-backend regression harness: reference vs vectorized hot paths.
+"""Kernel regression harness: each hot path against its ``tests/`` oracle.
 
-Times the three hot paths behind the ``backend`` switch — sequential
-ILUT factorization, triangular apply (the §5 parallel apply against
-the serial level applier), and preconditioned GMRES — on the Poisson-G0
-and torso workloads, verifies parity (bit-identical factors and
-applies), replays the vectorized
-parallel drivers under the race detector, and writes the results to
-``BENCH_kernels.json`` at the repo root.  A fourth row, ``level_update``,
+Times the library's one implementation of each hot path against the
+scalar loop it replaced, which the test suite keeps as its oracle —
+sequential ILUT (``tests/ilu/_ilut.py``), the CSR matvec and row norms
+(``tests/kernels/_scalar.py``), the triangular apply and GMRES with the
+ILUT preconditioner (``tests/ilu/_trisolve.py``) — on the Poisson-G0 and
+torso workloads, verifies parity (bit-identical factors, products,
+norms and applies), replays the parallel drivers under the race
+detector, and writes the results to ``BENCH_kernels.json`` at the repo
+root.  A further row, ``level_update``,
 times the MIS engine's phase-2 update both ways on the same captured
 levels: the scalar row kernel (``_update_remaining``) against the batched
 level kernel (``repro.ilu.level``) that replaced it in the MIS loop.  A
@@ -25,12 +27,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check
 
-``--check`` exits nonzero if the serial level applier is not faster
-than the parallel apply or not bit-identical to it, the batched level
-update is not faster than the scalar one or not bit-identical to it, or
-``decompose`` is not faster on the current partitioner kernels or not
-identical to the per-vertex ones (the CI guard against kernel-layer
-regressions).
+``--check`` exits nonzero if any row's current code is not
+bit-identical to its oracle, the level applier or the batched level
+update is not faster than the loop it replaced, ``decompose`` is not
+faster on the current partitioner kernels, or a traced driver races
+(the CI guard against kernel-layer regressions).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import sys
 import time
 from contextlib import ExitStack
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -58,6 +60,11 @@ from repro.solvers import ILUPreconditioner, parallel_matvec
 from repro.verify import find_races
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.ilu import _ilut, _trisolve  # noqa: E402  (the oracles)
+from tests.kernels import _scalar  # noqa: E402
 
 
 def _best_of(fn, repeat: int) -> float:
@@ -84,33 +91,53 @@ def _factors_identical(fa, fb) -> bool:
 
 
 def bench_factorization(cfg: dict) -> dict:
+    """Serial ILUT on the scalar row kernel against the accumulator loop."""
     A = poisson2d(cfg["fact_nx"])
     p = ILUTParams(fill=cfg["m"], threshold=cfg["t"])
-    t_ref = _best_of(lambda: ilut(A, p, backend="reference"), cfg["fact_repeat"])
-    t_vec = _best_of(lambda: ilut(A, p, backend="vectorized"), cfg["fact_repeat"])
-    f_ref = ilut(A, p, backend="reference")
-    f_vec = ilut(A, p, backend="vectorized")
+    t_oracle = _best_of(lambda: _ilut.ilut(A, p), cfg["fact_repeat"])
+    t_current = _best_of(lambda: ilut(A, p), cfg["fact_repeat"])
+    f_oracle, f_current = _ilut.ilut(A, p), ilut(A, p)
     return {
         "workload": f"poisson2d({cfg['fact_nx']}) n={A.shape[0]} "
-        f"m={cfg['m']} t={cfg['t']:g}",
-        "reference_s": t_ref,
-        "vectorized_s": t_vec,
-        "speedup": t_ref / t_vec,
-        "bit_identical": _factors_identical(f_ref, f_vec)
-        and f_ref.stats["flops"] == f_vec.stats["flops"],
+        f"m={cfg['m']} t={cfg['t']:g}; oracle = tests/ilu/_ilut.py",
+        "oracle_s": t_oracle,
+        "current_s": t_current,
+        "speedup": t_oracle / t_current,
+        "bit_identical": _factors_identical(f_oracle, f_current)
+        and f_oracle.stats["flops"] == f_current.stats["flops"],
+    }
+
+
+def bench_csr_kernels(cfg: dict) -> dict:
+    """``A.matvec`` and ``A.row_norms()`` against their per-row loops."""
+    A = torso_like(cfg["torso_n"], seed=0)
+    x = np.sin(np.arange(A.shape[0], dtype=np.float64))
+    rows = {}
+    for name, current, oracle in (
+        ("matvec", lambda: A.matvec(x), lambda: _scalar.matvec(A, x)),
+        ("row_norms", lambda: A.row_norms(), lambda: _scalar.row_norms(A)),
+    ):
+        rows[name] = {
+            "oracle_s": _best_of(oracle, cfg["apply_repeat"]),
+            "current_s": _best_of(current, cfg["apply_repeat"]),
+            "bit_identical": bool(np.array_equal(current(), oracle())),
+        }
+    return {
+        "workload": f"torso_like({cfg['torso_n']}) n={A.shape[0]} nnz={A.nnz}; "
+        "oracle = tests/kernels/_scalar.py",
+        "rows": rows,
     }
 
 
 def bench_triangular_apply(cfg: dict) -> dict:
-    """The two executions of the one triangular-solve order, same factors.
+    """The serial level applier against the row-by-row oracle, same factors.
 
-    ``reference`` is the §5 parallel apply (``parallel_triangular_solve``,
-    reference backend, no transport: the scalar row kernel per rank and
-    region over the cached plan); ``vectorized`` is the serial level
-    applier GMRES uses (one ``np.bincount`` per dependency level).  Both
-    sum every row left to right from ``0.0``, so their results must be
-    equal bit for bit.  Plan and schedules are built outside the timed
-    region.
+    ``current`` is ``ILUFactors.solve``, what GMRES's preconditioner and
+    ``parallel_triangular_solve(transport="none")`` run (one
+    ``np.bincount`` per dependency level); ``oracle`` is the row loop of
+    ``tests/ilu/_trisolve.py``.  Both sum every row left to right from
+    ``0.0``, so their results must be equal bit for bit.  Schedules are
+    built outside the timed region.
     """
     A = poisson2d(cfg["fact_nx"])
     params = ILUTParams(fill=cfg["m"], threshold=cfg["t"], k=cfg["k"])
@@ -119,34 +146,29 @@ def bench_triangular_apply(cfg: dict) -> dict:
     b = np.arange(1, A.shape[0] + 1, dtype=np.float64) / A.shape[0]
     clear_schedule_cache()
     app = LevelScheduledApplier(f)
-
-    def parallel():
-        return parallel_triangular_solve(f, b, transport="none", backend="reference").x
-
-    parallel()
     reps = cfg["apply_repeat"]
 
-    def ref():
+    def oracle():
         for _ in range(cfg["apply_inner"]):
-            parallel()
+            _trisolve.solve(f, b)
 
-    def vec():
+    def current():
         for _ in range(cfg["apply_inner"]):
-            app.apply(b)
+            f.solve(b)
 
-    t_ref = _best_of(ref, reps)
-    t_vec = _best_of(vec, reps)
+    t_oracle = _best_of(oracle, reps)
+    t_current = _best_of(current, reps)
     return {
         "workload": f"ILUT*({cfg['m']},{cfg['t']:g},{cfg['k']}) factors, "
         f"p={cfg['apply_p']}, poisson2d({cfg['fact_nx']}), "
-        f"{cfg['apply_inner']} applies; reference = parallel apply (no transport), "
-        "vectorized = serial level applier",
+        f"{cfg['apply_inner']} applies; oracle = tests/ilu/_trisolve.py, "
+        "current = serial level applier",
         "forward_levels": app.forward_levels,
         "backward_levels": app.backward_levels,
-        "reference_s": t_ref,
-        "vectorized_s": t_vec,
-        "speedup": t_ref / t_vec,
-        "bit_identical": bool(np.array_equal(parallel(), app.apply(b))),
+        "oracle_s": t_oracle,
+        "current_s": t_current,
+        "speedup": t_oracle / t_current,
+        "bit_identical": bool(np.array_equal(_trisolve.solve(f, b), f.solve(b))),
     }
 
 
@@ -320,17 +342,15 @@ def _per_vertex_partitioner() -> ExitStack:
     """Patch the partitioner's per-vertex oracles (``tests/partition/_scalar.py``,
     the kernels the package ran before they moved onto lists and array
     passes) in wherever ``decompose`` and the §7 engine call the kernels."""
-    if str(REPO_ROOT) not in sys.path:
-        sys.path.insert(0, str(REPO_ROOT))
-    from tests.partition import _scalar
+    from tests.partition import _scalar as per_vertex
 
     stack = ExitStack()
     for target, oracle in (
-        ("repro.partition.kway.heavy_edge_matching", _scalar.heavy_edge_matching),
-        ("repro.partition.kway.collapse_matching", _scalar.collapse_matching),
-        ("repro.partition.kway.refine_kway", _scalar.refine_kway),
-        ("repro.decomp.decomposition.boundary_mask", _scalar.boundary_mask),
-        ("repro.ilu.interface_partition.boundary_mask", _scalar.boundary_mask),
+        ("repro.partition.kway.heavy_edge_matching", per_vertex.heavy_edge_matching),
+        ("repro.partition.kway.collapse_matching", per_vertex.collapse_matching),
+        ("repro.partition.kway.refine_kway", per_vertex.refine_kway),
+        ("repro.decomp.decomposition.boundary_mask", per_vertex.boundary_mask),
+        ("repro.ilu.interface_partition.boundary_mask", per_vertex.boundary_mask),
     ):
         stack.enter_context(mock.patch(target, oracle))
     return stack
@@ -394,40 +414,46 @@ def bench_gmres(cfg: dict) -> dict:
         n = A.shape[0]
         b = A @ np.ones(n)
         f = ilut(A, ILUTParams(fill=cfg["m"], threshold=cfg["t"]))
-        runs = {}
-        for mode, fast in [("reference", False), ("vectorized", True)]:
+        f.solve(b)  # the level schedules are analysed once, outside the timing
+        runs, xs = {}, {}
+        for mode, M in [
+            ("oracle", SimpleNamespace(apply=lambda r, f=f: _trisolve.solve(f, r))),
+            ("current", ILUPreconditioner(f)),
+        ]:
             t0 = time.perf_counter()
-            res = gmres(A, b, restart=20, M=ILUPreconditioner(f, fast=fast))
+            res = gmres(A, b, restart=20, M=M)
             dt = time.perf_counter() - t0
             runs[mode] = {
                 "elapsed_s": dt,
                 "converged": bool(res.converged),
                 "num_matvec": res.num_matvec,
             }
+            xs[mode] = res.x
         out[name] = {
             "workload": f"{name} n={n}, GMRES(20), "
-            f"ILUT({cfg['m']},{cfg['t']:g}) preconditioner",
+            f"ILUT({cfg['m']},{cfg['t']:g}) preconditioner; oracle = tests/ilu/_trisolve.py",
             **runs,
-            "speedup": runs["reference"]["elapsed_s"] / runs["vectorized"]["elapsed_s"],
+            "speedup": runs["oracle"]["elapsed_s"] / runs["current"]["elapsed_s"],
+            "bit_identical": bool(np.array_equal(xs["oracle"], xs["current"])),
         }
     return out
 
 
 def bench_race_free(cfg: dict) -> dict:
-    """Replay every vectorized parallel driver under the race detector."""
+    """Replay every parallel driver under the race detector."""
     A = poisson2d(cfg["race_nx"])
     p = cfg["race_p"]
     params = ILUTParams(fill=5, threshold=1e-3)
-    r = parallel_ilut(A, params, p, seed=0, trace=True, backend="vectorized")
+    r = parallel_ilut(A, params, p, seed=0, trace=True)
     races = {"parallel_ilut": len(find_races(r.trace))}
     b = np.ones(A.shape[0])
-    ts = parallel_triangular_solve(r.factors, b, trace=True, backend="vectorized")
+    ts = parallel_triangular_solve(r.factors, b, trace=True)
     races["parallel_triangular_solve"] = len(find_races(ts.trace))
     d = decompose(A, p, seed=0)
-    mv = parallel_matvec(A, d, b, trace=True, backend="vectorized")
+    mv = parallel_matvec(A, d, b, trace=True)
     races["parallel_matvec"] = len(find_races(mv.trace))
     return {
-        "workload": f"poisson2d({cfg['race_nx']}), p={p}, vectorized backend",
+        "workload": f"poisson2d({cfg['race_nx']}), p={p}, simulator",
         "races": races,
         "race_free": all(v == 0 for v in races.values()),
     }
@@ -464,8 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true", help="tiny CI-smoke workload")
     ap.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless the vectorized apply, the batched level update and the "
-        "partitioner kernels win",
+        help="exit 1 unless every row equals its oracle and the level applier, the "
+        "batched level update and the partitioner kernels win",
     )
     ap.add_argument(
         "--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
@@ -479,6 +505,10 @@ def main(argv: list[str] | None = None) -> int:
     results["ilut_factorization"] = bench_factorization(cfg)
     r = results["ilut_factorization"]
     print(f"  factorization: {r['speedup']:.2f}x  (bit_identical={r['bit_identical']})")
+    results["csr_kernels"] = bench_csr_kernels(cfg)
+    for name, r in results["csr_kernels"]["rows"].items():
+        print(f"  {name}: {r['oracle_s'] / r['current_s']:.1f}x  "
+              f"(bit_identical={r['bit_identical']})")
     results["triangular_apply"] = bench_triangular_apply(cfg)
     r = results["triangular_apply"]
     print(f"  triangular apply: {r['speedup']:.2f}x  (bit_identical={r['bit_identical']})")
@@ -503,7 +533,8 @@ def main(argv: list[str] | None = None) -> int:
     results["gmres"] = bench_gmres(cfg)
     for name, g in results["gmres"].items():
         print(f"  gmres/{name}: {g['speedup']:.2f}x  "
-              f"(nmv {g['reference']['num_matvec']} -> {g['vectorized']['num_matvec']})")
+              f"(nmv {g['oracle']['num_matvec']} -> {g['current']['num_matvec']}, "
+              f"bit_identical={g['bit_identical']})")
     results["race_free"] = bench_race_free(cfg)
     print(f"  race-free: {results['race_free']['race_free']}")
 
@@ -518,6 +549,8 @@ def main(argv: list[str] | None = None) -> int:
             apply["speedup"] > 1.0
             and apply["bit_identical"]
             and results["ilut_factorization"]["bit_identical"]
+            and all(r["bit_identical"] for r in results["csr_kernels"]["rows"].values())
+            and all(g["bit_identical"] for g in results["gmres"].values())
             and level["speedup"] > 1.0
             and level["bit_identical"]
             and all(

@@ -22,7 +22,13 @@ tracer cells, and under a fault plan (``fwd``/``bwd`` drop, delay and
 duplicate, a rank crash) the error it raised and the journal — and, as
 the separate ``apply-x/`` family, one of the solution's bytes.  A change
 to the summation order moves ``apply-x/`` digests only; the summary
-line counts them apart.
+line counts them apart.  The ``matvec/`` and ``matvec-y/`` families do
+the same for the distributed matvec (``parallel_matvec``): accounting
+(with halo-message fault plans) and the product's bytes.
+
+Case names keep the ``ref`` / ``reference`` labels of the corpora
+written while the library still had a kernel-backend switch; those
+cases now run with the defaults, so such a corpus compares key for key.
 
 The ``partition/`` family fingerprints the set-up stage on its own —
 ``part``, ``edge_cut``, ``balance`` and the interface mask — on
@@ -65,6 +71,7 @@ from repro.matrices import (
     torso_like,
 )
 from repro.partition import edge_cut, partition_balance, partition_matrix_kway
+from repro.solvers import parallel_matvec
 
 MATRICES = {
     "poisson": lambda: poisson2d(9),
@@ -88,8 +95,7 @@ SETTINGS = (
     (4, 1e-2, 1),
 )
 VARIANTS = {
-    "ref": {"backend": "reference"},
-    "vec": {"backend": "vectorized"},
+    "ref": {},
     "none": {"transport": "none"},
     "traced": {"trace": True},
 }
@@ -107,7 +113,7 @@ PARTITION_MATRICES = {
     "rdd-unsym": lambda: random_diag_dominant(300, 5, seed=4, symmetric_pattern=False),
     "geometric": lambda: random_geometric_laplacian(500, seed=2),
 }
-# the parallel triangular solve: factors of both engines, the same four
+# the parallel triangular solve: factors of both engines, the same three
 # variants, and fault plans on both sweeps' messages
 APPLY_FACTORS = {"mis": SETTINGS[0], "mis-star": SETTINGS[1], "ipart": SETTINGS[0]}
 APPLY_FAULTS = {
@@ -118,6 +124,12 @@ APPLY_FAULTS = {
     "duplicate-fwd": FaultPlan(message_faults=[MessageFault("duplicate", tag="fwd", count=2)]),
     "duplicate-bwd": FaultPlan(message_faults=[MessageFault("duplicate", tag="bwd")]),
     "crash": FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=3)]),
+}
+MATVEC_FAULTS = {
+    "drop": FaultPlan(message_faults=[MessageFault("drop", tag="halo")]),
+    "delay": FaultPlan(message_faults=[MessageFault("delay", tag="halo", count=2, delay=1e-3)]),
+    "duplicate": FaultPlan(message_faults=[MessageFault("duplicate", tag="halo", count=2)]),
+    "crash": FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=0)]),
 }
 PARTITION_RANKS = (2, 3, 4, 7, 8)
 PARTITION_SEEDS = (0, 1, 3)
@@ -139,6 +151,13 @@ def _factor_parts(f) -> list:
     ]
 
 
+def _cells(tracer) -> list:
+    return [
+        (key, [(a.rank, a.kind, a.clock, a.epoch, a.seq) for a in accesses])
+        for key, accesses in tracer.cells()
+    ]
+
+
 def fingerprint(res) -> str:
     """The digest of one ``ParallelILUResult``."""
     parts = _factor_parts(res.factors)
@@ -153,12 +172,7 @@ def fingerprint(res) -> str:
     if res.fault_journal is not None:
         parts.append(res.fault_journal.signature())
     if res.trace is not None:
-        parts.append(
-            [
-                (key, [(a.rank, a.kind, a.clock, a.epoch, a.seq) for a in accesses])
-                for key, accesses in res.trace.cells()
-            ]
-        )
+        parts.append(_cells(res.trace))
     return _digest(parts)
 
 
@@ -178,8 +192,8 @@ def _partitioned(A, mtk, p, **kwargs) -> str:
     )
 
 
-def _serial(A, mtk, backend) -> str:
-    f = ilut(A, ILUTParams(fill=mtk[0], threshold=mtk[1]), backend=backend)
+def _serial(A, mtk) -> str:
+    f = ilut(A, ILUTParams(fill=mtk[0], threshold=mtk[1]))
     return _digest(_factor_parts(f) + [f.stats["flops"], f.stats["fill_nnz"]])
 
 
@@ -229,12 +243,7 @@ def _apply(name, kind, p, part, faults=None, **kwargs) -> str:
                  sim.fault_journal.signature()]
         tracer = sim.tracer
     if tracer is not None:
-        parts.append(
-            [
-                (key, [(a.rank, a.kind, a.clock, a.epoch, a.seq) for a in accesses])
-                for key, accesses in tracer.cells()
-            ]
-        )
+        parts.append(_cells(tracer))
     return _digest(parts)
 
 
@@ -244,6 +253,52 @@ def _apply_cases(name, kind, p, label, **kwargs):
         yield (
             f"{family}/{name}/p{p}/{kind}/{label}",
             lambda part=part: _apply(name, kind, p, part, **kwargs),
+        )
+
+
+@lru_cache(maxsize=None)
+def _matvec_input(name, p):
+    A = MATRICES[name]()
+    return A, decompose(A, p, seed=0), np.cos(np.arange(A.shape[0], dtype=np.float64)) + 2.0
+
+
+def _matvec(name, p, part, faults=None, **kwargs) -> str:
+    """One digest of a distributed matvec: its accounting
+    (``part="acct"``) or its product's bytes (``part="y"``), as
+    :func:`_apply` does for the triangular solve."""
+    A, d, x = _matvec_input(name, p)
+    if faults is None:
+        res = parallel_matvec(A, d, x, **kwargs)
+        if part == "y":
+            return _digest([res.y.tobytes()])
+        parts = [
+            None if res.modeled_time is None else float(res.modeled_time),
+            None if res.comm is None else sorted(asdict(res.comm).items()),
+            float(res.flops),
+            res.recoveries,
+        ]
+        tracer = res.trace
+    else:
+        sim = Simulator(p, CRAY_T3D, faults=faults, trace=True)
+        try:
+            y, outcome = parallel_matvec(A, d, x, transport=sim).y.tobytes(), None
+        except FaultError as err:
+            y, outcome = None, f"{type(err).__name__}: {err}"
+        if part == "y":
+            return _digest([y])
+        parts = [outcome, float(sim.elapsed()), sorted(asdict(sim.stats()).items()),
+                 sim.fault_journal.signature()]
+        tracer = sim.tracer
+    if tracer is not None:
+        parts.append(_cells(tracer))
+    return _digest(parts)
+
+
+def _matvec_cases(name, p, label, **kwargs):
+    for family, part in (("matvec", "acct"), ("matvec-y", "y")):
+        yield (
+            f"{family}/{name}/p{p}/{label}",
+            lambda part=part: _matvec(name, p, part, **kwargs),
         )
 
 
@@ -270,11 +325,7 @@ def cases(quick: bool):
     for name in names:
         A = MATRICES[name]()
         for mtk in settings:
-            for backend in ("reference", "vectorized"):
-                yield (
-                    f"ilut/{name}/{mtk}/{backend}",
-                    lambda A=A, mtk=mtk, b=backend: _serial(A, mtk, b),
-                )
+            yield (f"ilut/{name}/{mtk}/reference", lambda A=A, mtk=mtk: _serial(A, mtk))
             for p in ranks:
                 for variant, kwargs in VARIANTS.items():
                     yield (
@@ -334,15 +385,24 @@ def cases(quick: bool):
                     for variant, kwargs in VARIANTS.items():
                         yield from _apply_cases(name, kind, p, variant, **kwargs)
         for label, plan in APPLY_FAULTS.items():
-            for backend in ("reference", "vectorized"):
-                yield from _apply_cases(
-                    "torso", "mis-star", 3, f"{label}/{backend}", faults=plan, backend=backend
-                )
+            yield from _apply_cases("torso", "mis-star", 3, f"{label}/reference", faults=plan)
         for transport in ("threads", "processes"):
             for kind in APPLY_FACTORS:
                 yield from _apply_cases(
                     "torso", kind, 3, transport, transport=transport, trace=True
                 )
+    # the distributed matvec
+    if quick:
+        yield from _matvec_cases("torso", 3, "traced", trace=True)
+    else:
+        for name in names:
+            for p in ranks:
+                for variant, kwargs in VARIANTS.items():
+                    yield from _matvec_cases(name, p, variant, **kwargs)
+        for label, plan in MATVEC_FAULTS.items():
+            yield from _matvec_cases("torso", 3, label, faults=plan)
+        for transport in ("threads", "processes"):
+            yield from _matvec_cases("torso", 3, transport, transport=transport, trace=True)
     # the set-up stage alone, where coarsening fires
     if quick:
         A = PARTITION_MATRICES["torso"]()

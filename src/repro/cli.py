@@ -7,7 +7,7 @@ Commands
 ``factor``    parallel ILUT/ILUT* factorization summary
 ``solve``     end-to-end preconditioned GMRES solve report
 ``generate``  write a generator matrix to a MatrixMarket file
-``lint``      static SPMD-communication / determinism / backend-parity /
+``lint``      static SPMD-communication / determinism / flop-charge /
               transport-portability analysis (see :mod:`repro.lint`);
               ``--verify-protocol/-transport/-costs`` print the three
               certification tables; any finding or uncertified row

@@ -7,7 +7,7 @@ delay / duplicate / crash / stall), the worker transports physically
 (crash / stall / corrupt-result) — and every
 injected event lands in a structured :class:`FaultJournal` whose
 :meth:`~FaultJournal.signature` is bit-reproducible across runs and
-kernel backends.  One :class:`FaultRuntime` serves both.
+transports.  One :class:`FaultRuntime` serves both.
 """
 
 from .journal import FaultEvent, FaultJournal

@@ -6,8 +6,8 @@ action taken by a resilient driver (retransmit, checkpoint restore) —
 is appended to a :class:`FaultJournal` as an immutable
 :class:`FaultEvent`.  The journal is the ground truth the determinism
 tests assert on: the same :class:`~repro.faults.plan.FaultPlan`
-must produce a bit-identical :meth:`FaultJournal.signature` regardless
-of the kernel backend, exactly like the factors and the modelled time.
+must produce a bit-identical :meth:`FaultJournal.signature` on every
+replay, exactly like the factors and the modelled time.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class FaultJournal:
 
         Two runs with the same plan must produce equal
         signatures — the property the determinism suite asserts across
-        kernel backends.
+        replays.
         """
         return tuple(
             (e.index, e.kind, e.superstep, e.rank, e.src, e.dst, e.tag, e.detail)

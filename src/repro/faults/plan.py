@@ -8,7 +8,7 @@ reusable; each transport built with a plan gets a fresh
 mutable match counters and the
 :class:`~repro.faults.journal.FaultJournal` — so the same plan replayed
 produces a bit-identical journal, factors and modelled time (the
-determinism suite asserts this across backends).
+determinism suite asserts this across replays).
 
 One runtime, two ways to consult it.  The simulator injects *virtually*,
 message by message and charge by charge (:meth:`FaultRuntime.on_send` /

@@ -235,8 +235,7 @@ class EliminationEngine:
         # inside real-transport workers
         self._hb = sim.heartbeat if sim is not None else (lambda: None)
 
-        # reference norms under every backend: identical drop thresholds
-        self.norms = self.A.row_norms(ord=2, backend="reference")
+        self.norms = self.A.row_norms(ord=2)
         # A's rows in the (start, length, cols, vals) form gather_rows reads
         indptr = self.A.indptr
         self._a_rows = (indptr[:-1], np.diff(indptr), self.A.indices, self.A.data)

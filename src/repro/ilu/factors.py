@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sparse import CSRMatrix, count_triangular_flops, lower_solve_unit, upper_solve
+from ..kernels.triangular import cached_schedules
+from ..sparse import CSRMatrix, count_triangular_flops
 
 __all__ = ["ILUFactors", "LevelStructure"]
 
@@ -101,13 +102,20 @@ class ILUFactors:
     # ------------------------------------------------------------------
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply the preconditioner: return ``M^{-1} b`` in original order."""
+        """Apply the preconditioner: return ``M^{-1} b`` in original order.
+
+        Runs on the level schedules cached per factors object
+        (:func:`repro.kernels.triangular.cached_schedules`), each row
+        summed left to right from ``0.0``: the bits of the §5 parallel
+        apply on every transport.  The cache is keyed by the object, so
+        factors edited in place after a solve need
+        :func:`~repro.kernels.triangular.clear_schedule_cache`.
+        """
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):
             raise ValueError(f"b has shape {b.shape}, expected ({self.n},)")
-        bp = b[self.perm]
-        y = lower_solve_unit(self.L, bp)
-        z = upper_solve(self.U, y)
+        fwd, bwd = cached_schedules(self)
+        z = bwd.solve(fwd.solve(b[self.perm]))
         out = np.empty_like(z)
         out[self.perm] = z
         return out

@@ -25,7 +25,6 @@ import numpy as np
 from ..decomp import DomainDecomposition, decompose
 from ..faults import FaultPlan
 from ..graph import Graph
-from ..kernels.backend import resolve_backend
 from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport, run_region
 from ..partition import boundary_mask, partition_graph_kway
 from ..sparse import CSRMatrix
@@ -132,7 +131,6 @@ def parallel_ilut_partitioned(
     seed: int = 0,
     trace: bool = False,
     faults: FaultPlan | None = None,
-    backend: str | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> ParallelILUResult:
     """Parallel ILUT with the §7 partition-based interface factorization.
@@ -143,7 +141,6 @@ def parallel_ilut_partitioned(
     :class:`~repro.ilu.parallel.ParallelILUResult`.  A ``faults=`` plan
     turns per-round checkpointing on, as it does there.
     """
-    resolve_backend(backend)  # validated for the callers' sake: one engine under every name
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
     with entry_transport(

@@ -13,9 +13,9 @@ flat rows, per-row operation counts, the pivots each row actually read
 Bit-exact against the scalar row kernel (:mod:`repro.ilu.row`:
 ``eliminate_row`` + ``l_row`` + ``reduced_row``), which stays the kernel
 wherever pivots *can* depend on each other (phase 1, the §7 partition
-engine).  That is why this module sits beside the engine and not in
-:mod:`repro.kernels`: it is not one of a ``backend=`` pair, it is the
-only phase-2 update on either backend.
+engine).  It is the MIS engine's only phase-2 update, so it sits beside
+the engine rather than in :mod:`repro.kernels` (the CSR and
+triangular-solve kernels every layer shares).
 What makes it exact rather than close:
 
 * every entry receives its contributions in ascending pivot order, the

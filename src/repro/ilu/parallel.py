@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING
 
 from ..decomp import DomainDecomposition, decompose
 from ..faults import FaultJournal, FaultPlan
-from ..kernels.backend import resolve_backend
 from ..machine import (
     CRAY_T3D,
     CommStats,
@@ -122,7 +121,6 @@ def parallel_ilut(
     trace: bool = False,
     faults: FaultPlan | None = None,
     checkpoint: bool | None = None,
-    backend: str | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> ParallelILUResult:
     """Factor ``A`` with parallel ILUT(m, t) on ``nranks`` simulated PEs.
@@ -184,12 +182,7 @@ def parallel_ilut(
         Snapshot per-level state so an injected rank crash resumes from
         the last completed level.  ``None`` (default) enables
         checkpointing exactly when a fault plan is supplied.
-    backend:
-        Accepted and validated for symmetry with the serial kernels and
-        the solve phase; the elimination runs the same kernels
-        (:mod:`repro.ilu.row`, :mod:`repro.ilu.level`) under every name.
     """
-    resolve_backend(backend)
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
     elif decomp.nranks != nranks:

@@ -26,7 +26,8 @@ stored column order, divided by ``u_ii`` on the backward sweep — and
 reads only final values of the rows it depends on.  The regions here
 (one per interior stage, one per dependency sub-round of an interface
 level) therefore compute the serial level applier's bits exactly, on
-every transport and under either ``backend=``.
+every transport.  With ``transport="none"`` there is no machine to run
+regions on, and the driver runs that serial applier itself.
 
 The schedule is analysed once per factors object into an
 :class:`ApplyPlan`, cached beside the serial schedules
@@ -48,7 +49,7 @@ import numpy as np
 
 from ..faults import FaultJournal, FaultPlan
 from ..kernels.csr import csr_gather_rows
-from ..kernels.triangular import cached_analysis, cached_schedules, triangular_diagonal
+from ..kernels.triangular import cached_analysis, triangular_diagonal
 from ..machine import (
     CRAY_T3D,
     CommStats,
@@ -386,16 +387,14 @@ def _declare_rows(tr, sweep: _Sweep, owner: np.ndarray, positions) -> None:
 def _account_interior(sim, owner: np.ndarray, sweep: _Sweep, flops_rank: np.ndarray) -> None:
     """Accounting of one interior stage: per-block declarations and one
     charge per rank, then the barrier that closes the stage."""
-    tr = getattr(sim, "tracer", None)
+    tr = sim.tracer
     for rank, fl, s, e in sweep.interior_charges:
         if tr is not None:
             rows = range(e - 1, s - 1, -1) if sweep.backward else range(s, e)
             _declare_rows(tr, sweep, owner, rows)
         flops_rank[rank] += fl
-        if sim is not None:
-            sim.compute(rank, fl)
-    if sim is not None:
-        sim.barrier()
+        sim.compute(rank, fl)
+    sim.barrier()
 
 
 def _account_level(
@@ -405,18 +404,16 @@ def _account_level(
     one charge per participating rank, the exchange of the level's fresh
     values to the ranks whose remaining rows reference them, and the
     level barrier (one of the paper's ``q`` synchronisation points)."""
-    tr = getattr(sim, "tracer", None)
+    tr = sim.tracer
     level = sweep.levels[lvl_idx]
     if tr is not None:
         positions = level.positions
         _declare_rows(tr, sweep, owner, positions[::-1] if sweep.backward else positions)
     for rank, fl in level.charges:
         flops_rank[rank] += fl
-        if sim is not None:
-            sim.compute(rank, fl)
-    if sim is not None:
-        sim.exchange(level.messages, tag=(sweep.name, lvl_idx))
-        sim.barrier()
+        sim.compute(rank, fl)
+    sim.exchange(level.messages, tag=(sweep.name, lvl_idx))
+    sim.barrier()
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +429,6 @@ def parallel_triangular_solve(
     model: MachineModel = CRAY_T3D,
     transport: str | Simulator | None = "simulator",
     trace: bool = False,
-    backend: str | None = None,
     faults: FaultPlan | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> TriangularSolveResult:
@@ -442,17 +438,13 @@ def parallel_triangular_solve(
     must carry a :class:`~repro.ilu.factors.LevelStructure` (i.e. come
     from a parallel factorization).
 
-    With ``backend="vectorized"`` the substitution itself runs through
-    the cached serial level schedules
-    (:func:`repro.kernels.triangular.cached_schedules`) while the cost
-    accounting, messages and (when tracing) shared-access declarations
-    replay the same plan: ``modeled_time``, ``comm`` and race-detection
-    results are identical to the reference backend, and so is ``x``, bit
-    for bit (one summation order, any schedule).
-
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Simulator`).
+    :class:`~repro.machine.Simulator`).  A transport runs the §5
+    regions; ``"none"`` has no machine to run them on, so the
+    substitution runs on the cached serial level schedules
+    (:func:`repro.kernels.triangular.cached_schedules`) — the same
+    bits and the same flop count.
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`: on the simulator
     message-level faults surface as :class:`~repro.faults.MessageLost` /
@@ -475,8 +467,6 @@ def parallel_triangular_solve(
         raise ValueError(f"b has shape {b.shape}, expected ({n},)")
     if nranks is None:
         nranks = int(owner.max()) + 1 if owner.size else 1
-    from ..kernels.backend import VECTORIZED, resolve_backend
-
     with entry_transport(
         transport,
         nranks,
@@ -485,43 +475,22 @@ def parallel_triangular_solve(
         faults=faults,
         supervision=supervision,
     ) as sim:
-        # Per-rank accumulator instead of a shared nonlocal: every charge
-        # is integer-valued, so the final sum is exact and order-independent.
-        flops_rank = np.zeros(nranks, dtype=np.float64)
-        if resolve_backend(backend) == VECTORIZED:
-            x = _solve_vectorized(factors, b, sim, flops_rank)
+        if sim is None:
+            out = factors.solve(b)
+            flops = float(factors.triangular_flops())
         else:
+            # Per-rank accumulator instead of a shared nonlocal: every charge
+            # is integer-valued, so the final sum is exact and order-independent.
+            flops_rank = np.zeros(nranks, dtype=np.float64)
             x = _solve_on(factors, b, sim, flops_rank)
-        out = np.empty_like(x)
-        out[factors.perm] = x
-        return TriangularSolveResult(
-            x=out, flops=float(flops_rank.sum()), **entry_transport.report(sim)
-        )
-
-
-def _solve_vectorized(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
-    """Vectorized backend of :func:`parallel_triangular_solve`.
-
-    Numerics run through the cached serial level schedules; the
-    transport is driven through the same stage accounting as the
-    reference path, at the same points of the stage sequence.
-    """
-    plan = _apply_plan(factors)
-    owner = factors.levels.owner
-    fwd, bwd = cached_schedules(factors)
-    nlevels = len(plan.fwd.levels)
-    y = fwd.solve(b[factors.perm])
-    _account_interior(sim, owner, plan.fwd, flops_rank)
-    for lvl_idx in range(nlevels):
-        _account_level(sim, owner, plan.fwd, lvl_idx, flops_rank)
-    for lvl_idx in range(nlevels - 1, -1, -1):
-        _account_level(sim, owner, plan.bwd, lvl_idx, flops_rank)
-    _account_interior(sim, owner, plan.bwd, flops_rank)
-    return bwd.solve(y)
+            out = np.empty_like(x)
+            out[factors.perm] = x
+            flops = float(flops_rank.sum())
+        return TriangularSolveResult(x=out, flops=flops, **entry_transport.report(sim))
 
 
 def _solve_on(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray:
-    """Reference backend of :func:`parallel_triangular_solve`.
+    """The §5 apply on a transport.
 
     Every interior stage is one parallel region, every interface level
     one region per dependency sub-round (sub-rounds are an execution

@@ -1,25 +1,21 @@
-"""Vectorized hot-path kernels (the ``backend="vectorized"`` layer).
+"""Array kernels: the CSR operations and the triangular-solve schedules.
 
-Every kernel here has a scalar reference twin elsewhere in the library
-that serves as its numerical oracle; see :mod:`repro.kernels.backend`
-for the selection machinery and ``tests/kernels`` for the parity suite.
+Each operation has one implementation, and every row sum in it runs
+left to right from ``0.0`` in stored order (:mod:`repro.kernels.csr`,
+:mod:`repro.kernels.triangular`).  The scalar loops they replaced live
+under ``tests/`` as oracles.
 """
 
-from .backend import (
-    REFERENCE,
-    VECTORIZED,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 from .csr import (
     csr_diagonal,
     csr_gather_rows,
     csr_matvec,
+    csr_matvec_rows,
     csr_row_norms,
-    segment_sums,
-    split_lu_vectorized,
+    csr_split_lu,
 )
 from .triangular import (
     BatchedTriangularSchedule,
@@ -31,18 +27,13 @@ from .triangular import (
 )
 
 __all__ = [
-    "REFERENCE",
-    "VECTORIZED",
-    "get_backend",
-    "set_backend",
     "use_backend",
-    "resolve_backend",
-    "segment_sums",
     "csr_matvec",
+    "csr_matvec_rows",
     "csr_row_norms",
     "csr_diagonal",
     "csr_gather_rows",
-    "split_lu_vectorized",
+    "csr_split_lu",
     "BatchedTriangularSchedule",
     "triangular_levels",
     "triangular_diagonal",
@@ -50,3 +41,17 @@ __all__ = [
     "cached_schedules",
     "clear_schedule_cache",
 ]
+
+
+@contextmanager
+def use_backend(name: str) -> Iterator[str]:
+    """Inert: checks that ``name`` is ``"reference"`` or ``"vectorized"``
+    and selects nothing, since every operation has one implementation.
+
+    Its last caller is the end-to-end benchmark
+    (``benchmarks/e2e/workloads.py``); it is deleted with that call
+    when the benchmark is next revised.
+    """
+    if name not in ("reference", "vectorized"):
+        raise ValueError(f"unknown kernel backend {name!r}")
+    yield name

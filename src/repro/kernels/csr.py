@@ -1,21 +1,18 @@
-"""Vectorized CSR kernels: matvec, row norms, diagonal and L/D/U split.
+"""CSR kernels: matvec, row norms, diagonal, L/D/U split and row gathers.
 
-These are the ``backend="vectorized"`` counterparts of the scalar code
-in :mod:`repro.sparse.csr` and :mod:`repro.sparse.ops`.  All of them are
-pure whole-array numpy; the per-row segment sums of the matvec and the
-row norms use the prefix-sum trick (``cumsum`` differenced at the row
-pointers) rather than ``np.add.at``, which keeps them O(nnz) without the
-dispatch overhead of ufunc.at and handles empty rows for free.  The
-triangular solves no longer use it: they sum each row left to right
-from ``0.0`` with ``np.bincount`` (:mod:`repro.kernels.triangular`).
+The library has one implementation of each operation, and it is here:
+:class:`~repro.sparse.CSRMatrix` (``matvec``, ``row_norms``,
+``diagonal``), :func:`repro.sparse.ops.split_lu` and the distributed
+matvec (:mod:`repro.solvers.parallel_matvec`) call these functions.
 
-Parity: entry *selection* (split, diagonal) is element-exact against the
-reference; floating-point *sums* (matvec, row norms) agree to <= 1e-12
-relative because prefix-sum association differs from per-row ``np.dot``.
-That bound holds for the test matrices, not for the kernel: a row's
-absolute error is about eps times everything summed before it, so a
-small row after large ones loses its relative accuracy.  Moving matvec
-and norms onto the triangular solves' order is ROADMAP item 2.
+Row sums use the library's one summation order, the order the
+triangular solves use too (:mod:`repro.kernels.triangular`): each row
+is summed left to right from ``0.0`` over its entries in stored order.
+``np.bincount(row_ids, values, minlength=n)`` adds its weights in input
+order into zeros, which is exactly that, so a row's sum depends on that
+row alone.  The per-row scalar loops these kernels replaced are kept as
+test oracles (``tests/kernels/_scalar.py``); the matvec and row norms
+equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -28,58 +25,58 @@ if TYPE_CHECKING:
     from ..sparse.csr import CSRMatrix
 
 __all__ = [
-    "segment_sums",
     "csr_matvec",
+    "csr_matvec_rows",
     "csr_row_norms",
     "csr_diagonal",
     "csr_gather_rows",
-    "split_lu_vectorized",
+    "csr_split_lu",
 ]
 
 
-def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment sums of ``values`` delimited by ``indptr`` boundaries.
+def _row_ids(A: CSRMatrix) -> np.ndarray:
+    return np.arange(A.shape[0], dtype=np.int64).repeat(A.indptr[1:] - A.indptr[:-1])
 
-    ``out[i] = values[indptr[i]:indptr[i+1]].sum()`` for every segment,
-    including empty ones, via one prefix sum and one gather/difference.
-    """
-    prefix = np.empty(values.size + 1, dtype=np.float64)
-    prefix[0] = 0.0
-    np.cumsum(values, out=prefix[1:])
-    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+
+def _row_sums(row_ids: np.ndarray, values: np.ndarray, nrows: int) -> np.ndarray:
+    """Per-row sums of ``values``, each left to right from ``0.0``."""
+    return np.bincount(row_ids, values, minlength=nrows).astype(np.float64, copy=False)
 
 
 def csr_matvec(
     A: CSRMatrix, x: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vectorized ``y = A @ x`` (prefix-sum segment reduction)."""
+    """``y = A @ x``, every row summed left to right from ``0.0``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.shape[1],):
         raise ValueError(f"x has shape {x.shape}, expected ({A.shape[1]},)")
-    sums = segment_sums(A.data * x[A.indices], A.indptr)
+    sums = _row_sums(_row_ids(A), A.data * x[A.indices], A.shape[0])
     if out is None:
         return sums
     out[:] = sums
     return out
 
 
+def csr_matvec_rows(A: CSRMatrix, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(A @ x)[rows]``, bit for bit :func:`csr_matvec`'s entries, from
+    the listed rows' entries only."""
+    rows = np.asarray(rows, dtype=np.int64)
+    _, cols, flat = csr_gather_rows(A, rows)
+    local = np.repeat(np.arange(rows.size, dtype=np.int64), np.diff(A.indptr)[rows])
+    return _row_sums(local, A.data[flat] * x[cols], rows.size)
+
+
 def csr_row_norms(A: CSRMatrix, ord: int | float = 2) -> np.ndarray:
-    """Vectorized per-row vector norms (2, 1 or inf)."""
+    """Per-row vector norms (2, 1 or inf)."""
     if ord == 2:
-        return np.sqrt(segment_sums(A.data * A.data, A.indptr))
+        return np.sqrt(_row_sums(_row_ids(A), A.data * A.data, A.shape[0]))
     if ord == 1:
-        return segment_sums(np.abs(A.data), A.indptr)
+        return _row_sums(_row_ids(A), np.abs(A.data), A.shape[0])
     if ord == np.inf:
         out = np.zeros(A.shape[0], dtype=np.float64)
         np.maximum.at(out, _row_ids(A), np.abs(A.data))
         return out
     raise ValueError(f"unsupported norm order {ord!r}")
-
-
-def _row_ids(A: CSRMatrix) -> np.ndarray:
-    return np.repeat(
-        np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr)
-    )
 
 
 def csr_gather_rows(
@@ -104,7 +101,7 @@ def csr_gather_rows(
 
 
 def csr_diagonal(A: CSRMatrix) -> np.ndarray:
-    """Vectorized main diagonal (zeros where unstored)."""
+    """Main diagonal (zeros where unstored)."""
     n = min(A.shape)
     rows = _row_ids(A)
     on = (A.indices == rows) & (rows < n)
@@ -113,16 +110,13 @@ def csr_diagonal(A: CSRMatrix) -> np.ndarray:
     return d
 
 
-def split_lu_vectorized(
+def csr_split_lu(
     A: CSRMatrix,
 ) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
-    """Vectorized split of ``A`` into (strict lower, diagonal, strict upper).
-
-    Entry selection and ordering are identical to the reference
-    :func:`repro.sparse.ops.split_lu`; no per-row Python loop.  The
-    diagonal-presence check (and the :class:`InvariantViolation` it
-    raises) lives in the dispatching wrapper, not here.
-    """
+    """Split ``A`` into (strict lower, diagonal, strict upper), entries
+    in stored order.  The diagonal-presence check (and the
+    :class:`InvariantViolation` it raises) is
+    :func:`repro.sparse.ops.split_lu`'s."""
     from ..sparse.csr import CSRMatrix
 
     n = A.shape[0]

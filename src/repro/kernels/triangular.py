@@ -127,6 +127,15 @@ class BatchedTriangularSchedule:
         np.cumsum(np.bincount(self.levels, minlength=nlevels), out=lvl_ptr[1:])
         ordinal = np.arange(n, dtype=np.int64) - lvl_ptr[self.levels[order]]
         e_row, e_col, flat = csr_gather_rows(M, order)
+        # an entry on the far side of the diagonal (or a stored unit
+        # diagonal) would read a value the sweep has not produced yet
+        wrong = e_col > e_row if lower else e_col < e_row
+        if unit_diagonal:
+            wrong |= e_col == e_row
+        if wrong.any():
+            i = int(e_row[np.argmax(wrong)])
+            side = "lower" if lower else "upper"
+            raise ValueError(f"row {i} has an entry outside the {side} triangle")
         e_seg = np.repeat(ordinal, np.diff(M.indptr)[order])
         if not unit_diagonal:
             off = e_col != e_row

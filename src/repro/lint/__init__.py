@@ -1,8 +1,8 @@
-"""``repro.lint`` — static SPMD / determinism / parity analyzer.
+"""``repro.lint`` — static SPMD / determinism / accounting analyzer.
 
 The simulator-driven algorithms in this library obey disciplines that
-runtime checks (the race detector, the fault journal, the kernel parity
-suite) only exercise on the inputs a given run happens to execute.  This
+runtime checks (the race detector, the fault journal, the oracle
+tests) only exercise on the inputs a given run happens to execute.  This
 package checks the same disciplines *statically*, on every code path:
 
 * **SPMD communication** (``SPMD00x``) — symbolic protocol execution
@@ -13,9 +13,8 @@ package checks the same disciplines *statically*, on every code path:
 * **Determinism** (``DET00x``) — unseeded RNG, iteration over unordered
   containers in communication-bearing functions, float ``==``
   comparisons, order-sensitive reductions over unordered containers.
-* **Backend parity** (``PAR00x``) — every public ``repro.kernels``
-  symbol needs a parity test under ``tests/kernels`` and a documented
-  reference twin; simulator flop charges must be integral expressions.
+* **Accounting parity** (``PAR002``) — simulator flop charges must be
+  integral expressions.
 * **Breakdown typing** (``BRK001``) — numeric raise sites must use the
   typed :mod:`repro.resilience` hierarchy, not bare builtins.
 

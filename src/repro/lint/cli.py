@@ -36,10 +36,10 @@ __all__ = ["add_lint_parser", "cmd_lint"]
 def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
-        help="static SPMD/determinism/backend-parity analysis",
+        help="static SPMD/determinism/accounting analysis",
         description=(
             "AST-based static analysis: SPMD communication discipline, "
-            "determinism hazards, kernel backend parity, breakdown typing, "
+            "determinism hazards, integral flop charges, breakdown typing, "
             "transport portability, and the protocol / transport / cost "
             "certification tables. Exit 1 on any finding or uncertified row."
         ),

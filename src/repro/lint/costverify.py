@@ -24,8 +24,8 @@ root:
   the engine's ``_charge_ops`` site must equal the engine's own
   ``flops_total`` counter, ``_charge_copy`` must equal
   ``words_copied * COPY_OPS_PER_WORD``, every compute/word total must
-  be integer-valued, and a repeated (or cross-backend) run must
-  reproduce the stats and modeled time bit for bit;
+  be integer-valued, and a repeated run must reproduce the stats and
+  modeled time bit for bit;
 * **the kernels surface** — no ledger event may ever attribute to a
   ``repro.kernels`` module (checked across every run of every root).
 
@@ -53,6 +53,8 @@ __all__ = ["CostCheck", "CostReport", "verify_costs"]
 _NRANKS = 3
 _MESH = 8
 _MIS_ROUNDS = 3
+#: every root runs twice: the second run must repeat the first bit for bit
+_ATTEMPTS = ("run-1", "run-2")
 
 
 @dataclass
@@ -354,22 +356,18 @@ def _verify_matvec(analysis: CostAnalysis, report: CostReport, root: Path) -> No
         "halo_words": halo_words,
     }
     joiner = _Joiner(report, analysis, root)
-    runs = {}
-    for backend in ("reference", "vectorized"):
+    runs = []
+    for attempt in _ATTEMPTS:
         sim, ledger = _ledgered_sim(_NRANKS)
-        res = parallel_matvec(A, decomp, x, transport=sim, backend=backend)
+        res = parallel_matvec(A, decomp, x, transport=sim)
         stats = sim.stats()
         sim.close()
-        joiner.join_run(ledger, env, backend)
-        _check_components(report, backend, stats, env)
-        report.check(f"{backend}: result.flops == total_flops",
+        joiner.join_run(ledger, env, attempt)
+        _check_components(report, attempt, stats, env)
+        report.check(f"{attempt}: result.flops == total_flops",
                      float(stats.total_flops), float(res.flops))
-        runs[backend] = (res.modeled_time, _stats_tuple(stats))
-    report.check(
-        "cross-backend: modeled time and stats bit-identical",
-        runs["reference"],
-        runs["vectorized"],
-    )
+        runs.append((res.modeled_time, _stats_tuple(stats)))
+    report.check("repeat run bit-identical", runs[0], runs[1])
     joiner.finish()
     _no_kernel_charges(report, joiner, root)
 
@@ -397,24 +395,18 @@ def _verify_triangular(analysis: CostAnalysis, report: CostReport, root: Path) -
         "tri_words": tri_words,
     }
     joiner = _Joiner(report, analysis, root)
-    runs = {}
-    for backend in ("reference", "vectorized"):
+    runs = []
+    for attempt in _ATTEMPTS:
         sim, ledger = _ledgered_sim(_NRANKS)
-        sol = parallel_triangular_solve(
-            factors, b, nranks=_NRANKS, transport=sim, backend=backend
-        )
+        sol = parallel_triangular_solve(factors, b, nranks=_NRANKS, transport=sim)
         stats = sim.stats()
         sim.close()
-        joiner.join_run(ledger, env, backend)
-        _check_components(report, backend, stats, env)
-        report.check(f"{backend}: result.flops == total_flops",
+        joiner.join_run(ledger, env, attempt)
+        _check_components(report, attempt, stats, env)
+        report.check(f"{attempt}: result.flops == total_flops",
                      float(stats.total_flops), float(sol.flops))
-        runs[backend] = (sol.modeled_time, _stats_tuple(stats))
-    report.check(
-        "cross-backend: modeled time and stats bit-identical",
-        runs["reference"],
-        runs["vectorized"],
-    )
+        runs.append((sol.modeled_time, _stats_tuple(stats)))
+    report.check("repeat run bit-identical", runs[0], runs[1])
     joiner.finish()
     _no_kernel_charges(report, joiner, root)
 
@@ -437,7 +429,7 @@ def _verify_mis(analysis: CostAnalysis, report: CostReport, root: Path) -> None:
     }
     joiner = _Joiner(report, analysis, root)
     runs = []
-    for attempt in ("run-1", "run-2"):
+    for attempt in _ATTEMPTS:
         sim, ledger = _ledgered_sim(_NRANKS)
         distributed_two_step_luby_mis(
             graph, decomp.part, sim, seed=0, rounds=_MIS_ROUNDS
@@ -509,12 +501,11 @@ def _verify_elimination(analysis: CostAnalysis, report: CostReport, root: Path) 
 
     A = poisson2d(_MESH)
     joiner = _Joiner(report, analysis, root)
-    runs = {}
-    for backend in ("reference", "vectorized"):
+    runs = []
+    for attempt in _ATTEMPTS:
         sim, ledger = _ledgered_sim(_NRANKS)
         res = parallel_ilut(
-            A, ILUTParams(fill=5, threshold=1e-3), _NRANKS,
-            seed=0, transport=sim, backend=backend,
+            A, ILUTParams(fill=5, threshold=1e-3), _NRANKS, seed=0, transport=sim
         )
         stats = sim.stats()
         sim.close()
@@ -523,28 +514,24 @@ def _verify_elimination(analysis: CostAnalysis, report: CostReport, root: Path) 
             "levels": float(res.num_levels),
             "mis_rounds": 5.0,  # engine default
         }
-        joiner.join_run(ledger, env, backend)
-        _check_components(report, backend, stats, env)
+        joiner.join_run(ledger, env, attempt)
+        _check_components(report, attempt, stats, env)
         _dual_accounting(
-            report, analysis, ledger, root, backend, res.flops, res.words_copied
+            report, analysis, ledger, root, attempt, res.flops, res.words_copied
         )
         report.check(
-            f"{backend}: stats flops == sum of compute-site totals",
+            f"{attempt}: stats flops == sum of compute-site totals",
             float(stats.total_flops),
             float(ledger.total("compute")),
         )
-        runs[backend] = (
+        runs.append((
             res.modeled_time,
             _stats_tuple(stats),
             float(res.factors.L.data.sum()),
             float(res.factors.U.data.sum()),
             res.factors.perm.tobytes(),
-        )
-    report.check(
-        "cross-backend: modeled time, stats and factors bit-identical",
-        runs["reference"],
-        runs["vectorized"],
-    )
+        ))
+    report.check("repeat run bit-identical", runs[0], runs[1])
     joiner.finish()
     _no_kernel_charges(report, joiner, root)
 
@@ -559,7 +546,7 @@ def _verify_interface_partition(
     A = poisson2d(_MESH)
     joiner = _Joiner(report, analysis, root)
     runs = []
-    for attempt in ("run-1", "run-2"):
+    for attempt in _ATTEMPTS:
         sim, ledger = _ledgered_sim(_NRANKS)
         res = parallel_ilut_partitioned(
             A, ILUTParams(fill=5, threshold=1e-3), _NRANKS, seed=0, transport=sim
@@ -587,7 +574,7 @@ def _verify_ilu0(analysis: CostAnalysis, report: CostReport, root: Path) -> None
     decomp = decompose(A, _NRANKS, seed=0)
     joiner = _Joiner(report, analysis, root)
     runs = []
-    for attempt in ("run-1", "run-2"):
+    for attempt in _ATTEMPTS:
         sim, ledger = _ledgered_sim(_NRANKS)
         res = parallel_ilu0(A, _NRANKS, transport=sim, decomp=decomp, seed=0)
         stats = sim.stats()

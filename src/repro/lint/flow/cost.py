@@ -132,7 +132,7 @@ class CostSpec:
     when the total is data-dependent (*measured*): the runtime harness
     then certifies it by dual accounting (per-site ledger totals against
     the engine's own ``flops_total`` / ``words_copied`` counters),
-    integrality, and cross-backend bit-equality instead of a closed
+    integrality, and repeat-run bit-equality instead of a closed
     form.
 
     ``once`` lists the qualnames executed exactly once per driver run —
@@ -181,7 +181,7 @@ COST_SPECS: dict[str, CostSpec] = {
         CostSpec(
             module="src/repro/solvers/parallel_matvec.py",
             qualname="parallel_matvec",
-            # both backends charge 2 flops per stored entry
+            # 2 flops per stored entry
             flops="2*nnz",
             # one aggregated message per halo (src, dst) pair
             messages="halo_pairs",
@@ -204,9 +204,7 @@ COST_SPECS: dict[str, CostSpec] = {
             barriers="2*q + 2",
             collectives="0",
             params=("n", "p", "q", "nnz_L", "nnz_U", "tri_messages", "tri_words"),
-            once=frozenset(
-                {"parallel_triangular_solve", "_solve_on", "_solve_vectorized"}
-            ),
+            once=frozenset({"parallel_triangular_solve", "_solve_on"}),
         ),
         CostSpec(
             module="src/repro/graph/distributed_mis.py",
@@ -224,7 +222,7 @@ COST_SPECS: dict[str, CostSpec] = {
             module="src/repro/ilu/elimination.py",
             qualname="EliminationEngine.run",
             # ILUT flops/comm depend on the numeric fill pattern: measured,
-            # certified by dual accounting + integrality + cross-backend
+            # certified by dual accounting + integrality + repeat run
             flops=None,
             messages=None,
             words=None,

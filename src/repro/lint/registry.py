@@ -6,7 +6,7 @@ A rule is a class with an ``id``, a ``severity`` and one or both hooks:
   vast majority of rules live here.
 * ``check_project(project)`` — called once per lint run with every
   parsed module plus the project root; for cross-file disciplines like
-  the kernels parity requirement.
+  the transport-portability closure.
 
 Registering is one decorator::
 

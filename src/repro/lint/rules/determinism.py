@@ -1,7 +1,7 @@
 """Determinism rules (``DET001``–``DET004``).
 
 The reproduction's headline property — bit-identical factors across
-backends, replays and fault recoveries — dies the moment any numeric
+transports, replays and fault recoveries — dies the moment any numeric
 path consults an unseeded RNG, iterates an unordered container where
 order reaches the numerics or the message schedule, or branches on
 fragile float equality.  These rules flag the syntactic shapes of those

@@ -5,9 +5,8 @@ multiplies the wall-clock constant the modeled speedups are normalized
 by.  ``PERF001`` flags a scalar per-row loop (``A.row(i)`` /
 ``iter_rows``) inside a function that charges the machine model
 (:func:`repro.lint.comm.charged_as`: ``compute``, ``send``,
-``exchange``, collectives), where the ``repro.kernels`` surface has a
-vectorized twin.  Functions that dispatch on a ``backend`` parameter
-(their scalar path *is* the documented reference twin) are exempt.
+``exchange``, collectives), where the ``repro.kernels`` surface has an
+array kernel for it.
 
 The profiles keep it scoped to library code (off under ``tests/`` and
 ``benchmarks/`` — tests exercise scalar shapes on purpose).
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import ast
 
-from ..astutil import call_name
 from ..comm import charged_as
 from ..findings import Finding, Severity
 from ..registry import Rule, register
@@ -25,22 +23,8 @@ from ..runner import ModuleContext
 
 __all__ = ["ScalarHotLoop"]
 
-#: Scalar CSR row accessors with vectorized repro.kernels twins.
+#: Scalar CSR row accessors the repro.kernels array kernels replace.
 _SCALAR_ROW_CALLS = frozenset({"row", "iter_rows"})
-
-
-def _has_backend_dispatch(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """The function routes between a reference and a vectorized path."""
-    argnames = {
-        a.arg
-        for a in (*func.args.args, *func.args.kwonlyargs, *func.args.posonlyargs)
-    }
-    if "backend" in argnames:
-        return True
-    return any(
-        isinstance(node, ast.Call) and call_name(node) == "resolve_backend"
-        for node in ast.walk(func)
-    )
 
 
 def _docstring_mentions_reference(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -60,11 +44,9 @@ class ScalarHotLoop(Rule):
 
     ``A.row(i)`` in a Python loop materializes two slices per row and
     runs the numerics through the interpreter; the ``repro.kernels``
-    CSR surface (``csr_matvec``, ``segment_sums``, the batched solvers)
-    does the same work in a handful of array ops.  Functions that
-    accept a ``backend`` parameter or call ``resolve_backend`` keep
-    their scalar branch — it *is* the reference twin the parity suite
-    diffs against — as do functions whose docstring says "reference".
+    CSR surface (``csr_matvec_rows``, ``csr_gather_rows``, the level
+    schedules) does the same work in a handful of array ops.  Functions
+    whose docstring says "reference" are exempt.
     """
 
     id = "PERF001"
@@ -80,7 +62,7 @@ class ScalarHotLoop(Rule):
         for func in module.index.functions:
             if not any(charged_as(c) for c in module.index.calls_under(func)):
                 continue
-            if _has_backend_dispatch(func) or _docstring_mentions_reference(func):
+            if _docstring_mentions_reference(func):
                 continue
             flagged: dict[int, ast.Call] = {}
             for loop in _loops_in(func):
@@ -99,8 +81,7 @@ class ScalarHotLoop(Rule):
                         call.col_offset,
                         f".{call.func.attr}(...) per loop iteration in "
                         f"cost-charged {func.name!r}; use the vectorized "
-                        "repro.kernels CSR surface (or dispatch on "
-                        "backend= and keep this as the reference path)",
+                        "repro.kernels CSR surface",
                     )
                 )
         return out

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: Per-directory rule profiles: ``relpath prefix -> disabled rule-id
-#: prefixes``.  The SPMD protocol rules, the kernels-parity rules, and
+#: prefixes``.  The SPMD protocol rules, the charge-parity rule, and
 #: the transport-portability rules describe obligations of the
 #: *drivers*; test and benchmark code exercises the simulator in
 #: intentionally-partial ways, so only the determinism/breakdown
@@ -66,8 +66,6 @@ class LintConfig:
     ignore: tuple[str, ...] = ()
     #: Project root; auto-discovered from the lint paths when None.
     project_root: Path | None = None
-    #: Directory holding the kernels parity tests, relative to the root.
-    kernels_test_dir: str = "tests/kernels"
     #: ``relpath prefix -> disabled rule-id prefixes`` (see module docs).
     profiles: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES)

@@ -237,7 +237,7 @@ class Simulator:
         """Synchronisation count: completed barriers + collectives.
 
         This is the clock rank faults are scheduled against — it is
-        deterministic across kernel backends, unlike the modelled time.
+        deterministic across transports and replays.
         """
         return self._barriers + self._collectives
 
@@ -327,7 +327,7 @@ class Simulator:
         It tells the worker transports' region supervisor (DESIGN.md §14)
         the rank is alive; here the region runs inline and the call is
         free, as it is in coordinator context everywhere — drivers need
-        no backend switch.
+        no transport switch.
         """
 
     def begin_scope(self) -> None:

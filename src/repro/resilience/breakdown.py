@@ -11,8 +11,8 @@ shared vocabulary for those events:
   non-finite values) so existing ``except`` clauses keep working while
   new code can catch the whole family with one clause.
 * :class:`PivotPolicy` — the configurable small/zero-pivot remediation
-  used by ``ilu/ilut.py``, ``ilu/elimination.py`` and both kernel
-  backends.  ``"guard"`` reproduces the historical substitution
+  used by ``ilu/ilut.py`` and ``ilu/elimination.py`` (the scalar
+  row kernel and the level kernel).  ``"guard"`` reproduces the historical substitution
   bit-exactly, ``"raise"`` turns breakdown into a typed error for the
   fallback/retry layer, and ``"shift"`` applies a threshold-scaled
   sign-preserving perturbation in the spirit of Bollhöfer et al.'s

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..decomp import DomainDecomposition
 from ..faults import FaultJournal, FaultPlan
+from ..kernels.csr import csr_matvec_rows
 from ..machine import (
     CRAY_T3D,
     CommStats,
@@ -58,7 +59,6 @@ def parallel_matvec(
     transport: str | Simulator | None = "simulator",
     halo_plan: dict[tuple[int, int], np.ndarray] | None = None,
     trace: bool = False,
-    backend: str | None = None,
     faults: FaultPlan | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> MatvecResult:
@@ -67,11 +67,10 @@ def parallel_matvec(
     ``halo_plan`` may be precomputed once (e.g. per GMRES solve) with
     :meth:`DomainDecomposition.halo_plan` and reused across calls.
 
-    With ``backend="vectorized"`` the local products run through
-    :func:`repro.kernels.csr.csr_matvec` while the halo messages,
-    per-rank charges and (when tracing) access declarations follow the
-    reference loop — ``modeled_time``, ``comm`` and race results are
-    identical, ``y`` agrees to roundoff.
+    Each rank's thunk computes its rows with
+    :func:`repro.kernels.csr.csr_matvec_rows`, every row summed left to
+    right from ``0.0``, so ``y`` equals ``A.matvec(x)`` bit for bit on
+    every transport.
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
@@ -99,7 +98,7 @@ def parallel_matvec(
         faults=faults,
         supervision=supervision,
     ) as sim:
-        y, flops = _matvec_on(A, decomp, x, sim, halo_plan, backend)
+        y, flops = _matvec_on(A, decomp, x, sim, halo_plan)
         return MatvecResult(y=y, flops=flops, **entry_transport.report(sim))
 
 
@@ -109,10 +108,15 @@ def _matvec_on(
     x: np.ndarray,
     sim,
     halo_plan: dict[tuple[int, int], np.ndarray] | None,
-    backend: str | None,
 ) -> tuple[np.ndarray, float]:
     """Run one matvec against a resolved transport (or ``None``);
-    returns ``(y, flops)``."""
+    returns ``(y, flops)``.
+
+    One parallel region, one pure thunk per rank (read-shared ``x``,
+    write-own rows); the coordinator stores the parts and replays
+    declarations and charges in rank order, bit-identical on every
+    transport.
+    """
     n = A.shape[0]
     tr = getattr(sim, "tracer", None)
     if halo_plan is None:
@@ -129,62 +133,32 @@ def _matvec_on(
             tag="halo",
         )
 
-    from ..kernels.backend import VECTORIZED, resolve_backend
-
+    owned = [decomp.owned_rows(r) for r in range(decomp.nranks)]
+    parts = run_region(
+        sim, [(lambda rows=rows: csr_matvec_rows(A, x, rows)) for rows in owned]
+    )
     row_nnz = np.diff(A.indptr)
+    y = np.zeros(n)
     flops_total = 0.0
-    if resolve_backend(backend) == VECTORIZED:
-        # vectorized numerics are computed globally by the coordinator on
-        # every transport (trivially transport-invariant — see DESIGN.md
-        # §13 on the soundness boundary); per-rank charges/declarations
-        # mirror the reference loop, and the costs are integer-valued so
-        # the batched sums match bit for bit
-        y = A.matvec(x, backend=VECTORIZED)
-        for r in range(decomp.nranks):
-            rows = decomp.owned_rows(r)
-            if tr is not None:
-                for i in rows:
-                    cols, _ = A.row(int(i))
-                    if cols.size:
-                        tr.read_many(r, "x", cols)
-                    tr.write(r, "y", int(i))
-            fl = float((2.0 * row_nnz[rows]).sum())
-            if sim is not None:
-                sim.compute(r, fl)
-            flops_total += fl
-    else:
-        # reference backend: one parallel region, one pure thunk per rank
-        # (read-shared x, write-own rows); the coordinator merges partial
-        # results and replays declarations/charges in rank order — the
-        # historical inline order, bit-identical on every transport
-        y = np.zeros(n)
-
-        def local_rows(r: int) -> tuple[np.ndarray, np.ndarray, float]:
-            rows = decomp.owned_rows(r)
-            part = np.zeros(rows.size)
-            fl = 0.0
-            for j, i in enumerate(rows):
-                cols, vals = A.row(int(i))
-                if cols.size:
-                    part[j] = np.dot(vals, x[cols])
-                fl += 2.0 * row_nnz[i]
-            return rows, part, fl
-
-        results = run_region(
-            sim, [(lambda r=r: local_rows(r)) for r in range(decomp.nranks)]
-        )
-        for r in range(decomp.nranks):
-            rows, part, fl = results[r]
-            if tr is not None:
-                for i in rows:
-                    cols, _ = A.row(int(i))
-                    if cols.size:
-                        tr.read_many(r, "x", cols)
-                    tr.write(r, "y", int(i))
-            y[rows] = part
-            if sim is not None:
-                sim.compute(r, fl)
-            flops_total += fl
+    for r, rows in enumerate(owned):
+        if tr is not None:
+            _declare_rows(tr, r, A, rows)
+        y[rows] = parts[r]
+        # integer-valued, so the per-rank total is exact
+        fl = float((2.0 * row_nnz[rows]).sum())
+        if sim is not None:
+            sim.compute(r, fl)
+        flops_total += fl
     if sim is not None:
         sim.barrier()
     return y, flops_total
+
+
+def _declare_rows(tr, rank: int, A: CSRMatrix, rows: np.ndarray) -> None:
+    """Declare rank ``rank``'s accesses: each row reads its columns of
+    ``x`` and writes its entry of ``y``."""
+    for i in rows:
+        cols, _ = A.row(int(i))
+        if cols.size:
+            tr.read_many(rank, "x", cols)
+        tr.write(rank, "y", int(i))

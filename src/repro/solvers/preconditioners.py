@@ -107,12 +107,10 @@ class ILUPreconditioner(Preconditioner):
     Construct from existing factors — ``ILUPreconditioner(factors)`` —
     or from parameters — ``ILUPreconditioner(params=ILUTParams(10,
     1e-4))`` — in which case :meth:`setup` factors the solve's matrix
-    with sequential ILUT.
-
-    With ``fast=True`` (default) the first application builds a
-    level-scheduled plan (:class:`~repro.ilu.apply.LevelScheduledApplier`)
-    so repeated applications inside a Krylov solver are vectorised; pass
-    ``fast=False`` to use the reference row-by-row solves.
+    with sequential ILUT.  :meth:`apply` is
+    :meth:`ILUFactors.solve <repro.ilu.factors.ILUFactors.solve>`: level
+    schedules analysed once per factors object, then one array pass per
+    level.
 
     With ``guard=True`` every :meth:`apply` output is checked for
     NaN/Inf and a :class:`~repro.resilience.NonFiniteError` raised on a
@@ -125,7 +123,6 @@ class ILUPreconditioner(Preconditioner):
         factors: ILUFactors | None = None,
         *,
         params: ILUTParams | None = None,
-        fast: bool = True,
         guard: bool = False,
         pivot_policy: PivotPolicy | None = None,
     ) -> None:
@@ -135,10 +132,8 @@ class ILUPreconditioner(Preconditioner):
             raise TypeError("ILUPreconditioner takes factors or params, not both")
         self.factors = factors
         self.params = params
-        self._fast = fast
         self.guard = guard
         self.pivot_policy = pivot_policy
-        self._applier = None
 
     def setup(self, A: CSRMatrix) -> "ILUPreconditioner":
         if self.factors is not None:
@@ -154,15 +149,7 @@ class ILUPreconditioner(Preconditioner):
                 "ILUPreconditioner not set up; pass factors to the constructor "
                 "or call setup(A)"
             )
-        r = np.asarray(r, dtype=np.float64)
-        if not self._fast:
-            out = self.factors.solve(r)
-        else:
-            if self._applier is None:
-                from ..ilu.apply import LevelScheduledApplier
-
-                self._applier = LevelScheduledApplier(self.factors)
-            out = self._applier.apply(r)
+        out = self.factors.solve(r)
         if self.guard:
             assert_finite(out, where="ILUT preconditioner apply")
         return out
@@ -200,7 +187,6 @@ class ILU0Preconditioner(Preconditioner):
         self.factors: ILUFactors | None = None
         self.guard = guard
         self.diag_guard = diag_guard
-        self._applier = None
         if A is not None:
             self.setup(A)
 
@@ -218,12 +204,7 @@ class ILU0Preconditioner(Preconditioner):
                 "ILU0Preconditioner not set up; pass A to the constructor "
                 "or call setup(A)"
             )
-        r = np.asarray(r, dtype=np.float64)
-        if self._applier is None:
-            from ..ilu.apply import LevelScheduledApplier
-
-            self._applier = LevelScheduledApplier(self.factors)
-        out = self._applier.apply(r)
+        out = self.factors.solve(r)
         if self.guard:
             assert_finite(out, where="ILU(0) preconditioner apply")
         return out

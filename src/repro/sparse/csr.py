@@ -228,61 +228,22 @@ class CSRMatrix:
             return float(vals[pos])
         return 0.0
 
-    def diagonal(self, *, backend: str | None = None) -> np.ndarray:
-        """The main diagonal as a dense vector (zeros where unstored).
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal as a dense vector (zeros where unstored)."""
+        from ..kernels.csr import csr_diagonal
 
-        ``backend`` selects the scalar reference loop or the vectorized
-        kernel (element-exact); ``None`` uses the process default — see
-        :mod:`repro.kernels.backend`.
-        """
-        from ..kernels.backend import VECTORIZED, resolve_backend
-
-        if resolve_backend(backend) == VECTORIZED:
-            from ..kernels.csr import csr_diagonal
-
-            return csr_diagonal(self)
-        n = min(self.shape)
-        d = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            d[i] = self.get(i, i)
-        return d
+        return csr_diagonal(self)
 
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
 
-    def matvec(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        backend: str | None = None,
-    ) -> np.ndarray:
-        """Compute ``y = A @ x``.
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``y = A @ x``, each row summed left to right from
+        ``0.0`` in stored order (:func:`repro.kernels.csr.csr_matvec`)."""
+        from ..kernels.csr import csr_matvec
 
-        ``backend="vectorized"`` uses the prefix-sum segment reduction
-        of :func:`repro.kernels.csr.csr_matvec` (agrees with the
-        reference to <= 1e-12 relative; summation association differs).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"x has shape {x.shape}, expected ({self.shape[1]},)")
-        from ..kernels.backend import VECTORIZED, resolve_backend
-
-        if resolve_backend(backend) == VECTORIZED:
-            from ..kernels.csr import csr_matvec
-
-            return csr_matvec(self, x, out)
-        prods = self.data * x[self.indices]
-        y = np.zeros(self.shape[0], dtype=np.float64) if out is None else out
-        if out is not None:
-            y[:] = 0.0
-        # segment-sum per row; add.at handles empty rows naturally
-        row_ids = np.repeat(
-            np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
-        )
-        np.add.at(y, row_ids, prods)
-        return y
+        return csr_matvec(self, x, out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
@@ -467,36 +428,13 @@ class CSRMatrix:
     # norms and comparison
     # ------------------------------------------------------------------
 
-    def row_norms(
-        self, ord: int | float = 2, *, backend: str | None = None
-    ) -> np.ndarray:
-        """Per-row vector norms (the ILUT relative threshold uses ord=2).
+    def row_norms(self, ord: int | float = 2) -> np.ndarray:
+        """Per-row vector norms (the ILUT relative threshold uses ord=2),
+        sums left to right from ``0.0``
+        (:func:`repro.kernels.csr.csr_row_norms`)."""
+        from ..kernels.csr import csr_row_norms
 
-        The vectorized backend sums via prefix differences, so its 2- and
-        1-norms can differ from the reference in the last bits; ILUT
-        always computes its thresholds with the reference path so the
-        factors stay backend-independent.
-        """
-        from ..kernels.backend import VECTORIZED, resolve_backend
-
-        if resolve_backend(backend) == VECTORIZED:
-            from ..kernels.csr import csr_row_norms
-
-            return csr_row_norms(self, ord)
-        n = self.shape[0]
-        out = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            _, vals = self.row(i)
-            if vals.size:
-                if ord == 2:
-                    out[i] = float(np.sqrt(np.dot(vals, vals)))
-                elif ord == 1:
-                    out[i] = float(np.abs(vals).sum())
-                elif ord == np.inf:
-                    out[i] = float(np.abs(vals).max())
-                else:
-                    raise ValueError(f"unsupported norm order {ord!r}")
-        return out
+        return csr_row_norms(self, ord)
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.dot(self.data, self.data)))

@@ -1,7 +1,10 @@
-"""Sequential sparse kernels: triangular solves and related operations.
+"""Sequential sparse operations: triangular solves, L/D/U split, flop count.
 
-These are the reference (single-processor) versions; the level-scheduled
-parallel formulations live in :mod:`repro.ilu.triangular`.
+The triangular solves here are a general row-by-row API (one
+``np.dot`` per row).  Preconditioner applications do not use them: they
+run in the library's one summation order on the level schedules of
+:mod:`repro.kernels.triangular` (serial) and :mod:`repro.ilu.triangular`
+(the paper's §5 parallel apply).
 """
 
 from __future__ import annotations
@@ -83,10 +86,7 @@ def lower_solve(L: CSRMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def split_lu(
-    A: CSRMatrix,
-    *,
-    require_diagonal: bool = True,
-    backend: str | None = None,
+    A: CSRMatrix, *, require_diagonal: bool = True
 ) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
     """Split ``A`` into (strict lower CSR, diagonal vector, strict upper CSR).
 
@@ -95,53 +95,15 @@ def split_lu(
     diagonal entry raises
     :class:`~repro.verify.invariants.InvariantViolation` naming the
     offending row (pass ``require_diagonal=False`` to get the raw split
-    with zeros instead).  ``backend="vectorized"`` selects the
-    element-exact whole-array kernel.
+    with zeros instead).  The split itself is
+    :func:`repro.kernels.csr.csr_split_lu`.
     """
-    from ..kernels.backend import VECTORIZED, resolve_backend
+    from ..kernels.csr import csr_split_lu
 
-    if resolve_backend(backend) == VECTORIZED:
-        from ..kernels.csr import split_lu_vectorized
-
-        L, diag, U = split_lu_vectorized(A)
-        if require_diagonal:
-            _require_nonzero_diagonal(diag)
-        return L, diag, U
-    n = A.shape[0]
-    lr: list[np.ndarray] = []
-    lc: list[np.ndarray] = []
-    lv: list[np.ndarray] = []
-    ur: list[np.ndarray] = []
-    uc: list[np.ndarray] = []
-    uv: list[np.ndarray] = []
-    diag = np.zeros(n, dtype=np.float64)
-    for i, cols, vals in A.iter_rows():
-        below = cols < i
-        above = cols > i
-        on = cols == i
-        if np.any(on):
-            diag[i] = vals[on][0]
-        if np.any(below):
-            lr.append(np.full(int(below.sum()), i, dtype=np.int64))
-            lc.append(cols[below])
-            lv.append(vals[below])
-        if np.any(above):
-            ur.append(np.full(int(above.sum()), i, dtype=np.int64))
-            uc.append(cols[above])
-            uv.append(vals[above])
-
-    def build(
-        rs: list[np.ndarray], cs: list[np.ndarray], vs: list[np.ndarray]
-    ) -> CSRMatrix:
-        if not rs:
-            return CSRMatrix.zeros(n, n)
-        return CSRMatrix.from_coo(
-            np.concatenate(rs), np.concatenate(cs), np.concatenate(vs), (n, n)
-        )
-
+    L, diag, U = csr_split_lu(A)
     if require_diagonal:
         _require_nonzero_diagonal(diag)
-    return build(lr, lc, lv), diag, build(ur, uc, uv)
+    return L, diag, U
 
 
 def _require_nonzero_diagonal(diag: np.ndarray) -> None:

@@ -176,9 +176,9 @@ class AccessTracer:
     def write_many(self, rank: int, space: str, indices: Iterable[int]) -> None:
         """Declare writes of every object ``(space, i)`` for ``i`` in ``indices``.
 
-        The batched (``backend="vectorized"``) drivers update a whole
-        level of a distributed vector with one scatter; this declares
-        the same per-object accesses the scalar drivers would.
+        A batched driver that updates a whole level of a distributed
+        vector with one scatter declares with this the same per-object
+        accesses a row-by-row driver would.
         """
         for i in indices:
             self._record(rank, WRITE, space, int(i))

@@ -18,6 +18,7 @@ import repro.ilu.parallel as parallel_module
 from repro import ILUTParams
 from repro.ilu import parallel_ilut, parallel_ilut_star
 from repro.ilu.elimination import EliminationEngine
+from repro.kernels import use_backend
 from repro.matrices import (
     anisotropic2d,
     convection_diffusion2d,
@@ -101,24 +102,25 @@ def assert_equal_runs(monkeypatch, A, mtk, p, **kwargs):
 def test_simulator_runs_are_equal(monkeypatch, name, p):
     A = MATRICES[name]()
     for mtk in SETTINGS:
-        out = assert_equal_runs(monkeypatch, A, mtk, p, backend="reference")
+        out = assert_equal_runs(monkeypatch, A, mtk, p)
         assert p == 1 or sum(out["level_sizes"]) > 0, "no phase 2: nothing compared"
 
 
 @pytest.mark.parametrize("name", ["torso", "convdiff", "rdd-unsym"])
-def test_vectorized_backend_and_no_transport(monkeypatch, name):
+def test_no_transport_runs_are_equal(monkeypatch, name):
     A = MATRICES[name]()
     for mtk in SETTINGS:
-        assert_equal_runs(monkeypatch, A, mtk, 3, backend="vectorized")
         assert_equal_runs(monkeypatch, A, mtk, 4, transport="none")
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
 @pytest.mark.parametrize("name", ["poisson", "torso", "rdd-unsym"])
 def test_traced_runs_declare_the_same_accesses(monkeypatch, name, backend):
+    # under both names the inert ``use_backend`` accepts: it selects nothing
     A = MATRICES[name]()
     for mtk in [(5, 1e-3, 2), (3, 0.0, None)]:
-        out = assert_equal_runs(monkeypatch, A, mtk, 4, backend=backend, trace=True)
+        with use_backend(backend):
+            out = assert_equal_runs(monkeypatch, A, mtk, 4, trace=True)
         assert any(space == "u-row" for (space, _), _ in out["trace"])
 
 

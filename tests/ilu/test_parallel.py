@@ -25,18 +25,17 @@ class TestCorrectness:
         }
         for name, A in matrices.items():
             for m, t in [(5, 1e-2), (10, 1e-4), (3, 0.0), (0, 1e-2)]:
-                for backend in ("reference", "vectorized"):
-                    case = (name, m, t, backend)
-                    params = ILUTParams(fill=m, threshold=t)
-                    r = parallel_ilut(A, params, 1, transport="none", backend=backend)
-                    f = ilut(A, params, backend=backend)
-                    for got, want in ((r.factors.L, f.L), (r.factors.U, f.U)):
-                        assert got.indptr.tobytes() == want.indptr.tobytes(), case
-                        assert got.indices.tobytes() == want.indices.tobytes(), case
-                        assert got.data.tobytes() == want.data.tobytes(), case
-                    assert r.factors.perm.tobytes() == f.perm.tobytes(), case
-                    assert r.flops == f.stats["flops"], case
-                    assert r.num_levels == 0, case
+                case = (name, m, t)
+                params = ILUTParams(fill=m, threshold=t)
+                r = parallel_ilut(A, params, 1, transport="none")
+                f = ilut(A, params)
+                for got, want in ((r.factors.L, f.L), (r.factors.U, f.U)):
+                    assert got.indptr.tobytes() == want.indptr.tobytes(), case
+                    assert got.indices.tobytes() == want.indices.tobytes(), case
+                    assert got.data.tobytes() == want.data.tobytes(), case
+                assert r.factors.perm.tobytes() == f.perm.tobytes(), case
+                assert r.flops == f.stats["flops"], case
+                assert r.num_levels == 0, case
 
     def test_no_dropping_exact_any_p(self, small_diagdom):
         n = small_diagdom.shape[0]

@@ -1,67 +1,39 @@
-"""Semantics of the process-wide kernel backend switch."""
+"""``use_backend`` is inert: every operation has one implementation."""
 
+import numpy as np
 import pytest
 
-from repro.kernels import (
-    REFERENCE,
-    VECTORIZED,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro import ILUTParams, poisson2d
+from repro.decomp import decompose
+from repro.ilu import ilut, parallel_ilut, parallel_triangular_solve
+from repro.kernels import use_backend
+from repro.solvers import parallel_matvec
 
 
-@pytest.fixture(autouse=True)
-def _restore_default():
-    previous = get_backend()
-    yield
-    set_backend(previous)
+def run_everything(A):
+    d = decompose(A, 3, seed=0)
+    x = np.linspace(-1.0, 1.0, A.shape[0])
+    r = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 3, decomp=d, seed=0)
+    sol = parallel_triangular_solve(r.factors, x)
+    mv = parallel_matvec(A, d, x)
+    f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
+    return [
+        r.factors.L.data, r.factors.U.data, sol.x, mv.y, f.L.data, f.U.data,
+        A.matvec(x), A.row_norms(), np.array([r.modeled_time, sol.modeled_time, mv.modeled_time]),
+    ]
 
 
-class TestBackendSwitch:
-    def test_default_is_reference(self):
-        assert get_backend() == REFERENCE
-
-    def test_set_returns_previous_and_takes_effect(self):
-        assert set_backend(VECTORIZED) == REFERENCE
-        assert get_backend() == VECTORIZED
-        assert set_backend(REFERENCE) == VECTORIZED
-
-    def test_set_rejects_unknown_and_keeps_default(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("simd")
-        assert get_backend() == REFERENCE
-
-    def test_use_backend_restores_on_exit(self):
-        with use_backend(VECTORIZED) as active:
-            assert active == VECTORIZED
-            assert get_backend() == VECTORIZED
-        assert get_backend() == REFERENCE
-
-    def test_use_backend_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_backend(VECTORIZED):
-                raise RuntimeError("boom")
-        assert get_backend() == REFERENCE
-
-    def test_use_backend_nests(self):
-        with use_backend(VECTORIZED):
-            with use_backend(REFERENCE):
-                assert get_backend() == REFERENCE
-            assert get_backend() == VECTORIZED
+@pytest.mark.parametrize("name", ["reference", "vectorized"])
+def test_selects_nothing(name):
+    A = poisson2d(10)
+    outside = run_everything(A)
+    with use_backend(name) as active:
+        assert active == name
+        inside = run_everything(A)
+    assert all(np.array_equal(a, b) for a, b in zip(outside, inside, strict=True))
 
 
-class TestResolve:
-    def test_none_resolves_to_default(self):
-        assert resolve_backend(None) == REFERENCE
-        with use_backend(VECTORIZED):
-            assert resolve_backend(None) == VECTORIZED
-
-    def test_explicit_argument_wins_over_default(self):
-        with use_backend(VECTORIZED):
-            assert resolve_backend(REFERENCE) == REFERENCE
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("gpu")
+def test_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        with use_backend("simd"):
+            pass

@@ -13,7 +13,6 @@ from repro.kernels import (
     cached_analysis,
     cached_schedules,
     clear_schedule_cache,
-    segment_sums,
     triangular_diagonal,
     triangular_levels,
 )
@@ -21,6 +20,7 @@ from repro.resilience import ZeroDiagonalError, ZeroPivotError
 from repro.sparse import CSRMatrix
 
 from ..ilu import _trisolve
+from . import _scalar
 
 
 def star_factors(nx=14, p=8):
@@ -101,7 +101,7 @@ class TestBatchedSolve:
         want = _trisolve.forward(L, b)
         assert np.array_equal(sched.solve(b), want)
         prefix = b.copy()
-        prefix[4:] -= segment_sums(L.data * b[L.indices], np.array([0, 2, 4]))
+        prefix[4:] -= _scalar.prefix_sums(L.data * b[L.indices], np.array([0, 2, 4]))
         assert prefix[4] == want[4] and prefix[5] != want[5]
 
     def test_level_sizes_cover_all_rows(self):
@@ -109,6 +109,21 @@ class TestBatchedSolve:
         sched = BatchedTriangularSchedule(f.L, lower=True, unit_diagonal=True)
         assert sched.level_sizes.sum() == f.n
         assert sched.num_levels == sched.level_sizes.size
+
+    def test_entries_outside_the_triangle_are_rejected(self):
+        from repro.ilu import ILUFactors
+
+        eye = CSRMatrix.identity(3)
+        for M, lower, unit in (
+            (CSRMatrix.from_coo([0], [2], [1.0], (3, 3)), True, True),  # above, in L
+            (eye, True, True),  # a stored unit diagonal
+            (eye + CSRMatrix.from_coo([2], [0], [1.0], (3, 3)), False, False),  # below, in U
+        ):
+            with pytest.raises(ValueError, match="outside the"):
+                BatchedTriangularSchedule(M, lower=lower, unit_diagonal=unit)
+        bad = ILUFactors(L=CSRMatrix.from_coo([0], [2], [1.0], (3, 3)), U=eye, perm=np.arange(3))
+        with pytest.raises(ValueError):
+            bad.solve(np.ones(3))
 
     def test_diagonal_only_upper_single_level(self):
         U = CSRMatrix.from_coo([0, 1], [0, 1], [2.0, 4.0], (2, 2))
@@ -179,15 +194,11 @@ class TestScheduleCache:
 
 class TestApplierUsesCache:
     def test_applier_parity_with_factors_solve(self):
-        # factors.solve sums each row with np.dot: close, not equal
         f = star_factors()
-        app = LevelScheduledApplier(f)
         b = np.sin(np.arange(f.n))
-        x_ref = f.solve(b)
-        x_vec = app.apply(b)
-        scale = np.max(np.abs(x_ref)) or 1.0
-        assert np.max(np.abs(x_ref - x_vec)) / scale <= 1e-12
-        assert np.array_equal(x_vec, _trisolve.solve(f, b))
+        x = LevelScheduledApplier(f).apply(b)
+        assert np.array_equal(f.solve(b), x)
+        assert np.array_equal(x, _trisolve.solve(f, b))
 
     def test_two_appliers_share_schedules(self):
         clear_schedule_cache()

@@ -1,25 +1,4 @@
-"""PERF001 clean twin: backend dispatch, reference paths, cold paths."""
-
-
-def dispatched_matvec(A, x, sim, *, backend=None):
-    # has a backend parameter: the scalar branch is the reference twin
-    y = x * 0
-    for i in range(A.shape[0]):
-        cols, vals = A.row(i)
-        y[i] = (vals * x[cols]).sum()
-    sim.compute(0, 2.0 * A.nnz)
-    return y
-
-
-def resolved_matvec(A, x, sim):
-    from repro.kernels.backend import resolve_backend
-
-    if resolve_backend(None) == "reference":
-        for i in range(A.shape[0]):
-            cols, vals = A.row(i)
-            x[i] += vals.sum()
-    sim.compute(0, 2.0 * A.nnz)
-    return x
+"""PERF001 clean twin: documented reference paths, cold paths."""
 
 
 def documented_reference(A, x, sim):

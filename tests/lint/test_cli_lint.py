@@ -44,9 +44,9 @@ def test_list_rules(capsys):
     rc = main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for rid in ("SPMD003", "DET001", "PAR001", "BRK001"):
+    for rid in ("SPMD003", "DET001", "PAR002", "BRK001"):
         assert rid in out
-    for gone in ("SPMD001", "SPMD002", "TRN001", "TRN002"):
+    for gone in ("SPMD001", "SPMD002", "TRN001", "TRN002", "PAR001", "PAR003"):
         assert gone not in out
 
 

@@ -68,7 +68,7 @@ class TestStaticAnalysis:
     def test_matvec_site_inventory(self, analyses):
         a = analyses["parallel_matvec"]
         kinds = sorted(s.kind for s in a.sites)
-        assert kinds == ["barrier", "compute", "compute", "send"]
+        assert kinds == ["barrier", "compute", "send"]
         assert all(s.module == "src/repro/solvers/parallel_matvec.py" for s in a.sites)
 
     def test_fault_path_site_is_marked(self, analyses):

@@ -71,31 +71,6 @@ def test_dataflow_discharges_syntactic_false_positive(rule):
     assert findings == [], [f.render() for f in findings]
 
 
-def _lint_project(name: str, rule: str):
-    root = FIXTURES / name
-    return run_lint(
-        [root / "src"], LintConfig(select=(rule,), project_root=root)
-    )
-
-
-class TestProjectRules:
-    def test_par001_flags_untested_kernel(self):
-        findings = _lint_project("par_proj_bad", "PAR001")
-        assert len(findings) == 1
-        assert "widget_vec" in findings[0].message
-
-    def test_par001_clean_project_passes(self):
-        assert _lint_project("par_proj_clean", "PAR001") == []
-
-    def test_par003_flags_missing_twin_docstring(self):
-        findings = _lint_project("par_proj_bad", "PAR003")
-        assert len(findings) == 1
-        assert "reference twin" in findings[0].message
-
-    def test_par003_clean_project_passes(self):
-        assert _lint_project("par_proj_clean", "PAR003") == []
-
-
 class TestRuleScoping:
     def test_select_restricts_rules(self):
         findings = run_lint(

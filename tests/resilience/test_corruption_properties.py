@@ -57,7 +57,7 @@ def test_guarded_apply_detects_or_stays_finite(system, corruption, pick_seed):
     idx = int(rng.integers(target.data.size))
     target.data[idx] = _poison(corruption, rng)
 
-    M = ILUPreconditioner(factors, fast=False, guard=True)
+    M = ILUPreconditioner(factors, guard=True)
     try:
         out = M.apply(r)
     except NumericalBreakdown as err:
@@ -78,7 +78,7 @@ def test_fallback_chain_survives_nan_poisoning(system, pick_seed):
     factors.U.data[idx] = np.nan
 
     M = RobustPreconditioner(
-        [ILUPreconditioner(factors, fast=False), DiagonalPreconditioner()]
+        [ILUPreconditioner(factors), DiagonalPreconditioner()]
     ).setup(A)
     out = M.apply(r)
     assert np.all(np.isfinite(out))

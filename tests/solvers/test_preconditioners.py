@@ -14,6 +14,8 @@ from repro.solvers import (
 )
 from repro.sparse import CSRMatrix
 
+from ..ilu import _trisolve
+
 
 class TestIdentity:
     def test_returns_copy(self):
@@ -53,9 +55,8 @@ class TestILU:
         A = poisson2d(8)
         f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
         b = rng.standard_normal(64)
-        # fast path agrees within rounding; slow path is bit-exact
-        assert np.allclose(ILUPreconditioner(f).apply(b), f.solve(b), rtol=1e-12)
-        assert np.array_equal(ILUPreconditioner(f, fast=False).apply(b), f.solve(b))
+        assert np.array_equal(ILUPreconditioner(f).apply(b), f.solve(b))
+        assert np.array_equal(f.solve(b), _trisolve.solve(f, b))
 
     def test_exact_factorization_gives_exact_solve(self, rng):
         from repro.matrices import random_diag_dominant
