@@ -13,7 +13,7 @@ the parent commit and compares it at the change::
 uses the public drivers only).  ``--quick`` is the CI subset, which is
 written twice under different ``PYTHONHASHSEED`` values and compared:
 anything that iterates a set or a dict of rows in hash order shows up
-there.  The full corpus is ~1,800 small cases, a few minutes per side.
+there.  The full corpus is ~2,700 small cases, about a minute per side.
 
 The ``apply/`` family fingerprints the parallel triangular solve
 (``parallel_triangular_solve``) on factors of every engine: one digest
@@ -29,6 +29,13 @@ the same for the distributed matvec (``parallel_matvec``): accounting
 Case names keep the ``ref`` / ``reference`` labels of the corpora
 written while the library still had a kernel-backend switch; those
 cases now run with the defaults, so such a corpus compares key for key.
+
+The ``baselines/`` family fingerprints the paper's foils: the serial
+static-pattern ``ilu0`` and ``iluk`` (k = 0..3), ``ilum`` over the
+ILUT settings (``reduced_cap = k*m``), the colouring-based
+``parallel_ilu0`` on every transport and ``block_jacobi_ilut`` — each
+case L/U/perm, the level structure, ``stats``, modelled time and
+``CommStats``.
 
 The ``partition/`` family fingerprints the set-up stage on its own —
 ``part``, ``edge_cut``, ``balance`` and the interface mask — on
@@ -54,7 +61,12 @@ from repro import ILUTParams
 from repro.decomp import decompose
 from repro.faults import FaultError, FaultPlan, MessageFault, RankFault
 from repro.ilu import (
+    block_jacobi_ilut,
+    ilu0,
+    ilum,
+    iluk,
     ilut,
+    parallel_ilu0,
     parallel_ilut,
     parallel_ilut_partitioned,
     parallel_ilut_star,
@@ -195,6 +207,58 @@ def _partitioned(A, mtk, p, **kwargs) -> str:
 def _serial(A, mtk) -> str:
     f = ilut(A, ILUTParams(fill=mtk[0], threshold=mtk[1]))
     return _digest(_factor_parts(f) + [f.stats["flops"], f.stats["fill_nnz"]])
+
+
+def _factors(f) -> list:
+    """A serial factorization's digest parts: L/U/perm, level structure, stats."""
+    lv = f.levels
+    levels = None if lv is None else (
+        lv.interior_ranges, [a.tobytes() for a in lv.interface_levels], lv.owner.tobytes()
+    )
+    return _factor_parts(f) + [levels, sorted(f.stats.items())]
+
+
+def _baseline(A, algo, arg, p=None, **kwargs) -> str:
+    """One static-pattern or multi-elimination baseline, or the
+    zero-coupling block-Jacobi strawman."""
+    if algo == "ilu0":
+        return _digest(_factors(ilu0(A)))
+    if algo == "iluk":
+        return _digest(_factors(iluk(A, arg)))
+    if algo == "ilum":
+        m, t, k = arg
+        return _digest(_factors(ilum(A, m, t, reduced_cap=None if k is None else k * m)))
+    if algo == "parallel_ilu0":
+        res = parallel_ilu0(A, p, seed=0, **kwargs)
+        return _digest([fingerprint(res), res.num_levels] + _factors(res.factors))
+    m, t, _ = arg
+    bj = block_jacobi_ilut(A, ILUTParams(fill=m, threshold=t), p, seed=0, **kwargs)
+    parts = [bj.modeled_factor_time] + [r.tobytes() for r in bj.rows]
+    for f in bj.blocks:
+        parts += _factors(f)
+    return _digest(parts)
+
+
+def _baseline_cases(name, A, quick):
+    """The ``baselines/`` family of one matrix."""
+    ks = (1,) if quick else (0, 1, 2, 3)
+    settings = (SETTINGS[1],) if quick else SETTINGS
+    ranks = (3,) if quick else RANKS
+    yield (f"baselines/ilu0/{name}", lambda: _baseline(A, "ilu0", None))
+    for k in ks:
+        yield (f"baselines/iluk/{name}/k{k}", lambda k=k: _baseline(A, "iluk", k))
+    for mtk in settings:
+        yield (f"baselines/ilum/{name}/{mtk}", lambda mtk=mtk: _baseline(A, "ilum", mtk))
+    for p in ranks:
+        for transport in ("simulator", "none"):
+            yield (
+                f"baselines/parallel_ilu0/{name}/p{p}/{transport}",
+                lambda p=p, tr=transport: _baseline(A, "parallel_ilu0", None, p, transport=tr),
+            )
+        yield (
+            f"baselines/block_jacobi/{name}/p{p}",
+            lambda p=p: _baseline(A, "block_jacobi", SETTINGS[0], p),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -340,6 +404,7 @@ def cases(quick: bool):
                         f"ipart/{name}/p{p}/{mtk}/trace={trace}",
                         lambda A=A, mtk=mtk, p=p, tr=trace: _partitioned(A, mtk, p, trace=tr),
                     )
+        yield from _baseline_cases(name, A, quick)
     # fault plans on the simulator: checkpoint restarts and retransmits
     A = MATRICES["torso"]()
     plans = {
@@ -362,7 +427,7 @@ def cases(quick: bool):
                 f"faults/{label}/{mtk}",
                 lambda A=A, mtk=mtk, plan=plan: _mis(A, mtk, 3, faults=plan, trace=True),
             )
-    # worker transports, all three drivers
+    # worker transports, every parallel driver
     for transport in ("threads", "processes"):
         for name in ("torso",) if quick else ("torso", "convdiff"):
             A = MATRICES[name]()
@@ -375,6 +440,10 @@ def cases(quick: bool):
                 f"{transport}/ipart/{name}",
                 lambda A=A, tr=transport: _partitioned(A, SETTINGS[0], 3, transport=tr),
             )
+        yield (
+            f"baselines/parallel_ilu0/torso/p3/{transport}",
+            lambda tr=transport: _baseline(MATRICES["torso"](), "parallel_ilu0", None, 3, transport=tr),
+        )
     # the parallel triangular solve
     if quick:
         yield from _apply_cases("torso", "ipart", 3, "traced", trace=True)
