@@ -50,11 +50,10 @@ import numpy as np
 from repro import ILUTParams, gmres, poisson2d, torso_like
 from repro.decomp import decompose
 from repro.ilu import ilut, parallel_ilut, parallel_ilut_star
-from repro.ilu.apply import LevelScheduledApplier
 from repro.ilu.elimination import EliminationEngine
 from repro.ilu.interface_partition import InterfacePartitionEngine
 from repro.ilu.triangular import parallel_triangular_solve
-from repro.kernels import clear_schedule_cache
+from repro.kernels import cached_schedules, clear_schedule_cache
 from repro.machine import CRAY_T3D, Simulator
 from repro.solvers import ILUPreconditioner, parallel_matvec
 from repro.verify import find_races
@@ -145,7 +144,7 @@ def bench_triangular_apply(cfg: dict) -> dict:
     f = r.factors
     b = np.arange(1, A.shape[0] + 1, dtype=np.float64) / A.shape[0]
     clear_schedule_cache()
-    app = LevelScheduledApplier(f)
+    fwd, bwd = cached_schedules(f)
     reps = cfg["apply_repeat"]
 
     def oracle():
@@ -163,8 +162,8 @@ def bench_triangular_apply(cfg: dict) -> dict:
         f"p={cfg['apply_p']}, poisson2d({cfg['fact_nx']}), "
         f"{cfg['apply_inner']} applies; oracle = tests/ilu/_trisolve.py, "
         "current = serial level applier",
-        "forward_levels": app.forward_levels,
-        "backward_levels": app.backward_levels,
+        "forward_levels": fwd.num_levels,
+        "backward_levels": bwd.num_levels,
         "oracle_s": t_oracle,
         "current_s": t_current,
         "speedup": t_oracle / t_current,

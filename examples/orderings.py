@@ -15,7 +15,7 @@ Run:  python examples/orderings.py
 
 from repro import ILUTParams, ilut, parallel_ilut, poisson2d
 from repro.analysis import format_table
-from repro.ilu.apply import LevelScheduledApplier
+from repro.kernels import cached_schedules
 from repro.partition import nested_dissection_matrix
 
 
@@ -45,14 +45,14 @@ def main(nx: int = 24) -> None:
     f_par = parallel_ilut(
         A, ILUTParams(fill=5, threshold=1e-3), 8, seed=0, transport="none"
     ).factors
-    app_seq = LevelScheduledApplier(f_seq)
-    app_par = LevelScheduledApplier(f_par)
+    seq_fwd, seq_bwd = cached_schedules(f_seq)
+    par_fwd, par_bwd = cached_schedules(f_par)
     print(
         format_table(
             ["ordering", "fwd levels", "bwd levels"],
             [
-                ["natural (sequential ILUT)", app_seq.forward_levels, app_seq.backward_levels],
-                ["two-phase MIS (parallel ILUT)", app_par.forward_levels, app_par.backward_levels],
+                ["natural (sequential ILUT)", seq_fwd.num_levels, seq_bwd.num_levels],
+                ["two-phase MIS (parallel ILUT)", par_fwd.num_levels, par_bwd.num_levels],
             ],
             title="independent-set orderings shorten dependency chains (paper §5)",
         )

@@ -23,7 +23,7 @@ from ..graph import Graph, adjacency_from_matrix
 from ..partition import block_partition, boundary_mask, partition_matrix_kway, random_partition
 from ..sparse import CSRMatrix
 
-__all__ = ["DomainDecomposition", "decompose"]
+__all__ = ["DomainDecomposition", "decompose", "decomposition_for"]
 
 
 @dataclass
@@ -178,3 +178,24 @@ def decompose(
     return DomainDecomposition(
         A=A, nranks=nranks, part=part, is_interface=is_interface, graph=graph
     )
+
+
+def decomposition_for(
+    A: CSRMatrix,
+    nranks: int,
+    decomp: DomainDecomposition | None,
+    *,
+    method: str = "multilevel",
+    seed: int = 0,
+) -> DomainDecomposition:
+    """The decomposition a parallel driver runs on: ``decomp`` when the
+    caller passed one (it must have ``nranks`` ranks — checked before
+    any work), otherwise ``decompose(A, nranks, method=method,
+    seed=seed)``."""
+    if decomp is None:
+        return decompose(A, nranks, method=method, seed=seed)
+    if decomp.nranks != nranks:
+        raise ValueError(
+            f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
+        )
+    return decomp

@@ -5,7 +5,6 @@ ILUT and ILUT*(m,t,k) on the machine simulator; level-scheduled parallel
 triangular solves; and the §7 partition-based interface factorization.
 """
 
-from .dropping import keep_largest, second_rule, third_rule
 from .elimination import EliminationEngine, EliminationOutcome
 from .factors import ILUFactors, LevelStructure
 from .ilu0 import ilu0
@@ -40,7 +39,4 @@ __all__ = [
     "InterfacePartitionEngine",
     "EliminationEngine",
     "EliminationOutcome",
-    "keep_largest",
-    "second_rule",
-    "third_rule",
 ]

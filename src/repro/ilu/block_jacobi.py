@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..decomp import DomainDecomposition, decompose
+from ..decomp import DomainDecomposition, decomposition_for
 from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport
 from ..sparse import CSRMatrix
 from .factors import ILUFactors
@@ -76,12 +76,7 @@ def block_jacobi_ilut(
     The modelled factorization time is the slowest rank's local ILUT —
     no communication, no synchronisation beyond the trailing barrier.
     """
-    if decomp is None:
-        decomp = decompose(A, nranks, seed=seed)
-    elif decomp.nranks != nranks:
-        raise ValueError(
-            f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
-        )
+    decomp = decomposition_for(A, nranks, decomp, seed=seed)
     blocks: list[ILUFactors] = []
     row_sets: list[np.ndarray] = []
     with entry_transport(transport, nranks, model=model) as sim:

@@ -84,11 +84,10 @@ from ..faults import MessageLost, RankFailure
 from ..graph import Graph, two_step_luby_mis
 from ..machine import Simulator, run_region
 from ..resilience import PivotPolicy
-from ..sparse import CSRMatrix
 from .factors import ILUFactors, LevelStructure
 from .level import LevelPivots, level_pivots, level_update
 from .row import PivotRow, PivotRows, eliminate_row, l_row, reduced_row, u_row
-from .rowstore import RowBlock, RowsBuilder, RowStore, gather_rows, ptr_of
+from .rowstore import RowBlock, RowsBuilder, RowStore, gather_rows, permuted_csr, ptr_of
 
 __all__ = ["EliminationEngine", "EliminationOutcome"]
 
@@ -766,14 +765,6 @@ class EliminationEngine:
             recoveries=self.recoveries,
         )
 
-    def _gather_factor(self, store: RowStore) -> CSRMatrix:
-        """One factor as CSR in the elimination ordering, from its rows
-        in original indices."""
-        ptr, cols, vals = store.gather(np.arange(self.n, dtype=np.int64))
-        return CSRMatrix.from_coo(
-            np.repeat(self.pos, np.diff(ptr)), self.pos[cols], vals, shape=(self.n, self.n)
-        )
-
     def _assemble(
         self,
         interior_ranges: list[tuple[int, int]],
@@ -785,8 +776,9 @@ class EliminationEngine:
             raise AssertionError(f"elimination covered {self.nfactored} of {n} rows")
         perm = np.empty(n, dtype=np.int64)
         perm[self.pos] = np.arange(n, dtype=np.int64)
-        L = self._gather_factor(self.l_rows)
-        U = self._gather_factor(self.u_rows)
+        every = np.arange(n, dtype=np.int64)
+        L = permuted_csr(self.l_rows.gather(every), self.pos)
+        U = permuted_csr(self.u_rows.gather(every), self.pos)
         owner = self.decomp.part[perm]
         levels = LevelStructure(
             interior_ranges=interior_ranges,

@@ -8,11 +8,15 @@ interface graph computed up-front suffices to parallelise it (Figure 1a)
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..resilience import ZeroPivotError
-from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
+from ..sparse import CSRMatrix
 from .factors import ILUFactors
+from .row import PivotRow, eliminate_in_pattern, split_at_diagonal
+from .rowstore import RowsBuilder
 
 __all__ = ["ilu0"]
 
@@ -23,70 +27,49 @@ def ilu0(A: CSRMatrix, *, diag_guard: bool = True) -> ILUFactors:
     Identical to Gaussian elimination except that any update landing
     outside ``struct(A)`` is discarded.
     """
-    n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILU(0) requires a square matrix, got {A.shape}")
-
-    w = SparseRowAccumulator(n)
-    u_rows: list[tuple[np.ndarray, np.ndarray]] = []
-    l_builder = COOBuilder(n)
-    u_builder = COOBuilder(n)
-    flops = 0
-
-    for i in range(n):
-        cols, vals = A.row(i)
-        w.load(cols, vals)
-        in_pattern = np.zeros(n, dtype=bool)
-        in_pattern[cols] = True
-        lower = [int(c) for c in cols if c < i]
-        for k in lower:  # already ascending (CSR rows are sorted)
-            wk = w.get(k)
-            if wk == 0.0:
-                continue
-            ucols, uvals = u_rows[k]
-            pivot = uvals[0]
-            wk = wk / pivot
-            flops += 1
-            w.set(k, wk)
-            if ucols.size > 1:
-                tail = ucols[1:]
-                keep = in_pattern[tail]  # zero-fill: only in-pattern updates
-                if np.any(keep):
-                    w.axpy(-wk, tail[keep], uvals[1:][keep])
-                    flops += 2 * int(keep.sum())
-
-        rcols, rvals = w.extract()
-        lmask = rcols < i
-        umask = rcols > i
-        dmask = rcols == i
-        diag = float(rvals[dmask][0]) if np.any(dmask) else 0.0
-        if diag == 0.0:
-            if not diag_guard:
-                raise ZeroPivotError(f"zero pivot at row {i}", row=i, value=0.0)
-            norm = float(np.sqrt(np.dot(vals, vals)))
-            diag = norm if norm > 0 else 1.0
-        if np.any(lmask):
-            l_builder.add_batch(
-                np.full(int(lmask.sum()), i, dtype=np.int64), rcols[lmask], rvals[lmask]
-            )
-        u_builder.add(i, i, diag)
-        if np.any(umask):
-            u_builder.add_batch(
-                np.full(int(umask.sum()), i, dtype=np.int64), rcols[umask], rvals[umask]
-            )
-        u_rows.append(
-            (
-                np.concatenate(([i], rcols[umask])).astype(np.int64),
-                np.concatenate(([diag], rvals[umask])),
-            )
-        )
-        w.reset()
-
-    L = l_builder.to_csr()
-    U = u_builder.to_csr()
+    L, U, flops = factor_in_pattern(A, None, diag_guard=diag_guard)
     return ILUFactors(
         L=L,
         U=U,
-        perm=np.arange(n, dtype=np.int64),
+        perm=np.arange(A.shape[0], dtype=np.int64),
         stats={"flops": flops, "fill_nnz": L.nnz + U.nnz},
     )
+
+
+def factor_in_pattern(
+    A: CSRMatrix, patterns: Sequence[list[int]] | None, *, diag_guard: bool
+) -> tuple[CSRMatrix, CSRMatrix, int]:
+    """``(L, U, flops)`` of the natural-order elimination of ``A`` kept
+    to ``patterns[i]`` in row ``i`` (``None``: the pattern of ``A``) —
+    ILU(0) and the numeric half of ILU(k), one
+    :func:`~repro.ilu.row.eliminate_in_pattern` call per row.  A zero
+    pivot becomes the row's 2-norm (``1.0`` for an empty row), or raises
+    :class:`~repro.resilience.ZeroPivotError` without ``diag_guard``."""
+    n = A.shape[0]
+    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    natural = range(n)
+    pkey = [-1] * n
+    pivot_rows: dict[int, PivotRow] = {}
+    l_rows, u_rows = RowsBuilder(), RowsBuilder()
+    flops = 0
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        row_cols = cols[lo:hi]
+        pattern = row_cols if patterns is None else patterns[i]
+        ops, row = eliminate_in_pattern(row_cols, vals[lo:hi], pattern, pkey, pivot_rows)
+        flops += ops
+        lower, diag, tail_cols, tail_vals = split_at_diagonal(i, row, natural)
+        if diag == 0.0:
+            if not diag_guard:
+                raise ZeroPivotError(f"zero pivot at row {i}", row=i, value=0.0)
+            a = A.data[lo:hi]
+            norm = float(np.sqrt(np.dot(a, a)))
+            diag = norm if norm > 0 else 1.0
+        l_rows.add_entries(lower)
+        u_rows.add([i, *tail_cols], [diag, *tail_vals])
+        pivot_rows[i] = (tail_cols, tail_vals, diag)
+        pkey[i] = i
+    L, U = (CSRMatrix(*rows.flat(), (n, n), check=False) for rows in (l_rows, u_rows))
+    return L, U, flops

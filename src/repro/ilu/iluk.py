@@ -11,11 +11,13 @@ magnitude-blind (the weakness threshold-based ILUT addresses).
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-from ..resilience import ZeroPivotError
-from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
+from ..sparse import CSRMatrix
 from .factors import ILUFactors
+from .ilu0 import factor_in_pattern
 
 __all__ = ["iluk", "iluk_symbolic"]
 
@@ -37,8 +39,6 @@ def iluk_symbolic(A: CSRMatrix, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
         if i not in lev:
             lev[i] = 0  # diagonal position always tracked
         # ascending pivot scan with dynamic fill
-        import heapq
-
         heap = [c for c in lev if c < i]
         heapq.heapify(heap)
         done = -1
@@ -71,77 +71,17 @@ def iluk_symbolic(A: CSRMatrix, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def iluk(A: CSRMatrix, k: int, *, diag_guard: bool = True) -> ILUFactors:
-    """Compute ILU(k) of ``A`` in natural order."""
-    n = A.shape[0]
+    """Compute ILU(k) of ``A`` in natural order: :func:`iluk_symbolic`,
+    then the ILU(0) elimination kept to that pattern."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILU(k) requires a square matrix, got {A.shape}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-
-    pattern = iluk_symbolic(A, k)
-    w = SparseRowAccumulator(n)
-    u_rows: list[tuple[np.ndarray, np.ndarray]] = []
-    l_builder = COOBuilder(n)
-    u_builder = COOBuilder(n)
-    flops = 0
-    allowed = np.zeros(n, dtype=bool)
-
-    for i in range(n):
-        cols, vals = A.row(i)
-        w.load(cols, vals)
-        pat_cols, _ = pattern[i]
-        allowed[pat_cols] = True
-        for kk in (int(c) for c in pat_cols if c < i):
-            wk = w.get(kk)
-            if wk == 0.0:
-                continue
-            ucols, uvals = u_rows[kk]
-            pivot = uvals[0]
-            wk = wk / pivot
-            flops += 1
-            w.set(kk, wk)
-            if ucols.size > 1:
-                tail = ucols[1:]
-                keep = allowed[tail]
-                if np.any(keep):
-                    w.axpy(-wk, tail[keep], uvals[1:][keep])
-                    flops += 2 * int(keep.sum())
-
-        rcols, rvals = w.extract()
-        inpat = allowed[rcols]
-        rcols, rvals = rcols[inpat], rvals[inpat]
-        lmask = rcols < i
-        umask = rcols > i
-        dmask = rcols == i
-        diag = float(rvals[dmask][0]) if np.any(dmask) else 0.0
-        if diag == 0.0:
-            if not diag_guard:
-                raise ZeroPivotError(f"zero pivot at row {i}", row=i, value=0.0)
-            norm = float(np.sqrt(np.dot(vals, vals)))
-            diag = norm if norm > 0 else 1.0
-        if np.any(lmask):
-            l_builder.add_batch(
-                np.full(int(lmask.sum()), i, dtype=np.int64), rcols[lmask], rvals[lmask]
-            )
-        u_builder.add(i, i, diag)
-        if np.any(umask):
-            u_builder.add_batch(
-                np.full(int(umask.sum()), i, dtype=np.int64), rcols[umask], rvals[umask]
-            )
-        u_rows.append(
-            (
-                np.concatenate(([i], rcols[umask])).astype(np.int64),
-                np.concatenate(([diag], rvals[umask])),
-            )
-        )
-        allowed[pat_cols] = False
-        w.reset()
-
-    L = l_builder.to_csr()
-    U = u_builder.to_csr()
+    patterns = [cols.tolist() for cols, _ in iluk_symbolic(A, k)]
+    L, U, flops = factor_in_pattern(A, patterns, diag_guard=diag_guard)
     return ILUFactors(
         L=L,
         U=U,
-        perm=np.arange(n, dtype=np.int64),
+        perm=np.arange(A.shape[0], dtype=np.int64),
         stats={"flops": flops, "fill_nnz": L.nnz + U.nnz, "k": k},
     )

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..decomp import DomainDecomposition, decompose
+from ..decomp import DomainDecomposition, decomposition_for
 from ..faults import FaultPlan
 from ..graph import Graph
 from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport, run_region
@@ -141,8 +141,7 @@ def parallel_ilut_partitioned(
     :class:`~repro.ilu.parallel.ParallelILUResult`.  A ``faults=`` plan
     turns per-round checkpointing on, as it does there.
     """
-    if decomp is None:
-        decomp = decompose(A, nranks, method=method, seed=seed)
+    decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
     with entry_transport(
         transport, nranks, model=model, trace=trace, faults=faults, supervision=supervision
     ) as sim:

@@ -27,7 +27,7 @@ What makes it exact rather than close:
   equal to ``0.0`` vanish as they do when the scalar kernel extracts its
   working row, and the diagonal slot is
   always kept, as ``+0.0`` when it cancelled or was never stored;
-* the dropping rules are segmented selections with ``keep_largest``'s
+* the dropping rules are segmented selections with ``keep_largest_entries``'
   ``(-|v|, col)`` order.
 
 Preconditions (the engine's invariants; the first is checked): no level
@@ -94,7 +94,7 @@ def _largest_per_row(row: np.ndarray, val: np.ndarray, m: int) -> np.ndarray:
     """Mask of the entries among the ``m`` largest ``|val|`` of their row.
 
     ``row`` is sorted and columns ascend within a row, so the stable sort
-    breaks magnitude ties toward the lower column — ``keep_largest``.
+    breaks magnitude ties toward the lower column — ``keep_largest_entries``.
     """
     order = np.lexsort((-np.abs(val), row))
     top = np.zeros(row.size, dtype=bool)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..decomp import DomainDecomposition, decompose
+from ..decomp import DomainDecomposition, decomposition_for
 from ..faults import FaultJournal, FaultPlan
 from ..machine import (
     CRAY_T3D,
@@ -183,12 +183,7 @@ def parallel_ilut(
         the last completed level.  ``None`` (default) enables
         checkpointing exactly when a fault plan is supplied.
     """
-    if decomp is None:
-        decomp = decompose(A, nranks, method=method, seed=seed)
-    elif decomp.nranks != nranks:
-        raise ValueError(
-            f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
-        )
+    decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
     if checkpoint is None:
         checkpoint = faults is not None
     with entry_transport(

@@ -15,22 +15,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..decomp import DomainDecomposition, decompose
+from ..decomp import DomainDecomposition, decomposition_for
 from ..faults import FaultPlan
 from ..graph import Graph, color_classes, greedy_coloring
 from ..kernels import csr_gather_rows
-from ..machine import (
-    CRAY_T3D,
-    MachineModel,
-    Simulator,
-    entry_transport,
-    run_region,
-    run_region_by_owner,
-)
+from ..machine import CRAY_T3D, MachineModel, Simulator, entry_transport, run_region
 from ..resilience import ZeroPivotError
-from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
+from ..sparse import CSRMatrix
 from .factors import ILUFactors, LevelStructure
 from .parallel import ParallelILUResult
+from .row import PivotRows, eliminate_in_pattern, split_at_diagonal
+from .rowstore import FlatRows, RowsBuilder, RowStore, permuted_csr
 
 if TYPE_CHECKING:
     from ..machine.supervision import SupervisionPolicy
@@ -83,12 +78,7 @@ def parallel_ilu0(
     the portable fault subset and recover by supervised region retry
     (DESIGN.md §14).
     """
-    if decomp is None:
-        decomp = decompose(A, nranks, method=method, seed=seed)
-    elif decomp.nranks != nranks:
-        raise ValueError(
-            f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
-        )
+    decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
     with entry_transport(
         transport, nranks, model=model, faults=faults, supervision=supervision
     ) as sim:
@@ -135,100 +125,67 @@ def _factor_on(
     pos = np.empty(n, dtype=np.int64)
     pos[perm] = np.arange(n, dtype=np.int64)
 
-    # numeric factorization in that order, zero-fill.  Each parallel
-    # region runs pure per-rank thunks (DESIGN.md §13): a thunk factors
-    # its rows against thunk-local scratch plus the coordinator's merged
-    # u-rows (stable during a region) and returns per-row records; the
-    # coordinator applies them in the historical inline order, so the
-    # builders, u-rows and charges are bit-identical on every transport.
-    norms = A.row_norms(ord=2)
-    u_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    l_builder = COOBuilder(n)
-    u_builder = COOBuilder(n)
+    # numeric factorization in that order, zero-fill, on the pattern row
+    # kernel.  Each parallel region runs pure per-rank thunks (DESIGN.md
+    # §13): a thunk factors its rows against thunk-local pivot rows or
+    # the coordinator's U store (stable during a region) and returns
+    # them as flat rows; the coordinator stores them and charges each
+    # rank's operation count in the historical order, so the factors and
+    # charges are bit-identical on every transport.
+    norms = A.row_norms(ord=2).tolist()
+    indptr, a_cols, a_vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    pos_of = pos.tolist()
+    # L rows and U rows (diagonal first) in original indices; ``pkey`` is
+    # the elimination position of every stored row, -1 before
+    l_rows, u_rows = RowStore(n), RowStore(n)
+    pkey = [-1] * n
 
-    def factor_rows(rows: list[int]) -> list[tuple]:
-        # thunk-local scratch: accumulator, pattern mask, and u-rows
-        # factored by this thunk but not yet merged by the coordinator
-        w = SparseRowAccumulator(n)
-        in_pattern = np.zeros(n, dtype=bool)
-        u_new: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-        def factor_row(i: int):
-            cols, vals = A.row(i)
-            w.load(cols, vals)
-            in_pattern[cols] = True
-            ops = 0.0
-            pivots = sorted(
-                (int(pos[c]), int(c)) for c in cols if pos[c] < pos[i]
-            )
-            for _, k in pivots:
-                wk = w.get(k)
-                if wk == 0.0:
-                    continue
-                ucols, uvals = u_new[k] if k in u_new else u_rows[k]
-                wk = wk / uvals[0]
-                ops += 1
-                w.set(k, wk)
-                if ucols.size > 1:
-                    tail = ucols[1:]
-                    keep = in_pattern[tail]
-                    if np.any(keep):
-                        w.axpy(-wk, tail[keep], uvals[1:][keep])
-                        ops += 2.0 * keep.sum()
-            rcols, rvals = w.extract()
-            lmask = pos[rcols] < pos[i]
-            dmask = rcols == i
-            umask = ~lmask & ~dmask
-            diag = float(rvals[dmask][0]) if np.any(dmask) else 0.0
+    def factor_rows(rows: list[int], chain: bool) -> tuple[FlatRows, FlatRows, list[int]]:
+        """Pure thunk body: ILU(0) of ``rows``, one after the other —
+        ``(L rows, U rows, per-row operation counts)``.  With ``chain``
+        (a rank's interior block) each row is a pivot of the rows after
+        it, read from a thunk-local cache; otherwise (a colour class)
+        the pivots are the stored rows only."""
+        keys, pivot_rows = ([-1] * n, {}) if chain else (pkey, PivotRows(u_rows))
+        l_out, u_out = RowsBuilder(), RowsBuilder()
+        ops_out: list[int] = []
+        for i in rows:
+            lo, hi = indptr[i], indptr[i + 1]
+            row_cols = a_cols[lo:hi]
+            ops, row = eliminate_in_pattern(row_cols, a_vals[lo:hi], row_cols, keys, pivot_rows)
+            lower, diag, tail_cols, tail_vals = split_at_diagonal(i, row, pos_of)
             if diag == 0.0:
                 if not diag_guard:
                     raise ZeroPivotError(f"zero pivot at row {i}", row=i, value=0.0)
                 diag = norms[i] if norms[i] > 0 else 1.0
-            l_rec = (
-                (pos[rcols[lmask]], rvals[lmask]) if np.any(lmask) else None
-            )
-            u_rec = (
-                (pos[rcols[umask]], rvals[umask]) if np.any(umask) else None
-            )
-            uc = rcols[umask]
-            uo = np.argsort(pos[uc], kind="stable")  # by elimination position
-            u_row = (
-                np.concatenate(([i], uc[uo])).astype(np.int64),
-                np.concatenate(([diag], rvals[umask][uo])),
-            )
-            u_new[i] = u_row
-            in_pattern[cols] = False
-            w.reset()
-            return (i, l_rec, diag, u_rec, u_row, ops)
+            l_out.add_entries(lower)
+            u_out.add([i, *tail_cols], [diag, *tail_vals])
+            ops_out.append(ops)
+            if chain:
+                pivot_rows[i] = (tail_cols, tail_vals, diag)
+                keys[i] = pos_of[i]
+        return l_out.flat(), u_out.flat(), ops_out
 
-        return [factor_row(i) for i in rows]
-
-    def apply_row(rec) -> float:
-        i, l_rec, diag, u_rec, u_row, ops = rec
-        p_i = int(pos[i])
-        if l_rec is not None:
-            lc, lv = l_rec
-            l_builder.add_batch(np.full(lc.size, p_i, dtype=np.int64), lc, lv)
-        u_builder.add(p_i, p_i, diag)
-        if u_rec is not None:
-            uc, uv = u_rec
-            u_builder.add_batch(np.full(uc.size, p_i, dtype=np.int64), uc, uv)
-        u_rows[i] = u_row
-        return ops
+    def store(rows: list[int], block: tuple[FlatRows, FlatRows, list[int]]) -> float:
+        """Store one thunk's rows; returns its operation count."""
+        l_flat, u_flat, ops = block
+        rows_arr = np.array(rows, dtype=np.int64)
+        l_rows.put(rows_arr, l_flat)
+        u_rows.put(rows_arr, u_flat)
+        for i in rows:
+            pkey[i] = pos_of[i]
+        return sum(ops, 0.0)
 
     # phase 1: interiors (independent blocks) + interface prep rows local.
     # Interior pivots stay within the owner's interior block, so a
-    # thunk's u_new overlay covers every pivot it needs.
-    phase1_thunks: list = [None] * nranks
-    for r in range(nranks):
-        rows = decomp.interior_rows(r).tolist()
-        if rows:
-            phase1_thunks[r] = lambda rows=rows: factor_rows(rows)
+    # thunk's own rows cover every pivot it needs.
+    interiors = [decomp.interior_rows(r).tolist() for r in range(nranks)]
+    phase1_thunks: list = [
+        (lambda rows=rows: factor_rows(rows, True)) if rows else None for rows in interiors
+    ]
     phase1_results = run_region(sim, phase1_thunks)
     for r in range(nranks):
-        ops = 0.0
-        for rec in phase1_results[r] or []:
-            ops += apply_row(rec)
+        ops = 0.0 if phase1_results[r] is None else store(interiors[r], phase1_results[r])
         if sim is not None:
             sim.compute(r, ops)
     if sim is not None:
@@ -236,9 +193,8 @@ def _factor_on(
 
     # phase 2: colour classes in order; u-row exchange per class.  The
     # colouring guarantees no same-class pivots, so class thunks read
-    # only coordinator-merged u-rows.
+    # only coordinator-stored u-rows.
     for lvl_idx, cls in enumerate(classes):
-        per_rank_ops: dict[int, float] = {}
         # comm: remaining rows need u_k of earlier classes — but within a
         # class, rows only need *already factored* rows, known statically:
         # rows of this class reference factored interface rows of earlier
@@ -254,7 +210,7 @@ def _factor_on(
             need: dict[tuple[int, int], float] = {}
             for i, c in zip(ii[earlier], cc[earlier]):
                 c = int(c)
-                nw = u_rows[c][0].size * 2.0 if c in u_rows else 2.0
+                nw = int(u_rows.length[c]) * 2.0
                 need[(int(part[c]), int(part[i]))] = (
                     need.get((int(part[c]), int(part[i])), 0.0) + nw
                 )
@@ -262,13 +218,14 @@ def _factor_on(
                 [(src, dst, words) for (src, dst), words in sorted(need.items())],
                 tag=("ilu0", lvl_idx),
             )
-        rec_by_row = run_region_by_owner(
-            sim, nranks, cls, part, lambda _rank, rows: factor_rows(rows)
+        # one thunk per rank owning rows of the class, rows in class order
+        mine = [cls[part[cls] == r].tolist() for r in range(nranks)]
+        blocks = run_region(
+            sim, [(lambda rows=rows: factor_rows(rows, False)) if rows else None for rows in mine]
         )
-        for i in cls.tolist():
-            ops = apply_row(rec_by_row[i])
-            r = int(part[i])
-            per_rank_ops[r] = per_rank_ops.get(r, 0.0) + ops
+        per_rank_ops = {
+            r: store(mine[r], block) for r, block in enumerate(blocks) if block is not None
+        }
         if sim is not None:
             for r, ops in sorted(per_rank_ops.items()):
                 sim.compute(r, ops)
@@ -281,9 +238,10 @@ def _factor_on(
         owner=owner,
     )
     levels.validate(n)
+    every = np.arange(n, dtype=np.int64)
     factors = ILUFactors(
-        L=l_builder.to_csr(),
-        U=u_builder.to_csr(),
+        L=permuted_csr(l_rows.gather(every), pos),
+        U=permuted_csr(u_rows.gather(every), pos),
         perm=perm,
         levels=levels,
         stats={"algo": "parallel-ilu0", "num_levels": len(interface_levels)},

@@ -1,5 +1,6 @@
 """The scalar row kernel: Algorithm 4.1 and its dropping-rule tails on
-Python floats.
+Python floats, plus its pattern-restricted form for the static-pattern
+baselines.
 
 Wherever the pivots of one thunk can depend on each other — phase 1 and
 the §7 partition engine's domains — a row is eliminated on its own, and
@@ -31,6 +32,11 @@ serial :func:`repro.ilu.ilut` loop is the independent oracle):
   copies otherwise;
 * the dropping rules select in ``(-|v|, col)`` order, ties toward the
   lower column, and return column-sorted rows.
+
+:func:`eliminate_in_pattern` is the same elimination for ILU(0), ILU(k)
+and the colouring-based parallel ILU(0): no dropping, a fixed set of
+slots, and the multiplier kept in its pivot's slot (serial ``ilu0`` /
+``iluk`` and ``tests/ilu/_accumulator.py``'s array loop are its oracles).
 """
 
 from __future__ import annotations
@@ -46,10 +52,12 @@ __all__ = [
     "Entries",
     "PivotRow",
     "PivotRows",
+    "eliminate_in_pattern",
     "eliminate_row",
     "keep_largest_entries",
     "l_row",
     "reduced_row",
+    "split_at_diagonal",
     "u_row",
 ]
 
@@ -129,6 +137,69 @@ def eliminate_row(
     rest = [e for e in w.items() if e[1] != 0.0]
     rest.sort()
     return ops, reads, multipliers, rest
+
+
+def eliminate_in_pattern(
+    cols: list[int],
+    vals: list[float],
+    pattern: Sequence[int],
+    pkey: Sequence[int],
+    pivot_rows: Mapping[int, PivotRow],
+) -> tuple[int, Entries]:
+    """Algorithm 4.1 without dropping, restricted to a fixed pattern.
+
+    The working row is ``(cols, vals)`` plus every other column of
+    ``pattern`` at ``0.0``; an update landing outside those slots is
+    discarded (the zero-fill rule of ILU(0) and ILU(k)).  The pivots are
+    the pattern columns with ``pkey[c] >= 0``, taken in ascending
+    ``pkey``; a pivot whose entry is ``0.0`` is skipped, otherwise its
+    multiplier ``w[k] / pivot`` replaces the entry and its tail is
+    applied as ``x + (-wk) * v``.  Returns ``(ops, row)``: one operation
+    per division plus two per applied update, and the row (multipliers
+    in the pivot slots) column-sorted with its zeros removed.
+    """
+    w = dict.fromkeys(pattern, 0.0)
+    w.update(zip(cols, vals))
+    ops = 0
+    get = w.get
+    for _, k in sorted((pkey[c], c) for c in pattern if pkey[c] >= 0):
+        wk = w[k]
+        if wk == 0.0:
+            continue
+        tail_cols, tail_vals, pivot = pivot_rows[k]
+        wk = w[k] = wk / pivot
+        ops += 1
+        alpha = -wk
+        for c, v in zip(tail_cols, tail_vals):
+            x = get(c)
+            if x is not None:
+                w[c] = x + alpha * v
+                ops += 2
+    row = [e for e in w.items() if e[1] != 0.0]
+    row.sort()
+    return ops, row
+
+
+def split_at_diagonal(
+    i: int, row: Entries, pos: Sequence[int]
+) -> tuple[Entries, float, list[int], list[float]]:
+    """Row ``i`` of a pattern factorization split by elimination
+    position: the L part (``pos[c] < pos[i]``), the diagonal value
+    (``0.0`` when absent) and the U tail's columns and values."""
+    p_i = pos[i]
+    diag = 0.0
+    lower: Entries = []
+    tail_cols: list[int] = []
+    tail_vals: list[float] = []
+    for c, v in row:
+        if c == i:
+            diag = v
+        elif pos[c] < p_i:
+            lower.append((c, v))
+        else:
+            tail_cols.append(c)
+            tail_vals.append(v)
+    return lower, diag, tail_cols, tail_vals
 
 
 def keep_largest_entries(entries: Entries, m: int) -> Entries:

@@ -21,7 +21,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FlatRows", "RowBlock", "RowStore", "RowsBuilder", "gather_rows", "ptr_of"]
+from ..sparse import CSRMatrix
+
+__all__ = [
+    "FlatRows",
+    "RowBlock",
+    "RowStore",
+    "RowsBuilder",
+    "gather_rows",
+    "permuted_csr",
+    "ptr_of",
+]
 
 
 class FlatRows(NamedTuple):
@@ -37,6 +47,16 @@ def ptr_of(counts: np.ndarray) -> np.ndarray:
     ptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
+
+
+def permuted_csr(rows: FlatRows, pos: np.ndarray) -> CSRMatrix:
+    """Rows ``0..n-1`` of a factor, in original indices, as CSR in the
+    elimination ordering: row ``i`` and column ``c`` move to ``pos[i]``
+    and ``pos[c]`` (entries sorted, each value summed into ``0.0``)."""
+    n = pos.size
+    return CSRMatrix.from_coo(
+        np.repeat(pos, np.diff(rows.ptr)), pos[rows.cols], rows.vals, shape=(n, n)
+    )
 
 
 def gather_rows(

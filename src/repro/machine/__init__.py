@@ -35,7 +35,6 @@ from .transport import (
     entry_transport,
     resolve_transport,
     run_region,
-    run_region_by_owner,
     transport_name,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "resolve_transport",
     "entry_transport",
     "run_region",
-    "run_region_by_owner",
     "transport_name",
     "TRANSPORT_NAMES",
 ]

@@ -53,11 +53,10 @@ belong to that shared core, not to one backend:
 modelled time and communication statistics are the same numbers on
 every transport, and wall-clock time is the caller's to measure.
 
-Drivers reach a transport through three helpers defined here (DESIGN.md
+Drivers reach a transport through two helpers defined here (DESIGN.md
 §13.2): :class:`entry_transport` (acquire / report / release for one
-entry-point call), :func:`run_region` (one parallel region, with or
-without a transport) and :func:`run_region_by_owner` (rows grouped by
-owning rank).
+entry-point call) and :func:`run_region` (one parallel region, with or
+without a transport).
 
 ``resolve_transport`` is the single entry-point factory the
 ``transport=`` keyword of every ``parallel_*`` driver goes through; it
@@ -74,9 +73,7 @@ bit-identical by the pure-thunk discipline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..faults import FaultJournal, FaultPlan, RegionInjection, unportable_faults
 from .errors import (
@@ -94,7 +91,6 @@ __all__ = [
     "resolve_transport",
     "entry_transport",
     "run_region",
-    "run_region_by_owner",
     "transport_name",
     "TRANSPORT_NAMES",
 ]
@@ -402,28 +398,3 @@ def run_region(transport: Any, thunks: Sequence[Callable[[], Any] | None]) -> li
     if transport is None:
         return [f() if f is not None else None for f in thunks]
     return transport.pardo(thunks)
-
-
-def run_region_by_owner(
-    transport: Any,
-    nranks: int,
-    rows: Iterable[int],
-    owner: np.ndarray,
-    body: Callable[[int, list[int]], list[tuple]],
-) -> dict[int, tuple]:
-    """One region over ``rows`` grouped by owning rank.
-
-    Each rank with at least one row runs ``body(rank, its_rows)`` (rows
-    keep their given order) and returns per-row records whose first
-    field is the row; the result indexes every record by that row.
-    Merge order — the caller's numerics — stays with the caller.
-    """
-    by_rank: list[list[int]] = [[] for _ in range(nranks)]
-    for i in rows:
-        by_rank[int(owner[i])].append(int(i))
-    thunks = [
-        (lambda rank=rank, mine=mine: body(rank, mine)) if mine else None
-        for rank, mine in enumerate(by_rank)
-    ]
-    results = run_region(transport, thunks)
-    return {rec[0]: rec for recs in results if recs for rec in recs}

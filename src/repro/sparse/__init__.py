@@ -1,7 +1,7 @@
-"""Sparse-matrix substrate: COO assembly, CSR storage, row accumulator,
-triangular kernels and MatrixMarket I/O."""
+"""Sparse-matrix substrate: COO assembly, CSR storage, triangular
+kernels and MatrixMarket I/O.  (The elimination's working row lives in
+the row kernel, :mod:`repro.ilu.row`.)"""
 
-from .accumulator import SparseRowAccumulator
 from .coo import COOBuilder
 from .csr import CSRMatrix
 from .io import read_matrix_market, write_matrix_market
@@ -16,7 +16,6 @@ from .ops import (
 __all__ = [
     "COOBuilder",
     "CSRMatrix",
-    "SparseRowAccumulator",
     "lower_solve",
     "lower_solve_unit",
     "upper_solve",

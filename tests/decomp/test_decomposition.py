@@ -121,3 +121,38 @@ class TestSummary:
         A = torso_like(250, seed=0)
         d = decompose(A, 4, seed=0)
         assert 0 < d.n_interface < A.shape[0]
+
+
+class TestDriversCheckTheDecomposition:
+    """Every parallel driver that takes ``decomp=`` checks its rank count
+    before doing any work (``decomposition_for``)."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        ["parallel_ilut", "parallel_ilut_partitioned", "parallel_ilu0", "block_jacobi_ilut"],
+    )
+    def test_rank_mismatch_raises_before_any_work(self, driver, monkeypatch):
+        from repro import ilu
+        from repro.ilu import ILUTParams
+        from repro.machine import Simulator
+
+        def no_region(*_args, **_kwargs):
+            raise AssertionError("a region ran before the decomposition was checked")
+
+        monkeypatch.setattr(Simulator, "pardo", no_region)
+        monkeypatch.setattr(Simulator, "compute", no_region)
+        A = poisson2d(8)
+        d = decompose(A, 2, seed=0)
+        fn = getattr(ilu, driver)
+        args = (A, 3) if driver == "parallel_ilu0" else (A, ILUTParams(fill=5, threshold=1e-3), 3)
+        with pytest.raises(ValueError, match="decomp has 2 ranks but nranks=3"):
+            fn(*args, decomp=d)
+
+    def test_a_matching_decomposition_is_used_as_given(self):
+        from repro.decomp import decomposition_for
+
+        A = poisson2d(8)
+        d = decompose(A, 2, seed=0)
+        assert decomposition_for(A, 2, d) is d
+        fresh = decomposition_for(A, 2, None, method="block")
+        assert np.array_equal(fresh.part, decompose(A, 2, method="block").part)

@@ -2,7 +2,8 @@
 
 ``repro.ilu.ilut`` runs Algorithm 3.1 on the scalar row kernel
 (``repro.ilu.row``).  This is the classic formulation it replaced — a
-dense working row with a nonzero list (``SparseRowAccumulator``), a heap
+dense working row with a nonzero list (``SparseRowAccumulator``, kept
+with the other array-formulation pieces in ``_accumulator.py``), a heap
 of pivot columns, one numpy call per step — which must produce the same
 L, U and flop count bit for bit.  The drop thresholds come from the
 library's row norms, so the two differ only in the elimination loop.
@@ -12,9 +13,11 @@ import heapq
 
 import numpy as np
 
-from repro.ilu import ILUFactors, second_rule
+from repro.ilu import ILUFactors
 from repro.resilience import PivotPolicy
-from repro.sparse import COOBuilder, SparseRowAccumulator
+from repro.sparse import COOBuilder
+
+from ._accumulator import SparseRowAccumulator, second_rule
 
 
 def ilut(A, params, *, diag_guard=True, pivot_policy=None):

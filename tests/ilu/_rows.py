@@ -1,11 +1,14 @@
-"""Helpers for tests that set the engine's row stores by hand and read
-a thunk's :class:`~repro.ilu.rowstore.RowBlock` one row at a time."""
+"""Helpers for tests that set the engine's row stores by hand, read a
+thunk's :class:`~repro.ilu.rowstore.RowBlock` one row at a time, or
+apply the row kernel's dropping tails as whole rules."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from repro.ilu.row import l_row, reduced_row, u_row
 from repro.ilu.rowstore import RowsBuilder, RowStore
+from repro.resilience import PivotPolicy
 
 
 def flat_of(rows):
@@ -52,3 +55,21 @@ def records_of(block):
             )
         )
     return out
+
+
+def second_rule(entries, i, tau, m, policy=PivotPolicy("guard"), norm=1.0):
+    """The 2nd dropping rule on a column-sorted row, as the serial ILUT
+    applies it: ``l_row`` on the columns left of ``i``, ``u_row`` on the
+    rest.  Returns ``(l_entries, (tail_cols, tail_vals, pivot))``."""
+    lower = [e for e in entries if e[0] < i]
+    rest = [e for e in entries if e[0] >= i]
+    return l_row([], lower, tau, m), u_row(i, rest, tau, m, policy, norm)
+
+
+def third_rule(entries, i, tau, m, factored, cap=None):
+    """The 3rd dropping rule on a column-sorted row whose columns in
+    ``factored`` are its L part: ``l_row`` on those, ``reduced_row`` on
+    the rest.  Returns ``(l_entries, reduced_entries)``."""
+    lower = [e for e in entries if e[0] in factored]
+    rest = [e for e in entries if e[0] not in factored]
+    return l_row([], lower, tau, m), reduced_row(i, rest, tau, cap)

@@ -1,12 +1,13 @@
-"""Unit tests for the level-scheduled fast applier, against the
+"""Unit tests for the level-scheduled serial apply (``ILUFactors.solve``
+on the cached schedules of ``repro.kernels.triangular``), against the
 row-by-row oracle ``_trisolve``."""
 
 import numpy as np
 import pytest
 
 from repro.ilu import ilut, parallel_ilut
-from repro.ilu.apply import LevelScheduledApplier, triangular_levels
 from repro.ilu.params import ILUTParams
+from repro.kernels import cached_schedules, triangular_levels
 from repro.matrices import poisson2d, random_diag_dominant
 from repro.sparse import CSRMatrix, lower_solve_unit, upper_solve
 
@@ -44,39 +45,38 @@ class TestLevelScheduledApplier:
     def test_matches_reference_solve_sequential(self, rng):
         A = random_diag_dominant(50, 5, seed=2)
         f = ilut(A, ILUTParams(fill=10, threshold=1e-4))
-        app = LevelScheduledApplier(f)
         for _ in range(3):
             b = rng.standard_normal(50)
-            assert np.array_equal(app.apply(b), _trisolve.solve(f, b))
+            assert np.array_equal(f.solve(b), _trisolve.solve(f, b))
 
     def test_matches_reference_solve_parallel_factors(self, rng):
         A = poisson2d(14)
         r = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 4, seed=0, transport="none")
-        app = LevelScheduledApplier(r.factors)
         b = rng.standard_normal(196)
-        assert np.array_equal(app.apply(b), _trisolve.solve(r.factors, b))
+        assert np.array_equal(r.factors.solve(b), _trisolve.solve(r.factors, b))
 
     def test_parallel_ordering_has_fewer_levels(self):
         """MIS ordering shortens dependency chains — the paper's point."""
         A = poisson2d(16)
-        seq = LevelScheduledApplier(ilut(A, ILUTParams(fill=5, threshold=1e-3)))
-        par = LevelScheduledApplier(
+        seq, _ = cached_schedules(ilut(A, ILUTParams(fill=5, threshold=1e-3)))
+        par, _ = cached_schedules(
             parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 8, seed=0, transport="none").factors
         )
-        assert par.forward_levels < seq.forward_levels
+        assert par.num_levels < seq.num_levels
 
     def test_shape_check(self):
         A = poisson2d(6)
-        app = LevelScheduledApplier(ilut(A, ILUTParams(fill=5, threshold=1e-3)))
+        f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
         with pytest.raises(ValueError):
-            app.apply(np.ones(7))
+            f.solve(np.ones(7))
 
     def test_callable(self, rng):
+        from repro.solvers import ILUPreconditioner
+
         A = poisson2d(6)
         f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
-        app = LevelScheduledApplier(f)
         b = rng.standard_normal(36)
-        assert np.array_equal(app(b), app.apply(b))
+        assert np.array_equal(ILUPreconditioner(f)(b), f.solve(b))
 
     def test_zero_pivot_rejected(self):
         from repro.ilu import ILUFactors
@@ -84,7 +84,7 @@ class TestLevelScheduledApplier:
         U = CSRMatrix.from_coo([0, 1], [0, 1], [1.0, 0.0], (2, 2))
         f = ILUFactors(L=CSRMatrix.zeros(2), U=U, perm=np.arange(2))
         with pytest.raises(ZeroDivisionError):
-            LevelScheduledApplier(f)
+            cached_schedules(f)
 
     def test_missing_diagonal_rejected(self):
         from repro.ilu import ILUFactors
@@ -92,7 +92,7 @@ class TestLevelScheduledApplier:
         U = CSRMatrix.from_coo([0], [0], [1.0], (2, 2))
         f = ILUFactors(L=CSRMatrix.zeros(2), U=U, perm=np.arange(2))
         with pytest.raises(ValueError):
-            LevelScheduledApplier(f)
+            cached_schedules(f)
 
 
 class TestFastPreconditioner:
@@ -118,11 +118,10 @@ class TestFastPreconditioner:
         A = poisson2d(24)
         r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 8, seed=0, transport="none")
         b = rng.standard_normal(A.shape[0])
-        app = LevelScheduledApplier(r.factors)
-        app.apply(b)  # warm
+        r.factors.solve(b)  # warm: builds the schedules
         t0 = time.perf_counter()
         for _ in range(5):
-            app.apply(b)
+            r.factors.solve(b)
         fast = time.perf_counter() - t0
         t0 = time.perf_counter()
         L, U, perm = r.factors.L, r.factors.U, r.factors.perm

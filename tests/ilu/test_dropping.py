@@ -1,146 +1,97 @@
-"""Unit tests for the three ILUT dropping rules."""
+"""Unit tests for the three ILUT dropping rules, as the row kernel's
+tails (``repro.ilu.row``) apply them."""
 
-import numpy as np
-import pytest
+from repro.ilu.row import keep_largest_entries
 
-from repro.ilu import keep_largest, second_rule, third_rule
+from ._rows import second_rule, third_rule
 
 
 class TestKeepLargest:
     def test_keeps_m_largest_by_magnitude(self):
-        cols = np.array([1, 3, 5, 7])
-        vals = np.array([0.1, -5.0, 2.0, -0.5])
-        kc, kv = keep_largest(cols, vals, 2)
-        assert kc.tolist() == [3, 5]
-        assert kv.tolist() == [-5.0, 2.0]
+        row = [(1, 0.1), (3, -5.0), (5, 2.0), (7, -0.5)]
+        assert keep_largest_entries(row, 2) == [(3, -5.0), (5, 2.0)]
 
     def test_result_column_sorted(self):
-        cols = np.array([9, 2, 5])
-        vals = np.array([1.0, 3.0, 2.0])
-        kc, _ = keep_largest(cols, vals, 3)
-        assert kc.tolist() == [2, 5, 9]
+        # selected largest first (9, then 5), returned by column
+        row = [(2, 1.0), (5, 2.0), (9, 3.0)]
+        assert keep_largest_entries(row, 2) == [(5, 2.0), (9, 3.0)]
 
     def test_m_zero_empty(self):
-        kc, kv = keep_largest(np.array([1]), np.array([1.0]), 0)
-        assert kc.size == 0 and kv.size == 0
+        assert keep_largest_entries([(1, 1.0)], 0) == []
 
     def test_fewer_than_m_keeps_all(self):
-        cols = np.array([0, 1])
-        vals = np.array([1.0, 2.0])
-        kc, kv = keep_largest(cols, vals, 10)
-        assert kc.tolist() == [0, 1]
+        assert keep_largest_entries([(0, 1.0), (1, 2.0)], 10) == [(0, 1.0), (1, 2.0)]
 
     def test_tie_break_deterministic(self):
-        cols = np.array([4, 2, 8])
-        vals = np.array([1.0, -1.0, 1.0])
-        kc, _ = keep_largest(cols, vals, 2)
+        row = [(2, -1.0), (4, 1.0), (8, 1.0)]
         # ties go to lower column index
-        assert kc.tolist() == [2, 4]
+        assert [c for c, _ in keep_largest_entries(row, 2)] == [2, 4]
 
     def test_empty_input(self):
-        kc, kv = keep_largest(np.empty(0, np.int64), np.empty(0), 3)
-        assert kc.size == 0
+        assert keep_largest_entries([], 3) == []
 
 
 class TestSecondRule:
     def test_splits_l_diag_u(self):
-        cols = np.array([0, 2, 3, 5])
-        vals = np.array([1.0, -2.0, 4.0, 0.5])
-        (lc, lv), diag, (uc, uv) = second_rule(cols, vals, i=3, tau=0.0, m=5)
-        assert lc.tolist() == [0, 2]
-        assert diag == 4.0
-        assert uc.tolist() == [5]
+        row = [(0, 1.0), (2, -2.0), (3, 4.0), (5, 0.5)]
+        lower, (tail_cols, _, pivot) = second_rule(row, 3, 0.0, 5)
+        assert [c for c, _ in lower] == [0, 2]
+        assert pivot == 4.0
+        assert tail_cols == [5]
 
     def test_threshold_drops_small(self):
-        cols = np.array([0, 1, 3])
-        vals = np.array([0.01, 0.05, 0.02])
-        (lc, _), diag, (uc, _) = second_rule(cols, vals, i=2, tau=0.1, m=5)
-        assert lc.size == 0 and uc.size == 0
-        assert diag == 0.0  # missing diagonal reported as 0
+        row = [(0, 0.01), (1, 0.05), (3, 0.02)]
+        lower, (tail_cols, _, pivot) = second_rule(row, 2, 0.1, 5)
+        assert lower == [] and tail_cols == []
+        assert pivot == 0.1  # missing diagonal is a zero pivot: the guard gives tau
 
     def test_threshold_keeps_large(self):
-        cols = np.array([0, 1, 3])
-        vals = np.array([0.01, 5.0, 0.02])
-        (lc, lv), _, (uc, _) = second_rule(cols, vals, i=2, tau=0.1, m=5)
-        assert lc.tolist() == [1] and lv.tolist() == [5.0]
-        assert uc.size == 0
+        row = [(0, 0.01), (1, 5.0), (3, 0.02)]
+        lower, (tail_cols, _, _) = second_rule(row, 2, 0.1, 5)
+        assert lower == [(1, 5.0)]
+        assert tail_cols == []
 
     def test_diag_kept_below_threshold(self):
-        cols = np.array([1])
-        vals = np.array([1e-8])
-        (_, _), diag, (_, _) = second_rule(cols, vals, i=1, tau=1.0, m=5)
-        assert diag == 1e-8
+        _, (_, _, pivot) = second_rule([(1, 1e-8)], 1, 1.0, 5)
+        assert pivot == 1e-8
 
     def test_m_cap_per_side(self):
-        cols = np.arange(7)
-        vals = np.array([5.0, 4.0, 3.0, 9.0, 3.0, 4.0, 5.0])
-        (lc, _), _, (uc, _) = second_rule(cols, vals, i=3, tau=0.0, m=2)
-        assert lc.size == 2 and uc.size == 2
-        assert lc.tolist() == [0, 1]
-        assert uc.tolist() == [5, 6]
+        row = list(enumerate([5.0, 4.0, 3.0, 9.0, 3.0, 4.0, 5.0]))
+        lower, (tail_cols, _, _) = second_rule(row, 3, 0.0, 2)
+        assert [c for c, _ in lower] == [0, 1]
+        assert tail_cols == [5, 6]
 
 
 class TestThirdRule:
-    def _setup(self):
-        # columns 0..4 factored, 5..9 unfactored
-        is_f = np.zeros(10, dtype=bool)
-        is_f[:5] = True
-        return is_f
+    # columns 0..4 factored, 5..9 unfactored
+    FACTORED = frozenset(range(5))
 
     def test_l_part_thresholded_and_capped(self):
-        is_f = self._setup()
-        cols = np.array([0, 1, 2, 6])
-        vals = np.array([3.0, 0.001, -4.0, 1.0])
-        (lc, lv), (rc, rv) = third_rule(
-            cols, vals, diag_col=6, tau=0.01, m=1, is_factored=is_f
-        )
-        assert lc.tolist() == [2]  # largest of the two surviving
-        assert rc.tolist() == [6]
+        row = [(0, 3.0), (1, 0.001), (2, -4.0), (6, 1.0)]
+        lower, reduced = third_rule(row, 6, 0.01, 1, self.FACTORED)
+        assert [c for c, _ in lower] == [2]  # largest of the two surviving
+        assert [c for c, _ in reduced] == [6]
 
     def test_reduced_uncapped_without_cap(self):
-        is_f = self._setup()
-        cols = np.array([5, 6, 7, 8, 9])
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        (_, _), (rc, _) = third_rule(
-            cols, vals, diag_col=5, tau=0.0, m=2, is_factored=is_f
-        )
-        assert rc.size == 5  # plain ILUT keeps everything above threshold
+        row = [(5, 1.0), (6, 2.0), (7, 3.0), (8, 4.0), (9, 5.0)]
+        _, reduced = third_rule(row, 5, 0.0, 2, self.FACTORED)
+        assert len(reduced) == 5  # plain ILUT keeps everything above threshold
 
     def test_reduced_capped_ilutstar(self):
-        is_f = self._setup()
-        cols = np.array([5, 6, 7, 8, 9])
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        (_, _), (rc, rv) = third_rule(
-            cols, vals, diag_col=5, tau=0.0, m=2, is_factored=is_f, reduced_cap=3
-        )
-        assert rc.size == 3
-        assert 5 in rc.tolist()  # diagonal survives the cap
+        row = [(5, 1.0), (6, 2.0), (7, 3.0), (8, 4.0), (9, 5.0)]
+        _, reduced = third_rule(row, 5, 0.0, 2, self.FACTORED, cap=3)
+        assert len(reduced) == 3
+        assert 5 in dict(reduced)  # diagonal survives the cap
 
     def test_diagonal_survives_threshold(self):
-        is_f = self._setup()
-        cols = np.array([5, 7])
-        vals = np.array([1e-12, 5.0])
-        (_, _), (rc, rv) = third_rule(
-            cols, vals, diag_col=5, tau=1.0, m=2, is_factored=is_f
-        )
-        assert 5 in rc.tolist()
-        assert rv[rc.tolist().index(5)] == 1e-12
+        _, reduced = third_rule([(5, 1e-12), (7, 5.0)], 5, 1.0, 2, self.FACTORED)
+        assert dict(reduced)[5] == 1e-12
 
     def test_missing_diagonal_inserted_as_zero(self):
-        is_f = self._setup()
-        cols = np.array([7])
-        vals = np.array([5.0])
-        (_, _), (rc, rv) = third_rule(
-            cols, vals, diag_col=5, tau=0.0, m=2, is_factored=is_f
-        )
-        assert rc.tolist() == [5, 7]
-        assert rv[0] == 0.0
+        _, reduced = third_rule([(7, 5.0)], 5, 0.0, 2, self.FACTORED)
+        assert reduced == [(5, 0.0), (7, 5.0)]
 
     def test_cap_one_keeps_only_diagonal(self):
-        is_f = self._setup()
-        cols = np.array([5, 6, 7])
-        vals = np.array([1.0, 9.0, 9.0])
-        (_, _), (rc, _) = third_rule(
-            cols, vals, diag_col=5, tau=0.0, m=2, is_factored=is_f, reduced_cap=1
-        )
-        assert rc.tolist() == [5]
+        row = [(5, 1.0), (6, 9.0), (7, 9.0)]
+        _, reduced = third_rule(row, 5, 0.0, 2, self.FACTORED, cap=1)
+        assert [c for c, _ in reduced] == [5]

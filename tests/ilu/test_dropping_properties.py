@@ -1,14 +1,18 @@
-"""Property-based tests for the dropping rules (hypothesis)."""
+"""Property-based tests for the dropping rules (hypothesis), as the row
+kernel's tails (``repro.ilu.row``) apply them."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilu import keep_largest, second_rule, third_rule
+from repro.ilu.row import keep_largest_entries
+
+from ._rows import second_rule, third_rule
 
 
 @st.composite
 def sparse_rows(draw, max_n=40):
+    """``(n, entries)``: a column-sorted row over ``n`` columns."""
     n = draw(st.integers(1, max_n))
     size = draw(st.integers(0, n))
     cols = draw(
@@ -21,32 +25,27 @@ def sparse_rows(draw, max_n=40):
             max_size=len(cols),
         )
     )
-    order = np.argsort(cols) if cols else []
-    return (
-        n,
-        np.asarray(cols, dtype=np.int64)[order] if cols else np.empty(0, np.int64),
-        np.asarray(vals, dtype=np.float64)[order] if cols else np.empty(0),
-    )
+    return n, sorted(zip(cols, vals))
 
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_rows(), st.integers(0, 12))
 def test_keep_largest_invariants(row, m):
-    _, cols, vals = row
-    kc, kv = keep_largest(cols, vals, m)
+    _, entries = row
+    kept = keep_largest_entries(entries, m)
+    kc = [c for c, _ in kept]
     # size cap
-    assert kc.size <= max(m, 0)
+    assert len(kept) <= max(m, 0)
     # sorted unique columns
-    if kc.size > 1:
-        assert np.all(np.diff(kc) > 0)
+    assert kc == sorted(set(kc))
     # kept values are a subset with correct pairing
-    lookup = {int(c): float(v) for c, v in zip(cols, vals)}
-    for c, v in zip(kc, kv):
-        assert lookup[int(c)] == v
+    lookup = dict(entries)
+    for c, v in kept:
+        assert lookup[c] == v
     # nothing dropped is larger than anything kept
-    if kc.size and kc.size == m and cols.size > m:
-        kept_min = np.abs(kv).min()
-        dropped = [abs(lookup[int(c)]) for c in cols if int(c) not in set(kc.tolist())]
+    if kept and len(kept) == m and len(entries) > m:
+        kept_min = min(abs(v) for _, v in kept)
+        dropped = [abs(v) for c, v in entries if c not in set(kc)]
         if dropped:
             assert max(dropped) <= kept_min + 1e-12
 
@@ -59,20 +58,21 @@ def test_keep_largest_invariants(row, m):
     st.integers(0, 8),
 )
 def test_second_rule_invariants(row, i, tau, m):
-    n, cols, vals = row
+    n, entries = row
     i = i % n
-    (lc, lv), diag, (uc, uv) = second_rule(cols, vals, i, tau, m)
+    lower, (tail_cols, tail_vals, pivot) = second_rule(entries, i, tau, m)
     # partition: L strictly below, U strictly above
-    assert np.all(lc < i)
-    assert np.all(uc > i)
+    assert all(c < i for c, _ in lower)
+    assert all(c > i for c in tail_cols)
     # caps
-    assert lc.size <= m and uc.size <= m
+    assert len(lower) <= m and len(tail_cols) <= m
     # threshold: every kept off-diagonal is >= tau in magnitude
-    assert np.all(np.abs(lv) >= tau)
-    assert np.all(np.abs(uv) >= tau)
-    # the diagonal is reported from the input (or 0), regardless of tau
-    lookup = {int(c): float(v) for c, v in zip(cols, vals)}
-    assert diag == lookup.get(i, 0.0)
+    assert all(abs(v) >= tau for _, v in lower)
+    assert all(abs(v) >= tau for v in tail_vals)
+    # the pivot is the input's diagonal regardless of tau; a zero or
+    # missing one becomes the guard's tau (or the norm, 1.0, at tau = 0)
+    diag = dict(entries).get(i, 0.0)
+    assert pivot == (diag if diag != 0.0 else (tau if tau > 0 else 1.0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -84,7 +84,7 @@ def test_second_rule_invariants(row, i, tau, m):
     st.integers(0, 2**31 - 1),
 )
 def test_third_rule_invariants(row, tau, m, cap, seed):
-    n, cols, vals = row
+    n, entries = row
     rng = np.random.default_rng(seed)
     is_factored = rng.random(n) < 0.5
     diag_candidates = np.flatnonzero(~is_factored)
@@ -92,21 +92,19 @@ def test_third_rule_invariants(row, tau, m, cap, seed):
         is_factored[0] = False
         diag_candidates = np.asarray([0])
     diag_col = int(diag_candidates[0])
-    (lc, lv), (rc, rv) = third_rule(
-        cols, vals, diag_col, tau, m, is_factored=is_factored, reduced_cap=cap
-    )
+    factored = set(np.flatnonzero(is_factored).tolist())
+    lower, reduced = third_rule(entries, diag_col, tau, m, factored, cap)
+    lc, rc = [c for c, _ in lower], [c for c, _ in reduced]
     # L part only factored columns; reduced part only unfactored
-    assert np.all(is_factored[lc])
-    assert not np.any(is_factored[rc])
+    assert all(c in factored for c in lc)
+    assert not any(c in factored for c in rc)
     # caps
-    assert lc.size <= m
+    assert len(lc) <= m
     if cap is not None:
-        assert rc.size <= cap or (rc.size == 1 and rc[0] == diag_col)
+        assert len(rc) <= cap
     # the diagonal slot is always present exactly once
-    assert int((rc == diag_col).sum()) == 1
+    assert rc.count(diag_col) == 1
     # sortedness
-    if rc.size > 1:
-        assert np.all(np.diff(rc) > 0)
+    assert rc == sorted(set(rc))
     # threshold on everything except the diagonal slot
-    off = rc != diag_col
-    assert np.all(np.abs(rv[off]) >= tau)
+    assert all(abs(v) >= tau for c, v in reduced if c != diag_col)

@@ -5,14 +5,17 @@ import pytest
 
 from repro.decomp import decompose
 from repro.ilu.elimination import EliminationEngine
-from repro.ilu.ilum import _merge_rows
 from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import poisson2d, random_diag_dominant
 
+from ._accumulator import merge_rows as _merge_rows
 from ._rows import flat_of
 
 
 class TestMergeRows:
+    """The sum-merge the L-row oracles use (ILUM's, before it ran on the
+    row kernel's ``l_row``)."""
+
     def test_disjoint(self):
         c, v = _merge_rows(
             np.array([1, 3]), np.array([1.0, 3.0]),

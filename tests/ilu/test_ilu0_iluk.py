@@ -5,8 +5,20 @@ import pytest
 
 from repro.ilu import ilu0, iluk, iluk_symbolic, ilut
 from repro.ilu.params import ILUTParams
-from repro.matrices import poisson2d, random_diag_dominant
+from repro.matrices import (
+    convection_diffusion2d,
+    poisson2d,
+    poisson3d,
+    random_diag_dominant,
+    torso_like,
+)
 from repro.sparse import CSRMatrix
+
+from ._accumulator import ilu0_by_accumulator
+
+
+def bits(M):
+    return M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
 
 
 class TestILU0:
@@ -78,9 +90,11 @@ class TestILUkSymbolic:
 
 class TestILUk:
     def test_k0_same_pattern_as_ilu0(self, medium_poisson):
+        """With a stored diagonal, ILU(0)'s pattern is ILU(k=0)'s: equal bits."""
         f0 = ilu0(medium_poisson)
         fk = iluk(medium_poisson, 0)
-        assert f0.L.allclose(fk.L) and f0.U.allclose(fk.U)
+        assert bits(f0.L) == bits(fk.L) and bits(f0.U) == bits(fk.U)
+        assert f0.stats["flops"] == fk.stats["flops"]
 
     def test_fill_grows_with_k(self, medium_poisson):
         sizes = [iluk(medium_poisson, k).nnz for k in (0, 1, 2, 3)]
@@ -118,3 +132,40 @@ class TestILUk:
         assert fk.U.get(10, 40) != 0.0
         # ILUT drops it (below the relative threshold)
         assert ft.U.get(10, 40) == 0.0
+
+
+ORACLE_MATRICES = {
+    "poisson": lambda: poisson2d(9),
+    "poisson3d": lambda: poisson3d(4),
+    "torso": lambda: torso_like(140, seed=1),
+    "convdiff": lambda: convection_diffusion2d(9),
+    "rdd-unsym": lambda: random_diag_dominant(50, 5, seed=4, symmetric_pattern=False),
+}
+
+
+class TestAgainstTheAccumulatorLoop:
+    """The pattern row kernel equals the full-length accumulator loop it
+    replaced (``_accumulator.ilu0_by_accumulator``): L, U and flops."""
+
+    @pytest.mark.parametrize("name", ORACLE_MATRICES)
+    @pytest.mark.parametrize("k", [None, 0, 1, 3])
+    def test_bits_and_flops(self, name, k):
+        A = ORACLE_MATRICES[name]()
+        if k is None:
+            got, want = ilu0(A), ilu0_by_accumulator(A)
+        else:
+            patterns = [cols.tolist() for cols, _ in iluk_symbolic(A, k)]
+            got, want = iluk(A, k), ilu0_by_accumulator(A, patterns)
+        assert bits(got.L) == bits(want.L) and bits(got.U) == bits(want.U)
+        assert (got.stats["flops"], type(got.stats["flops"])) == (want.stats["flops"], int)
+
+    def test_a_missing_diagonal_takes_the_row_norm(self):
+        # row 0 stores no diagonal, so ILU(0) keeps no slot for it: the
+        # pivot is the guard's ||a_0||_2 = 5, as in the accumulator loop,
+        # and without the guard the zero pivot raises
+        A = CSRMatrix.from_dense(np.array([[0.0, 3.0, 4.0], [1.0, 2.0, 0.0], [0.0, 1.0, 5.0]]))
+        got, want = ilu0(A), ilu0_by_accumulator(A)
+        assert bits(got.U) == bits(want.U) and bits(got.L) == bits(want.L)
+        assert got.U.get(0, 0) == 5.0
+        with pytest.raises(ZeroDivisionError):
+            ilu0(A, diag_guard=False)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ilu import ilum, ilut
-from repro.ilu.apply import LevelScheduledApplier
 from repro.ilu.params import ILUTParams
+from repro.kernels import cached_schedules
 from repro.matrices import poisson2d, random_diag_dominant
+from repro.resilience import ZeroPivotError
 from repro.sparse import CSRMatrix
 
 
@@ -70,10 +71,7 @@ class TestStructure:
         """Multi-elimination ordering shortens dependency chains."""
         f_ilum = ilum(medium_poisson, 5, 1e-3)
         f_ilut = ilut(medium_poisson, ILUTParams(fill=5, threshold=1e-3))
-        assert (
-            LevelScheduledApplier(f_ilum).forward_levels
-            < LevelScheduledApplier(f_ilut).forward_levels
-        )
+        assert cached_schedules(f_ilum)[0].num_levels < cached_schedules(f_ilut)[0].num_levels
 
 
 class TestQuality:
@@ -110,6 +108,19 @@ class TestValidation:
         A = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         f = ilum(A, 2, 0.0, diag_guard=True)
         assert np.all(f.U.diagonal() != 0.0)
+
+    def test_nan_pivot_goes_through_the_pivot_policy(self):
+        """A NaN pivot is a breakdown (``PivotPolicy.from_diag_guard``),
+        as in ILUT and the parallel engines: the guard substitutes a
+        pivot instead of dividing by NaN — here 1.0, since the row's
+        tau and norm are NaN too — and ``diag_guard=False`` raises."""
+        A = CSRMatrix.from_coo([0, 0, 1, 1], [0, 1, 0, 1], [np.nan, 1.0, 1.0, 4.0], (2, 2))
+        f = ilum(A, 2, 0.1)
+        p = int(np.flatnonzero(f.perm == 0)[0])
+        assert f.U.get(p, p) == 1.0
+        assert np.isfinite(f.L.data).all() and np.isfinite(f.U.data).all()
+        with pytest.raises(ZeroPivotError):
+            ilum(A, 2, 0.1, diag_guard=False)
 
     def test_deterministic(self, medium_poisson):
         f1 = ilum(medium_poisson, 5, 1e-3, seed=4)

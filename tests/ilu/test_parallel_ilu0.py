@@ -9,12 +9,18 @@ from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d, random_diag_dominant
 
 
+def bits(M):
+    return M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
 class TestCorrectness:
     def test_p1_matches_sequential(self, medium_poisson):
-        r = parallel_ilu0(medium_poisson, 1, transport="none")
+        """One rank is the serial ILU(0) in natural order, bit for bit."""
         f = ilu0(medium_poisson)
-        assert r.factors.L.allclose(f.L)
-        assert r.factors.U.allclose(f.U)
+        for transport in ("none", "simulator"):
+            r = parallel_ilu0(medium_poisson, 1, transport=transport)
+            assert np.array_equal(r.factors.perm, f.perm)
+            assert bits(r.factors.L) == bits(f.L) and bits(r.factors.U) == bits(f.U)
 
     def test_pattern_preserved(self, medium_poisson):
         r = parallel_ilu0(medium_poisson, 4, seed=0, transport="none")

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
-from repro.ilu.dropping import keep_largest
 from repro.ilu.elimination import EliminationEngine
-from repro.ilu.ilum import _merge_rows
 from repro.ilu.interface_partition import InterfacePartitionEngine
 from repro.ilu.row import (
     PivotRows,
+    eliminate_in_pattern,
     eliminate_row,
     keep_largest_entries,
     l_row,
@@ -30,8 +29,9 @@ from repro.ilu.rowstore import RowsBuilder
 from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import poisson2d
 from repro.resilience import PivotPolicy, ZeroPivotError
-from repro.sparse import CSRMatrix, SparseRowAccumulator
+from repro.sparse import CSRMatrix
 
+from ._accumulator import SparseRowAccumulator, keep_largest, merge_rows
 from ._rows import records_of, store_of
 
 N = 12
@@ -120,9 +120,34 @@ def reference_eliminate(cols, vals, tau, pkey, u_rows, l_old, m):
     rest = w.extract()
     lc_new, lv_new = arrays(l_cols, l_vals)
     by_col = np.argsort(lc_new, kind="stable")
-    lc, lv = _merge_rows(*l_old, lc_new[by_col], lv_new[by_col])
+    lc, lv = merge_rows(*l_old, lc_new[by_col], lv_new[by_col])
     big = np.abs(lv) >= tau
     return ops, reads, keep_largest(lc[big], lv[big], m), rest
+
+
+def reference_eliminate_in_pattern(cols, vals, pattern, pkey, u_rows):
+    """ILU(0)/ILU(k)'s accumulator loop on one row: pivots in key order,
+    updates kept to ``pattern``; returns ``(ops, row)`` as arrays."""
+    pkey = np.asarray(pkey, dtype=np.int64)
+    w = SparseRowAccumulator(pkey.size)
+    w.load(cols, vals)
+    allowed = np.zeros(pkey.size, dtype=bool)
+    allowed[pattern] = True
+    pivots = pattern[pkey[pattern] >= 0]
+    ops = 0
+    for k in pivots[np.argsort(pkey[pivots])].tolist():
+        wk = w.get(k)
+        if wk == 0.0:
+            continue
+        ucols, uvals = u_rows[k]
+        wk = wk / uvals[0]
+        ops += 1
+        w.set(k, wk)
+        keep = allowed[ucols[1:]]
+        if np.any(keep):
+            w.axpy(-wk, ucols[1:][keep], uvals[1:][keep])
+            ops += 2 * int(keep.sum())
+    return ops, w.extract()
 
 
 def reference_u_row(i, cols, vals, tau, m, policy, norm):
@@ -270,6 +295,54 @@ class TestEliminateRow:
         assert pivots[1] is pivots[1] and list(pivots) == [1]
         with pytest.raises(KeyError):
             pivots[2]
+
+
+class TestEliminateInPattern:
+    def test_updates_outside_the_pattern_are_discarded(self):
+        # pivot 1's tail reaches 5 (in the row), 7 (a pattern slot at
+        # 0.0) and 8 (outside the pattern)
+        ops, row = eliminate_in_pattern(
+            [1, 5], [2.0, 1.0], [1, 5, 7], pkey_of([1]), {1: ([5, 7, 8], [1.0, 2.0, 3.0], 4.0)}
+        )
+        assert row == [(1, 0.5), (5, 0.5), (7, -1.0)]  # the multiplier stays in its slot
+        assert (ops, type(ops)) == (1 + 2 * 2, int)
+
+    def test_pivots_go_by_key_and_see_earlier_updates(self):
+        # key order 3 then 1: pivot 3's tail changes slot 1 before 1 is
+        # consumed, and both tails land on 6
+        pivots = {3: ([1, 6], [1.0, 1.0], 1.0), 1: ([6], [2.0], 2.0)}
+        ops, row = eliminate_in_pattern([1, 3, 6], [1.0, 2.0, 0.0], [1, 3, 6], pkey_of([3, 1]), pivots)
+        assert row == [(1, -0.5), (3, 2.0), (6, -1.0)]
+        assert ops == (1 + 2 * 2) + (1 + 2)
+
+    def test_zero_entry_at_a_pivot_is_skipped_and_zeros_vanish(self):
+        ops, row = eliminate_in_pattern(
+            [1, 5], [0.0, -0.0], [1, 5, 7], pkey_of([1]), {1: ([5], [1.0], 4.0)}
+        )
+        assert (ops, row) == (0, [])
+
+    def test_no_dropping_a_tiny_multiplier_is_kept_and_applied(self):
+        ops, row = eliminate_in_pattern(
+            [1, 5], [1e-300, 1.0], [1, 5], pkey_of([1]), {1: ([5], [1e300], 1e10)}
+        )
+        assert row == [(1, 1e-310), (5, 1.0 - 1e-310 * 1e300)]
+        assert ops == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_accumulator_loop_on_random_rows(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(60):
+            cols, vals, pkey, u_rows, _ = random_case(rng)
+            extra = rng.choice(N, rng.integers(0, 5), replace=False)
+            pattern = np.union1d(cols, extra)
+            want_ops, (want_cols, want_vals) = reference_eliminate_in_pattern(
+                cols, vals, pattern, pkey, u_rows
+            )
+            ops, row = eliminate_in_pattern(
+                cols.tolist(), vals.tolist(), pattern.tolist(), pkey, PivotRows(u_rows)
+            )
+            assert ops == want_ops
+            assert bits(row) == (want_cols.tobytes(), want_vals.tobytes())
 
 
 # ----------------------------------------------------------------------

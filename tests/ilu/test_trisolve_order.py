@@ -17,7 +17,6 @@ from repro.ilu import (
     parallel_ilut_star,
     parallel_triangular_solve,
 )
-from repro.ilu.apply import LevelScheduledApplier
 from repro.kernels import use_backend
 from repro.solvers import ILUPreconditioner
 
@@ -55,7 +54,6 @@ def test_every_schedule_gives_the_oracles_bits(kind, p):
     f = _factors(kind, p).factors
     b = np.sin(np.arange(f.n, dtype=np.float64)) + 1.5
     want = _trisolve.solve(f, b)
-    assert np.array_equal(LevelScheduledApplier(f).apply(b), want)
     assert np.array_equal(ILUPreconditioner(f).apply(b), want)
     assert np.array_equal(f.solve(b), want)
     for transport in TRANSPORTS:

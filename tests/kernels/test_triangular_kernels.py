@@ -7,7 +7,6 @@ import pytest
 
 from repro import ILUTParams, poisson2d
 from repro.ilu import ilut, parallel_ilut_star
-from repro.ilu.apply import LevelScheduledApplier
 from repro.kernels import (
     BatchedTriangularSchedule,
     cached_analysis,
@@ -193,20 +192,25 @@ class TestScheduleCache:
 
 
 class TestApplierUsesCache:
+    """``ILUFactors.solve`` and GMRES's ``ILUPreconditioner`` are the
+    serial level applier, on schedules cached per factors object."""
+
     def test_applier_parity_with_factors_solve(self):
+        from repro.solvers import ILUPreconditioner
+
         f = star_factors()
         b = np.sin(np.arange(f.n))
-        x = LevelScheduledApplier(f).apply(b)
+        x = ILUPreconditioner(f).apply(b)
         assert np.array_equal(f.solve(b), x)
         assert np.array_equal(x, _trisolve.solve(f, b))
 
     def test_two_appliers_share_schedules(self):
         clear_schedule_cache()
         f = star_factors()
-        a1, a2 = LevelScheduledApplier(f), LevelScheduledApplier(f)
-        assert a1._fwd is a2._fwd and a1._bwd is a2._bwd
+        (fwd1, bwd1), (fwd2, bwd2) = cached_schedules(f), cached_schedules(f)
+        assert fwd1 is fwd2 and bwd1 is bwd2
 
     def test_rejects_bad_rhs(self):
         f = star_factors()
         with pytest.raises(ValueError):
-            LevelScheduledApplier(f).apply(np.ones(f.n + 1))
+            f.solve(np.ones(f.n + 1))

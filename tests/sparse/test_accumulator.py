@@ -1,9 +1,10 @@
-"""Unit tests for the sparse row accumulator (the ILUT working row)."""
+"""Unit tests for the sparse row accumulator: Saad's full-length
+working row, the oracles' elimination loop (``tests/ilu/_accumulator.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.sparse import SparseRowAccumulator
+from ..ilu._accumulator import SparseRowAccumulator
 
 
 class TestBasics:

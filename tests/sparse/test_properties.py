@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import CSRMatrix, SparseRowAccumulator
+from repro.sparse import CSRMatrix
+
+from ..ilu._accumulator import SparseRowAccumulator
 
 # strategy: small random sparse matrices as (n, rows, cols, vals)
 
