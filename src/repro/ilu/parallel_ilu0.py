@@ -130,8 +130,8 @@ def _factor_on(
     # §13): a thunk factors its rows against thunk-local pivot rows or
     # the coordinator's U store (stable during a region) and returns
     # them as flat rows; the coordinator stores them and charges each
-    # rank's operation count in the historical order, so the factors and
-    # charges are bit-identical on every transport.
+    # rank's operation count, rank by rank, so the factors and charges
+    # are bit-identical on every transport.
     norms = A.row_norms(ord=2).tolist()
     indptr, a_cols, a_vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
     pos_of = pos.tolist()

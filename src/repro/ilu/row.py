@@ -35,8 +35,8 @@ serial :func:`repro.ilu.ilut` loop is the independent oracle):
 
 :func:`eliminate_in_pattern` is the same elimination for ILU(0), ILU(k)
 and the colouring-based parallel ILU(0): no dropping, a fixed set of
-slots, and the multiplier kept in its pivot's slot (serial ``ilu0`` /
-``iluk`` and ``tests/ilu/_accumulator.py``'s array loop are its oracles).
+slots, and the multiplier kept in its pivot's slot (its oracle is the
+accumulator loop ``ilu0_by_accumulator`` in ``tests/ilu/_accumulator.py``).
 """
 
 from __future__ import annotations
