@@ -26,7 +26,7 @@ from .errors import (
 from .ledger import ChargeEvent, ChargeLedger
 from .model import CRAY_T3D, IDEAL, WORKSTATION_CLUSTER, MachineModel
 from .processes import ProcessTransport
-from .simulator import CommStats, Simulator, SimulatorSnapshot
+from .simulator import MAX_RETRANSMITS, CommStats, Simulator, SimulatorSnapshot
 from .supervision import SupervisionPolicy
 from .threads import ThreadTransport
 from .transport import (
@@ -48,6 +48,7 @@ __all__ = [
     "ChargeEvent",
     "ChargeLedger",
     "SimulatorSnapshot",
+    "MAX_RETRANSMITS",
     "LocalTransport",
     "ThreadTransport",
     "ProcessTransport",

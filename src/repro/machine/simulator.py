@@ -88,6 +88,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -106,7 +107,12 @@ from .model import MachineModel
 if TYPE_CHECKING:
     from ..verify.trace import AccessTracer
 
-__all__ = ["Simulator", "CommStats", "SimulatorSnapshot"]
+__all__ = ["Simulator", "CommStats", "SimulatorSnapshot", "MAX_RETRANSMITS"]
+
+#: Re-posts of one lost message before :meth:`Simulator.exchange` lets
+#: :class:`~repro.faults.MessageLost` escalate (to a driver's
+#: checkpoint-recovery layer, or to the caller).
+MAX_RETRANSMITS = 3
 
 
 @dataclass
@@ -426,11 +432,31 @@ class Simulator:
         posted in the given order, then the messages are drained in
         ``(src, dst)``-sorted order — the post/drain sequence the
         drivers' fault-journal signatures are pinned to.
+
+        A message lost to the fault plan is re-posted by its sender (the
+        same ``nwords``, journaled as ``retransmit``) up to
+        :data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
+        escalates to the caller.
         """
         for src, dst, nwords in messages:
             self.send(src, dst, nwords, tag=tag)
-        for src, dst in sorted((m[0], m[1]) for m in messages):
-            self.recv(dst, src, tag=tag)
+        for src, dst, nwords in sorted(messages, key=itemgetter(0, 1)):
+            for attempt in range(1, MAX_RETRANSMITS + 2):
+                try:
+                    self.recv(dst, src, tag=tag)
+                    break
+                except MessageLost:
+                    if attempt > MAX_RETRANSMITS:
+                        raise
+                    self.faults.journal.record(
+                        "retransmit",
+                        superstep=self.superstep,
+                        src=src,
+                        dst=dst,
+                        tag=tag,
+                        detail=f"attempt {attempt}",
+                    )
+                    self.send(src, dst, nwords, tag=tag)
 
     # ------------------------------------------------------------------
     # collectives

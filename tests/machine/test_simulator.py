@@ -136,11 +136,11 @@ class TestExchange:
         assert sim.pending_messages() == 0
 
     def test_triangular_solve_drop_journal_matches_golden(self):
-        """The (src, dst)-sorted drain decides *which* of two dropped
-        messages is reported lost; signature captured before the drivers
-        moved onto ``exchange``."""
+        """The (src, dst)-sorted drain decides the order in which two
+        dropped messages are found lost and re-posted; the solve then
+        completes with the fault-free result."""
         from repro import ILUTParams, poisson2d
-        from repro.faults import FaultPlan, MessageFault, MessageLost
+        from repro.faults import FaultPlan, MessageFault
         from repro.ilu import parallel_ilut_star
         from repro.ilu.triangular import parallel_triangular_solve
         from repro.machine import CRAY_T3D
@@ -153,16 +153,21 @@ class TestExchange:
                 MessageFault("drop", tag="bwd", skip=1, count=2),
             ]
         )
+        b = np.ones(A.shape[0])
         sim = Simulator(4, CRAY_T3D, faults=plan)
-        with pytest.raises(MessageLost):
-            parallel_triangular_solve(r.factors, np.ones(A.shape[0]), nranks=4, transport=sim)
+        x = parallel_triangular_solve(r.factors, b, nranks=4, transport=sim).x
         assert sim.fault_journal.signature() == (
             (0, "delay", 1, -1, 0, 2, "('fwd', 0)", "+0.001s"),
             (1, "delay", 1, -1, 0, 3, "('fwd', 0)", "+0.001s"),
             (2, "drop", 15, -1, 1, 2, "('bwd', 13)", ""),
             (3, "drop", 15, -1, 1, 3, "('bwd', 13)", ""),
             (4, "lost", 15, -1, 1, 2, "('bwd', 13)", ""),
+            (5, "retransmit", 15, -1, 1, 2, "('bwd', 13)", "attempt 1"),
+            (6, "lost", 15, -1, 1, 3, "('bwd', 13)", ""),
+            (7, "retransmit", 15, -1, 1, 3, "('bwd', 13)", "attempt 1"),
         )
+        clean = parallel_triangular_solve(r.factors, b, nranks=4, transport="simulator").x
+        assert x.tobytes() == clean.tobytes()
 
 
 class TestCollectives:
