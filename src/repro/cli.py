@@ -7,9 +7,9 @@ Commands
 ``factor``    parallel ILUT/ILUT* factorization summary
 ``solve``     end-to-end preconditioned GMRES solve report
 ``generate``  write a generator matrix to a MatrixMarket file
-``lint``      static SPMD-communication / determinism / flop-charge /
+``lint``      static SPMD-collective / determinism / flop-charge /
               transport-portability analysis (see :mod:`repro.lint`);
-              ``--verify-protocol/-transport/-costs`` print the three
+              ``--verify-transport/-costs`` print the two
               certification tables; any finding or uncertified row
               exits 1, which makes it a CI gate
 ``check``     replay a factorization under the race detector and run the

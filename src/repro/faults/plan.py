@@ -25,8 +25,9 @@ simulated message is accounting only and carries no data to corrupt.
 Failure semantics
 -----------------
 * ``drop``   — the message is charged to the sender but never delivered;
-  the eventual ``recv`` raises :class:`MessageLost` (a resilient driver
-  retransmits, a non-resilient one surfaces the typed error).
+  the exchange that posted it re-posts it (``retransmit``) up to
+  ``MAX_RETRANSMITS`` times, then raises :class:`MessageLost` (a
+  checkpointing driver restores, any other surfaces the typed error).
 * ``delay``  — arrival time is pushed back by ``delay`` seconds.
 * ``duplicate`` — a second copy is enqueued (stale copies left in the
   mailbox at the end of the run are visible via ``pending_messages``).

@@ -91,10 +91,6 @@ from .rowstore import RowBlock, RowsBuilder, RowStore, gather_rows, permuted_csr
 
 __all__ = ["EliminationEngine", "EliminationOutcome"]
 
-# bounded retransmit attempts per receive before the loss is escalated to
-# the checkpoint-recovery layer (or the caller, without checkpoints)
-MAX_RETRANSMITS = 3
-
 # modelled cost (in "operations") of copying one word while rebuilding a
 # reduced row — the data-movement overhead the paper attributes to ILUT's
 # dense reduced matrices.  Charged through the same flop-time channel.
@@ -269,35 +265,6 @@ class EliminationEngine:
     def _barrier(self) -> None:
         if self.sim is not None:
             self.sim.barrier()
-
-    def _recv_retry(self, src: int, dst: int, tag: object, nwords: float) -> None:
-        """Receive with bounded retransmission under fault injection.
-
-        A message is accounting only, so what must be replayed on a loss
-        is the *charge* — the sender re-posts the same ``nwords``
-        (journaled as ``retransmit``) up to :data:`MAX_RETRANSMITS`
-        times before the loss escalates to the checkpoint-recovery layer.
-        """
-        assert self.sim is not None
-        for attempt in range(MAX_RETRANSMITS + 1):
-            try:
-                self.sim.recv(dst, src, tag=tag)
-                return
-            except MessageLost:
-                if attempt == MAX_RETRANSMITS:
-                    raise
-                faults = self.sim.faults
-                if faults is not None:
-                    faults.journal.record(
-                        "retransmit",
-                        superstep=self.sim.superstep,
-                        src=src,
-                        dst=dst,
-                        tag=tag,
-                        detail=f"attempt {attempt + 1}",
-                    )
-                self.sim.send(src, dst, nwords, tag=tag)
-        raise AssertionError("unreachable")
 
     def _merge_blocks(self, blocks: Sequence[RowBlock | None], *, by_row: bool = False) -> None:
         """Apply one region's result to the engine state (coordinator side).
@@ -501,16 +468,13 @@ class EliminationEngine:
                 src_owner[cut] * nranks + dst_owner[cut], return_counts=True
             )
             boundary_words = [
-                (divmod(pair, nranks), float(cnt))
+                (*divmod(pair, nranks), float(cnt))
                 for pair, cnt in zip(pairs.tolist(), counts.tolist())
             ]
             for _ in range(self.mis_rounds):
                 for r in range(nranks):
                     self.sim.compute(r, 2.0 * MIS_OPS_PER_EDGE * edges_per_rank[r])
-                for (src, dst), cnt in boundary_words:
-                    self.sim.send(src, dst, cnt, tag=("mis", level))
-                for (src, dst), cnt in boundary_words:
-                    self._recv_retry(src, dst, ("mis", level), cnt)
+                self.sim.exchange(boundary_words, tag=("mis", level))
                 self.sim.barrier()
                 self.sim.barrier()  # the two-step insert/remove barrier pair
         return remaining[mis_local]
@@ -577,14 +541,11 @@ class EliminationEngine:
         pairs, which = np.unique(needed // self.n, return_inverse=True)
         # indices + values of every row the pair ships
         words = np.bincount(which, weights=2.0 * self.u_rows.length[needed % self.n])
-        pair_words = [
-            (divmod(pair, nranks), w) for pair, w in zip(pairs.tolist(), words.tolist())
-        ]
-        for (src, dst), w in pair_words:
-            self.sim.send(src, dst, w, tag=tag)
         self.u_rows_comm += int(needed.size)
-        for (src, dst), w in pair_words:
-            self._recv_retry(src, dst, tag, w)
+        self.sim.exchange(
+            [(*divmod(pair, nranks), w) for pair, w in zip(pairs.tolist(), words.tolist())],
+            tag=tag,
+        )
 
     def _update_remaining(self, pkey: np.ndarray) -> None:
         """Eliminate the ``pkey`` pivots from every remaining reduced

@@ -5,11 +5,10 @@ runtime checks (the race detector, the fault journal, the oracle
 tests) only exercise on the inputs a given run happens to execute.  This
 package checks the same disciplines *statically*, on every code path:
 
-* **SPMD communication** (``SPMD00x``) — symbolic protocol execution
-  of every driver (deadlocks, unmatched tags, leaked messages),
-  collectives reachable under rank-derived control flow or per-rank
-  loops, and recv loops whose bounds differ from the matching send
-  loops.
+* **SPMD collectives** (``SPMD005``) — collectives reachable under
+  rank-derived control flow or inside per-rank loops.  Point-to-point
+  messages need no rule: ``exchange`` posts and drains in one call, so
+  a deadlock or an unmatched post cannot be written.
 * **Determinism** (``DET00x``) — unseeded RNG, iteration over unordered
   containers in communication-bearing functions, float ``==``
   comparisons, order-sensitive reductions over unordered containers.
@@ -25,10 +24,9 @@ package checks the same disciplines *statically*, on every code path:
 
 All of them read one shared analysis: :mod:`repro.lint.comm` is the
 single transport vocabulary, and the per-run
-:class:`~repro.lint.runner.ProjectContext` owns the call graph,
-per-function summaries and call closures that the rules and the three
-``--verify-protocol`` / ``--verify-transport`` / ``--verify-costs``
-certification tables are views of.
+:class:`~repro.lint.runner.ProjectContext` owns the call graph and
+call closures that the rules and the two ``--verify-transport`` /
+``--verify-costs`` certification tables are views of.
 
 Run it as ``python -m repro lint [paths...]``; see
 :mod:`repro.lint.cli` for the output formats (text/json/github) and the

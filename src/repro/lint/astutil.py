@@ -11,7 +11,6 @@ __all__ = [
     "ancestors",
     "enclosing",
     "enclosing_function",
-    "nearest_loop",
     "call_name",
     "dotted_name",
     "literal_text",
@@ -83,18 +82,8 @@ def enclosing_function(node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef 
     return enclosing(node, ast.FunctionDef, ast.AsyncFunctionDef)  # type: ignore[return-value]
 
 
-def nearest_loop(node: ast.AST) -> ast.For | ast.While | None:
-    """Nearest enclosing loop, stopping at the function boundary."""
-    for anc in ancestors(node):
-        if isinstance(anc, (ast.For, ast.While)):
-            return anc
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return None
-    return None
-
-
 def call_name(call: ast.Call) -> str:
-    """The terminal name of the called object: ``a.b.send(...)`` -> ``send``."""
+    """The terminal name of the called object: ``a.b.exchange(...)`` -> ``exchange``."""
     func = call.func
     if isinstance(func, ast.Attribute):
         return func.attr

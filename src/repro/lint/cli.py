@@ -1,15 +1,13 @@
 """The ``python -m repro lint`` command.
 
 Exit status: 0 when there are no findings, 1 otherwise — the CI
-contract.  ``--verify-protocol`` runs the symbolic SPMD protocol
-verifier and prints a per-root certification table;
-``--verify-transport`` does the same for the transport-portability
-analysis (hidden state, dtype discipline); ``--verify-costs``
-certifies the statically derived flop/comm cost models against the
-simulator's recorded charges on small seeded instances.  The three flags compose: the files are parsed once,
-one call graph serves every requested table, the tables print in
-protocol → transport → costs order, and the exit status is 1 if any row
-is not CERTIFIED.
+contract.  ``--verify-transport`` prints a per-root certification table
+of the transport-portability analysis (hidden state, dtype discipline);
+``--verify-costs`` certifies the statically derived flop/comm cost
+models against the simulator's recorded charges on small seeded
+instances.  The two flags compose: the files are parsed once, one call
+graph serves both tables, they print in transport → costs order, and
+the exit status is 1 if any row is not CERTIFIED.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
         description=(
             "AST-based static analysis: SPMD communication discipline, "
             "determinism hazards, integral flop charges, breakdown typing, "
-            "transport portability, and the protocol / transport / cost "
+            "transport portability, and the transport / cost "
             "certification tables. Exit 1 on any finding or uncertified row."
         ),
     )
@@ -63,11 +61,6 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
     )
     p.add_argument("--select", default="", help="comma-separated rule ids to run")
     p.add_argument("--ignore", default="", help="comma-separated rule ids to skip")
-    p.add_argument(
-        "--verify-protocol",
-        action="store_true",
-        help="symbolically verify the comm roots deadlock-free (ranks 2-4)",
-    )
     p.add_argument(
         "--verify-transport",
         action="store_true",
@@ -153,18 +146,6 @@ def _print_table(reports: list, what: str, footer: str, render_row) -> bool:
     return certified == len(reports)
 
 
-def _protocol_row(r) -> None:
-    status = "CERTIFIED" if r.certified else "FAILED"
-    ranks = ",".join(str(x) for x in r.ranks)
-    print(
-        f"{status:<9} {r.module}::{r.qualname}  ranks={ranks} "
-        f"paths={r.paths} posts={r.posts} drains={r.drains} "
-        f"collectives={r.collectives}"
-    )
-    for p in r.problems:
-        print(f"  [{p.kind}] {p.module}:{p.line} in {p.function}: {p.message}")
-
-
 def _transport_row(r) -> None:
     status = "CERTIFIED" if r.certified else "FAILED"
     print(f"{status:<9} {r.module}::{r.qualname}  functions={r.functions}")
@@ -197,16 +178,9 @@ def _costs_row(r) -> None:
 def _cmd_verify(args: argparse.Namespace, project: ProjectContext) -> int:
     """Every requested certification table over one project context."""
     from .costverify import verify_costs
-    from .flow import verify_drivers, verify_transport
+    from .flow import verify_transport
 
     ok = True
-    if args.verify_protocol:
-        ok &= _print_table(
-            verify_drivers(project),
-            "drivers",
-            "driver(s) certified deadlock-free",
-            _protocol_row,
-        )
     if args.verify_transport:
         ok &= _print_table(
             verify_transport(project),
@@ -242,7 +216,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         project_root=root,
     )
 
-    if args.verify_protocol or args.verify_transport or args.verify_costs:
+    if args.verify_transport or args.verify_costs:
         return _cmd_verify(args, load_project(paths, config))
 
     if args.changed_only:

@@ -30,7 +30,7 @@ root:
   ``repro.kernels`` module (checked across every run of every root).
 
 Any violated check is a DRIFT row; ``repro lint --verify-costs`` exits
-1 — the same contract as ``--verify-protocol`` / ``--verify-transport``.
+1 — the same contract as ``--verify-transport``.
 """
 
 from __future__ import annotations
@@ -182,8 +182,6 @@ class _Joiner:
     def finish(self) -> None:
         """Cross-run must-fire coverage."""
         for site in self.analysis.sites:
-            if site.fault_path:
-                continue
             if site.key not in self.fired:
                 self.report.check(
                     f"site {site.module}:{site.line} ({site.kind}) exercised",

@@ -17,7 +17,7 @@ the question every interprocedural analysis needs:
   template method's ``self._run_level`` reaches the override.
 
 Resolution is best-effort and *sound for composition*: an unresolvable
-call simply contributes no summary (the verifier treats it as opaque),
+call simply contributes no callee (the analyses treat it as opaque),
 never a wrong one.
 """
 
@@ -58,8 +58,9 @@ class FunctionDecl:
 
     @property
     def is_transport_method(self) -> bool:
-        """Methods of the class that *implements* send/recv are the
-        transport, not an SPMD driver — their posts are queue operations."""
+        """Methods of the class that *implements* ``exchange`` and
+        ``barrier`` are the transport, not an SPMD driver — their posts
+        are queue operations."""
         return self.cls is not None and implements_transport(self.cls.methods)
 
 

@@ -61,13 +61,6 @@ class CFG:
                     return b
         return None
 
-    def statements(self) -> list[ast.stmt]:
-        """Every statement, in block-id then in-block order."""
-        out: list[ast.stmt] = []
-        for bid in sorted(self.blocks):
-            out.extend(self.blocks[bid].stmts)
-        return out
-
     def rpo(self) -> list[int]:
         """Reverse postorder over reachable blocks (entry first)."""
         seen: set[int] = set()

@@ -1,7 +1,7 @@
 """Static cost analysis: charge-site extraction + symbolic cost models.
 
-The third certification surface (after the protocol and transport
-verifiers): every modeled-speedup figure the reproduction reports is a
+The second certification surface (after the transport verifier):
+every modeled-speedup figure the reproduction reports is a
 sum of charges the drivers push into the simulator, and this module
 derives — statically — where those charges come from and how many of
 them the loop structure implies, as symbolic expressions over the
@@ -12,7 +12,7 @@ Three artefacts per certified comm root:
 
 * the **charge-site inventory**: every call
   :func:`repro.lint.comm.charged_as` recognises (``sim.compute`` /
-  ``sim.send`` / ``sim.exchange`` / ``sim.barrier`` / collectives)
+  ``sim.exchange`` / ``sim.barrier`` / collectives)
   reachable from the root through the project call graph, located by
   (kind, module, line) — the join key the runtime
   :class:`~repro.machine.ledger.ChargeLedger` records;
@@ -32,7 +32,7 @@ Three artefacts per certified comm root:
 Soundness boundary (DESIGN.md §15): extraction recognises charges by
 receiver shape (an attribute call on a name ending in ``sim`` /
 ``simulator`` / ``transport``), resolves callees through the same
-best-effort call graph as the protocol verifier (unresolvable calls are
+best-effort call graph as the transport verifier (unresolvable calls are
 opaque), and attributes ``self.X`` dispatch through the static MRO.
 Anything the static side misses is caught at runtime: a ledger event
 from a line outside the inventory is cost-model drift.
@@ -320,10 +320,6 @@ class ChargeSite:
     #: every enclosing loop is bounded, the site is not inside a nested
     #: ``def``, and the enclosing function runs once per driver call
     count_expr: str | None
-    #: the site only executes on a fault-recovery path (inside an
-    #: ``except`` handler) — exempt from the must-fire coverage check,
-    #: mirroring the protocol verifier's handler pruning
-    fault_path: bool
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -351,7 +347,6 @@ def extract_charge_sites(
             # an exchange fires once per message: an unbounded implicit loop
             loops: list[str | None] = [None] if classify(node) == "exchange" else []
             nested = False
-            fault_path = False
             for cur in ancestors(node):
                 if cur is decl.node:
                     break
@@ -359,8 +354,6 @@ def extract_charge_sites(
                     loops.append(_loop_bound(cur))
                 elif isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     nested = True
-                elif isinstance(cur, ast.ExceptHandler):
-                    fault_path = True
             loops.reverse()
             count_expr: str | None = None
             if (
@@ -380,7 +373,6 @@ def extract_charge_sites(
                     amount=ast.unparse(amount) if amount is not None else "",
                     loops=tuple(loops),
                     count_expr=count_expr,
-                    fault_path=fault_path,
                 )
             )
     sites.sort(key=lambda s: (s.module, s.line, s.col))

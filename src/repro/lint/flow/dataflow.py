@@ -1,4 +1,4 @@
-"""A small monotone dataflow framework plus the two standard instances.
+"""A small monotone dataflow framework plus its constant-propagation instance.
 
 The solver (:func:`solve_forward`) is the classic worklist iteration
 over a :class:`~repro.lint.flow.cfg.CFG`: states live on block *entry*,
@@ -6,13 +6,8 @@ over a :class:`~repro.lint.flow.cfg.CFG`: states live on block *entry*,
 confluence points.  Termination is guaranteed for the finite/bounded
 lattices used here.
 
-Instances
----------
-:class:`ReachingDefinitions`
-    ``name -> set of definition sites`` (a site is ``(line, col)`` of
-    the assignment statement).  The taint analyses and the SPMD003
-    copy-chain refinement consume this.
-
+Instance
+--------
 :class:`ConstantPropagation`
     The standard constant lattice ``UNDEF < const < NAC`` per name,
     with an evaluator (:func:`eval_const_expr`) covering arithmetic,
@@ -26,7 +21,7 @@ Instances
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from .cfg import CFG, build_cfg
 
@@ -34,7 +29,6 @@ __all__ = [
     "UNDEF",
     "NAC",
     "solve_forward",
-    "ReachingDefinitions",
     "ConstantPropagation",
     "eval_const_expr",
     "constant_env_at",
@@ -192,72 +186,16 @@ def solve_forward(
     return states
 
 
-# ----------------------------------------------------------------------
-# reaching definitions
-# ----------------------------------------------------------------------
-
-
-class ReachingDefinitions:
-    """``name -> frozenset((line, col))`` of reaching assignment sites."""
-
-    def __init__(self, func: ast.AST) -> None:
-        self.cfg = func if isinstance(func, CFG) else build_cfg(func)
-        params = self._param_names(self.cfg.node)
-        initial = {p: frozenset({(0, 0)}) for p in params}
-        self.entry_states = solve_forward(
-            self.cfg, initial, self._transfer, self._join
-        )
-        #: definition expression per site, for chain rendering
-        self.def_exprs: dict[tuple[int, int], ast.stmt] = {}
-        for stmt in self.cfg.statements():
-            if assigned_names(stmt):
-                self.def_exprs[(stmt.lineno, stmt.col_offset)] = stmt
-
-    @staticmethod
-    def _param_names(node: ast.AST | None) -> list[str]:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return []
-        a = node.args
-        names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
-        if a.vararg:
-            names.append(a.vararg.arg)
-        if a.kwarg:
-            names.append(a.kwarg.arg)
-        return names
-
-    @staticmethod
-    def _transfer(state: dict, stmt: ast.stmt) -> dict:
-        names = assigned_names(stmt)
-        if not names:
-            return state
-        new = dict(state)
-        site = frozenset({(stmt.lineno, stmt.col_offset)})
-        for n in names:
-            new[n] = site
-        return new
-
-    @staticmethod
-    def _join(states: list[dict]) -> dict:
-        out: dict[str, frozenset] = {}
-        for s in states:
-            for k, v in s.items():
-                out[k] = out.get(k, frozenset()) | v
-        return out
-
-    def defs_at(self, node: ast.AST) -> dict[str, frozenset]:
-        """Reaching definitions at the statement containing ``node``."""
-        stmt = node if isinstance(node, ast.stmt) else _enclosing_stmt(node)
-        if stmt is None:
-            return {}
-        block = self.cfg.block_of(stmt)
-        if block is None or block.id not in self.entry_states:
-            return {}
-        state = self.entry_states[block.id]
-        for s in block.stmts:
-            if s is stmt:
-                return state
-            state = self._transfer(state, s)
-        return state
+def _param_names(node: ast.AST | None) -> list[str]:
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return []
+    a = node.args
+    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+    if a.vararg:
+        names.append(a.vararg.arg)
+    if a.kwarg:
+        names.append(a.kwarg.arg)
+    return names
 
 
 def _enclosing_stmt(node: ast.AST) -> ast.stmt | None:
@@ -394,19 +332,11 @@ _CMPOPS: dict[type, Callable] = {
 
 
 class ConstantPropagation:
-    """Per-name constant lattice over a function CFG.
+    """Per-name constant lattice over a function CFG."""
 
-    ``seed`` pre-binds names (used by the protocol verifier to pin
-    ``rank``/``nranks`` to concrete values per enumerated rank).
-    """
-
-    def __init__(self, func: ast.AST, *, seed: dict[str, Any] | None = None) -> None:
+    def __init__(self, func: ast.AST) -> None:
         self.cfg = func if isinstance(func, CFG) else build_cfg(func)
-        initial: dict[str, Any] = {
-            p: NAC for p in ReachingDefinitions._param_names(self.cfg.node)
-        }
-        if seed:
-            initial.update(seed)
+        initial: dict[str, Any] = {p: NAC for p in _param_names(self.cfg.node)}
         self.entry_states = solve_forward(
             self.cfg, initial, self._transfer, self._join
         )
@@ -495,10 +425,7 @@ class ConstantPropagation:
 
 
 def constant_env_at(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-    node: ast.AST,
-    *,
-    seed: dict[str, Hashable] | None = None,
+    func: ast.FunctionDef | ast.AsyncFunctionDef, node: ast.AST
 ) -> dict[str, Any]:
     """Convenience wrapper: constants reaching ``node`` inside ``func``."""
-    return ConstantPropagation(func, seed=seed).env_at(node)
+    return ConstantPropagation(func).env_at(node)

@@ -1,7 +1,7 @@
 """Transport-portability analysis of rank-executed code (``TRN003``/``TRN004``).
 
-A message is accounting only — ``send(src, dst, nwords, tag)`` moves
-time and counters, never data.  What crosses a process boundary is the
+A message is accounting only — ``exchange([(src, dst, nwords)], tag)``
+moves time and counters, never data.  What crosses a process boundary is the
 value a parallel-region thunk *returns*, which the process transport
 pickles to every replica (DESIGN.md §12).  Whether that value survives
 pickling is checked at runtime, where it cannot be missed: the process
@@ -28,7 +28,7 @@ engine).
 
 **Rank-executed code** is the communication closure
 (:meth:`ProjectContext.closure <repro.lint.runner.ProjectContext.closure>`):
-every function that transitively posts/drains/synchronises, plus
+every function that transitively exchanges or synchronises, plus
 everything those functions transitively call.
 """
 
@@ -265,8 +265,7 @@ def analyze_transport(project: "ProjectContext") -> list[TransportProblem]:
 
 def verify_transport(project: "ProjectContext") -> list[TransportReport]:
     """Transport-readiness certification, one report per target of
-    :meth:`ProjectContext.targets` (the same set ``--verify-protocol``
-    certifies).  Each target's whole communication closure is analysed;
+    :meth:`ProjectContext.targets`.  Each target's whole communication closure is analysed;
     the report aggregates the problems found anywhere in it.
     """
     an = _TransportAnalyzer(project)

@@ -1,3 +1,3 @@
 """Built-in rule families — importing this package registers them all."""
 
-from . import breakdown, determinism, flow_rules, parity, perf, spmd, transport  # noqa: F401
+from . import breakdown, determinism, flow_rules, parity, perf, transport  # noqa: F401

@@ -1,16 +1,9 @@
-"""Dataflow-powered rules (``SPMD004``, ``SPMD005``, ``DET005``).
+"""Dataflow-powered rules (``SPMD005``, ``DET005``).
 
 These rules consume the :mod:`repro.lint.flow` engine — the CFG/
-dataflow layer, the project call graph, the symbolic protocol executor
-and the taint analyses — and therefore see through indirection the
-syntactic rules (SPMD003, DET001–004) cannot:
+dataflow layer and the taint analyses — and therefore see through
+indirection the syntactic rules (DET001–004) cannot:
 
-* ``SPMD004`` certifies whole drivers deadlock-free by symbolic
-  execution over rank counts 2–4, composing per-function summaries
-  interprocedurally.  It reports *semantic* protocol violations —
-  drains with no matching post (an unmatched tag included),
-  collectives reached with messages in flight, posts leaked at exit —
-  each located at the offending call.
 * ``SPMD005`` flags collectives that not every rank reaches once per
   superstep: guarded by a rank-derived value (``if rank == 0:``, or
   through copies and arithmetic, ``leader = rank == 0`` … ``if
@@ -26,57 +19,14 @@ from __future__ import annotations
 import ast
 
 from ..astutil import ancestors, call_name, enclosing_function, names_in
-from ..comm import RANK_NAMES, RANK_RANGE_MARKERS, CommSite, branch_conditions
+from ..comm import RANK_NAMES, RANK_RANGE_MARKERS, classify
 from ..findings import Finding, Severity
-from ..flow import rank_tainted_names, rng_taint_chains, verify_drivers
+from ..flow import rank_tainted_names, rng_taint_chains
 from ..flow.dataflow import NAC, constant_env_at, eval_const_expr
 from ..registry import Rule, register
-from ..runner import ModuleContext, ProjectContext
+from ..runner import ModuleContext
 
-__all__ = ["ProtocolDeadlock", "RankTaintedCollective", "RngTaintedDropping"]
-
-
-@register
-class ProtocolDeadlock(Rule):
-    """Symbolic protocol execution found a deadlock or message leak.
-
-    The verifier enumerates every driver path over 2–4 ranks; a finding
-    here is a concrete schedule on which the simulator would hang or
-    leave messages undrained (see ``repro lint --verify-protocol`` for
-    the certification view of the same analysis).
-    """
-
-    id = "SPMD004"
-    name = "protocol-deadlock"
-    severity = Severity.ERROR
-    description = (
-        "symbolically executed send/recv/collective protocol must "
-        "certify deadlock-free for 2-4 ranks"
-    )
-
-    def check_project(self, project: ProjectContext) -> list[Finding]:
-        out: list[Finding] = []
-        seen: set[tuple[str, str, int]] = set()
-        for report in verify_drivers(project):
-            for p in report.problems:
-                module = project.by_relpath.get(p.module)
-                if module is None:
-                    continue
-                # one finding per (kind, site): the executor reports the
-                # same defect once per rank count / path otherwise
-                key = (p.kind, p.module, p.line)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    self.finding(
-                        module,
-                        p.line,
-                        0,
-                        f"[{p.kind}] in {p.function}: {p.message}",
-                    )
-                )
-        return out
+__all__ = ["RankTaintedCollective", "RngTaintedDropping"]
 
 
 def _const_folds(func: ast.AST | None, test: ast.expr) -> bool:
@@ -87,15 +37,28 @@ def _const_folds(func: ast.AST | None, test: ast.expr) -> bool:
     return eval_const_expr(test, env) is not NAC
 
 
-def _tainted_guard(site: CommSite, tainted: dict) -> str | None:
-    """Why a branch guarding ``site`` is rank-derived, or None.
+def _branch_conditions(call: ast.Call) -> list[ast.expr]:
+    """The ``if``/``while``/conditional-expression tests controlling
+    reachability of ``call``, innermost first, stopping at the function
+    boundary."""
+    out: list[ast.expr] = []
+    for anc in ancestors(call):
+        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            break
+        if isinstance(anc, (ast.If, ast.While, ast.IfExp)):
+            out.append(anc.test)
+    return out
+
+
+def _tainted_guard(call: ast.Call, func: ast.AST | None, tainted: dict) -> str | None:
+    """Why a branch guarding ``call`` is rank-derived, or None.
 
     Conditions that constant-fold are discharged: they evaluate
     identically on every rank, however rank-flavoured their spelling.
     """
-    for test in branch_conditions(site):
+    for test in _branch_conditions(call):
         hit = sorted(names_in(test) & set(tainted))
-        if not hit or _const_folds(site.func, test):
+        if not hit or _const_folds(func, test):
             continue
         return (
             f"collective guarded by rank-derived value {hit[0]!r} "
@@ -105,10 +68,10 @@ def _tainted_guard(site: CommSite, tainted: dict) -> str | None:
     return None
 
 
-def _rank_loop(site: CommSite) -> ast.For | None:
-    """The nearest ``for`` over the ranks enclosing ``site`` in its
+def _rank_loop(call: ast.Call) -> ast.For | None:
+    """The nearest ``for`` over the ranks enclosing ``call`` in its
     function: a rank-named target or an iterable over the rank count."""
-    for anc in ancestors(site.call):
+    for anc in ancestors(call):
         if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return None
         if isinstance(anc, ast.For) and (
@@ -144,23 +107,23 @@ class RankTaintedCollective(Rule):
     def check_module(self, module: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
         taint_cache: dict[int, dict] = {}
-        for site in module.comm_sites:
-            if site.kind != "collective":
+        for call in module.index.of(ast.Call):
+            if classify(call) != "collective":
                 continue
+            func = enclosing_function(call)
             tainted: dict = {}
-            if site.func is not None:
-                key = id(site.func)
-                if key not in taint_cache:
-                    taint_cache[key] = rank_tainted_names(site.func)
-                tainted = taint_cache[key]
-            message = _tainted_guard(site, tainted)
-            if message is None and (loop := _rank_loop(site)) is not None:
+            if func is not None:
+                if id(func) not in taint_cache:
+                    taint_cache[id(func)] = rank_tainted_names(func)
+                tainted = taint_cache[id(func)]
+            message = _tainted_guard(call, func, tainted)
+            if message is None and (loop := _rank_loop(call)) is not None:
                 message = (
                     f"collective inside a per-rank loop (line {loop.lineno}): "
                     "it would fire once per rank, not once per superstep"
                 )
             if message is not None:
-                out.append(self.finding(module, site.line, site.col, message))
+                out.append(self.finding(module, call.lineno, call.col_offset, message))
         return out
 
 

@@ -3,9 +3,9 @@ execution.
 
 A lint run (and every ``--verify-*`` table) parses each file once into a
 :class:`ModuleContext` and wraps them in one :class:`ProjectContext`.
-The contexts own what the analyses share: a module's node index and
-communication sites, the project's call graph, per-function summaries,
-call closures, verification targets and the transport problem list are
+The contexts own what the analyses share: a module's node index, the
+project's call graph, call closures, the set of communicating
+functions, verification targets and the transport problem list are
 each built lazily, once, by whichever rule or table asks first.
 """
 
@@ -19,11 +19,10 @@ from functools import cached_property
 from pathlib import Path
 
 from .astutil import NodeIndex
-from .comm import COMM_ROOTS, CommSite, comm_sites
+from .comm import COMM_ROOTS, classify, is_comm
 from .findings import Finding, sort_findings
 from .flow.callgraph import CallGraph, FunctionDecl, build_call_graph
 from .flow.portability import TransportProblem, analyze_transport
-from .flow.summary import FunctionSummary, summarize_function
 from .registry import Rule, all_rules
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 #: Per-directory rule profiles: ``relpath prefix -> disabled rule-id
-#: prefixes``.  The SPMD protocol rules, the charge-parity rule, and
+#: prefixes``.  The SPMD collective rule, the charge-parity rule, and
 #: the transport-portability rules describe obligations of the
 #: *drivers*; test and benchmark code exercises the simulator in
 #: intentionally-partial ways, so only the determinism/breakdown
@@ -101,11 +100,6 @@ class ModuleContext:
             lines=source.splitlines(),
         )
 
-    @cached_property
-    def comm_sites(self) -> list[CommSite]:
-        """Every communication call site of the module."""
-        return comm_sites(self.index.of(ast.Call))
-
 
 @dataclass
 class ProjectContext:
@@ -116,13 +110,9 @@ class ProjectContext:
     config: LintConfig = field(default_factory=LintConfig)
     #: Relpaths of the files named explicitly on the command line.
     explicit: frozenset[str] = frozenset()
-    _summaries: dict[str, FunctionSummary] = field(
-        default_factory=dict, init=False, repr=False
-    )
     _callees: dict[str, list[FunctionDecl]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _has_comm: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def call_graph(self) -> CallGraph:
@@ -131,15 +121,6 @@ class ProjectContext:
     @cached_property
     def by_relpath(self) -> dict[str, ModuleContext]:
         return {m.relpath: m for m in self.modules}
-
-    def summary(self, decl: FunctionDecl) -> FunctionSummary:
-        """The communication summary (protocol IR) of one function."""
-        s = self._summaries.get(decl.key)
-        if s is None:
-            s = self._summaries[decl.key] = summarize_function(
-                decl.node, qualname=decl.qualname, module=decl.module
-            )
-        return s
 
     def callees(self, decl: FunctionDecl) -> list[FunctionDecl]:
         """The project functions ``decl``'s body (nested scopes
@@ -173,20 +154,39 @@ class ProjectContext:
             work.extend(c for c in self.callees(decl) if c.key not in out)
         return sorted(out.values(), key=lambda d: (d.module, d.qualname))
 
+    @cached_property
+    def _communicating(self) -> frozenset[str]:
+        """Keys of the functions that transitively exchange or
+        synchronise: the direct callers of ``exchange`` or a collective,
+        then their callers, in one backward pass over :meth:`callees`
+        (transport methods are neither marked nor passed through, as in
+        :meth:`closure`)."""
+        callers: dict[str, list[str]] = {}
+        work: list[str] = []
+        for decl in self.call_graph.functions():
+            if decl.is_transport_method:
+                continue
+            for callee in self.callees(decl):
+                callers.setdefault(callee.key, []).append(decl.key)
+            if any(is_comm(call) for call in decl.calls):
+                work.append(decl.key)
+        marked = set(work)
+        while work:
+            for caller in callers.get(work.pop(), ()):
+                if caller not in marked:
+                    marked.add(caller)
+                    work.append(caller)
+        return frozenset(marked)
+
     def has_comm(self, decl: FunctionDecl) -> bool:
-        """Does ``decl`` transitively post, drain or synchronise?"""
-        cached = self._has_comm.get(decl.key)
-        if cached is None:
-            cached = self._has_comm[decl.key] = any(
-                self.summary(d).has_direct_comm() for d in self.closure([decl])
-            )
-        return cached
+        """Does ``decl`` transitively exchange or synchronise?"""
+        return decl.key in self._communicating
 
     def targets(self) -> list[FunctionDecl]:
-        """What ``--verify-protocol``/``--verify-transport`` certify: the
+        """What ``--verify-transport`` certifies: the
         registered :data:`~repro.lint.comm.COMM_ROOTS` plus every other
-        call-graph root whose own body both posts and drains (send-only
-        or recv-only helpers compose into their callers instead)."""
+        call-graph root whose own body calls ``exchange`` (helpers
+        compose into their callers instead)."""
         cg = self.call_graph
         found: dict[str, FunctionDecl] = {}
         for relpath, qualname in COMM_ROOTS:
@@ -198,7 +198,7 @@ class ProjectContext:
         for decl in functions:
             if decl.key in called or decl.is_transport_method:
                 continue
-            if {"send", "recv"} <= self.summary(decl).direct_kinds():
+            if any(classify(call) == "exchange" for call in decl.calls):
                 found.setdefault(decl.key, decl)
         return sorted(found.values(), key=lambda d: (d.module, d.qualname))
 
@@ -213,8 +213,8 @@ class LintStats:
     """Optional per-run instrumentation (``repro lint --stats``).
 
     Shared analyses are built lazily, so their cost lands on the first
-    rule that asks (the call graph and summaries on SPMD004, the
-    transport analysis on TRN003).
+    rule that asks (the call graph and the whole transport analysis on
+    TRN003).
     """
 
     rule_seconds: dict[str, float] = field(default_factory=dict)

@@ -1,7 +1,7 @@
 """The typed failures of the machine layer.
 
 They live below both :mod:`~repro.machine.simulator` (which raises the
-deadlock and thunk-discipline errors) and the worker transports (which
+thunk-discipline errors) and the worker transports (which
 raise the supervision taxonomy, DESIGN.md §14), so neither has to import
 the other to name them.
 """
@@ -20,7 +20,7 @@ __all__ = [
 
 
 class TransportError(RuntimeError):
-    """A transport-layer failure (deadlock, worker death, misuse)."""
+    """A transport-layer failure (worker death, misuse)."""
 
 
 class TransportCapabilityError(TransportError, ValueError):

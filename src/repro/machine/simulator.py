@@ -4,8 +4,8 @@ The parallel algorithms in this library (parallel ILUT/ILUT*, the
 level-scheduled triangular solves, the distributed matvec, the
 distributed two-step Luby MIS) are written against this simulator the
 way an MPI code is written against a communicator: ranks do local
-compute, exchange point-to-point messages, and synchronise at barriers
-and collectives.  The simulator
+compute, exchange point-to-point messages in supersteps, and
+synchronise at barriers and collectives.  The simulator
 
 * executes the *real* computation (the factorizations it produces are
   bit-identical to what a real message-passing run would produce, since
@@ -19,9 +19,10 @@ and collectives.  The simulator
 Timing semantics
 ----------------
 - ``compute(rank, flops)`` advances one rank's clock.
-- ``send``/``recv`` implement asynchronous point-to-point messages: a
-  message arrives no earlier than the sender's clock at send time plus
-  the transfer cost; ``recv`` advances the receiver to the arrival time
+- ``exchange(messages, tag)`` is the one point-to-point primitive: it
+  posts every ``(src, dst, nwords)`` message, then drains them.  A
+  message arrives no earlier than the sender's clock at post time plus
+  the transfer cost; draining advances the receiver to the arrival time
   if it was ahead of it ("waiting").  A message is pure accounting —
   ``(src, dst, nwords, tag)`` and nothing else: the data a rank needs
   reaches it as the value its parallel-region thunk returns.
@@ -60,10 +61,10 @@ ranks can be stalled or crashed at a chosen superstep
 (the count of completed barriers + collectives).  A message carries no
 data, so a ``corrupt`` message fault has nothing to act on here and is
 refused; its one reading is the worker transports' corrupt-result.
-Every injected event is appended to :attr:`Simulator.fault_journal`.  Under an active plan a
-receive that finds its mailbox empty raises
-:class:`~repro.faults.MessageLost` instead of the hard deadlock error,
-so drivers can retransmit; an armed crash raises
+Every injected event is appended to :attr:`Simulator.fault_journal`.  A
+dropped message is re-posted by :meth:`Simulator.exchange` up to
+:data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
+escalates to the driver; an armed crash raises
 :class:`~repro.faults.RankFailure` at the victim's next activity.
 :meth:`snapshot` / :meth:`restore` capture and roll back the full
 timing + mailbox state so a checkpointing driver can resume from the
@@ -74,8 +75,8 @@ path at a ``None`` check per call.
 Race detection
 --------------
 With ``trace=True`` the simulator carries an
-:class:`~repro.verify.trace.AccessTracer`: every ``send`` attaches the
-sender's vector clock to the message, every ``recv`` joins it into the
+:class:`~repro.verify.trace.AccessTracer`: every posted message carries
+the sender's vector clock, every drained one joins it into the
 receiver's, and barriers/collectives join all clocks — so instrumented
 drivers can declare shared-object accesses via :meth:`declare_read` /
 :meth:`declare_write` and :func:`repro.verify.find_races` can check that
@@ -356,8 +357,42 @@ class Simulator:
     # point-to-point
     # ------------------------------------------------------------------
 
-    def send(self, src: int, dst: int, nwords: float, tag: Any = None) -> None:
-        """Post an ``nwords``-word message; the sender is charged the
+    def exchange(self, messages: list[tuple[int, int, float]], tag: Any = None) -> None:
+        """Superstep all-to-some exchange — the one way a driver moves a
+        message.
+
+        ``messages`` is a list of ``(src, dst, nwords)``.  All sends are
+        posted in the given order, then the messages are drained in
+        ``(src, dst)``-sorted order — the post/drain sequence the
+        drivers' fault-journal signatures are pinned to.  A drain only
+        ever consumes what the same call posted, so an exchange cannot
+        deadlock or leave a post undrained.
+
+        A message lost to the fault plan is re-posted by its sender (the
+        same ``nwords``, journaled as ``retransmit``) up to
+        :data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
+        escalates to the caller.
+        """
+        for src, dst, nwords in messages:
+            self._send(src, dst, nwords, tag)
+        for src, dst, nwords in sorted(messages, key=itemgetter(0, 1)):
+            attempt = 0
+            while not self._recv(dst, src, tag):
+                attempt += 1
+                if attempt > MAX_RETRANSMITS:
+                    raise MessageLost(src, dst, tag)
+                self.faults.journal.record(
+                    "retransmit",
+                    superstep=self.superstep,
+                    src=src,
+                    dst=dst,
+                    tag=tag,
+                    detail=f"attempt {attempt}",
+                )
+                self._send(src, dst, nwords, tag)
+
+    def _send(self, src: int, dst: int, nwords: float, tag: Any) -> None:
+        """Post one ``nwords``-word message; the sender is charged the
         injection overhead.
 
         Under an active fault plan the message may be dropped (charged
@@ -369,7 +404,7 @@ class Simulator:
         dst = self._check_rank(dst)
         if nwords < 0:
             raise ValueError("nwords must be non-negative")
-        self._guard_rank(src, "send")
+        self._guard_rank(src, "exchange")
         attached = self.tracer.on_send(src) if self.tracer is not None else None
         if src == dst:
             # local hand-off: free, but keep FIFO semantics
@@ -396,67 +431,22 @@ class Simulator:
                 self._words += nwords * (copies - 1)
         self._mail[(src, dst, tag)].extend([(arrival, attached)] * copies)
 
-    def recv(self, dst: int, src: int, tag: Any = None) -> None:
-        """Blocking receive: waits (advances the clock) until arrival.
-
-        Under an active fault plan an empty mailbox raises the typed
-        :class:`~repro.faults.MessageLost` (the message was dropped and
-        the caller may retransmit); without a plan it is a programming
-        error and raises the hard deadlock
-        :class:`~repro.machine.errors.TransportError` — at once, on
-        every transport: all messaging is coordinator-context, so there
-        is nobody left to post the message.
-        """
-        dst = self._check_rank(dst)
-        src = self._check_rank(src)
-        self._guard_rank(dst, "recv")
+    def _recv(self, dst: int, src: int, tag: Any) -> bool:
+        """Drain one message: the receiver waits (its clock advances)
+        until the arrival.  ``False`` when the mailbox is empty, which
+        only a dropped message makes it inside :meth:`exchange`; the
+        loss is journaled."""
+        self._guard_rank(dst, "exchange")
         box = self._mail[(src, dst, tag)]
         if not box:
-            if self.faults is not None:
-                self.faults.on_lost(src, dst, tag, self.superstep)
-                raise MessageLost(src, dst, tag)
-            raise TransportError(
-                f"deadlock: rank {dst} receives from {src} (tag={tag!r}) "
-                "but no message was sent"
-            )
+            self.faults.on_lost(src, dst, tag, self.superstep)
+            return False
         arrival, attached = box.popleft()
         if arrival > self.clock[dst]:
             self.clock[dst] = arrival
         if self.tracer is not None:
             self.tracer.on_recv(dst, attached)
-
-    def exchange(self, messages: list[tuple[int, int, float]], tag: Any = None) -> None:
-        """Superstep all-to-some exchange.
-
-        ``messages`` is a list of ``(src, dst, nwords)``.  All sends are
-        posted in the given order, then the messages are drained in
-        ``(src, dst)``-sorted order — the post/drain sequence the
-        drivers' fault-journal signatures are pinned to.
-
-        A message lost to the fault plan is re-posted by its sender (the
-        same ``nwords``, journaled as ``retransmit``) up to
-        :data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
-        escalates to the caller.
-        """
-        for src, dst, nwords in messages:
-            self.send(src, dst, nwords, tag=tag)
-        for src, dst, nwords in sorted(messages, key=itemgetter(0, 1)):
-            for attempt in range(1, MAX_RETRANSMITS + 2):
-                try:
-                    self.recv(dst, src, tag=tag)
-                    break
-                except MessageLost:
-                    if attempt > MAX_RETRANSMITS:
-                        raise
-                    self.faults.journal.record(
-                        "retransmit",
-                        superstep=self.superstep,
-                        src=src,
-                        dst=dst,
-                        tag=tag,
-                        detail=f"attempt {attempt}",
-                    )
-                    self.send(src, dst, nwords, tag=tag)
+        return True
 
     # ------------------------------------------------------------------
     # collectives
@@ -610,7 +600,8 @@ class Simulator:
         return self._busy / total
 
     def pending_messages(self) -> int:
-        """Messages sent but never received (should be 0 at the end)."""
+        """Messages posted and never drained: the stale copies a
+        ``duplicate`` fault leaves behind (0 otherwise)."""
         return sum(len(q) for q in self._mail.values())
 
     def stats(self) -> CommStats:

@@ -36,9 +36,9 @@ A transport provides:
   and the coordinator merges them in deterministic rank order.  The one
   transport method a thunk may call is ``heartbeat()``; everything below
   raises :class:`TransportError` from inside a region.
-* the messaging surface ``send(src, dst, nwords, tag)`` / ``recv`` /
-  ``exchange([(src, dst, nwords)], tag)`` / ``barrier`` / ``allreduce``
-  / ``allgather`` and the accounting surface ``compute`` / ``advance`` /
+* the messaging surface ``exchange([(src, dst, nwords)], tag)`` (posts,
+  then drains, retransmitting what a fault plan drops) / ``barrier`` /
+  ``allreduce`` / ``allgather`` and the accounting surface ``compute`` / ``advance`` /
   ``superstep`` / ``elapsed`` / ``stats`` — a message is accounting
   only: it moves time and counters, never data;
 * the tracing hooks ``declare_read`` / ``declare_write`` (no-ops unless

@@ -10,7 +10,13 @@ from repro.faults import (
     RankFailure,
     RankFault,
 )
-from repro.machine import CRAY_T3D, IDEAL, Simulator, TransportCapabilityError
+from repro.machine import (
+    CRAY_T3D,
+    IDEAL,
+    MAX_RETRANSMITS,
+    Simulator,
+    TransportCapabilityError,
+)
 
 
 def make_sim(plan, nranks=2, model=CRAY_T3D):
@@ -19,44 +25,47 @@ def make_sim(plan, nranks=2, model=CRAY_T3D):
 
 class TestMessageFaults:
     def test_drop_raises_message_lost(self):
-        sim = make_sim(FaultPlan(message_faults=[MessageFault("drop")]))
-        sim.send(0, 1, 4.0, tag="data")
-        assert sim.pending_messages() == 0  # charged, never enqueued
+        """A message dropped on every retransmit escalates as
+        ``MessageLost``; each re-post is journaled."""
+        plan = FaultPlan(message_faults=[MessageFault("drop", count=MAX_RETRANSMITS + 1)])
+        sim = make_sim(plan)
         with pytest.raises(MessageLost, match="was lost"):
-            sim.recv(1, 0, tag="data")
-        assert sim.fault_journal.counts() == {"drop": 1, "lost": 1}
+            sim.exchange([(0, 1, 4.0)], tag="data")
+        assert sim.pending_messages() == 0  # charged, never enqueued
+        assert sim.fault_journal.counts() == {
+            "drop": MAX_RETRANSMITS + 1, "lost": MAX_RETRANSMITS + 1,
+            "retransmit": MAX_RETRANSMITS,
+        }
 
     def test_drop_still_charges_the_sender(self):
+        """A dropped post and its retransmit are both charged."""
         healthy = Simulator(2, CRAY_T3D)
-        healthy.send(0, 1, 4.0, tag="data")
+        healthy.exchange([(0, 1, 4.0), (0, 1, 4.0)], tag="data")
         sim = make_sim(FaultPlan(message_faults=[MessageFault("drop")]))
-        sim.send(0, 1, 4.0, tag="data")
+        sim.exchange([(0, 1, 4.0)], tag="data")
         assert sim.stats().messages == healthy.stats().messages
         assert sim.stats().words_sent == healthy.stats().words_sent
         assert sim.clock[0] == healthy.clock[0]
 
     def test_delay_pushes_arrival_back(self):
         base = Simulator(2, CRAY_T3D)
-        base.send(0, 1, 1.0, tag="t")
-        base.recv(1, 0, tag="t")
+        base.exchange([(0, 1, 1.0)], tag="t")
         sim = make_sim(
             FaultPlan(message_faults=[MessageFault("delay", delay=5.0)])
         )
-        sim.send(0, 1, 1.0, tag="t")
-        sim.recv(1, 0, tag="t")
+        sim.exchange([(0, 1, 1.0)], tag="t")
         assert sim.clock[1] == pytest.approx(base.clock[1] + 5.0)
         assert sim.clock[0] == base.clock[0]  # the sender pays no delay
 
     def test_duplicate_enqueues_second_copy(self):
         sim = make_sim(FaultPlan(message_faults=[MessageFault("duplicate")]))
-        sim.send(0, 1, 2.0, tag="t")
-        assert sim.pending_messages() == 2
+        sim.exchange([(0, 1, 2.0)], tag="t")
         assert (sim.stats().messages, sim.stats().words_sent) == (2, 4.0)
-        sim.recv(1, 0, tag="t")
         arrival = sim.clock[1]
-        sim.recv(1, 0, tag="t")  # the stale copy arrives with the first
+        assert sim.pending_messages() == 1  # the stale copy
+        sim.exchange([(0, 1, 2.0)], tag="t")  # drains the stale copy first
         assert sim.clock[1] == arrival
-        assert sim.pending_messages() == 0
+        assert sim.pending_messages() == 1
         assert sim.fault_journal.counts() == {"duplicate": 1}
 
     def test_corrupt_is_refused(self):
@@ -70,9 +79,8 @@ class TestMessageFaults:
 
     def test_unmatched_tag_is_unaffected(self):
         sim = make_sim(FaultPlan(message_faults=[MessageFault("drop", tag="other")]))
-        sim.send(0, 1, 1.0, tag="t")
-        assert sim.pending_messages() == 1
-        sim.recv(1, 0, tag="t")
+        sim.exchange([(0, 1, 1.0)], tag="t")
+        assert sim.stats().messages == 1
         assert len(sim.fault_journal) == 0
 
 
@@ -107,12 +115,13 @@ class TestRankFaults:
 
 class TestSnapshotRestore:
     def test_restore_rewinds_clocks_and_mail(self):
-        sim = Simulator(2, CRAY_T3D)
+        sim = make_sim(FaultPlan(message_faults=[MessageFault("duplicate")]))
         sim.compute(0, 100.0)
         snap = sim.snapshot()
         t = sim.elapsed()
         sim.compute(0, 500.0)
-        sim.send(0, 1, 1.0, tag="t")
+        sim.exchange([(0, 1, 1.0)], tag="t")
+        assert sim.pending_messages() == 1
         sim.restore(snap)
         assert sim.elapsed() == t
         assert sim.pending_messages() == 0
@@ -127,36 +136,31 @@ class TestSnapshotRestore:
         assert counts == {"crash": 1, "restore": 1}
 
     def test_one_snapshot_survives_two_restores(self):
-        sim = Simulator(2, CRAY_T3D)
-        sim.send(0, 1, 1.0, tag="t")
+        sim = make_sim(FaultPlan(message_faults=[MessageFault("duplicate")]))
+        sim.exchange([(0, 1, 1.0)], tag="t")  # leaves one stale copy in flight
         snap = sim.snapshot()
-        sim.recv(1, 0, tag="t")
+        sim.compute(0, 1000.0)
+        sim.exchange([(0, 1, 1.0)], tag="t")  # drains the stale copy
         arrival = sim.clock[1]
         for _ in range(2):
             sim.restore(snap)
             assert sim.pending_messages() == 1
-            assert sim.clock[1] == 0.0
-            sim.recv(1, 0, tag="t")
+            sim.compute(0, 1000.0)
+            sim.exchange([(0, 1, 1.0)], tag="t")
             assert sim.clock[1] == arrival
 
     def test_in_flight_message_keeps_its_vector_clock(self):
         """Under ``trace=True`` a message carries the sender's vector
-        clock; one in flight at the snapshot still orders the sender's
-        earlier write before the receiver's read after a restore."""
-        from repro.verify import find_races
-
-        sim = Simulator(2, CRAY_T3D, trace=True)
+        clock; a copy in flight at the snapshot (a duplicate's stale
+        copy) keeps it across a restore."""
+        plan = FaultPlan(message_faults=[MessageFault("duplicate", tag="t")])
+        sim = Simulator(2, CRAY_T3D, trace=True, faults=plan)
         sim.declare_write(0, "u-row", 7)
-        sim.send(0, 1, 1.0, tag="t")
+        sim.exchange([(0, 1, 1.0)], tag="t")  # its stale copy stays in flight
         snap = sim.snapshot()
-        sim.send(0, 1, 1.0, tag="rolled-back")
-        sim.restore(snap)
+        [(_arrival, clock)] = snap.mail[(0, 1, "t")]
+        assert clock is not None and clock[0] > 0  # rank 0's send ticked it
+        sim.exchange([(0, 1, 1.0)], tag="t")  # drains the stale copy
         assert sim.pending_messages() == 1
-        sim.recv(1, 0, tag="t")
-        sim.declare_read(1, "u-row", 7)
-        assert find_races(sim.tracer) == []
-        # without the message the same two accesses race
-        racy = Simulator(2, CRAY_T3D, trace=True)
-        racy.declare_write(0, "u-row", 7)
-        racy.declare_read(1, "u-row", 7)
-        assert len(find_races(racy.tracer)) == 1
+        sim.restore(snap)
+        assert sim.snapshot().mail == snap.mail

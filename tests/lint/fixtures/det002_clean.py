@@ -1,11 +1,8 @@
-"""DET002 clean twin: sorted() drains, or no communication at all."""
+"""DET002 clean twin: sorted() message lists, or no communication at all."""
 
 
 def drain(sim, plan):
-    for (src, dst), nodes in sorted(plan.items()):
-        sim.send(src, dst, 1.0, tag="halo")
-    for (src, dst), _nodes in sorted(plan.items()):
-        sim.recv(dst, src, tag="halo")
+    sim.exchange([(src, dst, 1.0) for (src, dst), _nodes in sorted(plan.items())], tag="halo")
 
 
 def pure_bookkeeping(plan):

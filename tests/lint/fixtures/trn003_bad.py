@@ -10,8 +10,7 @@ _CACHE = {}
 
 
 def cache_halo(sim, rank, nbr, key, val):
-    sim.send(rank, nbr, 1.0, tag="halo")
-    sim.recv(rank, nbr, tag="halo")
+    sim.exchange([(rank, nbr, 1.0)], tag="halo")
     _CACHE[key] = val
     return _CACHE[key]
 
@@ -21,10 +20,9 @@ def count_messages(sim, rank, nbr, vals):
 
     def post(v):
         nonlocal sent
-        sim.send(rank, nbr, float(v), tag="m")
+        sim.exchange([(rank, nbr, float(v))], tag="m")
         sent += 1
 
     for v in vals:
         post(v)
-        sim.recv(rank, nbr, tag="m")
     return sent

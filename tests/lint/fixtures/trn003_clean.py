@@ -10,15 +10,13 @@ _TAGS = {"halo": 7}
 
 def tagged_exchange(sim, rank, nbr, val):
     tag = _TAGS["halo"]
-    sim.send(rank, nbr, 1.0, tag=tag)
-    sim.recv(rank, nbr, tag=tag)
+    sim.exchange([(rank, nbr, 1.0)], tag=tag)
     return val
 
 
 def local_count(sim, rank, nbr, vals):
     sent = {}
     for i, v in enumerate(vals):
-        sim.send(rank, nbr, 1.0, tag=i)
-        sim.recv(rank, nbr, tag=i)
+        sim.exchange([(rank, nbr, 1.0)], tag=i)
         sent[i] = v
     return sent

@@ -11,13 +11,11 @@ import numpy as np
 
 def index_exchange(sim, rank, nbr, n):
     idx = np.arange(n)
-    sim.send(rank, nbr, float(n), tag="idx")
-    sim.recv(rank, nbr, tag="idx")
+    sim.exchange([(rank, nbr, float(n))], tag="idx")
     return idx
 
 
 def narrow_exchange(sim, rank, nbr, vals):
     buf = np.asarray(vals, dtype=np.float32)
-    sim.send(rank, nbr, 1.0, tag="v")
-    sim.recv(rank, nbr, tag="v")
+    sim.exchange([(rank, nbr, 1.0)], tag="v")
     return buf

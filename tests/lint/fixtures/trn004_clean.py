@@ -10,13 +10,11 @@ import numpy as np
 
 def index_exchange(sim, rank, nbr, n):
     idx = np.arange(n, dtype=np.int64)
-    sim.send(rank, nbr, float(n), tag="idx")
-    sim.recv(rank, nbr, tag="idx")
+    sim.exchange([(rank, nbr, float(n))], tag="idx")
     return idx
 
 
 def value_exchange(sim, rank, nbr, n):
     buf = np.zeros(n)
-    sim.send(rank, nbr, float(n), tag="v")
-    sim.recv(rank, nbr, tag="v")
+    sim.exchange([(rank, nbr, float(n))], tag="v")
     return buf

@@ -44,15 +44,17 @@ def test_list_rules(capsys):
     rc = main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for rid in ("SPMD003", "DET001", "PAR002", "BRK001"):
+    for rid in ("SPMD005", "DET001", "PAR002", "BRK001"):
         assert rid in out
-    for gone in ("SPMD001", "SPMD002", "TRN001", "TRN002", "PAR001", "PAR003"):
+    for gone in (
+        "SPMD001", "SPMD002", "SPMD003", "SPMD004", "TRN001", "TRN002", "PAR001", "PAR003"
+    ):
         assert gone not in out
 
 
 def test_select_and_ignore(capsys):
     path = str(FIXTURES / "det001_bad.py")
-    assert main(["lint", path, "--select", "SPMD003"]) == 0
+    assert main(["lint", path, "--select", "SPMD005"]) == 0
     capsys.readouterr()
     assert main(["lint", path, "--ignore", "DET001"]) == 0
 
@@ -80,12 +82,12 @@ def test_github_format_emits_workflow_commands(capsys):
 
 
 def test_github_format_escapes_message_payload(capsys):
-    rc = main(["lint", str(FIXTURES / "spmd004_tags_bad.py"),
-               "--select", "SPMD004", "--format", "github"])
+    rc = main(["lint", str(FIXTURES / "spmd005_bad.py"),
+               "--select", "SPMD005", "--format", "github"])
     out = capsys.readouterr().out
     assert rc == 1
-    # tag messages contain commas/colons; they must survive as data, and
-    # the property fields must never carry a raw newline
+    # taint-chain messages contain commas/colons; they must survive as
+    # data, and the property fields must never carry a raw newline
     assert "::error file=" in out
     for ln in out.splitlines():
         if ln.startswith("::"):
@@ -100,22 +102,6 @@ def test_stats_flag_reports_rule_timings(capsys):
     assert rc == 1
     assert "file(s) analyzed" in err
     assert "DET003" in err
-
-
-def test_verify_protocol_certifies_the_repo(capsys):
-    rc = main(["lint", "--verify-protocol", str(REPO / "src" / "repro")])
-    out = capsys.readouterr().out
-    assert rc == 0, out
-    assert "CERTIFIED" in out and "FAILED" not in out
-    assert "certified" in out.splitlines()[-1]
-
-
-def test_verify_protocol_fails_on_deadlock_fixture(capsys):
-    rc = main(["lint", "--verify-protocol", str(FIXTURES / "deadlock_bad.py")])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "FAILED" in out
-    assert "[deadlock]" in out
 
 
 def test_verify_transport_certifies_the_repo(capsys):
@@ -136,15 +122,14 @@ def test_verify_transport_fails_on_hidden_state_fixture(capsys):
 
 
 def test_verify_flags_compose_in_fixed_order(capsys):
-    """One parse, every requested table, protocol -> transport -> costs
-    whatever the flag order; the parent ran only the first flag."""
-    rc = main(["lint", "--verify-costs", "--verify-protocol", "--verify-transport",
+    """One parse, both tables, transport -> costs whatever the flag
+    order."""
+    rc = main(["lint", "--verify-costs", "--verify-transport",
                str(REPO / "src" / "repro")])
     out = capsys.readouterr().out
     assert rc == 0, out
     footers = [ln for ln in out.splitlines() if ln[0].isdigit()]
     assert [f.split(" ", 1)[1] for f in footers] == [
-        "driver(s) certified deadlock-free",
         "driver(s) certified transport-portable",
         "cost model(s) certified against runtime charges",
     ]
@@ -152,18 +137,18 @@ def test_verify_flags_compose_in_fixed_order(capsys):
 
 
 def test_verify_flags_compose_exit_1_if_any_row_fails(capsys):
-    rc = main(["lint", "--verify-protocol", "--verify-transport",
-               str(FIXTURES / "trn003_bad.py")])
+    rc = main(["lint", "--verify-costs", "--verify-transport",
+               str(REPO / "src" / "repro"), str(FIXTURES / "trn003_bad.py")])
     out = capsys.readouterr().out
     assert rc == 1
-    # the protocol table certifies this fixture; the transport table does not
-    assert "certified deadlock-free" in out
+    # the cost table certifies the repo; the transport table fails the fixture
+    assert "7/7 cost model(s) certified" in out
     assert "TRN003" in out and "FAILED" in out
 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--fix"], ["--diff"], ["--baseline", "b.json"], ["--no-baseline"],
+    [["--verify-protocol"], ["--fix"], ["--diff"], ["--baseline", "b.json"], ["--no-baseline"],
      ["--write-baseline"], ["--show-baselined"], ["--no-cache"],
      ["-o", "out.txt"], ["--output", "out.txt"], ["--format", "sarif"]],
     ids=lambda f: f[0],

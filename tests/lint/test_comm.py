@@ -1,5 +1,5 @@
 """The transport vocabulary is pinned to the code it describes, and the
-three certification tables are views over one root list."""
+two certification tables are views over one root list."""
 
 import ast
 import inspect
@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.ilu.elimination import EliminationEngine
 from repro.lint import LintConfig, comm, load_project
 from repro.lint.costverify import verify_costs
-from repro.lint.flow import verify_drivers, verify_transport
+from repro.lint.flow import verify_transport
 from repro.machine import Simulator
 
 REPO = Path(__file__).resolve().parents[2]
@@ -34,35 +33,22 @@ def _positional(func) -> tuple[str, ...]:
 
 
 @pytest.mark.parametrize(
-    "method", ["send", "recv", "exchange", "allgather", "allreduce", "compute", "advance"]
+    "method", ["exchange", "allgather", "allreduce", "compute", "advance"]
 )
 def test_signatures_match_the_simulator(method):
     assert comm.SIGNATURES[method] == _positional(getattr(Simulator, method))
 
 
 def test_messages_are_accounting_only():
-    """``send``/``exchange`` have no data slot: a message is
-    ``(src, dst, nwords, tag)``, and ``recv`` hands nothing back."""
-    assert comm.SIGNATURES["send"] == ("src", "dst", "nwords", "tag")
-    assert inspect.signature(Simulator.recv).return_annotation in (None, "None")
-
-
-def test_recv_helper_signature_matches_the_engine_wrapper():
-    assert comm.SIGNATURES["recv_helper"] == _positional(EliminationEngine._recv_retry)
+    """``exchange`` has no data slot: a message is ``(src, dst, nwords)``
+    under one tag, and the exchange hands nothing back."""
+    assert comm.SIGNATURES["exchange"] == ("messages", "tag")
+    assert inspect.signature(Simulator.exchange).return_annotation in (None, "None")
 
 
 def test_role_positions_follow_the_signatures():
     """What ``_AMOUNT_ARG``'s ``allgather: 2`` / ``allreduce: 2`` got
     wrong: every role resolves through the one signature table."""
-    send = _call("sim.send(s, d, 3.0, ('t', 1))")
-    assert [ast.unparse(comm.argument(send, p)) for p in ("src", "dst", "tag")] == [
-        "s", "d", "('t', 1)"
-    ]
-    assert ast.unparse(comm.amount_expr(send)) == "3.0"
-    recv = _call("sim.recv(d, s, tag='t')")
-    assert [ast.unparse(comm.argument(recv, p)) for p in ("src", "dst", "tag")] == [
-        "s", "d", "'t'"
-    ]
     assert ast.unparse(comm.amount_expr(_call("sim.allgather(vals, 2.0)"))) == "2.0"
     assert comm.amount_expr(_call("sim.allreduce(vals, 'sum')")) is None
     assert ast.unparse(comm.amount_expr(_call("sim.compute(r, flops=n)"))) == "n"
@@ -78,21 +64,19 @@ def test_every_posting_or_charging_transport_method_is_classified():
         if not name.startswith("_")
     }
     vocabulary = {n for n in public if comm.classify(_call(f"sim.{n}()")) is not None}
-    assert vocabulary == set(comm.SIGNATURES) - {"recv_helper"}
+    assert vocabulary == set(comm.SIGNATURES)
     assert public - vocabulary == NEUTRAL
     # ... and each charges the ledger under the kind the simulator records
     assert {n: comm.charged_as(_call(f"sim.{n}()")) for n in sorted(vocabulary)} == {
         "advance": "advance", "allgather": "allgather", "allreduce": "allreduce",
         "barrier": "barrier", "compute": "compute", "exchange": "send",
-        "recv": None, "send": "send",
     }
-    assert comm.charged_as(_call("queue.send()")) is None  # not a transport receiver
+    assert comm.charged_as(_call("queue.exchange()")) is None  # not a transport receiver
 
 
-def test_three_tables_certify_the_same_roots():
+def test_both_tables_certify_the_same_roots():
     project = load_project([REPO / "src" / "repro"], LintConfig(project_root=REPO))
     roots = {f"{m}::{q}" for m, q in comm.COMM_ROOTS}
-    protocol = {r.key for r in verify_drivers(project)}
     transport = {r.key for r in verify_transport(project)}
     costs = {r.key for r in verify_costs(project) if r.runs}  # minus the kernels surface
-    assert protocol == transport == costs == roots
+    assert transport == costs == roots

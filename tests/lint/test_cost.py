@@ -71,13 +71,6 @@ class TestStaticAnalysis:
         assert kinds == ["barrier", "compute", "send"]
         assert all(s.module == "src/repro/solvers/parallel_matvec.py" for s in a.sites)
 
-    def test_fault_path_site_is_marked(self, analyses):
-        a = analyses["EliminationEngine.run"]
-        fault_sites = [s for s in a.sites if s.fault_path]
-        assert len(fault_sites) == 1
-        assert fault_sites[0].kind == "send"
-        assert fault_sites[0].function == "EliminationEngine._recv_retry"
-
     def test_mis_round_loop_count_derived(self, analyses):
         a = analyses["distributed_two_step_luby_mis"]
         by_kind = {s.kind: s for s in a.sites if s.count_expr}

@@ -11,7 +11,7 @@ import ast
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.flow import ConstantPropagation, ReachingDefinitions
+from repro.lint.flow import ConstantPropagation
 from repro.lint.flow.dataflow import NAC, UNDEF, constant_env_at, eval_const_expr
 
 NAMES = ("a", "b", "c", "d")
@@ -132,22 +132,6 @@ def test_eval_const_expr_supported_builtins_and_bool_ops():
         assert got == want, (src, got, want)
     assert eval_const_expr(ast.parse("open('f')", mode="eval").body, env) is NAC
     assert eval_const_expr(ast.parse("y + 1", mode="eval").body, env) is NAC
-
-
-def test_reaching_definitions_merge_at_join():
-    code = (
-        "def f(flag):\n"
-        "    x = 1\n"
-        "    if flag:\n"
-        "        x = 2\n"
-        "    pass\n"
-    )
-    func = ast.parse(code).body[0]
-    rd = ReachingDefinitions(func)
-    defs = rd.defs_at(func.body[-1])["x"]
-    assert len(defs) == 2  # both assignment sites reach the join
-    for site in defs:
-        assert site in rd.def_exprs
 
 
 def test_undef_sentinel_reprs_distinct():

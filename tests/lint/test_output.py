@@ -16,13 +16,13 @@ FINDINGS = [
         snippet="if x == 0.5:",
     ),
     Finding(
-        rule="SPMD004",
+        rule="SPMD005",
         severity=Severity.ERROR,
         path="src/repro/y.py",
         line=7,
         col=0,
-        message="send with tag 'halo' has no matching recv",
-        snippet="sim.send(1, 0, 1.0, tag='halo')",
+        message="collective guarded by rank-derived value 'leader'",
+        snippet="sim.barrier()",
     ),
 ]
 
@@ -45,7 +45,7 @@ class TestJson:
         assert len(doc["findings"]) == 2
         by_rule = {f["rule"]: f for f in doc["findings"]}
         assert by_rule["DET003"]["column"] == 9  # 1-indexed
-        assert by_rule["SPMD004"]["severity"] == "error"
+        assert by_rule["SPMD005"]["severity"] == "error"
         assert set(by_rule["DET003"]) == {
             "rule", "severity", "path", "line", "column", "message", "snippet",
         }

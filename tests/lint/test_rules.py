@@ -16,17 +16,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: case -> (bad fixture, expected findings in it, clean twin); a case is
 #: named by its rule id, plus a suffix for a rule's second pair
 SNIPPET_CASES = {
-    "SPMD003": ("spmd003_bad.py", 1, "spmd003_clean.py"),
     "DET001": ("det001_bad.py", 3, "det001_clean.py"),
     "DET002": ("det002_bad.py", 3, "det002_clean.py"),
     "DET003": ("det003_bad.py", 2, "det003_clean.py"),
     "DET004": ("det004_bad.py", 2, "det004_clean.py"),
     "PAR002": ("par002_bad.py", 2, "par002_clean.py"),
     "BRK001": ("brk001_bad.py", 2, "brk001_clean.py"),
-    "SPMD004": ("deadlock_bad.py", 3, "deadlock_clean.py"),
-    # one-sided tags: a drain with no post deadlocks, a post with no
-    # drain leaks
-    "SPMD004-tags": ("spmd004_tags_bad.py", 2, "spmd004_tags_clean.py"),
     "SPMD005": ("spmd005_bad.py", 2, "spmd005_clean.py"),
     # the rank itself in the guard, and a collective per rank
     "SPMD005-direct": ("spmd005_direct_bad.py", 2, "spmd005_direct_clean.py"),
@@ -37,10 +32,9 @@ SNIPPET_CASES = {
 }
 
 #: rule id -> fixture a *syntactic* rule would flag, discharged by the
-#: dataflow (taint seeds and constant folding / reaching-def aliasing).
+#: dataflow (taint seeds and constant folding).
 DATAFLOW_DISCHARGED = {
     "SPMD005": "spmd005_constprop_clean.py",
-    "SPMD003": "spmd003_alias_clean.py",
 }
 
 
@@ -75,7 +69,7 @@ class TestRuleScoping:
     def test_select_restricts_rules(self):
         findings = run_lint(
             [FIXTURES / "det001_bad.py"],
-            LintConfig(select=("SPMD003",), project_root=FIXTURES),
+            LintConfig(select=("SPMD005",), project_root=FIXTURES),
         )
         assert findings == []
 

@@ -90,8 +90,7 @@ def test_hazard_in_a_callee_fails_the_calling_driver():
         "\n"
         "def driver(sim, rank, dst, n):\n"
         "    rows = thunk_body(n)\n"
-        "    sim.send(rank, dst, float(n), tag='row')\n"
-        "    sim.recv(dst, rank, tag='row')\n"
+        "    sim.exchange([(rank, dst, float(n))], tag='row')\n"
         "    return rows\n"
     )
     reports = verify_transport(_source_project("pkg/mod.py", src))

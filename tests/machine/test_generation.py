@@ -48,12 +48,6 @@ NO_RETRY = SupervisionPolicy(deadline=10.0, poll_interval=0.01, region_retries=0
 BIG_N = 30_000
 
 
-def _shm_entries() -> set:
-    """Results travel over the pipe only; this keeps pinning that no
-    ``repro-shm-*`` segment (the earlier large-array detour) appears."""
-    return set(glob.glob("/dev/shm/*repro-shm-*"))
-
-
 def _children() -> list[tuple[int, str]]:
     """(pid, command line) of every child of this process, zombies included."""
     me = str(os.getpid())
@@ -71,7 +65,7 @@ def _children() -> list[tuple[int, str]]:
     return out
 
 
-def _assert_no_generation_left(transport, shm_before) -> None:
+def _assert_no_generation_left(transport) -> None:
     """``transport`` may be ``None``: the call built and closed its own."""
     assert transport is None or transport.active_workers() == {}
     children = _children()
@@ -81,7 +75,6 @@ def _assert_no_generation_left(transport, shm_before) -> None:
     if not children:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-    assert _shm_entries() <= shm_before
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,6 @@ class TestGenerationEndsWithTheDriverCall:
             self._after_first_region(monkeypatch, _Boom(), coordinator_only=False)
             expected = (_Boom,)
 
-        shm_before = _shm_entries()
         marker = tmp_path / "after-the-call"
         owned = ProcessTransport(2) if borrowed else None
         try:
@@ -165,12 +157,12 @@ class TestGenerationEndsWithTheDriverCall:
                 call(owned or "processes")
             with open(marker, "a") as fh:
                 fh.write("returned\n")
-            _assert_no_generation_left(owned, shm_before)
+            _assert_no_generation_left(owned)
             if owned is not None:
                 # a borrowed instance stays usable: next call, next generation
                 monkeypatch.undo()
                 assert DRIVERS[driver](owned).transport == "processes"
-                _assert_no_generation_left(owned, shm_before)
+                _assert_no_generation_left(owned)
         finally:
             if owned is not None:
                 owned.close()
@@ -190,11 +182,11 @@ class TestGenerationEndsWithTheDriverCall:
                 assert t.pardo([os.getpid, os.getpid]) == pids
             assert os.getpid() == coordinator
             assert generation == dict(enumerate(pids))
-            _assert_no_generation_left(t, _shm_entries())
+            _assert_no_generation_left(t)
             # outside any scope: a generation one region long, active ranks only
             lone = t.pardo([None, os.getpid])
             assert lone[0] is None and lone[1] not in (coordinator, *pids)
-            _assert_no_generation_left(t, _shm_entries())
+            _assert_no_generation_left(t)
 
     def test_idle_ranks_of_the_first_region_are_workers_too(self):
         with ProcessTransport(3) as t:
@@ -203,7 +195,7 @@ class TestGenerationEndsWithTheDriverCall:
                 assert sorted(t.active_workers()) in ([0, 1, 2], [])
                 second = t.pardo([os.getpid, os.getpid, os.getpid])
             assert first[1] == second[1] and len(set(second)) == 3
-            _assert_no_generation_left(t, _shm_entries())
+            _assert_no_generation_left(t)
 
     def test_charges_and_counters_are_the_same_in_every_process(self):
         """Every replica replays the same coordinator-context accounting,
@@ -213,8 +205,7 @@ class TestGenerationEndsWithTheDriverCall:
                 t.pardo([lambda: 0, lambda: 1])  # the generation exists from here
                 t.compute(0, 5.0)
                 t.compute(1, 7.0)
-                t.send(0, 1, 3.0)
-                t.recv(1, 0)
+                t.exchange([(0, 1, 3.0)])
                 t.barrier()
 
                 def seen():
@@ -250,12 +241,11 @@ class TestLargeResultsAcrossRegions:
         return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_consecutive_regions_carry_large_results_up_and_down(self):
-        before = _shm_entries()
         want_first, want_second, _ = self._two_regions("simulator")
         with ProcessTransport(2, supervision=NO_RETRY) as t:
             first, second, recoveries = self._two_regions(t)
             assert recoveries == 0
-            _assert_no_generation_left(t, before)
+            _assert_no_generation_left(t)
         assert self._same(first, want_first) and self._same(second, want_second)
 
     @staticmethod
@@ -265,21 +255,19 @@ class TestLargeResultsAcrossRegions:
             os.kill(victim, signal.SIGKILL)
 
     def test_sigkill_between_regions_is_retried_on_a_fresh_generation(self):
-        before = _shm_entries()
         _, want_second, _ = self._two_regions("simulator")
         with ProcessTransport(2) as t:
             _, second, recoveries = self._two_regions(t, between=self._kill_rank_1)
             assert recoveries == 1
-            _assert_no_generation_left(t, before)
+            _assert_no_generation_left(t)
         assert self._same(second, want_second)
 
     def test_sigkill_between_regions_surfaces_as_worker_crashed(self):
-        before = _shm_entries()
         with ProcessTransport(2, supervision=NO_RETRY) as t:
             with pytest.raises(WorkerCrashed) as ei:
                 self._two_regions(t, between=self._kill_rank_1)
             assert ei.value.rank == 1 and ei.value.signum == signal.SIGKILL
-            _assert_no_generation_left(t, before)
+            _assert_no_generation_left(t)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +292,7 @@ class TestOutOfStepReplica:
                 two_regions(t)
             assert not isinstance(ei.value, TransportWorkerError)
             assert t.region_recoveries == 0
-            _assert_no_generation_left(t, _shm_entries())
+            _assert_no_generation_left(t)
 
     def test_nested_pardo_from_a_thunk_is_refused(self):
         with ProcessTransport(2, supervision=NO_RETRY) as t:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, MessageFault
 from repro.machine import IDEAL, MachineModel, Simulator
 
 MODEL = MachineModel("test", flop_time=1e-6, latency=1e-4, byte_time=1e-8)
@@ -41,12 +42,10 @@ class TestCompute:
 
 class TestPointToPoint:
     def test_message_arrival_and_counters(self):
-        """A message is accounting only: ``recv`` returns nothing and
+        """A message is accounting only: ``exchange`` returns nothing and
         moves the receiver to the arrival time."""
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, nwords=10)
-        assert sim.pending_messages() == 1
-        assert sim.recv(1, 0) is None
+        assert sim.exchange([(0, 1, 10)]) is None
         assert sim.clock[1] == pytest.approx(MODEL.message_cost(10))
         assert (sim.stats().messages, sim.stats().words_sent) == (1, 10)
         assert sim.pending_messages() == 0
@@ -54,61 +53,55 @@ class TestPointToPoint:
     def test_receiver_waits_for_arrival(self):
         sim = Simulator(2, MODEL)
         sim.compute(0, 1000)  # sender busy until 1e-3
-        sim.send(0, 1, nwords=0)
-        sim.recv(1, 0)
+        sim.exchange([(0, 1, 0)])
         assert sim.clock[1] >= 1e-3 + MODEL.latency
 
     def test_receiver_already_late_not_delayed(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, nwords=0)
         sim.compute(1, 10_000)  # receiver clock way past arrival
         t = sim.clock[1]
-        sim.recv(1, 0)
+        sim.exchange([(0, 1, 0)])
         assert sim.clock[1] == t
 
     def test_fifo_per_channel(self):
-        sim = Simulator(2, MODEL)
-        sim.send(0, 1, 1)
+        """A stale duplicate is drained first: the next exchange on its
+        channel consumes it and leaves its own message in the mailbox."""
+        sim = Simulator(2, MODEL, faults=FaultPlan(message_faults=[MessageFault("duplicate")]))
+        sim.exchange([(0, 1, 1)])
+        first = sim.clock[1]
         sim.compute(0, 1000)
-        sim.send(0, 1, 1)  # posted 1e-3 + latency later
-        sim.recv(1, 0)
-        assert sim.clock[1] == pytest.approx(MODEL.message_cost(1))
-        sim.recv(1, 0)
-        assert sim.clock[1] == pytest.approx(
-            MODEL.latency + 1e-3 + MODEL.message_cost(1)
-        )
+        sim.exchange([(0, 1, 1)])  # posted 1e-3 + latency later
+        assert sim.clock[1] == first
+        assert sim.pending_messages() == 1
 
     def test_tags_separate_channels(self):
-        sim = Simulator(2, MODEL)
-        sim.send(0, 1, 1, tag="t1")
+        """A stale duplicate on one tag is not drained by an exchange on
+        another."""
+        plan = FaultPlan(message_faults=[MessageFault("duplicate", tag="t1")])
+        sim = Simulator(2, MODEL, faults=plan)
+        sim.exchange([(0, 1, 1)], tag="t1")
         sim.compute(0, 1000)
-        sim.send(0, 1, 1, tag="t2")
-        sim.recv(1, 0, tag="t2")  # the later message, drained first
-        late = sim.clock[1]
-        assert late > MODEL.message_cost(1)
-        sim.recv(1, 0, tag="t1")
-        assert sim.clock[1] == late
-        assert sim.pending_messages() == 0
+        sim.exchange([(0, 1, 1)], tag="t2")
+        assert sim.clock[1] == pytest.approx(MODEL.latency + 1e-3 + MODEL.message_cost(1))
+        assert sim.pending_messages() == 1  # the copy on t1
 
     def test_self_send_free(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 0, 100)
-        assert sim.pending_messages() == 1
-        sim.recv(0, 0)
+        sim.exchange([(0, 0, 100)])
         assert sim.clock[0] == 0.0
         assert sim.stats().messages == 0
+        assert sim.pending_messages() == 0
 
     def test_message_counters(self):
         sim = Simulator(3, MODEL)
-        sim.send(0, 1, 5)
-        sim.send(1, 2, 7)
+        sim.exchange([(0, 1, 5), (1, 2, 7)])
         st = sim.stats()
         assert st.messages == 2
         assert st.words_sent == 12
 
     def test_sender_pays_latency(self):
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, 100)
+        sim.exchange([(0, 1, 100)])
         assert sim.clock[0] == pytest.approx(MODEL.latency)
 
 
@@ -125,9 +118,9 @@ class TestExchange:
     def test_posts_in_given_order_drains_in_pair_order(self):
         sim = Simulator(3, MODEL)
         calls = []
-        send, recv = sim.send, sim.recv
-        sim.send = lambda s, d, *a, **k: (calls.append(("send", s, d)), send(s, d, *a, **k))[1]
-        sim.recv = lambda d, s, **k: (calls.append(("recv", s, d)), recv(d, s, **k))[1]
+        send, recv = sim._send, sim._recv
+        sim._send = lambda s, d, *a: (calls.append(("send", s, d)), send(s, d, *a))[1]
+        sim._recv = lambda d, s, *a: (calls.append(("recv", s, d)), recv(d, s, *a))[1]
         sim.exchange([(2, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0)], tag="t")
         assert calls == [
             ("send", 2, 1), ("send", 1, 0), ("send", 0, 1),
@@ -135,12 +128,15 @@ class TestExchange:
         ]
         assert sim.pending_messages() == 0
 
+    def test_exchange_is_the_only_point_to_point_call(self):
+        """There is no public post or drain to leave unmatched."""
+        assert not hasattr(Simulator, "send") and not hasattr(Simulator, "recv")
+
     def test_triangular_solve_drop_journal_matches_golden(self):
         """The (src, dst)-sorted drain decides the order in which two
         dropped messages are found lost and re-posted; the solve then
         completes with the fault-free result."""
         from repro import ILUTParams, poisson2d
-        from repro.faults import FaultPlan, MessageFault
         from repro.ilu import parallel_ilut_star
         from repro.ilu.triangular import parallel_triangular_solve
         from repro.machine import CRAY_T3D
@@ -230,7 +226,7 @@ class TestInvariants:
                 sim.compute(int(rng.integers(4)), float(rng.integers(100)))
             elif op == 1:
                 s, d = rng.integers(4), rng.integers(4)
-                sim.send(int(s), int(d), float(rng.integers(50)), tag="r")
+                sim.exchange([(int(s), int(d), float(rng.integers(50)))], tag="r")
             elif op == 2:
                 sim.barrier()
             else:
@@ -248,14 +244,15 @@ class TestInvariants:
         assert sim.elapsed() == pytest.approx(sim.clock[2])
 
     def test_pending_messages_tracked(self):
+        """Only a duplicate fault leaves a posted copy undrained."""
         sim = Simulator(2, MODEL)
-        sim.send(0, 1, 1)
-        assert sim.pending_messages() == 1
-        sim.recv(1, 0)
+        sim.exchange([(0, 1, 1)])
         assert sim.pending_messages() == 0
+        dup = Simulator(2, MODEL, faults=FaultPlan(message_faults=[MessageFault("duplicate")]))
+        dup.exchange([(0, 1, 1)])
+        assert dup.pending_messages() == 1
 
     def test_ideal_model_zero_comm_time(self):
         sim = Simulator(2, IDEAL)
-        sim.send(0, 1, 10_000)
-        sim.recv(1, 0)
+        sim.exchange([(0, 1, 10_000)])
         assert sim.elapsed() == 0.0

@@ -400,19 +400,18 @@ class TestProcessTransportPrimitives:
 
 class TestOneAccountingCore:
     """A worker transport is the simulator with a different ``pardo``
-    (DESIGN.md §13.3): one definition of the accounting surface, one
-    rule for thunks, one typed deadlock."""
+    (DESIGN.md §13.3): one definition of the accounting surface and one
+    rule for thunks."""
 
     ACCOUNTING = (
-        "send recv exchange barrier allreduce allgather compute advance "
+        "exchange _send _recv barrier allreduce allgather compute advance "
         "declare_read declare_write snapshot restore stats superstep elapsed "
         "utilization pending_messages _check_rank"
     ).split()
 
     #: what a thunk might try, by operation name
     THUNK_CALLS = {
-        "send": lambda t: t.send(0, 1, 1.0),
-        "recv": lambda t: t.recv(1, 0),
+        "exchange": lambda t: t.exchange([(0, 1, 1.0)]),
         "barrier": lambda t: t.barrier(),
         "compute": lambda t: t.compute(0, 5.0),
         "allreduce": lambda t: t.allreduce([1.0, 2.0]),
@@ -439,9 +438,3 @@ class TestOneAccountingCore:
             assert t.elapsed() == 0.0 and t.pending_messages() == 0
             t.barrier()  # coordinator context: accepted
             assert t.stats().barriers == 1
-
-    @pytest.mark.parametrize("name", TRANSPORTS)
-    def test_recv_without_send_deadlocks(self, name):
-        with resolve_transport(name, 2) as t:
-            with pytest.raises(TransportError, match="deadlock"):
-                t.recv(1, 0, tag="nothing")

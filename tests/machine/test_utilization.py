@@ -26,8 +26,7 @@ class TestUtilization:
     def test_waiting_reduces_utilization(self):
         sim = Simulator(2, MODEL)
         sim.compute(0, 1000)
-        sim.send(0, 1, 0)
-        sim.recv(1, 0)  # rank 1 waits the whole time
+        sim.exchange([(0, 1, 0)])  # rank 1 waits the whole time
         sim.compute(1, 1000)
         u = sim.utilization()
         assert u[1] < 1.0

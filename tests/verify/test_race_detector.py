@@ -42,7 +42,7 @@ class TestAdversarialDriver:
 
     def test_unsynchronised_cross_rank_u_row_read_is_flagged(self):
         # the engine-shaped bug: rank 1 consumes rank 0's freshly
-        # factored u-row without the level's send/recv edge
+        # factored u-row without the level's exchange edge
         sim = Simulator(2, MODEL, trace=True)
         tr = sim.tracer
         tr.write(0, "u-row", 11)
@@ -54,8 +54,7 @@ class TestAdversarialDriver:
     def test_exchange_edge_removes_the_race(self):
         sim = Simulator(2, MODEL, trace=True)
         sim.declare_write(0, "u-row", 11)
-        sim.send(0, 1, 4.0, tag=("urow", 0))
-        sim.recv(1, 0, tag=("urow", 0))
+        sim.exchange([(0, 1, 4.0)], tag=("urow", 0))
         sim.declare_read(1, "u-row", 11)
         assert find_races(sim.tracer) == []
 

@@ -128,8 +128,7 @@ class TestSimulatorIntegration:
     def test_send_recv_advance_clocks(self):
         sim = Simulator(2, MODEL, trace=True)
         sim.declare_write(0, "x", 7)
-        sim.send(0, 1, 2.0)
-        sim.recv(1, 0)
+        sim.exchange([(0, 1, 2.0)])
         sim.declare_read(1, "x", 7)
         a, b = sim.tracer.accesses("x", 7)
         assert happens_before(a, b)
@@ -151,8 +150,7 @@ class TestSimulatorIntegration:
         def run(trace):
             sim = Simulator(2, MODEL, trace=trace)
             sim.compute(0, 100.0)
-            sim.send(0, 1, 5.0)
-            sim.recv(1, 0)
+            sim.exchange([(0, 1, 5.0)])
             sim.barrier()
             return sim.elapsed(), sim.stats().messages
 
