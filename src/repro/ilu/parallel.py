@@ -120,7 +120,6 @@ def parallel_ilut(
     pivot_policy: PivotPolicy | None = None,
     trace: bool = False,
     faults: FaultPlan | None = None,
-    checkpoint: bool | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> ParallelILUResult:
     """Factor ``A`` with parallel ILUT(m, t) on ``nranks`` simulated PEs.
@@ -174,18 +173,15 @@ def parallel_ilut(
         (as corrupt-result) — and recover by supervised region retry
         (DESIGN.md §14).  Unportable kinds raise
         :class:`~repro.machine.TransportCapabilityError` off-simulator.
+        A plan also checkpoints per-level state, so an injected rank
+        crash (or a message lost past every retransmit) resumes from
+        the last completed level.
     supervision:
         A :class:`~repro.machine.SupervisionPolicy` tuning the worker
         supervisor (deadline, poll interval, region retry budget) —
         real transports only.
-    checkpoint:
-        Snapshot per-level state so an injected rank crash resumes from
-        the last completed level.  ``None`` (default) enables
-        checkpointing exactly when a fault plan is supplied.
     """
     decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
-    if checkpoint is None:
-        checkpoint = faults is not None
     with entry_transport(
         transport,
         nranks,
@@ -204,7 +200,7 @@ def parallel_ilut(
             seed=seed,
             diag_guard=diag_guard,
             pivot_policy=pivot_policy,
-            checkpoint=checkpoint,
+            checkpoint=faults is not None,
         ).run()
         return result_of(outcome, decomp, sim)
 
