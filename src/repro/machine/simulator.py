@@ -364,9 +364,10 @@ class Simulator:
         ``messages`` is a list of ``(src, dst, nwords)``.  All sends are
         posted in the given order, then the messages are drained in
         ``(src, dst)``-sorted order — the post/drain sequence the
-        drivers' fault-journal signatures are pinned to.  A drain only
-        ever consumes what the same call posted, so an exchange cannot
-        deadlock or leave a post undrained.
+        drivers' fault-journal signatures are pinned to.  Every message
+        a call posts is drained by that same call, so an exchange cannot
+        deadlock or leave a post undrained (a ``duplicate`` fault's
+        stale copy aside).
 
         A message lost to the fault plan is re-posted by its sender (the
         same ``nwords``, journaled as ``retransmit``) up to
