@@ -189,9 +189,14 @@ def fingerprint(res) -> str:
 
 
 def _mis(A, mtk, p, **kwargs) -> str:
+    """One factorization's digest, or — when a fault plan's fault
+    escalates out of the driver — the digest of the error it raised."""
     m, t, k = mtk
     fn = parallel_ilut if k is None else parallel_ilut_star
-    return fingerprint(fn(A, ILUTParams(fill=m, threshold=t, k=k), p, seed=0, **kwargs))
+    try:
+        return fingerprint(fn(A, ILUTParams(fill=m, threshold=t, k=k), p, seed=0, **kwargs))
+    except FaultError as err:
+        return _digest([f"{type(err).__name__}: {err}"])
 
 
 def _partitioned(A, mtk, p, **kwargs) -> str:
@@ -405,7 +410,7 @@ def cases(quick: bool):
                         lambda A=A, mtk=mtk, p=p, tr=trace: _partitioned(A, mtk, p, trace=tr),
                     )
         yield from _baseline_cases(name, A, quick)
-    # fault plans on the simulator: checkpoint restarts and retransmits
+    # fault plans on the simulator: region retries and retransmits
     A = MATRICES["torso"]()
     plans = {
         "crash": FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=3)]),
@@ -416,7 +421,7 @@ def cases(quick: bool):
         "delay-mis": FaultPlan(message_faults=[MessageFault("delay", tag="mis", delay=5e-4)]),
         "duplicate": FaultPlan(message_faults=[MessageFault("duplicate", tag="urow", count=2)]),
         "duplicate-mis": FaultPlan(message_faults=[MessageFault("duplicate", tag="mis")]),
-        # one message lost past every retransmit: MessageLost -> checkpoint restart
+        # one message lost past every retransmit: MessageLost escalates
         "drop-lost": FaultPlan(
             message_faults=[MessageFault("drop", src=0, dst=1, tag="urow", count=4)]
         ),
