@@ -180,8 +180,9 @@ def _store_bits(store) -> tuple:
 def bench_level_update(cfg: dict) -> dict:
     """Scalar vs batched phase-2 update over the levels of one run.
 
-    At every level the engine's row stores are checkpointed, the scalar
-    update runs (timed), the checkpoint is restored, and the batched update
+    At every level the row stores' ``(start, length, used)`` index is
+    saved, the scalar update runs (timed), the index is put back — the
+    stores only append, so that is all it takes — and the batched update
     runs on it (timed) and carries the factorization forward; what the
     two leave behind — reduced rows, L rows, flop and copy counters —
     must be equal bit for bit.  No transport: the timings are the two
@@ -198,7 +199,7 @@ def bench_level_update(cfg: dict) -> dict:
         def _update_level(self, pivots):
             nonlocal identical, row_updates
             stores = (self.reduced, self.l_rows)
-            start = [store.checkpoint() for store in stores]
+            start = [(s.start.copy(), s.length.copy(), s.used) for s in stores]
             counters = (self.flops_total, self.words_copied)
             t0 = time.perf_counter()
             self._update_remaining(pivots.ordinal)
@@ -206,8 +207,8 @@ def bench_level_update(cfg: dict) -> dict:
             scalar = (*map(_store_bits, stores), self.flops_total, self.words_copied)
             # a rebuilt row is re-appended, so its start moved
             row_updates += int(np.count_nonzero(self.reduced.start != start[0][0]))
-            for store, snap in zip(stores, start):
-                store.restore(snap)
+            for store, (begin, length, used) in zip(stores, start):
+                store.start, store.length, store.used = begin, length, used
             self.flops_total, self.words_copied = counters
             t0 = time.perf_counter()
             super()._update_level(pivots)

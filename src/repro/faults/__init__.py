@@ -2,12 +2,13 @@
 
 Describe failures with an immutable :class:`FaultPlan` (message
 drop/delay/duplicate/corrupt, rank crash/stall), hand it to a transport
-— the :class:`~repro.machine.Simulator` injects it virtually (drop /
-delay / duplicate / crash / stall), the worker transports physically
-(crash / stall / corrupt-result) — and every
-injected event lands in a structured :class:`FaultJournal` whose
-:meth:`~FaultJournal.signature` is bit-reproducible across runs and
-transports.  One :class:`FaultRuntime` serves both.
+— every transport reads crash / stall / corrupt-result at region
+dispatch and retries the failed region, and the
+:class:`~repro.machine.Simulator` alone reads drop / delay / duplicate,
+message by message — and every injected event lands in a structured
+:class:`FaultJournal` whose :meth:`~FaultJournal.signature` is
+bit-reproducible across runs and transports.  One
+:class:`FaultRuntime` serves them all.
 """
 
 from .journal import FaultEvent, FaultJournal
@@ -20,7 +21,6 @@ from .plan import (
     FaultRuntime,
     MessageFault,
     MessageLost,
-    RankFailure,
     RankFault,
     RegionInjection,
     SendEffect,
@@ -35,7 +35,6 @@ __all__ = [
     "FaultRuntime",
     "MessageFault",
     "MessageLost",
-    "RankFailure",
     "RankFault",
     "RegionInjection",
     "SendEffect",

@@ -2,7 +2,7 @@
 
 Every event the fault-injection harness produces — a dropped or delayed
 message, a corrupted region result, a rank crash or stall, and every recovery
-action taken by a resilient driver (retransmit, checkpoint restore) —
+action a transport takes (retransmit, region retry) —
 is appended to a :class:`FaultJournal` as an immutable
 :class:`FaultEvent`.  The journal is the ground truth the determinism
 tests assert on: the same :class:`~repro.faults.plan.FaultPlan`
@@ -30,7 +30,8 @@ class FaultEvent:
     kind:
         ``"drop"``, ``"delay"``, ``"duplicate"``, ``"corrupt"``,
         ``"crash"``, ``"stall"``, ``"lost"`` (a receive found its message
-        missing), ``"retransmit"`` or ``"restore"`` (recovery actions).
+        missing), ``"retransmit"`` or ``"region-retry"`` (recovery
+        actions).
     superstep:
         The simulator's synchronisation count (barriers + collectives
         completed) when the event fired.

@@ -10,35 +10,34 @@ mutable match counters and the
 produces a bit-identical journal, factors and modelled time (the
 determinism suite asserts this across replays).
 
-One runtime, two ways to consult it.  The simulator injects *virtually*,
-message by message and charge by charge (:meth:`FaultRuntime.on_send` /
-:meth:`~FaultRuntime.on_rank_activity` / :meth:`~FaultRuntime.on_lost`).
-The worker transports inject *physically*, region by region
-(:meth:`FaultRuntime.plan_region`): a ``crash`` kills the worker, a
-``stall`` makes it sleep, and a ``corrupt`` message fault is read as
-*corrupt-result* — the rank's region result is replaced by an
-undecodable blob.  Each side refuses what it cannot read (DESIGN.md
-§14.3): drop / delay / duplicate have no physical reading
-(:func:`unportable_faults`), and ``corrupt`` has no virtual one — a
-simulated message is accounting only and carries no data to corrupt.
+One runtime, one reading per fault kind (DESIGN.md §14.3).  Every
+transport asks it once per parallel region, at ``pardo`` dispatch
+(:meth:`FaultRuntime.plan_region`), which ranks to crash, stall or
+hand a corrupt result, and retries a region that failed.  Only the
+message faults drop / delay / duplicate are read message by message,
+inside the simulator's ``exchange`` (:meth:`FaultRuntime.on_send` /
+:meth:`~FaultRuntime.on_lost`); they have no physical reading, and the
+worker transports refuse them (:func:`unportable_faults`).
 
 Failure semantics
 -----------------
 * ``drop``   — the message is charged to the sender but never delivered;
   the exchange that posted it re-posts it (``retransmit``) up to
-  ``MAX_RETRANSMITS`` times, then raises :class:`MessageLost` (a
-  checkpointing driver restores, any other surfaces the typed error).
+  ``MAX_RETRANSMITS`` times, then raises :class:`MessageLost` to the
+  caller.
 * ``delay``  — arrival time is pushed back by ``delay`` seconds.
 * ``duplicate`` — a second copy is enqueued (stale copies left in the
   mailbox at the end of the run are visible via ``pending_messages``).
-* ``corrupt`` — worker transports only: the rank's region result is
-  replaced by an undecodable blob (*corrupt-result*).
-* ``crash``  — the rank raises :class:`RankFailure` at its first
-  participation at or after ``superstep``; the crash is one-shot (the
-  model is fail-once-then-restart), so a driver that restores a
-  checkpoint and retries makes progress.
+* ``corrupt`` — *corrupt-result*: the rank's thunk runs, and its region
+  result is replaced by an undecodable one, which fails the attempt.
+* ``crash``  — the rank's worker dies at dispatch of the first region
+  at or after ``superstep`` in which the rank takes part, which fails
+  the attempt.  The crash is one-shot (the model is
+  fail-once-then-restart), so the region retry that follows makes
+  progress.
 * ``stall``  — the rank's clock is advanced by ``stall`` seconds once,
-  modelling a straggler; numerics are unaffected.
+  at dispatch of that same region, modelling a straggler (a worker
+  also sleeps that long); numerics are unaffected.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .journal import FaultJournal
 
 __all__ = [
     "FaultError",
-    "RankFailure",
     "MessageLost",
     "MessageFault",
     "RankFault",
@@ -76,15 +74,6 @@ PORTABLE_RANK_ACTIONS = ("crash", "stall")
 
 class FaultError(RuntimeError):
     """Base class for errors surfaced by injected faults."""
-
-
-class RankFailure(FaultError):
-    """An injected crash: the rank cannot participate any further."""
-
-    def __init__(self, rank: int, superstep: int) -> None:
-        super().__init__(f"rank {rank} crashed at superstep {superstep}")
-        self.rank = rank
-        self.superstep = superstep
 
 
 class MessageLost(FaultError):
@@ -145,7 +134,7 @@ class MessageFault:
 
 @dataclass(frozen=True)
 class RankFault:
-    """Crash or stall ``rank`` at its first activity >= ``superstep``."""
+    """Crash or stall ``rank`` in its first region at or after ``superstep``."""
 
     action: str
     rank: int
@@ -216,7 +205,7 @@ class SendEffect:
 
 @dataclass(frozen=True)
 class RegionInjection:
-    """One physical fault scheduled against one rank of one region."""
+    """One region fault scheduled against one rank of one region attempt."""
 
     kind: str  # "crash" | "stall" | "corrupt"
     stall: float = 0.0
@@ -225,14 +214,13 @@ class RegionInjection:
 class FaultRuntime:
     """Mutable per-run state of a :class:`FaultPlan`.
 
-    The simulator consults it on every send and on every rank activity;
-    a worker transport once per parallel region (:meth:`plan_region`).
-    Either way crash/stall faults disarm when they fire (fail-once
-    model), so the recovery that follows — checkpoint restart on the
-    simulator, region retry on workers — makes progress, and the same
-    plan recovers on every transport.  The recovery layers append
-    ``retransmit`` / ``restore`` / ``region-retry`` events through
-    :attr:`journal`.
+    Every transport consults it once per parallel region
+    (:meth:`plan_region`); the simulator's ``exchange`` also on every
+    message it posts (:meth:`on_send`).  Crash/stall faults disarm when
+    they fire (fail-once model), so the region retry that follows makes
+    progress, and the same plan recovers alike on every transport.  The
+    recovery layers append ``retransmit`` / ``region-retry`` events
+    through :attr:`journal`.
     """
 
     def __init__(self, plan: FaultPlan, journal: FaultJournal) -> None:
@@ -278,28 +266,6 @@ class FaultRuntime:
             return effect  # one fault per message keeps semantics composable
         return effect
 
-    def on_rank_activity(self, rank: int, superstep: int) -> float:
-        """Fire pending rank faults; returns stall seconds (usually 0).
-
-        Raises :class:`RankFailure` when an armed crash fault fires.
-        """
-        stall = 0.0
-        for fi, fault in enumerate(self.plan.rank_faults):
-            if self._fired[fi] or fault.rank != rank or superstep < fault.superstep:
-                continue
-            self._fired[fi] = True
-            if fault.action == "crash":
-                self.journal.record("crash", superstep=superstep, rank=rank)
-                raise RankFailure(rank, superstep)
-            self.journal.record(
-                "stall",
-                superstep=superstep,
-                rank=rank,
-                detail=f"+{fault.stall:g}s",
-            )
-            stall += fault.stall
-        return stall
-
     def on_lost(self, src: int, dst: int, tag: Any, superstep: int) -> None:
         """Journal a receive that found its message missing."""
         self.journal.record("lost", superstep=superstep, src=src, dst=dst, tag=tag)
@@ -335,7 +301,7 @@ class FaultRuntime:
                 inject.setdefault(fault.rank, RegionInjection("stall", stall=fault.stall))
         for fi, fault in enumerate(self.plan.message_faults):
             rank = fault.src if fault.src is not None else min(active)
-            if rank not in active:
+            if fault.action != "corrupt" or rank not in active:
                 continue
             seen = self._seen[fi]
             self._seen[fi] = seen + 1

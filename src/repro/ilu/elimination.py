@@ -50,7 +50,11 @@ state but never mutate it.  The merge order plus per-row charge replay
 is what makes factors, modeled times and fault-journal signatures
 bit-identical across all transports (the simulator runs regions
 sequentially in rank order, so it also reproduces the pre-transport
-behaviour bit for bit).
+behaviour bit for bit).  The engine has no recovery of its own: a
+region that fails under a fault plan is retried by the transport's
+``pardo`` before the engine sees a result (DESIGN.md §14.2), and a
+message lost past every retransmit escalates as
+:class:`~repro.faults.MessageLost`.
 
 Wherever pivots can depend on each other — phase 1, and the §7
 partition engine's domains — a thunk body eliminates its rows one at a
@@ -70,7 +74,6 @@ kernel would produce row by row — DESIGN.md §13.2.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from copy import copy
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -80,7 +83,6 @@ from typing import Callable
 import numpy as np
 
 from ..decomp import DomainDecomposition
-from ..faults import MessageLost, RankFailure
 from ..graph import Graph, two_step_luby_mis
 from ..machine import Simulator, run_region
 from ..resilience import PivotPolicy
@@ -109,28 +111,6 @@ class EliminationOutcome:
     flops: float = 0.0
     words_copied: float = 0.0
     u_rows_communicated: int = 0
-    recoveries: int = 0
-
-
-# engine attributes a checkpoint copies (beside the row stores)
-_CHECKPOINTED = (
-    "pos", "nfactored", "remaining", "level_sizes", "flops_total", "words_copied", "u_rows_comm"
-)
-
-
-@dataclass
-class _EngineCheckpoint:
-    """Per-level snapshot of the elimination state (plus the simulator's).
-
-    The row stores are append-only, so each is snapshotted as its index
-    arrays plus its buffer length (``RowStore.checkpoint``).
-    """
-
-    stores: tuple
-    state: dict[str, object]
-    interface_levels: list[np.ndarray]
-    level: int
-    sim_snap: object | None
 
 
 class EliminationEngine:
@@ -162,13 +142,6 @@ class EliminationEngine:
         Full small/zero-pivot remediation
         (:class:`~repro.resilience.PivotPolicy`); overrides
         ``diag_guard`` when given.
-    checkpoint:
-        Snapshot the elimination + simulator state after phase 1 and
-        after every completed phase-2 level, and recover from injected
-        rank crashes / exhausted retransmits by rolling back to the last
-        completed level (``max_recoveries`` bounds the attempts).  The
-        recomputation is deterministic, so a recovered run produces
-        factors bit-identical to an undisturbed one.
     level_hook:
         Optional callback ``level_hook(level, iset, reduced)`` invoked
         after phase 1 (``level=-1``, empty ``iset``) and after every
@@ -194,8 +167,6 @@ class EliminationEngine:
         seed: int = 0,
         diag_guard: bool = True,
         pivot_policy: PivotPolicy | None = None,
-        checkpoint: bool = False,
-        max_recoveries: int = 8,
         max_levels: int | None = None,
         level_hook: Callable[[int, np.ndarray, MappingProxyType], None] | None = None,
     ) -> None:
@@ -218,9 +189,6 @@ class EliminationEngine:
         self.pivot_policy = (
             pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
         )
-        self.checkpoint = bool(checkpoint)
-        self.max_recoveries = int(max_recoveries)
-        self.recoveries = 0
         self.max_levels = max_levels if max_levels is not None else self.n + 1
         self.level_hook = level_hook
         self._tr = sim.tracer if sim is not None else None
@@ -587,52 +555,6 @@ class EliminationEngine:
         )
 
     # ------------------------------------------------------------------
-    # checkpoint / recovery
-    # ------------------------------------------------------------------
-
-    def _stores(self) -> tuple[RowStore, RowStore, RowStore]:
-        return self.u_rows, self.l_rows, self.reduced
-
-    def _take_checkpoint(
-        self, interface_levels: list[np.ndarray], level: int
-    ) -> _EngineCheckpoint:
-        return _EngineCheckpoint(
-            stores=tuple(store.checkpoint() for store in self._stores()),
-            state={name: copy(getattr(self, name)) for name in _CHECKPOINTED},
-            interface_levels=list(interface_levels),
-            level=level,
-            sim_snap=self.sim.snapshot() if self.sim is not None else None,
-        )
-
-    def _restore_checkpoint(
-        self, ckpt: _EngineCheckpoint, err: BaseException
-    ) -> tuple[list[np.ndarray], int]:
-        """Roll the elimination (and simulator) back to ``ckpt``.
-
-        Copies on the way out too, so the same checkpoint survives a
-        second recovery.  Returns ``(interface_levels, level)`` for the
-        driver loop to resume with.
-        """
-        for store, snap in zip(self._stores(), ckpt.stores):
-            store.restore(snap)
-        for name, value in ckpt.state.items():
-            setattr(self, name, copy(value))
-        if self.sim is not None and ckpt.sim_snap is not None:
-            self.sim.restore(
-                ckpt.sim_snap,
-                reason=f"resume from level {ckpt.level} after {type(err).__name__}: {err}",
-            )
-        self.recoveries += 1
-        return list(ckpt.interface_levels), ckpt.level
-
-    def _can_recover(self) -> bool:
-        return (
-            self.checkpoint
-            and self.sim is not None
-            and self.recoveries < self.max_recoveries
-        )
-
-    # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
 
@@ -668,52 +590,26 @@ class EliminationEngine:
         return iset
 
     def run(self) -> EliminationOutcome:
-        """Execute phases 1 and 2 and assemble the permuted factors.
-
-        With ``checkpoint=True`` the loop snapshots after phase 1 and
-        after every completed level; an injected
-        :class:`~repro.faults.RankFailure` (or a message loss that
-        survived every retransmit) rolls back to the last completed
-        level and recomputes — deterministically, so the final factors
-        are bit-identical to an undisturbed run.
-        """
+        """Execute phases 1 and 2 and assemble the permuted factors."""
         view = MappingProxyType(self.reduced)
-        ckpt = self._take_checkpoint([], -1) if self.checkpoint else None
-        while True:
-            try:
-                interior_ranges = self._run_phase1()
-                break
-            except (RankFailure, MessageLost) as err:
-                if ckpt is None or not self._can_recover():
-                    raise
-                self._restore_checkpoint(ckpt, err)
+        interior_ranges = self._run_phase1()
         if self.level_hook is not None:
             self.level_hook(-1, np.empty(0, dtype=np.int64), view)
 
         interface_levels: list[np.ndarray] = []
         level = 0
-        if self.checkpoint:
-            ckpt = self._take_checkpoint(interface_levels, level)
         while self.remaining.size:
             if level >= self.max_levels:
                 raise RuntimeError(
                     f"interface factorization did not terminate in {level} levels"
                 )
             pos_start = self.nfactored
-            try:
-                factored = self._run_level(level)
-            except (RankFailure, MessageLost) as err:
-                if ckpt is None or not self._can_recover():
-                    raise
-                interface_levels, level = self._restore_checkpoint(ckpt, err)
-                continue
+            factored = self._run_level(level)
             if self.level_hook is not None:
                 self.level_hook(level, factored, view)
             interface_levels.append(np.arange(pos_start, self.nfactored, dtype=np.int64))
             self.level_sizes.append(int(factored.size))
             level += 1
-            if self.checkpoint:
-                ckpt = self._take_checkpoint(interface_levels, level)
 
         factors = self._assemble(interior_ranges, interface_levels)
         return EliminationOutcome(
@@ -723,7 +619,6 @@ class EliminationEngine:
             flops=self.flops_total,
             words_copied=self.words_copied,
             u_rows_communicated=self.u_rows_comm,
-            recoveries=self.recoveries,
         )
 
     def _assemble(

@@ -57,7 +57,7 @@ class InterfacePartitionEngine(EliminationEngine):
 
     def _run_level(self, level: int) -> np.ndarray:
         """One recursion round, as one synchronisation level of the
-        inherited driver loop (checkpoints, recovery, ``level_hook``)."""
+        inherited driver loop (``max_levels``, ``level_hook``)."""
         nranks = self.decomp.nranks
         remaining = self.remaining
         domains = (
@@ -139,7 +139,7 @@ def parallel_ilut_partitioned(
     :func:`repro.ilu.parallel.parallel_ilut` (``reduced_cap`` governs
     the 3rd rule; a set ``params.k`` is ignored); returns a
     :class:`~repro.ilu.parallel.ParallelILUResult`.  A ``faults=`` plan
-    turns per-round checkpointing on, as it does there.
+    is read and recovered from as it is there.
     """
     decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
     with entry_transport(
@@ -152,6 +152,5 @@ def parallel_ilut_partitioned(
             reduced_cap=reduced_cap,
             sim=sim,
             seed=seed,
-            checkpoint=faults is not None,
         ).run()
         return result_of(outcome, decomp, sim)

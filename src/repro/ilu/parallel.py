@@ -60,9 +60,8 @@ class ParallelILUResult:
         The structured log of injected faults and recovery actions when
         run with a ``faults=`` plan (``None`` otherwise).
     recoveries:
-        Recovery actions performed during the factorization: engine
-        checkpoint rollbacks plus supervised region retries on a real
-        transport (DESIGN.md §14).
+        Parallel regions the transport re-executed after an injected
+        crash, a corrupt result or a failed worker (DESIGN.md §14.2).
     transport:
         Which transport executed the run (``"simulator"``, ``"threads"``,
         ``"processes"`` or ``"none"``).
@@ -90,9 +89,6 @@ def result_of(
     outcome: EliminationOutcome, decomp: DomainDecomposition, sim: Simulator | None
 ) -> ParallelILUResult:
     """Package an engine outcome with the transport's report."""
-    report = entry_transport.report(sim)
-    # engine checkpoint rollbacks + supervised region retries
-    report["recoveries"] += outcome.recoveries
     return ParallelILUResult(
         factors=outcome.factors,
         decomp=decomp,
@@ -100,7 +96,7 @@ def result_of(
         level_sizes=outcome.level_sizes,
         flops=outcome.flops,
         words_copied=outcome.words_copied,
-        **report,
+        **entry_transport.report(sim),
     )
 
 
@@ -167,15 +163,14 @@ def parallel_ilut(
     faults:
         A seeded :class:`~repro.faults.FaultPlan` to inject faults into
         the run; the journal lands in
-        ``ParallelILUResult.fault_journal``.  The simulator honours
-        every fault kind; the real transports honour the portable
-        subset — crash / stall rank faults and corrupt message faults
-        (as corrupt-result) — and recover by supervised region retry
-        (DESIGN.md §14).  Unportable kinds raise
-        :class:`~repro.machine.TransportCapabilityError` off-simulator.
-        A plan also checkpoints per-level state, so an injected rank
-        crash (or a message lost past every retransmit) resumes from
-        the last completed level.
+        ``ParallelILUResult.fault_journal``.  Every transport reads
+        crash / stall rank faults and corrupt message faults (as
+        corrupt-result) at region dispatch and recovers by region
+        retry, with the same journal, recoveries and bits (DESIGN.md
+        §14).  Drop / delay / duplicate are simulator-only and raise
+        :class:`~repro.machine.TransportCapabilityError` off it; a
+        message lost past every retransmit raises
+        :class:`~repro.faults.MessageLost`.
     supervision:
         A :class:`~repro.machine.SupervisionPolicy` tuning the worker
         supervisor (deadline, poll interval, region retry budget) —
@@ -200,7 +195,6 @@ def parallel_ilut(
             seed=seed,
             diag_guard=diag_guard,
             pivot_policy=pivot_policy,
-            checkpoint=faults is not None,
         ).run()
         return result_of(outcome, decomp, sim)
 

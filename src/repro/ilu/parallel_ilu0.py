@@ -74,9 +74,9 @@ def parallel_ilu0(
     are the colour classes of the interface graph, computed *before* the
     numeric factorization — the concurrency structure ILU(0) admits and
     ILUT does not.  ``faults`` / ``supervision`` behave as in
-    :func:`~repro.ilu.parallel.parallel_ilut`: real transports honour
-    the portable fault subset and recover by supervised region retry
-    (DESIGN.md §14).
+    :func:`~repro.ilu.parallel.parallel_ilut`: every transport reads
+    crash / stall / corrupt-result at region dispatch and recovers by
+    region retry (DESIGN.md §14).
     """
     decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
     with entry_transport(

@@ -4,10 +4,9 @@ The paper's reduced matrix ``A_I`` (and L, and U) is one distributed
 sparse matrix that every level rewrites a few rows of.  A
 :class:`RowStore` holds such a matrix as two growing buffers ``cols`` /
 ``vals`` plus a per-row ``(start, length)`` index: replacing a row
-appends its new entries and repoints the index, nothing is moved, and a
-checkpoint is the index arrays plus the buffer length.  The garbage that
-leaves behind is bounded by the entries ever written — the engine's
-``words_copied`` counter — so there is no compaction.
+appends its new entries and repoints the index, and nothing is moved.
+The garbage that leaves behind is bounded by the entries ever written —
+the engine's ``words_copied`` counter — so there is no compaction.
 
 :class:`FlatRows` is a block of rows back to back, the form the kernels
 read and write; :class:`RowBlock` is what one rank's region thunk hands
@@ -180,15 +179,6 @@ class RowStore(Mapping):
     def gather(self, rows: np.ndarray) -> FlatRows:
         """``rows`` back to back, absent ones as empty rows."""
         return gather_rows(self.start, self.length, self.cols, self.vals, rows)
-
-    def checkpoint(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The index and the buffer length: all it takes to come back,
-        because stored entries are never overwritten below ``used``."""
-        return self.start.copy(), self.length.copy(), self.used
-
-    def restore(self, ckpt: tuple[np.ndarray, np.ndarray, int]) -> None:
-        start, length, self.used = ckpt
-        self.start, self.length = start.copy(), length.copy()
 
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= i < self.length.size or self.length[i] < 0:

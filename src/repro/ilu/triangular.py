@@ -446,14 +446,15 @@ def parallel_triangular_solve(
     (:func:`repro.kernels.triangular.cached_schedules`) — the same
     bits and the same flop count.
 
-    ``faults`` arms a :class:`~repro.faults.FaultPlan`: on the simulator
-    message-level faults surface as :class:`~repro.faults.MessageLost` /
-    :class:`~repro.faults.RankFailure`; on the real transports the
-    portable subset (crash / stall / corrupt-result) is injected at the
-    worker level and recovered by supervised region retry — tune the
-    supervisor with ``supervision=`` (a
-    :class:`~repro.machine.SupervisionPolicy`; real transports only).
-    The journal and the retry count are returned on the result.
+    ``faults`` arms a :class:`~repro.faults.FaultPlan`: every transport
+    injects crash / stall / corrupt-result at region dispatch and
+    recovers by region retry, with the same journal, retry count and
+    bits (DESIGN.md §14); on the simulator dropped messages are
+    retransmitted, and one lost past every retransmit raises
+    :class:`~repro.faults.MessageLost`.  Tune the worker supervisor
+    with ``supervision=`` (a :class:`~repro.machine.SupervisionPolicy`;
+    real transports only).  The journal and the retry count are
+    returned on the result.
     """
     if factors.levels is None:
         raise ValueError(

@@ -26,7 +26,7 @@ from .errors import (
 from .ledger import ChargeEvent, ChargeLedger
 from .model import CRAY_T3D, IDEAL, WORKSTATION_CLUSTER, MachineModel
 from .processes import ProcessTransport
-from .simulator import MAX_RETRANSMITS, CommStats, Simulator, SimulatorSnapshot
+from .simulator import MAX_RETRANSMITS, CommStats, Simulator
 from .supervision import SupervisionPolicy
 from .threads import ThreadTransport
 from .transport import (
@@ -47,7 +47,6 @@ __all__ = [
     "CommStats",
     "ChargeEvent",
     "ChargeLedger",
-    "SimulatorSnapshot",
     "MAX_RETRANSMITS",
     "LocalTransport",
     "ThreadTransport",

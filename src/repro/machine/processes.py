@@ -42,7 +42,7 @@ frame nor a heartbeat frame within the supervision deadline surfaces
 cross the pickle boundary — either direction — surfaces
 :class:`~repro.machine.errors.ResultUnpicklable`.  **Any failure
 ends the generation**: every worker is killed and reaped before the
-error is raised, so the retry in ``LocalTransport.pardo`` finds no
+error is raised, so the retry in ``Simulator.pardo`` finds no
 generation and forks a fresh one from the coordinator's intact state.
 
 Every result frame carries the sender's region ordinal (its count of
@@ -280,7 +280,7 @@ class ProcessTransport(LocalTransport):
         active: list[int],
         inject: dict[int, RegionInjection],
     ) -> list[Any]:
-        """One supervised execution attempt (see ``LocalTransport.pardo``)."""
+        """One supervised execution attempt (see ``Simulator.pardo``)."""
         if self._rank is None and not self._live:
             # inside a driver-call scope every rank gets a worker, idle in
             # this region or not: it has the later regions to run

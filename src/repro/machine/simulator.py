@@ -36,13 +36,14 @@ exactly the superstep structure of the algorithms in the paper.
 
 The accounting core
 -------------------
-Everything above — clocks, counters, mailboxes, collectives, snapshots,
-statistics and the instruments below — is the **one** implementation of
-the transport contract (DESIGN.md §13).  The worker transports
-(:class:`~repro.machine.threads.ThreadTransport`,
+Everything above — clocks, counters, mailboxes, collectives,
+statistics, region retry and the instruments below — is the **one**
+implementation of the transport contract (DESIGN.md §13).  The worker
+transports (:class:`~repro.machine.threads.ThreadTransport`,
 :class:`~repro.machine.processes.ProcessTransport`) are this class with
-a different :meth:`Simulator.pardo`: they inherit the accounting and
-override only where a region's thunks execute, so communication
+a different :meth:`Simulator._run_region`: they inherit the accounting
+and ``pardo``'s fault dispatch and retry, and override only where one
+attempt of a region's thunks executes, so communication
 statistics, modelled time, traces and ledgers are bit-identical across
 transports by construction.  That works because of one rule, enforced
 here for every transport: **a thunk computes, may call**
@@ -55,22 +56,18 @@ operation.
 Fault injection
 ---------------
 Constructing the simulator with ``faults=FaultPlan(...)`` arms a
-deterministic fault harness (see :mod:`repro.faults`): matching
-point-to-point messages can be dropped, delayed or duplicated, and
-ranks can be stalled or crashed at a chosen superstep
-(the count of completed barriers + collectives).  A message carries no
-data, so a ``corrupt`` message fault has nothing to act on here and is
-refused; its one reading is the worker transports' corrupt-result.
-Every injected event is appended to :attr:`Simulator.fault_journal`.  A
-dropped message is re-posted by :meth:`Simulator.exchange` up to
+deterministic fault harness (see :mod:`repro.faults`) with one reading
+per fault kind, the same on every transport (DESIGN.md §14.3).  At
+``pardo`` dispatch, ranks can be crashed, stalled or handed a corrupt
+result from a chosen superstep on (the count of completed barriers +
+collectives); a crashed or corrupt attempt is retried from the
+untouched coordinator state, bit-identical by the pure-thunk rule.
+Inside :meth:`exchange`, matching point-to-point messages can be
+dropped, delayed or duplicated; a dropped message is re-posted up to
 :data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
-escalates to the driver; an armed crash raises
-:class:`~repro.faults.RankFailure` at the victim's next activity.
-:meth:`snapshot` / :meth:`restore` capture and roll back the full
-timing + mailbox state so a checkpointing driver can resume from the
-last completed level after a crash (crash faults are one-shot and stay
-disarmed across a restore).  The default ``faults=None`` keeps the hot
-path at a ``None`` check per call.
+escalates to the caller.  Every injected event and every recovery is
+appended to :attr:`Simulator.fault_journal`.  The default
+``faults=None`` keeps the hot path at a ``None`` check per call.
 
 Race detection
 --------------
@@ -94,25 +91,25 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..faults import (
-    VIRTUAL_MESSAGE_ACTIONS,
-    FaultJournal,
-    FaultPlan,
-    FaultRuntime,
-    MessageLost,
+from ..faults import FaultJournal, FaultPlan, FaultRuntime, MessageLost, RegionInjection
+from .errors import (
+    SUPERVISED_FAILURES,
+    ResultUnpicklable,
+    TransportError,
+    TransportWorkerError,
+    WorkerCrashed,
 )
-from .errors import TransportCapabilityError, TransportError
 from .ledger import ChargeLedger
 from .model import MachineModel
+from .supervision import SupervisionPolicy
 
 if TYPE_CHECKING:
     from ..verify.trace import AccessTracer
 
-__all__ = ["Simulator", "CommStats", "SimulatorSnapshot", "MAX_RETRANSMITS"]
+__all__ = ["Simulator", "CommStats", "MAX_RETRANSMITS"]
 
 #: Re-posts of one lost message before :meth:`Simulator.exchange` lets
-#: :class:`~repro.faults.MessageLost` escalate (to a driver's
-#: checkpoint-recovery layer, or to the caller).
+#: :class:`~repro.faults.MessageLost` escalate to the caller.
 MAX_RETRANSMITS = 3
 
 
@@ -139,26 +136,6 @@ class CommStats:
         return self.max_flops() / mean if mean > 0 else 1.0
 
 
-@dataclass
-class SimulatorSnapshot:
-    """Frozen copy of a :class:`Simulator`'s timing + mailbox state.
-
-    Produced by :meth:`Simulator.snapshot`; consumed by
-    :meth:`Simulator.restore`.  Fault-runtime state (which faults have
-    already fired) deliberately lives *outside* the snapshot so a
-    restored run does not re-arm a one-shot crash.
-    """
-
-    clock: np.ndarray
-    flops: np.ndarray
-    busy: np.ndarray
-    mail: dict[tuple[int, int, Any], deque[tuple[float, tuple[int, ...] | None]]]
-    messages: int
-    words: float
-    barriers: int
-    collectives: int
-
-
 class Simulator:
     """A virtual ``nranks``-PE distributed-memory machine.
 
@@ -171,6 +148,10 @@ class Simulator:
 
     #: Short spelling used in reports and ``transport=`` round-trips.
     name = "simulator"
+    #: The region supervisor's knobs.  Regions run inline here, so of
+    #: the default policy only ``region_retries`` applies; the worker
+    #: transports take a policy of their own.
+    supervision = SupervisionPolicy()
 
     def __init__(
         self,
@@ -183,18 +164,6 @@ class Simulator:
     ) -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        bad = [
-            f"message fault {mf.action!r}"
-            for mf in (faults.message_faults if faults is not None else ())
-            if mf.action not in VIRTUAL_MESSAGE_ACTIONS
-        ]
-        if bad:
-            raise TransportCapabilityError(
-                f"faults= on transport {self.name!r} cannot inject {', '.join(bad)}: "
-                "a simulated message carries no data to corrupt; corrupt faults "
-                "are the worker transports' corrupt-result, use "
-                "transport='threads' or 'processes'"
-            )
         self.nranks = int(nranks)
         self.model = model
         #: Opt-in charge introspection (``repro lint --verify-costs``):
@@ -218,8 +187,7 @@ class Simulator:
         #: True while a parallel region executes; whatever reaches the
         #: accounting surface then is a thunk, and is refused
         self._in_region = False
-        #: Parallel regions re-executed after a supervised worker failure
-        #: (always 0 where regions run inline).
+        #: Parallel regions re-executed after a supervised failure.
         self.region_recoveries = 0
         self.faults: FaultRuntime | None = faults.runtime() if faults is not None else None
         self.tracer: AccessTracer | None = None
@@ -261,23 +229,17 @@ class Simulator:
             "in coordinator context between regions (DESIGN.md §13.3)"
         )
 
-    def _guard_rank(self, rank: int, op: str) -> None:
-        """The choke point of every per-rank accounting call: refuse a
-        thunk, then fire pending rank faults (crash raises, stall charges
-        time)."""
+    def _guard(self, op: str) -> None:
+        """The choke point of every accounting call: refuse a thunk."""
         if self._in_region:
             self._refuse_thunk(op)
-        if self.faults is not None:
-            stall = self.faults.on_rank_activity(rank, self.superstep)
-            if stall > 0:
-                self.clock[rank] += stall
 
     def compute(self, rank: int, flops: float) -> None:
         """Charge ``flops`` floating-point operations to ``rank``."""
         rank = self._check_rank(rank)
         if flops < 0:
             raise ValueError(f"flops must be non-negative, got {flops}")
-        self._guard_rank(rank, "compute")
+        self._guard("compute")
         if self.ledger is not None:
             self.ledger.record("compute", rank, flops)
         cost = self.model.compute_cost(flops)
@@ -290,7 +252,7 @@ class Simulator:
         rank = self._check_rank(rank)
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        self._guard_rank(rank, "advance")
+        self._guard("advance")
         if self.ledger is not None:
             self.ledger.record("advance", rank, seconds)
         self.clock[rank] += seconds
@@ -298,27 +260,20 @@ class Simulator:
     def pardo(self, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
         """Execute one parallel region: one thunk per rank, ``None`` = idle.
 
-        The simulator is the deterministic oracle of the transport
-        family: thunks run *sequentially in rank order* on the
-        coordinator thread.  Combined with the drivers' read-shared /
-        write-own discipline (a thunk returns its updates rather than
-        mutating shared state), this fixes the reference semantics that
-        :class:`~repro.machine.threads.ThreadTransport` and
-        :class:`~repro.machine.processes.ProcessTransport` must
-        reproduce bit for bit.  A region touches neither clocks nor
-        counters on any transport — thunks may not charge — so where
-        and in which order its thunks execute is invisible to the cost
-        model and to fault scheduling.
+        Each attempt first asks the fault runtime which active ranks to
+        crash, stall or hand a corrupt result
+        (:meth:`~repro.faults.FaultRuntime.plan_region`); a stall is
+        charged to the rank's clock here, on every transport.  Then
+        :meth:`_run_region` executes the thunks.  A supervised failure
+        (:data:`~repro.machine.errors.SUPERVISED_FAILURES`: worker
+        crashed / hung / result unpicklable) re-executes the whole
+        region from the coordinator's intact state, up to
+        ``supervision.region_retries`` times — safe and
+        bit-reproducible because thunks are pure (read-shared /
+        write-own) and may not charge, so a failed attempt leaves
+        nothing to roll back (DESIGN.md §14.2).  Application exceptions
+        raised by a thunk are never retried.
         """
-        self._enter_region(thunks)
-        try:
-            return [f() if f is not None else None for f in thunks]
-        finally:
-            self._in_region = False
-
-    def _enter_region(self, thunks: Sequence[Callable[[], Any] | None]) -> None:
-        """Validate one ``pardo`` call and open its region; the caller
-        resets ``_in_region`` when the region ends, however it ends."""
         if self._in_region:
             self._refuse_thunk("pardo")
         if len(thunks) != self.nranks:
@@ -326,6 +281,90 @@ class Simulator:
                 f"pardo expects one thunk per rank ({self.nranks}), got {len(thunks)}"
             )
         self._in_region = True
+        try:
+            active = [r for r, f in enumerate(thunks) if f is not None]
+            if not active:
+                return [None] * self.nranks
+            attempt = 0
+            while True:
+                inject: dict[int, RegionInjection] = {}
+                if self.faults is not None:
+                    inject = self.faults.plan_region(active, self.superstep)
+                    for rank, injection in inject.items():
+                        self.clock[rank] += injection.stall
+                try:
+                    return self._run_region(thunks, active, inject)
+                except SUPERVISED_FAILURES as err:
+                    attempt += 1
+                    if attempt > self.supervision.region_retries:
+                        raise
+                    self.region_recoveries += 1
+                    if self.faults is not None:
+                        self.faults.journal.record(
+                            "region-retry",
+                            superstep=self.superstep,
+                            rank=err.rank,
+                            detail=f"attempt {attempt}: {type(err).__name__}",
+                        )
+        finally:
+            self._in_region = False
+
+    def _run_region(
+        self,
+        thunks: Sequence[Callable[[], Any] | None],
+        active: list[int],
+        inject: dict[int, RegionInjection],
+    ) -> list[Any]:
+        """One execution attempt of a region: where the transports differ.
+
+        The simulator is the deterministic oracle of the transport
+        family: thunks run *sequentially in rank order* on the
+        coordinator thread, and an injection is acted out the way a
+        worker fails — a crashed rank's thunk does not run
+        (:class:`~repro.machine.errors.WorkerCrashed`), a corrupt one's
+        runs and its result is lost
+        (:class:`~repro.machine.errors.ResultUnpicklable`).  Combined
+        with the drivers' read-shared / write-own discipline this fixes
+        the reference semantics that
+        :class:`~repro.machine.threads.ThreadTransport` and
+        :class:`~repro.machine.processes.ProcessTransport` reproduce bit
+        for bit.
+        """
+        results: list[Any] = [None] * self.nranks
+        failures: dict[int, BaseException] = {}
+        for r in active:
+            kind = inject[r].kind if r in inject else None
+            if kind == "crash":
+                failures[r] = WorkerCrashed(r, "worker crashed (injected)")
+                continue
+            try:
+                results[r] = thunks[r]()
+            except Exception as exc:  # noqa: BLE001 - decided like a worker's
+                failures[r] = exc
+                continue
+            if kind == "corrupt":
+                failures[r] = ResultUnpicklable(
+                    r, "injected corrupt-result: payload undecodable"
+                )
+        if failures:
+            self._raise_region_failure(failures)
+        return results
+
+    def _raise_region_failure(self, failures: dict[int, BaseException]) -> None:
+        """Raise the failure that decides a region attempt's fate.
+
+        Supervised failures (the retryable taxonomy) take precedence
+        over application errors; within a class, lowest rank first.
+        """
+        supervised = {
+            r: e for r, e in failures.items() if isinstance(e, SUPERVISED_FAILURES)
+        }
+        pick = supervised if supervised else failures
+        rank = min(pick)
+        exc = pick[rank]
+        if isinstance(exc, Exception):
+            raise exc
+        raise TransportWorkerError(rank, repr(exc))
 
     def heartbeat(self) -> None:
         """Progress signal from a long-running thunk — the one transport
@@ -405,7 +444,7 @@ class Simulator:
         dst = self._check_rank(dst)
         if nwords < 0:
             raise ValueError("nwords must be non-negative")
-        self._guard_rank(src, "exchange")
+        self._guard("exchange")
         attached = self.tracer.on_send(src) if self.tracer is not None else None
         if src == dst:
             # local hand-off: free, but keep FIFO semantics
@@ -437,7 +476,7 @@ class Simulator:
         until the arrival.  ``False`` when the mailbox is empty, which
         only a dropped message makes it inside :meth:`exchange`; the
         loss is journaled."""
-        self._guard_rank(dst, "exchange")
+        self._guard("exchange")
         box = self._mail[(src, dst, tag)]
         if not box:
             self.faults.on_lost(src, dst, tag, self.superstep)
@@ -453,19 +492,10 @@ class Simulator:
     # collectives
     # ------------------------------------------------------------------
 
-    def _guard_all(self, op: str) -> None:
-        """Every rank participates in a collective — the choke point of
-        ``barrier`` / ``allreduce`` / ``allgather``."""
-        if self._in_region:
-            self._refuse_thunk(op)
-        if self.faults is not None:
-            for rank in range(self.nranks):
-                self._guard_rank(rank, op)
-
     def barrier(self) -> None:
         """Synchronise all ranks: wait for the slowest, plus the cost of a
         log2(p)-step synchronisation tree (zero-payload collective)."""
-        self._guard_all("barrier")
+        self._guard("barrier")
         if self.ledger is not None:
             self.ledger.record("barrier", -1, 0.0)
         self.clock[:] = self.clock.max() + self.model.collective_cost(self.nranks, 0.0)
@@ -483,7 +513,7 @@ class Simulator:
             raise ValueError(
                 f"allreduce expects one value per rank ({self.nranks}), got {arr.shape}"
             )
-        self._guard_all("allreduce")
+        self._guard("allreduce")
         nwords = float(np.prod(arr.shape[1:])) if arr.ndim > 1 else 1.0
         if self.ledger is not None:
             self.ledger.record("allreduce", -1, nwords)
@@ -508,7 +538,7 @@ class Simulator:
             raise ValueError(
                 f"allgather expects one payload per rank ({self.nranks}), got {len(values)}"
             )
-        self._guard_all("allgather")
+        self._guard("allgather")
         if self.ledger is not None:
             self.ledger.record("allgather", -1, nwords_each * self.nranks)
         cost = self.model.collective_cost(self.nranks, nwords_each * self.nranks)
@@ -537,47 +567,6 @@ class Simulator:
         """Declare that ``rank`` writes shared object ``(space, index)``."""
         if self.tracer is not None:
             self.tracer.write(rank, space, int(index))
-
-    # ------------------------------------------------------------------
-    # checkpoint / restart
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> SimulatorSnapshot:
-        """Capture the timing + mailbox state for a later :meth:`restore`.
-
-        A message in flight keeps its arrival time and attached vector
-        clock.  Fault-runtime state (fired crash/stall flags, match
-        counters) is *not* captured — a one-shot crash stays fired
-        across a restore.
-        """
-        return SimulatorSnapshot(
-            clock=self.clock.copy(),
-            flops=self._flops.copy(),
-            busy=self._busy.copy(),
-            mail={key: deque(box) for key, box in self._mail.items() if box},
-            messages=self._messages,
-            words=self._words,
-            barriers=self._barriers,
-            collectives=self._collectives,
-        )
-
-    def restore(self, snap: SimulatorSnapshot, *, reason: str = "") -> None:
-        """Roll clocks, counters and mailboxes back to ``snap``.
-
-        Journals a ``restore`` event when a fault plan is active.
-        """
-        self.clock[:] = snap.clock
-        self._flops[:] = snap.flops
-        self._busy[:] = snap.busy
-        self._mail = defaultdict(deque, {key: deque(box) for key, box in snap.mail.items()})
-        self._messages = snap.messages
-        self._words = snap.words
-        self._barriers = snap.barriers
-        self._collectives = snap.collectives
-        if self.faults is not None:
-            self.faults.journal.record(
-                "restore", superstep=self.superstep, detail=reason
-            )
 
     # ------------------------------------------------------------------
     # results

@@ -12,6 +12,8 @@ bare string error.  Its pieces:
     bounded **region retry** budget.  ``deadline=None`` disables
     deadlines and restores the blocking collection path — the
     configuration ``benchmarks/e2e`` measures supervision against.
+    The simulator runs its regions inline under the default policy, of
+    which only the retry budget applies.
 
 The failure taxonomy (:mod:`repro.machine.errors`)
     :class:`~repro.machine.errors.WorkerCrashed` (worker died: exitcode
@@ -26,11 +28,13 @@ The failure taxonomy (:mod:`repro.machine.errors`)
 
 Fault injection
     There is one fault runtime, :class:`~repro.faults.plan.FaultRuntime`
-    (DESIGN.md §14.3).  A worker transport asks it once per region
-    (``plan_region``) which ranks to crash, stall or hand a corrupt
-    result, and :func:`wrap_injected_thunk` below is how the thread
-    workers act that out (a process worker calls ``os._exit``, sleeps,
-    or ships an undecodable blob).
+    (DESIGN.md §14.3).  Every transport's ``pardo`` asks it once per
+    region (``plan_region``) which ranks to crash, stall or hand a
+    corrupt result, and retries the region that failed.
+    :func:`wrap_injected_thunk` below is how the thread workers act the
+    injection out (a process worker calls ``os._exit``, sleeps, or ships
+    an undecodable blob; the simulator skips the thunk or drops its
+    result).
 
 Why region retry preserves bit-identity: the pure-thunk ``pardo``
 discipline (read-shared / write-own, DESIGN.md §13) means a region has

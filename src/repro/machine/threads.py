@@ -126,7 +126,7 @@ class ThreadTransport(LocalTransport):
         active: list[int],
         inject: dict[int, RegionInjection],
     ) -> list[Any]:
-        """One supervised execution attempt (see ``LocalTransport.pardo``).
+        """One supervised execution attempt (see ``Simulator.pardo``).
 
         Collects completions in arrival order; a failing rank's typed
         error is raised after every participant resolved (completed,

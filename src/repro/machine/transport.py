@@ -42,13 +42,13 @@ A transport provides:
   ``superstep`` / ``elapsed`` / ``stats`` — a message is accounting
   only: it moves time and counters, never data;
 * the tracing hooks ``declare_read`` / ``declare_write`` (no-ops unless
-  built with ``trace=True``) and ``snapshot`` / ``restore`` for the
-  checkpoint layer.
+  built with ``trace=True``).
 
 Because all of the second and third group runs in coordinator context
-on every transport, :class:`LocalTransport` — the base of the two worker
-transports — *is* a ``Simulator`` and overrides only region execution
-and lifecycle.  The cost model, the race tracer and the charge ledger
+on every transport, and so does ``pardo``'s fault dispatch and region
+retry, :class:`LocalTransport` — the base of the two worker transports
+— *is* a ``Simulator`` and overrides only where one attempt of a region
+executes, and the lifecycle.  The cost model, the race tracer and the charge ledger
 belong to that shared core, not to one backend:
 modelled time and communication statistics are the same numbers on
 every transport, and wall-clock time is the caller's to measure.
@@ -61,27 +61,23 @@ without a transport).
 ``resolve_transport`` is the single entry-point factory the
 ``transport=`` keyword of every ``parallel_*`` driver goes through; it
 raises the typed :class:`TransportCapabilityError` for the requests that
-describe a real difference between transports.  Worker transports read
-a :class:`~repro.faults.FaultPlan` *physically* (crash / stall /
-corrupt-result, see :mod:`repro.faults.plan`) and run every ``pardo``
-region under a supervisor (DESIGN.md §14): per-rank deadlines with
-heartbeats, the typed failure taxonomy of :mod:`repro.machine.errors`
-(``WorkerCrashed`` / ``WorkerHung`` / ``ResultUnpicklable``), and
-bounded region retry from the coordinator's intact state —
-bit-identical by the pure-thunk discipline.
+describe a real difference between transports.  Every transport reads
+the region faults of a :class:`~repro.faults.FaultPlan` (crash / stall /
+corrupt-result, see :mod:`repro.faults.plan`) at ``pardo`` dispatch and
+retries a failed region from the coordinator's intact state —
+bit-identical by the pure-thunk discipline.  Worker transports act the
+faults out physically and collect every region under a supervisor
+(DESIGN.md §14): per-rank deadlines with heartbeats and the typed
+failure taxonomy of :mod:`repro.machine.errors` (``WorkerCrashed`` /
+``WorkerHung`` / ``ResultUnpicklable``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..faults import FaultJournal, FaultPlan, RegionInjection, unportable_faults
-from .errors import (
-    SUPERVISED_FAILURES,
-    TransportCapabilityError,
-    TransportError,
-    TransportWorkerError,
-)
+from ..faults import FaultPlan, unportable_faults
+from .errors import TransportCapabilityError, TransportError
 from .model import CRAY_T3D, MachineModel
 from .simulator import Simulator
 from .supervision import SupervisionPolicy
@@ -104,17 +100,16 @@ TRANSPORT_NAMES = ("simulator", "threads", "processes", "none")
 class LocalTransport(Simulator):
     """A :class:`Simulator` whose parallel regions run on real workers.
 
-    Clocks, counters, mailboxes, collectives, snapshots, statistics and
-    instruments are inherited; this class adds what having workers adds:
-    the region supervisor (deadlines, typed failures, bounded retry,
-    DESIGN.md §14), the physical reading of a fault plan, and a
-    lifecycle.  Subclasses implement :meth:`_run_region`.
+    Clocks, counters, mailboxes, collectives, statistics, instruments,
+    fault dispatch and region retry are inherited; this class adds what
+    having workers adds: a supervision policy (deadlines, retry budget,
+    DESIGN.md §14), the refusal of faults without a physical reading,
+    and a lifecycle.  Subclasses implement :meth:`_run_region`, one
+    supervised attempt of a region on the workers.
 
-    ``model`` and ``instruments`` (``trace`` / ``ledger``) are the
-    simulator's own.  ``faults`` is not handed down
-    to it: a worker transport injects per region
-    (``FaultRuntime.plan_region``), not per message, and refuses a plan
-    it cannot read physically.
+    ``model``, ``faults`` and ``instruments`` (``trace`` / ``ledger``)
+    are the simulator's own.  A worker injects per region, never per
+    message, so a plan with drop / delay / duplicate faults is refused.
     """
 
     def __init__(
@@ -126,7 +121,6 @@ class LocalTransport(Simulator):
         faults: FaultPlan | None = None,
         **instruments: Any,
     ) -> None:
-        super().__init__(nranks, model, **instruments)
         bad = unportable_faults(faults) if faults is not None else []
         if bad:
             raise TransportCapabilityError(
@@ -135,89 +129,17 @@ class LocalTransport(Simulator):
                 f"corrupt-result); not portable: {', '.join(bad)} — the worker "
                 "transports refuse them by policy, use transport='simulator'"
             )
+        super().__init__(nranks, model, faults=faults, **instruments)
         self.supervision = supervision if supervision is not None else SupervisionPolicy()
-        self._region_faults = faults.runtime() if faults is not None else None
         self._closed = False
 
-    @property
-    def fault_journal(self) -> FaultJournal | None:
-        """The journal of physically injected faults and region retries."""
-        return self._region_faults.journal if self._region_faults is not None else None
-
-    # -- parallel region ----------------------------------------------
-
     def pardo(self, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
-        """Run one thunk per rank under the region supervisor.
-
-        Dispatches any armed faults and delegates to the backend's
-        :meth:`_run_region`.  A supervised failure
-        (:data:`SUPERVISED_FAILURES`: worker crashed / hung / result
-        unpicklable) re-executes the whole region from the coordinator's
-        intact state, up to ``supervision.region_retries`` times — safe
-        and bit-reproducible because thunks are pure (read-shared /
-        write-own) and may not charge, so a failed attempt leaves
-        nothing to roll back (DESIGN.md §13/§14).  Application
-        exceptions raised by a thunk are never retried.
-        """
         self._ensure_open()
-        self._enter_region(thunks)
-        try:
-            active = [r for r, f in enumerate(thunks) if f is not None]
-            if not active:
-                return [None] * self.nranks
-            attempt = 0
-            while True:
-                inject: dict[int, RegionInjection] = (
-                    self._region_faults.plan_region(active, self.superstep)
-                    if self._region_faults is not None
-                    else {}
-                )
-                try:
-                    return self._run_region(thunks, active, inject)
-                except SUPERVISED_FAILURES as err:
-                    attempt += 1
-                    if attempt > self.supervision.region_retries:
-                        raise
-                    self.region_recoveries += 1
-                    if self._region_faults is not None:
-                        self._region_faults.journal.record(
-                            "region-retry",
-                            superstep=self.superstep,
-                            rank=err.rank,
-                            detail=f"attempt {attempt}: {type(err).__name__}",
-                        )
-        finally:
-            self._in_region = False
-
-    def _run_region(
-        self,
-        thunks: Sequence[Callable[[], Any] | None],
-        active: list[int],
-        inject: dict[int, RegionInjection],
-    ) -> list[Any]:
-        """One supervised execution attempt of a region (backend hook)."""
-        raise NotImplementedError
+        return super().pardo(thunks)
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise TransportError("transport is closed")
-
-    def _raise_region_failure(self, failures: dict[int, BaseException]) -> None:
-        """Raise the failure that decides the region's fate.
-
-        Supervised failures (the retryable taxonomy) take precedence
-        over application errors; within a class, lowest rank first — the
-        same deterministic order the pre-supervision transports used.
-        """
-        supervised = {
-            r: e for r, e in failures.items() if isinstance(e, SUPERVISED_FAILURES)
-        }
-        pick = supervised if supervised else failures
-        rank = min(pick)
-        exc = pick[rank]
-        if isinstance(exc, Exception):
-            raise exc
-        raise TransportWorkerError(rank, repr(exc))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -258,11 +180,11 @@ def resolve_transport(
         transport alike.  ``"none"`` has no instruments and refuses
         them.
     faults:
-        Runs anywhere a fault can be honoured: virtually on the
-        simulator (drop / delay / duplicate messages, crash / stall
-        ranks), physically (crash / stall / corrupt-result, DESIGN.md
-        §14) on the worker transports.  Each refuses the rest of the
-        plan rather than silently certifying nothing.
+        Runs on every named transport: crash / stall / corrupt-result
+        at region dispatch, followed by region retry, on all three
+        (DESIGN.md §14); drop / delay / duplicate messages on the
+        simulator only.  The worker transports refuse those rather
+        than silently certifying nothing.
     supervision:
         A :class:`~repro.machine.supervision.SupervisionPolicy` for the
         worker supervisor — worker-backed transports only.

@@ -41,7 +41,7 @@ class ParallelSolveReport:
     :class:`~repro.resilience.RetryPolicy` was engaged (``None`` when the
     first attempt succeeded and no policy was given); ``fault_journal``
     and ``recoveries`` carry the injected-fault log and the number of
-    checkpoint restarts when a :class:`~repro.faults.FaultPlan` was armed.
+    region retries when a :class:`~repro.faults.FaultPlan` was armed.
     """
 
     x: np.ndarray
@@ -99,13 +99,12 @@ def parallel_solve(
     factorization: a :class:`~repro.resilience.NumericalBreakdown` retries
     with relaxed parameters (larger drop threshold) and the attempt
     history lands in the report's ``failure_report``.  ``faults`` arms a
-    :class:`~repro.faults.FaultPlan` on the factorization; on the
-    simulator recoverable faults (rank crash, message drop) are absorbed
-    by the engine's checkpoint/restart, while on the real transports the
-    portable subset (crash / stall / corrupt-result) is absorbed by
-    supervised region retry (DESIGN.md §14) — both are counted in
-    ``recoveries``.  ``supervision`` tunes the worker supervisor on real
-    transports (:class:`~repro.machine.SupervisionPolicy`).
+    :class:`~repro.faults.FaultPlan` on the factorization; on every
+    transport a crash / stall / corrupt-result is absorbed by region
+    retry (DESIGN.md §14) and counted in ``recoveries``, and on the
+    simulator a dropped message is retransmitted.  ``supervision``
+    tunes the worker supervisor on real transports
+    (:class:`~repro.machine.SupervisionPolicy`).
     """
     d = decompose(A, nranks, seed=seed)
     params = ILUTParams(fill=m, threshold=t, k=k)

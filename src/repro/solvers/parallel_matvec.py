@@ -76,15 +76,15 @@ def parallel_matvec(
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
     :class:`~repro.machine.Simulator`).
 
-    ``faults`` arms a :class:`~repro.faults.FaultPlan`; the simulator
-    honours every fault kind (injected message faults surface as
-    :class:`~repro.faults.MessageLost` /
-    :class:`~repro.faults.RankFailure`), while the real transports
-    honour the portable subset — crash / stall rank faults and corrupt
-    message faults (as corrupt-result) — and recover by supervised
-    region retry (DESIGN.md §14).  The journal is returned on the
-    result.  ``supervision`` tunes the worker supervisor
-    (:class:`~repro.machine.SupervisionPolicy`; real transports only).
+    ``faults`` arms a :class:`~repro.faults.FaultPlan`: every transport
+    injects crash / stall rank faults and corrupt message faults (as
+    corrupt-result) at region dispatch and recovers by region retry
+    (DESIGN.md §14); drop / delay / duplicate are the simulator's, and
+    a message lost past every retransmit raises
+    :class:`~repro.faults.MessageLost`.  The journal and the retry
+    count are returned on the result.  ``supervision`` tunes the worker
+    supervisor (:class:`~repro.machine.SupervisionPolicy`; real
+    transports only).
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.shape[0]

@@ -6,7 +6,6 @@ from repro.faults import (
     FaultJournal,
     FaultPlan,
     MessageFault,
-    RankFailure,
     RankFault,
 )
 
@@ -79,17 +78,19 @@ class TestRuntimeWindows:
     def test_crash_is_one_shot(self):
         plan = FaultPlan(rank_faults=[RankFault("crash", rank=2, superstep=1)])
         rt = plan.runtime()
-        assert rt.on_rank_activity(2, 0) == 0.0  # before its superstep
-        with pytest.raises(RankFailure, match="rank 2 crashed"):
-            rt.on_rank_activity(2, 1)
-        # disarmed: the restarted rank keeps working
-        assert rt.on_rank_activity(2, 5) == 0.0
+        assert rt.plan_region([0, 1, 2], superstep=0) == {}  # before its superstep
+        assert rt.plan_region([0, 1], superstep=1) == {}  # rank 2 idle
+        inject = rt.plan_region([0, 1, 2], superstep=3)
+        assert {r: i.kind for r, i in inject.items()} == {2: "crash"}
+        # disarmed at dispatch: the retried region runs clean
+        assert rt.plan_region([0, 1, 2], superstep=3) == {}
+        assert rt.journal.counts() == {"crash": 1}
 
     def test_stall_returns_seconds_once(self):
         plan = FaultPlan(rank_faults=[RankFault("stall", rank=0, stall=2.5)])
         rt = plan.runtime()
-        assert rt.on_rank_activity(0, 0) == 2.5
-        assert rt.on_rank_activity(0, 1) == 0.0
+        assert rt.plan_region([0], superstep=0)[0].stall == 2.5
+        assert rt.plan_region([0], superstep=1) == {}
 
 
 class TestCorruptResult:
@@ -104,6 +105,15 @@ class TestCorruptResult:
         inject = rt.plan_region([0, 1], superstep=2)
         assert {r: i.kind for r, i in inject.items()} == {1: "corrupt"}
         assert rt.journal.counts() == {"corrupt": 1}
+
+    def test_other_message_faults_are_not_read_per_region(self):
+        """Drop / delay / duplicate stay per message: dispatch neither
+        injects them nor advances their match counters."""
+        plan = FaultPlan(message_faults=[MessageFault("drop", src=1)])
+        rt = plan.runtime()
+        assert rt.plan_region([0, 1], superstep=0) == {}
+        assert not rt.on_send(1, 0, "t", superstep=0).deliver
+        assert rt.journal.counts() == {"drop": 1}
 
 
 class TestJournal:

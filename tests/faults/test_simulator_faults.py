@@ -1,5 +1,5 @@
-"""Fault injection at the simulator layer: delivery effects, rank
-faults, snapshot/restore bookkeeping."""
+"""Fault injection at the simulator layer: delivery effects of message
+faults, region faults read at ``pardo`` dispatch and region retry."""
 
 import pytest
 
@@ -7,15 +7,14 @@ from repro.faults import (
     FaultPlan,
     MessageFault,
     MessageLost,
-    RankFailure,
     RankFault,
 )
 from repro.machine import (
     CRAY_T3D,
     IDEAL,
     MAX_RETRANSMITS,
+    ResultUnpicklable,
     Simulator,
-    TransportCapabilityError,
 )
 
 
@@ -68,14 +67,26 @@ class TestMessageFaults:
         assert sim.pending_messages() == 1
         assert sim.fault_journal.counts() == {"duplicate": 1}
 
-    def test_corrupt_is_refused(self):
-        """A simulated message carries no data to corrupt: ``corrupt``
-        is the worker transports' corrupt-result only."""
-        plan = FaultPlan(message_faults=[MessageFault("corrupt")])
-        with pytest.raises(TransportCapabilityError, match="corrupt"):
-            make_sim(plan)
-        # the virtual actions of the same plan object are still welcome
-        make_sim(FaultPlan(message_faults=[MessageFault("drop"), MessageFault("duplicate")]))
+    def test_corrupt_result_recovers(self):
+        """``corrupt`` is read at region dispatch as corrupt-result: the
+        rank's thunk runs, its result is lost, the region is retried."""
+        calls = []
+        sim = make_sim(FaultPlan(message_faults=[MessageFault("corrupt", src=1)]))
+        out = sim.pardo([lambda: calls.append(0) or "a", lambda: calls.append(1) or "b"])
+        assert out == ["a", "b"]
+        assert calls == [0, 1, 0, 1]  # the corrupt attempt ran every thunk
+        assert sim.region_recoveries == 1
+        assert sim.fault_journal.counts() == {"corrupt": 1, "region-retry": 1}
+        # a message fault of another kind is not read at dispatch
+        sim = make_sim(FaultPlan(message_faults=[MessageFault("drop")]))
+        assert sim.pardo([lambda: 0, lambda: 1]) == [0, 1]
+        assert len(sim.fault_journal) == 0
+
+    def test_retry_budget_exhausted_surfaces_typed(self):
+        sim = make_sim(FaultPlan(message_faults=[MessageFault("corrupt", src=0, count=3)]))
+        with pytest.raises(ResultUnpicklable):
+            sim.pardo([lambda: 0, lambda: 1])
+        assert sim.region_recoveries == sim.supervision.region_retries == 2
 
     def test_unmatched_tag_is_unaffected(self):
         sim = make_sim(FaultPlan(message_faults=[MessageFault("drop", tag="other")]))
@@ -85,82 +96,39 @@ class TestMessageFaults:
 
 
 class TestRankFaults:
-    def test_crash_fires_on_compute(self):
+    def test_crash_fires_at_region_dispatch(self):
+        """A crash fails the attempt before the rank's thunk runs; the
+        region is retried and its results are the undisturbed ones."""
+        calls = []
         sim = make_sim(FaultPlan(rank_faults=[RankFault("crash", rank=1)]))
-        sim.compute(0, 10.0)  # other ranks unaffected
-        with pytest.raises(RankFailure):
-            sim.compute(1, 10.0)
+        sim.compute(1, 10.0)  # charges are not where a crash fires
+        out = sim.pardo([lambda: calls.append(0) or "a", lambda: calls.append(1) or "b"])
+        assert out == ["a", "b"]
+        assert calls == [0, 0, 1]
+        assert sim.region_recoveries == 1
+        assert sim.fault_journal.counts() == {"crash": 1, "region-retry": 1}
 
     def test_crash_waits_for_its_superstep(self):
         sim = make_sim(
             FaultPlan(rank_faults=[RankFault("crash", rank=0, superstep=2)]), nranks=2
         )
+        sim.pardo([lambda: 0, lambda: 1])
         sim.barrier()
         sim.barrier()
-        assert sim.superstep == 2
-        with pytest.raises(RankFailure):
-            sim.barrier()
+        sim.pardo([None, lambda: 1])  # rank 0 idle: nothing to crash
+        assert sim.superstep == 2 and sim.region_recoveries == 0
+        sim.pardo([lambda: 0, None])
+        assert sim.region_recoveries == 1
 
     def test_stall_advances_only_that_clock(self):
         sim = make_sim(
             FaultPlan(rank_faults=[RankFault("stall", rank=1, stall=3.0)]),
             model=IDEAL,
         )
+        sim.pardo([lambda: 0, lambda: 1])
         sim.compute(0, 5.0)
         sim.compute(1, 5.0)
         t0, t1 = sim.clock[0], sim.clock[1]
         assert t1 == pytest.approx(t0 + 3.0)
         assert sim.fault_journal.counts() == {"stall": 1}
-
-
-class TestSnapshotRestore:
-    def test_restore_rewinds_clocks_and_mail(self):
-        sim = make_sim(FaultPlan(message_faults=[MessageFault("duplicate")]))
-        sim.compute(0, 100.0)
-        snap = sim.snapshot()
-        t = sim.elapsed()
-        sim.compute(0, 500.0)
-        sim.exchange([(0, 1, 1.0)], tag="t")
-        assert sim.pending_messages() == 1
-        sim.restore(snap)
-        assert sim.elapsed() == t
-        assert sim.pending_messages() == 0
-
-    def test_restore_is_journaled_under_faults(self):
-        sim = make_sim(FaultPlan(rank_faults=[RankFault("crash", rank=0)]))
-        snap = sim.snapshot()
-        with pytest.raises(RankFailure):
-            sim.compute(0, 1.0)
-        sim.restore(snap, reason="crash recovery")
-        counts = sim.fault_journal.counts()
-        assert counts == {"crash": 1, "restore": 1}
-
-    def test_one_snapshot_survives_two_restores(self):
-        sim = make_sim(FaultPlan(message_faults=[MessageFault("duplicate")]))
-        sim.exchange([(0, 1, 1.0)], tag="t")  # leaves one stale copy in flight
-        snap = sim.snapshot()
-        sim.compute(0, 1000.0)
-        sim.exchange([(0, 1, 1.0)], tag="t")  # drains the stale copy
-        arrival = sim.clock[1]
-        for _ in range(2):
-            sim.restore(snap)
-            assert sim.pending_messages() == 1
-            sim.compute(0, 1000.0)
-            sim.exchange([(0, 1, 1.0)], tag="t")
-            assert sim.clock[1] == arrival
-
-    def test_in_flight_message_keeps_its_vector_clock(self):
-        """Under ``trace=True`` a message carries the sender's vector
-        clock; a copy in flight at the snapshot (a duplicate's stale
-        copy) keeps it across a restore."""
-        plan = FaultPlan(message_faults=[MessageFault("duplicate", tag="t")])
-        sim = Simulator(2, CRAY_T3D, trace=True, faults=plan)
-        sim.declare_write(0, "u-row", 7)
-        sim.exchange([(0, 1, 1.0)], tag="t")  # its stale copy stays in flight
-        snap = sim.snapshot()
-        [(_arrival, clock)] = snap.mail[(0, 1, "t")]
-        assert clock is not None and clock[0] > 0  # rank 0's send ticked it
-        sim.exchange([(0, 1, 1.0)], tag="t")  # drains the stale copy
-        assert sim.pending_messages() == 1
-        sim.restore(snap)
-        assert sim.snapshot().mail == snap.mail
+        assert sim.region_recoveries == 0

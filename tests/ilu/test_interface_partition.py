@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
-from repro.faults import FaultPlan, MessageFault, RankFault
+from repro.faults import FaultPlan, MessageFault, MessageLost, RankFault
 from repro.ilu import (
     InterfacePartitionEngine,
     parallel_ilut,
@@ -78,24 +78,23 @@ class TestFewerLevels:
 
 
 class TestSharedDriverLoop:
-    """The §7 engine runs the MIS engine's driver loop, so it checkpoints,
+    """The §7 engine runs the MIS engine's driver loop, so a fault plan
     recovers and reports per level exactly as ``parallel_ilut`` does."""
 
     @pytest.mark.parametrize(
-        "plan",
+        "plan, injected",
         [
-            FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=3)]),
-            # one message lost past every retransmit: MessageLost escalates
-            FaultPlan(message_faults=[MessageFault("drop", src=2, dst=1, tag="ipart", count=4)]),
+            (FaultPlan(rank_faults=[RankFault("crash", rank=1, superstep=3)]), "crash"),
+            (FaultPlan(message_faults=[MessageFault("corrupt", src=2)]), "corrupt"),
         ],
-        ids=["rank-crash", "message-lost"],
+        ids=["rank-crash", "corrupt-result"],
     )
-    def test_fault_plan_recovers_to_bit_identical_factors(self, plan):
+    def test_fault_plan_recovers_to_bit_identical_factors(self, plan, injected):
         A, params = torso_like(140, seed=1), ILUTParams(fill=5, threshold=1e-3)
         clean = parallel_ilut_partitioned(A, params, 3, seed=0)
         hurt = parallel_ilut_partitioned(A, params, 3, seed=0, faults=plan)
         assert hurt.recoveries == 1 and clean.recoveries == 0
-        assert "restore=1" in hurt.fault_journal.summary()
+        assert hurt.fault_journal.counts() == {injected: 1, "region-retry": 1}
         for name in ("L", "U"):
             a, b = getattr(clean.factors, name), getattr(hurt.factors, name)
             assert (a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()) == (
@@ -103,6 +102,16 @@ class TestSharedDriverLoop:
             )
         assert clean.factors.perm.tobytes() == hurt.factors.perm.tobytes()
         assert (clean.level_sizes, clean.flops) == (hurt.level_sizes, hurt.flops)
+        assert clean.modeled_time == hurt.modeled_time
+
+    def test_message_lost_past_every_retransmit_escalates_typed(self):
+        """A message dropped on every re-post is not a region failure:
+        ``MessageLost`` reaches the caller, as from every driver."""
+        A, params = torso_like(140, seed=1), ILUTParams(fill=5, threshold=1e-3)
+        plan = FaultPlan(message_faults=[MessageFault("drop", src=2, dst=1, tag="ipart", count=4)])
+        with pytest.raises(MessageLost) as err:
+            parallel_ilut_partitioned(A, params, 3, seed=0, faults=plan)
+        assert (err.value.src, err.value.dst, err.value.tag) == (2, 1, "ipart")
 
     def test_level_hook_fires_once_per_round(self):
         A = poisson2d(14)

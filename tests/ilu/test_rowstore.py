@@ -1,8 +1,7 @@
 """The engine's row store, and the order its merge replays a region in.
 
 The store tests are the operations the engine leans on: replacing a row
-is an append, a gather reads rows in the order asked, a checkpoint is
-the index plus a length and survives being restored twice.  The merge
+is an append, and a gather reads rows in the order asked.  The merge
 pin holds what ``_merge_blocks`` must not move when rows travel as one
 block per rank: modelled time (a float sum per rank, so order-bound),
 the flop and copy counters and the tracer's global access sequence —
@@ -63,30 +62,11 @@ class TestRowStore:
         assert list(store) == [2] and store == {2: store[2]}
         assert rows_of(store.gather(np.array([1, 2]))) == [([], []), ([2], [2.0])]
 
-    def test_checkpoint_append_restore_append_again(self):
-        store = store_of(5, {0: ([0, 1], [1.0, 2.0]), 3: ([3], [3.0])})
-        ckpt = store.checkpoint()
-        store.put(np.array([0, 4]), flat_of([([0], [9.0]), ([2, 4], [8.0, 7.0])]))
-        store.discard(np.array([3]))
-        store.restore(ckpt)
-        assert dict_of(store) == {0: ([0, 1], [1.0, 2.0]), 3: ([3], [3.0])}
-        # appending after a restore overwrites the abandoned tail only
-        store.put(np.array([3]), flat_of([([1, 3], [5.0, 6.0])]))
-        assert dict_of(store) == {0: ([0, 1], [1.0, 2.0]), 3: ([1, 3], [5.0, 6.0])}
-        # ... and the same checkpoint restores a second time
-        store.restore(ckpt)
-        assert dict_of(store) == {0: ([0, 1], [1.0, 2.0]), 3: ([3], [3.0])}
-        assert store.used == ckpt[2] == 3
-
     def test_a_csr_matrix_is_a_row_buffer_too(self):
         A = poisson2d(3)
         rows = np.array([4, 0])
         flat = gather_rows(A.indptr[:-1], np.diff(A.indptr), A.indices, A.data, rows)
         assert rows_of(flat) == [tuple(a.tolist() for a in A.row(i)) for i in (4, 0)]
-
-
-def dict_of(store):
-    return {i: (c.tolist(), v.tolist()) for i, (c, v) in store.items()}
 
 
 @pytest.mark.parametrize(

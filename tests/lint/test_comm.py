@@ -18,9 +18,9 @@ REPO = Path(__file__).resolve().parents[2]
 #: transports inherit it) that neither post, drain, synchronise nor
 #: charge — every other one must be in the vocabulary.
 NEUTRAL = {
-    "pardo", "heartbeat", "declare_read", "declare_write", "snapshot",
-    "restore", "elapsed", "utilization", "pending_messages", "stats", "close",
-    "begin_scope", "end_scope",
+    "pardo", "heartbeat", "declare_read", "declare_write", "elapsed",
+    "utilization", "pending_messages", "stats", "close", "begin_scope",
+    "end_scope",
 }
 
 

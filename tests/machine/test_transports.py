@@ -405,8 +405,8 @@ class TestOneAccountingCore:
 
     ACCOUNTING = (
         "exchange _send _recv barrier allreduce allgather compute advance "
-        "declare_read declare_write snapshot restore stats superstep elapsed "
-        "utilization pending_messages _check_rank"
+        "declare_read declare_write stats superstep elapsed "
+        "utilization pending_messages _check_rank _raise_region_failure"
     ).split()
 
     #: what a thunk might try, by operation name

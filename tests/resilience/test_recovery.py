@@ -1,4 +1,4 @@
-"""Checkpointed phase-2 restart, driver-level retry, and the typed
+"""Crash recovery by region retry, driver-level retry, and the typed
 breakdown errors at their historical raise sites."""
 
 import numpy as np
@@ -13,6 +13,9 @@ from repro.sparse import CSRMatrix
 
 
 class TestCheckpointRestart:
+    """Recovery inside a factorization: region retry after a crash,
+    retransmission after a drop — there is no engine checkpoint."""
+
     def params(self):
         return ILUTParams(fill=5, threshold=1e-4)
 
@@ -22,23 +25,27 @@ class TestCheckpointRestart:
         plan = FaultPlan(rank_faults=[RankFault("crash", rank=2, superstep=4)])
         faulted = parallel_ilut(A, self.params(), 4, seed=0, faults=plan)
         assert faulted.recoveries == 1
-        assert faulted.fault_journal.counts() == {"crash": 1, "restore": 1}
+        assert faulted.fault_journal.counts() == {"crash": 1, "region-retry": 1}
         assert np.array_equal(clean.factors.L.data, faulted.factors.L.data)
         assert np.array_equal(clean.factors.U.data, faulted.factors.U.data)
         assert np.array_equal(clean.factors.perm, faulted.factors.perm)
         assert clean.num_levels == faulted.num_levels
 
     def test_two_crashes_two_recoveries(self):
+        """Crashes armed for different regions are two retries; the
+        supersteps are chosen so they do not land in one region."""
         A = poisson2d(12)
         plan = FaultPlan(
             rank_faults=[
                 RankFault("crash", rank=1, superstep=2),
-                RankFault("crash", rank=3, superstep=6),
+                RankFault("crash", rank=3, superstep=12),
             ]
         )
         clean = parallel_ilut(A, self.params(), 4, seed=0)
         faulted = parallel_ilut(A, self.params(), 4, seed=0, faults=plan)
         assert faulted.recoveries == 2
+        crashes = [e.superstep for e in faulted.fault_journal if e.kind == "crash"]
+        assert len(crashes) == 2 and crashes[0] != crashes[1]
         assert np.array_equal(clean.factors.U.data, faulted.factors.U.data)
 
     def test_star_variant_recovers_too(self):

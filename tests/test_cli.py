@@ -157,7 +157,7 @@ class TestFaultInjectModes:
         assert main(["check", "g0:12", "--inject", "rank-crash"]) == 0
         out = capsys.readouterr().out
         assert "crashed rank" in out
-        assert "1 checkpoint restart(s)" in out
+        assert "1 region retr(ies)" in out
         assert "bit-identical" in out
 
     def test_rank_crash_star_variant(self, capsys):
@@ -171,23 +171,23 @@ class TestFaultInjectModes:
         assert "converged" in out
         assert "fault check OK: corruption detected" in out
 
-    def test_corrupt_result_is_refused_on_the_simulator(self, capsys):
-        """A simulated message carries no data: corrupt-result is a
-        worker-transport mode, and the simulator says so instead of
-        reporting a recovery that never happened."""
-        assert main(["check", "g0:12", "--inject", "corrupt-result"]) == 1
+    def test_corrupt_result_recovers_on_the_simulator(self, capsys):
+        """corrupt-result is read at region dispatch on every transport:
+        the simulator retries the region as the workers do."""
+        assert main(["check", "g0:12", "--inject", "corrupt-result"]) == 0
         out = capsys.readouterr().out
-        assert "--transport threads|processes" in out
-        assert "fault check OK" not in out and "recoveries" not in out
-        assert main(["check", "g0:12", "--inject", "corrupt-result", "--json"]) == 1
+        assert "corrupt=1" in out and "region-retry=1" in out
+        assert "1 region retr(ies)" in out
+        assert "fault check OK: injection recovered" in out
+        assert main(["check", "g0:12", "--inject", "corrupt-result", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is False and doc["exit"] == 1
+        assert doc["ok"] is True and doc["recoveries"] == 1
 
     def test_corrupt_result_recovers_on_threads(self, capsys):
         argv = ["check", "g0:12", "--inject", "corrupt-result", "--transport", "threads"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "1 supervised region retr(ies)" in out
+        assert "1 region retr(ies)" in out
         assert "fault check OK: injection recovered" in out
 
 
