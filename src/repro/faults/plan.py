@@ -30,9 +30,9 @@ Failure semantics
   mailbox at the end of the run are visible via ``pending_messages``).
 * ``corrupt`` — *corrupt-result*: the rank's thunk runs, and its region
   result is replaced by an undecodable one, which fails the attempt.
-* ``crash``  — the rank's worker dies at dispatch of the first region
-  at or after ``superstep`` in which the rank takes part, which fails
-  the attempt.  The crash is one-shot (the model is
+* ``crash``  — the rank fails, before its thunk runs, at dispatch of
+  the first region at or after ``superstep`` in which it takes part,
+  which fails the attempt.  The crash is one-shot (the model is
   fail-once-then-restart), so the region retry that follows makes
   progress.
 * ``stall``  — the rank's clock is advanced by ``stall`` seconds once,

@@ -48,10 +48,10 @@ Because all of the second and third group runs in coordinator context
 on every transport, and so does ``pardo``'s fault dispatch and region
 retry, :class:`LocalTransport` — the base of the two worker transports
 — *is* a ``Simulator`` and overrides only where one attempt of a region
-executes, and the lifecycle.  The cost model, the race tracer and the charge ledger
-belong to that shared core, not to one backend:
-modelled time and communication statistics are the same numbers on
-every transport, and wall-clock time is the caller's to measure.
+executes, and the lifecycle.  The cost model, the race tracer and the
+charge ledger belong to that shared core, not to one backend: modelled
+time and communication statistics are the same numbers on every
+transport, and wall-clock time is the caller's to measure.
 
 Drivers reach a transport through two helpers defined here (DESIGN.md
 §13.2): :class:`entry_transport` (acquire / report / release for one
