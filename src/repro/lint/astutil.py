@@ -9,12 +9,9 @@ from typing import Iterator
 __all__ = [
     "NodeIndex",
     "ancestors",
-    "enclosing",
-    "enclosing_function",
     "call_name",
     "dotted_name",
     "literal_text",
-    "names_in",
     "is_sorted_call",
 ]
 
@@ -70,18 +67,6 @@ def ancestors(node: ast.AST) -> Iterator[ast.AST]:
         cur = getattr(cur, "_lint_parent", None)
 
 
-def enclosing(node: ast.AST, *types: type) -> ast.AST | None:
-    """Nearest ancestor of one of ``types`` (None if absent)."""
-    for anc in ancestors(node):
-        if isinstance(anc, types):
-            return anc
-    return None
-
-
-def enclosing_function(node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    return enclosing(node, ast.FunctionDef, ast.AsyncFunctionDef)  # type: ignore[return-value]
-
-
 def call_name(call: ast.Call) -> str:
     """The terminal name of the called object: ``a.b.exchange(...)`` -> ``exchange``."""
     func = call.func
@@ -117,11 +102,6 @@ def literal_text(node: ast.AST) -> str:
             if isinstance(v, ast.Constant) and isinstance(v.value, str)
         )
     return ""
-
-
-def names_in(node: ast.AST) -> set[str]:
-    """Every bare ``Name`` identifier appearing under ``node``."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 def is_sorted_call(node: ast.AST) -> bool:

@@ -1,13 +1,10 @@
 """The ``python -m repro lint`` command.
 
 Exit status: 0 when there are no findings, 1 otherwise — the CI
-contract.  ``--verify-transport`` prints a per-root certification table
-of the transport-portability analysis (hidden state, dtype discipline);
-``--verify-costs`` certifies the statically derived flop/comm cost
-models against the simulator's recorded charges on small seeded
-instances.  The two flags compose: the files are parsed once, one call
-graph serves both tables, they print in transport → costs order, and
-the exit status is 1 if any row is not CERTIFIED.
+contract.  ``--verify-transport`` prints, instead of findings, a
+per-root certification table of the transport-portability analysis
+(hidden state, dtype discipline) and exits 1 if any row is not
+CERTIFIED.
 """
 
 from __future__ import annotations
@@ -34,12 +31,12 @@ __all__ = ["add_lint_parser", "cmd_lint"]
 def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
-        help="static SPMD/determinism/accounting analysis",
+        help="static determinism/accounting/portability analysis",
         description=(
-            "AST-based static analysis: SPMD communication discipline, "
-            "determinism hazards, integral flop charges, breakdown typing, "
-            "transport portability, and the transport / cost "
-            "certification tables. Exit 1 on any finding or uncertified row."
+            "AST-based static analysis: determinism hazards, integral "
+            "flop charges, breakdown typing, scalar CSR loops, transport "
+            "portability, and the transport certification table. "
+            "Exit 1 on any finding or uncertified row."
         ),
     )
     p.add_argument(
@@ -67,14 +64,6 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> argparse.ArgumentParse
         help=(
             "certify the comm roots transport-portable (hidden state, "
             "dtype discipline)"
-        ),
-    )
-    p.add_argument(
-        "--verify-costs",
-        action="store_true",
-        help=(
-            "certify the symbolic flop/comm cost models against the "
-            "simulator's recorded charges on small seeded instances"
         ),
     )
     p.add_argument(
@@ -134,68 +123,25 @@ def _restrict_to_changed(paths: list[Path], root: Path) -> list[Path]:
     return picked
 
 
-def _print_table(reports: list, what: str, footer: str, render_row) -> bool:
-    """Print one certification table; True when every row certified."""
-    if not reports:
-        print(f"no {what} found to verify")
-        return False
-    for r in reports:
-        render_row(r)
-    certified = sum(1 for r in reports if r.certified)
-    print(f"{certified}/{len(reports)} {footer}")
-    return certified == len(reports)
-
-
-def _transport_row(r) -> None:
-    status = "CERTIFIED" if r.certified else "FAILED"
-    print(f"{status:<9} {r.module}::{r.qualname}  functions={r.functions}")
-    for p in r.problems:
-        print(
-            f"  {p.rule} [{p.kind}] {p.module}:{p.line} "
-            f"in {p.function}: {p.message}"
-        )
-
-
-def _costs_row(r) -> None:
-    status = "CERTIFIED" if r.certified else "DRIFT"
-    model = ", ".join(f"{name}={text}" for name, text in r.expressions.items())
-    print(
-        f"{status:<9} {r.module}::{r.qualname}  "
-        f"runs={r.runs} sites={r.sites} checks={len(r.checks)}"
-    )
-    if model:
-        print(f"  model: {model}")
-    for p in r.problems:
-        print(f"  problem: {p}")
-    for c in r.checks:
-        if c.status != "ok":
-            print(
-                f"  drift: {c.name}: expected {c.expected}, got {c.actual}"
-                + (f" ({c.detail})" if c.detail else "")
-            )
-
-
-def _cmd_verify(args: argparse.Namespace, project: ProjectContext) -> int:
-    """Every requested certification table over one project context."""
-    from .costverify import verify_costs
+def _cmd_verify_transport(project: ProjectContext) -> int:
+    """Print the transport certification table; 1 if any row fails."""
     from .flow import verify_transport
 
-    ok = True
-    if args.verify_transport:
-        ok &= _print_table(
-            verify_transport(project),
-            "drivers",
-            "driver(s) certified transport-portable",
-            _transport_row,
-        )
-    if args.verify_costs:
-        ok &= _print_table(
-            verify_costs(project),
-            "cost roots",
-            "cost model(s) certified against runtime charges",
-            _costs_row,
-        )
-    return 0 if ok else 1
+    reports = verify_transport(project)
+    if not reports:
+        print("no drivers found to verify")
+        return 1
+    for r in reports:
+        status = "CERTIFIED" if r.certified else "FAILED"
+        print(f"{status:<9} {r.module}::{r.qualname}  functions={r.functions}")
+        for p in r.problems:
+            print(
+                f"  {p.rule} [{p.kind}] {p.module}:{p.line} "
+                f"in {p.function}: {p.message}"
+            )
+    certified = sum(1 for r in reports if r.certified)
+    print(f"{certified}/{len(reports)} driver(s) certified transport-portable")
+    return 0 if certified == len(reports) else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -216,8 +162,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         project_root=root,
     )
 
-    if args.verify_transport or args.verify_costs:
-        return _cmd_verify(args, load_project(paths, config))
+    if args.verify_transport:
+        return _cmd_verify_transport(load_project(paths, config))
 
     if args.changed_only:
         paths = _restrict_to_changed(paths, root)

@@ -7,8 +7,8 @@ collectives ``barrier``/``allreduce``/``allgather`` and the
 accounting-only charges ``compute``/``advance``.  This module is the
 **only** place the analyzer spells that vocabulary out: which call
 names communicate (:func:`classify`), which calls charge the cost model
-and as what (:func:`charged_as`), where each method keeps its tag and
-charged amount (:data:`SIGNATURES` + :func:`argument`), and which
+and as what (:func:`charged_as`), where each method keeps its charged
+flops (:data:`SIGNATURES` + :func:`flop_charge_amount`), and which
 functions are the certified roots (:data:`COMM_ROOTS`).  Every rule and
 every ``flow`` analysis imports it; ``tests/lint/test_comm.py`` pins
 :data:`SIGNATURES` to ``inspect.signature`` of the real methods.
@@ -26,13 +26,9 @@ __all__ = [
     "COLLECTIVE_NAMES",
     "CHARGE_NAMES",
     "SIGNATURES",
-    "RANK_NAMES",
-    "RANK_RANGE_MARKERS",
     "classify",
     "is_comm",
     "charged_as",
-    "argument",
-    "amount_expr",
     "flop_charge_amount",
     "implements_transport",
 ]
@@ -58,19 +54,13 @@ SIGNATURES: dict[str, tuple[str, ...]] = {
     "advance": ("rank", "seconds"),
 }
 
-#: The parameter holding the charged quantity, per charging method.
-_AMOUNT_PARAM = {
-    "compute": "flops",
-    "advance": "seconds",
-    "allgather": "nwords_each",
-}
-
 #: Call shapes that charge flops: ``sim.compute`` and the engines'
 #: wrappers around it, all ``(rank, flops)``.
 _FLOP_CHARGE_NAMES = frozenset({"compute", "_charge_ops", "charge"})
 
 #: The certified comm roots, as ``(project-relative module path, dotted
-#: qualname)`` — every ``--verify-*`` table has one row per entry.
+#: qualname)`` — ``--verify-transport`` has one row per entry, and
+#: ``tests/machine/test_cost_model.py`` checks each one's charges.
 COMM_ROOTS: tuple[tuple[str, str], ...] = (
     ("src/repro/solvers/parallel_matvec.py", "parallel_matvec"),
     ("src/repro/ilu/triangular.py", "parallel_triangular_solve"),
@@ -79,11 +69,6 @@ COMM_ROOTS: tuple[tuple[str, str], ...] = (
     ("src/repro/ilu/interface_partition.py", "InterfacePartitionEngine.run"),
     ("src/repro/ilu/parallel_ilu0.py", "parallel_ilu0"),
 )
-
-#: Identifiers that denote a rank in this codebase's driver idiom.
-RANK_NAMES = frozenset({"rank", "src", "dst", "r", "rk", "pe", "proc", "me", "myrank"})
-#: Attribute/name fragments that mark an iterable as "over the ranks".
-RANK_RANGE_MARKERS = ("nranks", "nprocs", "num_ranks", "world_size")
 
 
 def classify(call: ast.Call) -> str | None:
@@ -123,28 +108,6 @@ def charged_as(call: ast.Call) -> str | None:
     if kind is None:
         return None
     return "send" if kind == "exchange" else func.attr
-
-
-def argument(call: ast.Call, param: str) -> ast.expr | None:
-    """The expression bound to ``param`` of a vocabulary call, whether
-    passed positionally or by keyword (None when defaulted or the
-    method has no such parameter)."""
-    signature = SIGNATURES.get(call_name(call), ())
-    if param in signature:
-        pos = signature.index(param)
-        if len(call.args) > pos:
-            return call.args[pos]
-    for kw in call.keywords:
-        if kw.arg == param:
-            return kw.value
-    return None
-
-
-def amount_expr(call: ast.Call) -> ast.expr | None:
-    """The charged quantity of a charging call (None for ``barrier``,
-    ``allreduce`` and ``exchange``, whose cost is not an argument)."""
-    param = _AMOUNT_PARAM.get(call_name(call))
-    return argument(call, param) if param is not None else None
 
 
 def flop_charge_amount(call: ast.Call) -> ast.expr | None:

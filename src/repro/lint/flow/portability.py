@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .callgraph import FunctionDecl
-from .dataflow import stmt_mutations
 from .pytypes import dtype_violation, infer_types
 
 if TYPE_CHECKING:
@@ -147,6 +146,68 @@ def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     if a.kwarg:
         names.add(a.kwarg.arg)
     return names
+
+
+#: Method names that mutate their receiver in place (list/dict/set and
+#: ndarray vocabulary).  ``sort``/``pop`` are deliberately included even
+#: though some receivers return values — the receiver changes either way.
+_MUTATOR_METHODS = frozenset(
+    {
+        "append", "extend", "insert", "remove", "pop", "clear", "sort",
+        "reverse", "update", "add", "discard", "setdefault", "popitem",
+        "fill", "resize", "put", "itemset", "partition_inplace",
+    }
+)
+
+
+def stmt_mutations(stmt: ast.stmt) -> list[tuple[str, str, int]]:
+    """In-place mutations ``stmt`` performs, as ``(name, how, line)``.
+
+    Covers subscript/attribute assignment and aug-assignment rooted at a
+    bare name (``x[i] = v``, ``x.field += v``), aug-assignment of the
+    name itself (``x += v`` — a rebind for scalars but an in-place
+    ``__iadd__`` for ndarrays/lists), and mutator method calls
+    (``x.append(v)``, ``x.fill(0)``).  Plain rebinding (``x = v``) is
+    *not* a mutation: the old object is unaffected.
+    """
+    out: list[tuple[str, str, int]] = []
+
+    def root(node: ast.expr) -> ast.expr:
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return node
+
+    def record_target(target: ast.expr, how: str, line: int) -> None:
+        if isinstance(target, (ast.Subscript, ast.Attribute)):
+            base = root(target)
+            if isinstance(base, ast.Name):
+                out.append((base.id, how, line))
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                record_target(elt, how, line)
+
+    for node in ast.walk(stmt):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # nested scopes are analysed on their own
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                record_target(t, "element/attribute assignment", node.lineno)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            if isinstance(node.target, ast.Name) and isinstance(node, ast.AugAssign):
+                out.append((node.target.id, "augmented assignment", node.lineno))
+            else:
+                record_target(node.target, "element/attribute assignment", node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATOR_METHODS:
+                base = root(node.func.value)
+                if isinstance(base, ast.Name):
+                    out.append(
+                        (base.id, f".{node.func.attr}() call", node.lineno)
+                    )
+        elif isinstance(node, ast.Delete):
+            for t in node.targets:
+                record_target(t, "element deletion", node.lineno)
+    return out
 
 
 def _problem(

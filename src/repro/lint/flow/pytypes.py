@@ -11,9 +11,8 @@ Telling that ``np.array([n, m])`` builds integer content needs to know
 which names hold ints, so :func:`infer_types` gives every local of a
 function an abstract *kind* (``"int"``, ``"float"``, ``"ndarray"``,
 ``"list"`` …).  It is a flow-insensitive fixpoint over the function's
-assignments, mirroring the taint layer (:mod:`~repro.lint.flow.taint`):
-every binding whose right-hand side has an inferable kind types its
-targets, and conflicting rebinds merge to :data:`UNKNOWN`.  The lattice
+assignments: every binding whose right-hand side has an inferable kind
+types its targets, and conflicting rebinds merge to :data:`UNKNOWN`.  The lattice
 is sound for alarms: :data:`UNKNOWN` is never integer content, so every
 report is a definite hazard, never a guess.
 """

@@ -35,10 +35,10 @@ __all__ = ["Rule", "register", "all_rules", "get_rule"]
 class Rule:
     """Base class for lint rules; subclass and :func:`register`."""
 
-    #: Stable identifier, e.g. ``"SPMD005"`` — used in output and
+    #: Stable identifier, e.g. ``"TRN003"`` — used in output and
     #: ``--select``/``--ignore``.
     id: str = ""
-    #: Short human name, e.g. ``"rank-tainted-collective"``.
+    #: Short human name, e.g. ``"hidden-state"``.
     name: str = ""
     severity: Severity = Severity.WARNING
     #: One-line description (shown by ``--list-rules``).

@@ -37,18 +37,18 @@ __all__ = [
 ]
 
 #: Per-directory rule profiles: ``relpath prefix -> disabled rule-id
-#: prefixes``.  The SPMD collective rule, the charge-parity rule, and
-#: the transport-portability rules describe obligations of the
-#: *drivers*; test and benchmark code exercises the simulator in
-#: intentionally-partial ways, so only the determinism/breakdown
-#: families apply there.  Tests additionally assert exact float values
-#: against constructed data on purpose, so DET003 (float-equality) is
-#: off for them.  The PERF vectorization rule is likewise scoped to
-#: library code — tests and benchmarks build scalar shapes deliberately
-#: (oracles, per-element assertions, timing loops).
+#: prefixes``.  The charge-parity rule and the transport-portability
+#: rules describe obligations of the *drivers*; test and benchmark code
+#: exercises the simulator in intentionally-partial ways, so only the
+#: determinism/breakdown families apply there.  Tests additionally
+#: assert exact float values against constructed data on purpose, so
+#: DET003 (float-equality) is off for them.  The PERF vectorization
+#: rule is likewise scoped to library code — tests and benchmarks build
+#: scalar shapes deliberately (oracles, per-element assertions, timing
+#: loops).
 DEFAULT_PROFILES: dict[str, tuple[str, ...]] = {
-    "tests/": ("SPMD", "PAR", "TRN", "DET003", "PERF"),
-    "benchmarks/": ("SPMD", "PAR", "TRN", "PERF"),
+    "tests/": ("PAR", "TRN", "DET003", "PERF"),
+    "benchmarks/": ("PAR", "TRN", "PERF"),
 }
 
 #: Paths never linted: rule fixtures are deliberate violations.

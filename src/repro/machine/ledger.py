@@ -4,12 +4,11 @@ Every modeled-speedup figure this reproduction reports is a sum of
 individual charges the drivers push into the :class:`Simulator` —
 ``compute`` flops, ``send`` words, barrier and collective counts.  The
 :class:`ChargeLedger` records each of those charges *with the source
-location that issued it*, which is what lets ``repro lint
---verify-costs`` join the runtime accounting against the statically
-extracted charge sites of :mod:`repro.lint.flow.cost`: a charge arriving
-from a line the static analysis does not know about (or a static site
-that never fires) is cost-model drift, reported before it can corrupt
-the paper's speedup claims.
+location that issued it*, which is what lets the charge-model tests
+(``tests/machine/test_cost_model.py``) check the closed-form cost of
+every communicating driver against what it actually charged, attribute
+a data-dependent total to the engine method that charged it, and show
+that no charge comes from the numeric kernels.
 
 The ledger is strictly opt-in (``Simulator(..., ledger=ChargeLedger())``)
 so the hot path of a normal run pays only a ``None`` check per charge,
@@ -56,7 +55,7 @@ class ChargeEvent:
 
     @property
     def site(self) -> tuple[str, str, int]:
-        """The join key against static charge sites: (kind, file, line)."""
+        """Where the charge came from: (kind, file, line)."""
         return (self.kind, self.file, self.line)
 
 
@@ -66,8 +65,7 @@ class ChargeLedger:
     The call site attached to each event is the nearest stack frame
     *outside* the machine package — i.e. the driver line that invoked
     ``compute``/``send``/``barrier``/... (possibly through the
-    simulator's own ``exchange`` helper), matching what the static
-    analysis extracts from the driver source.
+    simulator's own ``exchange`` helper).
     """
 
     def __init__(self) -> None:

@@ -166,7 +166,7 @@ class Simulator:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         self.nranks = int(nranks)
         self.model = model
-        #: Opt-in charge introspection (``repro lint --verify-costs``):
+        #: Opt-in charge introspection (the charge-model tests):
         #: every compute/advance/send/barrier/collective charge is
         #: recorded with the driver line that issued it.  ``None`` (the
         #: default) keeps the hot path at a ``None`` check per call and

@@ -44,17 +44,16 @@ def test_list_rules(capsys):
     rc = main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for rid in ("SPMD005", "DET001", "PAR002", "BRK001"):
-        assert rid in out
-    for gone in (
-        "SPMD001", "SPMD002", "SPMD003", "SPMD004", "TRN001", "TRN002", "PAR001", "PAR003"
-    ):
-        assert gone not in out
+    # every rule DESIGN.md §10.3 keeps, and none it dropped
+    assert {ln.split()[0] for ln in out.splitlines()} == {
+        "BRK001", "DET001", "DET002", "DET003", "DET004", "PAR002", "PERF001",
+        "TRN003", "TRN004",
+    }
 
 
 def test_select_and_ignore(capsys):
     path = str(FIXTURES / "det001_bad.py")
-    assert main(["lint", path, "--select", "SPMD005"]) == 0
+    assert main(["lint", path, "--select", "TRN003"]) == 0
     capsys.readouterr()
     assert main(["lint", path, "--ignore", "DET001"]) == 0
 
@@ -82,12 +81,13 @@ def test_github_format_emits_workflow_commands(capsys):
 
 
 def test_github_format_escapes_message_payload(capsys):
-    rc = main(["lint", str(FIXTURES / "spmd005_bad.py"),
-               "--select", "SPMD005", "--format", "github"])
+    rc = main(["lint", str(FIXTURES / "trn003_bad.py"),
+               "--select", "TRN003", "--format", "github"])
     out = capsys.readouterr().out
     assert rc == 1
-    # taint-chain messages contain commas/colons; they must survive as
-    # data, and the property fields must never carry a raw newline
+    # hidden-state messages contain commas/colons/parentheses; they must
+    # survive as data, and the property fields must never carry a raw
+    # newline
     assert "::error file=" in out
     for ln in out.splitlines():
         if ln.startswith("::"):
@@ -121,36 +121,23 @@ def test_verify_transport_fails_on_hidden_state_fixture(capsys):
     assert "payloads=" not in out
 
 
-def test_verify_flags_compose_in_fixed_order(capsys):
-    """One parse, both tables, transport -> costs whatever the flag
-    order."""
-    rc = main(["lint", "--verify-costs", "--verify-transport",
-               str(REPO / "src" / "repro")])
-    out = capsys.readouterr().out
-    assert rc == 0, out
-    footers = [ln for ln in out.splitlines() if ln[0].isdigit()]
-    assert [f.split(" ", 1)[1] for f in footers] == [
-        "driver(s) certified transport-portable",
-        "cost model(s) certified against runtime charges",
-    ]
-    assert "FAILED" not in out and "DRIFT" not in out
-
-
-def test_verify_flags_compose_exit_1_if_any_row_fails(capsys):
-    rc = main(["lint", "--verify-costs", "--verify-transport",
+def test_verify_transport_exits_1_if_any_row_fails(capsys):
+    rc = main(["lint", "--verify-transport",
                str(REPO / "src" / "repro"), str(FIXTURES / "trn003_bad.py")])
     out = capsys.readouterr().out
     assert rc == 1
-    # the cost table certifies the repo; the transport table fails the fixture
-    assert "7/7 cost model(s) certified" in out
-    assert "TRN003" in out and "FAILED" in out
+    # the repo's rows certify; the fixture's fail the table
+    assert "CERTIFIED" in out and "FAILED" in out and "TRN003" in out
+    certified, total = out.splitlines()[-1].split(" ", 1)[0].split("/")
+    assert 0 < int(certified) < int(total)
 
 
 @pytest.mark.parametrize(
     "flags",
     [["--verify-protocol"], ["--fix"], ["--diff"], ["--baseline", "b.json"], ["--no-baseline"],
      ["--write-baseline"], ["--show-baselined"], ["--no-cache"],
-     ["-o", "out.txt"], ["--output", "out.txt"], ["--format", "sarif"]],
+     ["-o", "out.txt"], ["--output", "out.txt"], ["--format", "sarif"],
+     ["--verify-costs"]],
     ids=lambda f: f[0],
 )
 def test_removed_flags_are_rejected(flags, capsys):
@@ -174,12 +161,12 @@ def test_stats_json_writes_machine_readable_timings(tmp_path):
 
 
 class TestDirectoryProfiles:
-    def test_spmd_rules_off_under_tests_dir(self, tmp_path, capsys):
+    def test_perf_rules_off_under_tests_dir(self, tmp_path, capsys):
         work = tmp_path / "proj"
         (work / "tests").mkdir(parents=True)
         (work / "pyproject.toml").write_text("[project]\nname='x'\n")
         mod = work / "tests" / "helper.py"
-        shutil.copyfile(FIXTURES / "spmd005_direct_bad.py", mod)
+        shutil.copyfile(FIXTURES / "perf001_bad.py", mod)
         # directory discovery applies the tests/ profile -> no findings
         rc = main(["lint", str(work / "tests")])
         assert rc == 0
@@ -187,7 +174,7 @@ class TestDirectoryProfiles:
         # naming the file explicitly bypasses the profile (ruff convention)
         rc = main(["lint", str(mod)])
         assert rc == 1
-        assert "SPMD005" in capsys.readouterr().out
+        assert "PERF001" in capsys.readouterr().out
 
     def test_det_rules_still_apply_under_tests_dir(self, tmp_path, capsys):
         work = tmp_path / "proj"

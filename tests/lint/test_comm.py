@@ -1,5 +1,5 @@
 """The transport vocabulary is pinned to the code it describes, and the
-two certification tables are views over one root list."""
+transport table and the charge-model tests cover one root list."""
 
 import ast
 import inspect
@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintConfig, comm, load_project
-from repro.lint.costverify import verify_costs
 from repro.lint.flow import verify_transport
 from repro.machine import Simulator
+
+from ..machine.test_cost_model import HARNESSES
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -47,14 +48,11 @@ def test_messages_are_accounting_only():
 
 
 def test_role_positions_follow_the_signatures():
-    """What ``_AMOUNT_ARG``'s ``allgather: 2`` / ``allreduce: 2`` got
-    wrong: every role resolves through the one signature table."""
-    assert ast.unparse(comm.amount_expr(_call("sim.allgather(vals, 2.0)"))) == "2.0"
-    assert comm.amount_expr(_call("sim.allreduce(vals, 'sum')")) is None
-    assert ast.unparse(comm.amount_expr(_call("sim.compute(r, flops=n)"))) == "n"
-    exch = _call("sim.exchange([(0, 1, 4), (1, 0, 4)], 'halo')")
-    assert ast.unparse(comm.argument(exch, "tag")) == "'halo'"
-    assert comm.amount_expr(exch) is None  # charged per message, as a send
+    """The flop count resolves through the one signature table."""
+    assert ast.unparse(comm.flop_charge_amount(_call("sim.compute(r, n)"))) == "n"
+    assert ast.unparse(comm.flop_charge_amount(_call("self._charge_ops(r, 2 * k)"))) == "2 * k"
+    assert comm.flop_charge_amount(_call("sim.compute(r)")) is None
+    assert comm.flop_charge_amount(_call("sim.advance(r, 1.0)")) is None
 
 
 def test_every_posting_or_charging_transport_method_is_classified():
@@ -78,5 +76,5 @@ def test_both_tables_certify_the_same_roots():
     project = load_project([REPO / "src" / "repro"], LintConfig(project_root=REPO))
     roots = {f"{m}::{q}" for m, q in comm.COMM_ROOTS}
     transport = {r.key for r in verify_transport(project)}
-    costs = {r.key for r in verify_costs(project) if r.runs}  # minus the kernels surface
-    assert transport == costs == roots
+    assert transport == roots
+    assert set(HARNESSES) == set(comm.COMM_ROOTS)

@@ -16,13 +16,13 @@ FINDINGS = [
         snippet="if x == 0.5:",
     ),
     Finding(
-        rule="SPMD005",
+        rule="TRN003",
         severity=Severity.ERROR,
         path="src/repro/y.py",
         line=7,
         col=0,
-        message="collective guarded by rank-derived value 'leader'",
-        snippet="sim.barrier()",
+        message="module-global '_CACHE' mutated inside rank-executed code",
+        snippet="_CACHE[key] = val",
     ),
 ]
 
@@ -45,7 +45,7 @@ class TestJson:
         assert len(doc["findings"]) == 2
         by_rule = {f["rule"]: f for f in doc["findings"]}
         assert by_rule["DET003"]["column"] == 9  # 1-indexed
-        assert by_rule["SPMD005"]["severity"] == "error"
+        assert by_rule["TRN003"]["severity"] == "error"
         assert set(by_rule["DET003"]) == {
             "rule", "severity", "path", "line", "column", "message", "snippet",
         }

@@ -1,13 +1,12 @@
-"""Property suite: symbolic cost models vs runtime counters.
+"""Property suite: closed-form cost models vs runtime counters.
 
-The closed forms registered in ``COST_SPECS`` were certified by
-``repro lint --verify-costs`` on one seeded Poisson instance; this
-suite replays the certification on *random* CSR matrices across rank
+``test_cost_model.py`` checks the closed forms on one seeded Poisson
+instance; this suite replays them on *random* CSR matrices across rank
 counts 1–4, and checks the numeric result against the transport-free
-path.  The structural parameters
-(``nnz``, halo sizes, consumer sets) are recomputed here from the raw
-arrays, then each closed form must evaluate to exactly the simulator's
-recorded total — no tolerance, the models are exact counts.
+path.  The structural parameters (``nnz``, halo sizes, consumer sets)
+are recomputed from the raw arrays, then each closed form must equal
+the simulator's recorded total exactly — no tolerance, the models are
+exact counts.
 """
 
 import numpy as np
@@ -15,14 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.flow.cost import COST_SPECS, CostExpr
+from .test_cost_model import assert_closed_forms, matvec_model, triangular_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
-_MATVEC_SPEC = COST_SPECS["src/repro/solvers/parallel_matvec.py::parallel_matvec"]
-_TRI_SPEC = COST_SPECS[
-    "src/repro/ilu/triangular.py::parallel_triangular_solve"
-]
 
 
 @st.composite
@@ -49,54 +43,23 @@ def instances(draw, max_n=16):
     return nranks, CSRMatrix.from_coo(r, c, v, (n, n))
 
 
-def _stats_by_component(stats) -> dict[str, float]:
-    return {
-        "flops": float(stats.total_flops),
-        "messages": float(stats.messages),
-        "words": float(stats.words_sent),
-        "barriers": float(stats.barriers),
-        "collectives": float(stats.collectives),
-    }
-
-
-def _assert_closed_forms(spec, env, stats, label):
-    recorded = _stats_by_component(stats)
-    for component, text in spec.components().items():
-        if text is None:
-            continue
-        expected = CostExpr(text).evaluate(env)
-        assert recorded[component] == float(expected), (
-            f"{label}: {component} == {text}: "
-            f"expected {expected}, recorded {recorded[component]} (env {env})"
-        )
-
-
 class TestMatvecCostModel:
     @settings(max_examples=25, deadline=None)
     @given(instances())
     def test_closed_forms_hold_on_random_instances(self, data):
         from repro.decomp import decompose
-        from repro.lint.costverify import _halo_params
         from repro.machine import CRAY_T3D, ChargeLedger, Simulator
         from repro.solvers.parallel_matvec import parallel_matvec
 
         nranks, A = data
         decomp = decompose(A, nranks, seed=0)
         x = np.linspace(-1.0, 1.0, A.shape[0])
-        halo_pairs, halo_words = _halo_params(decomp)
-        env = {
-            "n": float(A.shape[0]),
-            "p": float(nranks),
-            "nnz": float(A.nnz),
-            "halo_pairs": float(halo_pairs),
-            "halo_words": halo_words,
-        }
         ledger = ChargeLedger()
         sim = Simulator(nranks, CRAY_T3D, ledger=ledger)
         res = parallel_matvec(A, decomp, x, transport=sim)
         stats = sim.stats()
         sim.close()
-        _assert_closed_forms(_MATVEC_SPEC, env, stats, "simulator")
+        assert_closed_forms(matvec_model(A, decomp), stats)
         # the ledger and the stats counters are dual accounts
         assert ledger.total("compute") == float(stats.total_flops) == res.flops
         assert ledger.count("barrier") == stats.barriers
@@ -110,7 +73,6 @@ class TestTriangularCostModel:
         from repro.ilu import parallel_ilut
         from repro.ilu.params import ILUTParams
         from repro.ilu.triangular import parallel_triangular_solve
-        from repro.lint.costverify import _triangular_comm
         from repro.machine import CRAY_T3D, ChargeLedger, Simulator
 
         nranks, A = data
@@ -119,23 +81,12 @@ class TestTriangularCostModel:
         )
         factors = fact.factors
         b = A @ np.ones(A.shape[0])
-        q = len(factors.levels.interface_levels)
-        tri_messages, tri_words = _triangular_comm(factors)
-        env = {
-            "n": float(A.shape[0]),
-            "p": float(nranks),
-            "q": float(q),
-            "nnz_L": float(factors.L.nnz),
-            "nnz_U": float(factors.U.nnz),
-            "tri_messages": float(tri_messages),
-            "tri_words": tri_words,
-        }
         ledger = ChargeLedger()
         sim = Simulator(nranks, CRAY_T3D, ledger=ledger)
         sol = parallel_triangular_solve(factors, b, nranks=nranks, transport=sim)
         stats = sim.stats()
         sim.close()
-        _assert_closed_forms(_TRI_SPEC, env, stats, "simulator")
+        assert_closed_forms(triangular_model(factors), stats)
         assert ledger.total("compute") == float(stats.total_flops) == sol.flops
         none = parallel_triangular_solve(factors, b, nranks=nranks, transport="none")
         assert none.flops == sol.flops
