@@ -34,9 +34,10 @@ The schedule is analysed once per factors object into an
 (:func:`repro.kernels.triangular.cached_analysis`) and evicted with the
 factors: per stage the ``(rank, flops)`` charges, each level's sorted
 ``(src, dst, words)`` message list, and the rows each rank solves in
-each region with their CSR entries as arrays.  A thunk lists its batch
-once and runs a scalar row loop in Python floats, the pattern of
-:mod:`repro.ilu.row`; the accounting replays from the plan.
+each region with their CSR entries as Python lists, listed once per
+factors.  A thunk lists the vector entries it reads and runs a scalar
+row loop in Python floats, the pattern of :mod:`repro.ilu.row`; the
+accounting replays from the plan.
 """
 
 from __future__ import annotations
@@ -97,18 +98,20 @@ class _Batch:
     ``cols``/``vals`` are those entries, row after row in stored order,
     columns renumbered into the copy; ``diag`` is ``u_ii`` on the
     backward sweep and ``1.0`` (an exact no-op divisor) on the forward.
+    The four are Python lists, listed once per factors, which is what
+    the thunk's scalar loop reads.
     """
 
     rank: int
     gather: np.ndarray
-    counts: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    diag: np.ndarray
+    counts: list[int]
+    cols: list[int]
+    vals: list[float]
+    diag: list[float]
 
     @property
     def rows(self) -> np.ndarray:
-        return self.gather[: self.counts.size]
+        return self.gather[: len(self.counts)]
 
 
 @dataclass(frozen=True)
@@ -333,7 +336,12 @@ def _batches(
         r0, r1 = rb[g], rb[g + 1]
         a, b = eb[r0], eb[r1]
         gather = np.concatenate((rows[r0:r1], ext_col[xb[g] : xb[g + 1]]))
-        out.append(_Batch(rank, gather, counts[r0:r1], local[a:b], vals[a:b], d[r0:r1]))
+        out.append(
+            _Batch(
+                rank, gather, counts[r0:r1].tolist(), local[a:b].tolist(),
+                vals[a:b].tolist(), d[r0:r1].tolist(),
+            )
+        )
     return out
 
 
@@ -347,13 +355,13 @@ def _solve_rows(x: np.ndarray, batch: _Batch) -> np.ndarray:
     ``(y_i - (((0.0 + m_1 y_1) + m_2 y_2) + ...)) / d_i`` in Python
     floats, and their values as an array."""
     y = x[batch.gather].tolist()
-    entries = zip(batch.cols.tolist(), batch.vals.tolist())
-    for i, (count, d) in enumerate(zip(batch.counts.tolist(), batch.diag.tolist())):
+    entries = zip(batch.cols, batch.vals)
+    for i, (count, d) in enumerate(zip(batch.counts, batch.diag)):
         acc = 0.0
         for c, v in islice(entries, count):
             acc += v * y[c]
         y[i] = (y[i] - acc) / d
-    return np.array(y[: batch.counts.size], dtype=np.float64)
+    return np.array(y[: len(batch.counts)], dtype=np.float64)
 
 
 def _solve_region(sim, nranks: int, x: np.ndarray, batches: list[_Batch]) -> None:
@@ -384,7 +392,7 @@ def _declare_rows(tr, sweep: _Sweep, owner: np.ndarray, positions) -> None:
         tr.write(int(owner[p]), "x", p)
 
 
-def _account_interior(sim, owner: np.ndarray, sweep: _Sweep, flops_rank: np.ndarray) -> None:
+def _account_interior(sim, owner: np.ndarray, sweep: _Sweep, flops_rank: list[float]) -> None:
     """Accounting of one interior stage: per-block declarations and one
     charge per rank, then the barrier that closes the stage."""
     tr = sim.tracer
@@ -398,7 +406,7 @@ def _account_interior(sim, owner: np.ndarray, sweep: _Sweep, flops_rank: np.ndar
 
 
 def _account_level(
-    sim, owner: np.ndarray, sweep: _Sweep, lvl_idx: int, flops_rank: np.ndarray
+    sim, owner: np.ndarray, sweep: _Sweep, lvl_idx: int, flops_rank: list[float]
 ) -> None:
     """Accounting of one interface level: declarations in sweep order,
     one charge per participating rank, the exchange of the level's fresh
@@ -482,11 +490,11 @@ def parallel_triangular_solve(
         else:
             # Per-rank accumulator instead of a shared nonlocal: every charge
             # is integer-valued, so the final sum is exact and order-independent.
-            flops_rank = np.zeros(nranks, dtype=np.float64)
+            flops_rank = [0.0] * nranks
             x = _solve_on(factors, b, sim, flops_rank)
             out = np.empty_like(x)
             out[factors.perm] = x
-            flops = float(flops_rank.sum())
+            flops = float(sum(flops_rank))
         return TriangularSolveResult(x=out, flops=flops, **entry_transport.report(sim))
 
 
@@ -502,7 +510,7 @@ def _solve_on(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray
     """
     plan = _apply_plan(factors)
     owner = factors.levels.owner
-    nranks = flops_rank.size
+    nranks = len(flops_rank)
     x = b[factors.perm]
     _solve_region(sim, nranks, x, plan.fwd.interior)
     _account_interior(sim, owner, plan.fwd, flops_rank)

@@ -20,12 +20,14 @@ Timing semantics
 ----------------
 - ``compute(rank, flops)`` advances one rank's clock.
 - ``exchange(messages, tag)`` is the one point-to-point primitive: it
-  posts every ``(src, dst, nwords)`` message, then drains them.  A
-  message arrives no earlier than the sender's clock at post time plus
-  the transfer cost; draining advances the receiver to the arrival time
-  if it was ahead of it ("waiting").  A message is pure accounting —
-  ``(src, dst, nwords, tag)`` and nothing else: the data a rank needs
-  reaches it as the value its parallel-region thunk returns.
+  validates every ``(src, dst, nwords)`` message, posts them in the
+  given order, then drains them in ``(src, dst)`` order.  A post fixes
+  the message's arrival — the sender's clock at post time plus the
+  transfer cost — and charges the sender the latency; a drain advances
+  the receiver to the arrival if it was ahead of it ("waiting").  A
+  message is pure accounting — ``(src, dst, nwords, tag)`` and nothing
+  else: the data a rank needs reaches it as the value its
+  parallel-region thunk returns.
 - ``barrier()`` sets every clock to the global maximum.
 - ``allreduce``/``allgather`` charge a log2(p) tree cost and act as a
   barrier.
@@ -53,6 +55,17 @@ records the thunks return; an accounting call from inside a region
 raises :class:`~repro.machine.errors.TransportError` naming the
 operation.
 
+The state is plain Python: per-rank clocks, busy times and flop counts
+are lists of floats (a float ``+=`` is the IEEE double add numpy
+makes, so every per-rank fold has the bits it had as an array), and
+:attr:`Simulator.clock` hands out a copy as a float64 array.  An
+``exchange`` is one post loop and one drain loop over its whole message
+list, with one guard per call; a fault plan, a tracer or a ledger rides
+in the same two loops.  The mailbox holds only what outlives a call: a
+``duplicate`` fault's stale copies, which the next exchange on their
+``(src, dst, tag)`` drains first.  ``stats().total_flops`` stays numpy's
+pairwise sum of the per-rank vector.
+
 Fault injection
 ---------------
 Constructing the simulator with ``faults=FaultPlan(...)`` arms a
@@ -67,7 +80,7 @@ dropped, delayed or duplicated; a dropped message is re-posted up to
 :data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
 escalates to the caller.  Every injected event and every recovery is
 appended to :attr:`Simulator.fault_journal`.  The default
-``faults=None`` keeps the hot path at a ``None`` check per call.
+``faults=None`` keeps the hot path at a ``None`` check per message.
 
 Race detection
 --------------
@@ -84,9 +97,8 @@ path pays nothing beyond a ``None`` check per communication call.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -172,14 +184,18 @@ class Simulator:
         #: default) keeps the hot path at a ``None`` check per call and
         #: results bit-identical either way.
         self.ledger = ledger
-        self.clock = np.zeros(self.nranks, dtype=np.float64)
-        self._flops = np.zeros(self.nranks, dtype=np.float64)
-        self._busy = np.zeros(self.nranks, dtype=np.float64)
-        # mailbox[(src, dst, tag)] -> FIFO of
-        # (arrival_time, attached_vector_clock_or_None)
+        # per-rank state as Python floats: a float ``+=`` is the IEEE
+        # double add numpy makes, without a numpy scalar per charge
+        self._clock = [0.0] * self.nranks
+        self._flops = [0.0] * self.nranks
+        self._busy = [0.0] * self.nranks
+        # (src, dst, tag) -> FIFO of (arrival, attached vector clock or
+        # None): the copies an exchange posted and did not drain (a
+        # duplicate fault's stale copy), drained first by the next
+        # exchange on the channel
         self._mail: dict[
             tuple[int, int, Any], deque[tuple[float, tuple[int, ...] | None]]
-        ] = defaultdict(deque)
+        ] = {}
         self._messages = 0
         self._words = 0.0
         self._barriers = 0
@@ -206,6 +222,11 @@ class Simulator:
         if not 0 <= rank < self.nranks:
             raise IndexError(f"rank {rank} out of range [0, {self.nranks})")
         return int(rank)
+
+    @property
+    def clock(self) -> np.ndarray:
+        """The per-rank virtual clocks, as a new float64 array."""
+        return np.array(self._clock, dtype=np.float64)
 
     @property
     def superstep(self) -> int:
@@ -243,7 +264,7 @@ class Simulator:
         if self.ledger is not None:
             self.ledger.record("compute", rank, flops)
         cost = self.model.compute_cost(flops)
-        self.clock[rank] += cost
+        self._clock[rank] += cost
         self._busy[rank] += cost
         self._flops[rank] += flops
 
@@ -255,7 +276,7 @@ class Simulator:
         self._guard("advance")
         if self.ledger is not None:
             self.ledger.record("advance", rank, seconds)
-        self.clock[rank] += seconds
+        self._clock[rank] += seconds
 
     def pardo(self, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
         """Execute one parallel region: one thunk per rank, ``None`` = idle.
@@ -291,7 +312,7 @@ class Simulator:
                 if self.faults is not None:
                     inject = self.faults.plan_region(active, self.superstep)
                     for rank, injection in inject.items():
-                        self.clock[rank] += injection.stall
+                        self._clock[rank] += injection.stall
                 try:
                     return self._run_region(thunks, active, inject)
                 except SUPERVISED_FAILURES as err:
@@ -400,93 +421,116 @@ class Simulator:
         """Superstep all-to-some exchange — the one way a driver moves a
         message.
 
-        ``messages`` is a list of ``(src, dst, nwords)``.  All sends are
-        posted in the given order, then the messages are drained in
-        ``(src, dst)``-sorted order — the post/drain sequence the
-        drivers' fault-journal signatures are pinned to.  Every message
-        a call posts is drained by that same call, so an exchange cannot
+        ``messages`` is a list of ``(src, dst, nwords)``.  Every message
+        is validated before the first is posted, so a bad rank
+        (``IndexError``) or a negative ``nwords`` (``ValueError``)
+        leaves the simulator untouched.  All sends are then posted in
+        the given order, and the messages drained in ``(src,
+        dst)``-sorted order — the post/drain sequence the drivers'
+        fault-journal signatures are pinned to.  Every message a call
+        posts is drained by that same call, so an exchange cannot
         deadlock or leave a post undrained (a ``duplicate`` fault's
-        stale copy aside).
+        stale copy aside: the next exchange on its ``(src, dst, tag)``
+        drains it first).
 
         A message lost to the fault plan is re-posted by its sender (the
         same ``nwords``, journaled as ``retransmit``) up to
         :data:`MAX_RETRANSMITS` times before :class:`~repro.faults.MessageLost`
         escalates to the caller.
         """
+        self._guard("exchange")
+        n = self.nranks
         for src, dst, nwords in messages:
-            self._send(src, dst, nwords, tag)
-        for src, dst, nwords in sorted(messages, key=itemgetter(0, 1)):
-            attempt = 0
-            while not self._recv(dst, src, tag):
-                attempt += 1
-                if attempt > MAX_RETRANSMITS:
-                    raise MessageLost(src, dst, tag)
-                self.faults.journal.record(
-                    "retransmit",
-                    superstep=self.superstep,
-                    src=src,
-                    dst=dst,
-                    tag=tag,
-                    detail=f"attempt {attempt}",
-                )
-                self._send(src, dst, nwords, tag)
+            if not (0 <= src < n and 0 <= dst < n and nwords >= 0):
+                self._check_rank(src)
+                self._check_rank(dst)
+                if nwords < 0:
+                    raise ValueError("nwords must be non-negative")
+        posted = self._post(messages, tag)
+        # (src, dst, post index) order: the records' leading fields
+        posted.sort()
+        clock, mail, tracer = self._clock, self._mail, self.tracer
+        for src, dst, _, nwords, arrival, attached in posted:
+            if arrival is None:
+                # through the channel's FIFO: stale copies first
+                box = mail[(src, dst, tag)]
+                attempt = 0
+                while not box:
+                    self.faults.on_lost(src, dst, tag, self.superstep)
+                    attempt += 1
+                    if attempt > MAX_RETRANSMITS:
+                        raise MessageLost(src, dst, tag)
+                    self.faults.journal.record(
+                        "retransmit",
+                        superstep=self.superstep,
+                        src=src,
+                        dst=dst,
+                        tag=tag,
+                        detail=f"attempt {attempt}",
+                    )
+                    self._post([(src, dst, nwords)], tag)
+                arrival, attached = box.popleft()
+            # the receiver waits for the arrival
+            if arrival > clock[dst]:
+                clock[dst] = arrival
+            if tracer is not None:
+                tracer.on_recv(dst, attached)
+        if mail:
+            for key in [key for key, box in mail.items() if not box]:
+                del mail[key]
 
-    def _send(self, src: int, dst: int, nwords: float, tag: Any) -> None:
-        """Post one ``nwords``-word message; the sender is charged the
-        injection overhead.
+    def _post(
+        self, messages: list[tuple[int, int, float]], tag: Any
+    ) -> list[tuple[int, int, int, float, float | None, tuple[int, ...] | None]]:
+        """The post loop of :meth:`exchange`, in the given order.
 
+        A message's arrival is fixed here: the sender's clock plus the
+        transfer cost; the sender is charged the injection overhead.
         Under an active fault plan the message may be dropped (charged
-        to the sender, never enqueued), delayed or duplicated; every
-        effect is journaled.  Local ``src == dst`` hand-offs are not
-        messages and bypass the plan.
-        """
-        src = self._check_rank(src)
-        dst = self._check_rank(dst)
-        if nwords < 0:
-            raise ValueError("nwords must be non-negative")
-        self._guard("exchange")
-        attached = self.tracer.on_send(src) if self.tracer is not None else None
-        if src == dst:
-            # local hand-off: free, but keep FIFO semantics
-            self._mail[(src, dst, tag)].append((self.clock[src], attached))
-            return
-        if self.ledger is not None:
-            self.ledger.record("send", src, nwords)
-        cost = self.model.message_cost(nwords)
-        arrival = self.clock[src] + cost
-        # sender pays the injection (latency) portion; overlap of the
-        # transfer with computation is the usual MPI eager-protocol model
-        self.clock[src] += self.model.latency
-        self._messages += 1
-        self._words += nwords
-        copies = 1
-        if self.faults is not None:
-            effect = self.faults.on_send(src, dst, tag, self.superstep)
-            if not effect.deliver:
-                return
-            arrival += effect.extra_delay
-            copies = effect.copies
-            if copies > 1:
-                self._messages += copies - 1
-                self._words += nwords * (copies - 1)
-        self._mail[(src, dst, tag)].extend([(arrival, attached)] * copies)
+        to the sender, never delivered), delayed or duplicated; every
+        effect is journaled.  Local ``src == dst`` hand-offs are free
+        and bypass the plan.
 
-    def _recv(self, dst: int, src: int, tag: Any) -> bool:
-        """Drain one message: the receiver waits (its clock advances)
-        until the arrival.  ``False`` when the mailbox is empty, which
-        only a dropped message makes it inside :meth:`exchange`; the
-        loss is journaled."""
-        self._guard("exchange")
-        box = self._mail[(src, dst, tag)]
-        if not box:
-            self.faults.on_lost(src, dst, tag, self.superstep)
-            return False
-        arrival, attached = box.popleft()
-        if arrival > self.clock[dst]:
-            self.clock[dst] = arrival
-        if self.tracer is not None:
-            self.tracer.on_recv(dst, attached)
-        return True
+        Returns one ``(src, dst, index, nwords, arrival, attached)``
+        record per message, ``index`` its place in ``messages``.  A
+        message that is one copy on a channel without stale copies
+        carries its arrival; any other goes through the channel's FIFO
+        in :attr:`_mail` (``arrival`` is then ``None``).
+        """
+        clock, mail = self._clock, self._mail
+        tracer, ledger, faults = self.tracer, self.ledger, self.faults
+        cost, latency = self.model.message_cost, self.model.latency
+        superstep = self.superstep
+        sent, words = self._messages, self._words
+        posted = []
+        for i, (src, dst, nwords) in enumerate(messages):
+            attached = tracer.on_send(src) if tracer is not None else None
+            arrival = clock[src]
+            copies = 1
+            if src != dst:
+                if ledger is not None:
+                    ledger.record("send", src, nwords)
+                arrival += cost(nwords)
+                # sender pays the injection (latency) portion; overlap of the
+                # transfer with computation is the usual MPI eager-protocol model
+                clock[src] += latency
+                sent += 1
+                words += nwords
+                if faults is not None:
+                    effect = faults.on_send(src, dst, tag, superstep)
+                    copies = effect.copies if effect.deliver else 0
+                    arrival += effect.extra_delay
+                    if copies > 1:
+                        sent += copies - 1
+                        words += nwords * (copies - 1)
+            if copies == 1 and not (mail and (src, dst, tag) in mail):
+                posted.append((src, dst, i, nwords, arrival, attached))
+            else:
+                box = mail.setdefault((src, dst, tag), deque())
+                box.extend([(arrival, attached)] * copies)
+                posted.append((src, dst, i, nwords, None, None))
+        self._messages, self._words = sent, words
+        return posted
 
     # ------------------------------------------------------------------
     # collectives
@@ -498,7 +542,8 @@ class Simulator:
         self._guard("barrier")
         if self.ledger is not None:
             self.ledger.record("barrier", -1, 0.0)
-        self.clock[:] = self.clock.max() + self.model.collective_cost(self.nranks, 0.0)
+        cost = self.model.collective_cost(self.nranks, 0.0)
+        self._clock[:] = [max(self._clock) + cost] * self.nranks
         self._barriers += 1
         if self.tracer is not None:
             self.tracer.on_collective()
@@ -518,7 +563,7 @@ class Simulator:
         if self.ledger is not None:
             self.ledger.record("allreduce", -1, nwords)
         cost = self.model.collective_cost(self.nranks, nwords)
-        self.clock[:] = self.clock.max() + cost
+        self._clock[:] = [max(self._clock) + cost] * self.nranks
         self._collectives += 1
         if self.tracer is not None:
             self.tracer.on_collective()
@@ -542,7 +587,7 @@ class Simulator:
         if self.ledger is not None:
             self.ledger.record("allgather", -1, nwords_each * self.nranks)
         cost = self.model.collective_cost(self.nranks, nwords_each * self.nranks)
-        self.clock[:] = self.clock.max() + cost
+        self._clock[:] = [max(self._clock) + cost] * self.nranks
         self._collectives += 1
         if self.tracer is not None:
             self.tracer.on_collective()
@@ -574,7 +619,7 @@ class Simulator:
 
     def elapsed(self) -> float:
         """Modelled wall-clock time so far (the slowest rank)."""
-        return float(self.clock.max())
+        return float(max(self._clock))
 
     def utilization(self) -> np.ndarray:
         """Per-rank fraction of elapsed time spent computing.
@@ -587,7 +632,7 @@ class Simulator:
         total = self.elapsed()
         if total <= 0:
             return np.ones(self.nranks)
-        return self._busy / total
+        return np.array(self._busy, dtype=np.float64) / total
 
     def pending_messages(self) -> int:
         """Messages posted and never drained: the stale copies a
@@ -597,7 +642,9 @@ class Simulator:
     def stats(self) -> CommStats:
         return CommStats(
             nranks=self.nranks,
-            total_flops=float(self._flops.sum()),
+            # numpy's pairwise sum, not a sequential one: the two differ
+            # on many rank counts from 8 up
+            total_flops=float(np.sum(self._flops)),
             messages=self._messages,
             words_sent=self._words,
             barriers=self._barriers,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, MessageFault
-from repro.machine import IDEAL, MachineModel, Simulator
+from repro.machine import IDEAL, ChargeLedger, MachineModel, Simulator
 
 MODEL = MachineModel("test", flop_time=1e-6, latency=1e-4, byte_time=1e-8)
 
@@ -116,17 +116,47 @@ class TestExchange:
         assert sim.pending_messages() == 0
 
     def test_posts_in_given_order_drains_in_pair_order(self):
-        sim = Simulator(3, MODEL)
-        calls = []
-        send, recv = sim._send, sim._recv
-        sim._send = lambda s, d, *a: (calls.append(("send", s, d)), send(s, d, *a))[1]
-        sim._recv = lambda d, s, *a: (calls.append(("recv", s, d)), recv(d, s, *a))[1]
-        sim.exchange([(2, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0)], tag="t")
-        assert calls == [
-            ("send", 2, 1), ("send", 1, 0), ("send", 0, 1),
-            ("recv", 0, 1), ("recv", 1, 0), ("recv", 2, 1),
+        """The ledger's ``send`` events show the post order; a drop plan
+        that loses every first post shows the drain order, in which each
+        loss is found and re-posted."""
+        messages = [(2, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0)]
+        ledger = ChargeLedger()
+        sim = Simulator(3, MODEL, ledger=ledger)
+        sim.exchange(messages, tag="t")
+        sends = [(e.rank, e.amount) for e in ledger.events if e.kind == "send"]
+        assert sends == [(2, 1.0), (1, 2.0), (0, 3.0)]
+        assert sim.pending_messages() == 0
+
+        plan = FaultPlan(message_faults=[MessageFault("drop", tag="t", count=3)])
+        sim = Simulator(3, MODEL, faults=plan)
+        sim.exchange(messages, tag="t")
+        assert [(e.kind, e.src, e.dst) for e in sim.fault_journal.events] == [
+            ("drop", 2, 1), ("drop", 1, 0), ("drop", 0, 1),
+            ("lost", 0, 1), ("retransmit", 0, 1),
+            ("lost", 1, 0), ("retransmit", 1, 0),
+            ("lost", 2, 1), ("retransmit", 2, 1),
         ]
         assert sim.pending_messages() == 0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [((0, 5, 1.0), IndexError), ((-1, 1, 1.0), IndexError), ((1, 0, -1.0), ValueError)],
+    )
+    def test_rejected_exchange_posts_nothing(self, bad, error):
+        """Every message is validated before the first post: a rejected
+        call leaves clocks, counters and mailboxes as they were, and the
+        next exchange on its tag drains its own message."""
+        sim = Simulator(2, MODEL)
+        sim.compute(1, 10)
+        clock, stats = sim.clock.tolist(), sim.stats()
+        with pytest.raises(error):
+            sim.exchange([(0, 1, 1.0), bad], tag="t")
+        assert sim.clock.tolist() == clock
+        assert sim.stats() == stats
+        assert sim.pending_messages() == 0
+        sim.compute(0, 1000)
+        sim.exchange([(0, 1, 1.0)], tag="t")
+        assert sim.clock[1] == 1e-3 + MODEL.message_cost(1.0)
 
     def test_exchange_is_the_only_point_to_point_call(self):
         """There is no public post or drain to leave unmatched."""
@@ -237,6 +267,20 @@ class TestInvariants:
     def test_nranks_validation(self):
         with pytest.raises(ValueError):
             Simulator(0, MODEL)
+
+    def test_total_flops_is_numpys_pairwise_sum(self):
+        """``total_flops`` is ``np.sum`` over the per-rank vector.  At 16
+        ranks these charges make it differ from a sequential sum, so the
+        summation order is pinned where the fingerprint corpus (at most
+        7 ranks) cannot see it."""
+        charges = (np.random.default_rng(0).random(16) * 1e3).tolist()
+        assert float(np.sum(charges)) != sum(charges)
+        sim = Simulator(16, MODEL)
+        for r, fl in enumerate(charges):
+            sim.compute(r, fl)
+        st = sim.stats()
+        assert st.per_rank_flops == charges
+        assert st.total_flops == float(np.sum(st.per_rank_flops))
 
     def test_elapsed_is_max(self):
         sim = Simulator(3, MODEL)

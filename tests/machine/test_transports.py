@@ -404,7 +404,7 @@ class TestOneAccountingCore:
     rule for thunks."""
 
     ACCOUNTING = (
-        "exchange _send _recv barrier allreduce allgather compute advance "
+        "exchange _post barrier allreduce allgather compute advance "
         "declare_read declare_write stats superstep elapsed "
         "utilization pending_messages _check_rank _raise_region_failure"
     ).split()
