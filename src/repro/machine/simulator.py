@@ -190,9 +190,10 @@ class Simulator:
         self._flops = [0.0] * self.nranks
         self._busy = [0.0] * self.nranks
         # (src, dst, tag) -> FIFO of (arrival, attached vector clock or
-        # None): the copies an exchange posted and did not drain (a
-        # duplicate fault's stale copy), drained first by the next
-        # exchange on the channel
+        # None) for the channels whose drains need one.  Between calls
+        # it holds only the copies an exchange posted and did not drain
+        # (a duplicate fault's stale copies), which the next exchange
+        # on the channel drains first.
         self._mail: dict[
             tuple[int, int, Any], deque[tuple[float, tuple[int, ...] | None]]
         ] = {}
