@@ -9,6 +9,7 @@ from .mis import (
     is_maximal_independent_set,
     luby_mis,
     two_step_luby_mis,
+    two_step_luby_mis_edges,
 )
 from .structure import Graph, adjacency_from_matrix, symmetrize_structure
 from .rcm import bandwidth, rcm_ordering, rcm_ordering_matrix
@@ -31,6 +32,7 @@ __all__ = [
     "is_proper_coloring",
     "luby_mis",
     "two_step_luby_mis",
+    "two_step_luby_mis_edges",
     "greedy_mis",
     "is_independent_set",
     "is_maximal_independent_set",

@@ -15,8 +15,12 @@ with a parallel formulation of Luby's algorithm, with two twists:
    to another tentative vertex.
 
 Both the plain serial algorithm and the paper's capped two-step variant
-are provided; the distributed driver in :mod:`repro.ilu.parallel` runs
-the same logic superstep-by-superstep on the machine simulator.
+are provided.  The distributed driver in
+:mod:`repro.graph.distributed_mis` runs the same logic
+superstep-by-superstep on the machine simulator; the elimination engine
+(:mod:`repro.ilu.elimination`) runs the serial variant on the reduced
+matrix's edge list (:func:`two_step_luby_mis_edges`) and charges its
+rounds itself.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .structure import Graph
 __all__ = [
     "luby_mis",
     "two_step_luby_mis",
+    "two_step_luby_mis_edges",
     "greedy_mis",
     "is_independent_set",
     "is_maximal_independent_set",
@@ -117,10 +122,26 @@ def two_step_luby_mis(
     costs extra outer iterations in the factorization, never correctness.
     """
     n = graph.nvertices
-    xadj, dst = _neighbor_lists(graph)
-    # every stored directed edge once, as parallel (src, dst) arrays: each
-    # per-vertex scan of the algorithm is a mask over them
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    return two_step_luby_mis_edges(
+        n, src, graph.adjncy, seed=seed, rounds=rounds, candidates=candidates
+    )
+
+
+def two_step_luby_mis_edges(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    *,
+    seed: int = 0,
+    rounds: int = 5,
+    candidates: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`two_step_luby_mis` on a directed edge list: one edge
+    ``src[e] -> dst[e]`` per stored adjacency entry over the vertices
+    ``0..n-1``, in any order.  Same set as the :class:`Graph` form on a
+    graph holding the same edges; every per-vertex scan of the algorithm
+    is a mask over the edges."""
     rng = np.random.default_rng(seed)
     active = np.zeros(n, dtype=bool)
     if candidates is None:
@@ -132,13 +153,16 @@ def two_step_luby_mis(
         if not active.any():
             break
         keys = rng.random(n)
+        # only the edges between active vertices: an edge with an inactive
+        # end is one no step below reads, in this round or a later one
+        live = active[src] & active[dst]
+        src, dst = src[live], dst[live]
         # step 1: local winners (only the edges each vertex sees) — a vertex
         # loses to an active neighbour with a smaller key, ties by vertex id
-        seen = active[src] & active[dst]
-        s, d = src[seen], dst[seen]
-        beaten = (keys[d] < keys[s]) | ((keys[d] == keys[s]) & (d <= s))
+        ks, kd = keys[src], keys[dst]
+        beaten = (kd < ks) | ((kd == ks) & (dst <= src))
         tentative = active.copy()
-        tentative[s[beaten]] = False
+        tentative[src[beaten]] = False
         # barrier; step 2: drop tentative vertices adjacent to tentative ones.
         # A directed edge (v, u) conflicts both v and u — the removal must be
         # symmetric, otherwise u (which never saw v) could survive while v is
@@ -159,7 +183,7 @@ def two_step_luby_mis(
         # one-directional edge (the accepted vertex never saw them): if v
         # with edge v->u stayed active after u joined the set, v could join
         # in a later round and violate independence.
-        active[src[in_set[dst]]] = False
+        active[src[accepted[dst]]] = False
     return np.flatnonzero(in_set)
 
 

@@ -37,7 +37,7 @@ Transport portability (DESIGN.md §13)
 The engine's state is one :class:`~repro.ilu.rowstore.RowStore` each for
 U, L and the reduced matrix — rows in flat append-only buffers — plus the
 sorted array ``remaining`` of unfactored interface rows.  Each phase is
-organised as a **parallel region**: per-rank pure thunks (``_compute_*``)
+organised as a **parallel region**: pure thunks (``_compute_*``)
 dispatched through :func:`repro.machine.run_region`, each returning one
 :class:`~repro.ilu.rowstore.RowBlock` (row ids, flat L/U/reduced rows,
 per-row operation counts, the pivots each row read) that the
@@ -45,7 +45,13 @@ coordinator merges in ``_merge_blocks``: one append per store per
 block, then the charges and tracer declarations replayed row by row in
 the deterministic global order the historical inline loops used —
 rank-major for phase 1 and the §7 domains, ascending row order (which
-interleaves ranks) for every phase-2 region.  Thunks read shared engine
+interleaves ranks) for every phase-2 region.  Phase 1 and the §7
+domains run one thunk body per rank.  A phase-2 region is separable by
+row, so it runs one body per *worker* of the transport
+(:attr:`~repro.machine.Simulator.workers`): the simulator's one
+coordinator thread makes one kernel call over every rank's rows, a
+worker transport one per rank; the merge charges each row to the rank
+that owns it either way.  Thunks read shared engine
 state but never mutate it.  The merge order plus per-row charge replay
 is what makes factors, modeled times and fault-journal signatures
 bit-identical across all transports (the simulator runs regions
@@ -65,10 +71,10 @@ differ only in which columns are pivots, where pivot rows come from
 (rows the thunk just finished, or the U store through a
 :class:`~repro.ilu.row.PivotRows` cache) and which tail finishes the
 row.  The phase-2 update is the one place
-that is batched: the rows of ``I_l`` are independent, so a rank's thunk
-eliminates the whole level from all of its reduced rows in one array
-pass (:func:`repro.ilu.level.level_update`), bit for bit what the row
-kernel would produce row by row — DESIGN.md §13.2.
+that is batched: the rows of ``I_l`` are independent, so a worker's
+thunk eliminates the whole level from all the reduced rows its ranks
+own in one array pass (:func:`repro.ilu.level.level_update`), bit for
+bit what the row kernel would produce row by row — DESIGN.md §13.2.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from typing import Callable
 import numpy as np
 
 from ..decomp import DomainDecomposition
-from ..graph import Graph, two_step_luby_mis
+from ..graph import two_step_luby_mis_edges
 from ..machine import Simulator, run_region
 from ..resilience import PivotPolicy
 from .factors import ILUFactors, LevelStructure
@@ -99,6 +105,10 @@ __all__ = ["EliminationEngine", "EliminationOutcome"]
 COPY_OPS_PER_WORD = 0.5
 # modelled cost of scanning one adjacency entry during a Luby MIS round
 MIS_OPS_PER_EDGE = 1.0
+
+
+def _no_rows() -> None:
+    """The thunk of a rank whose rows run in its worker's lead thunk."""
 
 
 @dataclass
@@ -133,7 +143,8 @@ class EliminationEngine:
         genuinely execute the per-rank thunks concurrently.  Factors are
         bit-identical across all of them.
     mis_rounds:
-        Luby augmentation rounds per independent set (paper uses 5).
+        Luby augmentation rounds per independent set (paper uses 5);
+        at least 1.
     seed:
         Seed for the per-level MIS randomness.
     diag_guard:
@@ -142,6 +153,10 @@ class EliminationEngine:
         Full small/zero-pivot remediation
         (:class:`~repro.resilience.PivotPolicy`); overrides
         ``diag_guard`` when given.
+    max_levels:
+        Cap on the phase-2 levels; a run that needs more raises
+        ``RuntimeError``.  ``None`` → ``n + 1``, more levels than a run
+        that factors a row per level can take.
     level_hook:
         Optional callback ``level_hook(level, iset, reduced)`` invoked
         after phase 1 (``level=-1``, empty ``iset``) and after every
@@ -176,6 +191,8 @@ class EliminationEngine:
             raise ValueError(f"t must be non-negative, got {t}")
         if reduced_cap is not None and reduced_cap < 1:
             raise ValueError(f"reduced_cap must be >= 1, got {reduced_cap}")
+        if mis_rounds < 1:
+            raise ValueError(f"mis_rounds must be >= 1, got {mis_rounds}")
         self.decomp = decomp
         self.A = decomp.A
         self.n = self.A.shape[0]
@@ -197,6 +214,9 @@ class EliminationEngine:
         # no-op on the simulator/coordinator, a timestamp or pipe frame
         # inside real-transport workers
         self._hb = sim.heartbeat if sim is not None else (lambda: None)
+        # ranks that share one executor; without a transport the calling
+        # thread runs every thunk
+        self._workers = sim.workers if sim is not None else (tuple(range(decomp.nranks)),)
 
         self.norms = self.A.row_norms(ord=2)
         # A's rows in the (start, length, cols, vals) form gather_rows reads
@@ -241,12 +261,15 @@ class EliminationEngine:
         is stored with one append per row store (factored rows leave the
         reduced matrix and take the next elimination positions); then
         every row's declarations and charges are replayed, one row at a
-        time — rank-major in block order, or with ``by_row`` in ascending
-        row order across the ranks.  That order is the engine's
+        time — rank-major in block order, each row on its block's rank,
+        or with ``by_row`` in ascending row order across the ranks, each
+        row on the rank that owns it (a worker's block holds the rows
+        of all of its ranks).  That order is the engine's
         numerics: it fixes elimination positions, every rank clock's
         float sum and the tracer's access sequence.
         """
         tr = self._tr
+        part = self.decomp.part
         todo: list[tuple] = []  # per row: (row, rank, ops, copy words, declarations)
         factored = False
         for rank, block in enumerate(blocks):
@@ -263,7 +286,7 @@ class EliminationEngine:
             words = block.copy_words()
             todo += zip(
                 block.rows.tolist(),
-                repeat(rank),
+                part[block.rows].tolist() if by_row else repeat(rank),
                 block.ops.tolist(),
                 repeat(None) if words is None else words.tolist(),
                 repeat(()) if tr is None else block.decls(),
@@ -396,8 +419,12 @@ class EliminationEngine:
         positions in the sorted ``remaining``, in row-major order."""
         ptr, cols, _vals = self.reduced.gather(remaining)
         src = np.repeat(np.arange(remaining.size, dtype=np.int64), np.diff(ptr))
-        dst = np.searchsorted(remaining, cols)
-        stray = remaining[np.minimum(dst, remaining.size - 1)] != cols
+        # node -> position, -1 off the remaining nodes; a column outside
+        # 0..n-1 is clipped to -1 or n, both the extra slot at index n
+        local = np.full(self.n + 1, -1, dtype=np.int64)
+        local[remaining] = np.arange(remaining.size, dtype=np.int64)
+        dst = local[np.clip(cols, -1, self.n)]
+        stray = dst < 0
         if stray.any():
             raise KeyError(int(cols[stray][0]))  # a column that is not a remaining node
         off_diag = src != dst
@@ -406,60 +433,81 @@ class EliminationEngine:
     def _mis_of_reduced(self, remaining: np.ndarray, level: int) -> np.ndarray:
         """Two-step Luby MIS on the *directed* structure of the reduced rows.
 
-        Builds a compact graph over the remaining nodes whose adjacency of
-        ``v`` is exactly the off-diagonal column set of ``v``'s reduced
-        row — the one-directional visibility the two-step algorithm is
-        designed for.  Charges per-round scan and boundary-exchange costs.
+        The edges are the reduced matrix's structure over the remaining
+        nodes, one per off-diagonal entry: ``v``'s out-edges are exactly
+        the off-diagonal column set of ``v``'s reduced row — the
+        one-directional visibility the two-step algorithm is designed
+        for.  Charges per-round scan and boundary-exchange costs.
         Returns the set in ascending row order.
         """
-        nloc = remaining.size
         owner = self.decomp.part[remaining]
         if self._tr is not None:
             # each owner scans the structure of its own reduced rows
             for g, r in zip(remaining.tolist(), owner.tolist()):
                 self._tr.read(r, "reduced-row", g)
         e_src, e_dst = self._reduced_structure(remaining)
-        graph = Graph.from_edges(nloc, e_src, e_dst)
-        mis_local = two_step_luby_mis(
-            graph, seed=self.seed + 1000 * (level + 1), rounds=self.mis_rounds
+        mis_local = two_step_luby_mis_edges(
+            remaining.size,
+            e_src,
+            e_dst,
+            seed=self.seed + 1000 * (level + 1),
+            rounds=self.mis_rounds,
         )
         # cost model: each round scans every active adjacency entry once per
         # step (two steps), plus a boundary key exchange and two barriers.
         if self.sim is not None:
             nranks = self.sim.nranks
-            edges_per_rank = np.bincount(owner, weights=graph.degrees(), minlength=nranks)
+            src_owner, dst_owner = owner[e_src], owner[e_dst]
+            scans = (2.0 * MIS_OPS_PER_EDGE * np.bincount(src_owner, minlength=nranks)).tolist()
             # one word per adjacency entry whose two ends live on different
             # ranks, aggregated per ordered rank pair, pairs ascending
-            src_owner, dst_owner = owner[e_src], owner[e_dst]
-            cut = src_owner != dst_owner
-            pairs, counts = np.unique(
-                src_owner[cut] * nranks + dst_owner[cut], return_counts=True
-            )
+            counts = np.bincount(src_owner * nranks + dst_owner, minlength=nranks * nranks)
+            counts[:: nranks + 1] = 0  # a rank's own entries are no message
+            pairs = np.flatnonzero(counts)
             boundary_words = [
                 (*divmod(pair, nranks), float(cnt))
-                for pair, cnt in zip(pairs.tolist(), counts.tolist())
+                for pair, cnt in zip(pairs.tolist(), counts[pairs].tolist())
             ]
             for _ in range(self.mis_rounds):
                 for r in range(nranks):
-                    self.sim.compute(r, 2.0 * MIS_OPS_PER_EDGE * edges_per_rank[r])
+                    self.sim.compute(r, scans[r])
                 self.sim.exchange(boundary_words, tag=("mis", level))
                 self.sim.barrier()
                 self.sim.barrier()  # the two-step insert/remove barrier pair
         return remaining[mis_local]
 
     def _owner_region(self, rows: np.ndarray, body: Callable[[np.ndarray], RowBlock]) -> None:
-        """One region over ``rows`` (ascending) grouped by owner, merged
-        in ascending row order — the historical inline order, which
-        interleaves ranks and fixes the global charge/trace sequence."""
+        """One region over ``rows`` (ascending): ``body`` once per worker
+        of the transport, over the rows its ranks own, merged in
+        ascending row order — the historical inline order, which
+        interleaves ranks and fixes the global charge/trace sequence.
+
+        ``body`` must be separable by row: a row's result may not depend
+        on which rows share the call.  A worker's rows reach it
+        rank-major, each rank's ascending, in the thunk of its lowest
+        rank that holds rows; its other ranks with rows get a thunk that
+        returns ``None``.  So ``pardo`` sees the active ranks one body
+        per rank would give it — region faults fire, journal and retry
+        alike — and the first error the body raises is the one the
+        lowest failing rank's body would have raised.
+        """
+        nranks = self.decomp.nranks
         owner = self.decomp.part[rows]
-        thunks = [
-            (lambda mine=mine: body(mine)) if mine.size else None
-            for mine in (rows[owner == rank] for rank in range(self.decomp.nranks))
-        ]
+        by_owner = rows[np.argsort(owner, kind="stable")]
+        bounds = ptr_of(np.bincount(owner, minlength=nranks)).tolist()
+        thunks: list[Callable[[], RowBlock | None] | None] = [None] * nranks
+        for ranks in self._workers:
+            held = [r for r in ranks if bounds[r + 1] > bounds[r]]
+            if not held:
+                continue
+            mine = np.concatenate([by_owner[bounds[r] : bounds[r + 1]] for r in held])
+            thunks[held[0]] = lambda mine=mine: body(mine)
+            for r in held[1:]:
+                thunks[r] = _no_rows
         self._merge_blocks(run_region(self.sim, thunks), by_row=True)
 
     def _compute_level_rows(self, rows: np.ndarray) -> RowBlock:
-        """Pure thunk body: factor one rank's share of an independent set.
+        """Pure thunk body: factor one worker's share of an independent set.
 
         Every off-diagonal entry of an independent row's reduced row sits
         at an unfactored column, i.e. in the U part — factoring is just
@@ -528,13 +576,13 @@ class EliminationEngine:
 
     def _update_level(self, pivots: LevelPivots) -> None:
         """Eliminate one *independent* level from every remaining
-        reduced row: each rank's thunk is one batched pass over all of
-        its rows, with the block :meth:`_update_remaining` would
-        produce."""
+        reduced row: each worker's thunk is one batched pass over all
+        the rows its ranks own, with the block :meth:`_update_remaining`
+        would produce."""
         self._owner_region(self.remaining, lambda mine: self._compute_level_update(mine, pivots))
 
     def _compute_update_rows(self, rows: np.ndarray, pkey: np.ndarray) -> RowBlock:
-        """Pure thunk body: apply Algorithm 4.1 to one rank's reduced
+        """Pure thunk body: apply Algorithm 4.1 to one worker's reduced
         rows.  Rows without a pivot column are not part of the block."""
         ptr, cols, _vals = self.reduced.gather(rows)
         row_of = np.repeat(np.arange(rows.size, dtype=np.int64), np.diff(ptr))
@@ -542,7 +590,7 @@ class EliminationEngine:
         return self._eliminate_rows(rows[touched], "reduced-row", pkey)
 
     def _compute_level_update(self, rows: np.ndarray, pivots: LevelPivots) -> RowBlock:
-        """Pure thunk body: the level kernel over one rank's reduced rows."""
+        """Pure thunk body: the level kernel over one worker's reduced rows."""
         self._hb()
         return level_update(
             pivots,

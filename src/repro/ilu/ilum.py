@@ -62,6 +62,8 @@ def ilum(
         raise ValueError(f"m must be non-negative, got {m}")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
+    if mis_rounds < 1:
+        raise ValueError(f"mis_rounds must be >= 1, got {mis_rounds}")
     if max_levels is None:
         max_levels = n + 1
     policy = PivotPolicy.from_diag_guard(diag_guard)

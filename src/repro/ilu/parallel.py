@@ -150,7 +150,8 @@ def parallel_ilut(
         Reuse a precomputed decomposition; otherwise one is computed
         with ``method`` (``"multilevel"``/``"block"``/``"random"``).
     mis_rounds:
-        Luby augmentation rounds per level (paper: 5).
+        Luby augmentation rounds per level (paper: 5); at least 1, or
+        ``ValueError`` before any work.
     seed:
         Seed for partitioning and MIS randomness.
     trace:

@@ -9,8 +9,8 @@ The garbage that leaves behind is bounded by the entries ever written —
 the engine's ``words_copied`` counter — so there is no compaction.
 
 :class:`FlatRows` is a block of rows back to back, the form the kernels
-read and write; :class:`RowBlock` is what one rank's region thunk hands
-back to the coordinator — a handful of arrays, whichever kernel ran.
+read and write; :class:`RowBlock` is what one region thunk hands back
+to the coordinator — a handful of arrays, whichever kernel ran.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ class RowsBuilder:
 
 
 class RowBlock(NamedTuple):
-    """One rank's result for one region, in the rank's row order.
+    """One thunk's result for one region, in the thunk's row order: one
+    rank's rows, or in phase 2 the rows of every rank one worker holds
+    (rank-major; the merge charges each row to its owner).
 
     ``source`` names the space each row was read from (``"A-row"`` or
     ``"reduced-row"``).  A block carries ``u_rows`` (diagonal first)

@@ -230,6 +230,18 @@ class Simulator:
         return np.array(self._clock, dtype=np.float64)
 
     @property
+    def workers(self) -> tuple[tuple[int, ...], ...]:
+        """Which ranks share one executor: a tuple of rank tuples, one
+        per worker, each ascending.
+
+        The simulator's coordinator thread runs every thunk of a region,
+        so it is one worker holding every rank.  A driver may run the
+        row-separable work of a worker's ranks as one thunk body
+        (DESIGN.md §13.1); the accounting stays per rank.
+        """
+        return (tuple(range(self.nranks)),)
+
+    @property
     def superstep(self) -> int:
         """Synchronisation count: completed barriers + collectives.
 

@@ -42,7 +42,17 @@ A transport provides:
   ``superstep`` / ``elapsed`` / ``stats`` — a message is accounting
   only: it moves time and counters, never data;
 * the tracing hooks ``declare_read`` / ``declare_write`` (no-ops unless
-  built with ``trace=True``).
+  built with ``trace=True``);
+* ``workers`` — which ranks share one executor, a read-only tuple of
+  rank tuples: the simulator is one worker holding every rank (its
+  coordinator thread runs every thunk), a worker transport is one
+  worker per rank.  A region whose work is separable by row may run a
+  worker's whole share as one thunk body, placed in the thunk of the
+  worker's lowest rank that holds rows; the worker's other ranks with
+  rows get a thunk that returns ``None``.  ``pardo`` then sees the
+  same active ranks as per-rank thunks, so region faults fire, journal
+  and retry exactly as before, and the merge still charges each row
+  to the rank that owns it.
 
 Because all of the second and third group runs in coordinator context
 on every transport, and so does ``pardo``'s fault dispatch and region
@@ -132,6 +142,12 @@ class LocalTransport(Simulator):
         super().__init__(nranks, model, faults=faults, **instruments)
         self.supervision = supervision if supervision is not None else SupervisionPolicy()
         self._closed = False
+
+    @property
+    def workers(self) -> tuple[tuple[int, ...], ...]:
+        """One worker per rank: each rank's thunk runs on a thread or
+        process of its own."""
+        return tuple((r,) for r in range(self.nranks))
 
     def pardo(self, thunks: Sequence[Callable[[], Any] | None]) -> list[Any]:
         self._ensure_open()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
+from repro.ilu import ILUTParams, ilum, parallel_ilut
 from repro.ilu.elimination import EliminationEngine
 from repro.machine import CRAY_T3D, Simulator
 from repro.matrices import poisson2d, random_diag_dominant
@@ -88,14 +89,24 @@ class TestEngineValidation:
         # every posted message was consumed
         assert sim.pending_messages() == 0
 
-    def test_zero_mis_rounds_still_progresses(self):
-        # rounds=0 returns an empty set; engine must raise cleanly rather
-        # than loop forever
+    def test_mis_rounds_below_one_is_refused(self):
+        # zero rounds pick no independent set: refused with m, t and
+        # reduced_cap, not after phase 1 as an empty-set RuntimeError
         A = poisson2d(6)
         d = decompose(A, 2, seed=0)
-        engine = EliminationEngine(d, 5, 1e-3, mis_rounds=0, max_levels=50)
-        with pytest.raises(RuntimeError):
-            engine.run()
+        for rounds in (0, -1):
+            with pytest.raises(ValueError, match="mis_rounds must be >= 1"):
+                EliminationEngine(d, 5, 1e-3, mis_rounds=rounds, max_levels=50)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_drivers_refuse_mis_rounds_below_one_before_any_work(self, rounds):
+        A = poisson2d(8)
+        sim = Simulator(2, CRAY_T3D)
+        with pytest.raises(ValueError, match="mis_rounds must be >= 1"):
+            parallel_ilut(A, ILUTParams(5, 1e-3), 2, transport=sim, mis_rounds=rounds)
+        assert sim.elapsed() == 0.0 and sim.stats().total_flops == 0.0
+        with pytest.raises(ValueError, match="mis_rounds must be >= 1"):
+            ilum(A, 5, 1e-3, mis_rounds=rounds)
 
 
 class TestEngineSemantics:
