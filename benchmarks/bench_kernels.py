@@ -8,7 +8,7 @@ ILUT preconditioner (``tests/ilu/_trisolve.py``) — on the Poisson-G0 and
 torso workloads, verifies parity (bit-identical factors, products,
 norms and applies), replays the parallel drivers under the race
 detector, and writes the results to ``BENCH_kernels.json`` at the repo
-root.  A further row, ``level_update``,
+root (a ``--quick`` run writes a file only when given ``--output``).  A further row, ``level_update``,
 times the MIS engine's phase-2 update both ways on the same captured
 levels: the scalar row kernel (``_update_remaining``) against the batched
 level kernel (``repro.ilu.level``) that replaced it in the MIS loop.  A
@@ -494,10 +494,13 @@ def main(argv: list[str] | None = None) -> int:
         "batched level update and the partitioner kernels win",
     )
     ap.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
-        help="output JSON path (default: BENCH_kernels.json at repo root)",
+        "--output",
+        help="output JSON path (default: BENCH_kernels.json at repo root on a full "
+        "run, no file on a --quick run)",
     )
     args = ap.parse_args(argv)
+    if args.output is None and not args.quick:
+        args.output = str(REPO_ROOT / "BENCH_kernels.json")
     cfg = QUICK if args.quick else FULL
 
     results: dict = {"scale": "quick" if args.quick else "full"}
@@ -538,9 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     results["race_free"] = bench_race_free(cfg)
     print(f"  race-free: {results['race_free']['race_free']}")
 
-    out = Path(args.output)
-    out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"[bench_kernels] wrote {out}")
+    if args.output is not None:
+        Path(args.output).write_text(json.dumps(results, indent=2) + "\n")
+        print(f"[bench_kernels] wrote {args.output}")
 
     if args.check:
         apply = results["triangular_apply"]

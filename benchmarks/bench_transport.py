@@ -4,7 +4,8 @@ Times the two ends of the preconditioned pipeline — ILUT factorization
 and the level-scheduled triangular solve — at ranks 1/2/4 on every
 transport backend, verifies the cross-transport bit-identity contract
 (DESIGN.md §13) on each configuration, and writes the results to
-``BENCH_transport.json`` at the repo root.  Every row carries wall time
+``BENCH_transport.json`` at the repo root (a ``--quick`` run writes a
+file only when given ``--output``).  Every row carries wall time
 (measured here) and modelled time (the result's, the same number on
 every transport) side by side.
 
@@ -140,17 +141,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "--output",
-        default=str(REPO_ROOT / "BENCH_transport.json"),
-        help="output JSON path (default: BENCH_transport.json at repo root)",
+        help="output JSON path (default: BENCH_transport.json at repo root on a full "
+        "run, no file on a --quick run)",
     )
     args = ap.parse_args(argv)
+    if args.output is None and not args.quick:
+        args.output = str(REPO_ROOT / "BENCH_transport.json")
 
     nx = 16 if args.quick else 40
     repeat = 1 if args.quick else 3
     doc = run(nx, repeat)
 
-    Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    if args.output is not None:
+        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"wrote {args.output}")
     for m in doc["mismatches"]:
         print(f"PARITY FAILURE: {m}", file=sys.stderr)
     if args.check and not doc["mismatches"]:

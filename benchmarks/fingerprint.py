@@ -201,11 +201,8 @@ def _mis(A, mtk, p, **kwargs) -> str:
 
 def _partitioned(A, mtk, p, **kwargs) -> str:
     m, t, k = mtk
-    cap = None if k is None else k * m
     return fingerprint(
-        parallel_ilut_partitioned(
-            A, ILUTParams(fill=m, threshold=t), p, reduced_cap=cap, seed=0, **kwargs
-        )
+        parallel_ilut_partitioned(A, ILUTParams(fill=m, threshold=t, k=k), p, seed=0, **kwargs)
     )
 
 

@@ -9,7 +9,7 @@ A from-scratch Python reproduction of the paper's system:
 * :mod:`repro.decomp` — domain decomposition (interior/interface),
 * :mod:`repro.ilu` — ILUT, ILUT*, ILU(0), ILU(k), parallel factorization
   and level-scheduled triangular solves,
-* :mod:`repro.solvers` — GMRES/CG, preconditioners, distributed matvec,
+* :mod:`repro.solvers` — restarted GMRES, preconditioners, distributed matvec,
 * :mod:`repro.matrices` — G0/TORSO-class problem generators,
 * :mod:`repro.analysis` — fill/speedup metrics and paper-style tables.
 
@@ -65,7 +65,6 @@ from .solvers import (
     IdentityPreconditioner,
     ILU0Preconditioner,
     ILUPreconditioner,
-    cg,
     gmres,
     parallel_matvec,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "ParallelILUResult",
     # solvers
     "gmres",
-    "cg",
     "parallel_matvec",
     "ILUPreconditioner",
     "ILU0Preconditioner",

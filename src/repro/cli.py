@@ -88,24 +88,22 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
+def _label(args: argparse.Namespace) -> str:
+    """The printed name of the factorization ``-m``/``-t``/``-k`` ask for."""
+    if args.k is None:
+        return f"ILUT({args.m},{args.t:g})"
+    return f"ILUT*({args.m},{args.t:g},{args.k})"
+
+
 def _cmd_factor(args: argparse.Namespace) -> int:
-    from .ilu import ILUTParams, parallel_ilut, parallel_ilut_star
+    from .ilu import ILUTParams, parallel_ilut
 
     A = load_matrix(args.matrix)
     params = ILUTParams(fill=args.m, threshold=args.t, k=args.k)
     t0 = time.perf_counter()
-    if args.k is None:
-        res = parallel_ilut(
-            A, params, args.procs, seed=args.seed, transport=args.transport
-        )
-        label = f"ILUT({args.m},{args.t:g})"
-    else:
-        res = parallel_ilut_star(
-            A, params, args.procs, seed=args.seed, transport=args.transport
-        )
-        label = f"ILUT*({args.m},{args.t:g},{args.k})"
+    res = parallel_ilut(A, params, args.procs, seed=args.seed, transport=args.transport)
     wall = time.perf_counter() - t0
-    print(f"factorization: {label} on p={args.procs} (transport={res.transport})")
+    print(f"factorization: {_label(args)} on p={args.procs} (transport={res.transport})")
     print(res.decomp.summary())
     print(f"fill:          nnz(L)={res.factors.L.nnz} nnz(U)={res.factors.U.nnz} "
           f"(factor {res.factors.fill_factor(A):.2f}x)")
@@ -203,7 +201,7 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
     there (exit 1).
     """
     from .faults import FaultPlan, MessageFault, RankFault
-    from .ilu import ILUTParams, parallel_ilut, parallel_ilut_star
+    from .ilu import ILUTParams, parallel_ilut
     from .resilience import RobustPreconditioner
     from .solvers import (
         DiagonalPreconditioner,
@@ -230,8 +228,7 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
 
     A = load_matrix(args.matrix)
     params = ILUTParams(fill=args.m, threshold=args.t, k=args.k)
-    factor = parallel_ilut if args.k is None else parallel_ilut_star
-    baseline = factor(A, params, args.procs, seed=args.seed, transport=transport)
+    baseline = parallel_ilut(A, params, args.procs, seed=args.seed, transport=transport)
 
     if args.inject in ("message-drop", "rank-crash", "rank-stall", "corrupt-result"):
         supervision = None
@@ -259,7 +256,7 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
         else:  # corrupt-result
             plan = FaultPlan(message_faults=[MessageFault("corrupt", tag="urow")])
             say("injected: corrupted one rank's region result")
-        res = factor(
+        res = parallel_ilut(
             A, params, args.procs, seed=args.seed, faults=plan,
             transport=transport, supervision=supervision,
         )
@@ -343,16 +340,13 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .graph import adjacency_from_matrix
-    from .graph.distributed_mis import distributed_two_step_luby_mis
-    from .ilu import ILUTParams, parallel_ilut, parallel_ilut_star
+    from .ilu import ILUTParams, parallel_ilut
     from .ilu.triangular import parallel_triangular_solve
     from .machine import CRAY_T3D, Simulator
     from .solvers import parallel_matvec
     from .verify import (
         check_csr,
         check_decomposition,
-        check_independent_set,
         check_lu_factors,
         find_races,
         racy_toy_driver,
@@ -376,27 +370,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     #    under the happens-before detector — before any injection, so the
     #    traced runs are numerically healthy.
     params = ILUTParams(fill=args.m, threshold=args.t, k=args.k)
-    if args.k is None:
-        res = parallel_ilut(A, params, args.procs, seed=args.seed, trace=True)
-        label = f"ILUT({args.m},{args.t:g})"
-    else:
-        res = parallel_ilut_star(A, params, args.procs, seed=args.seed, trace=True)
-        label = f"ILUT*({args.m},{args.t:g},{args.k})"
+    res = parallel_ilut(A, params, args.procs, seed=args.seed, trace=True)
     races += find_races(res.trace)
-    say(f"race detector: {label} on p={args.procs}: {res.trace}")
+    say(f"race detector: {_label(args)} on p={args.procs}: {res.trace}")
 
     b = A @ np.ones(A.shape[0])
     ts = parallel_triangular_solve(res.factors, b, trace=True)
     races += find_races(ts.trace)
     mv = parallel_matvec(A, res.decomp, b, trace=True)
     races += find_races(mv.trace)
-    sim_mis = Simulator(args.procs, CRAY_T3D, trace=True)
-    iset = distributed_two_step_luby_mis(
-        adjacency_from_matrix(A, symmetric=True), res.decomp.part, sim_mis,
-        seed=args.seed,
-    )
-    races += find_races(sim_mis.tracer)
-    problems += check_independent_set(res.decomp.graph, iset)
 
     # 2. optionally corrupt the factors to prove the checkers catch it
     factors = res.factors

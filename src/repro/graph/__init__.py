@@ -2,7 +2,6 @@
 independent sets (Luby's algorithm with the paper's two-step variant)."""
 
 from .coloring import color_classes, greedy_coloring, is_proper_coloring
-from .distributed_mis import distributed_two_step_luby_mis, mis_comm_setup
 from .mis import (
     greedy_mis,
     is_independent_set,
@@ -19,8 +18,6 @@ __all__ = [
     "Graph",
     "adjacency_from_matrix",
     "symmetrize_structure",
-    "distributed_two_step_luby_mis",
-    "mis_comm_setup",
     "bfs_levels",
     "connected_components",
     "pseudo_peripheral_vertex",

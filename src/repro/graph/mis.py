@@ -15,12 +15,10 @@ with a parallel formulation of Luby's algorithm, with two twists:
    to another tentative vertex.
 
 Both the plain serial algorithm and the paper's capped two-step variant
-are provided.  The distributed driver in
-:mod:`repro.graph.distributed_mis` runs the same logic
-superstep-by-superstep on the machine simulator; the elimination engine
-(:mod:`repro.ilu.elimination`) runs the serial variant on the reduced
-matrix's edge list (:func:`two_step_luby_mis_edges`) and charges its
-rounds itself.
+are provided.  The elimination engine (:mod:`repro.ilu.elimination`) is
+the distributed formulation: it runs the two-step variant on each
+reduced matrix's edge list (:func:`two_step_luby_mis_edges`) and charges
+its rounds, scans and cut messages to the machine itself.
 """
 
 from __future__ import annotations

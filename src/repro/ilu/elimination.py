@@ -147,12 +147,11 @@ class EliminationEngine:
         at least 1.
     seed:
         Seed for the per-level MIS randomness.
-    diag_guard:
-        Replace exactly-zero pivots with the row's relative tolerance.
     pivot_policy:
-        Full small/zero-pivot remediation
-        (:class:`~repro.resilience.PivotPolicy`); overrides
-        ``diag_guard`` when given.
+        Small/zero-pivot remediation
+        (:class:`~repro.resilience.PivotPolicy`); ``None`` is
+        ``PivotPolicy("guard")``, which replaces an exactly-zero pivot
+        with the row's relative tolerance.
     max_levels:
         Cap on the phase-2 levels; a run that needs more raises
         ``RuntimeError``.  ``None`` → ``n + 1``, more levels than a run
@@ -180,7 +179,6 @@ class EliminationEngine:
         sim: Simulator | None = None,
         mis_rounds: int = 5,
         seed: int = 0,
-        diag_guard: bool = True,
         pivot_policy: PivotPolicy | None = None,
         max_levels: int | None = None,
         level_hook: Callable[[int, np.ndarray, MappingProxyType], None] | None = None,
@@ -202,10 +200,7 @@ class EliminationEngine:
         self.sim = sim
         self.mis_rounds = int(mis_rounds)
         self.seed = int(seed)
-        self.diag_guard = diag_guard
-        self.pivot_policy = (
-            pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
-        )
+        self.pivot_policy = pivot_policy if pivot_policy is not None else PivotPolicy()
         self.max_levels = max_levels if max_levels is not None else self.n + 1
         self.level_hook = level_hook
         self._tr = sim.tracer if sim is not None else None

@@ -26,6 +26,12 @@ def ilu0(A: CSRMatrix, *, diag_guard: bool = True) -> ILUFactors:
 
     Identical to Gaussian elimination except that any update landing
     outside ``struct(A)`` is discarded.
+
+    The pivot switch is ``diag_guard``, not ``pivot_policy=``: a zero
+    pivot becomes the row's 2-norm (``1.0`` for an empty row), not
+    :class:`~repro.resilience.PivotPolicy`'s drop threshold ``tau``, so a
+    policy would change bits.  ``diag_guard=False`` raises
+    :class:`~repro.resilience.ZeroPivotError` instead.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILU(0) requires a square matrix, got {A.shape}")

@@ -72,7 +72,11 @@ def iluk_symbolic(A: CSRMatrix, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def iluk(A: CSRMatrix, k: int, *, diag_guard: bool = True) -> ILUFactors:
     """Compute ILU(k) of ``A`` in natural order: :func:`iluk_symbolic`,
-    then the ILU(0) elimination kept to that pattern."""
+    then the ILU(0) elimination kept to that pattern.
+
+    The pivot switch is ``diag_guard``, as in :func:`~repro.ilu.ilu0.ilu0`
+    and for the same reason: its guard substitutes the row norm, not
+    :class:`~repro.resilience.PivotPolicy`'s ``tau``."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILU(k) requires a square matrix, got {A.shape}")
     if k < 0:

@@ -37,15 +37,15 @@ def ilum(
     max_levels: int | None = None,
     mis_rounds: int = 5,
     seed: int = 0,
-    diag_guard: bool = True,
+    pivot_policy: PivotPolicy | None = None,
 ) -> ILUFactors:
     """Multi-elimination ILU factorization of ``A``.
 
     Parameters mirror ILUT: ``m`` caps each L/U row, ``t`` is the
     relative drop tolerance, and ``reduced_cap`` (optional, the ILUT*
     trick) caps reduced-matrix rows.  A zero (or NaN) pivot goes through
-    :meth:`PivotPolicy.from_diag_guard(diag_guard)
-    <repro.resilience.PivotPolicy.from_diag_guard>`, as in ILUT.
+    ``pivot_policy`` (a :class:`~repro.resilience.PivotPolicy`; ``None``
+    is ``PivotPolicy("guard")``), as in ILUT.
     Returns factors whose ``LevelStructure`` has one interface level per
     independent set and no interior blocks — every row belongs to some
     level.
@@ -66,7 +66,7 @@ def ilum(
         raise ValueError(f"mis_rounds must be >= 1, got {mis_rounds}")
     if max_levels is None:
         max_levels = n + 1
-    policy = PivotPolicy.from_diag_guard(diag_guard)
+    policy = pivot_policy if pivot_policy is not None else PivotPolicy()
 
     norms = A.row_norms(ord=2)
     taus, norms = (t * norms).tolist(), norms.tolist()

@@ -28,7 +28,6 @@ def ilut(
     A: CSRMatrix,
     params: ILUTParams,
     *,
-    diag_guard: bool = True,
     pivot_policy: PivotPolicy | None = None,
 ) -> ILUFactors:
     """Compute the ILUT factorization of ``A`` in natural order.
@@ -45,18 +44,15 @@ def ilut(
         off-diagonal entries kept per row in L and separately in U;
         ``threshold`` = relative drop tolerance, row ``i`` uses
         ``tau_i = threshold * ||a_i||_2``).
-    diag_guard:
-        If a pivot ``u_ii`` ends up exactly zero (dropped or missing),
-        substitute ``tau_i`` (or the row-norm if ``tau_i`` is zero) so
-        the factorization remains applicable.  With ``diag_guard=False``
-        a zero pivot raises a typed
-        :class:`~repro.resilience.ZeroPivotError` (a
-        ``ZeroDivisionError`` subclass).
     pivot_policy:
-        Full small/zero-pivot remediation control
-        (:class:`~repro.resilience.PivotPolicy`); overrides
-        ``diag_guard`` when given.  The default maps ``diag_guard`` onto
-        the bit-exact legacy behaviour.
+        Small/zero-pivot remediation
+        (:class:`~repro.resilience.PivotPolicy`).  ``None`` is
+        ``PivotPolicy("guard")``: a pivot ``u_ii`` that ends up exactly
+        zero (dropped or missing) is replaced by ``tau_i`` (or the
+        row-norm if ``tau_i`` is zero) so the factorization remains
+        applicable.  ``PivotPolicy("raise")`` raises a typed
+        :class:`~repro.resilience.ZeroPivotError` (a
+        ``ZeroDivisionError`` subclass) instead.
 
     Returns
     -------
@@ -65,7 +61,7 @@ def ilut(
         ``flops`` (multiply-adds + divides of the elimination) and
         ``fill_nnz``.
     """
-    policy = pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
+    policy = pivot_policy if pivot_policy is not None else PivotPolicy()
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILUT requires a square matrix, got {A.shape}")

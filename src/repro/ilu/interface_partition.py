@@ -123,7 +123,6 @@ def parallel_ilut_partitioned(
     params: ILUTParams,
     nranks: int,
     *,
-    reduced_cap: int | None = None,
     model: MachineModel = CRAY_T3D,
     transport: str | Simulator | None = "simulator",
     decomp: DomainDecomposition | None = None,
@@ -136,8 +135,8 @@ def parallel_ilut_partitioned(
     """Parallel ILUT with the §7 partition-based interface factorization.
 
     Same calling convention and keywords as
-    :func:`repro.ilu.parallel.parallel_ilut` (``reduced_cap`` governs
-    the 3rd rule; a set ``params.k`` is ignored); returns a
+    :func:`repro.ilu.parallel.parallel_ilut` (``params.k`` selects
+    ILUT*'s 3rd rule cap ``params.reduced_cap``); returns a
     :class:`~repro.ilu.parallel.ParallelILUResult`.  A ``faults=`` plan
     is read and recovered from as it is there.
     """
@@ -149,7 +148,7 @@ def parallel_ilut_partitioned(
             decomp,
             params.fill,
             params.threshold,
-            reduced_cap=reduced_cap,
+            reduced_cap=params.reduced_cap,
             sim=sim,
             seed=seed,
         ).run()

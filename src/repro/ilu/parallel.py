@@ -1,8 +1,9 @@
 """Public API for the parallel ILUT / ILUT* factorizations.
 
-``parallel_ilut`` and ``parallel_ilut_star`` run the two-phase
-elimination of the paper on a simulated ``p``-processor machine and
-return the factors together with the modelled time, communication
+``parallel_ilut`` runs the two-phase elimination of the paper on a
+simulated ``p``-processor machine — ILUT, or ILUT* when ``params.k`` is
+set (``parallel_ilut_star`` is the same call under the paper's name) —
+and returns the factors together with the modelled time, communication
 statistics and the independent-set level structure (the paper's ``q``).
 """
 
@@ -105,22 +106,22 @@ def parallel_ilut(
     params: ILUTParams,
     nranks: int,
     *,
-    reduced_cap: int | None = None,
     model: MachineModel = CRAY_T3D,
     transport: str | Simulator | None = "simulator",
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     mis_rounds: int = 5,
     seed: int = 0,
-    diag_guard: bool = True,
     pivot_policy: PivotPolicy | None = None,
     trace: bool = False,
     faults: FaultPlan | None = None,
     supervision: "SupervisionPolicy | None" = None,
 ) -> ParallelILUResult:
-    """Factor ``A`` with parallel ILUT(m, t) on ``nranks`` simulated PEs.
+    """Factor ``A`` with parallel ILUT(m, t) or ILUT*(m, t, k) on
+    ``nranks`` simulated PEs.
 
-    Call as ``parallel_ilut(A, ILUTParams(fill=m, threshold=t), nranks)``.
+    Call as ``parallel_ilut(A, ILUTParams(fill=m, threshold=t), nranks)``
+    for ILUT, or with ``ILUTParams(fill=m, threshold=t, k=k)`` for ILUT*.
 
     Parameters
     ----------
@@ -129,13 +130,11 @@ def parallel_ilut(
     params:
         The :class:`~repro.ilu.params.ILUTParams` dropping parameters
         (``fill`` = max kept per L/U row; ``threshold`` = relative drop
-        tolerance).  A set ``params.k`` is ignored here — ``reduced_cap``
-        governs the 3rd rule; use :func:`parallel_ilut_star` for ILUT*.
+        tolerance; ``k`` = the 3rd rule's reduced-row cap multiplier,
+        ``None`` for plain ILUT).  The 3rd rule caps every reduced row at
+        ``params.reduced_cap`` (``k * fill``) entries.
     nranks:
         Number of simulated processors.
-    reduced_cap:
-        Cap on reduced-row length; ``None`` reproduces plain ILUT.
-        (Use :func:`parallel_ilut_star` for the paper's ILUT*(m,t,k).)
     model:
         Machine cost model (default: the Cray T3D preset) behind
         ``modeled_time`` on every transport.
@@ -159,8 +158,8 @@ def parallel_ilut(
         transport but ``"none"``); see :mod:`repro.verify`.
     pivot_policy:
         Small/zero-pivot remediation
-        (:class:`~repro.resilience.PivotPolicy`); overrides
-        ``diag_guard`` when given.
+        (:class:`~repro.resilience.PivotPolicy`); ``None`` is
+        ``PivotPolicy("guard")``.
     faults:
         A seeded :class:`~repro.faults.FaultPlan` to inject faults into
         the run; the journal lands in
@@ -190,11 +189,10 @@ def parallel_ilut(
             decomp,
             params.fill,
             params.threshold,
-            reduced_cap=reduced_cap,
+            reduced_cap=params.reduced_cap,
             sim=sim,
             mis_rounds=mis_rounds,
             seed=seed,
-            diag_guard=diag_guard,
             pivot_policy=pivot_policy,
         ).run()
         return result_of(outcome, decomp, sim)
@@ -207,12 +205,12 @@ def parallel_ilut_star(
 
     Call as ``parallel_ilut_star(A, ILUTParams(fill, threshold, k), nranks)``.
 
-    Identical to :func:`parallel_ilut` (same keywords) except the 3rd
-    dropping rule caps every reduced-matrix row at ``k*m`` entries,
-    keeping the reduced matrices sparse, the independent sets large and
-    the level count low.  The paper finds ``k = 2`` matches ILUT's
-    preconditioning quality.
+    :func:`parallel_ilut` (same keywords) under the paper's name, refusing
+    ``params.k=None``: the 3rd dropping rule caps every reduced-matrix
+    row at ``k*m`` entries, keeping the reduced matrices sparse, the
+    independent sets large and the level count low.  The paper finds
+    ``k = 2`` matches ILUT's preconditioning quality.
     """
     if params.k is None:
         raise ValueError("parallel_ilut_star() requires ILUTParams with k set")
-    return parallel_ilut(A, params, nranks, reduced_cap=params.reduced_cap, **kwargs)
+    return parallel_ilut(A, params, nranks, **kwargs)

@@ -76,7 +76,10 @@ def parallel_ilu0(
     ILUT does not.  ``faults`` / ``supervision`` behave as in
     :func:`~repro.ilu.parallel.parallel_ilut`: every transport reads
     crash / stall / corrupt-result at region dispatch and recovers by
-    region retry (DESIGN.md §14).
+    region retry (DESIGN.md §14).  The pivot switch is ``diag_guard``, as
+    in :func:`~repro.ilu.ilu0.ilu0` and for the same reason: its guard
+    substitutes the row norm, not :class:`~repro.resilience.PivotPolicy`'s
+    ``tau``.
     """
     decomp = decomposition_for(A, nranks, decomp, method=method, seed=seed)
     with entry_transport(

@@ -64,7 +64,6 @@ _FLOP_CHARGE_NAMES = frozenset({"compute", "_charge_ops", "charge"})
 COMM_ROOTS: tuple[tuple[str, str], ...] = (
     ("src/repro/solvers/parallel_matvec.py", "parallel_matvec"),
     ("src/repro/ilu/triangular.py", "parallel_triangular_solve"),
-    ("src/repro/graph/distributed_mis.py", "distributed_two_step_luby_mis"),
     ("src/repro/ilu/elimination.py", "EliminationEngine.run"),
     ("src/repro/ilu/interface_partition.py", "InterfacePartitionEngine.run"),
     ("src/repro/ilu/parallel_ilu0.py", "parallel_ilu0"),

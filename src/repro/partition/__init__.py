@@ -11,11 +11,6 @@ from .kway import (
     random_partition,
 )
 from .matching import collapse_matching, heavy_edge_matching
-from .nested_dissection import (
-    nested_dissection,
-    nested_dissection_matrix,
-    vertex_separator_from_cut,
-)
 from .refine import boundary_mask, edge_cut, partition_balance, refine_kway
 
 __all__ = [
@@ -32,7 +27,4 @@ __all__ = [
     "boundary_mask",
     "edge_cut",
     "partition_balance",
-    "nested_dissection",
-    "nested_dissection_matrix",
-    "vertex_separator_from_cut",
 ]

@@ -7,11 +7,11 @@ shared vocabulary for those events:
 
 * :class:`NumericalBreakdown` — the root.  Subclasses also inherit the
   builtin exception callers historically caught (``ZeroDivisionError``
-  for sweep/Jacobi diagonals, ``ValueError`` for zero diagonals and
+  for zero pivots, ``ValueError`` for zero diagonals and
   non-finite values) so existing ``except`` clauses keep working while
   new code can catch the whole family with one clause.
 * :class:`PivotPolicy` — the configurable small/zero-pivot remediation
-  used by ``ilu/ilut.py`` and ``ilu/elimination.py`` (the scalar
+  used by ``ilu/ilut.py``, ``ilu/ilum.py`` and ``ilu/elimination.py`` (the scalar
   row kernel and the level kernel).  ``"guard"`` reproduces the historical substitution
   bit-exactly, ``"raise"`` turns breakdown into a typed error for the
   fallback/retry layer, and ``"shift"`` applies a threshold-scaled
@@ -61,8 +61,8 @@ class NumericalBreakdown(ArithmeticError):
 class ZeroPivotError(NumericalBreakdown, ZeroDivisionError):
     """Elimination hit an exactly/near zero pivot.
 
-    Also a ``ZeroDivisionError`` so callers of the historical
-    ``diag_guard=False`` paths and the stationary sweeps keep working.
+    Also a ``ZeroDivisionError``, so an ``except ZeroDivisionError``
+    clause catches it too.
     """
 
 
@@ -109,9 +109,8 @@ class PivotPolicy:
     mode:
         ``"guard"`` — substitute the historical fallback pivot (the drop
         threshold ``tau`` if positive, else the row norm, else 1.0);
-        bit-exact with the legacy ``diag_guard=True`` behaviour.
-        ``"raise"`` — raise :class:`ZeroPivotError` (legacy
-        ``diag_guard=False``, but typed).
+        the default of every ``pivot_policy=`` keyword.
+        ``"raise"`` — raise :class:`ZeroPivotError`.
         ``"shift"`` — replace the pivot by a sign-preserving
         threshold-scaled perturbation ``±shift_scale * max(tau,
         sqrt(eps)) * rownorm`` (à la Bollhöfer), so the factor stays
@@ -145,11 +144,6 @@ class PivotPolicy:
         self.mode = mode
         self.breakdown_tol = float(breakdown_tol)
         self.shift_scale = float(shift_scale)
-
-    @classmethod
-    def from_diag_guard(cls, diag_guard: bool) -> "PivotPolicy":
-        """Map the legacy boolean switch onto a policy."""
-        return cls("guard" if diag_guard else "raise")
 
     def is_breakdown(self, diag: float, norm: float) -> bool:
         if diag == 0.0 or math.isnan(diag):

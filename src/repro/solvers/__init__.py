@@ -1,8 +1,7 @@
-"""Iterative solvers: restarted GMRES, CG, preconditioner interfaces,
-distributed matvec and modelled parallel solve times."""
+"""Iterative solver: restarted GMRES (the paper's one solver),
+preconditioner interfaces, distributed matvec, the one-stop
+``parallel_solve`` driver and modelled parallel solve times."""
 
-from .bicgstab import BiCGSTABResult, bicgstab
-from .cg import CGResult, cg
 from .driver import ParallelSolveReport, parallel_solve
 from .gmres import GMRESResult, gmres
 from .modeled import model_diagonal_precond_time, model_gmres_time
@@ -16,13 +15,6 @@ from .preconditioners import (
     prepare_preconditioner,
 )
 from .result import SolveResult
-from .stationary import (
-    StationaryResult,
-    SweepPreconditioner,
-    gauss_seidel,
-    jacobi,
-    sor,
-)
 
 __all__ = [
     "SolveResult",
@@ -31,10 +23,6 @@ __all__ = [
     "prepare_preconditioner",
     "parallel_solve",
     "ParallelSolveReport",
-    "cg",
-    "CGResult",
-    "bicgstab",
-    "BiCGSTABResult",
     "parallel_matvec",
     "MatvecResult",
     "Preconditioner",
@@ -44,9 +32,4 @@ __all__ = [
     "ILU0Preconditioner",
     "model_gmres_time",
     "model_diagonal_precond_time",
-    "jacobi",
-    "gauss_seidel",
-    "sor",
-    "StationaryResult",
-    "SweepPreconditioner",
 ]

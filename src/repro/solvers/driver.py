@@ -16,7 +16,7 @@ import numpy as np
 
 from ..decomp import decompose
 from ..faults import FaultJournal, FaultPlan
-from ..ilu.parallel import parallel_ilut, parallel_ilut_star
+from ..ilu.parallel import parallel_ilut
 from ..ilu.params import ILUTParams
 from ..ilu.triangular import parallel_triangular_solve
 from ..machine import CRAY_T3D, MachineModel
@@ -110,12 +110,7 @@ def parallel_solve(
     params = ILUTParams(fill=m, threshold=t, k=k)
 
     def _factor(p: ILUTParams):
-        if p.k is None:
-            return parallel_ilut(
-                A, p, nranks, decomp=d, model=model, seed=seed, faults=faults,
-                transport=transport, supervision=supervision,
-            )
-        return parallel_ilut_star(
+        return parallel_ilut(
             A, p, nranks, decomp=d, model=model, seed=seed, faults=faults,
             transport=transport, supervision=supervision,
         )

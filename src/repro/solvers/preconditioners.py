@@ -174,7 +174,9 @@ class ILU0Preconditioner(Preconditioner):
     zero pivot surface as a typed
     :class:`~repro.resilience.ZeroPivotError` instead of being patched —
     the right setting inside a fallback chain, where the next tier
-    should take over.
+    should take over.  It is ``diag_guard``, not ``pivot_policy=``, as in
+    :func:`~repro.ilu.ilu0.ilu0`: the guard substitutes the row norm, not
+    :class:`~repro.resilience.PivotPolicy`'s ``tau``.
     """
 
     def __init__(

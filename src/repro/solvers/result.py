@@ -1,10 +1,9 @@
-"""Shared result type for the iterative solvers.
+"""Result type of the iterative solve.
 
-Every solver (GMRES, CG, BiCGSTAB, the stationary iterations) returns a
-subclass of :class:`SolveResult`, so driver code, benchmarks and tables
-can consume ``converged`` / ``iterations`` / ``residual_history`` /
-``elapsed`` without caring which Krylov method produced them; each
-subclass only adds its method-specific counters.
+:class:`SolveResult` holds what any iterative solve reports —
+``converged`` / ``iterations`` / ``residual_history`` / ``elapsed`` —
+and :class:`GMRESResult`, what restarted GMRES returns, adds the paper's
+NMV counter and the breakdown flag.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SolveResult",
     "GMRESResult",
-    "CGResult",
-    "BiCGSTABResult",
-    "StationaryResult",
 ]
 
 
@@ -80,23 +76,3 @@ class GMRESResult(SolveResult):
     num_matvec: int = 0
     num_precond: int = 0
     breakdown: bool = False
-
-
-@dataclass
-class CGResult(SolveResult):
-    """Preconditioned-CG outcome."""
-
-    num_matvec: int = 0
-
-
-@dataclass
-class BiCGSTABResult(SolveResult):
-    """BiCGSTAB outcome; ``breakdown`` marks a rho/omega early exit."""
-
-    num_matvec: int = 0
-    breakdown: bool = False
-
-
-@dataclass
-class StationaryResult(SolveResult):
-    """Jacobi / Gauss-Seidel / SOR outcome."""

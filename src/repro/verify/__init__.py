@@ -9,8 +9,9 @@ Two pillars (see DESIGN.md §7):
   accesses not ordered by a barrier, collective, or send→recv edge.
 * :mod:`repro.verify.invariants` — composable ``check_*`` functions for
   CSR well-formedness, LU factor validity (including the dual-dropping
-  and 3rd-dropping fill bounds), reduced-matrix invariants, MIS
-  independence, and partition/interface classification consistency.
+  and 3rd-dropping fill bounds, and each level's independence),
+  reduced-matrix invariants, and partition/interface classification
+  consistency.
 
 ``python -m repro check`` drives both pillars end to end.
 """
@@ -19,7 +20,6 @@ from .invariants import (
     InvariantViolation,
     check_csr,
     check_decomposition,
-    check_independent_set,
     check_lu_factors,
     check_reduced_rows,
     require,
@@ -39,7 +39,6 @@ __all__ = [
     "InvariantViolation",
     "check_csr",
     "check_decomposition",
-    "check_independent_set",
     "check_lu_factors",
     "check_reduced_rows",
     "require",

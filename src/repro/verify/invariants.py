@@ -17,7 +17,6 @@ harnesses can all share them:
   sorted, diagonal slot present, columns confined to the remaining
   interface set, and (ILUT*) at most ``cap = k*m`` entries per row — the
   3rd dropping rule;
-* :func:`check_independent_set` — MIS independence against a graph;
 * :func:`check_decomposition` — partition/interface classification
   consistency: every interior row's neighbours really are local.
 
@@ -33,7 +32,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from ..decomp.decomposition import DomainDecomposition
-    from ..graph.structure import Graph
     from ..ilu.factors import ILUFactors
     from ..sparse.csr import CSRMatrix
 
@@ -42,7 +40,6 @@ __all__ = [
     "check_csr",
     "check_lu_factors",
     "check_reduced_rows",
-    "check_independent_set",
     "check_decomposition",
     "require",
 ]
@@ -272,18 +269,6 @@ def check_reduced_rows(
     return out
 
 
-# ----------------------------------------------------------------------
-# MIS independence
-# ----------------------------------------------------------------------
-
-
-def check_independent_set(graph: Graph, iset: np.ndarray, *, name: str = "mis") -> list[str]:
-    """No stored edge of ``graph`` may connect two members of ``iset``."""
-    out: list[str] = []
-    iset = np.asarray(iset, dtype=np.int64)
-    if iset.size and (iset.min() < 0 or iset.max() >= graph.nvertices):
-        out.append(f"{name}: vertex index out of range [0, {graph.nvertices})")
-        return out
     mask = np.zeros(graph.nvertices, dtype=bool)
     mask[iset] = True
     for v in iset:

@@ -7,8 +7,7 @@ import pytest
 from repro import ILUTParams, poisson2d
 from repro.decomp import decompose
 from repro.faults import FaultPlan, MessageFault, MessageLost
-from repro.graph.distributed_mis import distributed_two_step_luby_mis
-from repro.ilu import parallel_ilu0, parallel_ilut_star
+from repro.ilu import parallel_ilu0, parallel_ilut, parallel_ilut_star
 from repro.ilu.triangular import parallel_triangular_solve
 from repro.machine import CRAY_T3D, MAX_RETRANSMITS, Simulator
 from repro.solvers.parallel_matvec import parallel_matvec
@@ -27,20 +26,26 @@ def _matvec(sim):
     return parallel_matvec(A, DECOMP, X, transport=sim).y.tobytes()
 
 
-def _mis(sim):
-    return distributed_two_step_luby_mis(DECOMP.graph, DECOMP.part, sim, seed=0).tobytes()
-
-
-def _ilu0(sim):
-    f = parallel_ilu0(A, 4, decomp=DECOMP, transport=sim).factors
+def _factors(res):
+    f = res.factors
     return b"".join(a.tobytes() for a in (f.L.data, f.L.indices, f.U.data, f.U.indices, f.perm))
 
 
-# (driver, the tag of its messages); each driver's first message goes 0 -> 2
+def _ilut(sim):
+    return _factors(parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 4, decomp=DECOMP, transport=sim))
+
+
+def _ilu0(sim):
+    return _factors(parallel_ilu0(A, 4, decomp=DECOMP, transport=sim))
+
+
+# (driver, the tag of its messages); each driver's first message goes
+# 0 -> 2 — for parallel_ilut, the MIS exchange ("mis", level) of the
+# first phase-2 level
 DRIVERS = {
     "parallel_triangular_solve": (_solve, "fwd"),
     "parallel_matvec": (_matvec, "halo"),
-    "distributed_two_step_luby_mis": (_mis, "mis"),
+    "parallel_ilut-mis": (_ilut, "mis"),
     "parallel_ilu0": (_ilu0, "ilu0"),
 }
 

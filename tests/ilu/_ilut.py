@@ -20,9 +20,9 @@ from repro.sparse import COOBuilder
 from ._accumulator import SparseRowAccumulator, second_rule
 
 
-def ilut(A, params, *, diag_guard=True, pivot_policy=None):
+def ilut(A, params, *, pivot_policy=None):
     """ILUT(m, t) in natural order, one accumulator step at a time."""
-    policy = pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
+    policy = pivot_policy if pivot_policy is not None else PivotPolicy()
     n = A.shape[0]
     m, t = params.fill, params.threshold
     norms = A.row_norms(ord=2)

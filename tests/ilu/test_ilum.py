@@ -7,7 +7,7 @@ from repro.ilu import ilum, ilut
 from repro.ilu.params import ILUTParams
 from repro.kernels import cached_schedules
 from repro.matrices import poisson2d, random_diag_dominant
-from repro.resilience import ZeroPivotError
+from repro.resilience import PivotPolicy, ZeroPivotError
 from repro.sparse import CSRMatrix
 
 
@@ -106,21 +106,21 @@ class TestValidation:
 
     def test_zero_pivot_guard(self):
         A = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        f = ilum(A, 2, 0.0, diag_guard=True)
+        f = ilum(A, 2, 0.0)
         assert np.all(f.U.diagonal() != 0.0)
 
     def test_nan_pivot_goes_through_the_pivot_policy(self):
-        """A NaN pivot is a breakdown (``PivotPolicy.from_diag_guard``),
-        as in ILUT and the parallel engines: the guard substitutes a
-        pivot instead of dividing by NaN — here 1.0, since the row's
-        tau and norm are NaN too — and ``diag_guard=False`` raises."""
+        """A NaN pivot is a breakdown (:class:`PivotPolicy`), as in ILUT
+        and the parallel engines: the default guard substitutes a pivot
+        instead of dividing by NaN — here 1.0, since the row's tau and
+        norm are NaN too — and ``PivotPolicy("raise")`` raises."""
         A = CSRMatrix.from_coo([0, 0, 1, 1], [0, 1, 0, 1], [np.nan, 1.0, 1.0, 4.0], (2, 2))
         f = ilum(A, 2, 0.1)
         p = int(np.flatnonzero(f.perm == 0)[0])
         assert f.U.get(p, p) == 1.0
         assert np.isfinite(f.L.data).all() and np.isfinite(f.U.data).all()
         with pytest.raises(ZeroPivotError):
-            ilum(A, 2, 0.1, diag_guard=False)
+            ilum(A, 2, 0.1, pivot_policy=PivotPolicy("raise"))
 
     def test_deterministic(self, medium_poisson):
         f1 = ilum(medium_poisson, 5, 1e-3, seed=4)

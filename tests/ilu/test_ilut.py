@@ -10,6 +10,7 @@ from repro.matrices import (
     poisson2d,
     random_diag_dominant,
 )
+from repro.resilience import PivotPolicy
 from repro.sparse import CSRMatrix
 
 
@@ -128,13 +129,13 @@ class TestValidationAndGuards:
     def test_zero_pivot_guard(self):
         # structurally singular row: zero diagonal never filled
         A = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        f = ilut(A, ILUTParams(fill=2, threshold=0.0), diag_guard=True)
+        f = ilut(A, ILUTParams(fill=2, threshold=0.0))
         assert np.all(f.U.diagonal() != 0.0)
 
     def test_zero_pivot_raises_without_guard(self):
         A = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ZeroDivisionError):
-            ilut(A, ILUTParams(fill=2, threshold=0.0), diag_guard=False)
+            ilut(A, ILUTParams(fill=2, threshold=0.0), pivot_policy=PivotPolicy("raise"))
 
     def test_1x1(self):
         A = CSRMatrix.from_dense(np.array([[3.0]]))

@@ -65,7 +65,7 @@ class TestFewerLevels:
     def test_star_cap_supported(self):
         A = poisson2d(12)
         r = parallel_ilut_partitioned(
-            A, ILUTParams(fill=10, threshold=1e-6), 4, reduced_cap=20, seed=0, transport="none"
+            A, ILUTParams(fill=10, threshold=1e-6, k=2), 4, seed=0, transport="none"
         )
         r.factors.levels.validate(144)
 

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import ILUTParams, poisson2d
-from repro.ilu import ilut, parallel_ilut, parallel_ilut_star
+from repro import ILUTParams, poisson2d, torso_like
+from repro.decomp import decompose
+from repro.ilu import ilut, parallel_ilut, parallel_ilut_partitioned, parallel_ilut_star
+from repro.ilu.interface_partition import InterfacePartitionEngine
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,45 @@ class TestCallingConventionErrors:
     def test_star_duplicate_legacy(self, A):
         with pytest.raises(TypeError):
             parallel_ilut_star(A, 5, 1e-3, 2, 4, k=2)
+
+
+class TestParamsKIsHonoured:
+    """``params.k`` is the one ILUT* switch: every entry point reads the
+    3rd rule's cap ``k * fill`` from it."""
+
+    STAR = ILUTParams(fill=5, threshold=1e-3, k=1)
+
+    @pytest.fixture(scope="class")
+    def B(self):
+        return torso_like(150, seed=0)
+
+    @pytest.mark.parametrize("transport", ["simulator", "threads", "processes", "none"])
+    def test_parallel_ilut_is_parallel_ilut_star(self, B, transport):
+        got = parallel_ilut(B, self.STAR, 4, seed=0, transport=transport)
+        want = parallel_ilut_star(B, self.STAR, 4, seed=0, transport=transport)
+        plain = parallel_ilut(B, dataclasses.replace(self.STAR, k=None), 4, seed=0,
+                              transport="none")
+        assert not factors_equal(plain.factors, want.factors), "k changes nothing: vacuous"
+        assert factors_equal(got.factors, want.factors)
+        assert np.array_equal(got.factors.perm, want.factors.perm)
+        assert (got.num_levels, got.level_sizes) == (want.num_levels, want.level_sizes)
+        assert (got.modeled_time, got.comm) == (want.modeled_time, want.comm)
+        assert (got.flops, got.words_copied) == (want.flops, want.words_copied)
+
+    def test_parallel_ilut_partitioned_reads_k(self, B):
+        decomp = decompose(B, 4, seed=0)
+        got = parallel_ilut_partitioned(B, self.STAR, 4, decomp=decomp, seed=0,
+                                        transport="none")
+        want = InterfacePartitionEngine(
+            decomp, self.STAR.fill, self.STAR.threshold,
+            reduced_cap=self.STAR.k * self.STAR.fill, seed=0,
+        ).run()
+        plain = InterfacePartitionEngine(decomp, self.STAR.fill, self.STAR.threshold,
+                                         seed=0).run()
+        assert not factors_equal(plain.factors, want.factors), "k changes nothing: vacuous"
+        assert factors_equal(got.factors, want.factors)
+        assert np.array_equal(got.factors.perm, want.factors.perm)
+        assert (got.num_levels, got.level_sizes) == (want.num_levels, want.level_sizes)
 
 
 class TestInternalCallersAreMigrated:

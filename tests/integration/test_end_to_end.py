@@ -6,7 +6,6 @@ import pytest
 from repro import (
     DiagonalPreconditioner,
     ILUPreconditioner,
-    cg,
     decompose,
     gmres,
     parallel_ilut,
@@ -101,9 +100,9 @@ class TestKernelConsistency:
         x2 = ref  # deterministic check happens above through allclose chains
         assert np.all(np.isfinite(ref))
 
-    def test_cg_with_parallel_factors(self, rng):
+    def test_gmres_with_parallel_factors(self, rng):
         A = poisson2d(16)
         b = rng.standard_normal(256)
         r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), 4, seed=0, transport="none")
-        res = cg(A, b, M=ILUPreconditioner(r.factors), maxiter=2000)
+        res = gmres(A, b, M=ILUPreconditioner(r.factors), maxiter=2000)
         assert res.converged

@@ -48,7 +48,7 @@ def test_preconditioner_tour(examples_path, capsys):
 def test_orderings(examples_path, capsys):
     _run("orderings", examples_path, nx=12)
     out = capsys.readouterr().out
-    assert "nested dissection" in out
+    assert "two-phase MIS (parallel ILUT)" in out
 
 
 def test_paper_figures(examples_path, capsys):

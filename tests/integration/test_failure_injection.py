@@ -23,7 +23,7 @@ class TestSingularPivots:
             b.add(i, (i + 1) % n, -1.0)
             b.add((i + 1) % n, i, -1.0)
         A = b.to_csr()
-        f = ilut(A, ILUTParams(fill=5, threshold=1e-3), diag_guard=True)
+        f = ilut(A, ILUTParams(fill=5, threshold=1e-3))
         assert np.all(f.U.diagonal() != 0.0)
 
     def test_zero_diagonal_parallel_guarded(self):
@@ -44,7 +44,7 @@ class TestSingularPivots:
         A = CSRMatrix.from_dense(
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         )
-        f = ilut(A, ILUTParams(fill=3, threshold=0.0), diag_guard=True)
+        f = ilut(A, ILUTParams(fill=3, threshold=0.0))
         assert np.all(np.isfinite(f.U.data))
 
 
@@ -98,7 +98,7 @@ class TestSolverRobustness:
         D = A.to_dense()
         D[10, 10] = 1e-12  # nearly-singular pivot
         B = CSRMatrix.from_dense(D)
-        f = ilut(B, ILUTParams(fill=10, threshold=1e-8), diag_guard=True)
+        f = ilut(B, ILUTParams(fill=10, threshold=1e-8))
         b = rng.standard_normal(64)
         res = gmres(B, b, restart=20, M=ILUPreconditioner(f), maxiter=2000)
         assert np.all(np.isfinite(res.x))

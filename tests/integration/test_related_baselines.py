@@ -3,7 +3,7 @@
 The library now expresses the whole landscape the paper situates itself
 in: static-pattern factorizations (ILU(0)/ILU(k)), threshold sequential
 (ILUT), global multi-elimination (ILUM), the paper's two-phase parallel
-ILUT/ILUT*, block-Jacobi ILUT, stationary sweeps, and the diagonal.
+ILUT/ILUT*, block-Jacobi ILUT, and the diagonal.
 These tests pin the qualitative ordering between them.
 """
 
@@ -24,7 +24,6 @@ from repro.ilu.params import ILUTParams
 from repro.solvers import (
     DiagonalPreconditioner,
     ILUPreconditioner,
-    SweepPreconditioner,
     gmres,
 )
 
@@ -46,10 +45,8 @@ class TestPreconditionerOrdering:
     def test_ilu_family_beats_pointwise(self, system):
         A, b = system
         n_diag = nmv(A, b, DiagonalPreconditioner(A))
-        n_sweep = nmv(A, b, SweepPreconditioner(A, method="sor", sweeps=2))
         n_ilu0 = nmv(A, b, ILUPreconditioner(ilu0(A)))
         assert n_ilu0 < n_diag
-        assert n_sweep < n_diag
 
     def test_threshold_dropping_competitive_with_levels(self, system):
         A, b = system

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro import ILUTParams, poisson2d, torso_like
 from repro.ilu import ilut
 from repro.matrices import random_diag_dominant
+from repro.resilience import PivotPolicy
 from repro.sparse import CSRMatrix
 
 from ..ilu import _ilut
@@ -53,11 +54,11 @@ class TestSequentialParity:
         p = ILUTParams(fill=6, threshold=1e-3)
         assert_factors_bit_identical(_ilut.ilut(small_nonsym, p), ilut(small_nonsym, p))
 
-    def test_diag_guard_off(self, small_diagdom):
+    def test_raise_policy(self, small_diagdom):
         p = ILUTParams(fill=5, threshold=1e-2)
         assert_factors_bit_identical(
-            _ilut.ilut(small_diagdom, p, diag_guard=False),
-            ilut(small_diagdom, p, diag_guard=False),
+            _ilut.ilut(small_diagdom, p, pivot_policy=PivotPolicy("raise")),
+            ilut(small_diagdom, p, pivot_policy=PivotPolicy("raise")),
         )
 
     @settings(max_examples=25, deadline=None)
@@ -76,6 +77,6 @@ class TestSequentialParity:
 
 def test_empty_matrix_edge_case():
     A = CSRMatrix.zeros(1)
-    # 1x1 all-zero: diag_guard substitutes a pivot, as the oracle does
+    # 1x1 all-zero: the default guard substitutes a pivot, as the oracle does
     p = ILUTParams(fill=2, threshold=1e-3)
     assert_factors_bit_identical(_ilut.ilut(A, p), ilut(A, p))

@@ -14,6 +14,10 @@ ranks with a :class:`~repro.machine.ChargeLedger` attached, and:
   ``flops_total``, and from ``_charge_copy`` equals ``words_copied *
   COPY_OPS_PER_WORD`` (events are attributed to a method by its source
   line range);
+* the engine's phase-2 MIS charges each level what an independent
+  evaluator derives from that level's reduced structure (a ``level_hook``
+  snapshot): ``2 * rounds`` scans of every edge a rank owns, and per
+  round one message per cut rank pair carrying its cut entries;
 * compute totals and words sent are integer-valued;
 * the second run repeats the first bit for bit;
 * no charge comes from ``repro/kernels/``, which computes numerics only.
@@ -32,10 +36,8 @@ import pytest
 
 import repro.kernels
 from repro.decomp import decompose
-from repro.graph import Graph
-from repro.graph.distributed_mis import distributed_two_step_luby_mis
 from repro.ilu import parallel_ilut
-from repro.ilu.elimination import COPY_OPS_PER_WORD, EliminationEngine
+from repro.ilu.elimination import COPY_OPS_PER_WORD, MIS_OPS_PER_EDGE, EliminationEngine
 from repro.ilu.interface_partition import parallel_ilut_partitioned
 from repro.ilu.parallel_ilu0 import parallel_ilu0
 from repro.ilu.params import ILUTParams
@@ -47,7 +49,6 @@ from repro.solvers.parallel_matvec import parallel_matvec
 
 NRANKS = 3
 MESH = 8
-MIS_ROUNDS = 3
 PARAMS = ILUTParams(fill=5, threshold=1e-3)
 ENGINE_MIS_ROUNDS = inspect.signature(EliminationEngine).parameters["mis_rounds"].default
 KERNELS_DIR = os.path.dirname(os.path.abspath(repro.kernels.__file__)) + os.sep
@@ -93,35 +94,6 @@ def _triangular_comm(factors) -> tuple[int, float]:
         triples = np.stack([level_of[c], owner[c], d])
         messages += int(np.unique(triples, axis=1).shape[1])
     return messages, words
-
-
-def _mis_graph(A) -> Graph:
-    """The adjacency structure of ``A`` without the diagonal."""
-    rows, cols = _entry_endpoints(A)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    xadj = np.zeros(A.shape[0] + 1, dtype=np.int64)
-    np.add.at(xadj, rows + 1, 1)
-    return Graph(np.cumsum(xadj).astype(np.int64), cols.astype(np.int64))
-
-
-def _mis_boundary(graph, part: np.ndarray) -> tuple[int, float]:
-    """(pairs, words-per-step): for each directed edge (v, u) crossing
-    ranks, u's owner ships u's flag to v's owner — distinct (src, dst)
-    pairs and distinct (src, dst, u) triples."""
-    part = np.asarray(part, dtype=np.int64)
-    v = np.repeat(
-        np.arange(graph.nvertices, dtype=np.int64),
-        np.diff(graph.xadj).astype(np.int64),
-    )
-    u = np.asarray(graph.adjncy, dtype=np.int64)
-    cross = part[u] != part[v]
-    if not np.any(cross):
-        return 0, 0.0
-    src, dst, shipped = part[u][cross], part[v][cross], u[cross]
-    pairs = int(np.unique(np.stack([src, dst]), axis=1).shape[1])
-    words = float(np.unique(np.stack([src, dst, shipped]), axis=1).shape[1])
-    return pairs, words
 
 
 def _ilu0_comm(A, decomp, factors) -> tuple[int, float]:
@@ -170,14 +142,6 @@ def triangular_model(factors) -> dict[str, float]:
     return {"flops": 2 * factors.L.nnz + 2 * factors.U.nnz - factors.L.shape[0],
             "messages": messages, "words": words,
             "barriers": 2 * q + 2, "collectives": 0}
-
-
-def mis_model(graph, part, rounds: int) -> dict[str, float]:
-    pairs, words = _mis_boundary(graph, part)
-    # setup scan + two scans per round over every adjacency entry
-    return {"flops": graph.adjncy.size * (1 + 2 * rounds),
-            "messages": 2 * rounds * pairs, "words": 2 * rounds * words,
-            "barriers": 1 + 2 * rounds, "collectives": 0}
 
 
 def elimination_model(levels: int) -> dict[str, float]:
@@ -243,14 +207,6 @@ def _triangular(sim) -> Outcome:
     return Outcome(triangular_model(factors), (sol.modeled_time, sol.x.tobytes()), sol.flops)
 
 
-def _mis(sim) -> Outcome:
-    A = poisson2d(MESH)
-    decomp = decompose(A, NRANKS, seed=0)
-    graph = _mis_graph(A)
-    distributed_two_step_luby_mis(graph, decomp.part, sim, seed=0, rounds=MIS_ROUNDS)
-    return Outcome(mis_model(graph, decomp.part, MIS_ROUNDS), (sim.elapsed(),))
-
-
 def _factor_bytes(res) -> tuple:
     f = res.factors
     return (res.modeled_time, f.L.data.tobytes(), f.U.data.tobytes(), f.perm.tobytes())
@@ -280,7 +236,6 @@ def _ilu0(sim) -> Outcome:
 HARNESSES: dict[tuple[str, str], Callable[[Simulator], Outcome]] = {
     ("src/repro/solvers/parallel_matvec.py", "parallel_matvec"): _matvec,
     ("src/repro/ilu/triangular.py", "parallel_triangular_solve"): _triangular,
-    ("src/repro/graph/distributed_mis.py", "distributed_two_step_luby_mis"): _mis,
     ("src/repro/ilu/elimination.py", "EliminationEngine.run"): _elimination,
     ("src/repro/ilu/interface_partition.py", "InterfacePartitionEngine.run"):
         _interface_partition,
@@ -397,6 +352,113 @@ def test_perturbed_closed_form_fails(monkeypatch):
     run = run_root(("src/repro/solvers/parallel_matvec.py", "parallel_matvec"))
     with pytest.raises(AssertionError, match="flops: model"):
         assert_closed_forms(run.outcome.model, run.stats)
+
+
+# --------------------------------------------------------------------------
+# the engine's phase-2 MIS, level by level
+# --------------------------------------------------------------------------
+
+
+def mis_level_model(reduced: dict[int, list[int]], part, rounds: int):
+    """One level's MIS charges from a snapshot ``row -> columns`` of the
+    reduced matrix the level starts from: every stored off-diagonal entry
+    ``(v, c)`` is an edge that ``v``'s rank scans twice per round; an edge
+    whose ends lie on different ranks is one word from ``v``'s rank to
+    ``c``'s, aggregated into one message per ordered rank pair per round.
+    Returns (scan flops per rank, ``(src, dst, words)`` messages in order)."""
+    owned = [0] * NRANKS
+    cut: dict[tuple[int, int], int] = {}
+    for v, cols in reduced.items():
+        for c in cols:
+            if c == v:
+                continue
+            a, b = int(part[v]), int(part[c])
+            owned[a] += 1
+            if a != b:
+                cut[(a, b)] = cut.get((a, b), 0) + 1
+    flops = [2.0 * rounds * MIS_OPS_PER_EDGE * edges for edges in owned]
+    return flops, [(a, b, float(w)) for (a, b), w in sorted(cut.items())] * rounds
+
+
+def _mis_level_events(ledger: ChargeLedger) -> list[list]:
+    """The ledger events charged from ``_mis_of_reduced``'s source lines,
+    one list per maximal run of consecutive such events (one per level)."""
+    method = EliminationEngine._mis_of_reduced
+    lines, start = inspect.getsourcelines(method)
+    span = range(start, start + len(lines))
+    levels: list[list] = []
+    inside = False
+    for ev in ledger.events:
+        was, inside = inside, ev.file == method.__code__.co_filename and ev.line in span
+        if inside:
+            if not was:
+                levels.append([])
+            levels[-1].append(ev)
+    return levels
+
+
+def _engine_mis_run(params: ILUTParams):
+    """A ledgered engine run and, per phase-2 level, the reduced structure
+    it started from (the ``level_hook`` snapshot after the level before)."""
+    decomp = decompose(poisson2d(MESH), NRANKS, seed=0)
+    snapshots: list[dict[int, list[int]]] = []
+
+    def hook(level, iset, reduced):
+        snapshots.append({v: reduced[v][0].tolist() for v in reduced})
+
+    ledger = ChargeLedger()
+    sim = Simulator(NRANKS, CRAY_T3D, ledger=ledger)
+    try:
+        out = EliminationEngine(
+            decomp, params.fill, params.threshold, reduced_cap=params.reduced_cap,
+            sim=sim, level_hook=hook,
+        ).run()
+    finally:
+        sim.close()
+    return ledger, snapshots[: out.num_levels], decomp.part
+
+
+def check_mis_charges(ledger: ChargeLedger, snapshots, part) -> None:
+    levels = _mis_level_events(ledger)
+    assert len(levels) == len(snapshots), f"level count: {len(levels)} vs {len(snapshots)}"
+    for level, (events, reduced) in enumerate(zip(levels, snapshots)):
+        flops, messages = mis_level_model(reduced, part, ENGINE_MIS_ROUNDS)
+        scans = [0.0] * NRANKS
+        for ev in events:
+            if ev.kind == "compute":
+                scans[ev.rank] += ev.amount
+        assert scans == flops, f"level {level}: scan flops {scans}, model {flops}"
+        # a send event carries its source rank and words, in post order
+        sends = [(ev.rank, ev.amount) for ev in events if ev.kind == "send"]
+        assert sends == [(a, w) for a, _b, w in messages], (
+            f"level {level}: sends {sends}, model {messages}"
+        )
+        assert sum(ev.kind == "barrier" for ev in events) == 2 * ENGINE_MIS_ROUNDS
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS, ILUTParams(fill=5, threshold=1e-3, k=1)], ids=["ilut", "ilut-star-k1"]
+)
+def test_engine_mis_charges_follow_the_reduced_structure(params):
+    ledger, snapshots, part = _engine_mis_run(params)
+    assert len(snapshots) > 1
+    assert any(mis_level_model(s, part, 1)[1] for s in snapshots), "no cut edge: vacuous"
+    check_mis_charges(ledger, snapshots, part)
+
+
+def test_an_extra_charged_edge_fails_the_mis_check(monkeypatch):
+    """A mutant that charges one edge more than the reduced matrix has."""
+    honest = EliminationEngine._reduced_structure
+
+    def one_more(self, remaining):
+        src, dst = honest(self, remaining)
+        if remaining.size < 2:
+            return src, dst
+        return np.append(src, 0), np.append(dst, 1)
+
+    monkeypatch.setattr(EliminationEngine, "_reduced_structure", one_more)
+    with pytest.raises(AssertionError, match="level 0: scan flops"):
+        check_mis_charges(*_engine_mis_run(PARAMS))
 
 
 class TestChargeLedger:

@@ -19,8 +19,6 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
-from repro.graph import adjacency_from_matrix
-from repro.graph.distributed_mis import distributed_two_step_luby_mis
 from repro.ilu import ILUTParams, parallel_ilut, parallel_ilut_partitioned, parallel_ilut_star
 from repro.ilu.parallel_ilu0 import parallel_ilu0
 from repro.ilu.triangular import parallel_triangular_solve
@@ -157,20 +155,6 @@ class TestSolveParity:
                 assert np.array_equal(run[0].y, ref[0].y)
                 assert run[0].flops == ref[0].flops
                 _assert_same_comm(run, ref)
-
-    def test_distributed_mis(self):
-        g = adjacency_from_matrix(self.A)
-        d = decompose(self.A, 3, seed=0)
-        for trace in (False, True):
-            outs = {}
-            for t in TRANSPORTS:
-                with resolve_transport(t, 3, model=CRAY_T3D, trace=trace) as tr:
-                    mis = distributed_two_step_luby_mis(g, d.part, tr, seed=3)
-                    outs[t] = (mis, tr.stats(), tr.elapsed(), list(tr.utilization()))
-                    outs[t] += (find_races(tr.tracer), trace and tr.tracer.num_accesses)
-            for t in ("threads", "processes"):
-                assert np.array_equal(outs[t][0], outs["simulator"][0])
-                assert outs[t][1:] == outs["simulator"][1:]
 
     def test_parallel_solve_reports_modelled_times_on_every_transport(self):
         """``factor_time`` / ``solve_time`` are the machine model's, never

@@ -93,10 +93,6 @@ class TestPivotPolicy:
     def test_nan_pivot_is_breakdown(self):
         assert PivotPolicy("guard").is_breakdown(float("nan"), 1.0)
 
-    def test_from_diag_guard(self):
-        assert PivotPolicy.from_diag_guard(True).mode == "guard"
-        assert PivotPolicy.from_diag_guard(False).mode == "raise"
-
 
 def _singular_arrow(n=6):
     """A matrix whose elimination annihilates the last pivot exactly."""
@@ -109,7 +105,7 @@ def _singular_arrow(n=6):
 
 
 class TestPolicyInILUT:
-    def test_guard_policy_matches_diag_guard_factors(self):
+    def test_guard_policy_is_the_default(self):
         A = poisson2d(8)
         params = ILUTParams(fill=5, threshold=1e-3)
         f1 = ilut(A, params)

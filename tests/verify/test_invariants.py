@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
-from repro.graph import Graph, adjacency_from_matrix, two_step_luby_mis
 from repro.ilu import parallel_ilut
 from repro.ilu.params import ILUTParams
 from repro.matrices import poisson2d
@@ -13,7 +12,6 @@ from repro.verify import (
     InvariantViolation,
     check_csr,
     check_decomposition,
-    check_independent_set,
     check_lu_factors,
     check_reduced_rows,
     require,
@@ -136,22 +134,6 @@ class TestCheckReducedRows:
             {4: (np.array([7, 4]), np.ones(2)), 7: (np.array([7]), np.ones(1))}
         )
         assert any("increasing" in m for m in msgs)
-
-
-class TestCheckIndependentSet:
-    def test_real_mis_passes(self):
-        g = adjacency_from_matrix(poisson2d(8), symmetric=True)
-        iset = two_step_luby_mis(g, seed=0)
-        assert check_independent_set(g, iset) == []
-
-    def test_adjacent_pair_flagged(self):
-        g = Graph(np.array([0, 1, 2]), np.array([1, 0]))
-        msgs = check_independent_set(g, np.array([0, 1]))
-        assert any("adjacent" in m for m in msgs)
-
-    def test_out_of_range_vertex(self):
-        g = Graph(np.array([0, 1, 2]), np.array([1, 0]))
-        assert any("range" in m for m in check_independent_set(g, np.array([5])))
 
 
 class TestCheckDecomposition:

@@ -4,12 +4,10 @@ parallel drivers are certified race-free on a G0-style workload."""
 import numpy as np
 import pytest
 
-from repro.graph import adjacency_from_matrix
-from repro.graph.distributed_mis import distributed_two_step_luby_mis
 from repro.ilu import parallel_ilut, parallel_ilut_star
 from repro.ilu.params import ILUTParams
 from repro.ilu.triangular import parallel_triangular_solve
-from repro.machine import CRAY_T3D, MachineModel, Simulator
+from repro.machine import MachineModel, Simulator
 from repro.matrices import poisson2d
 from repro.solvers import parallel_matvec
 from repro.verify import find_races, racy_toy_driver
@@ -87,14 +85,6 @@ class TestShippedDriversRaceFree:
     def test_parallel_ilut_star(self):
         res = parallel_ilut_star(self.A, ILUTParams(fill=5, threshold=1e-4, k=2), self.P, trace=True)
         assert find_races(res.trace) == []
-
-    def test_distributed_mis(self):
-        res = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P)
-        graph = adjacency_from_matrix(self.A, symmetric=True)
-        sim = Simulator(self.P, CRAY_T3D, trace=True)
-        distributed_two_step_luby_mis(graph, res.decomp.part, sim, seed=0)
-        assert sim.tracer.num_accesses > 0
-        assert find_races(sim.tracer) == []
 
     def test_triangular_solve(self):
         res = parallel_ilut(self.A, ILUTParams(fill=5, threshold=1e-4), self.P, trace=True)
