@@ -8,10 +8,11 @@ ILUT preconditioner (``tests/ilu/_trisolve.py``) — on the Poisson-G0 and
 torso workloads, verifies parity (bit-identical factors, products,
 norms and applies), replays the parallel drivers under the race
 detector, and writes the results to ``BENCH_kernels.json`` at the repo
-root (a ``--quick`` run writes a file only when given ``--output``).  A further row, ``level_update``,
-times the MIS engine's phase-2 update both ways on the same captured
-levels: the scalar row kernel (``_update_remaining``) against the batched
-level kernel (``repro.ilu.level``) that replaced it in the MIS loop.  A
+root (a ``--quick`` run writes a file only when given ``--output``).  A
+further row, ``level_update``, times the MIS engine's phase-2 update
+both ways on the same captured levels: the scalar row kernel
+(``_update_remaining``) against the batched level kernel
+(``repro.ilu.level``) that replaced it in the MIS loop.  A
 fifth, ``phase1``, times the two phase-1 thunk bodies (interior block,
 interface reduction — the scalar row kernel, ``repro.ilu.row``) and
 reports how long each interface row's pivot chain is, which is what

@@ -32,7 +32,8 @@ def _factors(res):
 
 
 def _ilut(sim):
-    return _factors(parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 4, decomp=DECOMP, transport=sim))
+    params = ILUTParams(fill=5, threshold=1e-3)
+    return _factors(parallel_ilut(A, params, 4, decomp=DECOMP, transport=sim))
 
 
 def _ilu0(sim):
