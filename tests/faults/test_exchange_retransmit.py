@@ -41,12 +41,13 @@ def _ilu0(sim):
 
 
 # (driver, the tag of its messages); each driver's first message goes
-# 0 -> 2 — for parallel_ilut, the MIS exchange ("mis", level) of the
-# first phase-2 level
+# 0 -> 2. The distributed MIS runs inside parallel_ilut's phase 2, so
+# its case drives parallel_ilut and drops the MIS exchange
+# ("mis", level) of the first phase-2 level
 DRIVERS = {
     "parallel_triangular_solve": (_solve, "fwd"),
     "parallel_matvec": (_matvec, "halo"),
-    "parallel_ilut-mis": (_ilut, "mis"),
+    "distributed_mis": (_ilut, "mis"),
     "parallel_ilu0": (_ilu0, "ilu0"),
 }
 
