@@ -28,11 +28,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check
 
-``--check`` exits nonzero if any row's current code is not
-bit-identical to its oracle, the level applier or the batched level
-update is not faster than the loop it replaced, ``decompose`` is not
-faster on the current partitioner kernels, or a traced driver races
-(the CI guard against kernel-layer regressions).
+``--check`` exits nonzero if any row's current code (the §5 parallel
+apply included) is not bit-identical to its oracle, the level applier
+or the batched level update is not faster than the loop it replaced,
+``decompose`` is not faster on the current partitioner kernels, or a
+traced driver races (the CI guard against kernel-layer regressions).
 """
 
 from __future__ import annotations
@@ -136,7 +136,10 @@ def bench_triangular_apply(cfg: dict) -> dict:
     ``parallel_triangular_solve(transport="none")`` run (one
     ``np.bincount`` per dependency level); ``oracle`` is the row loop of
     ``tests/ilu/_trisolve.py``.  Both sum every row left to right from
-    ``0.0``, so their results must be equal bit for bit.  Schedules are
+    ``0.0``, so their results must be equal bit for bit.  ``parallel``
+    is the §5 apply (``parallel_triangular_solve``) on the simulator at
+    the factors' own ``p``, whose regions run the same level kernel; it
+    must give the oracle's bits too.  Schedules and the apply plan are
     built outside the timed region.
     """
     A = poisson2d(cfg["fact_nx"])
@@ -156,19 +159,31 @@ def bench_triangular_apply(cfg: dict) -> dict:
         for _ in range(cfg["apply_inner"]):
             f.solve(b)
 
+    def parallel():
+        return [
+            parallel_triangular_solve(f, b, nranks=cfg["apply_p"], transport="simulator")
+            for _ in range(cfg["apply_inner"])
+        ][-1]
+
+    t_plan = _best_of(parallel, 1)  # the first pass builds the plan
     t_oracle = _best_of(oracle, reps)
     t_current = _best_of(current, reps)
+    t_parallel = _best_of(parallel, reps)
+    want = _trisolve.solve(f, b)
     return {
         "workload": f"ILUT*({cfg['m']},{cfg['t']:g},{cfg['k']}) factors, "
         f"p={cfg['apply_p']}, poisson2d({cfg['fact_nx']}), "
         f"{cfg['apply_inner']} applies; oracle = tests/ilu/_trisolve.py, "
-        "current = serial level applier",
+        "current = serial level applier, parallel = sec. 5 apply on the simulator",
         "forward_levels": fwd.num_levels,
         "backward_levels": bwd.num_levels,
         "oracle_s": t_oracle,
         "current_s": t_current,
         "speedup": t_oracle / t_current,
-        "bit_identical": bool(np.array_equal(_trisolve.solve(f, b), f.solve(b))),
+        "bit_identical": bool(np.array_equal(want, f.solve(b))),
+        "parallel_first_s": t_plan,
+        "parallel_s": t_parallel,
+        "parallel_bit_identical": bool(np.array_equal(want, parallel().x)),
     }
 
 
@@ -181,12 +196,12 @@ def _store_bits(store) -> tuple:
 def bench_level_update(cfg: dict) -> dict:
     """Scalar vs batched phase-2 update over the levels of one run.
 
-    At every level the row stores' ``(start, length, used)`` index is
-    saved, the scalar update runs (timed), the index is put back — the
-    stores only append, so that is all it takes — and the batched update
-    runs on it (timed) and carries the factorization forward; what the
-    two leave behind — reduced rows, L rows, flop and copy counters —
-    must be equal bit for bit.  No transport: the timings are the two
+    At every level the row stores' ``(start, length, used)`` index and
+    buffers are saved, the scalar update runs (timed), they are put back
+    — a store appends, or compacts into fresh buffers, so that is all it
+    takes — and the batched update runs on it (timed) and carries the
+    factorization forward; what the two leave behind — reduced rows, L
+    rows, flop and copy counters — must be equal bit for bit.  No transport: the timings are the two
     thunk bodies plus the shared merge loop, nothing else.
     """
     A = torso_like(cfg["level_n"], seed=0)
@@ -200,16 +215,24 @@ def bench_level_update(cfg: dict) -> dict:
         def _update_level(self, pivots):
             nonlocal identical, row_updates
             stores = (self.reduced, self.l_rows)
-            start = [(s.start.copy(), s.length.copy(), s.used) for s in stores]
+            start = [(s.start.copy(), s.length.copy(), s.used, s.cols, s.vals) for s in stores]
             counters = (self.flops_total, self.words_copied)
+            put = self.reduced.put
+
+            def counted_put(rows, flat):  # a rebuilt row is put again
+                nonlocal row_updates
+                row_updates += rows.size
+                put(rows, flat)
+
+            self.reduced.put = counted_put
             t0 = time.perf_counter()
             self._update_remaining(pivots.ordinal)
             spent["scalar"] += time.perf_counter() - t0
+            del self.reduced.put
             scalar = (*map(_store_bits, stores), self.flops_total, self.words_copied)
-            # a rebuilt row is re-appended, so its start moved
-            row_updates += int(np.count_nonzero(self.reduced.start != start[0][0]))
-            for store, (begin, length, used) in zip(stores, start):
+            for store, (begin, length, used, cols, vals) in zip(stores, start):
                 store.start, store.length, store.used = begin, length, used
+                store.cols, store.vals = cols, vals
             self.flops_total, self.words_copied = counters
             t0 = time.perf_counter()
             super()._update_level(pivots)
@@ -516,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     results["triangular_apply"] = bench_triangular_apply(cfg)
     r = results["triangular_apply"]
     print(f"  triangular apply: {r['speedup']:.2f}x  (bit_identical={r['bit_identical']})")
+    print(f"  sec. 5 apply: {r['parallel_s']:.3f} s per {cfg['apply_inner']}  "
+          f"(bit_identical={r['parallel_bit_identical']})")
     results["level_update"] = bench_level_update(cfg)
     r = results["level_update"]
     print(f"  level update: {r['speedup']:.2f}x  (bit_identical={r['bit_identical']})")
@@ -552,6 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         ok = (
             apply["speedup"] > 1.0
             and apply["bit_identical"]
+            and apply["parallel_bit_identical"]
             and results["ilut_factorization"]["bit_identical"]
             and all(r["bit_identical"] for r in results["csr_kernels"]["rows"].values())
             and all(g["bit_identical"] for g in results["gmres"].values())

@@ -448,8 +448,10 @@ class EliminationEngine:
             seed=self.seed + 1000 * (level + 1),
             rounds=self.mis_rounds,
         )
-        # cost model: each round scans every active adjacency entry once per
-        # step (two steps), plus a boundary key exchange and two barriers.
+        # cost model: all ``mis_rounds`` rounds are charged, whether or not
+        # the Luby core stopped earlier, and each bills every edge of the
+        # reduced structure, active or not, twice (one scan per step) to
+        # its source's owner, plus a boundary key exchange and two barriers.
         if self.sim is not None:
             nranks = self.sim.nranks
             src_owner, dst_owner = owner[e_src], owner[e_dst]

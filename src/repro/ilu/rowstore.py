@@ -4,9 +4,10 @@ The paper's reduced matrix ``A_I`` (and L, and U) is one distributed
 sparse matrix that every level rewrites a few rows of.  A
 :class:`RowStore` holds such a matrix as two growing buffers ``cols`` /
 ``vals`` plus a per-row ``(start, length)`` index: replacing a row
-appends its new entries and repoints the index, and nothing is moved.
-The garbage that leaves behind is bounded by the entries ever written —
-the engine's ``words_copied`` counter — so there is no compaction.
+appends its new entries and repoints the index.  When the buffers
+fill up mostly with replaced rows' garbage, the next append first
+copies the live rows together (:meth:`RowStore.put`); that is host
+bookkeeping, not a modelled copy, and charges nothing.
 
 :class:`FlatRows` is a block of rows back to back, the form the kernels
 read and write; :class:`RowBlock` is what one region thunk hands back
@@ -163,12 +164,31 @@ class RowStore(Mapping):
         self.used = 0
 
     def put(self, rows: np.ndarray, flat: FlatRows) -> None:
-        """Store (or replace) ``rows`` with the rows of ``flat``: one append."""
+        """Store (or replace) ``rows`` with the rows of ``flat``: one append.
+
+        When the append would overflow the buffers and the live entries
+        plus ``flat`` fill at most half of them, the live rows are first
+        copied back to back, in ``start`` order, into fresh buffers of
+        the same size; otherwise the buffers double.  Fresh buffers keep
+        the views this mapping handed out valid.
+        """
+        self.length[rows] = -1  # a replaced row's entries are garbage
         end = self.used + flat.cols.size
         if end > self.cols.size:
-            room = max(end, 2 * self.cols.size) - self.used
-            self.cols = np.concatenate((self.cols[: self.used], np.empty(room, np.int64)))
-            self.vals = np.concatenate((self.vals[: self.used], np.empty(room, np.float64)))
+            size = self.cols.size
+            live = np.flatnonzero(self.length >= 0)
+            if 2 * (int(self.length[live].sum()) + flat.cols.size) <= size:
+                live = live[np.argsort(self.start[live], kind="stable")]
+                kept = self.gather(live)
+                self.start[live] = kept.ptr[:-1]
+                cols, vals, self.used = kept.cols, kept.vals, int(kept.ptr[-1])
+            else:
+                cols, vals = self.cols[: self.used], self.vals[: self.used]
+                size = max(end, 2 * size)
+            room = size - self.used
+            self.cols = np.concatenate((cols, np.empty(room, np.int64)))
+            self.vals = np.concatenate((vals, np.empty(room, np.float64)))
+            end = self.used + flat.cols.size
         self.cols[self.used : end] = flat.cols
         self.vals[self.used : end] = flat.vals
         self.start[rows] = self.used + flat.ptr[:-1]

@@ -19,38 +19,51 @@ nodes (like a matvec); what distinguishes it from the matvec is the
 produces cheaper triangular solves — the effect Table 2 and Figure 6
 measure.
 
-**One order, any schedule.**  A row is summed the way
-:mod:`repro.kernels.triangular` defines for every solve in the library
-— ``y_i - (((0.0 + l_{i,c1} y_{c1}) + l_{i,c2} y_{c2}) + ...)`` in
-stored column order, divided by ``u_ii`` on the backward sweep — and
-reads only final values of the rows it depends on.  The regions here
-(one per interior stage, one per dependency sub-round of an interface
-level) therefore compute the serial level applier's bits exactly, on
-every transport.  With ``transport="none"`` there is no machine to run
-regions on, and the driver runs that serial applier itself.
+**One kernel, one body per worker.**  A region's rows are solved on
+the library's one triangular kernel,
+:func:`~repro.kernels.triangular.solve_levels`: one ``np.bincount`` per
+dependency level, each row summed left to right from ``0.0`` in stored
+order.  A row reads only final values, so every transport computes the
+serial applier's bits.  The regions are one per interior stage and one
+per dependency sub-round of an interface level.  Like the elimination
+engine's phase-2 regions, a region runs one thunk body per *worker* of
+the transport (:attr:`~repro.machine.Simulator.workers`) over the rows
+its ranks own: the lowest such rank's thunk runs it and the worker's
+other ranks with rows get one that returns ``None``, so ``pardo`` sees
+the active ranks of one body per rank — faults, journals and retries
+alike.  The simulator is one worker, so its regions are one kernel call
+over every rank's rows.  With ``transport="none"`` there is no machine to run
+regions on, and the driver runs the serial applier itself.
 
-The schedule is analysed once per factors object into an
-:class:`ApplyPlan`, cached beside the serial schedules
+The schedule is analysed once per factors object and worker layout
+into an :class:`ApplyPlan`, cached beside the serial schedules
 (:func:`repro.kernels.triangular.cached_analysis`) and evicted with the
 factors: per stage the ``(rank, flops)`` charges, each level's sorted
-``(src, dst, words)`` message list, and the rows each rank solves in
-each region with their CSR entries as Python lists, listed once per
-factors.  A thunk lists the vector entries it reads and runs a scalar
-row loop in Python floats, the pattern of :mod:`repro.ilu.row`; the
-accounting replays from the plan.
+``(src, dst, words)`` message list, and per region and worker the
+kernel's level bundles.  Levels are local to the region (an entry that
+points outside it reads a final value); a sub-round's rows are
+independent, so there they are one bundle.  The accounting replays
+from the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..faults import FaultJournal, FaultPlan
-from ..kernels.csr import csr_gather_rows
-from ..kernels.triangular import cached_analysis, triangular_diagonal
+from ..kernels.triangular import (
+    Bundle,
+    cached_analysis,
+    level_bundles,
+    level_values,
+    solve_levels,
+    triangular_diagonal,
+    triangular_levels,
+)
 from ..machine import (
     CRAY_T3D,
     CommStats,
@@ -89,29 +102,15 @@ class TriangularSolveResult:
 
 
 @dataclass(frozen=True)
-class _Batch:
-    """The rows one rank solves in one region.
+class _Body:
+    """One worker's share of one region: its ranks that hold rows there,
+    the lead first, and the level bundles of those rows.  ``rows`` is
+    every bundle's rows in bundle order, which is the order of the values
+    the lead thunk returns."""
 
-    The thunk works on a local copy of the vector at ``gather``: the
-    batch's rows first, in solve order, then every other position they
-    read.  ``counts`` is each row's number of dependency entries and
-    ``cols``/``vals`` are those entries, row after row in stored order,
-    columns renumbered into the copy; ``diag`` is ``u_ii`` on the
-    backward sweep and ``1.0`` (an exact no-op divisor) on the forward.
-    The four are Python lists, listed once per factors, which is what
-    the thunk's scalar loop reads.
-    """
-
-    rank: int
-    gather: np.ndarray
-    counts: list[int]
-    cols: list[int]
-    vals: list[float]
-    diag: list[float]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.gather[: len(self.counts)]
+    ranks: tuple[int, ...]
+    rows: np.ndarray
+    bundles: list[Bundle]
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class _Level:
     fresh values and the level barrier."""
 
     positions: np.ndarray
-    rounds: list[list[_Batch]]
+    rounds: list[list[_Body]]
     charges: list[tuple[int, float]]
     messages: list[tuple[int, int, float]]
 
@@ -133,7 +132,7 @@ class _Sweep:
     name: str  # message-tag prefix: "fwd" | "bwd"
     M: CSRMatrix  # L (forward) or U (backward, diagonal stored first)
     backward: bool
-    interior: list[_Batch]  # one region
+    interior: list[_Body]  # one region
     #: ``(rank, flops, start, end)`` per non-empty interior block
     interior_charges: list[tuple[int, float, int, int]]
     levels: list[_Level]
@@ -142,24 +141,23 @@ class _Sweep:
 @dataclass(frozen=True)
 class ApplyPlan:
     """Everything :func:`parallel_triangular_solve` derives from one
-    factors object, built once per factors (:func:`_apply_plan`)."""
+    factors object for one worker layout (:func:`_apply_plan`)."""
 
     fwd: _Sweep
     bwd: _Sweep
 
 
-def _apply_plan(factors: ILUFactors) -> ApplyPlan:
-    return cached_analysis(factors, "apply_plan", _build_plan)
+def _apply_plan(factors: ILUFactors, workers: tuple[tuple[int, ...], ...]) -> ApplyPlan:
+    return cached_analysis(factors, ("apply_plan", workers), partial(_build_plan, workers=workers))
 
 
-def _build_plan(factors: ILUFactors) -> ApplyPlan:
+def _build_plan(factors: ILUFactors, workers: tuple[tuple[int, ...], ...]) -> ApplyPlan:
     L, U, levels = factors.L, factors.U, factors.levels
     # forward: 2 flops per L entry; backward: 2 per off-diagonal U entry
     # plus the division
-    fwd = _build_sweep("fwd", L, levels, 2.0 * np.diff(L.indptr), np.ones(factors.n))
+    fwd = _build_sweep("fwd", L, levels, workers, 2.0 * np.diff(L.indptr), None)
     bwd = _build_sweep(
-        "bwd", U, levels, 2.0 * (np.diff(U.indptr) - 1) + 1.0, triangular_diagonal(U),
-        backward=True,
+        "bwd", U, levels, workers, 2.0 * (np.diff(U.indptr) - 1) + 1.0, triangular_diagonal(U),
     )
     return ApplyPlan(fwd, bwd)
 
@@ -168,18 +166,19 @@ def _build_sweep(
     name: str,
     M: CSRMatrix,
     levels: LevelStructure,
+    workers: tuple[tuple[int, ...], ...],
     row_flops: np.ndarray,
-    diag: np.ndarray,
-    *,
-    backward: bool = False,
+    diag: np.ndarray | None,
 ) -> _Sweep:
+    backward = diag is not None
     owner = np.asarray(levels.owner, dtype=np.int64)
     n = M.shape[0]
     nranks = int(owner.max(initial=0)) + 1
     q = len(levels.interface_levels)
     blocks = [(s, e) for s, e in levels.interior_ranges if s != e]
 
-    # every interface position with its level, sub-round and owner
+    # every interface position with its level and owner; the interior is
+    # stage -1
     pos = np.zeros(0, dtype=np.int64)
     if q:
         pos = np.concatenate(levels.interface_levels).astype(np.int64)
@@ -187,32 +186,52 @@ def _build_sweep(
     level_of = np.full(n, -1, dtype=np.int64)
     level_of[pos] = lvl
     rows_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
-    depth = _subround_depths(rows_all, M.indices, level_of, backward)
-    rnd, rank = depth[pos], owner[pos]
+    # each row's level within its stage: the interior region's levels,
+    # and an interface level's dependency sub-rounds (the §7 engine's
+    # levels couple their own rows)
+    depth = triangular_levels(M, lower=not backward, stage=level_of)
 
-    # batches: the interior blocks, then per (level, round, rank) the rows
-    order = np.lexsort((pos, rank, rnd, lvl))
-    key = np.stack((lvl[order], rnd[order], rank[order]))
-    cut = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
-    bounds = [0, *cut.tolist(), order.size] if order.size else [0]
-    groups = [np.arange(s, e, dtype=np.int64) for s, e in blocks]
-    groups += [pos[order[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]
-    if backward:
-        groups = [g[::-1] for g in groups]
-    ranks = [int(owner[s]) for s, _ in blocks] + key[2, bounds[:-1]].tolist()
-    batches = _batches(M, groups, ranks, diag, backward)
+    # one body per region and worker, each of its levels one bundle,
+    # rows ascending: a region is the interior (level -1, its depths
+    # the bundles) or one sub-round of one level
+    worker_of = np.empty(sum(map(len, workers)), dtype=np.int64)
+    for w, ranks in enumerate(workers):
+        worker_of[list(ranks)] = w
+    rnd = np.where(level_of >= 0, depth, 0)
+    worker = worker_of[owner]
+    order = np.lexsort((depth, worker, rnd, level_of))
+    key = np.stack((level_of, rnd, worker, depth))[:, order]
+    new_body = np.ones(n, dtype=bool)
+    new_body[1:] = np.any(key[:3, 1:] != key[:3, :-1], axis=0)
+    new_level = new_body.copy()
+    new_level[1:] |= key[3, 1:] != key[3, :-1]
+    body_at, level_at = np.flatnonzero(new_body), np.flatnonzero(new_level)
+    bundles = level_bundles(M, order, [*level_at.tolist(), n], diag)
+    # each body's ranks with rows, ascending
+    held = np.unique((np.cumsum(new_body) - 1) * nranks + owner[order])
+    held_at = np.searchsorted(held // nranks, np.arange(body_at.size + 1)).tolist()
+    held_rank = (held % nranks).tolist()
 
-    rounds: list[list[list[_Batch]]] = [[] for _ in range(q)]
-    last = (-1, -1)
-    for batch, k, d in zip(batches[len(blocks) :], *key[:2, bounds[:-1]].tolist()):
-        if (k, d) != last:
+    interior: list[_Body] = []
+    rounds: list[list[list[_Body]]] = [[] for _ in range(q)]
+    row_at = [*body_at.tolist(), n]
+    bundle_at = [*np.searchsorted(level_at, body_at).tolist(), len(bundles)]
+    for j, (k, d) in enumerate(key[:2, body_at].T.tolist()):
+        body = _Body(
+            tuple(held_rank[held_at[j] : held_at[j + 1]]),
+            order[row_at[j] : row_at[j + 1]],
+            bundles[bundle_at[j] : bundle_at[j + 1]],
+        )
+        if k < 0:
+            interior.append(body)
+            continue
+        if len(rounds[k]) == d:  # the sub-round's first body
             rounds[k].append([])
-            last = (k, d)
-        rounds[k][-1].append(batch)
+        rounds[k][d].append(body)
 
     # one charge per (level, owning rank), rank ascending; the flop
     # charges are integers, so their order of summation is immaterial
-    cell = lvl * nranks + rank
+    cell = lvl * nranks + owner[pos]
     flops = np.bincount(cell, weights=row_flops[pos], minlength=q * nranks).tolist()
     present = np.flatnonzero(np.bincount(cell, minlength=q * nranks)).tolist()
     charges: list[list[tuple[int, float]]] = [[] for _ in range(q)]
@@ -223,7 +242,7 @@ def _build_sweep(
         name=name,
         M=M,
         backward=backward,
-        interior=batches[: len(blocks)],
+        interior=interior,
         interior_charges=[
             (int(owner[s]), float(row_flops[s:e].sum()), s, e) for s, e in blocks
         ],
@@ -235,33 +254,6 @@ def _build_sweep(
             )
         ],
     )
-
-
-def _subround_depths(
-    rows: np.ndarray, cols: np.ndarray, level_of: np.ndarray, backward: bool
-) -> np.ndarray:
-    """The dependency sub-round of every interface position.
-
-    The elimination engine's levels are independent sets, but the §7
-    engine's levels couple their own rows.  A row's sub-round is one
-    more than the highest sub-round among the same-level rows it reads
-    (0 if none), so a sub-round reads only values final before it
-    starts.
-    """
-    depth = np.zeros(level_of.size, dtype=np.int64)
-    intra = (level_of[cols] == level_of[rows]) & (level_of[rows] >= 0) & (cols != rows)
-    if not intra.any():
-        return depth
-    r, c = rows[intra], cols[intra]
-    # dependencies precede their readers: ascending forward, descending backward
-    order = np.argsort(-r if backward else r, kind="stable")
-    d: dict[int, int] = {}
-    for i, j in zip(r[order].tolist(), c[order].tolist()):
-        v = d.get(j, 0) + 1
-        if v > d.get(i, 0):
-            d[i] = v
-    depth[list(d)] = list(d.values())
-    return depth
 
 
 def _level_messages(
@@ -291,88 +283,38 @@ def _level_messages(
     return out
 
 
-def _batches(
-    M: CSRMatrix, groups: list[np.ndarray], ranks: list[int], diag: np.ndarray, backward: bool
-) -> list[_Batch]:
-    """One :class:`_Batch` per group of rows (in solve order), cut from
-    one gather of all their entries."""
-    if not groups:
-        return []
-    n = M.shape[0]
-    sizes = np.array([g.size for g in groups], dtype=np.int64)
-    rows = np.concatenate(groups)
-    gid = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
-    r_ptr = np.zeros(len(groups) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=r_ptr[1:])
-    e_row, e_col, flat = csr_gather_rows(M, rows)
-    e_k = np.repeat(np.arange(rows.size, dtype=np.int64), np.diff(M.indptr)[rows])
-    if backward:  # the diagonal divides, it is not a dependency
-        off = e_col != e_row
-        e_col, flat, e_k = e_col[off], flat[off], e_k[off]
-    counts = np.bincount(e_k, minlength=rows.size)
-    e_ptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=e_ptr[1:])
-
-    # renumber every column into its group's copy: the group's own rows
-    # keep their ordinal, every other column follows them, ascending
-    e_gid = gid[e_k]
-    row_key = gid * n + rows
-    by_key = np.argsort(row_key)
-    e_key = e_gid * n + e_col
-    at = np.minimum(np.searchsorted(row_key[by_key], e_key), rows.size - 1)
-    own = row_key[by_key[at]] == e_key
-    local = by_key[at] - r_ptr[e_gid]
-    far = ~own
-    ext_key = np.unique(e_key[far])
-    x_ptr = np.searchsorted(ext_key // n, np.arange(len(groups) + 1, dtype=np.int64))
-    local[far] = sizes[e_gid[far]] + np.searchsorted(ext_key, e_key[far]) - x_ptr[e_gid[far]]
-    ext_col = ext_key % n
-    vals = M.data[flat]
-    d = diag[rows]
-
-    out = []
-    rb, eb, xb = r_ptr.tolist(), e_ptr.tolist(), x_ptr.tolist()
-    for g, rank in enumerate(ranks):
-        r0, r1 = rb[g], rb[g + 1]
-        a, b = eb[r0], eb[r1]
-        gather = np.concatenate((rows[r0:r1], ext_col[xb[g] : xb[g + 1]]))
-        out.append(
-            _Batch(
-                rank, gather, counts[r0:r1].tolist(), local[a:b].tolist(),
-                vals[a:b].tolist(), d[r0:r1].tolist(),
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # numerics: the thunk body and the regions that run it
 # ---------------------------------------------------------------------------
 
 
-def _solve_rows(x: np.ndarray, batch: _Batch) -> np.ndarray:
-    """Thunk body: the batch's rows one after the other, each
-    ``(y_i - (((0.0 + m_1 y_1) + m_2 y_2) + ...)) / d_i`` in Python
-    floats, and their values as an array."""
-    y = x[batch.gather].tolist()
-    entries = zip(batch.cols, batch.vals)
-    for i, (count, d) in enumerate(zip(batch.counts, batch.diag)):
-        acc = 0.0
-        for c, v in islice(entries, count):
-            acc += v * y[c]
-        y[i] = (y[i] - acc) / d
-    return np.array(y[: len(batch.counts)], dtype=np.float64)
+def _solve_body(x: np.ndarray, body: _Body) -> np.ndarray:
+    """Thunk body: the values of one worker's rows of one region.  One
+    level reads ``x`` directly; several run on a copy, since a thunk
+    writes nothing shared."""
+    if len(body.bundles) == 1:
+        return level_values(x, body.bundles[0])
+    y = x.copy()
+    solve_levels(y, body.bundles)
+    return y[body.rows]
 
 
-def _solve_region(sim, nranks: int, x: np.ndarray, batches: list[_Batch]) -> None:
-    """One parallel region: each rank's thunk reads the shared vector
-    and returns its rows' values, which the coordinator stores."""
+def _no_rows() -> None:
+    """The thunk of a rank whose rows run in its worker's lead thunk."""
+
+
+def _solve_region(sim, nranks: int, x: np.ndarray, region: list[_Body]) -> None:
+    """One parallel region: each worker's lead thunk reads the shared
+    vector and returns its rows' values, which the coordinator stores."""
     thunks: list = [None] * nranks
-    for batch in batches:
-        thunks[batch.rank] = lambda batch=batch: _solve_rows(x, batch)
+    for body in region:
+        lead, *rest = body.ranks
+        thunks[lead] = lambda body=body: _solve_body(x, body)
+        for r in rest:
+            thunks[r] = _no_rows
     results = run_region(sim, thunks)
-    for batch in batches:
-        x[batch.rows] = results[batch.rank]
+    for body in region:
+        x[body.rows] = results[body.ranks[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +445,12 @@ def _solve_on(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray
 
     Every interior stage is one parallel region, every interface level
     one region per dependency sub-round (sub-rounds are an execution
-    detail: charges and messages stay at level granularity).  Each thunk
-    solves its rank's rows of the region on a local copy of what they
-    read and returns their values; the coordinator stores them, then
+    detail: charges and messages stay at level granularity).  Each
+    worker's thunk solves its ranks' rows of the region on the level
+    kernel and returns their values; the coordinator stores them, then
     replays the stage's accounting — bit-identical on every transport.
     """
-    plan = _apply_plan(factors)
+    plan = _apply_plan(factors, sim.workers)
     owner = factors.levels.owner
     nranks = len(flops_rank)
     x = b[factors.perm]
@@ -516,12 +458,12 @@ def _solve_on(factors: ILUFactors, b: np.ndarray, sim, flops_rank) -> np.ndarray
     _account_interior(sim, owner, plan.fwd, flops_rank)
     nlevels = len(plan.fwd.levels)
     for lvl_idx in range(nlevels):
-        for batches in plan.fwd.levels[lvl_idx].rounds:
-            _solve_region(sim, nranks, x, batches)
+        for region in plan.fwd.levels[lvl_idx].rounds:
+            _solve_region(sim, nranks, x, region)
         _account_level(sim, owner, plan.fwd, lvl_idx, flops_rank)
     for lvl_idx in range(nlevels - 1, -1, -1):
-        for batches in plan.bwd.levels[lvl_idx].rounds:
-            _solve_region(sim, nranks, x, batches)
+        for region in plan.bwd.levels[lvl_idx].rounds:
+            _solve_region(sim, nranks, x, region)
         _account_level(sim, owner, plan.bwd, lvl_idx, flops_rank)
     _solve_region(sim, nranks, x, plan.bwd.interior)
     _account_interior(sim, owner, plan.bwd, flops_rank)

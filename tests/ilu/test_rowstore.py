@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import ILUTParams, poisson2d
+from repro import ILUTParams, poisson2d, torso_like
 from repro.ilu import parallel_ilut
 from repro.ilu.rowstore import RowsBuilder, RowStore, gather_rows
 
@@ -67,6 +67,45 @@ class TestRowStore:
         rows = np.array([4, 0])
         flat = gather_rows(A.indptr[:-1], np.diff(A.indptr), A.indices, A.data, rows)
         assert rows_of(flat) == [tuple(a.tolist() for a in A.row(i)) for i in (4, 0)]
+
+    def test_a_full_store_of_garbage_copies_its_live_rows_together(self):
+        store = store_of(3, {0: ([0, 1], [1.0, 2.0]), 1: ([1], [3.0]), 2: ([2], [4.0])})
+        size = store.cols.size
+        for v in (5.0, 6.0):  # row 0 replaced twice: its entries pile up
+            store.put(np.array([0]), flat_of([([0, 2], [v, v])]))
+        held = store[1]  # a view handed out before the store compacts
+        assert store.cols.size == 2 * size and store.used == 8
+        store.put(np.array([0]), flat_of([([0], [7.0])]))
+        # rows 1 and 2 (row 0 is being replaced) plus the new entry fill
+        # at most half of the 8 slots
+        assert store.cols.size == 8 and store.used == 3
+        # the live rows back to back in start order, then the new row
+        assert store.start.tolist() == [2, 0, 1] and store.length.tolist() == [1, 1, 1]
+        assert rows_of(store.gather(np.array([0, 1, 2]))) == [
+            ([0], [7.0]), ([1], [3.0]), ([2], [4.0]),
+        ]
+        assert held[1].tolist() == [3.0]
+
+
+def test_store_buffers_stay_within_four_times_the_peak_live_entries(monkeypatch):
+    # a buffer grows only when live entries plus the incoming block fill
+    # more than half of it, so it never exceeds four times the most
+    # entries its store has held live at once.  The dense factorization
+    # writes 31-41 times that: an append-only store would break the bound
+    seen: dict[int, dict[str, int]] = {}
+    put = RowStore.put
+
+    def tracked(store, rows, flat):
+        put(store, rows, flat)
+        s = seen.setdefault(id(store), {"peak": 0, "written": 0, "worst": 0})
+        s["peak"] = max(s["peak"], int(np.maximum(store.length, 0).sum()))
+        s["written"] += flat.cols.size
+        assert store.cols.size <= 4 * s["peak"]
+
+    monkeypatch.setattr(RowStore, "put", tracked)
+    parallel_ilut(torso_like(300, seed=0), ILUTParams(fill=20, threshold=1e-6), 4)
+    assert len(seen) == 3  # the L, U and reduced stores
+    assert max(s["written"] / s["peak"] for s in seen.values()) > 30
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
-"""A phase-2 region runs one thunk body per worker, not per rank.
+"""A phase-2 region, and a region of the §5 apply, runs one thunk body
+per worker, not per rank.
 
 The simulator is one worker holding every rank, so a level's rows and
-its reduced-row update are one kernel call each; a worker transport is
-one worker per rank.  The region still has one thunk per active rank
+its reduced-row update are one kernel call each, and so is each apply
+region; a worker transport is one worker per rank.  The region still has one thunk per active rank
 (the worker's other ranks get one that returns ``None``), so faults,
 journals, retries, errors and every bit of the result are those of one
 body per rank.
@@ -14,10 +15,17 @@ import numpy as np
 import pytest
 
 from repro.decomp import DomainDecomposition, decompose
-from repro.faults import FaultPlan, RankFault
-from repro.ilu import ILUTParams, parallel_ilut, parallel_ilut_star
+from repro.faults import FaultPlan, MessageFault, RankFault
+from repro.ilu import ILUTParams, parallel_ilut, parallel_ilut_star, parallel_triangular_solve
+from repro.ilu import triangular
 from repro.ilu.elimination import EliminationEngine
-from repro.machine import CRAY_T3D, Simulator, ThreadTransport, TransportWorkerError
+from repro.machine import (
+    CRAY_T3D,
+    ProcessTransport,
+    Simulator,
+    ThreadTransport,
+    TransportWorkerError,
+)
 from repro.matrices import poisson2d, torso_like
 from repro.resilience import PivotPolicy, ZeroPivotError
 from repro.sparse import CSRMatrix
@@ -37,13 +45,17 @@ def _factor_bits(res):
     )
 
 
-def _counting_pardo(sim, regions):
-    """Record each region's active ranks and superstep, then dispatch."""
+def _counting_pardo(sim, regions, results=None):
+    """Record each region's active ranks and superstep, then dispatch;
+    with ``results``, also the ranks whose thunk returned something."""
     pardo = sim.pardo
 
     def counted(thunks):
         regions.append((sim.superstep, [r for r, f in enumerate(thunks) if f is not None]))
-        return pardo(thunks)
+        out = pardo(thunks)
+        if results is not None:
+            results.append([r for r, v in enumerate(out) if v is not None])
+        return out
 
     sim.pardo = counted
     return sim
@@ -187,3 +199,112 @@ def test_zero_pivot_on_two_ranks_of_one_region_is_the_lowest_ranks():
         TransportWorkerError, match="rank 1 failed: ZeroPivotError: zero pivot at row 12\n"
     ):
         factor("processes")
+
+
+class TestApplyRegions:
+    """The §5 apply's regions: one kernel body per worker, ``pardo``
+    once per region, and the same faults, journal and bits as one body
+    per rank."""
+
+    F = parallel_ilut(A, PARAMS, NRANKS, seed=0, transport="none").factors
+    B = np.sin(np.arange(A.shape[0], dtype=np.float64)) + 1.5
+
+    def _apply(self, sim, **kwargs):
+        regions: list = []
+        results: list = []
+        with sim:
+            x = parallel_triangular_solve(
+                self.F, self.B, nranks=NRANKS, transport=_counting_pardo(sim, regions, results),
+                **kwargs,
+            ).x
+        return x, regions, results
+
+    @pytest.fixture
+    def bodies(self, monkeypatch):
+        calls = []
+        solve_body = triangular._solve_body
+
+        def counted(x, body):
+            calls.append(body.ranks)
+            return solve_body(x, body)
+
+        monkeypatch.setattr(triangular, "_solve_body", counted)
+        return calls
+
+    def test_one_body_per_region_on_the_simulator(self, bodies):
+        x, regions, results = self._apply(Simulator(NRANKS, CRAY_T3D))
+        busy = [active for _, active in regions if active]
+        assert len(bodies) == len(busy) and max(map(len, busy)) == NRANKS
+        # the lead (lowest active rank) returns every value, the rest None
+        assert results == [active[:1] for _, active in regions]
+        assert bodies == [tuple(active) for active in busy]
+
+    def test_one_body_per_active_rank_on_threads(self, bodies):
+        x, regions, results = self._apply(ThreadTransport(NRANKS))
+        assert len(bodies) == sum(len(active) for _, active in regions)
+        assert results == [active for _, active in regions]
+
+    @needs_fork
+    def test_pardo_once_per_region_on_every_transport(self):
+        seen = {}
+        for sim in (Simulator(NRANKS, CRAY_T3D), ThreadTransport(NRANKS), ProcessTransport(NRANKS)):
+            x, regions, results = self._apply(sim)
+            # the interior stage, then one region per level (independent
+            # sets have one sub-round), forward and backward
+            assert len(regions) == 2 + 2 * self.F.levels.num_levels
+            if sim.name != "simulator":  # every active rank ran a body
+                assert results == [active for _, active in regions]
+            seen[sim.name] = (regions, x.tobytes())
+        assert seen["simulator"] == seen["threads"] == seen["processes"]
+
+    @needs_fork
+    @pytest.mark.parametrize("action", ["crash", "corrupt"])
+    @pytest.mark.parametrize("skip", [0, 3])
+    def test_a_fault_on_a_non_lead_rank_reads_alike(self, action, skip):
+        # a crash at or after superstep ``skip``, or a corrupt result in
+        # rank 3's region ``skip + 1``; either region has a lower active
+        # rank, so on the simulator rank 3's thunk is the one returning None
+        plan = (
+            FaultPlan(rank_faults=[RankFault("crash", rank=3, superstep=skip)])
+            if action == "crash"
+            else FaultPlan(message_faults=[MessageFault("corrupt", src=3, skip=skip)])
+        )
+        clean = parallel_triangular_solve(self.F, self.B, nranks=NRANKS)
+        sim = Simulator(NRANKS, CRAY_T3D, faults=plan)
+        x, regions, _ = self._apply(sim)
+        step = sim.fault_journal.signature()[0][2]
+        hit = [active for st, active in regions if st == step and 3 in active]
+        assert hit and min(hit[0]) < 3
+        seen = {}
+        for transport in ("simulator", "threads", "processes"):
+            res = parallel_triangular_solve(
+                self.F, self.B, nranks=NRANKS, transport=transport, faults=plan
+            )
+            seen[transport] = (
+                res.fault_journal.signature(), res.recoveries, res.modeled_time, res.x.tobytes()
+            )
+        assert seen["threads"] == seen["simulator"] == seen["processes"]
+        signature, recoveries, modeled_time, bits = seen["simulator"]
+        assert recoveries == 1 and [e[1] for e in signature] == [action, "region-retry"]
+        assert bits == clean.x.tobytes() and modeled_time == clean.modeled_time
+
+    @needs_fork
+    def test_two_worker_layouts_keep_two_plans(self, monkeypatch):
+        built = []
+        build = triangular._build_plan
+
+        def counted(f, workers):
+            built.append(workers)
+            return build(f, workers)
+
+        monkeypatch.setattr(triangular, "_build_plan", counted)
+        f = parallel_ilut(A, PARAMS, NRANKS, seed=0, transport="none").factors
+        on_sim = parallel_triangular_solve(f, self.B, nranks=NRANKS, transport="simulator")
+        on_procs = parallel_triangular_solve(f, self.B, nranks=NRANKS, transport="processes")
+        assert on_procs.x.tobytes() == on_sim.x.tobytes()
+        one, per_rank = ((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))
+        assert built == [one, per_rank]
+        # both plans stay cached side by side, each with its own bodies
+        assert [b.ranks for b in triangular._apply_plan(f, one).fwd.interior] == [(0, 1, 2, 3)]
+        assert [b.ranks for b in triangular._apply_plan(f, per_rank).fwd.interior] == list(per_rank)
+        assert len(built) == 2

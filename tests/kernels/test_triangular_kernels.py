@@ -59,6 +59,19 @@ class TestLevelsParity:
         L = CSRMatrix.from_coo([1, 3], [0, 2], [1.0, 1.0], (4, 4))
         assert np.array_equal(triangular_levels(L, lower=True), [0, 1, 0, 1])
 
+    def test_stages_count_their_levels_apart(self):
+        # with stage labels only entries inside a stage are dependencies:
+        # the oracle's levels of the factor with every other entry removed
+        f = star_factors()
+        stage = np.arange(f.n) % 3 - 1
+        for M, lower in ((f.L, True), (f.U, False)):
+            rows = np.repeat(np.arange(f.n), np.diff(M.indptr))
+            inside = stage[rows] == stage[M.indices]
+            assert not inside.all()
+            cut = CSRMatrix.from_coo(rows[inside], M.indices[inside], M.data[inside], M.shape)
+            want = _trisolve.levels(cut, lower=lower)
+            assert np.array_equal(triangular_levels(M, lower=lower, stage=stage), want)
+
     def test_ilut_factors(self, medium_poisson):
         f = ilut(medium_poisson, ILUTParams(fill=8, threshold=1e-3))
         self.check(f.L, lower=True)
